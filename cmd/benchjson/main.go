@@ -53,6 +53,9 @@ type Capture struct {
 	Label string `json:"label"`
 	Date  string `json:"date"`
 	Go    string `json:"go"`
+	// Host names the capturing machine ("cpu model, goos/goarch"): a
+	// before/after pair only means something on one host.
+	Host string `json:"host,omitempty"`
 	// GoMaxProcs and NumCPU record the capturing host's parallelism so a
 	// reader can tell real sharded speedups from single-core overhead runs.
 	GoMaxProcs int             `json:"gomaxprocs"`
@@ -71,7 +74,7 @@ func main() {
 	out := flag.String("out", "", "capture file to append to (default: stdout, single capture)")
 	flag.Parse()
 
-	benches, err := parse(os.Stdin)
+	benches, host, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -87,6 +90,7 @@ func main() {
 		Label:      *label,
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		Go:         runtime.Version(),
+		Host:       host,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Benchmarks: benches,
@@ -127,14 +131,20 @@ func main() {
 
 // parse extracts Benchmark lines ("BenchmarkX-8  N  v1 unit1  v2 unit2 ...")
 // from go test output, passing everything else through to stderr so a piped
-// run still shows progress and failures.
-func parse(r *os.File) ([]Benchmark, error) {
+// run still shows progress and failures. The host string is the CPU model
+// from the first "cpu:" header go test prints, plus this process's
+// goos/goarch (benchjson runs on the capturing host).
+func parse(r *os.File) ([]Benchmark, string, error) {
 	var out []Benchmark
+	var cpu string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "Benchmark") {
+			if v, ok := strings.CutPrefix(line, "cpu: "); ok && cpu == "" {
+				cpu = v
+			}
 			fmt.Fprintln(os.Stderr, line)
 			continue
 		}
@@ -172,7 +182,11 @@ func parse(r *os.File) ([]Benchmark, error) {
 		}
 		out = append(out, b)
 	}
-	return out, sc.Err()
+	host := runtime.GOOS + "/" + runtime.GOARCH
+	if cpu != "" {
+		host = cpu + ", " + host
+	}
+	return out, host, sc.Err()
 }
 
 // shardSuffix matches the "-s<N>" shard-count suffix the sharded-kernel

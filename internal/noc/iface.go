@@ -122,10 +122,10 @@ func (ni *netIface) pickInjVC(port int, pkt *Packet) int {
 func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 	f := Flit{
 		Pkt:  w.pkt,
-		Seq:  w.next,
+		Seq:  int32(w.next),
 		Head: w.next == 0,
 		Tail: w.next == w.total-1,
-		VC:   w.vc,
+		VC:   int16(w.vc),
 	}
 	ni.rtr.injectFlit(port, f, cycle)
 	w.next++

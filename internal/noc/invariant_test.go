@@ -36,14 +36,14 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 				t.Fatalf("router %d dir %v: no credit channel", id, d)
 			}
 			for vc := 0; vc < n.cfg.NumVCs; vc++ {
-				credits := r.outputs[d][vc].credits
+				credits := r.outputs[r.inIdx(int(d), vc)].credits
 				onWire := 0
 				for i := 0; i < ch.q.Len(); i++ {
-					if ch.q.At(i).flit.VC == vc {
+					if int(ch.q.At(i).flit.VC) == vc {
 						onWire++
 					}
 				}
-				buffered := down.inputs[ch.dstPort][vc].buf.Len()
+				buffered := down.inputs[down.inIdx(ch.dstPort, vc)].buf.Len()
 				creditsBack := 0
 				for i := 0; i < back.q.Len(); i++ {
 					if back.q.At(i).vc == vc {
@@ -150,7 +150,7 @@ func TestVCClassIsolation(t *testing.T) {
 		for id, r := range m.meshNet.routers {
 			for in := 0; in < r.nIn; in++ {
 				for vc := 0; vc < cfg.NumVCs; vc++ {
-					buf := &r.inputs[in][vc].buf
+					buf := &r.inputs[r.inIdx(in, vc)].buf
 					for i := 0; i < buf.Len(); i++ {
 						f := buf.At(i)
 						wantVC := 0
@@ -191,7 +191,7 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 		for _, r := range m.meshNet.routers {
 			for in := 0; in < r.nIn; in++ {
 				for vc := 0; vc < cfg.NumVCs; vc++ {
-					buf := &r.inputs[in][vc].buf
+					buf := &r.inputs[r.inIdx(in, vc)].buf
 					for i := 1; i < buf.Len(); i++ {
 						cur, prev := buf.At(i), buf.At(i-1)
 						if cur.Pkt == prev.Pkt {
@@ -221,5 +221,187 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 		m.Tick()
 		collectAll(m, topo.NumNodes())
 		check()
+	}
+}
+
+// checkStageMasks rebuilds each router's three stage masks by scanning its
+// input VC state — the scan the masks replaced in router.step — and demands
+// the maintained masks match bit for bit. It also checks that the derived
+// busy condition agrees with a scan-counted one (zero busy VCs exactly when
+// all masks are zero) and, at a cycle boundary, with the router's bit on its
+// shard's active list.
+func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
+	t.Helper()
+	for id, r := range m.meshNet.routers {
+		var rc, va, sa uint64
+		busy := 0
+		for i := range r.inputs {
+			ivc := &r.inputs[i]
+			bit := uint64(1) << uint(i)
+			switch ivc.state {
+			case vcIdle:
+				if ivc.buf.Len() > 0 {
+					rc |= bit
+				}
+			case vcWaitVA:
+				va |= bit
+			case vcActive:
+				sa |= bit
+			}
+			if ivc.buf.Len() > 0 || ivc.state != vcIdle {
+				busy++
+			}
+		}
+		if r.rcMask != rc || r.vaMask != va || r.saMask != sa {
+			t.Fatalf("cycle %d router %d: masks rc=%#x va=%#x sa=%#x, VC state says rc=%#x va=%#x sa=%#x",
+				cycle, id, r.rcMask, r.vaMask, r.saMask, rc, va, sa)
+		}
+		if r.busy() != (busy > 0) { // busy() is masks != 0
+			t.Fatalf("cycle %d router %d: %d busy VCs but masks rc=%#x va=%#x sa=%#x",
+				cycle, id, busy, r.rcMask, r.vaMask, r.saMask)
+		}
+		if r.sh.rtrActive.has(id) != r.busy() {
+			t.Fatalf("cycle %d router %d: active-list bit %v, busy %v",
+				cycle, id, r.sh.rtrActive.has(id), r.busy())
+		}
+	}
+}
+
+// TestStageMasksMatchVCState drives seeded request/reply traffic through
+// every backend — plus a checkerboard mesh, a fault-injected run (stuck VCs,
+// delayed credits, retransmission), a 2-shard run and a router at the full
+// 64-input-VC mask width — and audits the stage masks after every Tick,
+// through saturation and the drain back to an empty network.
+func TestStageMasksMatchVCState(t *testing.T) {
+	cfgs := backendPartitionConfigs()
+	cb := DefaultConfig()
+	cb.Checkerboard = true
+	cb.Routing = RoutingCheckerboard
+	cb.NumVCs = 4
+	cb.MCs = CheckerboardPlacement(6, 6, 8)
+	cb.MCInjPorts = 2
+	cfgs["checkerboard"] = cb
+	faulty := DefaultConfig()
+	faulty.Fault = faulty.Fault.WithRate(0.002, 7)
+	faulty.Fault.RetxTimeout = 512
+	cfgs["fault"] = faulty
+	sharded := DefaultConfig()
+	sharded.Shards = 2
+	cfgs["shards-2"] = sharded
+	wide := DefaultConfig()
+	wide.NumVCs, wide.MCInjPorts = 8, 4 // MC routers use all 64 mask bits
+	cfgs["wide-64"] = wide
+
+	for name, cfg := range cfgs {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			m := MustNewMesh(cfg)
+			backend := m.Backend()
+			comp, mcs := backend.ComputeNodes(), backend.MCs()
+			rng := xrand.New(99)
+			const inject, total = 1500, 12000
+			cycle := 0
+			for ; cycle < total && (cycle < inject || !m.Quiet()); cycle++ {
+				if cycle < inject {
+					for k := 0; k < 3; k++ {
+						if k == 2 {
+							m.TryInject(&Packet{Src: mcs[rng.Intn(len(mcs))], Dst: comp[rng.Intn(len(comp))],
+								Class: ClassReply, Bytes: 64})
+						} else {
+							m.TryInject(&Packet{Src: comp[rng.Intn(len(comp))], Dst: mcs[rng.Intn(len(mcs))],
+								Class: ClassRequest, Bytes: 8})
+						}
+					}
+				}
+				m.Tick()
+				collectAll(m, backend.NumNodes())
+				checkStageMasks(t, m, cycle)
+			}
+			if !m.Quiet() {
+				t.Fatalf("network did not drain within %d cycles", total)
+			}
+			if st := m.Stats(); st.FlitHops == 0 {
+				t.Fatal("no traffic moved")
+			}
+			if name == "fault" {
+				if st := m.Stats(); st.StuckVCFaults == 0 || st.LostCredits == 0 || st.Retransmits == 0 {
+					t.Errorf("fault path never exercised: stuck=%d lostCred=%d retx=%d",
+						st.StuckVCFaults, st.LostCredits, st.Retransmits)
+				}
+			}
+			if name == "shards-2" && len(m.shards) != 2 {
+				t.Fatalf("got %d shards, want 2", len(m.shards))
+			}
+		})
+	}
+}
+
+// scanPickSAInput is the scan the rotated-window pick replaced: visit the
+// port's VCs in (start+k)%n order and take the first eligible one.
+func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
+	n := r.p.numVCs
+	start := r.saInPtr[in]
+	for k := 0; k < n; k++ {
+		v := (start + k) % n
+		ivc := &r.inputs[r.inIdx(in, v)]
+		if ivc.state != vcActive || ivc.readyAt > cycle || ivc.buf.Len() == 0 {
+			continue
+		}
+		if !r.outputReady(ivc.outPort, ivc.outVC) {
+			continue
+		}
+		r.saInPtr[in] = (v + 1) % n
+		return r.inIdx(in, v), true
+	}
+	return 0, false
+}
+
+// TestPickSAInputMatchesScan is exhaustive over the round-robin input pick:
+// for every VC count up to 8, every pointer position, every set of active
+// VCs and every subset of them that is eligible this cycle, the
+// rotated-window walk must return the same VC and leave the same pointer as
+// the modular scan. The pick is on the last input port, so the window also
+// sits at a nonzero shift of saMask.
+func TestPickSAInputMatchesScan(t *testing.T) {
+	const cycle = 10
+	for n := 1; n <= 8; n++ {
+		r := newRouter(routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}, nil)
+		in := r.nIn - 1
+		for v := 0; v < n; v++ {
+			ivc := &r.inputs[r.inIdx(in, v)]
+			ivc.buf.Push(Flit{Head: true, Tail: true})
+			ivc.outPort, ivc.outVC = int(numDirs), 0 // ejection port: ready while its queue has room
+		}
+		for start := 0; start < n; start++ {
+			for active := uint64(0); active < 1<<uint(n); active++ {
+				// Enumerate the subsets of active as the eligible sets.
+				for elig := active; ; elig = (elig - 1) & active {
+					r.saMask = active << uint(in*n)
+					for v := 0; v < n; v++ {
+						ivc := &r.inputs[r.inIdx(in, v)]
+						ivc.state = vcIdle
+						if active>>uint(v)&1 != 0 {
+							ivc.state = vcActive
+						}
+						ivc.readyAt = cycle + 1
+						if elig>>uint(v)&1 != 0 {
+							ivc.readyAt = cycle
+						}
+					}
+					r.saInPtr[in] = start
+					wantIdx, wantOK := scanPickSAInput(r, in, cycle)
+					wantPtr := r.saInPtr[in]
+					r.saInPtr[in] = start
+					gotIdx, gotOK := r.pickSAInput(in, r.saMask>>uint(in*n), cycle)
+					if gotIdx != wantIdx || gotOK != wantOK || r.saInPtr[in] != wantPtr {
+						t.Fatalf("n=%d start=%d active=%#b eligible=%#b: pick (%d,%v) ptr %d, scan (%d,%v) ptr %d",
+							n, start, active, elig, gotIdx, gotOK, r.saInPtr[in], wantIdx, wantOK, wantPtr)
+					}
+					if elig == 0 {
+						break
+					}
+				}
+			}
+		}
 	}
 }

@@ -273,15 +273,22 @@ func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
 	for i := 0; i < 3000; i++ { // warm to steady state
 		tick()
 	}
+	st := m.Stats()
+	warmHops := st.FlitHops
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick()
 	}
 	b.StopTimer()
-	st := m.Stats()
 	if st.Cycles > 0 {
 		b.ReportMetric(float64(st.FlitHops)/float64(st.Cycles), "hops/cycle")
+	}
+	// Cost per unit of work moved, over the timed ticks only: the number a
+	// kernel change should shrink, comparable across loads and mesh sizes
+	// where ns/op is not.
+	if hops := st.FlitHops - warmHops; hops > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/flit-hop")
 	}
 }
 

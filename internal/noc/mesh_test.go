@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,36 @@ func TestMeshConfigValidation(t *testing.T) {
 	}
 	if _, err := NewMesh(DefaultConfig()); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestRouterWidthValidation pins the static bounds of the mask-driven
+// router: input VCs per router fit a 64-bit stage mask and a VC number fits
+// Flit.VC. Over-wide configs are refused with an error by every constructor,
+// never truncated and never a panic.
+func TestRouterWidthValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		numVCs, mcPorts int
+		ok              bool
+	}{
+		{"baseline 2 VCs", 2, 1, true},
+		{"ablation 8 VCs (40 input VCs)", 8, 1, true},
+		{"8 VCs, 4 MC ports (exactly 64)", 8, 4, true},
+		{"8 VCs, 5 MC ports (72)", 8, 5, false},
+		{"12 VCs, 2 MC ports (72)", 12, 2, false},
+		{"16 VCs (80)", 16, 1, false},
+		{"VC number past int16", math.MaxInt16 + 1, 1, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.NumVCs, cfg.MCInjPorts = tc.numVCs, tc.mcPorts
+		_, err := NewMesh(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewMesh error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, lerr := NewLaneSet(cfg, 2); (lerr == nil) != tc.ok {
+			t.Errorf("%s: NewLaneSet error = %v, want ok=%v", tc.name, lerr, tc.ok)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/fault"
@@ -321,6 +322,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	if cfg.SrcQueueCap <= 0 || cfg.EjQueueCap <= 0 {
 		return nil, fmt.Errorf("noc: queue capacities must be positive")
 	}
+	if err := checkRouterWidth(cfg); err != nil {
+		return nil, err
+	}
 	plan, err := buildVCPlan(cfg.NumVCs, cfg.SplitClasses, backend.Phases())
 	if err != nil {
 		return nil, err
@@ -398,7 +402,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			n.routers[nb].credChans[int(d.opposite())] = cc
 			n.credChans = append(n.credChans, cc)
 			for v := 0; v < cfg.NumVCs; v++ {
-				r.outputs[d][v].credits = cfg.BufDepth
+				r.outputs[r.inIdx(int(d), v)].credits = cfg.BufDepth
 			}
 		}
 	}
@@ -407,6 +411,21 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	}
 	n.buildShards(cfg.Shards)
 	return m, nil
+}
+
+// checkRouterWidth rejects configurations the router's fixed-width state
+// cannot represent: a VC number must fit Flit.VC, and the widest router (an
+// MC tile: four direction inputs plus MCInjPorts injection ports) must fit
+// its input VCs in one 64-bit stage mask.
+func checkRouterWidth(cfg Config) error {
+	if cfg.NumVCs > math.MaxInt16 {
+		return fmt.Errorf("noc: %d VCs exceed the flit VC field (max %d)", cfg.NumVCs, math.MaxInt16)
+	}
+	if in := (int(numDirs) + cfg.MCInjPorts) * cfg.NumVCs; in > maxInputVCs {
+		return fmt.Errorf("noc: %d input ports x %d VCs = %d input VCs per MC router, limit %d",
+			int(numDirs)+cfg.MCInjPorts, cfg.NumVCs, in, maxInputVCs)
+	}
+	return nil
 }
 
 // MustNewMesh is NewMesh but panics on error.

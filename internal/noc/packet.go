@@ -87,17 +87,21 @@ func (p *Packet) NetworkLatency() uint64 { return p.ArrivedAt - p.InjectedAt }
 func (p *Packet) TotalLatency() uint64 { return p.ArrivedAt - p.OfferedAt }
 
 // Flit is the flow-control unit. Flits of one packet always travel in order
-// on a single virtual channel per link.
+// on a single virtual channel per link. The struct is copied on every buffer
+// write, channel send and switch traversal, so its fields are narrowed to
+// keep it at 24 bytes: newMeshNet rejects VC counts beyond the int16 range,
+// and a packet's flit count is bounded far below int32.
 type Flit struct {
-	Pkt  *Packet
-	Seq  int // 0-based position within the packet
-	Head bool
-	Tail bool
-	VC   int // virtual channel on the link the flit currently occupies
+	Pkt *Packet
 
 	arrived uint64 // cycle the flit entered its current input buffer; lets a
 	// queued head overlap its buffer-write/RC stages with the
 	// previous packet's drain (pipelined routers do this)
+
+	Seq  int32 // 0-based position within the packet
+	VC   int16 // virtual channel on the link the flit currently occupies
+	Head bool
+	Tail bool
 }
 
 // PacketPool is a free list of Packet objects for steady-state
@@ -151,16 +155,4 @@ func flitCount(n, flitBytes int) int {
 		return 1
 	}
 	return (n + flitBytes - 1) / flitBytes
-}
-
-// makeFlits materializes the flits of p for a network with the given flit
-// size.
-func makeFlits(p *Packet, flitBytes int) []Flit {
-	n := flitCount(p.Bytes, flitBytes)
-	p.flits = n
-	fs := make([]Flit, n)
-	for i := range fs {
-		fs[i] = Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == n-1}
-	}
-	return fs
 }

@@ -207,7 +207,7 @@ func (sh *meshShard) runSegment(cycle uint64) {
 	sh.rtrActive.forEach(func(i int) {
 		r := n.routers[i]
 		r.step(cycle)
-		if r.busy == 0 {
+		if !r.busy() {
 			sh.rtrActive.clear(i)
 		}
 	})

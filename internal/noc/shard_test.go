@@ -157,7 +157,7 @@ func TestBoundaryMailboxWrapDrain(t *testing.T) {
 	}
 	rounds := 3*n.shards[0].outFlit.Cap() + 5
 	for i := 0; i < rounds; i++ {
-		ch.send(Flit{Seq: i}, n.cycle+1)
+		ch.send(Flit{Seq: int32(i)}, n.cycle+1)
 		n.epilogue()
 		if ch.q.Len() != 1 {
 			t.Fatalf("round %d: channel queue has %d events after drain, want 1", i, ch.q.Len())
@@ -165,7 +165,7 @@ func TestBoundaryMailboxWrapDrain(t *testing.T) {
 		if !ch.sh.flitActive.has(ch.idx) {
 			t.Fatalf("round %d: drained channel not marked active in owning shard", i)
 		}
-		if ev := ch.q.Pop(); ev.flit.Seq != i {
+		if ev := ch.q.Pop(); int(ev.flit.Seq) != i {
 			t.Fatalf("round %d: got flit seq %d, want %d (FIFO order broken across wrap)", i, ev.flit.Seq, i)
 		}
 		ch.sh.flitActive.clear(ch.idx)

@@ -117,6 +117,10 @@ func NewMeshRunner(cfg noc.Config) *Runner {
 	})
 }
 
+// pendingReply is a request's payload while it waits in an MC's reply
+// backlog. On the wire it rides unboxed in the packet's typed fields (Line =
+// offeredAt, Write = measured; the requester is the request's Src and the
+// reply's Dst), so the driver never boxes a value into Packet.Meta.
 type pendingReply struct {
 	dst       noc.NodeID
 	offeredAt uint64 // request offer time, for round-trip measurement
@@ -124,17 +128,19 @@ type pendingReply struct {
 }
 
 // laneRun is one seed replica's mutable state in the lockstep cycle loop:
-// its own network, rng stream, reply backlogs and accumulators. The loop
-// shares only the cycle counter and the immutable node-role geometry.
+// its own network, rng stream, packet pool, reply backlogs and accumulators.
+// The loop shares only the cycle counter and the immutable node-role
+// geometry.
 type laneRun struct {
 	net                noc.Network
 	rng                *xrand.Rand
+	pool               noc.PacketPool
 	lat, rtt           stats.Mean
 	hist               *stats.Histogram
 	measured           int
 	dropCycles         int
 	replyFlitsInjected uint64
-	backlog            map[noc.NodeID][]pendingReply
+	backlog            [][]pendingReply // per MC, indexed like backend.MCs()
 	live               bool
 }
 
@@ -174,7 +180,7 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 			net:     net,
 			rng:     xrand.New(cfg.Seed + uint64(i)),
 			hist:    stats.NewHistogram(4, 1024), // latency buckets up to 4096 cycles
-			backlog: make(map[noc.NodeID][]pendingReply),
+			backlog: make([][]pendingReply, len(mcs)),
 			live:    true,
 		}
 	}
@@ -209,47 +215,54 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 					} else {
 						dst = mcs[l.rng.Intn(len(mcs))]
 					}
-					inMeasure := now >= measureStart && now < measureEnd
-					pkt := &noc.Packet{Src: c, Dst: dst, Class: noc.ClassRequest, Bytes: 8,
-						Meta: pendingReply{dst: c, offeredAt: now, measured: inMeasure}}
+					pkt := l.pool.Get()
+					pkt.Src, pkt.Dst, pkt.Class, pkt.Bytes = c, dst, noc.ClassRequest, 8
+					pkt.Line = now
+					pkt.Write = now >= measureStart && now < measureEnd
 					if !l.net.TryInject(pkt) {
+						l.pool.Put(pkt)
 						l.dropCycles++
 					}
 				}
 			}
-			// MCs turn arrived requests into replies.
-			for _, mc := range mcs {
+			// MCs turn arrived requests into replies. A delivered batch is
+			// consumed in full before the next Get, so recycling its packets
+			// cannot alias one still being read.
+			for j, mc := range mcs {
 				for _, pkt := range l.net.Delivered(mc) {
-					pr := pkt.Meta.(pendingReply)
-					if pr.measured {
+					if pkt.Write {
 						l.lat.Add(float64(pkt.TotalLatency()))
 						l.hist.Add(float64(pkt.TotalLatency()))
 					}
-					l.backlog[mc] = append(l.backlog[mc], pr)
+					l.backlog[j] = append(l.backlog[j],
+						pendingReply{dst: pkt.Src, offeredAt: pkt.Line, measured: pkt.Write})
+					l.pool.Put(pkt)
 				}
-				q := l.backlog[mc]
+				q := l.backlog[j]
 				nAcc := 0
 				for _, pr := range q {
-					reply := &noc.Packet{Src: mc, Dst: pr.dst, Class: noc.ClassReply,
-						Bytes: cfg.ReplyBytes, Meta: pr}
+					reply := l.pool.Get()
+					reply.Src, reply.Dst, reply.Class, reply.Bytes = mc, pr.dst, noc.ClassReply, cfg.ReplyBytes
+					reply.Line, reply.Write = pr.offeredAt, pr.measured
 					if !l.net.TryInject(reply) {
+						l.pool.Put(reply)
 						break
 					}
 					l.replyFlitsInjected++
 					nAcc++
 				}
-				l.backlog[mc] = q[:copy(q, q[nAcc:])]
+				l.backlog[j] = q[:copy(q, q[nAcc:])]
 			}
 			// Compute nodes absorb replies.
 			for _, c := range comp {
 				for _, pkt := range l.net.Delivered(c) {
-					pr := pkt.Meta.(pendingReply)
-					if pr.measured {
+					if pkt.Write {
 						l.lat.Add(float64(pkt.TotalLatency()))
 						l.hist.Add(float64(pkt.TotalLatency()))
-						l.rtt.Add(float64(pkt.ArrivedAt - pr.offeredAt))
+						l.rtt.Add(float64(pkt.ArrivedAt - pkt.Line))
 						l.measured++
 					}
+					l.pool.Put(pkt)
 				}
 			}
 		}
@@ -271,7 +284,7 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 				if !l.live {
 					continue
 				}
-				if !backlogEmpty(l.backlog, mcs) {
+				if !backlogEmpty(l.backlog) {
 					k = 0
 					continue
 				}
@@ -336,9 +349,9 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 }
 
 // backlogEmpty reports whether no MC holds a queued reply.
-func backlogEmpty(backlog map[noc.NodeID][]pendingReply, mcs []noc.NodeID) bool {
-	for _, mc := range mcs {
-		if len(backlog[mc]) > 0 {
+func backlogEmpty(backlog [][]pendingReply) bool {
+	for _, q := range backlog {
+		if len(q) > 0 {
 			return false
 		}
 	}

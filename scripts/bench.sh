@@ -11,12 +11,30 @@
 #	... make changes ...
 #	scripts/bench.sh after-refactor
 #
-# Usage: scripts/bench.sh [label] [outfile]
+# A change confined to the NoC cycle kernel can capture just the rows it
+# moves — the four kernel microbenchmarks plus the open-loop Fig 21 point —
+# by passing `noc` as the third argument (a minute instead of ten):
+#
+#	scripts/bench.sh before-mask-router BENCH_2026-09-28.json noc
+#
+# Every capture records the host (CPU model, goos/goarch), GOMAXPROCS and
+# NumCPU next to its rows; a before/after pair must come from one host.
+#
+# Usage: scripts/bench.sh [label] [outfile] [all|noc]
 set -eu
 cd "$(dirname "$0")/.."
 
 LABEL="${1:-capture}"
 OUT="${2:-BENCH_$(date +%F).json}"
+SUITE="${3:-all}"
+
+case "$SUITE" in
+all | noc) ;;
+*)
+	echo "bench.sh: unknown suite '$SUITE' (want all or noc)" >&2
+	exit 2
+	;;
+esac
 
 {
 	# Cycle-kernel microbenchmarks: fixed iteration count so allocs/op and
@@ -28,16 +46,23 @@ OUT="${2:-BENCH_$(date +%F).json}"
 	# per-seed speedup_vs_l1 metric (valid on any host: lane batching is
 	# work elision, not parallelism).
 	go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
-	# Sweep-planner microbenchmarks: a warm re-plan of an explorer-shaped
-	# sweep (alloc-gated at 0 allocs/op in CI) plus the naive-vs-planned
-	# submission comparison on a stub kernel.
-	go test -run '^$' -bench 'BenchmarkSweepPlanner|BenchmarkSweepSubmission' -benchmem -benchtime 200x ./internal/runner/
-	# Class-representative figure benchmarks (hm_speedup metrics et al) and
-	# the idle-horizon fast-forward pairs, whose skip rows get a derived
-	# speedup_vs_noskip metric from cmd/benchjson.
-	go test -run '^$' -bench 'Fig|Table|Headline|IdleSkip' -benchmem -benchtime 1x .
-	# Lane-batched end-to-end throughput (memory-bound manycore closed loop
-	# at 1 and 4 seed lanes). Longer benchtime: the per-seed speedup_vs_l1
-	# ratio is the headline number and single-iteration noise would swamp it.
-	go test -run '^$' -bench 'BenchmarkLaneThroughput' -benchmem -benchtime 5x .
+	if [ "$SUITE" = noc ]; then
+		# The open-loop harness on the real mesh: driver + kernel, the same
+		# path the repository benchmark's open-loadlat workload takes.
+		go test -run '^$' -bench 'BenchmarkFig21OpenLoop' -benchmem -benchtime 5x .
+	else
+		# Sweep-planner microbenchmarks: a warm re-plan of an explorer-shaped
+		# sweep (alloc-gated at 0 allocs/op in CI) plus the naive-vs-planned
+		# submission comparison on a stub kernel.
+		go test -run '^$' -bench 'BenchmarkSweepPlanner|BenchmarkSweepSubmission' -benchmem -benchtime 200x ./internal/runner/
+		# Class-representative figure benchmarks (hm_speedup metrics et al)
+		# and the idle-horizon fast-forward pairs, whose skip rows get a
+		# derived speedup_vs_noskip metric from cmd/benchjson.
+		go test -run '^$' -bench 'Fig|Table|Headline|IdleSkip' -benchmem -benchtime 1x .
+		# Lane-batched end-to-end throughput (memory-bound manycore closed
+		# loop at 1 and 4 seed lanes). Longer benchtime: the per-seed
+		# speedup_vs_l1 ratio is the headline number and single-iteration
+		# noise would swamp it.
+		go test -run '^$' -bench 'BenchmarkLaneThroughput' -benchmem -benchtime 5x .
+	fi
 } 2>&1 | go run ./cmd/benchjson -label "$LABEL" -out "$OUT"
