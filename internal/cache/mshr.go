@@ -13,12 +13,25 @@ type Waiter uint64
 // MSHR is a miss-status holding register table: it tracks outstanding line
 // misses and merges later misses to a line already being fetched, so only
 // one request per line is in flight (the paper models 64 MSHRs per core).
+//
+// The table is a fixed array of entries found through a chained hash index
+// and recycled through a free list, both threaded through mshrEntry.next, so
+// a steady-state Allocate/Fill cycle allocates nothing: each entry keeps its
+// waiter slice's backing array across reuse.
 type MSHR struct {
-	capacity     int
 	maxPerEntry  int
-	entries      map[addr.Address][]Waiter
+	entries      []mshrEntry // one per MSHR; len is the capacity
+	buckets      []int32     // head entry of each hash chain, -1 when empty
+	free         int32       // head of the free list, -1 when the table is full
+	inFlight     int
 	mergedMisses uint64
 	peak         int
+}
+
+type mshrEntry struct {
+	line    addr.Address
+	next    int32 // next entry on the same hash chain or the free list, -1 ends
+	waiters []Waiter
 }
 
 // NewMSHR builds a table with the given number of entries. maxPerEntry
@@ -27,11 +40,23 @@ func NewMSHR(capacity, maxPerEntry int) (*MSHR, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: MSHR capacity must be positive, got %d", capacity)
 	}
-	return &MSHR{
-		capacity:    capacity,
+	nBuckets := 1
+	for nBuckets < capacity {
+		nBuckets <<= 1
+	}
+	m := &MSHR{
 		maxPerEntry: maxPerEntry,
-		entries:     make(map[addr.Address][]Waiter, capacity),
-	}, nil
+		entries:     make([]mshrEntry, capacity),
+		buckets:     make([]int32, nBuckets),
+	}
+	for i := range m.buckets {
+		m.buckets[i] = -1
+	}
+	for i := range m.entries {
+		m.entries[i].next = int32(i) + 1
+	}
+	m.entries[capacity-1].next = -1
+	return m, nil
 }
 
 // MustNewMSHR is NewMSHR but panics on error.
@@ -59,45 +84,72 @@ const (
 	AllocStallFull
 )
 
+// link returns the chain link — a bucket head or an entry's next — that
+// holds line's entry index, or the -1 ending the chain line hashes to when
+// no entry is in flight. (Fibonacci hashing: line addresses differ only
+// above the line-offset bits.)
+func (m *MSHR) link(line addr.Address) *int32 {
+	h := uint64(line) * 0x9e3779b97f4a7c15
+	l := &m.buckets[h>>32&uint64(len(m.buckets)-1)]
+	for *l >= 0 && m.entries[*l].line != line {
+		l = &m.entries[*l].next
+	}
+	return l
+}
+
 // Allocate records a miss on line by w. See Outcome for the contract.
 func (m *MSHR) Allocate(line addr.Address, w Waiter) Outcome {
-	if waiters, ok := m.entries[line]; ok {
-		if m.maxPerEntry > 0 && len(waiters) >= m.maxPerEntry {
+	l := m.link(line)
+	if *l >= 0 {
+		e := &m.entries[*l]
+		if m.maxPerEntry > 0 && len(e.waiters) >= m.maxPerEntry {
 			return AllocStallFull
 		}
-		m.entries[line] = append(waiters, w)
+		e.waiters = append(e.waiters, w)
 		m.mergedMisses++
 		return AllocMerged
 	}
-	if len(m.entries) >= m.capacity {
+	if m.free < 0 {
 		return AllocStallFull
 	}
-	m.entries[line] = []Waiter{w}
-	if len(m.entries) > m.peak {
-		m.peak = len(m.entries)
+	// Move the free list's head entry to the end of line's chain.
+	i := m.free
+	e := &m.entries[i]
+	m.free = e.next
+	e.line, e.next, e.waiters = line, -1, append(e.waiters[:0], w)
+	*l = i
+	m.inFlight++
+	if m.inFlight > m.peak {
+		m.peak = m.inFlight
 	}
 	return AllocNew
 }
 
 // Pending reports whether line has an in-flight entry.
-func (m *MSHR) Pending(line addr.Address) bool {
-	_, ok := m.entries[line]
-	return ok
-}
+func (m *MSHR) Pending(line addr.Address) bool { return *m.link(line) >= 0 }
 
 // Fill completes the miss on line, releasing and returning all waiters.
-// Filling a line with no entry returns nil (harmless, e.g. after a flush).
+// The returned slice is the entry's own storage: it is valid until the next
+// Allocate. Filling a line with no entry returns nil (harmless, e.g. after
+// a flush).
 func (m *MSHR) Fill(line addr.Address) []Waiter {
-	waiters := m.entries[line]
-	delete(m.entries, line)
-	return waiters
+	l := m.link(line)
+	i := *l
+	if i < 0 {
+		return nil
+	}
+	e := &m.entries[i]
+	*l = e.next
+	e.next, m.free = m.free, i
+	m.inFlight--
+	return e.waiters
 }
 
 // InFlight returns the number of occupied entries.
-func (m *MSHR) InFlight() int { return len(m.entries) }
+func (m *MSHR) InFlight() int { return m.inFlight }
 
 // Full reports whether a new (non-merging) allocation would stall.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
+func (m *MSHR) Full() bool { return m.free < 0 }
 
 // MergedMisses returns how many misses were merged onto existing entries.
 func (m *MSHR) MergedMisses() uint64 { return m.mergedMisses }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/xrand"
 )
 
 func TestMSHRNewValidation(t *testing.T) {
@@ -130,5 +131,94 @@ func TestMSHRPropertyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapMSHR is the map-of-slices table the slot array replaced, kept as the
+// reference model.
+type mapMSHR struct {
+	capacity, maxPerEntry, peak int
+	entries                     map[addr.Address][]Waiter
+	merged                      uint64
+}
+
+func (m *mapMSHR) allocate(line addr.Address, w Waiter) Outcome {
+	if ws, ok := m.entries[line]; ok {
+		if m.maxPerEntry > 0 && len(ws) >= m.maxPerEntry {
+			return AllocStallFull
+		}
+		m.entries[line] = append(ws, w)
+		m.merged++
+		return AllocMerged
+	}
+	if len(m.entries) >= m.capacity {
+		return AllocStallFull
+	}
+	m.entries[line] = []Waiter{w}
+	m.peak = max(m.peak, len(m.entries))
+	return AllocNew
+}
+
+func (m *mapMSHR) fill(line addr.Address) []Waiter {
+	ws := m.entries[line]
+	delete(m.entries, line)
+	return ws
+}
+
+func TestMSHRMatchesMapReference(t *testing.T) {
+	// Random allocate/fill streams over more lines than entries (so hash
+	// chains collide, the table fills and entries are recycled) must match
+	// the reference outcome for outcome, waiter for waiter.
+	for _, tc := range []struct{ capacity, mergeCap, lines int }{
+		{1, 0, 3}, {3, 2, 8}, {8, 0, 40}, {64, 8, 200},
+	} {
+		rng := xrand.New(uint64(tc.capacity))
+		m := MustNewMSHR(tc.capacity, tc.mergeCap)
+		ref := &mapMSHR{capacity: tc.capacity, maxPerEntry: tc.mergeCap, entries: map[addr.Address][]Waiter{}}
+		for op := 0; op < 20000; op++ {
+			// Strided like real line addresses: only the bits above the
+			// line offset differ.
+			line := addr.Address(rng.Intn(tc.lines)) * 64
+			if rng.Bool(0.4) {
+				got, want := m.Fill(line), ref.fill(line)
+				if len(got) != len(want) {
+					t.Fatalf("cap %d op %d: Fill(%#x) returned %v, want %v", tc.capacity, op, line, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("cap %d op %d: Fill(%#x) returned %v, want %v", tc.capacity, op, line, got, want)
+					}
+				}
+			} else if got, want := m.Allocate(line, Waiter(op)), ref.allocate(line, Waiter(op)); got != want {
+				t.Fatalf("cap %d op %d: Allocate(%#x) = %v, want %v", tc.capacity, op, line, got, want)
+			}
+			_, refPending := ref.entries[line]
+			if m.Pending(line) != refPending || m.InFlight() != len(ref.entries) ||
+				m.Full() != (len(ref.entries) >= tc.capacity) || m.Peak() != ref.peak || m.MergedMisses() != ref.merged {
+				t.Fatalf("cap %d op %d: pending=%v inflight=%d full=%v peak=%d merged=%d; reference pending=%v inflight=%d peak=%d merged=%d",
+					tc.capacity, op, m.Pending(line), m.InFlight(), m.Full(), m.Peak(), m.MergedMisses(),
+					refPending, len(ref.entries), ref.peak, ref.merged)
+			}
+		}
+	}
+}
+
+func TestMSHRSteadyStateAllocatesNothing(t *testing.T) {
+	m := MustNewMSHR(8, 4)
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			for w := 0; w < 4; w++ {
+				m.Allocate(addr.Address(i*64), Waiter(w))
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if got := len(m.Fill(addr.Address(i * 64))); got != 4 {
+				t.Fatalf("fill released %d waiters, want 4", got)
+			}
+		}
+	}
+	cycle() // grows every entry's waiter slice once
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("steady-state allocate/fill cycle allocates %v times, want 0", allocs)
 	}
 }

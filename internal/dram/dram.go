@@ -114,6 +114,15 @@ type Controller struct {
 	busFree  uint64 // first cycle the data bus is free
 	inflight []inflight
 	stats    Stats
+
+	// Due cycles gate the two per-tick scans and feed NextWorkCycle, so the
+	// gate and the idle-skip horizon cannot disagree. issueDue is the
+	// minimum bank readyAt over the queue: no tick before it can issue.
+	// doneDue is the minimum doneAt over inflight: no tick before it
+	// completes a burst. NeverCycle when the respective list is empty.
+	issueDue uint64
+	doneDue  uint64
+	done     []Request // Tick's result scratch, reused every completing tick
 }
 
 // NewController builds a controller; mapper supplies bank/row decoding.
@@ -131,6 +140,9 @@ func NewController(cfg Config, mapper *addr.Mapper) (*Controller, error) {
 		cfg:    cfg,
 		mapper: mapper,
 		banks:  make([]bank, cfg.NumBanks),
+
+		issueDue: NeverCycle,
+		doneDue:  NeverCycle,
 	}, nil
 }
 
@@ -154,8 +166,10 @@ func (c *Controller) Enqueue(req Request) bool {
 		return false
 	}
 	br := c.mapper.Decode(req.Addr)
-	c.queue = append(c.queue, queued{req: req, bank: br.Bank % uint64(c.cfg.NumBanks), row: br.Row, entry: c.nextID})
+	bank := br.Bank % uint64(c.cfg.NumBanks)
+	c.queue = append(c.queue, queued{req: req, bank: bank, row: br.Row, entry: c.nextID})
 	c.nextID++
+	c.issueDue = min(c.issueDue, c.banks[bank].readyAt)
 	return true
 }
 
@@ -181,27 +195,12 @@ const NeverCycle = ^uint64(0)
 // Exactness: a queued request issues on the first tick where its bank's
 // readyAt has passed, so the earliest candidate is max(now+1, min over
 // queue of readyAt); no earlier tick can issue anything, and completions
-// fire precisely at their recorded doneAt.
+// fire precisely at their recorded doneAt. Both minima are the cached
+// issueDue / doneDue that gate Tick's scans.
 func (c *Controller) NextWorkCycle() uint64 {
-	if !c.Busy() {
-		return NeverCycle
-	}
-	next := NeverCycle
-	for i := range c.inflight {
-		if c.inflight[i].doneAt < next {
-			next = c.inflight[i].doneAt
-		}
-	}
+	next := c.doneDue
 	if len(c.queue) > 0 {
-		minReady := NeverCycle
-		for i := range c.queue {
-			if r := c.banks[c.queue[i].bank].readyAt; r < minReady {
-				minReady = r
-			}
-		}
-		if issueAt := max64(c.now+1, minReady); issueAt < next {
-			next = issueAt
-		}
+		next = min(next, max64(c.now+1, c.issueDue))
 	}
 	return next
 }
@@ -229,7 +228,8 @@ func max64(a, b uint64) uint64 {
 }
 
 // Tick advances one DRAM cycle and returns requests whose data transfer
-// completed this cycle.
+// completed this cycle. The returned slice is reused: it is valid until the
+// next Tick.
 func (c *Controller) Tick() []Request {
 	c.now++
 	if c.Busy() {
@@ -237,8 +237,13 @@ func (c *Controller) Tick() []Request {
 		c.stats.TotalQueueSamples++
 		c.stats.QueueOccupancySum += uint64(len(c.queue))
 	}
-	c.schedule()
-	return c.complete()
+	if c.issueDue <= c.now {
+		c.schedule()
+	}
+	if c.doneDue <= c.now {
+		return c.complete()
+	}
+	return nil
 }
 
 // schedule issues at most one transaction per cycle using FR-FCFS: the
@@ -268,6 +273,11 @@ func (c *Controller) schedule() {
 	q := c.queue[pick]
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
 	c.issue(q, pickHit)
+	// The issue moved one bank's readyAt and removed one entry.
+	c.issueDue = NeverCycle
+	for i := range c.queue {
+		c.issueDue = min(c.issueDue, c.banks[c.queue[i].bank].readyAt)
+	}
 }
 
 func (c *Controller) issue(q queued, rowHit bool) {
@@ -315,18 +325,23 @@ func (c *Controller) issue(q queued, rowHit bool) {
 		c.stats.Reads++
 	}
 	c.inflight = append(c.inflight, inflight{req: q.req, doneAt: dataEnd})
+	c.doneDue = min(c.doneDue, dataEnd)
 }
 
+// complete retires every burst whose data transfer has finished and
+// recomputes doneDue over what remains.
 func (c *Controller) complete() []Request {
-	var done []Request
+	c.done = c.done[:0]
+	c.doneDue = NeverCycle
 	kept := c.inflight[:0]
 	for _, f := range c.inflight {
 		if f.doneAt <= c.now {
-			done = append(done, f.req)
+			c.done = append(c.done, f.req)
 		} else {
 			kept = append(kept, f)
+			c.doneDue = min(c.doneDue, f.doneAt)
 		}
 	}
 	c.inflight = kept
-	return done
+	return c.done
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/xrand"
 )
 
 func newTestController(t *testing.T) *Controller {
@@ -236,5 +237,80 @@ func TestRowLocalityMetric(t *testing.T) {
 	s = Stats{RowHits: 3, RowMiss: 1}
 	if s.RowLocality() != 0.75 {
 		t.Errorf("locality = %v, want 0.75", s.RowLocality())
+	}
+}
+
+// tickUngated forces both due-cycle gates open, so Tick scans the queue and
+// the in-flight list unconditionally as it did before the gates existed.
+// (It leaves the forced controller's own NextWorkCycle meaningless.)
+func tickUngated(c *Controller) []Request {
+	c.issueDue, c.doneDue = 0, 0
+	return c.Tick()
+}
+
+// nextWorkScan is NextWorkCycle computed from scratch over the queue and
+// the in-flight list: the scan the cached dues replaced.
+func nextWorkScan(c *Controller) uint64 {
+	next := NeverCycle
+	for _, f := range c.inflight {
+		next = min(next, f.doneAt)
+	}
+	if len(c.queue) > 0 {
+		minReady := NeverCycle
+		for _, q := range c.queue {
+			minReady = min(minReady, c.banks[q.bank].readyAt)
+		}
+		next = min(next, max(c.now+1, minReady))
+	}
+	return next
+}
+
+func TestDueCycleGateMatchesUngated(t *testing.T) {
+	// Random enqueue streams (bursts, gaps, row-local and scattered
+	// addresses, reads and writes) through a gated and an ungated
+	// controller: same completions on the same cycles in the same order,
+	// same stats, and the gated horizon equal to the from-scratch scan at
+	// every tick.
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		gated, ungated := newTestController(t), newTestController(t)
+		burstiness := 0.05 + 0.9*rng.Float64()
+		next, completed := 0, 0
+		for cycle := 0; cycle < 20000; cycle++ {
+			for rng.Bool(burstiness) {
+				a := addr.Address(rng.Intn(1<<22)) &^ 63
+				if rng.Bool(0.5) {
+					a = addr.Address(rng.Intn(64)) * 64 // stay in a few rows
+				}
+				req := Request{Addr: a, IsWrite: rng.Bool(0.3), Meta: next}
+				okG, okU := gated.Enqueue(req), ungated.Enqueue(req)
+				if okG != okU {
+					t.Fatalf("seed %d cycle %d: Enqueue accepted %v gated, %v ungated", seed, cycle, okG, okU)
+				}
+				if !okG {
+					break
+				}
+				next++
+			}
+			if got, want := gated.NextWorkCycle(), nextWorkScan(gated); got != want {
+				t.Fatalf("seed %d cycle %d: NextWorkCycle = %d, scan says %d", seed, cycle, got, want)
+			}
+			doneG, doneU := gated.Tick(), tickUngated(ungated)
+			if len(doneG) != len(doneU) {
+				t.Fatalf("seed %d cycle %d: %d completions gated, %d ungated", seed, cycle, len(doneG), len(doneU))
+			}
+			for i := range doneG {
+				if doneG[i] != doneU[i] {
+					t.Fatalf("seed %d cycle %d: completion %d is %+v gated, %+v ungated", seed, cycle, i, doneG[i], doneU[i])
+				}
+			}
+			completed += len(doneG)
+			if gated.Stats() != ungated.Stats() {
+				t.Fatalf("seed %d cycle %d: stats diverge:\ngated   %+v\nungated %+v", seed, cycle, gated.Stats(), ungated.Stats())
+			}
+		}
+		if completed == 0 || completed < next-DefaultConfig().QueueCapacity-8 {
+			t.Errorf("seed %d: only %d of %d requests completed", seed, completed, next)
+		}
 	}
 }

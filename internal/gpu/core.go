@@ -10,6 +10,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -87,6 +88,9 @@ func (w *warpState) ready() bool {
 	return !w.done && !w.atBarrier && w.outstanding == 0 && len(w.pendingLines) == 0
 }
 
+// maxWarps is the most resident warps a core supports: one readyMask bit each.
+const maxWarps = 64
+
 // Stats counts core activity.
 type Stats struct {
 	Cycles       uint64
@@ -109,10 +113,21 @@ func (s Stats) IPC() float64 {
 
 // Core is one SIMT compute core.
 type Core struct {
-	cfg    Config
-	gen    *workload.Generator
-	warps  []warpState
-	rrNext int
+	cfg     Config
+	gen     *workload.Generator
+	warps   []warpState
+	ctaSize int // warps per CTA; 0 without CTA structure
+	rrNext  int
+
+	// Warp state summarized where it changes, so no per-cycle path scans
+	// the warps. readyMask bit w is set iff warps[w].ready(). pendingWarp
+	// is the one warp holding pendingLines (-1: none): issue dispatches at
+	// most one memory instruction per tick and memoryUnit drains it in the
+	// same tick. busyWarps counts warps with fetches outstanding or lines
+	// pending.
+	readyMask   uint64
+	pendingWarp int
+	busyWarps   int
 
 	l1            *cache.Cache
 	mshr          *cache.MSHR
@@ -142,20 +157,40 @@ func New(cfg Config, gen *workload.Generator) (*Core, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("gpu: generator must not be nil")
 	}
+	prof := gen.Profile()
+	if err := checkWarpCount(prof.Warps); err != nil {
+		return nil, err
+	}
 	l1, err := cache.New(cfg.L1)
 	if err != nil {
 		return nil, err
 	}
+	ctaSize := 0
+	if prof.CTAs > 0 {
+		ctaSize = prof.Warps / prof.CTAs
+	}
 	return &Core{
 		cfg:           cfg,
 		gen:           gen,
-		warps:         make([]warpState, gen.Profile().Warps),
+		warps:         make([]warpState, prof.Warps),
+		ctaSize:       ctaSize,
+		readyMask:     1<<uint(prof.Warps) - 1, // every warp starts ready
+		pendingWarp:   -1,
 		l1:            l1,
 		mshr:          cache.MustNewMSHR(cfg.MSHRs, cfg.MSHRMergeCap),
 		pendingStores: make(map[addr.Address]bool),
 		memQ:          ring.New[memAccess](16, 0),
 		outQ:          ring.New[MemRequest](cfg.OutQueueCap, 0),
 	}, nil
+}
+
+// checkWarpCount rejects a profile with more resident warps than readyMask
+// has bits.
+func checkWarpCount(n int) error {
+	if n > maxWarps {
+		return fmt.Errorf("gpu: %d warps per core exceed the %d the ready mask holds", n, maxWarps)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error.
@@ -172,9 +207,16 @@ func (c *Core) Tick() {
 	c.stats.Cycles++
 	c.issue()
 	c.memoryUnit()
-	if !c.flushed && c.gen.AllDone() && c.allWarpsIdle() && c.memQ.Len() == 0 {
+	if c.kernelDrained() {
 		c.flushDirty()
 	}
+}
+
+// kernelDrained reports whether the end-of-kernel flush is due: every
+// instruction issued and every access serviced, but dirty lines not yet
+// written back.
+func (c *Core) kernelDrained() bool {
+	return !c.flushed && c.gen.AllDone() && c.busyWarps == 0 && c.memQ.Len() == 0
 }
 
 // issue dispatches at most one warp instruction per WarpSize/SIMDWidth
@@ -184,94 +226,144 @@ func (c *Core) issue() {
 		c.issueCooldown--
 		return
 	}
-	n := len(c.warps)
-	for k := 0; k < n; k++ {
-		w := c.pickWarp(k, n)
-		ws := &c.warps[w]
-		if !ws.ready() {
-			continue
-		}
-		ins, ok := c.gen.Next(w)
+	// Walk the ready warps in scheduling order. A warp whose stream turns
+	// out to be exhausted retires without using the slot, and retiring can
+	// release a barrier and so make other warps ready mid-walk: each step
+	// re-reads readyMask but only at positions after the ones already
+	// visited, exactly the warps a position-by-position scan still sees.
+	for from := 0; ; {
+		w, pos, ok := schedPick(c.cfg.Scheduler, c.readyMask, c.rrNext, len(c.warps), from)
 		if !ok {
-			ws.done = true
-			c.releaseBarrierIfComplete(w)
-			continue
+			break
 		}
-		if c.cfg.Scheduler == SchedGTO {
-			c.rrNext = w // stay greedy on the issuing warp
-		} else {
-			c.rrNext = (w + 1) % n
+		if c.issueWarp(w) {
+			return
 		}
-		c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
-		c.progress++
-		c.stats.WarpInstrs++
-		c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
-		switch {
-		case ins.Barrier:
-			c.stats.Barriers++
-			ws.atBarrier = true
-			c.releaseBarrierIfComplete(w)
-		case ins.Mem:
-			c.stats.MemInstrs++
-			ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)
-			ws.pendingWrite = ins.Write
-		}
-		return
+		from = pos + 1
 	}
 	c.stats.IssueStalls++
 }
 
-// pickWarp returns the k-th candidate warp for this issue slot: round-robin
-// rotation for SchedRR; for SchedGTO the current warp first, then warps in
-// age (index) order.
-func (c *Core) pickWarp(k, n int) int {
-	if c.cfg.Scheduler == SchedGTO {
-		if k == 0 {
-			return c.rrNext
-		}
-		idx := k - 1
-		if idx >= c.rrNext {
-			idx++ // oldest-first order, skipping the greedy warp tried at k==0
-		}
-		return idx % n
+// schedPick returns the first ready warp at or after position from of the
+// issue slot's candidate order, and its position. SchedRR orders warps by
+// rotation from rrNext; SchedGTO tries the greedy warp rrNext first, then
+// the rest oldest (lowest index) first. The ready mask is permuted into
+// that order so the earliest candidate is the lowest set bit.
+func schedPick(s Scheduler, ready uint64, rrNext, n, from int) (w, pos int, ok bool) {
+	r := uint(rrNext)
+	var win uint64
+	if s == SchedGTO {
+		below := ready & (1<<r - 1)
+		above := ready &^ (2<<r - 1)
+		win = ready>>r&1 | below<<1 | above
+	} else {
+		win = (ready>>r | ready<<(uint(n)-r)) & (1<<uint(n) - 1)
 	}
-	return (c.rrNext + k) % n
+	win &^= 1<<uint(from) - 1
+	if win == 0 {
+		return 0, 0, false
+	}
+	pos = bits.TrailingZeros64(win)
+	switch {
+	case s != SchedGTO:
+		w = rrNext + pos
+		if w >= n {
+			w -= n
+		}
+	case pos == 0:
+		w = rrNext
+	case pos <= rrNext:
+		w = pos - 1
+	default:
+		w = pos
+	}
+	return w, pos, true
+}
+
+// issueWarp issues ready warp w's next instruction. It returns false,
+// leaving the issue slot free, when the warp's stream is exhausted.
+func (c *Core) issueWarp(w int) bool {
+	ws := &c.warps[w]
+	ins, ok := c.gen.Next(w)
+	if !ok {
+		ws.done = true
+		c.readyMask &^= 1 << uint(w)
+		c.releaseBarrierIfComplete(w)
+		return false
+	}
+	if c.cfg.Scheduler == SchedGTO {
+		c.rrNext = w // stay greedy on the issuing warp
+	} else {
+		c.rrNext = (w + 1) % len(c.warps)
+	}
+	c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
+	c.progress++
+	c.stats.WarpInstrs++
+	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
+	switch {
+	case ins.Barrier:
+		c.stats.Barriers++
+		ws.atBarrier = true
+		c.readyMask &^= 1 << uint(w)
+		c.releaseBarrierIfComplete(w)
+	case ins.Mem:
+		c.stats.MemInstrs++
+		ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)
+		ws.pendingWrite = ins.Write
+		if len(ws.pendingLines) > 0 {
+			c.readyMask &^= 1 << uint(w)
+			c.pendingWarp = w
+			c.busyWarps++
+		}
+	}
+	return true
 }
 
 // releaseBarrierIfComplete frees warp w's CTA when every member has reached
 // the barrier (finished warps do not hold a barrier hostage).
 func (c *Core) releaseBarrierIfComplete(w int) {
-	prof := c.gen.Profile()
-	if prof.CTAs <= 0 {
-		c.warps[w].atBarrier = false
-		return
-	}
-	size := len(c.warps) / prof.CTAs
-	cta := w / size
-	lo, hi := cta*size, (cta+1)*size
-	for i := lo; i < hi; i++ {
-		if !c.warps[i].atBarrier && !c.warps[i].done {
-			return
+	lo, hi := w, w+1
+	if c.ctaSize > 0 {
+		lo = w / c.ctaSize * c.ctaSize
+		hi = lo + c.ctaSize
+		for i := lo; i < hi; i++ {
+			if !c.warps[i].atBarrier && !c.warps[i].done {
+				return
+			}
 		}
 	}
 	for i := lo; i < hi; i++ {
-		c.warps[i].atBarrier = false
+		ws := &c.warps[i]
+		ws.atBarrier = false
+		if ws.ready() {
+			c.readyMask |= 1 << uint(i)
+		}
 	}
 }
 
 // memoryUnit services one coalesced line access per cycle through the L1.
 func (c *Core) memoryUnit() {
-	// Move pending accesses of blocked warps into the L1 port queue
-	// (one warp's accesses enqueue as a burst, preserving coalescing).
-	for w := range c.warps {
+	// Move the just-issued memory instruction's accesses into the L1 port
+	// queue (one warp's accesses enqueue as a burst, preserving coalescing).
+	if w := c.pendingWarp; w >= 0 {
 		ws := &c.warps[w]
 		for _, line := range ws.pendingLines {
 			c.memQ.Push(memAccess{warp: w, line: line, write: ws.pendingWrite})
-			ws.outstanding++
 		}
+		ws.outstanding += len(ws.pendingLines)
 		ws.pendingLines = ws.pendingLines[:0]
+		c.pendingWarp = -1
 	}
 	if c.memQ.Len() == 0 {
+		return
+	}
+	if c.memBlocked {
+		// Nothing has delivered a fill or drained the out-queue since the
+		// front last failed, so a retry fails the same way: an L1 miss
+		// that neither merges nor allocates. This is the one-tick case of
+		// the credit SkipAhead applies to a skipped window.
+		c.stats.MemStallFull++
+		c.l1.CreditMissRetries(1)
 		return
 	}
 	if !c.tryAccess(*c.memQ.Front()) {
@@ -279,7 +371,6 @@ func (c *Core) memoryUnit() {
 		c.stats.MemStallFull++
 		return
 	}
-	c.memBlocked = false
 	c.progress++
 	c.memQ.Pop()
 }
@@ -289,7 +380,7 @@ func (c *Core) memoryUnit() {
 func (c *Core) tryAccess(acc memAccess) bool {
 	c.stats.LineAccesses++
 	if c.l1.Access(acc.line, acc.write) {
-		c.warps[acc.warp].outstanding--
+		c.lineDone(acc.warp)
 		return true
 	}
 	// Miss: merge onto an in-flight fetch or start a new one.
@@ -323,7 +414,20 @@ func (c *Core) DeliverFill(line addr.Address) {
 		c.outQ.Push(MemRequest{Line: victim, Write: true})
 	}
 	for _, w := range c.mshr.Fill(line) {
-		c.warps[w].outstanding--
+		c.lineDone(int(w))
+	}
+}
+
+// lineDone retires one of warp w's in-flight line accesses; the last one
+// makes the warp idle and, unless it is done or at a barrier, ready again.
+func (c *Core) lineDone(w int) {
+	ws := &c.warps[w]
+	ws.outstanding--
+	if ws.outstanding == 0 {
+		c.busyWarps--
+		if ws.ready() {
+			c.readyMask |= 1 << uint(w)
+		}
 	}
 }
 
@@ -344,16 +448,6 @@ func (c *Core) PeekRequest() (MemRequest, bool) {
 	return *c.outQ.Front(), true
 }
 
-func (c *Core) allWarpsIdle() bool {
-	for i := range c.warps {
-		ws := &c.warps[i]
-		if ws.outstanding > 0 || len(ws.pendingLines) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // flushDirty writes back all dirty L1 lines at kernel end (the baseline's
 // software-managed coherence flush, §II).
 func (c *Core) flushDirty() {
@@ -366,7 +460,7 @@ func (c *Core) flushDirty() {
 // Done reports whether the kernel finished: all instructions issued, all
 // fetches returned, the end-of-kernel flush emitted, and nothing queued.
 func (c *Core) Done() bool {
-	return c.gen.AllDone() && c.allWarpsIdle() && c.memQ.Len() == 0 &&
+	return c.gen.AllDone() && c.busyWarps == 0 && c.memQ.Len() == 0 &&
 		c.flushed && c.outQ.Len() == 0 && c.mshr.InFlight() == 0
 }
 
@@ -387,7 +481,7 @@ const NeverCycle = ^uint64(0)
 // equivalent to a unit of SkipAhead.
 func (c *Core) NextWorkCycle() uint64 {
 	// End-of-kernel flush fires on the next tick.
-	if !c.flushed && c.gen.AllDone() && c.allWarpsIdle() && c.memQ.Len() == 0 {
+	if c.kernelDrained() {
 		return c.stats.Cycles + 1
 	}
 	// An untried (or externally unblocked) memQ front accesses the L1 on
@@ -395,16 +489,13 @@ func (c *Core) NextWorkCycle() uint64 {
 	if c.memQ.Len() > 0 && !c.memBlocked {
 		return c.stats.Cycles + 1
 	}
-	for i := range c.warps {
-		ws := &c.warps[i]
-		if len(ws.pendingLines) > 0 {
-			return c.stats.Cycles + 1
-		}
-		if ws.ready() {
-			// Issues (or discovers generator exhaustion) once the
-			// pipeline cooldown expires.
-			return c.stats.Cycles + uint64(c.issueCooldown) + 1
-		}
+	if c.pendingWarp >= 0 {
+		return c.stats.Cycles + 1
+	}
+	if c.readyMask != 0 {
+		// Issues (or discovers generator exhaustion) once the pipeline
+		// cooldown expires.
+		return c.stats.Cycles + uint64(c.issueCooldown) + 1
 	}
 	// Every warp is done, at a barrier held open by a fill-waiting peer,
 	// or waiting on outstanding fetches; only DeliverFill wakes the core.

@@ -1,10 +1,12 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 func testProfile() workload.Profile {
@@ -59,7 +61,7 @@ func runToCompletion(t *testing.T, c *Core, memLatency int, maxCycles int) Stats
 		}
 	}
 	t.Fatalf("core did not finish in %d cycles (warps idle=%v, mshr=%d, outQ=%d)",
-		maxCycles, c.allWarpsIdle(), c.mshr.InFlight(), c.outQ.Len())
+		maxCycles, c.busyWarps == 0, c.mshr.InFlight(), c.outQ.Len())
 	return Stats{}
 }
 
@@ -77,6 +79,31 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+func TestNewValidation(t *testing.T) {
+	for _, tc := range []struct {
+		warps int
+		ok    bool
+	}{{1, true}, {32, true}, {maxWarps, true}, {maxWarps + 1, false}, {1 << 20, false}} {
+		if err := checkWarpCount(tc.warps); (err == nil) != tc.ok {
+			t.Errorf("checkWarpCount(%d) = %v, want ok=%v", tc.warps, err, tc.ok)
+		}
+	}
+	if _, err := New(DefaultConfig(), nil); err == nil {
+		t.Error("nil generator accepted")
+	}
+	bad := DefaultConfig()
+	bad.MSHRs = 0
+	if _, err := New(bad, workload.MustNewGenerator(testProfile(), 0, 1, 1)); err == nil {
+		t.Error("invalid config accepted")
+	}
+	// The widest profile workload.Validate admits builds, every warp ready.
+	p := testProfile()
+	p.Warps = 32
+	if c := newTestCore(t, p); c.readyMask != 1<<32-1 {
+		t.Errorf("initial readyMask = %#x, want 32 set bits", c.readyMask)
 	}
 }
 
@@ -399,5 +426,344 @@ func TestGTOGreedyOnComputeKernel(t *testing.T) {
 	}
 	if gen.Done(3) {
 		t.Error("warp 3 finished before warp 0's stream drained: not greedy")
+	}
+}
+
+// checkDerivedState rebuilds readyMask, pendingWarp and busyWarps from the
+// per-warp state they summarize and requires equality; it is the scan the
+// masks replaced, kept as the oracle.
+func checkDerivedState(t *testing.T, c *Core, when string) {
+	t.Helper()
+	var ready uint64
+	pending, busy, allDone := -1, 0, true
+	for w := range c.warps {
+		ws := &c.warps[w]
+		if ws.ready() {
+			ready |= 1 << uint(w)
+		}
+		if len(ws.pendingLines) > 0 {
+			if pending >= 0 {
+				t.Fatalf("%s: warps %d and %d both hold pending lines", when, pending, w)
+			}
+			pending = w
+		}
+		if ws.outstanding > 0 || len(ws.pendingLines) > 0 {
+			busy++
+		}
+		allDone = allDone && c.gen.Done(w)
+	}
+	if c.readyMask != ready {
+		t.Fatalf("%s: readyMask = %#x, warp state says %#x", when, c.readyMask, ready)
+	}
+	if c.pendingWarp != pending {
+		t.Fatalf("%s: pendingWarp = %d, warp state says %d", when, c.pendingWarp, pending)
+	}
+	if c.busyWarps != busy {
+		t.Fatalf("%s: busyWarps = %d, warp state says %d", when, c.busyWarps, busy)
+	}
+	if c.gen.AllDone() != allDone {
+		t.Fatalf("%s: gen.AllDone() = %v, per-warp Done says %v", when, c.gen.AllDone(), allDone)
+	}
+}
+
+func TestReadyMaskMatchesWarpState(t *testing.T) {
+	barrier := testProfile()
+	barrier.Warps, barrier.CTAs, barrier.BarrierEvery, barrier.InstrsPerWarp = 8, 2, 7, 60
+	wide := testProfile()
+	wide.Warps, wide.MemFraction = 32, 0.5
+	for _, tc := range []struct {
+		name     string
+		prof     workload.Profile
+		sched    Scheduler
+		outCap   int
+		popEvery uint64 // drain one request every popEvery cycles
+	}{
+		{"rr", testProfile(), SchedRR, 16, 1},
+		{"gto", wide, SchedGTO, 16, 1},
+		{"barrier", barrier, SchedRR, 16, 1},
+		{"barrier-gto", barrier, SchedGTO, 16, 1},
+		{"backpressure", wide, SchedRR, 2, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Scheduler, cfg.OutQueueCap = tc.sched, tc.outCap
+			c := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 21))
+			checkDerivedState(t, c, "new")
+			type fill struct {
+				line addr.Address
+				due  uint64
+			}
+			var fills []fill
+			for cyc := uint64(1); !c.Done(); cyc++ {
+				if cyc > 2_000_000 {
+					t.Fatal("core did not finish")
+				}
+				c.Tick()
+				checkDerivedState(t, c, "after Tick")
+				if cyc%tc.popEvery == 0 {
+					if req, ok := c.PopRequest(); ok {
+						checkDerivedState(t, c, "after PopRequest")
+						if !req.Write {
+							fills = append(fills, fill{req.Line, cyc + 80})
+						}
+					}
+				}
+				for len(fills) > 0 && fills[0].due <= cyc {
+					c.DeliverFill(fills[0].line)
+					checkDerivedState(t, c, "after DeliverFill")
+					fills = fills[1:]
+				}
+			}
+			if got, want := c.Stats().WarpInstrs, uint64(tc.prof.Warps*tc.prof.InstrsPerWarp); got != want {
+				t.Errorf("warp instrs = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// pickWarp is the pre-mask scheduler: the k-th candidate warp of an issue
+// slot, which issue() used to probe for k = 0..n-1. Kept as the oracle for
+// schedPick's bit walk.
+func pickWarp(s Scheduler, rrNext, k, n int) int {
+	if s == SchedGTO {
+		if k == 0 {
+			return rrNext
+		}
+		idx := k - 1
+		if idx >= rrNext {
+			idx++ // oldest-first order, skipping the greedy warp tried at k==0
+		}
+		return idx % n
+	}
+	return (rrNext + k) % n
+}
+
+// checkPickOrder walks schedPick over one ready set and requires the warps
+// and positions the k = 0..n-1 scan would have visited, in the same order.
+func checkPickOrder(t *testing.T, s Scheduler, ready uint64, rrNext, n int) {
+	t.Helper()
+	from := 0
+	for k := 0; k < n; k++ {
+		want := pickWarp(s, rrNext, k, n)
+		if ready>>uint(want)&1 == 0 {
+			continue
+		}
+		w, pos, ok := schedPick(s, ready, rrNext, n, from)
+		if !ok || w != want || pos != k {
+			t.Fatalf("sched %d n=%d rrNext=%d ready=%#x from=%d: got warp %d pos %d ok=%v, scan visits warp %d at k=%d",
+				s, n, rrNext, ready, from, w, pos, ok, want, k)
+		}
+		from = pos + 1
+	}
+	if w, pos, ok := schedPick(s, ready, rrNext, n, from); ok {
+		t.Fatalf("sched %d n=%d rrNext=%d ready=%#x from=%d: extra candidate warp %d pos %d",
+			s, n, rrNext, ready, from, w, pos)
+	}
+}
+
+func TestPickWarpMatchesScan(t *testing.T) {
+	for _, s := range []Scheduler{SchedRR, SchedGTO} {
+		for n := 1; n <= 8; n++ {
+			for rrNext := 0; rrNext < n; rrNext++ {
+				for ready := uint64(0); ready < 1<<uint(n); ready++ {
+					checkPickOrder(t, s, ready, rrNext, n)
+				}
+			}
+		}
+		// The shift edges: windows that fill, or nearly fill, the word.
+		rng := xrand.New(7)
+		for _, n := range []int{31, 32, 33, 63, 64} {
+			full := ^uint64(0) >> uint(64-n)
+			for _, rrNext := range []int{0, 1, n / 2, n - 2, n - 1} {
+				for _, ready := range []uint64{0, 1, full, full &^ 1, 1 << uint(n-1), 1 << uint(rrNext)} {
+					checkPickOrder(t, s, ready, rrNext, n)
+				}
+				for i := 0; i < 50; i++ {
+					checkPickOrder(t, s, rng.Uint64()&full, rrNext, n)
+				}
+			}
+		}
+	}
+}
+
+func TestMidScanBarrierRelease(t *testing.T) {
+	// A ready warp whose stream is exhausted retires mid-scan, and its
+	// retirement completes the CTA's barrier: one released warp sits at a
+	// scan position already passed, one at a later position. The slot must
+	// go to the later one — the position-by-position scan never looked
+	// back — and not to the lowest set bit of the refreshed mask.
+	for _, tc := range []struct {
+		name       string
+		sched      Scheduler
+		rrNext     int
+		exhausted  int
+		finished   int
+		wantIssued int
+	}{
+		{"rr", SchedRR, 0, 1, 2, 3},                  // order 0,1,2,3: warp 0 passed, warp 3 ahead
+		{"gto", SchedGTO, 2, 0, 1, 3},                // order 2,0,1,3: greedy warp 2 passed, warp 3 ahead
+		{"gto-greedy-retires", SchedGTO, 1, 1, 2, 0}, // order 1,0,2,3: nothing passed
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testProfile()
+			p.Warps, p.CTAs, p.InstrsPerWarp, p.MemFraction = 4, 1, 3, 0
+			gen := workload.MustNewGenerator(p, 0, 1, 1)
+			cfg := DefaultConfig()
+			cfg.Scheduler = tc.sched
+			c := MustNew(cfg, gen)
+			for _, w := range []int{tc.exhausted, tc.finished} {
+				for i := 0; i < p.InstrsPerWarp; i++ {
+					gen.Next(w)
+				}
+			}
+			c.warps[tc.finished].done = true
+			for w := range c.warps {
+				if w != tc.exhausted && w != tc.finished {
+					c.warps[w].atBarrier = true
+				}
+			}
+			c.readyMask = 1 << uint(tc.exhausted)
+			c.rrNext = tc.rrNext
+			checkDerivedState(t, c, "setup")
+
+			c.Tick()
+			checkDerivedState(t, c, "after Tick")
+			if !c.warps[tc.exhausted].done {
+				t.Errorf("exhausted warp %d not retired", tc.exhausted)
+			}
+			st := c.Stats()
+			if st.WarpInstrs != 1 || st.IssueStalls != 0 {
+				t.Fatalf("warp instrs = %d, issue stalls = %d; want the slot used once", st.WarpInstrs, st.IssueStalls)
+			}
+			issued := c.rrNext // GTO parks rrNext on the issuing warp
+			if tc.sched == SchedRR {
+				issued = (c.rrNext + p.Warps - 1) % p.Warps
+			}
+			if issued != tc.wantIssued {
+				t.Errorf("slot went to warp %d, want warp %d", issued, tc.wantIssued)
+			}
+			for w := range c.warps {
+				if c.warps[w].atBarrier {
+					t.Errorf("warp %d still at the barrier", w)
+				}
+			}
+		})
+	}
+}
+
+func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
+	// A blocked memQ front is credited a failed retry per tick instead of
+	// re-running tryAccess. Twin cores run in lockstep into each kind of
+	// block; then one is credited while the other is forced to make the
+	// real attempt every tick. They must stay identical in every field.
+	scatter := testProfile()
+	scatter.Warps, scatter.MemFraction, scatter.LinesPerMemInstr = 8, 1, 4
+	scatter.Sequential, scatter.Reuse, scatter.WorkingSetKB = 0, 0, 1
+	stream := testProfile()
+	stream.Warps, stream.MemFraction, stream.Sequential, stream.Reuse = 8, 1, 1, 0
+	for _, tc := range []struct {
+		name    string
+		prof    workload.Profile
+		tune    func(*Config)
+		drain   bool                                                  // pop requests while driving into the block
+		blocked func(c *Core, front memAccess) bool                   // the intended block reason holds
+		rearm   func(c *Core, front memAccess, inFlight addr.Address) // external event that unblocks the front
+	}{
+		{
+			name: "outq-full", prof: stream,
+			tune: func(cfg *Config) { cfg.OutQueueCap = 2 },
+			blocked: func(c *Core, f memAccess) bool {
+				return !c.mshr.Pending(f.line) && !c.mshr.Full() && c.outQ.Len() >= c.cfg.OutQueueCap
+			},
+			rearm: func(c *Core, _ memAccess, _ addr.Address) { c.PopRequest() },
+		},
+		{
+			name: "mshr-full", prof: stream, drain: true,
+			tune: func(cfg *Config) { cfg.MSHRs = 3 },
+			blocked: func(c *Core, f memAccess) bool {
+				return !c.mshr.Pending(f.line) && c.mshr.Full() && c.outQ.Len() == 0
+			},
+			rearm: func(c *Core, _ memAccess, inFlight addr.Address) { c.DeliverFill(inFlight) },
+		},
+		{
+			name: "merge-cap-full", prof: scatter, drain: true,
+			tune:    func(cfg *Config) { cfg.MSHRMergeCap = 1 },
+			blocked: func(c *Core, f memAccess) bool { return c.mshr.Pending(f.line) && !c.mshr.Full() },
+			rearm:   func(c *Core, f memAccess, _ addr.Address) { c.DeliverFill(f.line) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.tune(&cfg)
+			credited := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 5))
+			retried := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 5))
+			both := []*Core{credited, retried}
+			var inFlight addr.Address // a line both cores have requested and not been filled
+			for cyc := 0; !credited.memBlocked; cyc++ {
+				if cyc > 10000 {
+					t.Fatal("core never blocked")
+				}
+				for _, c := range both {
+					c.Tick()
+					for tc.drain && c.outQ.Len() > 0 && !c.memBlocked {
+						req, _ := c.PopRequest()
+						inFlight = req.Line
+					}
+				}
+			}
+			front := *credited.memQ.Front()
+			if !tc.blocked(credited, front) {
+				t.Fatalf("blocked for another reason: pending=%v mshr=%d/%d outQ=%d/%d",
+					credited.mshr.Pending(front.line), credited.mshr.InFlight(), cfg.MSHRs,
+					credited.outQ.Len(), cfg.OutQueueCap)
+			}
+			requireTwins := func(when string) {
+				t.Helper()
+				if credited.Stats() != retried.Stats() {
+					t.Fatalf("%s: stats diverge:\ncredited %+v\nretried  %+v", when, credited.Stats(), retried.Stats())
+				}
+				if credited.L1Stats() != retried.L1Stats() {
+					t.Fatalf("%s: L1 stats diverge: %+v vs %+v", when, credited.L1Stats(), retried.L1Stats())
+				}
+				if a, b := credited.mshr.InFlight(), retried.mshr.InFlight(); a != b {
+					t.Fatalf("%s: MSHR occupancy %d vs %d", when, a, b)
+				}
+				if !reflect.DeepEqual(credited, retried) {
+					t.Fatalf("%s: core state diverges", when)
+				}
+			}
+			requireTwins("at the block")
+
+			const n = 200
+			before := credited.Stats()
+			for i := 0; i < n; i++ {
+				credited.Tick()
+				retried.memBlocked = false // force the real tryAccess
+				retried.Tick()
+				if !retried.memBlocked {
+					t.Fatalf("tick %d: the real retry succeeded; the credit contract does not hold", i)
+				}
+				requireTwins("while blocked")
+			}
+			after := credited.Stats()
+			if after.MemStallFull != before.MemStallFull+n || after.LineAccesses != before.LineAccesses {
+				t.Errorf("%d blocked ticks moved MemStallFull %d -> %d, LineAccesses %d -> %d",
+					n, before.MemStallFull, after.MemStallFull, before.LineAccesses, after.LineAccesses)
+			}
+
+			// An external event re-arms a real attempt, which now succeeds.
+			for _, c := range both {
+				tc.rearm(c, front, inFlight)
+				if c.memBlocked {
+					t.Fatal("external event left the front marked blocked")
+				}
+				c.Tick()
+			}
+			requireTwins("after re-arm")
+			if got := credited.Stats(); got.LineAccesses != after.LineAccesses+1 || got.MemStallFull != after.MemStallFull {
+				t.Errorf("re-armed tick: LineAccesses %d -> %d, MemStallFull %d -> %d; want one real access",
+					after.LineAccesses, got.LineAccesses, after.MemStallFull, got.MemStallFull)
+			}
+		})
 	}
 }

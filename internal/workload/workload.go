@@ -109,6 +109,7 @@ type Generator struct {
 	prof     Profile
 	rng      *xrand.Rand
 	warps    []warpGen
+	live     int // warps that have not yet retired their last instruction
 	coreID   uint64
 	numCores uint64
 	wsLines  uint64 // working-set size in lines
@@ -128,6 +129,7 @@ func NewGenerator(p Profile, coreID, numCores int, seed uint64) (*Generator, err
 		prof:     p,
 		rng:      xrand.New(seed ^ (uint64(coreID)+1)*0x9e3779b97f4a7c15),
 		warps:    make([]warpGen, p.Warps),
+		live:     p.Warps,
 		coreID:   uint64(coreID),
 		numCores: uint64(numCores),
 		wsLines:  wsLines,
@@ -152,14 +154,7 @@ func (g *Generator) Profile() Profile { return g.prof }
 func (g *Generator) Done(w int) bool { return g.warps[w].issued >= g.prof.InstrsPerWarp }
 
 // AllDone reports whether every warp has finished.
-func (g *Generator) AllDone() bool {
-	for w := range g.warps {
-		if !g.Done(w) {
-			return false
-		}
-	}
-	return true
-}
+func (g *Generator) AllDone() bool { return g.live == 0 }
 
 // Next produces the next instruction of warp w. ok is false when the warp
 // has finished. The returned Lines slice is reused by the next call.
@@ -169,6 +164,9 @@ func (g *Generator) Next(w int) (ins Instr, ok bool) {
 	}
 	wg := &g.warps[w]
 	wg.issued++
+	if wg.issued == g.prof.InstrsPerWarp {
+		g.live--
+	}
 	ins.ActiveThreads = g.prof.ActiveThreads
 	if g.prof.BarrierEvery > 0 && wg.issued%g.prof.BarrierEvery == 0 && wg.issued < g.prof.InstrsPerWarp {
 		ins.Barrier = true

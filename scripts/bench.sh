@@ -17,10 +17,16 @@
 #
 #	scripts/bench.sh before-mask-router BENCH_2026-09-28.json noc
 #
+# A change confined to the SIMT core model and the memory side behind it
+# captures the per-core-tick microbenchmark plus the two closed-loop rows it
+# moves by passing `gpu`:
+#
+#	scripts/bench.sh before-mask-core BENCH_2026-09-28.json gpu
+#
 # Every capture records the host (CPU model, goos/goarch), GOMAXPROCS and
 # NumCPU next to its rows; a before/after pair must come from one host.
 #
-# Usage: scripts/bench.sh [label] [outfile] [all|noc]
+# Usage: scripts/bench.sh [label] [outfile] [all|noc|gpu]
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,9 +35,9 @@ OUT="${2:-BENCH_$(date +%F).json}"
 SUITE="${3:-all}"
 
 case "$SUITE" in
-all | noc) ;;
+all | noc | gpu) ;;
 *)
-	echo "bench.sh: unknown suite '$SUITE' (want all or noc)" >&2
+	echo "bench.sh: unknown suite '$SUITE' (want all, noc or gpu)" >&2
 	exit 2
 	;;
 esac
@@ -45,8 +51,18 @@ esac
 	# The lane-batched kernel rows (…-l1/-l4) likewise get a derived
 	# per-seed speedup_vs_l1 metric (valid on any host: lane batching is
 	# work elision, not parallelism).
-	go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
-	if [ "$SUITE" = noc ]; then
+	[ "$SUITE" = gpu ] ||
+		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
+	if [ "$SUITE" = gpu ]; then
+		# One core clock cycle on compute-bound, memory-bound (blocked L1
+		# port) and barrier kernels; fixed iteration count so allocs/op is
+		# comparable across captures.
+		go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 2000000x ./internal/gpu/
+		# The closed loops those ticks add up to: the idle-skip pair and
+		# the lane-batched memory-bound manycore run.
+		go test -run '^$' -bench 'BenchmarkIdleSkipClosedLoop' -benchmem -benchtime 1x .
+		go test -run '^$' -bench 'BenchmarkLaneThroughput' -benchmem -benchtime 5x .
+	elif [ "$SUITE" = noc ]; then
 		# The open-loop harness on the real mesh: driver + kernel, the same
 		# path the repository benchmark's open-loadlat workload takes.
 		go test -run '^$' -bench 'BenchmarkFig21OpenLoop' -benchmem -benchtime 5x .
