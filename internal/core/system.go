@@ -281,23 +281,8 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 				break
 			}
 		}
-		buf = s.sched.Step(buf)
-		icntTicked := false
-		for _, d := range buf {
-			switch d {
-			case timing.DomainCore:
-				for _, c := range s.cores {
-					c.Tick()
-				}
-			case timing.DomainInterconnect:
-				s.icntTick()
-				icntTicked = true
-			case timing.DomainDRAM:
-				for _, mc := range s.mcs {
-					mc.TickDRAM()
-				}
-			}
-		}
+		var icntTicked bool
+		buf, icntTicked = s.stepEdges(buf)
 		if err := s.net.Health(); err != nil {
 			runErr = err
 			break
@@ -318,6 +303,30 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	res := s.result(timedOut)
 	res.Status = statusOf(runErr)
 	return res, runErr
+}
+
+// stepEdges advances the scheduler to its next clock edge and ticks every
+// domain that has one there, reusing buf for the edge list. It reports
+// whether the interconnect was among them.
+func (s *System) stepEdges(buf []timing.Domain) ([]timing.Domain, bool) {
+	buf = s.sched.Step(buf)
+	icntTicked := false
+	for _, d := range buf {
+		switch d {
+		case timing.DomainCore:
+			for _, c := range s.cores {
+				c.Tick()
+			}
+		case timing.DomainInterconnect:
+			s.icntTick()
+			icntTicked = true
+		case timing.DomainDRAM:
+			for _, mc := range s.mcs {
+				mc.TickDRAM()
+			}
+		}
+	}
+	return buf, icntTicked
 }
 
 // maybeSkip fast-forwards the scheduler across a fully idle window. It asks

@@ -75,8 +75,8 @@ func TestBackendPartitionContract(t *testing.T) {
 }
 
 // TestBackendMailboxCaps extends the mailbox sizing invariant of
-// TestShardPartitionInvariants to every backend: each channel is owned by
-// its destination's shard, exactly the cross-shard channels get a mailbox,
+// TestShardPartitionInvariants to every backend: exactly the cross-shard
+// channels get a mailbox,
 // and each mailbox's hard capacity equals the number of boundary channels
 // feeding it — the most the one-send-per-channel flow-control bound lets
 // arrive in a single cycle.
@@ -92,37 +92,29 @@ func TestBackendMailboxCaps(t *testing.T) {
 				t.Fatalf("got %d shards, want 3", len(n.shards))
 			}
 			nbf := make([]int, len(n.shards))
-			for _, ch := range n.flitChans {
-				srcSh, dstSh := n.shardOf(ch.src), n.shardOf(ch.dst.p.node)
-				if ch.sh != dstSh {
-					t.Fatalf("flit channel %d owned by shard %d, want destination shard %d",
-						ch.idx, ch.sh.idx, dstSh.idx)
-				}
+			for i, ch := range n.flitChans {
+				srcSh, dstSh := n.shardOf(ch.src), ch.dst.sh
 				if srcSh != dstSh {
 					if ch.xmail != &srcSh.outFlit {
 						t.Fatalf("cross-shard flit channel %d not wired to source shard %d's mailbox",
-							ch.idx, srcSh.idx)
+							i, srcSh.idx)
 					}
 					nbf[srcSh.idx]++
 				} else if ch.xmail != nil {
-					t.Fatalf("intra-shard flit channel %d has a mailbox", ch.idx)
+					t.Fatalf("intra-shard flit channel %d has a mailbox", i)
 				}
 			}
 			nbc := make([]int, len(n.shards))
-			for _, cc := range n.credChans {
-				srcSh, dstSh := n.shardOf(cc.src), n.shardOf(cc.dst.p.node)
-				if cc.sh != dstSh {
-					t.Fatalf("credit channel %d owned by shard %d, want destination shard %d",
-						cc.idx, cc.sh.idx, dstSh.idx)
-				}
+			for i, cc := range n.credChans {
+				srcSh, dstSh := n.shardOf(cc.src), cc.dst.sh
 				if srcSh != dstSh {
 					if cc.xmail != &srcSh.outCred {
 						t.Fatalf("cross-shard credit channel %d not wired to source shard %d's mailbox",
-							cc.idx, srcSh.idx)
+							i, srcSh.idx)
 					}
 					nbc[srcSh.idx]++
 				} else if cc.xmail != nil {
-					t.Fatalf("intra-shard credit channel %d has a mailbox", cc.idx)
+					t.Fatalf("intra-shard credit channel %d has a mailbox", i)
 				}
 			}
 			for k, sh := range n.shards {

@@ -2,57 +2,39 @@ package noc
 
 import "repro/internal/ring"
 
-// flitEvent is a flit in flight on a channel, delivered when due <= cycle.
-type flitEvent struct {
-	flit Flit
-	due  uint64
-}
-
-// channel is a unidirectional link between two routers (or from a router to
-// its local ejection queue). Flits arrive after the link latency. The event
-// queue is a hard-bounded ring: wire occupancy per VC is credit-limited to
-// the downstream buffer depth, so numVCs*bufDepth flits is a proven bound.
+// channel is a unidirectional link between two routers. It holds no flits:
+// send deposits the flit straight into the downstream input VC, stamped with
+// the cycle it comes off the wire (Flit.arrived), and the downstream router
+// ignores it until that cycle (see router.acceptFlit and arrMask). The slot
+// is already reserved — the sender spent a credit on it — so wire occupancy
+// plus buffered flits never exceed the buffer depth.
 //
-// Sharding: the queue belongs to the destination router's shard (sh), the
-// only code that pops it. A channel crossing a shard boundary has xmail set
-// to the SOURCE shard's outgoing mailbox; sends park there and the serial
-// epilogue moves them into q at the cycle boundary, so shards never write
-// each other's queues. Channel latency makes every event due next cycle at
-// the earliest, so the deferred hand-off is invisible to the simulation.
+// Sharding: a channel crossing a shard boundary has xmail set to the SOURCE
+// shard's outgoing mailbox; sends park there and the serial epilogue deposits
+// them at the cycle boundary, so shards never write each other's buffers.
+// Every stamp is at least one cycle ahead of the send, so the deferred
+// hand-off is invisible to the simulation.
 type channel struct {
-	idx     int    // index into net.flitChans, for the active list
 	src     NodeID // sending router (shard assignment)
 	dst     *router
-	dstPort int // input port index at dst
-	sh      *meshShard
+	dstPort int                  // input port index at dst
 	xmail   *ring.Ring[flitMail] // source shard's mailbox; nil intra-shard
-	q       ring.Ring[flitEvent]
 }
 
-func (c *channel) send(f Flit, due uint64) {
-	ev := flitEvent{flit: f, due: due}
+// send puts f on the wire at cycle; f.arrived already holds the cycle it
+// lands. Each send is the link fault model's strike point, drawn on the
+// arrival cycle (see faultState.strikes): a corrupted flit still occupies its
+// buffer slot and flows on (flow control acknowledges it), but poisons its
+// packet for the end-to-end check at the ejection interface.
+func (c *channel) send(f Flit, cycle uint64) {
+	if fs := c.dst.net.fs; fs != nil {
+		fs.noteSend(f.Pkt, f.arrived)
+	}
 	if c.xmail != nil {
-		c.xmail.Push(flitMail{ch: c, ev: ev})
+		c.xmail.Push(flitMail{ch: c, flit: f})
 		return
 	}
-	c.q.Push(ev)
-	c.sh.flitActive.set(c.idx)
-}
-
-// deliver moves all arrived flits into the destination input buffers.
-// Flits are queued in send order and due values are monotonic per channel,
-// so delivery preserves order. Each delivery is the link fault model's
-// strike point: a corrupted flit still occupies its buffer slot and flows
-// on (flow control acknowledges it), but poisons its packet for the
-// end-to-end check at the ejection interface.
-func (c *channel) deliver(cycle uint64) {
-	for c.q.Len() > 0 && c.q.Front().due <= cycle {
-		ev := c.q.Pop()
-		if fs := c.dst.net.fs; fs != nil {
-			fs.corruptDelivery(c.dst.net, &ev.flit)
-		}
-		c.dst.acceptFlit(c.dstPort, ev.flit, cycle)
-	}
+	c.dst.acceptFlit(c.dstPort, f, cycle)
 }
 
 // creditEvent returns one buffer slot to the upstream router's output unit.
@@ -64,15 +46,15 @@ type creditEvent struct {
 // creditChannel carries credits back along a link: dst is the upstream
 // router and dstPort its output port feeding the link. Credit conservation
 // bounds the in-flight credits per VC by the buffer depth, so the ring is
-// hard-bounded at numVCs*bufDepth like the flit channel. Shard ownership
-// mirrors the flit channel: the upstream (dst) shard owns the queue, and a
+// hard-bounded at numVCs*bufDepth. Nothing delivers credits on a schedule:
+// only dst's own step reads its credit counters, so dst pulls what is due at
+// the top of its step (router.pullCredits) and a credit waiting at an idle
+// router costs nothing. The upstream (dst) shard owns the queue, and a
 // boundary-crossing credit parks in the sender's mailbox.
 type creditChannel struct {
-	idx     int    // index into net.credChans, for the active list
 	src     NodeID // sending (downstream) router
 	dst     *router
 	dstPort int
-	sh      *meshShard
 	xmail   *ring.Ring[credMail] // source shard's mailbox; nil intra-shard
 	q       ring.Ring[creditEvent]
 }
@@ -89,8 +71,13 @@ func (c *creditChannel) send(vc int, due uint64) {
 		c.xmail.Push(credMail{cc: c, ev: ev})
 		return
 	}
+	c.post(ev)
+}
+
+// post queues ev at the upstream router and flags the port for its next pull.
+func (c *creditChannel) post(ev creditEvent) {
 	c.q.Push(ev)
-	c.sh.credActive.set(c.idx)
+	c.dst.credPend |= 1 << uint(c.dstPort)
 }
 
 // deliver returns all due credits. Resync-delayed credits make due values

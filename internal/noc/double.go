@@ -14,6 +14,12 @@ type Double struct {
 	balanced bool
 	overlap  bool    // tick the slices concurrently (cfg.Shards > 1)
 	rr       []uint8 // per-source slice rotation (balanced mode)
+
+	// deliv[n] is node n's merge buffer for a cycle in which both slices
+	// deliver there, and merged the target Stats refills: both are reused, so
+	// a warmed double network allocates nothing per cycle.
+	deliv  [][]*Packet
+	merged NetStats
 }
 
 // NewDouble builds the paper's dedicated pair from cfg. cfg describes the
@@ -58,9 +64,15 @@ func newDouble(cfg Config, balanced bool) (*Double, error) {
 		}
 		d.nets[c] = m
 	}
+	nodes := cfg.Width * cfg.Height
 	if balanced {
-		d.rr = make([]uint8, cfg.Width*cfg.Height)
+		d.rr = make([]uint8, nodes)
 	}
+	d.deliv = make([][]*Packet, nodes)
+	d.merged.InjectedFlits = make([]uint64, nodes)
+	d.merged.InjectedPackets = make([]uint64, nodes)
+	d.merged.InjectedBytes = make([]uint64, nodes)
+	d.merged.EjectedFlits = make([]uint64, nodes)
 	return d, nil
 }
 
@@ -127,13 +139,18 @@ func (d *Double) Tick() {
 	}
 }
 
-// Delivered merges deliveries from both slices.
+// Delivered merges deliveries from both slices, slice 0's first. Like every
+// Network, the batch is valid until the next Delivered call for the node.
 func (d *Double) Delivered(node NodeID) []*Packet {
-	out := d.nets[0].Delivered(node)
-	if more := d.nets[1].Delivered(node); len(more) > 0 {
-		out = append(out, more...)
+	a, b := d.nets[0].Delivered(node), d.nets[1].Delivered(node)
+	if len(b) == 0 {
+		return a
 	}
-	return out
+	if len(a) == 0 {
+		return b
+	}
+	d.deliv[node] = append(append(d.deliv[node][:0], a...), b...)
+	return d.deliv[node]
 }
 
 // Cycle returns elapsed cycles (slices tick in lockstep).
@@ -169,38 +186,33 @@ func (d *Double) SkipAhead(k uint64) {
 	d.nets[1].SkipAhead(k)
 }
 
-// Stats merges both slices' counters into a fresh snapshot.
+// Stats merges both slices' counters into one snapshot, valid until the
+// next Stats call (the closed-loop driver samples it on every stall check, so
+// the merge target is reused rather than built fresh).
 func (d *Double) Stats() *NetStats {
 	a, b := d.nets[0].Stats(), d.nets[1].Stats()
-	merged := &NetStats{
-		Cycles:   a.Cycles,
-		FlitHops: a.FlitHops + b.FlitHops,
+	m := &d.merged
+	m.Cycles = a.Cycles
+	m.FlitHops = a.FlitHops + b.FlitHops
+	for i := range m.InjectedFlits {
+		m.InjectedFlits[i] = a.InjectedFlits[i] + b.InjectedFlits[i]
+		m.InjectedPackets[i] = a.InjectedPackets[i] + b.InjectedPackets[i]
+		m.InjectedBytes[i] = a.InjectedBytes[i] + b.InjectedBytes[i]
+		m.EjectedFlits[i] = a.EjectedFlits[i] + b.EjectedFlits[i]
 	}
-	merged.InjectedFlits = addSlices(a.InjectedFlits, b.InjectedFlits)
-	merged.InjectedPackets = addSlices(a.InjectedPackets, b.InjectedPackets)
-	merged.InjectedBytes = addSlices(a.InjectedBytes, b.InjectedBytes)
-	merged.EjectedFlits = addSlices(a.EjectedFlits, b.EjectedFlits)
-	merged.NetLatency = a.NetLatency.Merge(b.NetLatency)
-	merged.TotalLatency = a.TotalLatency.Merge(b.TotalLatency)
-	for c := range merged.LatencyByClass {
-		merged.LatencyByClass[c] = a.LatencyByClass[c].Merge(b.LatencyByClass[c])
+	m.NetLatency = a.NetLatency.Merge(b.NetLatency)
+	m.TotalLatency = a.TotalLatency.Merge(b.TotalLatency)
+	for c := range m.LatencyByClass {
+		m.LatencyByClass[c] = a.LatencyByClass[c].Merge(b.LatencyByClass[c])
 	}
-	merged.CorruptFlits = a.CorruptFlits + b.CorruptFlits
-	merged.DroppedPackets = a.DroppedPackets + b.DroppedPackets
-	merged.DroppedFlits = a.DroppedFlits + b.DroppedFlits
-	merged.DuplicatePackets = a.DuplicatePackets + b.DuplicatePackets
-	merged.Retransmits = a.Retransmits + b.Retransmits
-	merged.LostPackets = a.LostPackets + b.LostPackets
-	merged.LostCredits = a.LostCredits + b.LostCredits
-	merged.StuckVCFaults = a.StuckVCFaults + b.StuckVCFaults
-	merged.RetriesPerPacket = a.RetriesPerPacket.Merge(b.RetriesPerPacket)
-	return merged
-}
-
-func addSlices(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
+	m.CorruptFlits = a.CorruptFlits + b.CorruptFlits
+	m.DroppedPackets = a.DroppedPackets + b.DroppedPackets
+	m.DroppedFlits = a.DroppedFlits + b.DroppedFlits
+	m.DuplicatePackets = a.DuplicatePackets + b.DuplicatePackets
+	m.Retransmits = a.Retransmits + b.Retransmits
+	m.LostPackets = a.LostPackets + b.LostPackets
+	m.LostCredits = a.LostCredits + b.LostCredits
+	m.StuckVCFaults = a.StuckVCFaults + b.StuckVCFaults
+	m.RetriesPerPacket = a.RetriesPerPacket.Merge(b.RetriesPerPacket)
+	return m
 }

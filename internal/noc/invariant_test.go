@@ -9,10 +9,13 @@ import (
 // checkCreditConservation verifies, for every direction link and VC, that
 //
 //	upstream credits + flits on the wire + flits buffered downstream
-//	+ credits on the wire back == buffer depth
+//	+ credits on the way back == buffer depth
 //
 // This is the fundamental credit-based flow-control invariant; any leak or
-// double-count breaks it immediately.
+// double-count breaks it immediately. Links hold no flits of their own: a
+// flit on the wire already sits in the downstream buffer with an arrival
+// stamp in the future, and a credit on the way back sits in the upstream
+// router's return queue until its next step pulls it.
 func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 	t.Helper()
 	n := &m.meshNet
@@ -24,26 +27,24 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 				continue
 			}
 			down := ch.dst
-			// Find the credit channel going back to (r, d).
-			var back *creditChannel
-			for _, cc := range n.credChans {
-				if cc.dst == r && cc.dstPort == int(d) {
-					back = cc
-					break
-				}
-			}
-			if back == nil {
-				t.Fatalf("router %d dir %v: no credit channel", id, d)
+			back := r.credIn[d]
+			if back == nil || back.dst != r || back.dstPort != int(d) || down.credChans[ch.dstPort] != back {
+				t.Fatalf("router %d dir %v: no credit channel back from router %d", id, d, down.p.node)
 			}
 			for vc := 0; vc < n.cfg.NumVCs; vc++ {
 				credits := r.outputs[r.inIdx(int(d), vc)].credits
-				onWire := 0
-				for i := 0; i < ch.q.Len(); i++ {
-					if int(ch.q.At(i).flit.VC) == vc {
+				onWire, buffered := 0, 0
+				buf := &down.inputs[down.inIdx(ch.dstPort, vc)].buf
+				for i := 0; i < buf.Len(); i++ {
+					if buf.At(i).arrived > n.cycle {
 						onWire++
+					} else if onWire > 0 {
+						t.Fatalf("cycle %d router %d dir %v vc %d: arrived flit queued behind one on the wire",
+							cycle, id, d, vc)
+					} else {
+						buffered++
 					}
 				}
-				buffered := down.inputs[down.inIdx(ch.dstPort, vc)].buf.Len()
 				creditsBack := 0
 				for i := 0; i < back.q.Len(); i++ {
 					if back.q.At(i).vc == vc {
@@ -224,24 +225,39 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 	}
 }
 
-// checkStageMasks rebuilds each router's three stage masks by scanning its
-// input VC state — the scan the masks replaced in router.step — and demands
-// the maintained masks match bit for bit. It also checks that the derived
-// busy condition agrees with a scan-counted one (zero busy VCs exactly when
-// all masks are zero) and, at a cycle boundary, with the router's bit on its
-// shard's active list.
+// checkStageMasks rebuilds each router's stage masks, cached arrival stamps
+// and pending-credit flags by scanning its input VCs and return queues — the
+// scan the masks replaced in router.step — and demands the maintained state
+// match bit for bit. An idle VC holding flits is on arrMask exactly while its
+// front is still on the wire (stamp in the future) and on rcMask once it has
+// arrived. It also checks that the derived busy condition agrees with a
+// scan-counted one (zero busy VCs exactly when all masks are zero) and, at a
+// cycle boundary, with the router's bit on its shard's active list.
 func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 	t.Helper()
+	now := m.Cycle()
 	for id, r := range m.meshNet.routers {
-		var rc, va, sa uint64
+		var arr, rc, va, sa uint64
 		busy := 0
 		for i := range r.inputs {
 			ivc := &r.inputs[i]
 			bit := uint64(1) << uint(i)
+			nextAt := uint64(NeverCycle)
+			if ivc.buf.Len() > 0 {
+				nextAt = ivc.buf.Front().arrived
+			}
+			if ivc.nextAt != nextAt {
+				t.Fatalf("cycle %d router %d input VC %d: cached nextAt %d, front flit says %d",
+					cycle, id, i, ivc.nextAt, nextAt)
+			}
 			switch ivc.state {
 			case vcIdle:
 				if ivc.buf.Len() > 0 {
-					rc |= bit
+					if nextAt > now {
+						arr |= bit
+					} else {
+						rc |= bit
+					}
 				}
 			case vcWaitVA:
 				va |= bit
@@ -252,17 +268,36 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 				busy++
 			}
 		}
-		if r.rcMask != rc || r.vaMask != va || r.saMask != sa {
-			t.Fatalf("cycle %d router %d: masks rc=%#x va=%#x sa=%#x, VC state says rc=%#x va=%#x sa=%#x",
-				cycle, id, r.rcMask, r.vaMask, r.saMask, rc, va, sa)
+		if r.arrMask != arr || r.rcMask != rc || r.vaMask != va || r.saMask != sa {
+			t.Fatalf("cycle %d router %d: masks arr=%#x rc=%#x va=%#x sa=%#x, VC state says arr=%#x rc=%#x va=%#x sa=%#x",
+				cycle, id, r.arrMask, r.rcMask, r.vaMask, r.saMask, arr, rc, va, sa)
 		}
 		if r.busy() != (busy > 0) { // busy() is masks != 0
-			t.Fatalf("cycle %d router %d: %d busy VCs but masks rc=%#x va=%#x sa=%#x",
-				cycle, id, busy, r.rcMask, r.vaMask, r.saMask)
+			t.Fatalf("cycle %d router %d: %d busy VCs but masks arr=%#x rc=%#x va=%#x sa=%#x",
+				cycle, id, busy, r.arrMask, r.rcMask, r.vaMask, r.saMask)
 		}
 		if r.sh.rtrActive.has(id) != r.busy() {
 			t.Fatalf("cycle %d router %d: active-list bit %v, busy %v",
 				cycle, id, r.sh.rtrActive.has(id), r.busy())
+		}
+		var pend uint8
+		for d, cc := range r.credIn {
+			if cc != nil && cc.q.Len() > 0 {
+				pend |= 1 << uint(d)
+			}
+		}
+		if r.credPend != pend {
+			t.Fatalf("cycle %d router %d: credPend %#b, return queues say %#b", cycle, id, r.credPend, pend)
+		}
+		for k, req := range r.vaReq {
+			if req != 0 {
+				t.Fatalf("cycle %d router %d: VA request mask %d left at %#x between cycles", cycle, id, k, req)
+			}
+		}
+		for out, req := range r.saReq {
+			if req != 0 {
+				t.Fatalf("cycle %d router %d: SA request mask %d left at %#x between cycles", cycle, id, out, req)
+			}
 		}
 	}
 }
@@ -344,7 +379,8 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 	for k := 0; k < n; k++ {
 		v := (start + k) % n
 		ivc := &r.inputs[r.inIdx(in, v)]
-		if ivc.state != vcActive || ivc.readyAt > cycle || ivc.buf.Len() == 0 {
+		if ivc.state != vcActive || ivc.readyAt > cycle ||
+			ivc.buf.Len() == 0 || ivc.buf.Front().arrived > cycle {
 			continue
 		}
 		if !r.outputReady(ivc.outPort, ivc.outVC) {
@@ -360,7 +396,9 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 // for every VC count up to 8, every pointer position, every set of active
 // VCs and every subset of them that is eligible this cycle, the
 // rotated-window walk must return the same VC and leave the same pointer as
-// the modular scan. The pick is on the last input port, so the window also
+// the modular scan, whether a VC is held back by its allocation delay or by
+// a front flit that has not come off the wire. The pick is on the last input
+// port, so the window also
 // sits at a nonzero shift of saMask.
 func TestPickSAInputMatchesScan(t *testing.T) {
 	const cycle = 10
@@ -383,10 +421,17 @@ func TestPickSAInputMatchesScan(t *testing.T) {
 						if active>>uint(v)&1 != 0 {
 							ivc.state = vcActive
 						}
-						ivc.readyAt = cycle + 1
-						if elig>>uint(v)&1 != 0 {
-							ivc.readyAt = cycle
+						// Ineligible VCs alternate between the two gates: an
+						// allocation delay, or a front flit still on the wire.
+						ivc.readyAt, ivc.nextAt = cycle, cycle
+						if elig>>uint(v)&1 == 0 {
+							if v%2 == 0 {
+								ivc.readyAt = cycle + 1
+							} else {
+								ivc.nextAt = cycle + 1
+							}
 						}
+						ivc.buf.Front().arrived = ivc.nextAt
 					}
 					r.saInPtr[in] = start
 					wantIdx, wantOK := scanPickSAInput(r, in, cycle)

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/fault"
@@ -242,17 +243,18 @@ type meshNet struct {
 	nextPkt   uint64
 
 	// Active-component work lists live on the shards: one bitset per Tick
-	// phase per shard, indexed like the matching component slice but only
-	// ever holding bits for shard-owned components. A component sets its
-	// owner's bit when it gains work (a queued event, packet or flit) and
-	// the phase loop clears the bit once the component goes idle, so the
-	// common case — most tiles idle — costs nothing per cycle. Bits are
-	// only ever set for phases at or after the setter's own (channel sends
-	// from the router phase target the NEXT cycle's channel phase), so the
-	// in-order bitset iteration visits exactly the components the dense
-	// loops would have found non-idle, keeping equal-seeded runs
-	// bit-identical. A serial mesh is simply one shard covering every
-	// column.
+	// phase (inject, route, eject) per shard, indexed like the matching
+	// component slice but only ever holding bits for shard-owned components.
+	// A component sets its owner's bit when it gains work (a queued packet
+	// or flit) and the phase loop clears the bit once the component goes
+	// idle, so the common case — most tiles idle — costs nothing per cycle.
+	// A router that sends to a neighbour puts that neighbour on the router
+	// list mid-phase; whether the traversal still reaches it this cycle is
+	// immaterial, because the flit is stamped with a later cycle and a step
+	// that finds nothing due is a no-op. So the in-order bitset iteration
+	// does exactly the work the dense loops would have, keeping
+	// equal-seeded runs bit-identical. A serial mesh is simply one shard
+	// covering every column.
 	shards []*meshShard
 	tickWG sync.WaitGroup
 
@@ -339,7 +341,8 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		n.topo = mb.topology()
 	}
 	if cfg.Fault.Enabled() {
-		n.fs = newFaultState(cfg.Fault)
+		_, _, stD := pipeDelays(cfg.RouterStages) // the same at every depth
+		n.fs = newFaultState(cfg.Fault, stD+cfg.ChannelLatency)
 	}
 	if cfg.Fault.Monitored() {
 		n.wd = fault.NewWatchdog(cfg.Fault.WatchdogCycles)
@@ -382,9 +385,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		}
 		n.routers = append(n.routers, newRouter(p, n))
 	}
-	// Wire direction channels and credits. Channel event queues are bounded
-	// by credit flow control: at most numVCs*bufDepth flits (or credits) can
-	// be in flight on one link.
+	// Wire direction channels and credits. Credit queues are bounded by
+	// credit flow control: at most numVCs*bufDepth credits can be in flight
+	// on one link.
 	chanCap := cfg.NumVCs * cfg.BufDepth
 	for id := 0; id < nNodes; id++ {
 		r := n.routers[id]
@@ -393,13 +396,13 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			if nb < 0 {
 				continue
 			}
-			ch := &channel{idx: len(n.flitChans), src: NodeID(id), dst: n.routers[nb], dstPort: int(d.opposite())}
-			ch.q = ring.New[flitEvent](chanCap, chanCap)
+			ch := &channel{src: NodeID(id), dst: n.routers[nb], dstPort: int(d.opposite())}
 			r.outChans[d] = ch
 			n.flitChans = append(n.flitChans, ch)
-			cc := &creditChannel{idx: len(n.credChans), src: nb, dst: r, dstPort: int(d)}
+			cc := &creditChannel{src: nb, dst: r, dstPort: int(d)}
 			cc.q = ring.New[creditEvent](chanCap, chanCap)
 			n.routers[nb].credChans[int(d.opposite())] = cc
+			r.credIn[d] = cc
 			n.credChans = append(n.credChans, cc)
 			for v := 0; v < cfg.NumVCs; v++ {
 				r.outputs[r.inIdx(int(d), v)].credits = cfg.BufDepth
@@ -512,13 +515,14 @@ func (n *meshNet) Delivered(node NodeID) []*Packet {
 }
 
 // Tick advances one network cycle: the serial prologue (cycle count, fault
-// machinery), the shard segments — each phase walking only its active
-// components in ascending index order, the same order the dense loops used,
-// so arbitration and fault-RNG draw sequences are unchanged — and the serial
-// epilogue (boundary hand-off, counter/sample merge, health monitors). With
-// one shard the segment runs inline and the tick is the serial kernel; with
-// more, the calling goroutine runs shard 0 itself while the executor runs
-// the rest, and the WaitGroup join is the cycle barrier.
+// machinery), the shard segments — inject, route, eject, each phase walking
+// only its active components in ascending index order, the same order the
+// dense loops used, so arbitration and fault-RNG draw sequences are
+// unchanged — and the serial epilogue (boundary hand-off, counter/sample
+// merge, health monitors). With one shard the segment runs inline and the
+// tick is the serial kernel; with more, the calling goroutine runs shard 0
+// itself while the executor runs the rest, and the WaitGroup join is the
+// cycle barrier.
 func (n *meshNet) Tick() {
 	n.tickPrologue()
 	if len(n.shards) == 1 {
@@ -559,40 +563,40 @@ func (n *meshNet) tickJoin() {
 }
 
 // NextWorkCycle scans the per-shard work lists for the earliest cycle with
-// real work: any queued injection, busy router, pending ejection or parked
-// boundary event means the very next tick works; otherwise the earliest
-// due channel/credit event (flit-channel dues are monotonic so the front
-// is the minimum; resync-delayed credits are not, so credit queues scan in
-// full). Fault injection draws its RNG every cycle and a tripped monitor
-// must keep reporting, so both force edge-by-edge ticking. With an armed
-// deadlock watchdog and work in flight, the horizon also never passes the
-// cycle the watchdog would trip, so a wedged network is detected on
-// exactly the same cycle as when stepping.
+// real work: any queued injection, router with a VC in a pipeline stage,
+// pending ejection, parked boundary event or credit still on its way back
+// means the very next tick works; otherwise the earliest arrival among the
+// flits on the wire, which are the fronts of the routers' arrMask VCs. (A
+// credit wakes nobody — see creditChannel — but counting the cycle it lands
+// as work keeps the horizon, and so every skip count, what it was when
+// credits had a delivery phase.) Fault injection draws its RNG every cycle
+// and a tripped monitor must keep reporting, so both force edge-by-edge
+// ticking. With an armed deadlock watchdog and work in flight, the horizon
+// also never passes the cycle the watchdog would trip, so a wedged network
+// is detected on exactly the same cycle as when stepping.
 func (n *meshNet) NextWorkCycle() uint64 {
 	if n.fs != nil || n.health != nil {
 		return n.cycle + 1
 	}
 	next := NeverCycle
 	for _, sh := range n.shards {
-		if !sh.injActive.isEmpty() || !sh.rtrActive.isEmpty() || !sh.ejActive.isEmpty() ||
+		if !sh.injActive.isEmpty() || !sh.ejActive.isEmpty() || sh.credDue > n.cycle ||
 			sh.outFlit.Len() > 0 || sh.outCred.Len() > 0 {
 			return n.cycle + 1
 		}
-		sh.flitActive.forEach(func(i int) {
-			if q := &n.flitChans[i].q; q.Len() > 0 {
-				if d := q.Front().due; d < next {
-					next = d
+		for wi, w := range sh.rtrActive.words {
+			for ; w != 0; w &= w - 1 {
+				r := n.routers[wi<<6+bits.TrailingZeros64(w)]
+				if r.working() {
+					return n.cycle + 1
+				}
+				for m := r.arrMask; m != 0; m &= m - 1 {
+					if at := r.inputs[bits.TrailingZeros64(m)].nextAt; at < next {
+						next = at
+					}
 				}
 			}
-		})
-		sh.credActive.forEach(func(i int) {
-			q := &n.credChans[i].q
-			for j := 0; j < q.Len(); j++ {
-				if d := q.At(j).due; d < next {
-					next = d
-				}
-			}
-		})
+		}
 	}
 	if n.wd != nil && n.inFlightTotal() > 0 {
 		// observeHealth ran at the last cycle boundary, so the watchdog is

@@ -94,9 +94,12 @@ func (p *Packet) TotalLatency() uint64 { return p.ArrivedAt - p.OfferedAt }
 type Flit struct {
 	Pkt *Packet
 
-	arrived uint64 // cycle the flit entered its current input buffer; lets a
-	// queued head overlap its buffer-write/RC stages with the
-	// previous packet's drain (pipelined routers do this)
+	// arrived is the cycle the flit enters (is visible in) the buffer it sits
+	// in: a flit sent on a link is deposited downstream at once and stamped
+	// with the end of the wire. It also lets a queued head overlap its
+	// buffer-write/RC stages with the previous packet's drain (pipelined
+	// routers do this).
+	arrived uint64
 
 	Seq  int32 // 0-based position within the packet
 	VC   int16 // virtual channel on the link the flit currently occupies

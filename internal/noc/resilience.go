@@ -27,14 +27,33 @@ type faultState struct {
 	xfers   map[uint64]*xfer
 	order   []uint64 // lids in injection order, for deterministic timeout scans
 	pending int      // transfers neither delivered nor abandoned
+
+	// strikes is the link fault model's strike log: strikes[c%len] lists, in
+	// send order, the packets of the flits that come off a wire at cycle c.
+	// Every wire is wireLat cycles long, so the flits arriving at c were all
+	// sent during cycle c-wireLat, in ascending (router, output port) order —
+	// the order the channels are numbered in, which is the order a per-link
+	// delivery phase would visit them. tick draws once per entry on the
+	// arrival cycle, so the injector sees the sequence it would see if links
+	// delivered their own flits. wireLat+1 slots: the one being filled is
+	// never the one being drawn.
+	strikes [][]*Packet
 }
 
-func newFaultState(cfg fault.Config) *faultState {
+func newFaultState(cfg fault.Config, wireLat uint64) *faultState {
 	return &faultState{
-		cfg:   cfg,
-		inj:   fault.NewInjector(cfg),
-		xfers: make(map[uint64]*xfer),
+		cfg:     cfg,
+		inj:     fault.NewInjector(cfg),
+		xfers:   make(map[uint64]*xfer),
+		strikes: make([][]*Packet, wireLat+1),
 	}
+}
+
+// noteSend logs a flit of pkt sent on a link, to be struck (or spared) when
+// it arrives at cycle at.
+func (fs *faultState) noteSend(pkt *Packet, at uint64) {
+	slot := &fs.strikes[at%uint64(len(fs.strikes))]
+	*slot = append(*slot, pkt)
 }
 
 // onInject registers a fresh logical transfer for packet p (already queued
@@ -52,9 +71,10 @@ func (fs *faultState) onInject(n *meshNet, p *Packet) {
 	fs.pending++
 }
 
-// tick drives the cycle-granular fault machinery: places stuck-VC faults
-// and fires due retransmission timeouts. Runs at the top of meshNet.Tick,
-// so re-injected packets compete for injection bandwidth this cycle.
+// tick drives the cycle-granular fault machinery: places stuck-VC faults,
+// fires due retransmission timeouts and strikes the flits arriving on links
+// this cycle. Runs at the top of meshNet.Tick, so re-injected packets compete
+// for injection bandwidth this cycle.
 func (fs *faultState) tick(n *meshNet) {
 	// Transient stuck-at fault on a random input VC's switch allocation.
 	if fs.inj.StickVC() {
@@ -91,6 +111,18 @@ func (fs *faultState) tick(n *meshNet) {
 		}
 	}
 	fs.order = kept
+
+	// Link faults on this cycle's arrivals. A corrupted flit keeps flowing
+	// (credit flow control acknowledges it), so network invariants hold; the
+	// damage surfaces at the ejection NI's end-to-end check.
+	slot := &fs.strikes[n.cycle%uint64(len(fs.strikes))]
+	for _, pkt := range *slot {
+		if fs.inj.CorruptFlit() {
+			pkt.corrupt = true
+			n.stats.CorruptFlits++
+		}
+	}
+	*slot = (*slot)[:0]
 }
 
 // reinject clones the transfer's packet and offers it at the source NI.
@@ -159,17 +191,6 @@ func (fs *faultState) onAssembled(n *meshNet, pkt *Packet) (deliver bool) {
 		delete(fs.xfers, pkt.lid)
 	}
 	return deliver
-}
-
-// corruptDelivery applies the link-fault draw for one flit delivery and
-// marks the packet corrupt on a hit. Corrupted flits keep flowing (credit
-// flow control acknowledges them), so network invariants hold; the damage
-// surfaces at the ejection NI's end-to-end check.
-func (fs *faultState) corruptDelivery(n *meshNet, f *Flit) {
-	if fs.inj.CorruptFlit() {
-		f.Pkt.corrupt = true
-		n.stats.CorruptFlits++
-	}
 }
 
 // delayCredit applies the credit-loss draw to one credit transfer and
@@ -243,8 +264,8 @@ func (n *meshNet) tripLivelock(pkt *Packet) {
 	n.health = fault.Hang(fault.ErrLivelock, d)
 }
 
-// inNetworkFlits counts every flit currently buffered in the mesh: input
-// VC buffers, flits on channel wires, and ejection queues.
+// inNetworkFlits counts every flit currently in the mesh: input VC buffers
+// (which hold the flits on the wires too) and ejection queues.
 func (n *meshNet) inNetworkFlits() uint64 {
 	var total uint64
 	for _, r := range n.routers {
@@ -254,9 +275,6 @@ func (n *meshNet) inNetworkFlits() uint64 {
 		for e := range r.ejQ {
 			total += uint64(r.ejQ[e].Len())
 		}
-	}
-	for _, ch := range n.flitChans {
-		total += uint64(ch.q.Len())
 	}
 	return total
 }
@@ -293,7 +311,8 @@ func vcStateName(s vcState) string {
 }
 
 // diagnose snapshots the network for a structured hang report: every
-// occupied input VC with its head packet, why it is blocked, plus source
+// occupied input VC (counting the flits that have arrived, not those still on
+// the wire towards it) with its head packet, why it is blocked, plus source
 // queue and retransmission bookkeeping.
 func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 	d := &fault.Diagnostic{
@@ -307,8 +326,12 @@ func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 	for _, r := range n.routers {
 		for i := range r.inputs {
 			ivc := &r.inputs[i]
-			if ivc.buf.Len() == 0 {
-				continue
+			if ivc.nextAt > n.cycle {
+				continue // empty, or every flit still on the wire
+			}
+			occupancy := 0
+			for occupancy < ivc.buf.Len() && ivc.buf.At(occupancy).arrived <= n.cycle {
+				occupancy++
 			}
 			head := *ivc.buf.Front()
 			age := n.cycle - head.Pkt.OfferedAt
@@ -319,7 +342,7 @@ func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 				Node:      int(r.p.node),
 				Port:      ivc.port,
 				VC:        ivc.vc,
-				Occupancy: ivc.buf.Len(),
+				Occupancy: occupancy,
 				State:     vcStateName(ivc.state),
 				PktID:     head.Pkt.ID,
 				PktAge:    age,

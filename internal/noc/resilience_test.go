@@ -13,6 +13,12 @@ import (
 // way. Returns the mesh for stat assertions.
 func faultyTraffic(t *testing.T, cfg Config, packets int, seed uint64) *Mesh {
 	t.Helper()
+	return faultyTrafficChecked(t, cfg, packets, seed, func(*Mesh) {})
+}
+
+// faultyTrafficChecked is faultyTraffic with an extra audit after every Tick.
+func faultyTrafficChecked(t *testing.T, cfg Config, packets int, seed uint64, eachTick func(*Mesh)) *Mesh {
+	t.Helper()
 	m := MustNewMesh(cfg)
 	topo := m.Topology()
 	rng := xrand.New(seed)
@@ -42,6 +48,7 @@ func faultyTraffic(t *testing.T, cfg Config, packets int, seed uint64) *Mesh {
 			seen[p.lid] = true
 			recv++
 		}
+		eachTick(m)
 		if cycle%1000 == 999 {
 			if err := m.CheckFlitConservation(); err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
@@ -255,5 +262,47 @@ func TestDoubleNetworkHealthAndFaults(t *testing.T) {
 	}
 	if err := d.Health(); err != nil {
 		t.Fatalf("healthy faulty double run reported %v", err)
+	}
+}
+
+// TestStrikeLogLongChannels runs link faults over 3-cycle channels, where a
+// sent flit spends several cycles on the wire: after every Tick the strike
+// log must hold exactly the flits still in flight on links (no more: every
+// arrival was drawn on its cycle; no less: none was drawn early or dropped),
+// the slot of the cycle just drawn must be empty, and the run must conserve
+// flits and deliver every transfer.
+func TestStrikeLogLongChannels(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ChannelLatency = 3
+	cfg.Fault = cfg.Fault.WithRate(0.002, 11)
+	cfg.Fault.RetxTimeout = 512
+	m := faultyTrafficChecked(t, cfg, 1500, 3, func(m *Mesh) {
+		fs := m.fs
+		if got, want := len(fs.strikes), 1+3+1; got != want {
+			t.Fatalf("strike log has %d slots, want switch traversal + wire + 1 = %d", got, want)
+		}
+		if n := len(fs.strikes[m.cycle%uint64(len(fs.strikes))]); n != 0 {
+			t.Fatalf("cycle %d: %d entries left in the slot just drawn", m.cycle, n)
+		}
+		logged, onWire := 0, 0
+		for _, slot := range fs.strikes {
+			logged += len(slot)
+		}
+		for _, r := range m.routers {
+			for i := range r.inputs {
+				buf := &r.inputs[i].buf
+				for k := 0; k < buf.Len(); k++ {
+					if buf.At(k).arrived > m.cycle {
+						onWire++
+					}
+				}
+			}
+		}
+		if logged != onWire {
+			t.Fatalf("cycle %d: strike log holds %d flits, %d are on the wires", m.cycle, logged, onWire)
+		}
+	})
+	if st := m.Stats(); st.CorruptFlits == 0 || st.Retransmits == 0 {
+		t.Errorf("link faults never struck: corrupt=%d retx=%d", st.CorruptFlits, st.Retransmits)
 	}
 }

@@ -22,8 +22,12 @@ const (
 )
 
 // inVC is one input virtual channel: a flit FIFO plus allocation state.
+// The FIFO also holds flits still on the wire (deposited at send, stamped
+// with their arrival cycle); nextAt caches the front flit's stamp so the
+// stages can tell a visible flit from one in flight without touching buf.
 type inVC struct {
 	buf     ring.Ring[Flit]
+	nextAt  uint64 // front flit's arrival cycle; NeverCycle when buf is empty
 	state   vcState
 	port    int   // input port this VC sits on (fixed at construction)
 	vc      int   // VC number within the port (fixed at construction)
@@ -88,22 +92,29 @@ type router struct {
 	// waits on the stage, so each stage walks the VCs that can move instead
 	// of scanning every (port, VC).
 	//
-	//	rcMask: vcIdle with a buffered flit (a head awaiting route computation)
-	//	vaMask: vcWaitVA
-	//	saMask: vcActive
+	//	arrMask: vcIdle, front flit still on the wire (nextAt > cycle)
+	//	rcMask:  vcIdle, front flit arrived (a head awaiting route computation)
+	//	vaMask:  vcWaitVA
+	//	saMask:  vcActive
 	//
-	// The three are disjoint, and a VC in none of them is idle and empty.
+	// The four are disjoint, and a VC in none of them is idle and empty.
 	// Bits change only where the state they mirror changes: acceptFlit, the
-	// RC and VA grants, and the tail in traverse. Stages walk set bits lowest
-	// first, i.e. in ascending (port, VC) order: the order ejRR, the
-	// round-robin pointers and the fault-RNG draw sequence are defined
-	// against, so skipping clear bits never reorders a side effect.
-	rcMask, vaMask, saMask uint64
+	// arrival promotion at the top of step, the RC and VA grants, and the
+	// tail in traverse. Stages walk set bits lowest first, i.e. in ascending
+	// (port, VC) order: the order ejRR, the round-robin pointers and the
+	// fault-RNG draw sequence are defined against, so skipping clear bits
+	// never reorders a side effect.
+	arrMask, rcMask, vaMask, saMask uint64
 
 	outChans  []*channel       // per dir output port; nil at mesh edge
 	credChans []*creditChannel // per dir input port, back to upstream; nil at edge or terminal
+	credIn    []*creditChannel // per dir output port, credits coming back; nil at edge
 
-	ejQ []ring.Ring[flitEvent] // per ejection port
+	// credPend has bit d set while credIn[d] holds queued credits; step pulls
+	// the due ones before it reads any credit counter.
+	credPend uint8
+
+	ejQ []ring.Ring[Flit] // per ejection port; Flit.arrived is the drain cycle
 
 	// ejCount counts flits across the ejection queues; the ejection phase
 	// skips the router at 0.
@@ -119,19 +130,23 @@ type router struct {
 	saOutPtr []int // per output port, over input ports
 	ejRR     int
 
-	// Allocation scratch, reused across cycles: vaBids[key] holds the input
-	// indices bidding for output VC key = outPort*numVCs+outVC and vaKeys the
-	// dirty keys in discovery order; saBids[out] holds the switch bidders per
-	// output port. All preallocated to their worst case, so the allocators
-	// never touch the heap.
-	vaBids [][]int
+	// Allocation scratch, reused across cycles: vaReq[key] is the mask of
+	// input indices bidding for output VC key = outPort*numVCs+outVC and
+	// vaKeys the dirty keys in discovery order; saReq[out] is the mask of
+	// switch bidders per output port. Every mask is zero between cycles.
+	vaReq  []uint64
 	vaKeys []int
-	saBids [][]int
+	saReq  []uint64
 }
 
 func newRouter(p routerParams, net *meshNet) *router {
 	r := &router{p: p, net: net}
 	r.rcD, r.vaD, r.stD = pipeDelays(p.stages)
+	if r.p.credLat == 0 {
+		// A credit is never usable in the cycle it is sent: an upstream
+		// router stepping later in the same cycle must not see it.
+		r.p.credLat = 1
+	}
 	r.nIn = int(numDirs) + p.nInj
 	r.nOut = int(numDirs) + p.nEj
 	if r.nIn*p.numVCs > maxInputVCs {
@@ -143,6 +158,7 @@ func newRouter(p routerParams, net *meshNet) *router {
 		ivc := &r.inputs[i]
 		ivc.port, ivc.vc = i/p.numVCs, i%p.numVCs
 		ivc.outPort = -1
+		ivc.nextAt = NeverCycle
 		ivc.buf = ring.New[Flit](p.bufDepth, p.bufDepth)
 	}
 	r.outputs = make([]outVC, r.nOut*p.numVCs)
@@ -151,22 +167,17 @@ func newRouter(p routerParams, net *meshNet) *router {
 	}
 	r.outChans = make([]*channel, numDirs)
 	r.credChans = make([]*creditChannel, numDirs)
-	r.ejQ = make([]ring.Ring[flitEvent], p.nEj)
+	r.credIn = make([]*creditChannel, numDirs)
+	r.ejQ = make([]ring.Ring[Flit], p.nEj)
 	for e := range r.ejQ {
-		r.ejQ[e] = ring.New[flitEvent](p.ejCap, p.ejCap)
+		r.ejQ[e] = ring.New[Flit](p.ejCap, p.ejCap)
 	}
 	r.vaPtr = make([]int, r.nOut*p.numVCs)
 	r.saInPtr = make([]int, r.nIn)
 	r.saOutPtr = make([]int, r.nOut)
-	r.vaBids = make([][]int, r.nOut*p.numVCs)
-	for i := range r.vaBids {
-		r.vaBids[i] = make([]int, 0, r.nIn*p.numVCs)
-	}
+	r.vaReq = make([]uint64, r.nOut*p.numVCs)
 	r.vaKeys = make([]int, 0, r.nOut*p.numVCs)
-	r.saBids = make([][]int, r.nOut)
-	for i := range r.saBids {
-		r.saBids[i] = make([]int, 0, r.nIn)
-	}
+	r.saReq = make([]uint64, r.nOut)
 	if net != nil && net.fs != nil {
 		r.stuck = make([]uint64, r.nIn*p.numVCs)
 	}
@@ -177,25 +188,39 @@ func newRouter(p routerParams, net *meshNet) *router {
 // and the stage masks.
 func (r *router) inIdx(port, vc int) int { return port*r.p.numVCs + vc }
 
-// busy reports whether any input VC holds work (a buffered flit or
-// allocation state); step is a no-op otherwise, so the network skips the
-// router.
-func (r *router) busy() bool { return r.rcMask|r.vaMask|r.saMask != 0 }
+// busy reports whether any input VC holds work (a flit buffered or on the
+// wire towards it, or allocation state); step is a no-op otherwise, so the
+// network skips the router. Queued credits alone do not make a router busy:
+// nothing reads a credit counter before the next step pulls them.
+func (r *router) busy() bool { return r.arrMask|r.rcMask|r.vaMask|r.saMask != 0 }
 
-// acceptFlit enqueues an arriving flit into its input VC buffer. Credit
-// accounting upstream guarantees space; overflow means a protocol bug.
-// A flit landing on an idle, empty VC is a head awaiting route computation:
-// it joins rcMask and puts the router on the network's active list.
+// working reports whether the router has a VC in a pipeline stage, i.e. work
+// for the very next cycle; a busy router that is not working only waits for
+// flits on the wire.
+func (r *router) working() bool { return r.rcMask|r.vaMask|r.saMask != 0 }
+
+// acceptFlit enqueues a flit into its input VC buffer; f.arrived is the
+// cycle it becomes visible (the current cycle for an injected flit, the end
+// of the wire for a sent one). Credit accounting upstream guarantees space;
+// overflow means a protocol bug. A flit landing on an idle, empty VC is a
+// head that will need route computation: it joins rcMask, or arrMask while
+// still in flight, and puts the router on the network's active list.
 func (r *router) acceptFlit(port int, f Flit, cycle uint64) {
 	idx := r.inIdx(port, int(f.VC))
 	ivc := &r.inputs[idx]
 	if ivc.buf.Full() {
 		panic(fmt.Sprintf("noc: router %d port %d vc %d buffer overflow", r.p.node, port, f.VC))
 	}
-	f.arrived = cycle
-	if ivc.buf.Len() == 0 && ivc.state == vcIdle {
-		r.rcMask |= 1 << uint(idx)
-		r.sh.rtrActive.set(int(r.p.node))
+	if ivc.buf.Len() == 0 {
+		ivc.nextAt = f.arrived
+		if ivc.state == vcIdle {
+			if f.arrived <= cycle {
+				r.rcMask |= 1 << uint(idx)
+			} else {
+				r.arrMask |= 1 << uint(idx)
+			}
+			r.sh.rtrActive.set(int(r.p.node))
+		}
 	}
 	ivc.buf.Push(f)
 }
@@ -209,14 +234,39 @@ func (r *router) acceptCredit(port, vc int) {
 	}
 }
 
+// pullCredits takes the due credits off the flagged return links.
+func (r *router) pullCredits(cycle uint64) {
+	for m := r.credPend; m != 0; m &= m - 1 {
+		d := bits.TrailingZeros8(m)
+		cc := r.credIn[d]
+		cc.deliver(cycle)
+		if cc.q.Len() == 0 {
+			r.credPend &^= 1 << uint(d)
+		}
+	}
+}
+
+// promoteArrived moves idle VCs whose head has come off the wire from
+// arrMask to rcMask.
+func (r *router) promoteArrived(cycle uint64) {
+	for m := r.arrMask; m != 0; m &= m - 1 {
+		idx := bits.TrailingZeros64(m)
+		if r.inputs[idx].nextAt <= cycle {
+			r.arrMask &^= 1 << uint(idx)
+			r.rcMask |= 1 << uint(idx)
+		}
+	}
+}
+
 // injSpace reports free slots in an injection port VC buffer (used by the
 // network interface, which writes flits directly).
 func (r *router) injSpace(injPort, vc int) int {
 	return r.p.bufDepth - r.inputs[r.inIdx(int(numDirs)+injPort, vc)].buf.Len()
 }
 
-// injectFlit writes one flit into an injection buffer.
+// injectFlit writes one flit into an injection buffer, visible at once.
 func (r *router) injectFlit(injPort int, f Flit, cycle uint64) {
+	f.arrived = cycle
 	r.acceptFlit(int(numDirs)+injPort, f, cycle)
 }
 
@@ -237,9 +287,16 @@ func (r *router) legalOutput(in, out int) bool {
 	return Port(out) == Port(in).opposite()
 }
 
-// step runs one router cycle: route computation, VC allocation, switch
-// allocation and switch traversal, each over its stage mask.
+// step runs one router cycle: pull returned credits, admit flits that have
+// come off the wire, then route computation, VC allocation, switch allocation
+// and switch traversal, each over its stage mask.
 func (r *router) step(cycle uint64) {
+	if r.credPend != 0 {
+		r.pullCredits(cycle)
+	}
+	if r.arrMask != 0 {
+		r.promoteArrived(cycle)
+	}
 	if r.rcMask != 0 {
 		r.routeCompute(cycle)
 	}
@@ -302,17 +359,17 @@ func (r *router) vcAllocate(cycle uint64) {
 		base := ivc.outPort * n
 		for _, ov := range ivc.allowed {
 			if key := base + ov; r.outputs[key].owner < 0 {
-				if len(r.vaBids[key]) == 0 {
+				if r.vaReq[key] == 0 {
 					r.vaKeys = append(r.vaKeys, key)
 				}
-				r.vaBids[key] = append(r.vaBids[key], idx)
+				r.vaReq[key] |= 1 << uint(idx)
 				break
 			}
 		}
 	}
 	for _, key := range r.vaKeys {
-		bidders := r.vaBids[key]
-		winner := pickRR(bidders, &r.vaPtr[key], r.nIn*n)
+		winner := pickRRMask(r.vaReq[key], &r.vaPtr[key])
+		r.vaReq[key] = 0
 		ivc := &r.inputs[winner]
 		r.outputs[key].owner = winner
 		ivc.outVC = key - ivc.outPort*n
@@ -320,7 +377,6 @@ func (r *router) vcAllocate(cycle uint64) {
 		ivc.readyAt = cycle + r.vaD
 		r.vaMask &^= 1 << uint(winner)
 		r.saMask |= 1 << uint(winner)
-		r.vaBids[key] = bidders[:0]
 	}
 	r.vaKeys = r.vaKeys[:0]
 }
@@ -338,17 +394,15 @@ func (r *router) switchAllocate(cycle uint64) {
 			continue
 		}
 		if idx, ok := r.pickSAInput(in, m&window, cycle); ok {
-			out := r.inputs[idx].outPort
-			r.saBids[out] = append(r.saBids[out], idx)
+			r.saReq[r.inputs[idx].outPort] |= 1 << uint(idx)
 		}
 	}
-	for out := 0; out < r.nOut; out++ {
-		bidders := r.saBids[out]
-		if len(bidders) == 0 {
+	for out, req := range r.saReq {
+		if req == 0 {
 			continue
 		}
-		r.traverse(pickRR(bidders, &r.saOutPtr[out], r.nIn*r.p.numVCs), cycle)
-		r.saBids[out] = bidders[:0]
+		r.saReq[out] = 0
+		r.traverse(pickRRMask(req, &r.saOutPtr[out]), cycle)
 	}
 }
 
@@ -366,8 +420,8 @@ func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 		}
 		idx := in*n + v
 		ivc := &r.inputs[idx]
-		if ivc.readyAt > cycle || ivc.buf.Len() == 0 {
-			continue
+		if ivc.readyAt > cycle || ivc.nextAt > cycle {
+			continue // allocation delay, or no flit has come off the wire
 		}
 		if r.stuck != nil && r.stuck[idx] > cycle {
 			continue // transient stuck-VC fault freezes this VC's allocation
@@ -399,14 +453,20 @@ func (r *router) outputReady(port, vc int) bool {
 func (r *router) traverse(idx int, cycle uint64) {
 	ivc := &r.inputs[idx]
 	f := ivc.buf.Pop()
+	ivc.nextAt = NeverCycle
+	if ivc.buf.Len() > 0 {
+		ivc.nextAt = ivc.buf.Front().arrived
+	}
 	op, ov := ivc.outPort, ivc.outVC
 	out := &r.outputs[r.inIdx(op, ov)]
 	f.VC = int16(ov)
 	if op < int(numDirs) {
 		out.credits--
-		r.outChans[op].send(f, cycle+r.stD+r.p.chanLat)
+		f.arrived = cycle + r.stD + r.p.chanLat
+		r.outChans[op].send(f, cycle)
 	} else {
-		r.ejQ[op-int(numDirs)].Push(flitEvent{flit: f, due: cycle + r.stD})
+		f.arrived = cycle + r.stD
+		r.ejQ[op-int(numDirs)].Push(f)
 		r.ejCount++
 		r.sh.ejActive.set(int(r.p.node))
 	}
@@ -418,7 +478,9 @@ func (r *router) traverse(idx int, cycle uint64) {
 	// Return the freed buffer slot upstream (direction inputs only; the
 	// network interface reads injection buffer occupancy directly).
 	if ivc.port < int(numDirs) && r.credChans[ivc.port] != nil {
-		r.credChans[ivc.port].send(ivc.vc, cycle+r.p.credLat)
+		due := cycle + r.p.credLat
+		r.credChans[ivc.port].send(ivc.vc, due)
+		r.sh.credDue = due
 	}
 	if f.Tail {
 		out.owner = -1
@@ -426,10 +488,13 @@ func (r *router) traverse(idx int, cycle uint64) {
 		ivc.outPort = -1
 		ivc.allowed = nil
 		// The VC leaves switch allocation; a next packet already queued
-		// behind the tail is a head awaiting route computation.
+		// behind the tail is a head awaiting route computation, or still
+		// on the wire.
 		r.saMask &^= 1 << uint(idx)
-		if ivc.buf.Len() > 0 {
+		if ivc.nextAt <= cycle {
 			r.rcMask |= 1 << uint(idx)
+		} else if ivc.nextAt != NeverCycle {
+			r.arrMask |= 1 << uint(idx)
 		}
 	}
 }
@@ -438,29 +503,22 @@ func (r *router) traverse(idx int, cycle uint64) {
 func (r *router) drainEjected(cycle uint64, visit func(Flit)) {
 	for e := range r.ejQ {
 		q := &r.ejQ[e]
-		for q.Len() > 0 && q.Front().due <= cycle {
+		for q.Len() > 0 && q.Front().arrived <= cycle {
 			r.ejCount--
-			visit(q.Pop().flit)
+			visit(q.Pop())
 		}
 	}
 }
 
-// pickRR chooses the first bidder at or after *ptr in cyclic order over the
-// index space [0, n), then advances the pointer past the winner. Bidders are
-// input indices in [0, n) and the pointer rests in [0, n] (n after a
-// last-index win), so one conditional add of n restores the cyclic distance
-// for bidders that wrapped below the pointer.
-func pickRR(bidders []int, ptr *int, n int) int {
-	best := -1
-	bestKey := 0
-	for _, b := range bidders {
-		key := b - *ptr
-		if key < 0 {
-			key += n // wrap below pointer to the end of the order
-		}
-		if best < 0 || key < bestKey {
-			best, bestKey = b, key
-		}
+// pickRRMask chooses the first bidder at or after *ptr in cyclic order and
+// advances the pointer past the winner. Bit i of bidders (non-zero) names
+// input index i; the pointer rests in [0, 64], and at 64 — after a win at the
+// last index of a full-width router — the shift yields zero, which is the
+// wrap case like any other pointer above the highest bidder.
+func pickRRMask(bidders uint64, ptr *int) int {
+	best := bits.TrailingZeros64(bidders)
+	if hi := bidders >> uint(*ptr); hi != 0 {
+		best = *ptr + bits.TrailingZeros64(hi)
 	}
 	*ptr = best + 1
 	return best

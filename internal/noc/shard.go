@@ -9,7 +9,7 @@ import (
 
 // The sharded cycle kernel partitions the network into the backend's
 // contiguous bands — column bands on the mesh and basejump backends, arc
-// segments on the ring — and runs each band's channel/NI/router phases on
+// segments on the ring — and runs each band's NI/router phases on
 // its own worker goroutine, with a serial epilogue at the cycle boundary.
 // Determinism is the design constraint: a sharded run must be bit-identical
 // to the serial kernel. The scheme rests on three structural facts:
@@ -17,15 +17,16 @@ import (
 //  1. Single writer per channel. Every flit channel and credit channel has
 //     exactly one sending router, which sends at most one event per cycle
 //     (one switch-allocation grant per output port; one credit per input
-//     port). Channel queues are owned by the DESTINATION router's shard,
-//     which is the only code that pops them (the deliver phases).
+//     port). A sent flit lands in the DESTINATION router's input VC and a
+//     sent credit in that router's return queue, both owned by the
+//     destination's shard, which is the only code that consumes them.
 //  2. Bands only share boundary links. On the mesh, north/south channels
 //     stay inside a column band, so cross-shard traffic is exactly the E/W
 //     links that straddle a band edge; on the ring, it is the pair of links
 //     at each arc boundary. A cross-shard send is buffered in the sending
-//     shard's outgoing mailbox ring instead of touching the foreign queue;
-//     the serial epilogue drains the mailboxes into the owning queues in
-//     shard order. Channel latency means every sent event is due no earlier
+//     shard's outgoing mailbox ring instead of touching the foreign router;
+//     the serial epilogue deposits the mailboxes into the owning buffers and
+//     queues in shard order. Every sent flit or credit is stamped no earlier
 //     than the next cycle, so moving the hand-off from "during the cycle"
 //     to "end of the cycle" is invisible to the simulation.
 //  3. Order-sensitive global state is deferred and replayed. Float latency
@@ -50,8 +51,8 @@ type latSample struct {
 
 // flitMail is a cross-shard flit send parked in the source shard's mailbox.
 type flitMail struct {
-	ch *channel
-	ev flitEvent
+	ch   *channel
+	flit Flit
 }
 
 // credMail is a cross-shard credit send parked in the source shard's mailbox.
@@ -71,11 +72,9 @@ type meshShard struct {
 
 	// Per-phase active work lists (see the activeSet comment in network.go);
 	// the per-shard split is what lets segments run without locks.
-	flitActive activeSet
-	credActive activeSet
-	injActive  activeSet
-	rtrActive  activeSet
-	ejActive   activeSet
+	injActive activeSet
+	rtrActive activeSet
+	ejActive  activeSet
 
 	// Outgoing boundary mailboxes, drained by the serial epilogue. Hard
 	// bounds: each boundary channel carries at most one event per cycle
@@ -89,6 +88,11 @@ type meshShard struct {
 	flitHops  uint64
 	moves     uint64
 	assembled int // packets fully assembled this cycle (decrements net.active)
+
+	// credDue is the due cycle of the last credit a router of this shard
+	// sent; with no faults dues only grow, so it tells NextWorkCycle whether
+	// a credit is still on its way back.
+	credDue uint64
 
 	// Deferred order-sensitive float samples, replayed node-ascending.
 	samples   []latSample
@@ -128,13 +132,11 @@ func (n *meshNet) buildShards(requested int) {
 	n.shards = make([]*meshShard, s)
 	for k := range n.shards {
 		sh := &meshShard{
-			idx:        k,
-			net:        n,
-			flitActive: newActiveSet(len(n.flitChans)),
-			credActive: newActiveSet(len(n.credChans)),
-			injActive:  newActiveSet(len(n.nis)),
-			rtrActive:  newActiveSet(len(n.routers)),
-			ejActive:   newActiveSet(len(n.routers)),
+			idx:       k,
+			net:       n,
+			injActive: newActiveSet(len(n.nis)),
+			rtrActive: newActiveSet(len(n.routers)),
+			ejActive:  newActiveSet(len(n.routers)),
 		}
 		sh.task = shardTask{
 			wg:     &n.tickWG,
@@ -146,22 +148,20 @@ func (n *meshNet) buildShards(requested int) {
 	for _, r := range n.routers {
 		r.sh = n.shardOf(r.p.node)
 	}
-	// Channel ownership: the destination router's shard pops the queue and
-	// tracks the active bit. A channel whose source router lives in another
-	// shard routes its sends through that shard's outgoing mailbox.
+	// A channel whose source router lives in another shard than its
+	// destination routes its sends through the source shard's outgoing
+	// mailbox.
 	nbf := make([]int, s)
 	nbc := make([]int, s)
 	for _, ch := range n.flitChans {
-		src, dst := n.shardOf(ch.src), n.shardOf(ch.dst.p.node)
-		ch.sh = dst
+		src, dst := n.shardOf(ch.src), ch.dst.sh
 		if src != dst {
 			ch.xmail = &src.outFlit
 			nbf[src.idx]++
 		}
 	}
 	for _, cc := range n.credChans {
-		src, dst := n.shardOf(cc.src), n.shardOf(cc.dst.p.node)
-		cc.sh = dst
+		src, dst := n.shardOf(cc.src), cc.dst.sh
 		if src != dst {
 			cc.xmail = &src.outCred
 			nbc[src.idx]++
@@ -177,26 +177,13 @@ func (n *meshNet) buildShards(requested int) {
 	}
 }
 
-// runSegment is one shard's slice of a cycle: the five phases over the
-// shard's own active components, in ascending index order (the serial
-// kernel's order restricted to this band). It touches only shard-owned
-// state plus this shard's outgoing mailboxes.
+// runSegment is one shard's slice of a cycle: the three phases (inject,
+// route, eject) over the shard's own active components, in ascending index
+// order (the serial kernel's order restricted to this band). Links are not a
+// phase: a router's sends land in the neighbour's buffers directly. It
+// touches only shard-owned state plus this shard's outgoing mailboxes.
 func (sh *meshShard) runSegment(cycle uint64) {
 	n := sh.net
-	sh.flitActive.forEach(func(i int) {
-		ch := n.flitChans[i]
-		ch.deliver(cycle)
-		if ch.q.Len() == 0 {
-			sh.flitActive.clear(i)
-		}
-	})
-	sh.credActive.forEach(func(i int) {
-		cc := n.credChans[i]
-		cc.deliver(cycle)
-		if cc.q.Len() == 0 {
-			sh.credActive.clear(i)
-		}
-	})
 	sh.injActive.forEach(func(i int) {
 		ni := n.nis[i]
 		ni.injectStep(cycle)
@@ -232,25 +219,23 @@ func (sh *meshShard) noteHop(pkt *Packet, node NodeID) {
 	sh.llPkt, sh.llNode = pkt, node
 }
 
-// epilogue is the serial tail of a cycle: it drains the boundary mailboxes
-// into their owning queues, merges the shards' deferred counters and
-// samples in serial-kernel order, resolves the livelock verdict, and runs
-// the end-of-cycle health monitors. Mailboxes drain here — not at the top
-// of the next cycle — so the conservation audit sees boundary flits in
-// their channel queues; every mailed event is due next cycle at the
-// earliest, so the owning shard processes it at the same cycle the serial
+// epilogue is the serial tail of a cycle: it deposits the boundary mailboxes
+// into their owning input VCs and credit queues, merges the shards' deferred
+// counters and samples in serial-kernel order, resolves the livelock verdict,
+// and runs the end-of-cycle health monitors. Mailboxes drain here — not at
+// the top of the next cycle — so the conservation audit sees boundary flits
+// in their buffers; every mailed flit or credit is stamped next cycle at the
+// earliest, so the owning shard acts on it at the same cycle the serial
 // kernel would have.
 func (n *meshNet) epilogue() {
 	for _, sh := range n.shards {
 		for sh.outFlit.Len() > 0 {
 			m := sh.outFlit.Pop()
-			m.ch.q.Push(m.ev)
-			m.ch.sh.flitActive.set(m.ch.idx)
+			m.ch.dst.acceptFlit(m.ch.dstPort, m.flit, n.cycle)
 		}
 		for sh.outCred.Len() > 0 {
 			m := sh.outCred.Pop()
-			m.cc.q.Push(m.ev)
-			m.cc.sh.credActive.set(m.cc.idx)
+			m.cc.post(m.ev)
 		}
 		n.stats.FlitHops += sh.flitHops
 		n.moveCount += sh.moves

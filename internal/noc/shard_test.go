@@ -22,10 +22,9 @@ func shardTestMesh(t *testing.T, shards int) *Mesh {
 	return m
 }
 
-// TestShardPartitionInvariants checks the three structural facts the sharded
-// kernel rests on: routers land in contiguous column bands, every channel is
-// owned by its destination's shard, and exactly the cross-band channels get
-// a mailbox — whose hard capacity equals the number of channels feeding it,
+// TestShardPartitionInvariants checks the structural facts the sharded
+// kernel rests on: routers land in contiguous column bands, and exactly the
+// cross-band channels get a mailbox — whose hard capacity equals the number of channels feeding it,
 // the most the flow-control bound lets arrive in one cycle.
 func TestShardPartitionInvariants(t *testing.T) {
 	m := shardTestMesh(t, 4)
@@ -40,40 +39,34 @@ func TestShardPartitionInvariants(t *testing.T) {
 		}
 	}
 	nbf := make([]int, len(n.shards))
-	for _, ch := range n.flitChans {
-		srcSh, dstSh := n.shardOf(ch.src), n.shardOf(ch.dst.p.node)
-		if ch.sh != dstSh {
-			t.Fatalf("flit channel %d owned by shard %d, want destination shard %d", ch.idx, ch.sh.idx, dstSh.idx)
-		}
+	for i, ch := range n.flitChans {
+		srcSh, dstSh := n.shardOf(ch.src), ch.dst.sh
 		sx, dx := int(ch.src)%n.cfg.Width, int(ch.dst.p.node)%n.cfg.Width
 		if sx == dx && ch.xmail != nil {
-			t.Fatalf("N/S channel %d (column %d) has a cross-shard mailbox", ch.idx, sx)
+			t.Fatalf("N/S channel %d (column %d) has a cross-shard mailbox", i, sx)
 		}
 		switch {
 		case srcSh == dstSh:
 			if ch.xmail != nil {
-				t.Fatalf("intra-shard channel %d has a mailbox", ch.idx)
+				t.Fatalf("intra-shard channel %d has a mailbox", i)
 			}
 		default:
 			if ch.xmail != &srcSh.outFlit {
-				t.Fatalf("cross-shard channel %d not wired to source shard %d's mailbox", ch.idx, srcSh.idx)
+				t.Fatalf("cross-shard channel %d not wired to source shard %d's mailbox", i, srcSh.idx)
 			}
 			nbf[srcSh.idx]++
 		}
 	}
 	nbc := make([]int, len(n.shards))
-	for _, cc := range n.credChans {
-		srcSh, dstSh := n.shardOf(cc.src), n.shardOf(cc.dst.p.node)
-		if cc.sh != dstSh {
-			t.Fatalf("credit channel %d owned by shard %d, want destination shard %d", cc.idx, cc.sh.idx, dstSh.idx)
-		}
+	for i, cc := range n.credChans {
+		srcSh, dstSh := n.shardOf(cc.src), cc.dst.sh
 		if srcSh != dstSh {
 			if cc.xmail != &srcSh.outCred {
-				t.Fatalf("cross-shard credit channel %d not wired to source shard %d's mailbox", cc.idx, srcSh.idx)
+				t.Fatalf("cross-shard credit channel %d not wired to source shard %d's mailbox", i, srcSh.idx)
 			}
 			nbc[srcSh.idx]++
 		} else if cc.xmail != nil {
-			t.Fatalf("intra-shard credit channel %d has a mailbox", cc.idx)
+			t.Fatalf("intra-shard credit channel %d has a mailbox", i)
 		}
 	}
 	for k, sh := range n.shards {
@@ -128,20 +121,21 @@ func TestBoundaryMailboxHardBound(t *testing.T) {
 		t.Fatalf("mailbox cap %d != boundary channel count %d", got, len(boundary))
 	}
 	for _, ch := range boundary {
-		ch.send(Flit{}, n.cycle+1)
+		ch.send(Flit{arrived: n.cycle + 1}, n.cycle)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("push past the mailbox hard bound did not panic")
 		}
 	}()
-	boundary[0].send(Flit{}, n.cycle+1)
+	boundary[0].send(Flit{arrived: n.cycle + 1}, n.cycle)
 }
 
 // TestBoundaryMailboxWrapDrain runs one boundary channel through several
 // times its mailbox's capacity, draining via the epilogue each cycle, so the
-// ring head wraps repeatedly. Events must come out in send order and mark
-// the owning shard's channel active list.
+// ring head wraps repeatedly. Flits must come out in send order, land in the
+// destination's input VC still stamped as on the wire, and put the owning
+// shard's router on its active list.
 func TestBoundaryMailboxWrapDrain(t *testing.T) {
 	m := shardTestMesh(t, 2)
 	n := &m.meshNet
@@ -155,20 +149,28 @@ func TestBoundaryMailboxWrapDrain(t *testing.T) {
 	if ch == nil {
 		t.Fatal("no boundary channel out of shard 0")
 	}
+	r := ch.dst
+	idx := r.inIdx(ch.dstPort, 0)
+	ivc := &r.inputs[idx]
 	rounds := 3*n.shards[0].outFlit.Cap() + 5
 	for i := 0; i < rounds; i++ {
-		ch.send(Flit{Seq: int32(i)}, n.cycle+1)
+		ch.send(Flit{Seq: int32(i), Head: true, Tail: true, arrived: n.cycle + 1}, n.cycle)
+		if ivc.buf.Len() != 0 {
+			t.Fatalf("round %d: a cross-shard send touched the foreign buffer before the epilogue", i)
+		}
 		n.epilogue()
-		if ch.q.Len() != 1 {
-			t.Fatalf("round %d: channel queue has %d events after drain, want 1", i, ch.q.Len())
+		if ivc.buf.Len() != 1 || r.arrMask != 1<<uint(idx) {
+			t.Fatalf("round %d: %d flits buffered, arrMask %#x after drain, want 1 flit on the wire",
+				i, ivc.buf.Len(), r.arrMask)
 		}
-		if !ch.sh.flitActive.has(ch.idx) {
-			t.Fatalf("round %d: drained channel not marked active in owning shard", i)
+		if !r.sh.rtrActive.has(int(r.p.node)) {
+			t.Fatalf("round %d: destination router not marked active in owning shard", i)
 		}
-		if ev := ch.q.Pop(); int(ev.flit.Seq) != i {
-			t.Fatalf("round %d: got flit seq %d, want %d (FIFO order broken across wrap)", i, ev.flit.Seq, i)
+		if f := ivc.buf.Pop(); int(f.Seq) != i {
+			t.Fatalf("round %d: got flit seq %d, want %d (FIFO order broken across wrap)", i, f.Seq, i)
 		}
-		ch.sh.flitActive.clear(ch.idx)
+		ivc.nextAt, r.arrMask = NeverCycle, 0
+		r.sh.rtrActive.clear(int(r.p.node))
 	}
 }
 

@@ -204,9 +204,11 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 						continue
 					}
 					var dst noc.NodeID
-					if cfg.Pattern == Hotspot {
+					if cfg.Pattern == Hotspot && len(mcs) > 1 {
 						// Exactly HotspotFraction of requests target the hot
 						// MC; the rest spread over the remaining controllers.
+						// (With a single MC everything goes to it, which the
+						// uniform draw below already does.)
 						if l.rng.Bool(HotspotFraction) {
 							dst = hot
 						} else {

@@ -151,3 +151,43 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 		t.Errorf("mean %v far outside [p50=%v, p99=%v]", res.AvgLatency, res.P50Latency, res.P99Latency)
 	}
 }
+
+// TestHotspotSingleMC is the regression for the hotspot pattern on a network
+// with exactly one memory controller: there are no "remaining controllers"
+// to spread the cold share over, so every request goes to the one MC (the
+// draw used to panic in Intn(0)).
+func TestHotspotSingleMC(t *testing.T) {
+	ncfg := noc.DefaultConfig()
+	ncfg.MCs = ncfg.MCs[:1]
+	cfg := quickConfig()
+	cfg.Pattern = Hotspot
+	cfg.InjectionRate = 0.005
+	res := NewMeshRunner(ncfg).Run(cfg)
+	if res.MeasuredPackets == 0 {
+		t.Fatal("no packets measured")
+	}
+	cfg.Pattern = UniformRandom
+	if uni := NewMeshRunner(ncfg).Run(cfg); uni != res {
+		t.Errorf("with one MC hotspot and uniform traffic must coincide:\n hotspot %+v\n uniform %+v", res, uni)
+	}
+}
+
+// noMCBackend hides a backend's memory controllers.
+type noMCBackend struct{ noc.Backend }
+
+func (noMCBackend) MCs() []noc.NodeID { return nil }
+
+// TestNoMCNetworkPanicsClearly pins the message for a network the open-loop
+// driver cannot use at all.
+func TestNoMCNetworkPanicsClearly(t *testing.T) {
+	r := NewRunner(func() (noc.Network, noc.Backend) {
+		m := noc.MustNewMesh(noc.DefaultConfig())
+		return m, noMCBackend{m.Backend()}
+	})
+	defer func() {
+		if got, want := recover(), "traffic: network has no MC nodes"; got != want {
+			t.Errorf("panic = %v, want %q", got, want)
+		}
+	}()
+	r.Run(quickConfig())
+}
