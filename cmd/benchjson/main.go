@@ -11,6 +11,14 @@
 // order, each with its label, timestamp, toolchain, host parallelism and
 // benchmark table, plus a per-family geometric-mean summary.
 // scripts/bench.sh wraps the whole flow.
+//
+// With -compare it reads two capture files instead (each optionally
+// suffixed "#label" to pick a capture; default the last one) and prints the
+// per-family geometric-mean delta of ns/op and allocs/op over the rows both
+// share, exiting 1 when any family regresses by more than -threshold
+// percent:
+//
+//	benchjson -compare BENCH_2026-10-15.json#before-one-loop BENCH_2026-10-15.json#after-one-loop
 package main
 
 import (
@@ -72,7 +80,12 @@ type File struct {
 func main() {
 	label := flag.String("label", "capture", "label for this capture (e.g. before-refactor)")
 	out := flag.String("out", "", "capture file to append to (default: stdout, single capture)")
+	compare := flag.Bool("compare", false, "compare two capture files given as arguments: old.json[#label] new.json[#label]")
+	threshold := flag.Float64("threshold", 5, "with -compare: noise threshold in percent; a larger per-family slowdown fails")
 	flag.Parse()
+	if *compare {
+		os.Exit(runCompare(flag.Args(), *threshold, os.Stdout))
+	}
 
 	benches, host, err := parse(os.Stdin)
 	if err != nil {

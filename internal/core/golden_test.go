@@ -190,16 +190,6 @@ func TestGoldenDigestsLanes(t *testing.T) {
 					for i := range seeds {
 						seeds[i] = cfg.Seed + uint64(i)
 					}
-					if lanesN == 1 {
-						// One lane delegates to the solo path; the digest
-						// identity is the plain golden check.
-						results, errs := RunLanes(nil, cfg, seeds)
-						if errs[0] != nil {
-							t.Fatalf("run degraded: %v", errs[0])
-						}
-						_ = results
-						return
-					}
 					lanes, buildErrs := runLanes(nil, cfg, seeds)
 					for i, l := range lanes {
 						if l == nil {
@@ -208,7 +198,7 @@ func TestGoldenDigestsLanes(t *testing.T) {
 						if l.runErr != nil {
 							t.Fatalf("lane %d degraded: %v", i, l.runErr)
 						}
-						got := digestRun(l.res, l.sys.NetStats())
+						got := digestRun(l.res, l.NetStats())
 						want := ""
 						if i == 0 {
 							want = goldenDigests[gc.id]

@@ -3,12 +3,7 @@ package core
 import (
 	"context"
 
-	"repro/internal/addr"
-	"repro/internal/fault"
-	"repro/internal/gpu"
-	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/timing"
 )
 
 // RunLanes executes len(seeds) replicas of cfg — identical except for
@@ -16,646 +11,65 @@ import (
 // share the immutable topology backend (geometry, route tables; backends are
 // read-only at runtime), while every lane keeps its own mutable state: VC
 // buffers, queues, stats, RNG streams and a private clock scheduler. Each
-// round advances every live lane by one scheduler step, so a lane executes
-// exactly the solo Run algorithm, interleaved in wall-clock with its
-// siblings; lanes retire individually as they finish and a retired lane
-// costs nothing.
+// round advances every live lane by one call of the step function System.Run
+// loops over, so a lane executes exactly what Run executes for its seed,
+// interleaved in wall-clock with its siblings; lanes retire individually as
+// they finish and a retired lane costs nothing. One seed is simply a batch
+// of one.
 //
-// What makes the batch faster than running the seeds back to back is the
-// lane kernel's per-component dormancy tracking: a component whose
-// NextWorkCycle horizon has not arrived is not ticked at all, and the elided
-// idle cycles are paid lazily with its SkipAhead-family credit call — which
-// the idle-horizon contract (DESIGN.md) defines to be bit-identical to
-// ticking it that many times. Results are therefore bit-identical to solo
-// runs for every lane count, which the golden digest matrices pin at lanes
-// 1/2/4.
+// Results are bit-identical to running each seed alone, for every lane
+// count, which the golden digest matrices pin at lanes 1/2/4.
 //
 // The returned slices are indexed like seeds. A lane's error mirrors what
 // Run would have returned for that seed (nil, or a *fault.HangError with the
 // Result still populated).
 func RunLanes(ctx context.Context, cfg Config, seeds []uint64) ([]Result, []error) {
 	results := make([]Result, len(seeds))
-	errs := make([]error, len(seeds))
-	if len(seeds) == 0 {
-		return results, errs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(seeds) == 1 {
-		c := cfg
-		c.Seed = seeds[0]
-		results[0], errs[0] = Run(ctx, c)
-		return results, errs
-	}
-
-	lanes, buildErrs := runLanes(ctx, cfg, seeds)
-	for i, l := range lanes {
-		if l == nil {
-			errs[i] = buildErrs[i]
-			continue
+	lanes, errs := runLanes(ctx, cfg, seeds)
+	for i, s := range lanes {
+		if s != nil {
+			results[i], errs[i] = s.res, s.runErr
 		}
-		results[i] = l.res
-		errs[i] = l.runErr
 	}
 	return results, errs
 }
 
-// runLanes builds and drives the lane batch, returning the retired lanes
-// (nil where construction failed, with the error in the second slice).
-// Split from RunLanes so tests can digest per-lane network stats.
-func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*lane, []error) {
+// runLanes builds and drives the lane batch round-robin, returning the
+// retired systems (nil where construction failed, with the error in the
+// second slice). Split from RunLanes so tests can digest per-lane network
+// stats.
+func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*System, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Build the shared backend once. Only the single-mesh network family
-	// can share (Double builds two slices, ideal networks have no kernel);
-	// other kinds simply construct per lane, exactly as solo runs do.
-	var share noc.Backend
-	if cfg.Net == NetMesh {
-		if b, err := noc.BuildBackend(cfg.Noc); err == nil {
-			share = b
-		}
-	}
-
-	errs := make([]error, len(seeds))
-	lanes := make([]*lane, len(seeds))
-	live := 0
-	for i, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		sys, err := newSystem(c, share)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		lanes[i] = newLane(sys)
-		live++
-	}
-	for live > 0 {
-		for _, l := range lanes {
-			if l == nil || l.finished {
-				continue
-			}
-			if !l.step(ctx) {
-				live--
+	lanes, errs := newLanes(cfg, seeds)
+	for live := true; live; {
+		live = false
+		for _, s := range lanes {
+			if s != nil && !s.finished && s.step(ctx) {
+				live = true
 			}
 		}
 	}
 	return lanes, errs
 }
 
-// lane is one seed replica inside a lane batch: a full System plus the
-// dormancy bookkeeping that lets the shared loop elide ticks on components
-// whose work horizon has not arrived.
-//
-// Per component the lane stores a wake threshold and a credit watermark:
-//
-//   - cred counts the domain cycles already applied to the component, by
-//     real ticks or by SkipAhead-family credits. Paying a component "up to
-//     C" means calling its skip credit for the (C - cred) elided idle
-//     cycles; by the idle-horizon contract that is bit-identical to having
-//     ticked it through them, as long as the window stays inside the bound
-//     its NextWorkCycle gave and no external event landed inside it.
-//   - wake is the post-step domain cycle count at which the component must
-//     really tick again. 0 means awake (tick every edge); NeverCycle means
-//     dormant until an external event. Every event that can create work for
-//     a component (a delivery, a popped request, the other clock side of an
-//     MC doing real work) pays the component up to the current count first
-//     and then clears its wake, so no elided window ever spans an event.
-type lane struct {
-	sys *System
-	wd  *fault.Watchdog
-	buf []timing.Domain
-
-	maxIcnt uint64
-	elide   bool // dormancy elision + idle skips (off under NoIdleSkip)
-
-	coreCred    []uint64
-	coreDormant []bool
-	coreDone    []bool // sticky Done() results; dormant && !done stays !done
-	dormantN    int    // count of dormant cores
-
-	netCred  uint64
-	netWake  uint64
-	icntCred []uint64 // per MC, interconnect side
-	icntWake []uint64
-	dramCred []uint64 // per MC, DRAM side
-	dramWake []uint64
-
-	runErr   error
-	res      Result
-	timedOut bool
-	finished bool
-
-	// doneKnownFalse short-circuits the next loop-top done() check: the
-	// stride gate evaluated done() after the last tick of the previous step
-	// and nothing can change lane state between that point and the next
-	// loop top.
-	doneKnownFalse bool
-}
-
-func newLane(sys *System) *lane {
-	l := &lane{
-		sys:         sys,
-		buf:         make([]timing.Domain, 0, timing.NumDomains),
-		maxIcnt:     sys.cfg.MaxIcntCycles,
-		elide:       !sys.cfg.NoIdleSkip,
-		coreCred:    make([]uint64, len(sys.cores)),
-		coreDormant: make([]bool, len(sys.cores)),
-		coreDone:    make([]bool, len(sys.cores)),
-		icntCred:    make([]uint64, len(sys.mcs)),
-		icntWake:    make([]uint64, len(sys.mcs)),
-		dramCred:    make([]uint64, len(sys.mcs)),
-		dramWake:    make([]uint64, len(sys.mcs)),
-	}
-	if l.maxIcnt == 0 {
-		l.maxIcnt = defaultMaxIcntCycles
-	}
-	if sys.cfg.Noc.Fault.Monitored() {
-		l.wd = fault.NewWatchdog(sys.cfg.Noc.Fault.WatchdogCycles)
-	}
-	return l
-}
-
-// step advances the lane by one iteration of the solo Run loop — one
-// scheduler step plus its bookkeeping — and reports whether the lane is
-// still live. The control flow (loop-top done check, cycle cap, context
-// poll, domain ticks, health check, stall watchdog, idle skip) mirrors
-// System.Run line for line; only the component ticks are gated by the
-// dormancy state.
-func (l *lane) step(ctx context.Context) bool {
-	s := l.sys
-	if l.doneKnownFalse {
-		// The stride check at the end of the previous step already evaluated
-		// done() and nothing has run since, so the verdict still stands.
-		l.doneKnownFalse = false
-	} else if l.done() {
-		l.finish(false)
-		return false
-	}
-	icnt := s.sched.Cycles(timing.DomainInterconnect)
-	if icnt >= l.maxIcnt {
-		l.timedOut = true
-		l.fail(fault.Hang(fault.ErrCycleCap, s.diagnose("cycle-cap")))
-		return false
-	}
-	if icnt%ctxCheckPeriod == 0 {
-		if cerr := ctx.Err(); cerr != nil {
-			cond := ctxCondition(cerr)
-			l.fail(fault.Hang(cond, s.diagnose(statusOf(cond))))
-			return false
+// newLanes builds one System per seed. Only the single-mesh network family
+// can share its backend (Double builds two slices, ideal networks have no
+// kernel); other kinds simply construct per lane, exactly as NewSystem does.
+func newLanes(cfg Config, seeds []uint64) ([]*System, []error) {
+	var share noc.Backend
+	if cfg.Net == NetMesh && len(seeds) > 0 {
+		if b, err := noc.BuildBackend(cfg.Noc); err == nil {
+			share = b
 		}
 	}
-	l.buf = s.sched.Step(l.buf)
-	icntTicked := false
-	for _, d := range l.buf {
-		switch d {
-		case timing.DomainCore:
-			l.coreTicks()
-		case timing.DomainInterconnect:
-			l.icntTick()
-			icntTicked = true
-		case timing.DomainDRAM:
-			l.dramTicks()
-		}
+	errs := make([]error, len(seeds))
+	lanes := make([]*System, len(seeds))
+	for i, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		lanes[i], errs[i] = newSystem(c, share)
 	}
-	if err := s.net.Health(); err != nil {
-		l.fail(err)
-		return false
-	}
-	if l.wd != nil && icnt%stallCheckPeriod == 0 &&
-		l.wd.Observe(icnt, s.progress(), 1) {
-		l.fail(fault.Hang(fault.ErrStall, s.diagnose("stall")))
-		return false
-	}
-	if l.elide && icntTicked {
-		l.maybeSkip()
-		l.strideToNextIcnt()
-	}
-	return true
-}
-
-// strideToNextIcnt bulk-advances the scheduler to the next interconnect
-// edge when the interconnect is the only domain with live work: every core
-// dormant (NeverCycle horizon, empty out-queue) and every DRAM side fully
-// drained. The skipped core/DRAM edges carry no ticks — they would only pay
-// the loop prologue — and their idle credits settle lazily like any other
-// elision. Observable state at every remaining loop top (interconnect cycle
-// count, progress counter, health, watchdog samples) is exactly what
-// edge-by-edge stepping produces, since nothing can change between two
-// interconnect edges while the other domains are dormant.
-func (l *lane) strideToNextIcnt() {
-	s := l.sys
-	if l.dormantN != len(s.cores) {
-		return
-	}
-	for j := range l.dramWake {
-		if l.dramWake[j] != mem.NeverCycle {
-			return
-		}
-	}
-	// If the next loop top will retire the lane — run complete, or the cycle
-	// cap reached — solo stepping would observe it at the FIRST edge after
-	// this one, before any further core/DRAM edges advance their counters.
-	// Striding would credit those edges and inflate the final cycle counts,
-	// so hold position and let the loop top take the exit exactly.
-	ic := s.sched.Cycles(timing.DomainInterconnect)
-	if ic >= l.maxIcnt || l.done() {
-		return
-	}
-	l.doneKnownFalse = true
-	h := s.sched.EdgeFs(timing.DomainInterconnect, ic+1)
-	if h <= s.sched.NextFs() {
-		return
-	}
-	s.sched.SkipTo(h)
-}
-
-// fail records a degradation verdict and retires the lane.
-func (l *lane) fail(err error) {
-	l.payAll()
-	l.runErr = err
-	l.finish(l.timedOut)
-}
-
-// finish pays every component up to its final cycle count and assembles the
-// lane's Result.
-func (l *lane) finish(timedOut bool) {
-	l.payAll()
-	l.res = l.sys.result(timedOut)
-	l.res.Status = statusOf(l.runErr)
-	l.finished = true
-}
-
-// payAll settles every outstanding elision credit, bringing each component
-// to its domain's current cycle count. Idempotent.
-func (l *lane) payAll() {
-	s := l.sys
-	cc := s.sched.Cycles(timing.DomainCore)
-	for i, c := range s.cores {
-		if k := cc - l.coreCred[i]; k > 0 {
-			c.SkipAhead(k)
-			l.coreCred[i] = cc
-		}
-	}
-	ic := s.sched.Cycles(timing.DomainInterconnect)
-	if k := ic - l.netCred; k > 0 {
-		s.net.SkipAhead(k)
-		l.netCred = ic
-	}
-	dc := s.sched.Cycles(timing.DomainDRAM)
-	for j, mc := range s.mcs {
-		if k := ic - l.icntCred[j]; k > 0 {
-			mc.SkipIcnt(k)
-			l.icntCred[j] = ic
-		}
-		if k := dc - l.dramCred[j]; k > 0 {
-			mc.SkipDRAM(k)
-			l.dramCred[j] = dc
-		}
-	}
-}
-
-// done mirrors System.done with two caches: sticky per-core Done results
-// (completion is monotonic — a finished core has no outstanding work that
-// could wake it) and the dormancy rule that a core marked dormant while
-// unfinished cannot finish without an external wake event (its horizon was
-// NeverCycle, so no tick it is owed can make progress).
-func (l *lane) done() bool {
-	s := l.sys
-	for i, c := range s.cores {
-		if l.coreDone[i] {
-			continue
-		}
-		if l.coreDormant[i] {
-			return false
-		}
-		if !c.Done() {
-			return false
-		}
-		l.coreDone[i] = true
-	}
-	if !s.net.Quiet() {
-		return false
-	}
-	for _, mc := range s.mcs {
-		if mc.Busy() {
-			return false
-		}
-	}
-	return true
-}
-
-// wakeCore pays core i up to the current core-domain count and clears its
-// dormancy, so an external event (fill delivery, popped request) never lands
-// inside an elided window. On an awake, caught-up core it is a no-op.
-func (l *lane) wakeCore(i int) {
-	cc := l.sys.sched.Cycles(timing.DomainCore)
-	if k := cc - l.coreCred[i]; k > 0 {
-		l.sys.cores[i].SkipAhead(k)
-		l.coreCred[i] = cc
-	}
-	if l.coreDormant[i] {
-		l.coreDormant[i] = false
-		l.dormantN--
-	}
-}
-
-// coreTicks runs the core-domain edge: every non-dormant core pays any
-// pending skip credit (left lazily by maybeSkip's bulk advance) and ticks.
-func (l *lane) coreTicks() {
-	s := l.sys
-	if l.dormantN == len(s.cores) {
-		return
-	}
-	cc := s.sched.Cycles(timing.DomainCore)
-	for i, c := range s.cores {
-		if l.coreDormant[i] {
-			continue
-		}
-		if k := cc - 1 - l.coreCred[i]; k > 0 {
-			c.SkipAhead(k)
-		}
-		c.Tick()
-		l.coreCred[i] = cc
-	}
-}
-
-// dramTicks runs the DRAM-domain edge for every MC whose DRAM wake has
-// arrived. Before a real TickDRAM the MC's interconnect side is paid up
-// (TickDRAM can push replies, and SkipIcnt's Busy() accounting must never
-// span a state change); afterwards both horizons are recomputed, since a
-// completed read wakes the interconnect side.
-func (l *lane) dramTicks() {
-	s := l.sys
-	dc := s.sched.Cycles(timing.DomainDRAM)
-	ic := s.sched.Cycles(timing.DomainInterconnect)
-	for j, mc := range s.mcs {
-		if dc < l.dramWake[j] {
-			continue
-		}
-		if k := ic - l.icntCred[j]; k > 0 {
-			mc.SkipIcnt(k)
-			l.icntCred[j] = ic
-		}
-		if k := dc - 1 - l.dramCred[j]; k > 0 {
-			mc.SkipDRAM(k)
-		}
-		mc.TickDRAM()
-		l.dramCred[j] = dc
-		if l.elide {
-			l.dramWake[j] = mc.NextDRAMWorkCycle()
-			l.icntWake[j] = icntWakeOf(mc, ic)
-		}
-	}
-}
-
-// icntWakeOf converts an MC's interconnect-side horizon (the cycle argument
-// of the first TickIcnt with work, given the current post-step count) into
-// the post-step count at which that tick runs.
-func icntWakeOf(mc *mem.MCNode, now uint64) uint64 {
-	w := mc.NextIcntWorkCycle(now)
-	if w == mem.NeverCycle {
-		return mem.NeverCycle
-	}
-	return w + 1
-}
-
-// icntTick runs the interconnect-domain edge. When no core has an outbound
-// request, no MC's interconnect wake has arrived and the network's horizon
-// has not arrived either, the whole edge is provably idle and nothing is
-// touched — the elided cycle is paid later by each component's skip credit.
-// Otherwise the network is paid up to the pre-tick cycle (injections and MC
-// ticks must observe the true network clock) and the edge proceeds exactly
-// like System.icntTick, with per-MC gating.
-func (l *lane) icntTick() {
-	s := l.sys
-	ic := s.sched.Cycles(timing.DomainInterconnect) // post-step count
-	anyMC := false
-	for j := range s.mcs {
-		if ic >= l.icntWake[j] {
-			anyMC = true
-			break
-		}
-	}
-	inject := false
-	if l.dormantN < len(s.cores) {
-		for i, c := range s.cores {
-			if l.coreDormant[i] {
-				continue // dormant cores have empty out-queues by construction
-			}
-			if _, ok := c.PeekRequest(); ok {
-				inject = true
-				break
-			}
-		}
-	}
-	if !anyMC && !inject && ic < l.netWake {
-		return
-	}
-	if k := ic - 1 - l.netCred; k > 0 {
-		s.net.SkipAhead(k)
-	}
-	l.injectCoreRequests()
-	cycle := s.net.Cycle() // == ic-1, the pre-tick count solo MCs observe
-	dc := s.sched.Cycles(timing.DomainDRAM)
-	for j, mc := range s.mcs {
-		if ic < l.icntWake[j] {
-			continue
-		}
-		// Pay the DRAM side first: servicing a request may enqueue DRAM
-		// work, and SkipDRAM's accounting must never span that change.
-		if k := dc - l.dramCred[j]; k > 0 {
-			mc.SkipDRAM(k)
-			l.dramCred[j] = dc
-		}
-		if k := ic - 1 - l.icntCred[j]; k > 0 {
-			mc.SkipIcnt(k)
-		}
-		mc.TickIcnt(cycle, s.net)
-		l.icntCred[j] = ic
-		if l.elide {
-			l.icntWake[j] = icntWakeOf(mc, ic)
-			l.dramWake[j] = mc.NextDRAMWorkCycle()
-		}
-	}
-	s.net.Tick()
-	l.netCred = ic
-	l.deliver(ic)
-	if l.elide {
-		l.netWake = s.net.NextWorkCycle()
-	}
-}
-
-// injectCoreRequests mirrors System.injectCoreRequests; a successful
-// injection pays and wakes the core before PopRequest mutates it.
-func (l *lane) injectCoreRequests() {
-	s := l.sys
-	for i, c := range s.cores {
-		if l.coreDormant[i] {
-			continue
-		}
-		for {
-			req, ok := c.PeekRequest()
-			if !ok {
-				break
-			}
-			pkt := s.packetFor(s.coreNodes[i], req)
-			if !s.net.TryInject(pkt) {
-				s.pool.Put(pkt)
-				break
-			}
-			l.wakeCore(i)
-			c.PopRequest()
-			s.coreQuiet[i] = false
-		}
-	}
-}
-
-// deliver mirrors System.deliver, paying and waking the receiving component
-// before each delivery lands.
-func (l *lane) deliver(ic uint64) {
-	s := l.sys
-	for idx, node := range s.coreNodes {
-		for _, pkt := range s.net.Delivered(node) {
-			if pkt.Class != noc.ClassReply {
-				panic("core: compute node received non-reply packet")
-			}
-			l.wakeCore(idx)
-			s.cores[idx].DeliverFill(addr.Address(pkt.Line))
-			s.coreQuiet[idx] = false
-			s.pool.Put(pkt)
-		}
-	}
-	for j, node := range s.mcNodes {
-		for _, pkt := range s.net.Delivered(node) {
-			if k := ic - l.icntCred[j]; k > 0 {
-				s.mcs[j].SkipIcnt(k)
-				l.icntCred[j] = ic
-			}
-			l.icntWake[j] = 0 // a queued request means work on the next edge
-			s.mcs[j].AcceptRequest(pkt)
-			s.pool.Put(pkt)
-		}
-	}
-}
-
-// maybeSkip is the lane version of System.maybeSkip: identical horizon
-// algebra and watchdog clamps, but reading the cached wake state instead of
-// re-deriving horizons for dormant components, and leaving the bulk-advance
-// credits to be paid lazily from each component's cred watermark. Skipping
-// never changes results (the idle-horizon contract), so the cached horizons
-// only need to be conservative, which they are: every event that could
-// shorten one clears the wake first.
-func (l *lane) maybeSkip() {
-	s := l.sys
-	const never = noc.NeverCycle
-
-	coreNow := s.sched.Cycles(timing.DomainCore)
-	kCore := never
-	for i, c := range s.cores {
-		if l.coreDormant[i] {
-			continue // empty out-queue, NeverCycle horizon
-		}
-		if _, ok := c.PeekRequest(); ok {
-			return
-		}
-		w := c.NextWorkCycle()
-		if w == gpu.NeverCycle {
-			if !l.coreDone[i] && c.Done() {
-				l.coreDone[i] = true
-			}
-			l.coreDormant[i] = true
-			l.dormantN++
-			continue
-		}
-		if w <= coreNow+1 {
-			return
-		}
-		if k := w - coreNow - 1; k < kCore {
-			kCore = k
-		}
-	}
-
-	icntNow := s.sched.Cycles(timing.DomainInterconnect)
-	kIcnt := never
-	if l.netWake != never {
-		if l.netWake <= icntNow+1 {
-			return
-		}
-		kIcnt = l.netWake - icntNow - 1
-	}
-	for j := range s.mcs {
-		w := l.icntWake[j]
-		if w == never {
-			continue
-		}
-		if w <= icntNow+1 {
-			return
-		}
-		if k := w - icntNow - 1; k < kIcnt {
-			kIcnt = k
-		}
-	}
-
-	dramNow := s.sched.Cycles(timing.DomainDRAM)
-	kDram := never
-	for j := range s.mcs {
-		w := l.dramWake[j]
-		if w == never {
-			continue
-		}
-		k := uint64(0)
-		if w > dramNow+1 {
-			k = w - dramNow - 1
-		}
-		if k < kDram {
-			kDram = k
-		}
-	}
-
-	if l.wd != nil {
-		if l.wd.Synced(s.progress()) {
-			c := ceilCheck(l.wd.LastMovement() + l.wd.Window)
-			if c <= icntNow {
-				return
-			}
-			if b := c - icntNow - 1; b < kIcnt {
-				kIcnt = b
-			}
-		} else {
-			if b := ceilCheck(icntNow) - icntNow; b < kIcnt {
-				kIcnt = b
-			}
-		}
-	}
-
-	if l.done() {
-		return
-	}
-
-	h := s.sched.EdgeFs(timing.DomainInterconnect, l.maxIcnt)
-	if kCore != never {
-		if t := s.sched.HorizonFs(timing.DomainCore, kCore); t < h {
-			h = t
-		}
-	}
-	if kIcnt != never {
-		if t := s.sched.HorizonFs(timing.DomainInterconnect, kIcnt); t < h {
-			h = t
-		}
-	}
-	if kDram != never {
-		if t := s.sched.HorizonFs(timing.DomainDRAM, kDram); t < h {
-			h = t
-		}
-	}
-	if h <= s.sched.NextFs() {
-		return
-	}
-	// The skipped idle edges are paid lazily: each component's cred
-	// watermark lags the domain counter, and the next real tick, wake event
-	// or retirement settles the difference with one skip credit.
-	s.sched.SkipTo(h)
+	return lanes, errs
 }

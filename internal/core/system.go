@@ -79,18 +79,11 @@ type System struct {
 	mapper    *addr.Mapper
 	cores     []*gpu.Core
 	coreNodes []noc.NodeID
-	coreOf    map[noc.NodeID]int
 	mcs       []*mem.MCNode
-	mcOf      map[noc.NodeID]*mem.MCNode
 	mcNodes   []noc.NodeID
 	pool      noc.PacketPool // recycles request/reply packets across the run
 
-	// coreQuiet caches, per core, that NextWorkCycle last returned
-	// NeverCycle: the core stays asleep until an external event, so the
-	// idle-horizon scan can skip its warp tables. Cleared on the only two
-	// events that can wake a quiet core — a DeliverFill in deliver() and a
-	// PopRequest in injectCoreRequests().
-	coreQuiet []bool
+	loop // cycle-loop state, see loop.go
 }
 
 // NewSystem builds the system for cfg.
@@ -166,7 +159,6 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 		return nil, err
 	}
 
-	s.coreOf = make(map[noc.NodeID]int)
 	computeNodes := s.backend.ComputeNodes()
 	for i, node := range computeNodes {
 		gen, err := workload.NewGenerator(cfg.Workload, i, len(computeNodes), cfg.Seed)
@@ -179,11 +171,8 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 		}
 		s.cores = append(s.cores, c)
 		s.coreNodes = append(s.coreNodes, node)
-		s.coreOf[node] = i
 	}
-	s.coreQuiet = make([]bool, len(s.cores))
 
-	s.mcOf = make(map[noc.NodeID]*mem.MCNode)
 	for _, node := range s.backend.MCs() {
 		mc, err := mem.New(cfg.Mem, node, s.mapper)
 		if err != nil {
@@ -191,9 +180,9 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 		}
 		mc.SetPool(&s.pool)
 		s.mcs = append(s.mcs, mc)
-		s.mcOf[node] = mc
 		s.mcNodes = append(s.mcNodes, node)
 	}
+	s.initLoop()
 	return s, nil
 }
 
@@ -229,266 +218,17 @@ func MustRun(cfg Config) Result {
 	return r
 }
 
-// stallCheckPeriod is how often (in interconnect cycles) Run feeds the
-// system-level stall watchdog.
-const stallCheckPeriod = 64
-
-// ctxCheckPeriod is how often (in interconnect cycles) Run polls its
-// context for a deadline or cancellation. Coarse enough to stay off the
-// hot path, fine enough that a timed-out run dies within microseconds.
-const ctxCheckPeriod = 256
-
-// ctxCondition maps a context error to the typed fault vocabulary.
-func ctxCondition(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return fault.ErrTimeout
-	}
-	return fault.ErrCanceled
-}
-
 // Run drives the clock domains until the kernel completes, the cycle cap
-// trips, a health monitor declares the run degraded, or ctx expires.
+// trips, a health monitor declares the run degraded, or ctx expires. It is
+// the one-lane case of RunLanes: the same step function, with no siblings
+// to interleave.
 func (s *System) Run(ctx context.Context) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	maxIcnt := s.cfg.MaxIcntCycles
-	if maxIcnt == 0 {
-		maxIcnt = defaultMaxIcntCycles
+	for s.step(ctx) {
 	}
-	// The system stall watchdog backs up the network's: it watches total
-	// forward progress (instructions, memory work and flit movement), so it
-	// also catches hangs outside the network. Same window, in icnt cycles.
-	var wd *fault.Watchdog
-	if s.cfg.Noc.Fault.Monitored() {
-		wd = fault.NewWatchdog(s.cfg.Noc.Fault.WatchdogCycles)
-	}
-	buf := make([]timing.Domain, 0, 3)
-	skip := !s.cfg.NoIdleSkip
-	var runErr error
-	timedOut := false
-	for !s.done() {
-		icnt := s.sched.Cycles(timing.DomainInterconnect)
-		if icnt >= maxIcnt {
-			timedOut = true
-			runErr = fault.Hang(fault.ErrCycleCap, s.diagnose("cycle-cap"))
-			break
-		}
-		if icnt%ctxCheckPeriod == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				cond := ctxCondition(cerr)
-				runErr = fault.Hang(cond, s.diagnose(statusOf(cond)))
-				break
-			}
-		}
-		var icntTicked bool
-		buf, icntTicked = s.stepEdges(buf)
-		if err := s.net.Health(); err != nil {
-			runErr = err
-			break
-		}
-		if wd != nil && icnt%stallCheckPeriod == 0 &&
-			wd.Observe(icnt, s.progress(), 1) {
-			runErr = fault.Hang(fault.ErrStall, s.diagnose("stall"))
-			break
-		}
-		// Attempt a fast-forward only after interconnect edges: idle
-		// windows always span whole interconnect cycles, and gating the
-		// attempt keeps the horizon scans off the core/DRAM-edge
-		// iterations (roughly four in five) during busy phases.
-		if skip && icntTicked {
-			s.maybeSkip(wd, maxIcnt)
-		}
-	}
-	res := s.result(timedOut)
-	res.Status = statusOf(runErr)
-	return res, runErr
-}
-
-// stepEdges advances the scheduler to its next clock edge and ticks every
-// domain that has one there, reusing buf for the edge list. It reports
-// whether the interconnect was among them.
-func (s *System) stepEdges(buf []timing.Domain) ([]timing.Domain, bool) {
-	buf = s.sched.Step(buf)
-	icntTicked := false
-	for _, d := range buf {
-		switch d {
-		case timing.DomainCore:
-			for _, c := range s.cores {
-				c.Tick()
-			}
-		case timing.DomainInterconnect:
-			s.icntTick()
-			icntTicked = true
-		case timing.DomainDRAM:
-			for _, mc := range s.mcs {
-				mc.TickDRAM()
-			}
-		}
-	}
-	return buf, icntTicked
-}
-
-// maybeSkip fast-forwards the scheduler across a fully idle window. It asks
-// every subsystem for a conservative next-work horizon, converts each to an
-// absolute femtosecond instant, and bulk-advances the scheduler to the
-// earliest one with SkipTo; the credited idle edges are replayed onto each
-// component with its SkipAhead, which is defined to be bit-identical to
-// ticking it that many times under its NextWorkCycle guarantee. When any
-// domain has work on its very next edge the method returns without touching
-// anything, so the edge-by-edge path stays the ground truth.
-func (s *System) maybeSkip(wd *fault.Watchdog, maxIcnt uint64) {
-	const never = noc.NeverCycle
-
-	// Core horizon first: in compute-bound phases some core works on its
-	// very next tick, so this scan is the cheap early-out. A queued
-	// outbound request forces a real interconnect tick (injection). Cores
-	// whose NextWorkCycle returned NeverCycle stay asleep until an
-	// external event clears coreQuiet, so their warp scans are skipped.
-	coreNow := s.sched.Cycles(timing.DomainCore)
-	kCore := never
-	for i, c := range s.cores {
-		if _, ok := c.PeekRequest(); ok {
-			return
-		}
-		if s.coreQuiet[i] {
-			continue
-		}
-		w := c.NextWorkCycle()
-		if w == gpu.NeverCycle {
-			s.coreQuiet[i] = true
-			continue
-		}
-		if w <= coreNow+1 {
-			return // core issues or accesses its L1 on the very next tick
-		}
-		if k := w - coreNow - 1; k < kCore {
-			kCore = k
-		}
-	}
-
-	// Interconnect horizon: the network itself and each MC's network side
-	// ride the same domain. An interconnect tick receives the pre-tick
-	// cycle count, so an MC horizon of w means w-icntNow idle ticks, while
-	// the network's w (a post-tick count) leaves w-icntNow-1.
-	icntNow := s.sched.Cycles(timing.DomainInterconnect)
-	kIcnt := never
-	if w := s.net.NextWorkCycle(); w != never {
-		if w <= icntNow+1 {
-			return // network moves flits on the very next tick
-		}
-		kIcnt = w - icntNow - 1
-	}
-	for _, mc := range s.mcs {
-		w := mc.NextIcntWorkCycle(icntNow)
-		if w == mem.NeverCycle {
-			continue
-		}
-		if w <= icntNow {
-			return // MC processes or injects on the very next tick
-		}
-		if k := w - icntNow; k < kIcnt {
-			kIcnt = k
-		}
-	}
-
-	// DRAM horizon. Unlike the gates above, imminent DRAM work only bounds
-	// the skip: core and interconnect edges strictly before the next DRAM
-	// work edge are still credited, which is where memory-bound phases
-	// (every warp parked on an outstanding fetch) win their wall-clock.
-	dramNow := s.sched.Cycles(timing.DomainDRAM)
-	kDram := never
-	for _, mc := range s.mcs {
-		w := mc.NextDRAMWorkCycle()
-		if w == mem.NeverCycle {
-			continue
-		}
-		if k := w - dramNow - 1; k < kDram {
-			kDram = k
-		}
-	}
-
-	// The stall watchdog samples at interconnect cycles that are multiples
-	// of stallCheckPeriod, and Run feeds it the loop-top cycle count; the
-	// skip must leave those samples exactly where stepping would put them.
-	if wd != nil {
-		if wd.Synced(s.progress()) {
-			// The recorded window is live: the first sample at or past
-			// LastMovement+Window trips (idle windows cannot advance
-			// the progress counter). Keep every interconnect edge from
-			// that sample's cycle onward un-skipped so the trip — and
-			// the domain counters its diagnostic reports — are
-			// bit-identical to stepping.
-			c := ceilCheck(wd.LastMovement() + wd.Window)
-			if c <= icntNow {
-				return
-			}
-			if b := c - icntNow - 1; b < kIcnt {
-				kIcnt = b
-			}
-		} else {
-			// Progress advanced since the last sample, so the next
-			// sample resets the window; it must observe the same cycle
-			// value under skipping as under stepping.
-			if b := ceilCheck(icntNow) - icntNow; b < kIcnt {
-				kIcnt = b
-			}
-		}
-	}
-
-	// A completed run exits at the next loop-top done() check without
-	// ticking again; skipping past that point would tack idle cycles onto
-	// the final counters. Checked this late because it only matters once
-	// every horizon is quiescent — busy systems returned above.
-	if s.done() {
-		return
-	}
-
-	// Earliest real-work instant across the domains, capped at the cycle
-	// limit's own edge so a cycle-cap verdict lands with every counter
-	// unchanged.
-	h := s.sched.EdgeFs(timing.DomainInterconnect, maxIcnt)
-	if kCore != never {
-		if t := s.sched.HorizonFs(timing.DomainCore, kCore); t < h {
-			h = t
-		}
-	}
-	if kIcnt != never {
-		if t := s.sched.HorizonFs(timing.DomainInterconnect, kIcnt); t < h {
-			h = t
-		}
-	}
-	if kDram != never {
-		if t := s.sched.HorizonFs(timing.DomainDRAM, kDram); t < h {
-			h = t
-		}
-	}
-	if h <= s.sched.NextFs() {
-		return // no edge strictly inside the idle window
-	}
-	credits := s.sched.SkipTo(h)
-	if n := credits[timing.DomainCore]; n > 0 {
-		for _, c := range s.cores {
-			c.SkipAhead(n)
-		}
-	}
-	if n := credits[timing.DomainInterconnect]; n > 0 {
-		s.net.SkipAhead(n)
-		for _, mc := range s.mcs {
-			mc.SkipIcnt(n)
-		}
-	}
-	if n := credits[timing.DomainDRAM]; n > 0 {
-		for _, mc := range s.mcs {
-			mc.SkipDRAM(n)
-		}
-	}
-}
-
-// ceilCheck rounds x up to the next multiple of stallCheckPeriod (a power
-// of two).
-func ceilCheck(x uint64) uint64 {
-	return (x + stallCheckPeriod - 1) &^ uint64(stallCheckPeriod-1)
+	return s.res, s.runErr
 }
 
 // progress sums the monotonic work counters of every component: cores, MCs
@@ -545,37 +285,6 @@ func (s *System) diagnose(kind string) *fault.Diagnostic {
 	return d
 }
 
-// icntTick runs one interconnect cycle: core requests enter the network,
-// MCs process and inject replies, the network moves flits, and deliveries
-// fan back out to cores and MCs.
-func (s *System) icntTick() {
-	s.injectCoreRequests()
-	cycle := s.net.Cycle()
-	for _, mc := range s.mcs {
-		mc.TickIcnt(cycle, s.net)
-	}
-	s.net.Tick()
-	s.deliver()
-}
-
-func (s *System) injectCoreRequests() {
-	for i, c := range s.cores {
-		for {
-			req, ok := c.PeekRequest()
-			if !ok {
-				break
-			}
-			pkt := s.packetFor(s.coreNodes[i], req)
-			if !s.net.TryInject(pkt) {
-				s.pool.Put(pkt)
-				break
-			}
-			c.PopRequest()
-			s.coreQuiet[i] = false // out-queue space may unblock a stalled miss
-		}
-	}
-}
-
 func (s *System) packetFor(src noc.NodeID, req gpu.MemRequest) *noc.Packet {
 	bytes := mem.ReadRequestBytes
 	if req.Write {
@@ -591,28 +300,12 @@ func (s *System) packetFor(src noc.NodeID, req gpu.MemRequest) *noc.Packet {
 	return pkt
 }
 
-func (s *System) deliver() {
-	for idx, node := range s.coreNodes {
-		for _, pkt := range s.net.Delivered(node) {
-			if pkt.Class != noc.ClassReply {
-				panic(fmt.Sprintf("core: compute node %d received non-reply packet %d", node, pkt.ID))
-			}
-			s.cores[idx].DeliverFill(addr.Address(pkt.Line))
-			s.coreQuiet[idx] = false
-			s.pool.Put(pkt)
-		}
-	}
-	for i, node := range s.mcNodes {
-		for _, pkt := range s.net.Delivered(node) {
-			s.mcs[i].AcceptRequest(pkt) // copies the payload out
-			s.pool.Put(pkt)
-		}
-	}
-}
-
+// done reports whether the kernel has completed: every core finished (the
+// loop records each one as it observes it, see settleCore), the network
+// drained and every MC idle.
 func (s *System) done() bool {
-	for _, c := range s.cores {
-		if !c.Done() {
+	for i := range s.cores {
+		if !s.doneSet.has(i) {
 			return false
 		}
 	}

@@ -502,6 +502,16 @@ func (c *Core) NextWorkCycle() uint64 {
 	return NeverCycle
 }
 
+// Asleep reports NextWorkCycle() == NeverCycle without building the
+// horizon: no warp is ready, no memory instruction is waiting for the L1
+// port, and the end-of-kernel flush is not due. Only a DeliverFill or a
+// PopRequest can wake an asleep core, so a driver may stop ticking it and
+// pay the elided cycles with SkipAhead when one of those arrives.
+func (c *Core) Asleep() bool {
+	return c.readyMask == 0 && c.pendingWarp < 0 &&
+		(c.memQ.Len() == 0 || c.memBlocked) && !c.kernelDrained()
+}
+
 // SkipAhead credits k consecutive idle ticks in O(1), with counters
 // bit-identical to calling Tick k times under NextWorkCycle's guarantee:
 // the cycle counter advances, the issue cooldown drains into issue stalls,

@@ -431,7 +431,8 @@ func TestGTOGreedyOnComputeKernel(t *testing.T) {
 
 // checkDerivedState rebuilds readyMask, pendingWarp and busyWarps from the
 // per-warp state they summarize and requires equality; it is the scan the
-// masks replaced, kept as the oracle.
+// masks replaced, kept as the oracle. It also holds Asleep to its definition,
+// NextWorkCycle() == NeverCycle.
 func checkDerivedState(t *testing.T, c *Core, when string) {
 	t.Helper()
 	var ready uint64
@@ -463,6 +464,9 @@ func checkDerivedState(t *testing.T, c *Core, when string) {
 	}
 	if c.gen.AllDone() != allDone {
 		t.Fatalf("%s: gen.AllDone() = %v, per-warp Done says %v", when, c.gen.AllDone(), allDone)
+	}
+	if asleep, never := c.Asleep(), c.NextWorkCycle() == NeverCycle; asleep != never {
+		t.Fatalf("%s: Asleep() = %v but NextWorkCycle() == NeverCycle is %v", when, asleep, never)
 	}
 }
 

@@ -153,6 +153,13 @@ func (d *Double) Delivered(node NodeID) []*Packet {
 	return d.deliv[node]
 }
 
+// DeliveredSet ORs both slices' undrained-batch sets into dst; Delivered
+// drains both slices, clearing the node in each.
+func (d *Double) DeliveredSet(dst []uint64) {
+	d.nets[0].DeliveredSet(dst)
+	d.nets[1].DeliveredSet(dst)
+}
+
 // Cycle returns elapsed cycles (slices tick in lockstep).
 func (d *Double) Cycle() uint64 { return d.nets[0].Cycle() }
 

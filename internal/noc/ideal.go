@@ -21,6 +21,7 @@ type Ideal struct {
 	pending   ring.Ring[*Packet] // grows on demand; steady state never reallocates
 	delivered [][]*Packet
 	spare     [][]*Packet // double-buffers delivered batches per node
+	delivSet  activeSet   // nodes whose delivered batch is non-empty
 	cycle     uint64
 	active    int
 	nextPkt   uint64
@@ -37,6 +38,7 @@ func NewIdeal(numNodes, flitBytes int, flitsPerCycleCap float64) (*Ideal, error)
 	n.pending = ring.New[*Packet](16, 0)
 	n.delivered = make([][]*Packet, numNodes)
 	n.spare = make([][]*Packet, numNodes)
+	n.delivSet = newActiveSet(numNodes)
 	n.stats.InjectedFlits = make([]uint64, numNodes)
 	n.stats.InjectedPackets = make([]uint64, numNodes)
 	n.stats.InjectedBytes = make([]uint64, numNodes)
@@ -96,6 +98,7 @@ func (n *Ideal) Tick() {
 		p.InjectedAt = n.cycle
 		p.ArrivedAt = n.cycle
 		n.delivered[p.Dst] = append(n.delivered[p.Dst], p)
+		n.delivSet.set(int(p.Dst))
 		n.stats.InjectedFlits[p.Src] += uint64(flits)
 		n.stats.InjectedPackets[p.Src]++
 		n.stats.InjectedBytes[p.Src] += uint64(p.Bytes)
@@ -114,7 +117,15 @@ func (n *Ideal) Delivered(node NodeID) []*Packet {
 	out := n.delivered[node]
 	n.delivered[node] = n.spare[node][:0]
 	n.spare[node] = out
+	n.delivSet.clear(int(node))
 	return out
+}
+
+// DeliveredSet ORs the nodes with an undrained batch into dst.
+func (n *Ideal) DeliveredSet(dst []uint64) {
+	for i, w := range n.delivSet.words {
+		dst[i] |= w
+	}
 }
 
 // Cycle returns elapsed cycles.

@@ -160,6 +160,7 @@ func (ni *netIface) ejectStep(cycle uint64) {
 			return // failed the end-to-end check: corrupt, duplicate or lost
 		}
 		ni.delivered = append(ni.delivered, pkt)
+		sh.delivSet.set(int(ni.node))
 		sh.samples = append(sh.samples, latSample{
 			node:  ni.node,
 			net:   float64(pkt.NetworkLatency()),

@@ -30,6 +30,12 @@ type Network interface {
 	// cycle loop allocation-free, so callers must consume (or copy) the
 	// batch before asking again.
 	Delivered(n NodeID) []*Packet
+	// DeliveredSet ORs into dst — a node-indexed bitset of at least
+	// (nodes+63)/64 words — the nodes whose Delivered batch is non-empty.
+	// Ejection sets a node's bit and Delivered clears it, so a driver can
+	// visit only the nodes with something to drain. The set is a fixed-size
+	// bitset: a poll-only consumer that never reads it leaves it bounded.
+	DeliveredSet(dst []uint64)
 	// Cycle returns the elapsed interconnect cycles.
 	Cycle() uint64
 	// Quiet reports whether no packets are queued or in flight.
@@ -511,7 +517,18 @@ func (n *meshNet) Delivered(node NodeID) []*Packet {
 	out := ni.delivered
 	ni.delivered = ni.spare[:0]
 	ni.spare = out
+	ni.rtr.sh.delivSet.clear(int(node))
 	return out
+}
+
+// DeliveredSet ORs every shard's undrained-batch set into dst. Each shard
+// only holds bits for the nodes it owns, so the OR is their union.
+func (n *meshNet) DeliveredSet(dst []uint64) {
+	for _, sh := range n.shards {
+		for i, w := range sh.delivSet.words {
+			dst[i] |= w
+		}
+	}
 }
 
 // Tick advances one network cycle: the serial prologue (cycle count, fault

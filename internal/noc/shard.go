@@ -76,6 +76,10 @@ type meshShard struct {
 	rtrActive activeSet
 	ejActive  activeSet
 
+	// delivSet holds the owned nodes whose Delivered batch is non-empty: the
+	// ejection NI sets a bit when it appends a packet, Delivered clears it.
+	delivSet activeSet
+
 	// Outgoing boundary mailboxes, drained by the serial epilogue. Hard
 	// bounds: each boundary channel carries at most one event per cycle
 	// (one SA grant per output port, one credit per input port), so the
@@ -137,6 +141,7 @@ func (n *meshNet) buildShards(requested int) {
 			injActive: newActiveSet(len(n.nis)),
 			rtrActive: newActiveSet(len(n.routers)),
 			ejActive:  newActiveSet(len(n.routers)),
+			delivSet:  newActiveSet(len(n.nis)),
 		}
 		sh.task = shardTask{
 			wg:     &n.tickWG,

@@ -23,6 +23,7 @@ func (h *horizonStub) TryInject(p *noc.Packet) bool                    { return 
 func (h *horizonStub) CanInject(n noc.NodeID, c noc.TrafficClass) bool { return false }
 func (h *horizonStub) Tick()                                           { h.cycle++; h.ticks++ }
 func (h *horizonStub) Delivered(n noc.NodeID) []*noc.Packet            { return nil }
+func (h *horizonStub) DeliveredSet(dst []uint64)                       {}
 func (h *horizonStub) Cycle() uint64                                   { return h.cycle }
 func (h *horizonStub) Quiet() bool                                     { return true }
 func (h *horizonStub) Health() error                                   { return nil }

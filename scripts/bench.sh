@@ -25,6 +25,10 @@
 #
 # Every capture records the host (CPU model, goos/goarch), GOMAXPROCS and
 # NumCPU next to its rows; a before/after pair must come from one host.
+# Compare a pair per family (geomean ns/op and allocs/op; exits 1 past the
+# noise threshold):
+#
+#	go run ./cmd/benchjson -compare BENCH_x.json#before-y BENCH_x.json#after-y
 #
 # Usage: scripts/bench.sh [label] [outfile] [all|noc|gpu]
 set -eu
