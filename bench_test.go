@@ -313,9 +313,9 @@ func laneManycoreConfig() core.Config {
 // kernel on the memory-bound manycore family: one op runs L seeds of the
 // same configuration, solo back-to-back at L=1 and through core.RunLanes at
 // L=4. Sub-benchmark names end in -l<N> so cmd/benchjson derives a
-// per-seed speedup_vs_l1 metric (serial ns × L / lane ns). Unlike the
-// sharded speedups this holds on any host: lane batching is single-threaded
-// work elision (per-component dormancy), not parallelism. Results are
+// per-seed speedup_vs_l1 metric (serial ns × L / lane ns). It holds on any
+// host: lane batching is single-threaded work elision (per-component
+// dormancy), not parallelism. Results are
 // bit-identical between the rows (TestGoldenDigestsLanes pins it).
 func BenchmarkLaneThroughput(b *testing.B) {
 	const batch = 4

@@ -41,14 +41,13 @@ type Benchmark struct {
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Procs is the GOMAXPROCS the row ran under (go test's "-N" name
-	// suffix). Interpreting parallel rows — sharded-kernel speedups above
-	// all — requires it: a speedup measured on one core is pure overhead.
+	// suffix).
 	Procs   int                `json:"procs,omitempty"`
 	Metrics map[string]float64 `json:"metrics"` // unit -> value (ns/op, B/op, allocs/op, ...)
 }
 
 // FamilySummary aggregates one benchmark family (the name up to the first
-// '/' or shard suffix) into a geometric-mean ns/op, so a capture can be
+// '/' or lane suffix) into a geometric-mean ns/op, so a capture can be
 // compared at a glance without reading every row.
 type FamilySummary struct {
 	Family         string  `json:"family"`
@@ -64,8 +63,7 @@ type Capture struct {
 	// Host names the capturing machine ("cpu model, goos/goarch"): a
 	// before/after pair only means something on one host.
 	Host string `json:"host,omitempty"`
-	// GoMaxProcs and NumCPU record the capturing host's parallelism so a
-	// reader can tell real sharded speedups from single-core overhead runs.
+	// GoMaxProcs and NumCPU record the capturing host's parallelism.
 	GoMaxProcs int             `json:"gomaxprocs"`
 	NumCPU     int             `json:"numcpu"`
 	Benchmarks []Benchmark     `json:"benchmarks"`
@@ -96,7 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	deriveSpeedups(benches)
 	deriveSkipSpeedups(benches)
 	deriveLaneSpeedups(benches)
 	cap := Capture{
@@ -202,46 +199,10 @@ func parse(r *os.File) ([]Benchmark, string, error) {
 	return out, host, sc.Err()
 }
 
-// shardSuffix matches the "-s<N>" shard-count suffix the sharded-kernel
-// benchmarks put on their sub-benchmark names (after the GOMAXPROCS suffix
-// has been stripped).
-var shardSuffix = regexp.MustCompile(`^(.*)-s(\d+)$`)
-
-// deriveSpeedups adds a speedup_vs_s1 metric to every benchmark named
-// "<base>-s<N>" (N > 1) that has a "<base>-s1" serial baseline in the same
-// capture: serial ns/op divided by sharded ns/op, so >1 means the sharded
-// kernel is faster. Rows that ran on a single processor are skipped: with
-// one core a sharded kernel cannot run its bands in parallel, so the ratio
-// would measure pure coordination overhead and read as a regression.
-func deriveSpeedups(benches []Benchmark) {
-	serial := make(map[string]float64)
-	for _, b := range benches {
-		if m := shardSuffix.FindStringSubmatch(b.Name); m != nil && m[2] == "1" {
-			serial[m[1]] = b.Metrics["ns/op"]
-		}
-	}
-	for i := range benches {
-		m := shardSuffix.FindStringSubmatch(benches[i].Name)
-		if m == nil || m[2] == "1" {
-			continue
-		}
-		if benches[i].Procs <= 1 {
-			continue // single-core host: the ratio would be meaningless
-		}
-		base, ok := serial[m[1]]
-		ns := benches[i].Metrics["ns/op"]
-		if !ok || base <= 0 || ns <= 0 {
-			continue
-		}
-		benches[i].Metrics["speedup_vs_s1"] = base / ns
-	}
-}
-
 // deriveSkipSpeedups adds a speedup_vs_noskip metric to every "<base>/skip"
 // benchmark with a "<base>/noskip" sibling in the same capture: edge-by-edge
-// ns/op divided by fast-forwarding ns/op. Unlike the sharded speedups this
-// holds on any host — idle-horizon skipping is single-threaded work
-// avoidance, not parallelism.
+// ns/op divided by fast-forwarding ns/op. Idle-horizon skipping is
+// single-threaded work avoidance, so the ratio holds on any host.
 func deriveSkipSpeedups(benches []Benchmark) {
 	noskip := make(map[string]float64)
 	for _, b := range benches {
@@ -271,10 +232,10 @@ var laneSuffix = regexp.MustCompile(`^(.*)-l(\d+)$`)
 // deriveLaneSpeedups adds a speedup_vs_l1 metric to every benchmark named
 // "<base>-l<N>" (N > 1) that has a "<base>-l1" solo baseline in the same
 // capture. Lane benchmarks report ns/op per batch, so the per-seed ratio is
-// base_ns × N / ns: >1 means each seed got cheaper when batched. Unlike the
-// sharded speedups this holds on any host — lane batching amortizes the
-// cycle loop and shares idle-skip horizons across replicas (work elision,
-// not parallelism), so a single-core measurement is real.
+// base_ns × N / ns: >1 means each seed got cheaper when batched. Lane
+// batching amortizes the cycle loop and shares idle-skip horizons across
+// replicas (work elision, not parallelism), so a single-core measurement is
+// real.
 func deriveLaneSpeedups(benches []Benchmark) {
 	solo := make(map[string]float64)
 	for _, b := range benches {
@@ -302,8 +263,8 @@ func deriveLaneSpeedups(benches []Benchmark) {
 
 // summarize returns one geometric-mean ns/op entry per benchmark family,
 // sorted by family name. The family is the benchmark name with its
-// sub-benchmark path and any shard suffix removed, so e.g.
-// "BenchmarkShardedKernel/uniform-s4" and "...-s1" aggregate together.
+// sub-benchmark path and any lane suffix removed, so e.g.
+// "BenchmarkLaneKernel/mesh-l4" and "...-l1" aggregate together.
 func summarize(benches []Benchmark) []FamilySummary {
 	type acc struct {
 		logSum float64
@@ -336,14 +297,10 @@ func summarize(benches []Benchmark) []FamilySummary {
 	return out
 }
 
-// family strips the sub-benchmark path and any shard or lane suffix from a
-// name.
+// family strips the sub-benchmark path and any lane suffix from a name.
 func family(name string) string {
 	if i := strings.IndexByte(name, '/'); i >= 0 {
 		name = name[:i]
-	}
-	if m := shardSuffix.FindStringSubmatch(name); m != nil {
-		name = m[1]
 	}
 	if m := laneSuffix.FindStringSubmatch(name); m != nil {
 		name = m[1]

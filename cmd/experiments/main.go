@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	experiments [-scale f] [-bench AES,MUM,...] [-jobs N] [-shards K]
+//	experiments [-scale f] [-bench AES,MUM,...] [-jobs N] [-lanes L]
 //	            [-run-timeout d] [-checkpoint file [-resume]] [-v]
 //	            all|fig7|table6|...
 //
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/noc"
 	"repro/internal/prof"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -44,8 +43,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "kernel length scale (lower = faster, less accurate)")
 	bench := flag.String("bench", "", "comma-separated benchmark abbreviations (default: all 31)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0,
-		"column-band shards per network tick (0 = serial kernel, -1 = auto; capped so jobs*lanes*shards <= GOMAXPROCS)")
 	lanes := flag.Int("lanes", 0,
 		"lane-batch same-config different-seed runs that many at a time through one cycle loop (0 = let the sweep planner pick; bit-identical results)")
 	seeds := flag.String("seeds", "",
@@ -83,7 +80,6 @@ func main() {
 	opts := experiments.Options{
 		Scale:      *scale,
 		Jobs:       *jobs,
-		Shards:     *shards,
 		Lanes:      *lanes,
 		NoIdleSkip: !*idleSkip,
 		RunTimeout: *runTimeout,
@@ -132,9 +128,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	// Tag shard workers in the CPU profile (pprof label noc_shard=<k>);
-	// off without -cpuprofile since the labelling allocates per tick.
-	noc.SetShardProfiling(pprofOut.CPUActive())
 	for _, id := range ids {
 		if ctx.Err() != nil {
 			break

@@ -67,12 +67,10 @@ func main() {
 	watchdog := flag.Uint64("watchdog-cycles", fault.DefaultConfig().WatchdogCycles,
 		"deadlock watchdog no-movement window in icnt cycles (0 disables health checks)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0,
-		"column-band shards per network tick (0 = serial kernel, -1 = auto; capped so jobs*lanes*shards <= GOMAXPROCS)")
 	lanes := flag.Int("lanes", 1,
 		"seed replicas per run (-seed, -seed+1, …), lane-batched through one lockstep cycle loop; each replica is bit-identical to a solo run of its seed")
 	plan := flag.Bool("plan", true,
-		"submit the sweep through the lane-aware planner: replica batch width and shard count are auto-tuned from the jobs*lanes*shards <= GOMAXPROCS budget (results are bit-identical either way); -plan=false forces -lanes-wide batches and the exact -shards request")
+		"submit the sweep through the lane-aware planner: replica batch width is auto-tuned from the jobs*lanes <= GOMAXPROCS budget (results are bit-identical either way); -plan=false forces -lanes-wide batches")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
 	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
 	idleSkip := flag.Bool("idle-skip", true,
@@ -114,16 +112,14 @@ func main() {
 	if nLanes < 1 {
 		nLanes = 1
 	}
-	// With the planner active the pool stays silent on lane width and
-	// shard count, so the per-batch plan fills them; -plan=false pins the
-	// old fixed-flag behaviour.
-	poolLanes, poolShards := 0, 0
+	// With the planner active the pool stays silent on lane width, so the
+	// per-batch plan fills it; -plan=false pins the fixed-flag behaviour.
+	poolLanes := 0
 	if !*plan {
-		poolLanes, poolShards = nLanes, *shards
+		poolLanes = nLanes
 	}
 	pool, err := runner.New(ctx, runner.Options{
 		Jobs:       *jobs,
-		Shards:     poolShards,
 		Lanes:      poolLanes,
 		RunTimeout: *runTimeout,
 		Retries:    *retries,
@@ -156,9 +152,6 @@ func main() {
 		}
 		cfg.NoIdleSkip = !*idleSkip
 		cfg = cfg.WithWatchdog(*watchdog)
-		if *plan && *shards != 0 {
-			cfg.Shards = *shards // explicit -shards outranks the plan
-		}
 		for l := 0; l < nLanes; l++ {
 			c := cfg
 			c.Seed = *seed + uint64(l)
@@ -170,10 +163,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tesim:", err)
 		os.Exit(2)
 	}
-	// Tag shard workers in the CPU profile (pprof label noc_shard=<k>) so
-	// per-shard time is attributable; off without -cpuprofile since the
-	// labelling allocates per tick.
-	noc.SetShardProfiling(pprofOut.CPUActive())
 	var outs []runner.Outcome
 	if *plan {
 		outs = pool.DoAllPlanned(ctx, cfgs)

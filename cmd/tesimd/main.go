@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tesimd [-addr host:port] [-store file.jsonl] [-queue-cap N]
-//	       [-jobs N] [-shards K] [-lanes L] [-run-timeout d] [-retries N]
+//	       [-jobs N] [-lanes L] [-run-timeout d] [-retries N]
 //	       [-max-runs-per-job N] [-default-deadline d] [-max-deadline d]
 //	       [-drain-timeout d] [-idle-skip]
 //
@@ -49,7 +49,6 @@ func main() {
 	store := flag.String("store", "tesimd.jsonl", "content-addressed result store journal (\"\" = memory only)")
 	queueCap := flag.Int("queue-cap", service.DefaultQueueCap, "max admitted unfinished jobs before shedding with 429")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "intra-run column-band shards (0 = serial, -1 = auto)")
 	lanes := flag.Int("lanes", 0,
 		"lane-batch a job's same-config different-seed runs (see \"seeds\" in POST /v1/runs; 0/1 = solo, bit-identical results)")
 	runTimeout := flag.Duration("run-timeout", 5*time.Minute, "per-run wall-clock deadline (0 = none)")
@@ -74,7 +73,6 @@ func main() {
 		StorePath:       *store,
 		QueueCap:        *queueCap,
 		Jobs:            *jobs,
-		Shards:          *shards,
 		Lanes:           *lanes,
 		RunTimeout:      *runTimeout,
 		Retries:         *retries,

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/gpu"
 	"repro/internal/mem"
@@ -79,63 +78,28 @@ type Config struct {
 	Seed          uint64
 	MaxIcntCycles uint64 // safety stop; 0 means a generous default
 
-	// Shards requests intra-run parallelism for the cycle kernel: the mesh
-	// ticks as Shards column bands on worker goroutines (see
-	// internal/noc/shard.go). 0 runs serial, ShardsAuto resolves to
-	// GOMAXPROCS; the mesh clamps to its column count, and internal/runner
-	// further caps the effective value so Jobs×Shards never oversubscribes
-	// the machine. Results are bit-identical for every value, so Shards is
-	// deliberately excluded from Name suffixes and cache keys.
-	Shards int
-
 	// NoIdleSkip disables idle-horizon fast-forwarding: when every
 	// subsystem reports a quiescent window (see Network.NextWorkCycle and
 	// the per-component SkipAhead contracts in DESIGN.md) the driver
 	// normally bulk-advances the scheduler to the earliest work horizon
 	// instead of stepping edge by edge. Skipping changes wall-clock time
-	// only, never results, so — like Shards — it is deliberately excluded
-	// from Name suffixes and cache keys. The zero value keeps skipping on.
+	// only, never results, so it is deliberately excluded from Name
+	// suffixes and cache keys. The zero value keeps skipping on.
 	NoIdleSkip bool
 
 	// Lanes requests lane-batched execution when several seeds of this
 	// configuration run together (see RunLanes and internal/runner): up to
 	// Lanes seed replicas share one cycle loop and one immutable topology
 	// backend. Each lane is bit-identical to its solo serial run — the
-	// lane kernel only changes wall-clock time — so, like Shards and
-	// NoIdleSkip, Lanes is deliberately excluded from Name suffixes and
-	// cache keys. 0 and 1 both mean solo execution.
+	// lane kernel only changes wall-clock time — so, like NoIdleSkip, Lanes
+	// is deliberately excluded from Name suffixes and cache keys. 0 and 1
+	// both mean solo execution.
 	Lanes int
 }
 
-// ShardsAuto asks NewSystem to pick the shard count from the machine:
-// GOMAXPROCS, clamped by the mesh to its column count (and by the runner to
-// its fair share when several runs execute concurrently).
-const ShardsAuto = -1
-
-// ResolveShards maps the Config.Shards knob to a concrete request for the
-// network: ShardsAuto becomes GOMAXPROCS (the mesh clamps to min(cols, ...)
-// itself); other negatives are treated as serial.
-func ResolveShards(requested int) int {
-	if requested == ShardsAuto {
-		return runtime.GOMAXPROCS(0)
-	}
-	if requested < 0 {
-		return 1
-	}
-	return requested
-}
-
-// WithShards sets the cycle-kernel shard request. Unlike the other builders
-// it does NOT suffix Name: sharding changes wall-clock time only, never
-// results, so sharded and serial runs must share cache keys.
-func (c Config) WithShards(n int) Config {
-	c.Shards = n
-	return c
-}
-
-// WithLanes sets the lane-batching request. Like WithShards it does NOT
-// suffix Name: lane batching changes wall-clock time only, never results,
-// so lane-batched and solo runs must share cache keys.
+// WithLanes sets the lane-batching request. Unlike the other builders it
+// does NOT suffix Name: lane batching changes wall-clock time only, never
+// results, so lane-batched and solo runs must share cache keys.
 func (c Config) WithLanes(n int) Config {
 	c.Lanes = n
 	return c

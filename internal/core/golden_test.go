@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/noc"
@@ -53,9 +54,7 @@ func goldenMatrix() []goldenCase {
 			return c
 		}},
 		// Non-mesh topology backends: the same closed-loop system on the
-		// Wu-style ring (dateline VCs, arc-segment shards) and the BaseJump
-		// single-flit DOR mesh (column-band shards), pinned through the
-		// identical serial-vs-sharded matrix.
+		// Wu-style ring (dateline VCs) and the BaseJump single-flit DOR mesh.
 		{"ring", func() Config { return Ring(hh).ScaleWork(goldenScale) }},
 		{"basejump", func() Config { return BaseJump(hh).ScaleWork(goldenScale) }},
 	}
@@ -114,35 +113,71 @@ func digestRun(res Result, ns *noc.NetStats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenShardCounts is the sharded-kernel determinism matrix: every golden
-// configuration must produce the SAME recorded digest under the serial
-// kernel and under 2- and 4-way column-band sharding. One digest table
-// serves all three, which is the point — sharding may only change
-// wall-clock time, never a single bit of simulated behaviour.
-var goldenShardCounts = []int{1, 2, 4}
+// goldenWidths is the width axis of the determinism matrix. A shards-N row
+// runs N copies of its point at once, one goroutine each, and demands the
+// recorded digest from every copy: runs sharing a process, as the runner's
+// job pool places them, must share no state. The rows keep the names they
+// had when N split a single run across shard workers; that kernel is gone,
+// and whole runs are the only unit of parallelism left.
+var goldenWidths = []int{1, 2, 4}
+
+// concurrently calls run(i) for every i in [0, n) on n goroutines at once
+// and returns when all have finished.
+func concurrently(n int, run func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// soloDigest runs cfg alone and returns its digest.
+func soloDigest(t *testing.T, cfg Config) string {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, runErr := sys.Run(nil)
+	if runErr != nil {
+		t.Fatalf("run degraded: %v", runErr)
+	}
+	return digestRun(res, sys.NetStats())
+}
 
 // TestGoldenDigests proves seeded runs are bit-identical to the recorded
-// pre-refactor behaviour across the configuration matrix, for the serial
-// and the sharded cycle kernel alike.
+// pre-refactor behaviour across the configuration matrix, alone and with
+// copies running concurrently.
 func TestGoldenDigests(t *testing.T) {
 	record := os.Getenv("GOLDEN_RECORD") != ""
 	for _, gc := range goldenMatrix() {
 		gc := gc
-		for _, shards := range goldenShardCounts {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, shards), func(t *testing.T) {
-				sys, err := NewSystem(gc.build().WithShards(shards))
-				if err != nil {
-					t.Fatal(err)
+		for _, width := range goldenWidths {
+			width := width
+			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, width), func(t *testing.T) {
+				digests := make([]string, width)
+				errs := make([]error, width)
+				concurrently(width, func(i int) {
+					sys, err := NewSystem(gc.build())
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					res, runErr := sys.Run(nil)
+					digests[i], errs[i] = digestRun(res, sys.NetStats()), runErr
+				})
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("copy %d of %d failed: %v", i, width, err)
+					}
 				}
-				res, runErr := sys.Run(nil)
-				if runErr != nil {
-					t.Fatalf("run degraded: %v", runErr)
-				}
-				got := digestRun(res, sys.NetStats())
 				if record {
-					if shards == 1 {
-						fmt.Printf("\t%q: %q,\n", gc.id, got)
+					if width == 1 {
+						fmt.Printf("\t%q: %q,\n", gc.id, digests[0])
 					}
 					return
 				}
@@ -150,10 +185,12 @@ func TestGoldenDigests(t *testing.T) {
 				if !ok {
 					t.Fatalf("no golden digest recorded for %s", gc.id)
 				}
-				if got != want {
-					t.Errorf("digest mismatch for %s at %d shards:\n got  %s\n want %s\n"+
-						"(a seeded run is no longer bit-identical; if the change is intentional, "+
-						"re-record with GOLDEN_RECORD=1)", gc.id, shards, got, want)
+				for i, got := range digests {
+					if got != want {
+						t.Errorf("digest mismatch for %s, copy %d of %d:\n got  %s\n want %s\n"+
+							"(a seeded run is no longer bit-identical; if the change is intentional, "+
+							"re-record with GOLDEN_RECORD=1)", gc.id, i, width, got, want)
+					}
 				}
 			})
 		}
@@ -163,63 +200,59 @@ func TestGoldenDigests(t *testing.T) {
 // goldenLaneCounts is the lane-batched determinism matrix: every golden
 // configuration must produce the SAME recorded digest when its seed runs
 // solo, and when it runs as lane 0 of a 2- or 4-lane batch whose sibling
-// lanes carry different seeds. Lane batching — like sharding — may only
-// change wall-clock time, never a single bit of any lane's simulated
-// behaviour, so the solo digest table serves every lane count.
+// lanes carry different seeds. Lane batching may only change wall-clock
+// time, never a single bit of any lane's simulated behaviour, so the solo
+// digest table serves every lane count.
 var goldenLaneCounts = []int{1, 2, 4}
 
 // TestGoldenDigestsLanes proves each lane of a lane-batched run is
 // bit-identical to its solo serial run: lane 0 carries the golden seed and
 // must reproduce the recorded digest; every sibling lane (seed+i) must
 // reproduce the digest of its own solo run, computed on the fly. The
-// lanes×shards point (2 lanes × 2 shards) pins the composition of the two
-// wall-clock-only kernels.
+// shards-2 point runs two batches concurrently, pinning lane batching
+// together with whole-run parallelism.
 func TestGoldenDigestsLanes(t *testing.T) {
 	for _, gc := range goldenMatrix() {
 		gc := gc
 		for _, lanesN := range goldenLaneCounts {
 			lanesN := lanesN
-			for _, shards := range []int{1, 2} {
-				shards := shards
-				if shards != 1 && lanesN != 2 {
-					continue // one composition point per case keeps runtime sane
+			for _, width := range []int{1, 2} {
+				width := width
+				if width != 1 && lanesN != 2 {
+					continue // one concurrent point per case keeps runtime sane
 				}
-				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", gc.id, lanesN, shards), func(t *testing.T) {
-					cfg := gc.build().WithShards(shards).WithLanes(lanesN)
+				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", gc.id, lanesN, width), func(t *testing.T) {
+					cfg := gc.build().WithLanes(lanesN)
 					seeds := make([]uint64, lanesN)
 					for i := range seeds {
 						seeds[i] = cfg.Seed + uint64(i)
 					}
-					lanes, buildErrs := runLanes(nil, cfg, seeds)
-					for i, l := range lanes {
-						if l == nil {
-							t.Fatalf("lane %d failed to build: %v", i, buildErrs[i])
-						}
-						if l.runErr != nil {
-							t.Fatalf("lane %d degraded: %v", i, l.runErr)
-						}
-						got := digestRun(l.res, l.NetStats())
-						want := ""
-						if i == 0 {
-							want = goldenDigests[gc.id]
-						} else {
-							// Sibling seeds have no recorded digest; their
-							// reference is the solo run of the same seed.
-							solo := cfg
-							solo.Seed = seeds[i]
-							sys, err := NewSystem(solo)
-							if err != nil {
-								t.Fatal(err)
+					batches := make([][]*System, width)
+					buildErrs := make([][]error, width)
+					concurrently(width, func(b int) {
+						batches[b], buildErrs[b] = runLanes(nil, cfg, seeds)
+					})
+					want := make([]string, lanesN)
+					want[0] = goldenDigests[gc.id]
+					for i := 1; i < lanesN; i++ {
+						// Sibling seeds have no recorded digest; their
+						// reference is the solo run of the same seed.
+						solo := cfg
+						solo.Seed = seeds[i]
+						want[i] = soloDigest(t, solo)
+					}
+					for b, lanes := range batches {
+						for i, l := range lanes {
+							if l == nil {
+								t.Fatalf("batch %d lane %d failed to build: %v", b, i, buildErrs[b][i])
 							}
-							res, runErr := sys.Run(nil)
-							if runErr != nil {
-								t.Fatalf("solo reference degraded: %v", runErr)
+							if l.runErr != nil {
+								t.Fatalf("batch %d lane %d degraded: %v", b, i, l.runErr)
 							}
-							want = digestRun(res, sys.NetStats())
-						}
-						if got != want {
-							t.Errorf("lane %d (seed %d) is not bit-identical to its solo run:\n got  %s\n want %s",
-								i, seeds[i], got, want)
+							if got := digestRun(l.res, l.NetStats()); got != want[i] {
+								t.Errorf("batch %d lane %d (seed %d) is not bit-identical to its solo run:\n got  %s\n want %s",
+									b, i, seeds[i], got, want[i])
+							}
 						}
 					}
 				})

@@ -8,11 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// checkSkipEquivalence runs cfg with idle-horizon fast-forwarding enabled
-// (the default) and disabled and fails unless the two runs are
-// bit-identical. Field-level comparison runs first so a divergence points
-// at the counter that drifted, not just at a hash.
-func checkSkipEquivalence(t *testing.T, cfg Config) {
+// checkSkipEquivalence runs cfg with idle-horizon fast-forwarding disabled,
+// then width copies of it with fast-forwarding enabled (the default) at
+// once, and fails unless every copy is bit-identical to the reference.
+// Field-level comparison runs first so a divergence points at the counter
+// that drifted, not just at a hash.
+func checkSkipEquivalence(t *testing.T, cfg Config, width int) {
 	t.Helper()
 
 	off := cfg
@@ -28,47 +29,52 @@ func checkSkipEquivalence(t *testing.T, cfg Config) {
 
 	on := cfg
 	on.NoIdleSkip = false
-	sysOn, err := NewSystem(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOn, errOn := sysOn.Run(nil)
-	if errOn != nil {
-		t.Fatalf("skip run degraded: %v", errOn)
-	}
-
-	if resOn != resOff {
-		t.Errorf("Result differs with skipping:\n skip:    %+v\n no-skip: %+v", resOn, resOff)
-	}
-	nsOn, nsOff := sysOn.NetStats(), sysOff.NetStats()
-	if nsOn.Cycles != nsOff.Cycles {
-		t.Errorf("net Cycles: skip %d, no-skip %d", nsOn.Cycles, nsOff.Cycles)
-	}
-	if nsOn.FlitHops != nsOff.FlitHops {
-		t.Errorf("FlitHops: skip %d, no-skip %d", nsOn.FlitHops, nsOff.FlitHops)
-	}
-	for i := range nsOn.InjectedFlits {
-		if nsOn.InjectedFlits[i] != nsOff.InjectedFlits[i] {
-			t.Errorf("InjectedFlits[%d]: skip %d, no-skip %d", i, nsOn.InjectedFlits[i], nsOff.InjectedFlits[i])
+	systems := make([]*System, width)
+	results := make([]Result, width)
+	errs := make([]error, width)
+	concurrently(width, func(i int) {
+		if systems[i], errs[i] = NewSystem(on); errs[i] == nil {
+			results[i], errs[i] = systems[i].Run(nil)
 		}
-	}
-	dOn := digestRun(resOn, nsOn)
+	})
+
+	nsOff := sysOff.NetStats()
 	dOff := digestRun(resOff, nsOff)
-	if dOn != dOff {
-		t.Errorf("digest differs with skipping: %s vs %s", dOn, dOff)
+	for c, sysOn := range systems {
+		if errs[c] != nil {
+			t.Fatalf("skip run, copy %d: %v", c, errs[c])
+		}
+		resOn, nsOn := results[c], sysOn.NetStats()
+		if resOn != resOff {
+			t.Errorf("copy %d: Result differs with skipping:\n skip:    %+v\n no-skip: %+v", c, resOn, resOff)
+		}
+		if nsOn.Cycles != nsOff.Cycles {
+			t.Errorf("copy %d: net Cycles: skip %d, no-skip %d", c, nsOn.Cycles, nsOff.Cycles)
+		}
+		if nsOn.FlitHops != nsOff.FlitHops {
+			t.Errorf("copy %d: FlitHops: skip %d, no-skip %d", c, nsOn.FlitHops, nsOff.FlitHops)
+		}
+		for i := range nsOn.InjectedFlits {
+			if nsOn.InjectedFlits[i] != nsOff.InjectedFlits[i] {
+				t.Errorf("copy %d: InjectedFlits[%d]: skip %d, no-skip %d", c, i, nsOn.InjectedFlits[i], nsOff.InjectedFlits[i])
+			}
+		}
+		if dOn := digestRun(resOn, nsOn); dOn != dOff {
+			t.Errorf("copy %d: digest differs with skipping: %s vs %s", c, dOn, dOff)
+		}
 	}
 }
 
 // TestIdleSkipEquivalence proves idle-horizon fast-forwarding is invisible:
 // every golden configuration must produce the SAME digest with skipping
-// enabled and disabled, at every shard count of the determinism matrix.
+// enabled and disabled, at every width of the determinism matrix.
 func TestIdleSkipEquivalence(t *testing.T) {
 	for _, gc := range goldenMatrix() {
 		gc := gc
-		for _, shards := range goldenShardCounts {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, shards), func(t *testing.T) {
-				checkSkipEquivalence(t, gc.build().WithShards(shards))
+		for _, width := range goldenWidths {
+			width := width
+			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, width), func(t *testing.T) {
+				checkSkipEquivalence(t, gc.build(), width)
 			})
 		}
 	}
@@ -98,10 +104,10 @@ func TestIdleSkipEquivalenceMemBound(t *testing.T) {
 	nc.FlitBytes = 64
 	cfg.Noc = nc
 	cfg.Mem.L2Latency = 128
-	for _, shards := range []int{1, 2} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			checkSkipEquivalence(t, cfg.WithShards(shards))
+	for _, width := range []int{1, 2} {
+		width := width
+		t.Run(fmt.Sprintf("shards-%d", width), func(t *testing.T) {
+			checkSkipEquivalence(t, cfg, width)
 		})
 	}
 }

@@ -100,9 +100,6 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Thread the shard request into the network config; the mesh performs
-	// its own clamping (column count, fault gating).
-	cfg.Noc.Shards = ResolveShards(cfg.Shards)
 	s := &System{cfg: cfg, sched: sched}
 
 	switch cfg.Net {

@@ -45,15 +45,10 @@ type Options struct {
 	// byte-identical for any value: figures render serially from the
 	// memoized results.
 	Jobs int
-	// Shards requests column-band sharding inside each network tick
-	// (0 = serial kernel, negative = auto). The runner caps the effective
-	// value so Jobs×Shards never oversubscribes GOMAXPROCS; results are
-	// bit-identical at any shard count.
-	Shards int
 	// Lanes coalesces same-configuration/different-seed runs into
 	// lane-batched executions of that width (see runner.Options.Lanes and
-	// core.RunLanes). Every lane is bit-identical to its solo run, so like
-	// Shards it never enters cache keys; 0 and 1 both disable coalescing.
+	// core.RunLanes). Every lane is bit-identical to its solo run, so it
+	// never enters cache keys; 0 and 1 both disable coalescing.
 	// When 0, the sweep planner auto-tunes the width per batch instead.
 	Lanes int
 	// Seeds lists the traffic seeds for figures that average over seed
@@ -63,7 +58,7 @@ type Options struct {
 	Seeds []uint64
 	// NoIdleSkip forces edge-by-edge stepping instead of idle-horizon
 	// fast-forwarding. Results are bit-identical either way, so like
-	// Shards it never enters cache keys; the zero value keeps skipping on.
+	// Lanes it never enters cache keys; the zero value keeps skipping on.
 	NoIdleSkip bool
 	// RunTimeout is the per-run wall-clock deadline; a run that exceeds
 	// it becomes a "timeout" DNF row. 0 disables the deadline.
@@ -134,7 +129,6 @@ func New(opts Options) (*Suite, error) {
 	s := &Suite{opts: opts, bench: bench}
 	pool, err := runner.New(opts.Context, runner.Options{
 		Jobs:       opts.Jobs,
-		Shards:     opts.Shards,
 		Lanes:      opts.Lanes,
 		RunTimeout: opts.RunTimeout,
 		Retries:    opts.Retries,

@@ -63,7 +63,7 @@ type Options struct {
 	// suite's -scale knob); 0 means 1.0.
 	Scale float64
 	// Jobs is the worker-slot count of the pool the exploration runs on,
-	// for the sweep planner's lane/shard budget; 0 means the core count.
+	// for the sweep planner's lane budget; 0 means the core count.
 	Jobs int
 	// MaxProcs overrides the planner's core budget (tests); 0 means
 	// runtime.GOMAXPROCS.
@@ -196,7 +196,7 @@ func New(pool *runner.Pool, opts Options) (*Explorer, error) {
 }
 
 // Run executes the exploration. The frontier, rung logs and savings are
-// deterministic for any worker count, lane width or shard count, and for a
+// deterministic for any worker count or lane width, and for a
 // resumed run: every number derives from memoized per-run results and the
 // candidate enumeration order. A cancelled context aborts with an error —
 // the pool's journal keeps what finished.

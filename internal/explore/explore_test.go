@@ -102,8 +102,7 @@ func TestExploreSmokeTinyGrid(t *testing.T) {
 
 // TestExploreDeterministicAcrossJobs pins the determinism contract: the
 // full machine-readable frontier — points, rung kill/promote logs, cycle
-// accounting — is byte-identical for any worker count, lane width or shard
-// plan.
+// accounting — is byte-identical for any worker count or lane plan.
 func TestExploreDeterministicAcrossJobs(t *testing.T) {
 	run := func(jobs, maxprocs int) []byte {
 		pool := newExplorerPool(t, runner.Options{Jobs: jobs})

@@ -59,9 +59,9 @@ func (k BackendKind) singleFlit() bool { return k == BackendBaseJump }
 
 // Backend abstracts the interconnect substrate behind the cycle kernel:
 // node/channel enumeration, per-packet route planning and per-hop route
-// computation, MC placement validation, and the shard partition. The kernel
-// (routers, VCs, credits, NIs, sharding, fault injection) is
-// backend-agnostic; a backend contributes only geometry and routing.
+// computation, and MC placement validation. The kernel (routers, VCs,
+// credits, NIs, fault injection) is backend-agnostic; a backend contributes
+// only geometry and routing.
 //
 // Contract notes:
 //   - Channels: the kernel wires one flit channel and one credit channel for
@@ -71,9 +71,6 @@ func (k BackendKind) singleFlit() bool { return k == BackendBaseJump }
 //   - NextHop may mutate the packet's phase state (checkerboard
 //     intermediates, ring datelines); the router reads the allowed-VC set
 //     after NextHop, so a phase flip applies to the outgoing link.
-//   - ShardOf must map each node to exactly one shard, with bands contiguous
-//     enough that every cross-shard channel straddles a band boundary; the
-//     mailbox hand-off (shard.go) is otherwise backend-independent.
 type Backend interface {
 	// Kind identifies the backend.
 	Kind() BackendKind
@@ -106,10 +103,6 @@ type Backend interface {
 	Phases() int
 	// SingleFlit reports whether every packet must fit in one flit.
 	SingleFlit() bool
-	// ShardOf maps a node to its shard index in [0, nShards).
-	ShardOf(n NodeID, nShards int) int
-	// MaxShards bounds the useful shard count for this backend.
-	MaxShards() int
 	// Links returns the number of unidirectional channels (the area model's
 	// link count).
 	Links() int
@@ -189,15 +182,6 @@ func (b *meshBackend) Phases() int {
 	}
 	return 1
 }
-
-// ShardOf maps a node to its column band: band k covers columns
-// [k*W/S, (k+1)*W/S), the near-equal split. Column bands share only
-// east/west links, so all cross-shard traffic crosses a band edge.
-func (b *meshBackend) ShardOf(n NodeID, nShards int) int {
-	return (int(n) % b.topo.Width) * nShards / b.topo.Width
-}
-
-func (b *meshBackend) MaxShards() int { return b.topo.Width }
 
 func (b *meshBackend) Links() int { return MeshLinkCount(b.topo.Width, b.topo.Height) }
 

@@ -8,17 +8,9 @@ import "repro/internal/ring"
 // ignores it until that cycle (see router.acceptFlit and arrMask). The slot
 // is already reserved — the sender spent a credit on it — so wire occupancy
 // plus buffered flits never exceed the buffer depth.
-//
-// Sharding: a channel crossing a shard boundary has xmail set to the SOURCE
-// shard's outgoing mailbox; sends park there and the serial epilogue deposits
-// them at the cycle boundary, so shards never write each other's buffers.
-// Every stamp is at least one cycle ahead of the send, so the deferred
-// hand-off is invisible to the simulation.
 type channel struct {
-	src     NodeID // sending router (shard assignment)
 	dst     *router
-	dstPort int                  // input port index at dst
-	xmail   *ring.Ring[flitMail] // source shard's mailbox; nil intra-shard
+	dstPort int // input port index at dst
 }
 
 // send puts f on the wire at cycle; f.arrived already holds the cycle it
@@ -29,10 +21,6 @@ type channel struct {
 func (c *channel) send(f Flit, cycle uint64) {
 	if fs := c.dst.net.fs; fs != nil {
 		fs.noteSend(f.Pkt, f.arrived)
-	}
-	if c.xmail != nil {
-		c.xmail.Push(flitMail{ch: c, flit: f})
-		return
 	}
 	c.dst.acceptFlit(c.dstPort, f, cycle)
 }
@@ -49,34 +37,22 @@ type creditEvent struct {
 // hard-bounded at numVCs*bufDepth. Nothing delivers credits on a schedule:
 // only dst's own step reads its credit counters, so dst pulls what is due at
 // the top of its step (router.pullCredits) and a credit waiting at an idle
-// router costs nothing. The upstream (dst) shard owns the queue, and a
-// boundary-crossing credit parks in the sender's mailbox.
+// router costs nothing.
 type creditChannel struct {
-	src     NodeID // sending (downstream) router
 	dst     *router
 	dstPort int
-	xmail   *ring.Ring[credMail] // source shard's mailbox; nil intra-shard
 	q       ring.Ring[creditEvent]
 }
 
-// send queues one credit. A credit-loss fault delays it by the resync
-// window instead of destroying it, so credit conservation holds at
-// quiescence and the invariant checks stay valid.
+// send queues one credit at the upstream router and flags the port for its
+// next pull. A credit-loss fault delays it by the resync window instead of
+// destroying it, so credit conservation holds at quiescence and the
+// invariant checks stay valid.
 func (c *creditChannel) send(vc int, due uint64) {
 	if fs := c.dst.net.fs; fs != nil {
 		due += fs.delayCredit(c.dst.net)
 	}
-	ev := creditEvent{vc: vc, due: due}
-	if c.xmail != nil {
-		c.xmail.Push(credMail{cc: c, ev: ev})
-		return
-	}
-	c.post(ev)
-}
-
-// post queues ev at the upstream router and flags the port for its next pull.
-func (c *creditChannel) post(ev creditEvent) {
-	c.q.Push(ev)
+	c.q.Push(creditEvent{vc: vc, due: due})
 	c.dst.credPend |= 1 << uint(c.dstPort)
 }
 

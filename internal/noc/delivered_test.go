@@ -23,7 +23,7 @@ func deliveredSetCases(t *testing.T) []deliveredSetCase {
 		b := m.Backend()
 		cases = append(cases, deliveredSetCase{name, m, b.ComputeNodes(), b.MCs(), b.NumNodes()})
 	}
-	backends := backendPartitionConfigs()
+	backends := backendConfigs()
 	mesh("mesh", backends["mesh"])
 	cb := DefaultConfig()
 	cb.Checkerboard = true
@@ -37,9 +37,6 @@ func deliveredSetCases(t *testing.T) []deliveredSetCase {
 	faulty.Fault = faulty.Fault.WithRate(0.002, 7)
 	faulty.Fault.RetxTimeout = 512
 	mesh("faults-on", faulty)
-	sharded := DefaultConfig()
-	sharded.Shards = 2
-	mesh("shards-2", sharded)
 
 	double := func(name string, d *Double) {
 		b := d.Subnet(ClassRequest).Backend()

@@ -12,7 +12,6 @@ import "fmt"
 type Double struct {
 	nets     [2]*Mesh
 	balanced bool
-	overlap  bool    // tick the slices concurrently (cfg.Shards > 1)
 	rr       []uint8 // per-source slice rotation (balanced mode)
 
 	// deliv[n] is node n's merge buffer for a cycle in which both slices
@@ -45,19 +44,13 @@ func newDouble(cfg Config, balanced bool) (*Double, error) {
 	if cfg.Topology.singleFlit() {
 		return nil, fmt.Errorf("noc: cannot channel-slice the single-flit %s backend (half-width flits could no longer carry a packet)", cfg.Topology)
 	}
-	// The slices are independent networks, so a shard budget of S splits
-	// into S/2-shard groups ticking concurrently (tickAsync overlaps the
-	// slices; each mesh further clamps its own count). The two independent
-	// per-slice fault streams stay deterministic under overlap because each
-	// slice's draws happen inside its own single-shard segment.
-	d := &Double{balanced: balanced, overlap: cfg.Shards > 1}
+	d := &Double{balanced: balanced}
 	for c := 0; c < 2; c++ {
 		sub := cfg
 		sub.FlitBytes = cfg.FlitBytes / 2
 		sub.SplitClasses = balanced
 		sub.Seed = cfg.Seed + uint64(c)
 		sub.Fault.Seed = cfg.Fault.Seed + uint64(c) // decorrelate the slices' fault streams
-		sub.Shards = (cfg.Shards + 1) / 2
 		m, err := NewMesh(sub)
 		if err != nil {
 			return nil, err
@@ -120,20 +113,8 @@ func (d *Double) TryInject(p *Packet) bool {
 	return d.nets[1-first].TryInject(p)
 }
 
-// Tick advances both slices. With a shard budget above one the slices —
-// independent networks that never touch each other's state mid-cycle —
-// overlap: both dispatch their shard groups to the executor before either
-// joins, so a Double run uses its full budget even when each slice clamps
-// to few shards. The serial order (slice 0 then slice 1) is preserved for
-// the epilogues, keeping results bit-identical to sequential ticking.
+// Tick advances both slices, slice 0 first.
 func (d *Double) Tick() {
-	if d.overlap {
-		d.nets[0].tickAsync()
-		d.nets[1].tickAsync()
-		d.nets[0].tickJoin()
-		d.nets[1].tickJoin()
-		return
-	}
 	for _, n := range d.nets {
 		n.Tick()
 	}
@@ -186,8 +167,7 @@ func (d *Double) NextWorkCycle() uint64 {
 	return a
 }
 
-// SkipAhead credits k idle ticks to both slices (serially, matching the
-// epilogue order of Tick).
+// SkipAhead credits k idle ticks to both slices.
 func (d *Double) SkipAhead(k uint64) {
 	d.nets[0].SkipAhead(k)
 	d.nets[1].SkipAhead(k)

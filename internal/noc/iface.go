@@ -51,7 +51,7 @@ func newNetIface(node NodeID, rtr *router, net *meshNet) *netIface {
 func (ni *netIface) enqueue(p *Packet) {
 	ni.srcQ[p.Class].Push(p)
 	ni.pend++
-	ni.rtr.sh.injActive.set(int(ni.node))
+	ni.net.injActive.set(int(ni.node))
 }
 
 // injectStep advances injection by up to one flit per port.
@@ -130,7 +130,7 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 	ni.rtr.injectFlit(port, f, cycle)
 	w.next++
 	ni.net.stats.InjectedFlits[ni.node]++
-	ni.rtr.sh.moves++
+	ni.net.moveCount++
 	if w.next == w.total {
 		w.pkt = nil
 		ni.pend--
@@ -140,13 +140,13 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 // ejectStep drains arrived flits and assembles packets. Flits of one packet
 // arrive in order, but packets on different VCs may interleave, so assembly
 // counts flits per packet ID. Latency observations are order-sensitive
-// float sums, so they are deferred into the shard's sample buffer and
-// replayed in serial (node-ascending) order by the cycle epilogue.
+// float sums; the ejection phase visits nodes in ascending order, which fixes
+// the order of the Add calls.
 func (ni *netIface) ejectStep(cycle uint64) {
-	sh := ni.rtr.sh
+	n := ni.net
 	ni.rtr.drainEjected(cycle, func(f Flit) {
-		ni.net.stats.EjectedFlits[ni.node]++
-		sh.moves++
+		n.stats.EjectedFlits[ni.node]++
+		n.moveCount++
 		pkt := f.Pkt
 		got := ni.asm[pkt.ID] + 1
 		if got < pkt.flits {
@@ -155,17 +155,15 @@ func (ni *netIface) ejectStep(cycle uint64) {
 		}
 		delete(ni.asm, pkt.ID)
 		pkt.ArrivedAt = cycle
-		sh.assembled++
-		if ni.net.fs != nil && !ni.net.fs.onAssembled(ni.net, pkt) {
+		n.active--
+		if n.fs != nil && !n.fs.onAssembled(n, pkt) {
 			return // failed the end-to-end check: corrupt, duplicate or lost
 		}
 		ni.delivered = append(ni.delivered, pkt)
-		sh.delivSet.set(int(ni.node))
-		sh.samples = append(sh.samples, latSample{
-			node:  ni.node,
-			net:   float64(pkt.NetworkLatency()),
-			tot:   float64(pkt.TotalLatency()),
-			class: pkt.Class,
-		})
+		n.delivSet.set(int(ni.node))
+		lat := float64(pkt.NetworkLatency())
+		n.stats.NetLatency.Add(lat)
+		n.stats.TotalLatency.Add(float64(pkt.TotalLatency()))
+		n.stats.LatencyByClass[pkt.Class].Add(lat)
 	})
 }

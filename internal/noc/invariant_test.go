@@ -232,7 +232,7 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 // front is still on the wire (stamp in the future) and on rcMask once it has
 // arrived. It also checks that the derived busy condition agrees with a
 // scan-counted one (zero busy VCs exactly when all masks are zero) and, at a
-// cycle boundary, with the router's bit on its shard's active list.
+// cycle boundary, with the router's bit on the network's active list.
 func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 	t.Helper()
 	now := m.Cycle()
@@ -276,9 +276,9 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 			t.Fatalf("cycle %d router %d: %d busy VCs but masks arr=%#x rc=%#x va=%#x sa=%#x",
 				cycle, id, busy, r.arrMask, r.rcMask, r.vaMask, r.saMask)
 		}
-		if r.sh.rtrActive.has(id) != r.busy() {
+		if m.rtrActive.has(id) != r.busy() {
 			t.Fatalf("cycle %d router %d: active-list bit %v, busy %v",
-				cycle, id, r.sh.rtrActive.has(id), r.busy())
+				cycle, id, m.rtrActive.has(id), r.busy())
 		}
 		var pend uint8
 		for d, cc := range r.credIn {
@@ -304,11 +304,11 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 
 // TestStageMasksMatchVCState drives seeded request/reply traffic through
 // every backend — plus a checkerboard mesh, a fault-injected run (stuck VCs,
-// delayed credits, retransmission), a 2-shard run and a router at the full
-// 64-input-VC mask width — and audits the stage masks after every Tick,
-// through saturation and the drain back to an empty network.
+// delayed credits, retransmission) and a router at the full 64-input-VC mask
+// width — and audits the stage masks after every Tick, through saturation
+// and the drain back to an empty network.
 func TestStageMasksMatchVCState(t *testing.T) {
-	cfgs := backendPartitionConfigs()
+	cfgs := backendConfigs()
 	cb := DefaultConfig()
 	cb.Checkerboard = true
 	cb.Routing = RoutingCheckerboard
@@ -320,9 +320,6 @@ func TestStageMasksMatchVCState(t *testing.T) {
 	faulty.Fault = faulty.Fault.WithRate(0.002, 7)
 	faulty.Fault.RetxTimeout = 512
 	cfgs["fault"] = faulty
-	sharded := DefaultConfig()
-	sharded.Shards = 2
-	cfgs["shards-2"] = sharded
 	wide := DefaultConfig()
 	wide.NumVCs, wide.MCInjPorts = 8, 4 // MC routers use all 64 mask bits
 	cfgs["wide-64"] = wide
@@ -363,9 +360,6 @@ func TestStageMasksMatchVCState(t *testing.T) {
 					t.Errorf("fault path never exercised: stuck=%d lostCred=%d retx=%d",
 						st.StuckVCFaults, st.LostCredits, st.Retransmits)
 				}
-			}
-			if name == "shards-2" && len(m.shards) != 2 {
-				t.Fatalf("got %d shards, want 2", len(m.shards))
 			}
 		})
 	}

@@ -31,35 +31,6 @@ func BenchmarkCycleKernel(b *testing.B) {
 	b.Run("drain-tail", func(b *testing.B) { benchDrainTail(b, DefaultConfig()) })
 }
 
-// BenchmarkShardedKernel measures the column-band sharded cycle kernel
-// against its own serial baseline: the same closed-loop workload at 1, 2 and
-// 4 shards on a small and a large mesh. Sub-benchmark names end in -s<N> so
-// cmd/benchjson can derive a speedup_vs_s1 metric for each sharded row in
-// the capture. On a single-core host the sharded rows measure pure
-// coordination overhead (goroutine dispatch + epilogue); the speedup only
-// materialises when GOMAXPROCS gives the shard workers real CPUs.
-func BenchmarkShardedKernel(b *testing.B) {
-	small := DefaultConfig()
-	large := DefaultConfig()
-	large.Width, large.Height = 12, 12
-	large.MCs = TopBottomPlacement(12, 12, 8)
-	for _, mesh := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"small-6x6", small},
-		{"large-12x12", large},
-	} {
-		for _, shards := range []int{1, 2, 4} {
-			cfg := mesh.cfg
-			cfg.Shards = shards
-			b.Run(fmt.Sprintf("%s-s%d", mesh.name, shards), func(b *testing.B) {
-				benchCycleKernel(b, cfg, 8)
-			})
-		}
-	}
-}
-
 // BenchmarkBackendKernel measures the cycle kernel across the topology
 // backends at two scales — the paper's 6×6 and a 12×12 stress geometry —
 // under the same closed-loop request/reply protocol. Identical harness,

@@ -142,7 +142,7 @@ func TestPickRRMaskMatchesPickRR(t *testing.T) {
 // flits stay invisible behind it.
 func TestChannelPartialDelivery(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
-	ch := m.meshNet.flitChans[0]
+	ch := m.routers[0].outChans[East]
 	r := ch.dst
 	idx := r.inIdx(ch.dstPort, 0)
 	ivc := &r.inputs[idx]
@@ -154,9 +154,9 @@ func TestChannelPartialDelivery(t *testing.T) {
 		t.Fatalf("after send: buffered %d nextAt %d arrMask %#x rcMask %#x, want 3/3/%#x/0",
 			ivc.buf.Len(), ivc.nextAt, r.arrMask, r.rcMask, bit)
 	}
-	if !r.busy() || r.working() || !r.sh.rtrActive.has(int(r.p.node)) {
+	if !r.busy() || r.working() || !m.rtrActive.has(int(r.p.node)) {
 		t.Fatalf("router with a flit on the wire: busy %v working %v active %v, want true/false/true",
-			r.busy(), r.working(), r.sh.rtrActive.has(int(r.p.node)))
+			r.busy(), r.working(), m.rtrActive.has(int(r.p.node)))
 	}
 	if got := m.NextWorkCycle(); got != 3 {
 		t.Fatalf("NextWorkCycle = %d, want the head's arrival cycle 3", got)
@@ -177,7 +177,7 @@ func TestChannelPartialDelivery(t *testing.T) {
 // port stays flagged on credPend exactly while credits are queued.
 func TestCreditChannelOutOfOrderDues(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
-	cc := m.meshNet.credChans[0]
+	cc := m.routers[0].credIn[East]
 	r := cc.dst
 	out := &r.outputs[r.inIdx(cc.dstPort, 0)]
 	out.credits = 0 // make room so returned credits are countable

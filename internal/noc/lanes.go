@@ -3,8 +3,8 @@ package noc
 import "fmt"
 
 // LaneSet batches L seed-replica networks of ONE configuration behind a
-// single cycle loop. All lanes share one immutable Backend — geometry,
-// route tables and shard plans are built once — while every lane keeps its
+// single cycle loop. All lanes share one immutable Backend — geometry and
+// route tables are built once — while every lane keeps its
 // own mutable network state (buffers, allocators, rng, stats), the
 // structure-of-arrays layout the lane-batched simulation kernel steps in
 // lockstep. Lanes advance together through Tick/SkipAhead and retire

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/ring"
@@ -145,15 +144,6 @@ type Config struct {
 	EjQueueCap       int         // ejection queue capacity, flits
 	Seed             uint64
 	Fault            fault.Config // fault injection + health monitoring policy
-
-	// Shards partitions the network into contiguous bands (mesh/basejump:
-	// column bands; ring: arc segments) that tick on parallel worker
-	// goroutines (see shard.go). 0 or 1 runs the serial kernel; any value
-	// is clamped to the backend's MaxShards, and fault injection forces 1 (the
-	// injector's RNG draw order cannot be preserved across shards). Results
-	// are bit-identical for every value, so Shards never needs to appear in
-	// cache keys or config names.
-	Shards int
 }
 
 // DefaultConfig returns the paper's baseline mesh (Tables II/III): 6×6,
@@ -229,40 +219,45 @@ func (p *vcPlan) allowed(class TrafficClass, yxPhase bool) []int {
 
 // Mesh is the cycle-level network engine. Despite the historical name it
 // serves every topology backend (mesh, ring, basejump): routers, VCs,
-// credits, NIs, sharding and fault injection are backend-agnostic, and the
+// credits, NIs and fault injection are backend-agnostic, and the
 // backend contributes geometry and routing.
 type Mesh struct{ meshNet }
 
 type meshNet struct {
-	cfg       Config
-	backend   Backend
-	topo      *Topology // mesh geometry; nil for non-mesh backends
-	vcs       vcPlan
-	routers   []*router
-	nis       []*netIface
-	flitChans []*channel
-	credChans []*creditChannel
-	cycle     uint64
-	rng       *xrand.Rand
-	stats     NetStats
-	active    int
-	nextPkt   uint64
+	cfg     Config
+	backend Backend
+	topo    *Topology // mesh geometry; nil for non-mesh backends
+	vcs     vcPlan
+	routers []*router
+	nis     []*netIface
+	cycle   uint64
+	rng     *xrand.Rand
+	stats   NetStats
+	active  int
+	nextPkt uint64
 
-	// Active-component work lists live on the shards: one bitset per Tick
-	// phase (inject, route, eject) per shard, indexed like the matching
-	// component slice but only ever holding bits for shard-owned components.
-	// A component sets its owner's bit when it gains work (a queued packet
-	// or flit) and the phase loop clears the bit once the component goes
-	// idle, so the common case — most tiles idle — costs nothing per cycle.
-	// A router that sends to a neighbour puts that neighbour on the router
-	// list mid-phase; whether the traversal still reaches it this cycle is
-	// immaterial, because the flit is stamped with a later cycle and a step
-	// that finds nothing due is a no-op. So the in-order bitset iteration
-	// does exactly the work the dense loops would have, keeping
-	// equal-seeded runs bit-identical. A serial mesh is simply one shard
-	// covering every column.
-	shards []*meshShard
-	tickWG sync.WaitGroup
+	// Active-component work lists: one bitset per Tick phase (inject, route,
+	// eject), indexed like the matching component slice. A component sets
+	// its bit when it gains work (a queued packet or flit) and the phase loop
+	// clears the bit once the component goes idle, so the common case — most
+	// tiles idle — costs nothing per cycle. A router that sends to a
+	// neighbour puts that neighbour on the router list mid-phase; whether
+	// the traversal still reaches it this cycle is immaterial, because the
+	// flit is stamped with a later cycle and a step that finds nothing due
+	// is a no-op. So the in-order bitset iteration does exactly the work the
+	// dense loops would have, keeping equal-seeded runs bit-identical.
+	injActive activeSet
+	rtrActive activeSet
+	ejActive  activeSet
+
+	// delivSet holds the nodes whose Delivered batch is non-empty: the
+	// ejection NI sets a bit when it appends a packet, Delivered clears it.
+	delivSet activeSet
+
+	// credDue is the due cycle of the last credit a router sent; with no
+	// faults dues only grow, so it tells NextWorkCycle whether a credit is
+	// still on its way back.
+	credDue uint64
 
 	// interScratch is the reusable candidate buffer for checkerboard
 	// case-2 intermediate selection, sized once to the node count so route
@@ -278,6 +273,11 @@ type meshNet struct {
 	moveCount  uint64 // monotonic flit-movement counter for the watchdog
 	hopBudget  int    // livelock bound, switch traversals per wire packet
 	auditEvery uint64 // flit-conservation audit period
+
+	// llPkt is the cycle's first hop-budget violation in router order. The
+	// verdict is deferred to the end of Tick so that tripLivelock snapshots
+	// the network at a cycle boundary.
+	llPkt *Packet
 }
 
 // NewMesh validates cfg and builds the network.
@@ -367,6 +367,10 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	n.stats.InjectedBytes = make([]uint64, nNodes)
 	n.stats.EjectedFlits = make([]uint64, nNodes)
 	n.interScratch = make([]NodeID, 0, nNodes)
+	n.injActive = newActiveSet(nNodes)
+	n.rtrActive = newActiveSet(nNodes)
+	n.ejActive = newActiveSet(nNodes)
+	n.delivSet = newActiveSet(nNodes)
 
 	for id := 0; id < nNodes; id++ {
 		node := NodeID(id)
@@ -402,14 +406,12 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			if nb < 0 {
 				continue
 			}
-			ch := &channel{src: NodeID(id), dst: n.routers[nb], dstPort: int(d.opposite())}
+			ch := &channel{dst: n.routers[nb], dstPort: int(d.opposite())}
 			r.outChans[d] = ch
-			n.flitChans = append(n.flitChans, ch)
-			cc := &creditChannel{src: nb, dst: r, dstPort: int(d)}
+			cc := &creditChannel{dst: r, dstPort: int(d)}
 			cc.q = ring.New[creditEvent](chanCap, chanCap)
 			n.routers[nb].credChans[int(d.opposite())] = cc
 			r.credIn[d] = cc
-			n.credChans = append(n.credChans, cc)
 			for v := 0; v < cfg.NumVCs; v++ {
 				r.outputs[r.inIdx(int(d), v)].credits = cfg.BufDepth
 			}
@@ -418,7 +420,6 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	for id := 0; id < nNodes; id++ {
 		n.nis = append(n.nis, newNetIface(NodeID(id), n.routers[id], n))
 	}
-	n.buildShards(cfg.Shards)
 	return m, nil
 }
 
@@ -517,100 +518,96 @@ func (n *meshNet) Delivered(node NodeID) []*Packet {
 	out := ni.delivered
 	ni.delivered = ni.spare[:0]
 	ni.spare = out
-	ni.rtr.sh.delivSet.clear(int(node))
+	n.delivSet.clear(int(node))
 	return out
 }
 
-// DeliveredSet ORs every shard's undrained-batch set into dst. Each shard
-// only holds bits for the nodes it owns, so the OR is their union.
+// DeliveredSet ORs the undrained-batch set into dst.
 func (n *meshNet) DeliveredSet(dst []uint64) {
-	for _, sh := range n.shards {
-		for i, w := range sh.delivSet.words {
-			dst[i] |= w
-		}
+	for i, w := range n.delivSet.words {
+		dst[i] |= w
 	}
 }
 
-// Tick advances one network cycle: the serial prologue (cycle count, fault
-// machinery), the shard segments — inject, route, eject, each phase walking
-// only its active components in ascending index order, the same order the
-// dense loops used, so arbitration and fault-RNG draw sequences are
-// unchanged — and the serial epilogue (boundary hand-off, counter/sample
-// merge, health monitors). With one shard the segment runs inline and the
-// tick is the serial kernel; with more, the calling goroutine runs shard 0
-// itself while the executor runs the rest, and the WaitGroup join is the
-// cycle barrier.
+// Tick advances one network cycle: the cycle count and fault machinery,
+// then the three phases — inject, route, eject — each walking only its
+// active components in ascending index order, the same order the dense
+// loops used, so arbitration and fault-RNG draw sequences are unchanged.
+// Links are not a phase: a router's sends land in the neighbour's buffers
+// directly. The cycle ends with the deferred livelock verdict and the
+// health monitors.
 func (n *meshNet) Tick() {
-	n.tickPrologue()
-	if len(n.shards) == 1 {
-		n.shards[0].runSegment(n.cycle)
-	} else {
-		n.tickWG.Add(len(n.shards) - 1)
-		for _, sh := range n.shards[1:] {
-			submitShard(&sh.task)
-		}
-		n.shards[0].task.execute()
-		n.tickWG.Wait()
-	}
-	n.epilogue()
-}
-
-func (n *meshNet) tickPrologue() {
 	n.cycle++
+	cycle := n.cycle
 	if n.fs != nil {
 		n.fs.tick(n)
 	}
-}
-
-// tickAsync starts a cycle and dispatches every shard segment (including
-// shard 0) to the executor without waiting, so a Double network can overlap
-// its two slices' cycles; tickJoin completes it. The caller must pair every
-// tickAsync with a tickJoin before touching the network again.
-func (n *meshNet) tickAsync() {
-	n.tickPrologue()
-	n.tickWG.Add(len(n.shards))
-	for _, sh := range n.shards {
-		submitShard(&sh.task)
+	n.injActive.forEach(func(i int) {
+		ni := n.nis[i]
+		ni.injectStep(cycle)
+		if ni.pend == 0 {
+			n.injActive.clear(i)
+		}
+	})
+	n.rtrActive.forEach(func(i int) {
+		r := n.routers[i]
+		r.step(cycle)
+		if !r.busy() {
+			n.rtrActive.clear(i)
+		}
+	})
+	n.ejActive.forEach(func(i int) {
+		n.nis[i].ejectStep(cycle)
+		if n.routers[i].ejCount == 0 {
+			n.ejActive.clear(i)
+		}
+	})
+	if n.llPkt != nil {
+		n.tripLivelock(n.llPkt)
+		n.llPkt = nil
 	}
+	n.stats.Cycles++
+	n.observeHealth()
 }
 
-func (n *meshNet) tickJoin() {
-	n.tickWG.Wait()
-	n.epilogue()
+// noteHop charges one switch traversal to pkt and keeps the cycle's first
+// hop-budget violation for the livelock verdict at the end of Tick.
+func (n *meshNet) noteHop(pkt *Packet) {
+	pkt.hops++
+	if n.wd == nil || n.health != nil || n.hopBudget <= 0 ||
+		pkt.hops <= n.hopBudget || n.llPkt != nil {
+		return
+	}
+	n.llPkt = pkt
 }
 
-// NextWorkCycle scans the per-shard work lists for the earliest cycle with
-// real work: any queued injection, router with a VC in a pipeline stage,
-// pending ejection, parked boundary event or credit still on its way back
-// means the very next tick works; otherwise the earliest arrival among the
-// flits on the wire, which are the fronts of the routers' arrMask VCs. (A
-// credit wakes nobody — see creditChannel — but counting the cycle it lands
-// as work keeps the horizon, and so every skip count, what it was when
-// credits had a delivery phase.) Fault injection draws its RNG every cycle
-// and a tripped monitor must keep reporting, so both force edge-by-edge
-// ticking. With an armed deadlock watchdog and work in flight, the horizon
-// also never passes the cycle the watchdog would trip, so a wedged network
-// is detected on exactly the same cycle as when stepping.
+// NextWorkCycle scans the work lists for the earliest cycle with real work:
+// any queued injection, router with a VC in a pipeline stage, pending
+// ejection or credit still on its way back means the very next tick works;
+// otherwise the earliest arrival among the flits on the wire, which are the
+// fronts of the routers' arrMask VCs. (A credit wakes nobody — see
+// creditChannel — but counting the cycle it lands as work keeps the horizon,
+// and so every skip count, what it was when credits had a delivery phase.)
+// Fault injection draws its RNG every cycle and a tripped monitor must keep
+// reporting, so both force edge-by-edge ticking. With an armed deadlock
+// watchdog and work in flight, the horizon also never passes the cycle the
+// watchdog would trip, so a wedged network is detected on exactly the same
+// cycle as when stepping.
 func (n *meshNet) NextWorkCycle() uint64 {
-	if n.fs != nil || n.health != nil {
+	if n.fs != nil || n.health != nil ||
+		!n.injActive.isEmpty() || !n.ejActive.isEmpty() || n.credDue > n.cycle {
 		return n.cycle + 1
 	}
 	next := NeverCycle
-	for _, sh := range n.shards {
-		if !sh.injActive.isEmpty() || !sh.ejActive.isEmpty() || sh.credDue > n.cycle ||
-			sh.outFlit.Len() > 0 || sh.outCred.Len() > 0 {
-			return n.cycle + 1
-		}
-		for wi, w := range sh.rtrActive.words {
-			for ; w != 0; w &= w - 1 {
-				r := n.routers[wi<<6+bits.TrailingZeros64(w)]
-				if r.working() {
-					return n.cycle + 1
-				}
-				for m := r.arrMask; m != 0; m &= m - 1 {
-					if at := r.inputs[bits.TrailingZeros64(m)].nextAt; at < next {
-						next = at
-					}
+	for wi, w := range n.rtrActive.words {
+		for ; w != 0; w &= w - 1 {
+			r := n.routers[wi<<6+bits.TrailingZeros64(w)]
+			if r.working() {
+				return n.cycle + 1
+			}
+			for m := r.arrMask; m != 0; m &= m - 1 {
+				if at := r.inputs[bits.TrailingZeros64(m)].nextAt; at < next {
+					next = at
 				}
 			}
 		}

@@ -252,10 +252,10 @@ func (n *meshNet) observeHealth() {
 	}
 }
 
-// tripLivelock raises the sticky livelock verdict for pkt, the cycle's
-// winning hop-budget violation (resolved across shards by the epilogue).
-// Runs only in the serial epilogue, so the diagnostic snapshot is taken at
-// a cycle boundary with every queue in a consistent state.
+// tripLivelock raises the sticky livelock verdict for pkt, the cycle's first
+// hop-budget violation in router order. Runs only at the end of Tick, so the
+// diagnostic snapshot is taken at a cycle boundary with every queue in a
+// consistent state.
 func (n *meshNet) tripLivelock(pkt *Packet) {
 	d := n.diagnose("livelock")
 	d.Notes = append(d.Notes,

@@ -124,16 +124,6 @@ func (b *ringBackend) NextHop(cur NodeID, p *Packet) (Port, bool) {
 	return West, false
 }
 
-// ShardOf maps a node to its arc segment: shard k owns nodes
-// [k*N/S, (k+1)*N/S), the near-equal contiguous split. Arc segments share
-// only the two boundary links per edge (plus the wrap), so the column-band
-// mailbox hand-off applies unchanged.
-func (b *ringBackend) ShardOf(n NodeID, nShards int) int {
-	return int(n) * nShards / b.n
-}
-
-func (b *ringBackend) MaxShards() int { return b.n }
-
 // Links counts the unidirectional channels: one East and one West per node.
 func (b *ringBackend) Links() int { return RingLinkCount(b.n) }
 

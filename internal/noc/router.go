@@ -77,7 +77,6 @@ type routerParams struct {
 type router struct {
 	p    routerParams
 	net  *meshNet
-	sh   *meshShard // owning column-band shard (assigned by buildShards)
 	rcD  uint64
 	vaD  uint64
 	stD  uint64
@@ -219,7 +218,7 @@ func (r *router) acceptFlit(port int, f Flit, cycle uint64) {
 			} else {
 				r.arrMask |= 1 << uint(idx)
 			}
-			r.sh.rtrActive.set(int(r.p.node))
+			r.net.rtrActive.set(int(r.p.node))
 		}
 	}
 	ivc.buf.Push(f)
@@ -468,19 +467,19 @@ func (r *router) traverse(idx int, cycle uint64) {
 		f.arrived = cycle + r.stD
 		r.ejQ[op-int(numDirs)].Push(f)
 		r.ejCount++
-		r.sh.ejActive.set(int(r.p.node))
+		r.net.ejActive.set(int(r.p.node))
 	}
-	r.sh.flitHops++
-	r.sh.moves++
+	r.net.stats.FlitHops++
+	r.net.moveCount++
 	if f.Head {
-		r.sh.noteHop(f.Pkt, r.p.node)
+		r.net.noteHop(f.Pkt)
 	}
 	// Return the freed buffer slot upstream (direction inputs only; the
 	// network interface reads injection buffer occupancy directly).
 	if ivc.port < int(numDirs) && r.credChans[ivc.port] != nil {
 		due := cycle + r.p.credLat
 		r.credChans[ivc.port].send(ivc.vc, due)
-		r.sh.credDue = due
+		r.net.credDue = due
 	}
 	if f.Tail {
 		out.owner = -1

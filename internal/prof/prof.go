@@ -56,12 +56,6 @@ func (f *Flags) Start() error {
 	return nil
 }
 
-// CPUActive reports whether a CPU profile is currently being captured.
-// Callers use it to enable per-worker pprof labels (e.g. the sharded cycle
-// kernel's noc_shard tags), which cost an allocation per labelled task and
-// so stay off unless a profile is actually recording.
-func (f *Flags) CPUActive() bool { return f.cpuFile != nil }
-
 // Stop finishes the CPU profile and writes the heap profile. Safe to call
 // via defer even when profiling was never requested; errors writing the
 // heap profile are reported on stderr (the run's results already printed).

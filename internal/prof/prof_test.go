@@ -23,8 +23,8 @@ func TestNoProfilingRequested(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatalf("Start with no flags: %v", err)
 	}
-	if f.CPUActive() {
-		t.Error("CPUActive true without -cpuprofile")
+	if f.cpuFile != nil {
+		t.Error("CPU profile open without -cpuprofile")
 	}
 	// Stop must be a safe no-op, including when called repeatedly (the
 	// CLIs call it via defer as well as explicitly).
@@ -35,18 +35,18 @@ func TestNoProfilingRequested(t *testing.T) {
 func TestCPUProfileLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.pprof")
 	f := newFlags(t, "-cpuprofile", path)
-	if f.CPUActive() {
-		t.Error("CPUActive true before Start")
+	if f.cpuFile != nil {
+		t.Error("CPU profile open before Start")
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.CPUActive() {
-		t.Error("CPUActive false while profiling")
+	if f.cpuFile == nil {
+		t.Error("no CPU profile open while profiling")
 	}
 	f.Stop()
-	if f.CPUActive() {
-		t.Error("CPUActive true after Stop")
+	if f.cpuFile != nil {
+		t.Error("CPU profile open after Stop")
 	}
 	info, err := os.Stat(path)
 	if err != nil {
@@ -68,8 +68,8 @@ func TestMemProfileWrittenAtStop(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if f.CPUActive() {
-		t.Error("CPUActive true for a memory-only profile")
+	if f.cpuFile != nil {
+		t.Error("CPU profile open for a memory-only profile")
 	}
 	// The heap profile is only snapshotted at Stop, not at Start.
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -91,8 +91,8 @@ func TestStartErrorOnBadPath(t *testing.T) {
 		f.Stop()
 		t.Fatal("Start succeeded with an uncreatable profile path")
 	}
-	if f.CPUActive() {
-		t.Error("CPUActive true after failed Start")
+	if f.cpuFile != nil {
+		t.Error("CPU profile open after failed Start")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestStartWhileProfileRunningFails(t *testing.T) {
 		second.Stop()
 		t.Fatal("second concurrent CPU profile did not error")
 	}
-	if second.CPUActive() {
-		t.Error("CPUActive true on the failed second profile")
+	if second.cpuFile != nil {
+		t.Error("CPU profile open on the failed second profile")
 	}
 }

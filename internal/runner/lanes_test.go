@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,14 +16,12 @@ import (
 type laneBatchRecorder struct {
 	mu      sync.Mutex
 	batches [][]uint64
-	shards  []int
 	verdict func(seed uint64) string
 }
 
 func (r *laneBatchRecorder) run(_ context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
 	r.mu.Lock()
 	r.batches = append(r.batches, append([]uint64(nil), seeds...))
-	r.shards = append(r.shards, cfg.Shards)
 	r.mu.Unlock()
 	results := make([]core.Result, len(seeds))
 	errs := make([]error, len(seeds))
@@ -89,25 +86,6 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 	}
 	if len(rec.batches) != 2 {
 		t.Errorf("repeat request grew batches to %d", len(rec.batches))
-	}
-}
-
-// TestLaneShardCapSeesBatchWidth proves the chunk caps its shard request
-// with the batch's true lane count: jobs × lanes × shards stays within
-// GOMAXPROCS even when the config over-asks.
-func TestLaneShardCapSeesBatchWidth(t *testing.T) {
-	rec := &laneBatchRecorder{}
-	p := newPool(t, Options{Jobs: 1, Lanes: 2, RunLanes: rec.run, Run: okRun})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 2; s++ {
-		cfg := testCfg(t, "shardcap").WithShards(1 << 20)
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	p.DoAll(cfgs)
-	want := CapShards(1<<20, 1, 2, runtime.GOMAXPROCS(0))
-	if len(rec.shards) != 1 || rec.shards[0] != want {
-		t.Errorf("batch ran with shards %v, want [%d] (capped by jobs×lanes)", rec.shards, want)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 )
 
 // Plan is a submission schedule produced by Planner.Plan: the order in which
-// a sweep's configs should be handed to DoAllContext, the lane width chosen
-// for each position, and the shard request to apply where the caller was
-// silent. Order and Width alias the Planner's scratch storage and are valid
-// only until the next Plan call.
+// a sweep's configs should be handed to DoAllContext and the lane width
+// chosen for each position. Order and Width alias the Planner's scratch
+// storage and are valid only until the next Plan call.
 type Plan struct {
 	// Order holds indices into the planned cfgs slice in submission
 	// order: same lane group (identity minus seed) adjacent, groups
@@ -25,14 +24,6 @@ type Plan struct {
 	// for the group containing Order[j]. DoAllPlanned applies it only to
 	// configs whose own Lanes request (and the pool's) is zero.
 	Width []int
-	// Shards is the per-lane shard request to apply where both the
-	// config and the pool are silent: core.ShardsAuto when the
-	// jobs×lanes budget leaves spare cores for intra-run sharding, 1
-	// (serial-equivalent) when it does not — in particular always 1 on a
-	// 1-core host, so a degraded box never oversubscribes itself.
-	// CapShards re-caps the request per batch at execution time with the
-	// batch's true width.
-	Shards int
 	// Groups is the number of distinct lane groups in the sweep.
 	Groups int
 	// Batches is the number of >=2-wide lane chunks the plan will
@@ -45,8 +36,8 @@ type Plan struct {
 // Planner turns an unordered sweep into a lane-aware submission plan:
 // same-config/different-seed replicas are grouped so DoAllContext coalesces
 // them into single RunLanes batches, groups are ordered for cache/journal
-// locality, and lane width and shard count are auto-tuned from the
-// jobs×lanes×shards ≤ maxprocs budget instead of fixed flags.
+// locality, and lane width is auto-tuned from the jobs×lanes ≤ maxprocs
+// budget instead of a fixed flag.
 //
 // The zero value is ready to use. Plan reuses internal scratch across calls
 // and performs no allocations once warm, so a long-running explorer can
@@ -101,7 +92,6 @@ func (pl *Planner) Plan(cfgs []core.Config) Plan {
 	if target < 1 {
 		target = 1
 	}
-	widest := 1
 	for start := 0; start < n; {
 		end := start + 1
 		for end < n && samePlanGroup(&cfgs[pl.order[start]], &cfgs[pl.order[end]]) {
@@ -131,29 +121,7 @@ func (pl *Planner) Plan(cfgs []core.Config) Plan {
 				plan.Batched += rem
 			}
 		}
-		if w > widest {
-			widest = w
-		}
 		start = end
-	}
-
-	// Shard budget: jobs×lanes×shards must fit in maxprocs. The number
-	// of concurrently runnable submission units (lane batches + solo
-	// runs) bounds how many worker slots can actually be busy; only when
-	// that times the widest batch still leaves spare cores is intra-run
-	// sharding worth requesting.
-	units := plan.Batches + (n - plan.Batched)
-	concurrent := jobs
-	if concurrent > units {
-		concurrent = units
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	if concurrent*widest < maxprocs {
-		plan.Shards = core.ShardsAuto
-	} else {
-		plan.Shards = 1
 	}
 	return plan
 }
@@ -191,13 +159,13 @@ func (pl *Planner) Less(i, j int) bool {
 }
 
 // DoAllPlanned is DoAll routed through the sweep planner: cfgs are
-// submitted to DoAllContext in plan order with the planned lane width and
-// shard request applied wherever the caller was silent, and the outcomes
-// are scattered back so outs[i] still corresponds to cfgs[i]. Explicit
-// requests always win: a config's own Lanes/Shards, then the pool options,
-// then the plan. Planning is order-insensitive modulo input permutation, so
-// tables rendered from the outcomes are byte-identical to the unplanned
-// path for any submission order.
+// submitted to DoAllContext in plan order with the planned lane width
+// applied wherever the caller was silent, and the outcomes are scattered
+// back so outs[i] still corresponds to cfgs[i]. Explicit requests always
+// win: a config's own Lanes, then the pool's, then the plan. Planning is
+// order-insensitive modulo input permutation, so tables rendered from the
+// outcomes are byte-identical to the unplanned path for any submission
+// order.
 func (p *Pool) DoAllPlanned(ctx context.Context, cfgs []core.Config) []Outcome {
 	pl := Planner{Jobs: p.opts.Jobs}
 	return p.DoAllWithPlan(ctx, cfgs, pl.Plan(cfgs))
@@ -216,9 +184,6 @@ func (p *Pool) DoAllWithPlan(ctx context.Context, cfgs []core.Config, plan Plan)
 		c := cfgs[i]
 		if c.Lanes == 0 && p.opts.Lanes == 0 {
 			c.Lanes = plan.Width[j]
-		}
-		if c.Shards == 0 && p.opts.Shards == 0 {
-			c.Shards = plan.Shards
 		}
 		ordered[j] = c
 	}

@@ -79,33 +79,12 @@ func TestPlannerGroupsReplicas(t *testing.T) {
 			t.Errorf("Width[%d] = %d, want 3", j, w)
 		}
 	}
-	// 8 batches on 8 slots at width 3 saturate the 8-core budget: no
-	// spare for intra-run sharding.
-	if plan.Shards != 1 {
-		t.Errorf("Shards = %d, want 1 (budget saturated)", plan.Shards)
-	}
-}
-
-// TestPlannerSpareCoresRequestSharding: a sweep too narrow to fill the
-// machine asks for auto shards so CapShards can spend the idle cores.
-func TestPlannerSpareCoresRequestSharding(t *testing.T) {
-	cfgs := plannerSweep(t, 2, 1) // two solo configs
-	var pl Planner
-	pl.MaxProcs = 16
-	pl.Jobs = 16
-	plan := pl.Plan(cfgs)
-	if plan.Shards != core.ShardsAuto {
-		t.Errorf("Shards = %d, want ShardsAuto (2 units on 16 cores)", plan.Shards)
-	}
-	if plan.Batches != 0 || plan.Batched != 0 {
-		t.Errorf("solo configs planned into batches: %+v", plan)
-	}
 }
 
 // TestPlannerOneCoreDegrade pins the satellite contract: on a 1-core host
-// the plan degrades to lanes=1, shards=1 — no batch ever holds more than
-// one lane and no run requests intra-run sharding, so a degraded CI box
-// never oversubscribes itself and bench capture rows stay honest.
+// the plan degrades to lanes=1 — no batch ever holds more than one lane, so
+// a degraded CI box never oversubscribes itself and bench capture rows stay
+// honest.
 func TestPlannerOneCoreDegrade(t *testing.T) {
 	cfgs := plannerSweep(t, 3, 8)
 	var pl Planner
@@ -116,9 +95,6 @@ func TestPlannerOneCoreDegrade(t *testing.T) {
 		if w != 1 {
 			t.Fatalf("Width[%d] = %d, want 1 on a 1-core host", j, w)
 		}
-	}
-	if plan.Shards != 1 {
-		t.Errorf("Shards = %d, want 1 on a 1-core host", plan.Shards)
 	}
 	if plan.Batches != 0 || plan.Batched != 0 {
 		t.Errorf("1-core plan still batches lanes: %+v", plan)
@@ -209,7 +185,7 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 	}
 }
 
-// TestDoAllPlannedExplicitRequestsWin: a config's own Lanes/Shards survive
+// TestDoAllPlannedExplicitRequestsWin: a config's own Lanes survives
 // planning untouched — the plan only fills silence.
 func TestDoAllPlannedExplicitRequestsWin(t *testing.T) {
 	rec := &laneBatchRecorder{}

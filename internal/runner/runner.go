@@ -57,21 +57,14 @@ type Options struct {
 	// "timeout") gets before it is recorded; deterministic verdicts
 	// (deadlock, livelock, cycle-cap, panic) are never retried.
 	Retries int
-	// Shards is the default intra-run shard request applied to every
-	// config whose own Shards field is zero (core.ShardsAuto = machine
-	// pick). Whatever the source, the pool caps the effective value with
-	// CapShards so Jobs×Shards×Lanes worker goroutines never exceed
-	// GOMAXPROCS. Sharding is result-invariant, so it does not participate
-	// in cache keys or checkpoint identity.
-	Shards int
 	// Lanes is the default lane-batch width applied to every config whose
 	// own Lanes field is zero: DoAll/DoAllContext coalesce up to Lanes
 	// same-configuration/different-seed requests into one lane-batched
 	// execution (core.RunLanes) occupying a single worker slot. Lane
 	// batching is result-invariant — every lane is bit-identical to its
-	// solo run — so, like Shards, it does not participate in cache keys or
-	// checkpoint identity: each seed keeps its own Key, cache entry and
-	// journal record. 0 and 1 both disable coalescing.
+	// solo run — so it does not participate in cache keys or checkpoint
+	// identity: each seed keeps its own Key, cache entry and journal
+	// record. 0 and 1 both disable coalescing.
 	Lanes int
 	// Backoff is the base delay before the first retry; successive
 	// retries double it (capped by MaxBackoff), each with ±50%
@@ -194,39 +187,6 @@ func backoffDelay(base, max time.Duration, retry int, jitter *xrand.Rand) time.D
 		d = max
 	}
 	return time.Duration(float64(d) * (0.5 + jitter.Float64()))
-}
-
-// CapShards bounds one run's intra-run shard request so that jobs
-// concurrent runs never oversubscribe the machine: every run gets at most
-// its fair share of maxprocs (but never less than one worker). A request of
-// core.ShardsAuto (or any negative) resolves to exactly the fair share, so
-// "-jobs 4 -shards auto" on a 16-way box gives each run 4 shards instead of
-// 4×16 runnable goroutines. Zero stays zero: a serial run stays serial.
-//
-// lanes is the width of the lane batch the run belongs to (1 for a solo
-// run): a batch keeps one shard-worker team per lane alive for its whole
-// duration, so the three-way budget jobs×lanes×shards is what must fit in
-// maxprocs — "-jobs 2 -lanes 4 -shards auto" on a 16-way box gives each
-// lane 2 shards, not 8. Neither sharding nor lane batching changes
-// results, so capping is invisible to cache keys.
-func CapShards(requested, jobs, lanes, maxprocs int) int {
-	if requested == 0 {
-		return 0
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	per := maxprocs / (jobs * lanes)
-	if per < 1 {
-		per = 1
-	}
-	if requested < 0 || requested > per {
-		return per
-	}
-	return requested
 }
 
 // Key derives the cache/journal identity of a configuration: name,
@@ -646,14 +606,8 @@ func (p *Pool) doLaneChunk(ctx context.Context, cfgs []core.Config, chunk []int,
 	defer stop()
 
 	// One representative config carries the whole batch (the group key
-	// guarantees the members are the same simulation modulo seed). The
-	// shard cap sees the batch's true width: a chunk is one job holding
-	// len(claims) shard-worker teams alive.
+	// guarantees the members are the same simulation modulo seed).
 	base := cfgs[claims[0].idx]
-	if base.Shards == 0 {
-		base.Shards = p.opts.Shards
-	}
-	base.Shards = CapShards(base.Shards, p.opts.Jobs, len(claims), runtime.GOMAXPROCS(0))
 	base.Lanes = len(claims)
 	seeds := make([]uint64, len(claims))
 	for j, c := range claims {
@@ -829,10 +783,6 @@ func (p *Pool) runOnce(ctx context.Context, cfg core.Config) (res core.Result, e
 			res = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
 		}
 	}()
-	if cfg.Shards == 0 {
-		cfg.Shards = p.opts.Shards
-	}
-	cfg.Shards = CapShards(cfg.Shards, p.opts.Jobs, 1, runtime.GOMAXPROCS(0))
 	res, err = p.run(ctx, cfg)
 	if res.Benchmark == "" {
 		res.Benchmark = cfg.Workload.Abbr

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,95 +248,6 @@ func TestKeyDistinguishesSeedAndScale(t *testing.T) {
 	keys := map[string]bool{Key(a): true, Key(b): true, Key(c): true}
 	if len(keys) != 3 {
 		t.Errorf("seed/scale variants share keys: %v", keys)
-	}
-}
-
-// TestCapShards pins the jobs×lanes×shards oversubscription policy: every
-// run gets at most its fair share of GOMAXPROCS — divided across concurrent
-// jobs AND across the lanes of its own batch, each of which keeps a shard
-// team alive — auto resolves to exactly that share, serial stays serial,
-// and no input yields less than one shard.
-func TestCapShards(t *testing.T) {
-	cases := []struct {
-		requested, jobs, lanes, maxprocs, want int
-	}{
-		{0, 4, 1, 16, 0},                // serial stays serial
-		{1, 4, 1, 16, 1},                // modest ask under the share
-		{4, 4, 1, 16, 4},                // exactly the fair share
-		{8, 4, 1, 16, 4},                // over-ask capped to the share
-		{core.ShardsAuto, 4, 1, 16, 4},  // auto = fair share
-		{core.ShardsAuto, 1, 1, 16, 16}, // sole run gets the machine
-		{core.ShardsAuto, 32, 1, 16, 1}, // more jobs than CPUs: 1 each
-		{6, 3, 1, 8, 2},                 // integer fair share (8/3)
-		{2, 0, 8, 2, 1},                 // jobs<1 treated as one run; lanes still divide
-		{5, 16, 1, 1, 1},                // single-CPU host: never below 1
-
-		// The three-way budget: lanes divide the per-job share.
-		{core.ShardsAuto, 2, 4, 16, 2},  // 16 procs / (2 jobs × 4 lanes) = 2 each
-		{8, 1, 4, 16, 4},                // sole batch: 16/4 lanes, over-ask capped
-		{2, 2, 2, 16, 2},                // modest ask under the 4-way share
-		{core.ShardsAuto, 4, 4, 16, 1},  // jobs×lanes saturate the box: 1 each
-		{0, 2, 4, 16, 0},                // serial stays serial in a batch too
-		{core.ShardsAuto, 1, 0, 16, 16}, // lanes<1 treated as solo
-	}
-	for _, c := range cases {
-		if got := CapShards(c.requested, c.jobs, c.lanes, c.maxprocs); got != c.want {
-			t.Errorf("CapShards(%d, %d, %d, %d) = %d, want %d",
-				c.requested, c.jobs, c.lanes, c.maxprocs, got, c.want)
-		}
-	}
-}
-
-// TestPoolCapsShards proves the pool applies the cap to every executed
-// config: the total shard workers of concurrently running simulations
-// cannot exceed GOMAXPROCS even when each config over-asks.
-func TestPoolCapsShards(t *testing.T) {
-	jobs := 4
-	var seen sync.Map
-	p := newPool(t, Options{Jobs: jobs, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
-		seen.Store(cfg.Name, cfg.Shards)
-		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}, nil
-	}})
-	cfgs := []core.Config{
-		testCfg(t, "over-ask").WithShards(1 << 20),
-		testCfg(t, "auto").WithShards(core.ShardsAuto),
-		testCfg(t, "serial"), // Shards zero stays serial
-	}
-	p.DoAll(cfgs)
-	share := runtime.GOMAXPROCS(0) / jobs
-	if share < 1 {
-		share = 1
-	}
-	for _, name := range []string{"over-ask", "auto"} {
-		got, ok := seen.Load(name)
-		if !ok {
-			t.Fatalf("config %s never ran", name)
-		}
-		if got.(int) != share {
-			t.Errorf("%s ran with %d shards, want fair share %d", name, got, share)
-		}
-	}
-	if got, _ := seen.Load("serial"); got.(int) != 0 {
-		t.Errorf("serial config ran with %d shards, want 0", got)
-	}
-}
-
-// TestPoolDefaultShards proves Options.Shards fills in configs that do not
-// set their own request, without overriding explicit per-config values.
-func TestPoolDefaultShards(t *testing.T) {
-	var seen sync.Map
-	p := newPool(t, Options{Jobs: 1, Shards: 2, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
-		seen.Store(cfg.Name, cfg.Shards)
-		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}, nil
-	}})
-	p.Do(testCfg(t, "default"))
-	p.Do(testCfg(t, "explicit").WithShards(1))
-	want := CapShards(2, 1, 1, runtime.GOMAXPROCS(0))
-	if got, _ := seen.Load("default"); got.(int) != want {
-		t.Errorf("default config ran with %v shards, want %d (pool default, capped)", got, want)
-	}
-	if got, _ := seen.Load("explicit"); got.(int) != 1 {
-		t.Errorf("explicit config ran with %v shards, want its own 1", got)
 	}
 }
 

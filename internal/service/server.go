@@ -43,9 +43,6 @@ type Options struct {
 	// Jobs bounds concurrent simulations (runner workers); 0 means
 	// GOMAXPROCS.
 	Jobs int
-	// Shards is the per-run intra-simulation shard request (see
-	// runner.Options.Shards).
-	Shards int
 	// Lanes coalesces a job's same-config/different-seed runs into
 	// lane-batched executions of that width (see runner.Options.Lanes and
 	// Spec.Seeds). Results are bit-identical to solo runs; 0 and 1 both
@@ -172,7 +169,6 @@ func New(opts Options) (*Server, error) {
 		Jobs:       opts.Jobs,
 		RunTimeout: opts.RunTimeout,
 		Retries:    opts.Retries,
-		Shards:     opts.Shards,
 		Lanes:      opts.Lanes,
 		Run:        opts.Run,
 		RunLanes:   opts.RunLanes,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/noc"
@@ -92,43 +93,80 @@ func digestOpenLoop(res Result, ns *noc.NetStats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// runner builds an open-loop Runner over fresh meshes of the point's
+// configuration, handing each network to keep as it is built.
+func (og openGolden) runner(keep func(noc.Network)) *Runner {
+	return NewRunner(func() (noc.Network, noc.Backend) {
+		m := noc.MustNewMesh(og.mesh())
+		keep(m)
+		return m, m.Backend()
+	})
+}
+
+// config is the point's pattern, rate and measurement schedule.
+func (og openGolden) config() Config {
+	cfg := DefaultConfig()
+	cfg.Pattern = og.pattern
+	cfg.InjectionRate = og.rate
+	cfg.WarmupCycles = 500
+	cfg.MeasureCycles = 2000
+	cfg.DrainCycles = 4000
+	return cfg
+}
+
+// digest runs cfg alone over a fresh network and returns its digest.
+func (og openGolden) digest(cfg Config) string {
+	var last noc.Network
+	res := og.runner(func(n noc.Network) { last = n }).Run(cfg)
+	return digestOpenLoop(res, last.Stats())
+}
+
+// openWidths is the width axis of the open-loop matrix. A shards-N row runs
+// N copies of its point at once, one goroutine each, and demands the same
+// digest from every copy, so concurrent runs provably share no state. The
+// rows keep the names they had when N split a single run across shard
+// workers; that kernel is gone, and whole runs are the only unit of
+// parallelism left.
+var openWidths = []int{1, 2, 4}
+
+// concurrently calls run(i) for every i in [0, n) on n goroutines at once
+// and returns when all have finished.
+func concurrently(n int, run func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
 // TestOpenLoopGoldenDigests pins the open-loop harness bit-exactly at six
-// seeded operating points (four mesh, one ring, one basejump), for the serial
-// kernel and under 2- and 4-way sharding — one digest table covers all three,
-// since sharding must never change simulated behaviour.
+// seeded operating points (four mesh, one ring, one basejump), alone and
+// with copies running concurrently.
 func TestOpenLoopGoldenDigests(t *testing.T) {
 	record := os.Getenv("GOLDEN_RECORD") != ""
 	for _, og := range openMatrix() {
 		og := og
-		for _, shards := range []int{1, 2, 4} {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards-%d", og.id, shards), func(t *testing.T) {
-				var last noc.Network
-				runner := NewRunner(func() (noc.Network, noc.Backend) {
-					mc := og.mesh()
-					mc.Shards = shards
-					m := noc.MustNewMesh(mc)
-					last = m
-					return m, m.Backend()
-				})
-				cfg := DefaultConfig()
-				cfg.Pattern = og.pattern
-				cfg.InjectionRate = og.rate
-				cfg.WarmupCycles = 500
-				cfg.MeasureCycles = 2000
-				cfg.DrainCycles = 4000
-				res := runner.Run(cfg)
-				got := digestOpenLoop(res, last.Stats())
+		for _, width := range openWidths {
+			width := width
+			t.Run(fmt.Sprintf("%s/shards-%d", og.id, width), func(t *testing.T) {
+				digests := make([]string, width)
+				concurrently(width, func(i int) { digests[i] = og.digest(og.config()) })
 				if record {
-					if shards == 1 {
-						fmt.Printf("\t%q: %q,\n", og.id, got)
+					if width == 1 {
+						fmt.Printf("\t%q: %q,\n", og.id, digests[0])
 					}
 					return
 				}
 				want := openGoldenDigests[og.id]
-				if got != want {
-					t.Errorf("open-loop digest mismatch for %s at %d shards:\n got  %s\n want %s",
-						og.id, shards, got, want)
+				for i, got := range digests {
+					if got != want {
+						t.Errorf("open-loop digest mismatch for %s, copy %d of %d:\n got  %s\n want %s",
+							og.id, i, width, got, want)
+					}
 				}
 			})
 		}
@@ -139,63 +177,47 @@ func TestOpenLoopGoldenDigests(t *testing.T) {
 // open-loop run is bit-identical to its solo run: lane 0 carries the golden
 // seed and must reproduce the recorded digest; every sibling lane (seed+i)
 // must reproduce the digest of its own solo run, computed on the fly. The
-// lanes×shards point pins the composition of the two wall-clock-only
-// kernels. Lane count 1 is TestOpenLoopGoldenDigests itself (Run delegates
-// to the single-lane loop), so only 2 and 4 appear here.
+// shards-2 point runs two batches concurrently. Lane count 1 is
+// TestOpenLoopGoldenDigests itself (Run delegates to the single-lane loop),
+// so only 2 and 4 appear here.
 func TestOpenLoopGoldenDigestsLanes(t *testing.T) {
 	for _, og := range openMatrix() {
 		og := og
 		for _, lanesN := range []int{2, 4} {
 			lanesN := lanesN
-			for _, shards := range []int{1, 2} {
-				shards := shards
-				if shards != 1 && lanesN != 2 {
-					continue // one composition point per case keeps runtime sane
+			for _, width := range []int{1, 2} {
+				width := width
+				if width != 1 && lanesN != 2 {
+					continue // one concurrent point per case keeps runtime sane
 				}
-				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", og.id, lanesN, shards), func(t *testing.T) {
-					var nets []noc.Network
-					runner := NewRunner(func() (noc.Network, noc.Backend) {
-						mc := og.mesh()
-						mc.Shards = shards
-						m := noc.MustNewMesh(mc)
-						nets = append(nets, m)
-						return m, m.Backend()
-					})
-					cfg := DefaultConfig()
-					cfg.Pattern = og.pattern
-					cfg.InjectionRate = og.rate
-					cfg.WarmupCycles = 500
-					cfg.MeasureCycles = 2000
-					cfg.DrainCycles = 4000
+				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", og.id, lanesN, width), func(t *testing.T) {
+					cfg := og.config()
 					cfg.Lanes = lanesN
-					results := runner.RunLanes(cfg)
-					if len(results) != lanesN || len(nets) != lanesN {
-						t.Fatalf("got %d results over %d nets, want %d lanes", len(results), len(nets), lanesN)
+					nets := make([][]noc.Network, width)
+					results := make([][]Result, width)
+					concurrently(width, func(b int) {
+						results[b] = og.runner(func(n noc.Network) { nets[b] = append(nets[b], n) }).RunLanes(cfg)
+					})
+					want := make([]string, lanesN)
+					want[0] = openGoldenDigests[og.id]
+					for i := 1; i < lanesN; i++ {
+						// Sibling seeds have no recorded digest; their
+						// reference is the solo run of the same seed.
+						solo := cfg
+						solo.Lanes = 1
+						solo.Seed = cfg.Seed + uint64(i)
+						want[i] = og.digest(solo)
 					}
-					for i := range results {
-						got := digestOpenLoop(results[i], nets[i].Stats())
-						var want string
-						if i == 0 {
-							want = openGoldenDigests[og.id]
-						} else {
-							// Sibling seeds have no recorded digest; their
-							// reference is the solo run of the same seed.
-							var soloNet noc.Network
-							soloRunner := NewRunner(func() (noc.Network, noc.Backend) {
-								mc := og.mesh()
-								mc.Shards = shards
-								m := noc.MustNewMesh(mc)
-								soloNet = m
-								return m, m.Backend()
-							})
-							solo := cfg
-							solo.Lanes = 1
-							solo.Seed = cfg.Seed + uint64(i)
-							want = digestOpenLoop(soloRunner.Run(solo), soloNet.Stats())
+					for b := range results {
+						if len(results[b]) != lanesN || len(nets[b]) != lanesN {
+							t.Fatalf("batch %d: got %d results over %d nets, want %d lanes",
+								b, len(results[b]), len(nets[b]), lanesN)
 						}
-						if got != want {
-							t.Errorf("lane %d (seed %d) is not bit-identical to its solo run:\n got  %s\n want %s",
-								i, cfg.Seed+uint64(i), got, want)
+						for i := range results[b] {
+							if got := digestOpenLoop(results[b][i], nets[b][i].Stats()); got != want[i] {
+								t.Errorf("batch %d lane %d (seed %d) is not bit-identical to its solo run:\n got  %s\n want %s",
+									b, i, cfg.Seed+uint64(i), got, want[i])
+							}
 						}
 					}
 				})

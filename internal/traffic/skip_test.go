@@ -3,41 +3,28 @@ package traffic
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/noc"
 )
 
 // TestOpenLoopIdleSkipEquivalence proves the drain-phase fast-forward is
 // invisible: every open-loop golden point must digest identically with
-// skipping enabled (the default) and disabled, at every shard count.
+// skipping enabled (the default) and disabled, at every width of the
+// open-loop matrix.
 func TestOpenLoopIdleSkipEquivalence(t *testing.T) {
 	for _, og := range openMatrix() {
 		og := og
-		for _, shards := range []int{1, 2, 4} {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards-%d", og.id, shards), func(t *testing.T) {
-				run := func(noSkip bool) string {
-					var last noc.Network
-					runner := NewRunner(func() (noc.Network, noc.Backend) {
-						mc := og.mesh()
-						mc.Shards = shards
-						m := noc.MustNewMesh(mc)
-						last = m
-						return m, m.Backend()
-					})
-					cfg := DefaultConfig()
-					cfg.Pattern = og.pattern
-					cfg.InjectionRate = og.rate
-					cfg.WarmupCycles = 500
-					cfg.MeasureCycles = 2000
-					cfg.DrainCycles = 4000
-					cfg.NoIdleSkip = noSkip
-					res := runner.Run(cfg)
-					return digestOpenLoop(res, last.Stats())
-				}
-				on, off := run(false), run(true)
-				if on != off {
-					t.Errorf("digest differs with drain skipping: %s vs %s", on, off)
+		for _, width := range openWidths {
+			width := width
+			t.Run(fmt.Sprintf("%s/shards-%d", og.id, width), func(t *testing.T) {
+				cfg := og.config()
+				cfg.NoIdleSkip = true
+				off := og.digest(cfg)
+				cfg.NoIdleSkip = false
+				on := make([]string, width)
+				concurrently(width, func(i int) { on[i] = og.digest(cfg) })
+				for i := range on {
+					if on[i] != off {
+						t.Errorf("copy %d: digest differs with drain skipping: %s vs %s", i, on[i], off)
+					}
 				}
 			})
 		}

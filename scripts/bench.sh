@@ -12,7 +12,7 @@
 #	scripts/bench.sh after-refactor
 #
 # A change confined to the NoC cycle kernel can capture just the rows it
-# moves — the four kernel microbenchmarks plus the open-loop Fig 21 point —
+# moves — the three kernel microbenchmarks plus the open-loop Fig 21 point —
 # by passing `noc` as the third argument (a minute instead of ten):
 #
 #	scripts/bench.sh before-mask-router BENCH_2026-09-28.json noc
@@ -48,15 +48,12 @@ esac
 
 {
 	# Cycle-kernel microbenchmarks: fixed iteration count so allocs/op and
-	# hops/cycle are comparable across captures. The sharded-kernel rows
-	# (…-s1/-s2/-s4) additionally get a derived speedup_vs_s1 metric from
-	# cmd/benchjson (suppressed on single-core hosts, where the ratio would
-	# only measure coordination overhead).
-	# The lane-batched kernel rows (…-l1/-l4) likewise get a derived
-	# per-seed speedup_vs_l1 metric (valid on any host: lane batching is
-	# work elision, not parallelism).
+	# hops/cycle are comparable across captures. The lane-batched kernel
+	# rows (…-l1/-l4) get a derived per-seed speedup_vs_l1 metric from
+	# cmd/benchjson (valid on any host: lane batching is work elision, not
+	# parallelism).
 	[ "$SUITE" = gpu ] ||
-		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
+		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
 	if [ "$SUITE" = gpu ]; then
 		# One core clock cycle on compute-bound, memory-bound (blocked L1
 		# port) and barrier kernels; fixed iteration count so allocs/op is

@@ -6,7 +6,7 @@
 # Usage: scripts/experiments.sh [outfile] [extra cmd/experiments flags...]
 #
 # The full-scale sweep takes a while; pass e.g. "-scale 0.2" for a quick
-# approximation, or "-jobs N -shards -1" to use more of the machine.
+# approximation. Runs spread over GOMAXPROCS workers; "-jobs N" bounds them.
 set -eu
 cd "$(dirname "$0")/.."
 
