@@ -6,18 +6,25 @@
 // every 256 bytes to reduce hot-spots.
 package addr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Address is a global byte address in the accelerator's memory space.
 type Address uint64
 
 // Mapper decodes addresses. The zero value is not usable; use NewMapper.
+//
+// Every size but the MC count is a power of two, so decoding shifts and
+// masks; only an MC count that is not a power of two divides.
 type Mapper struct {
-	numMCs          int
-	interleaveBytes uint64
-	lineBytes       uint64
-	banksPerMC      uint64
-	rowBytes        uint64
+	numMCs    int
+	lineBytes uint64
+
+	ilShift, rowShift, bankShift, mcShift uint   // log2 of each size
+	ilMask, rowMask, bankMask, mcMask     uint64 // each size less one
+	mcDiv                                 bool   // NumMCs is not a power of two
 }
 
 // Config parameterizes a Mapper. Zero fields take the paper defaults.
@@ -77,12 +84,20 @@ func NewMapper(cfg Config) (*Mapper, error) {
 		return nil, fmt.Errorf("addr: LineBytes (%d) must not exceed InterleaveBytes (%d)",
 			cfg.LineBytes, cfg.InterleaveBytes)
 	}
+	log2 := func(v uint64) uint { return uint(bits.TrailingZeros64(v)) }
+	mcs := uint64(cfg.NumMCs)
 	return &Mapper{
-		numMCs:          cfg.NumMCs,
-		interleaveBytes: cfg.InterleaveBytes,
-		lineBytes:       cfg.LineBytes,
-		banksPerMC:      cfg.BanksPerMC,
-		rowBytes:        cfg.RowBytes,
+		numMCs:    cfg.NumMCs,
+		lineBytes: cfg.LineBytes,
+		ilShift:   log2(cfg.InterleaveBytes),
+		rowShift:  log2(cfg.RowBytes),
+		bankShift: log2(cfg.BanksPerMC),
+		mcShift:   log2(mcs),
+		ilMask:    cfg.InterleaveBytes - 1,
+		rowMask:   cfg.RowBytes - 1,
+		bankMask:  cfg.BanksPerMC - 1,
+		mcMask:    mcs - 1,
+		mcDiv:     mcs&(mcs-1) != 0,
 	}, nil
 }
 
@@ -103,7 +118,18 @@ func (m *Mapper) LineBytes() uint64 { return m.lineBytes }
 
 // MC returns the index of the memory controller owning a.
 func (m *Mapper) MC(a Address) int {
-	return int((uint64(a) / m.interleaveBytes) % uint64(m.numMCs))
+	_, mc := m.splitChunk(uint64(a) >> m.ilShift)
+	return int(mc)
+}
+
+// splitChunk splits a global interleave-chunk number into the chunk's
+// number within its controller and the controller's index.
+func (m *Mapper) splitChunk(chunk uint64) (local, mc uint64) {
+	if m.mcDiv {
+		n := uint64(m.numMCs)
+		return chunk / n, chunk % n
+	}
+	return chunk >> m.mcShift, chunk & m.mcMask
 }
 
 // LineAddr returns a truncated to its cache-line base.
@@ -116,8 +142,8 @@ func (m *Mapper) LineAddr(a Address) Address {
 // 256*NumMCs apart globally but adjacent locally).
 func (m *Mapper) Local(a Address) uint64 {
 	g := uint64(a)
-	chunk := g / m.interleaveBytes / uint64(m.numMCs)
-	return chunk*m.interleaveBytes + g%m.interleaveBytes
+	chunk, _ := m.splitChunk(g >> m.ilShift)
+	return chunk<<m.ilShift | g&m.ilMask
 }
 
 // BankRow is a decoded DRAM coordinate within one memory controller.
@@ -133,8 +159,8 @@ type BankRow struct {
 func (m *Mapper) Decode(a Address) BankRow {
 	local := m.Local(a)
 	return BankRow{
-		Bank: (local / m.rowBytes) % m.banksPerMC,
-		Row:  local / (m.rowBytes * m.banksPerMC),
-		Col:  local % m.rowBytes,
+		Bank: local >> m.rowShift & m.bankMask,
+		Row:  local >> (m.rowShift + m.bankShift),
+		Col:  local & m.rowMask,
 	}
 }

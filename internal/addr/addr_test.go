@@ -3,6 +3,8 @@ package addr
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func defaultMapper(t *testing.T) *Mapper {
@@ -146,5 +148,42 @@ func TestMCLocalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestShiftDecodeMatchesDivision(t *testing.T) {
+	// The shifts and masks must agree with the division formulas they
+	// replaced, for power-of-two and other MC counts, over random addresses.
+	rng := xrand.New(3)
+	for _, cfg := range []Config{
+		{},
+		{NumMCs: 1},
+		{NumMCs: 6},
+		{NumMCs: 7, InterleaveBytes: 512, LineBytes: 128, BanksPerMC: 4, RowBytes: 1024},
+		{NumMCs: 16, InterleaveBytes: 64, LineBytes: 64, BanksPerMC: 16, RowBytes: 4096},
+		{NumMCs: 12, InterleaveBytes: 1 << 12, LineBytes: 32, BanksPerMC: 1, RowBytes: 1 << 14},
+	} {
+		m := MustNewMapper(cfg)
+		c := cfg.withDefaults()
+		n, il := uint64(c.NumMCs), c.InterleaveBytes
+		for i := 0; i < 20000; i++ {
+			g := rng.Uint64() >> (rng.Intn(4) * 16) // small and large addresses
+			a := Address(g)
+			if got, want := m.MC(a), int(g/il%n); got != want {
+				t.Fatalf("%+v: MC(%#x) = %d, want %d", cfg, g, got, want)
+			}
+			local := g/il/n*il + g%il
+			if got := m.Local(a); got != local {
+				t.Fatalf("%+v: Local(%#x) = %#x, want %#x", cfg, g, got, local)
+			}
+			want := BankRow{
+				Bank: local / c.RowBytes % c.BanksPerMC,
+				Row:  local / (c.RowBytes * c.BanksPerMC),
+				Col:  local % c.RowBytes,
+			}
+			if got := m.Decode(a); got != want {
+				t.Fatalf("%+v: Decode(%#x) = %+v, want %+v", cfg, g, got, want)
+			}
+		}
 	}
 }

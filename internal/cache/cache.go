@@ -42,13 +42,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // Stats counts cache events.
 type Stats struct {
 	Hits       uint64
@@ -67,9 +60,18 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a blocking set-associative array model: it tracks tag state only
 // (no data), which is all a timing simulator needs.
+//
+// The arrays are flat and indexed set*ways+way, so one set's tags are
+// adjacent words. A tag is the line address shifted left once with the
+// valid bit as bit 0; an invalid way is 0, and a tag equal to the looked-up
+// key is a valid match, so the way scan is one compare per word. (The shift
+// drops the line address's top bit, which only one-byte lines can set.)
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	tags    []uint64
+	lru     []uint64 // larger = more recently used
+	dirty   []bool
+	ways    int
 	setMask uint64
 	shift   uint
 	tick    uint64
@@ -82,16 +84,20 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
+	n := nSets * cfg.Ways
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nSets - 1), shift: shift}, nil
+	return &Cache{
+		cfg:     cfg,
+		tags:    make([]uint64, n),
+		lru:     make([]uint64, n),
+		dirty:   make([]bool, n),
+		ways:    cfg.Ways,
+		setMask: uint64(nSets - 1),
+		shift:   shift,
+	}, nil
 }
 
 // MustNew is New but panics on error.
@@ -103,42 +109,44 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-func (c *Cache) index(a addr.Address) (set uint64, tag uint64) {
+// index returns the first array slot of a's set and the tag a valid copy
+// of a's line holds.
+func (c *Cache) index(a addr.Address) (base int, key uint64) {
 	lineAddr := uint64(a) >> c.shift
-	return lineAddr & c.setMask, lineAddr >> 0 // tag keeps full line address for simplicity
+	return int(lineAddr&c.setMask) * c.ways, lineAddr<<1 | 1
+}
+
+// lookup returns the slot holding a's line, or -1.
+func (c *Cache) lookup(a addr.Address) int {
+	base, key := c.index(a)
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Probe reports whether a is present, without updating LRU or dirty state.
-func (c *Cache) Probe(a addr.Address) bool {
-	set, tag := c.index(a)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Probe(a addr.Address) bool { return c.lookup(a) >= 0 }
 
 // Access looks up a. On a hit it updates LRU (and dirty state when isWrite)
 // and returns hit=true. On a miss it only records the miss; callers decide
 // whether to Fill (write-allocate happens at fill time, mirroring the
 // request/reply flow of the real machine).
 func (c *Cache) Access(a addr.Address, isWrite bool) (hit bool) {
-	set, tag := c.index(a)
 	c.tick++
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.tick
-			if isWrite {
-				ln.dirty = true
-			}
-			c.stats.Hits++
-			return true
-		}
+	i := c.lookup(a)
+	if i < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.lru[i] = c.tick
+	if isWrite {
+		c.dirty[i] = true
+	}
+	c.stats.Hits++
+	return true
 }
 
 // CreditMissRetries accounts k repeated missing Accesses to the same
@@ -157,36 +165,38 @@ func (c *Cache) CreditMissRetries(k uint64) {
 // writeback=true so the caller can issue the write-back request.
 // markDirty installs the line already dirty (write-allocate on a store miss).
 func (c *Cache) Fill(a addr.Address, markDirty bool) (victim addr.Address, writeback bool) {
-	set, tag := c.index(a)
+	base, key := c.index(a)
 	c.tick++
-	ways := c.sets[set]
-	// Already present (e.g. filled by a merged miss): just update state.
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.tick
+	// One pass finds the line if already present (e.g. filled by a merged
+	// miss), the first free way, and the least recently used valid way
+	// (the first on ties).
+	free, old := -1, base
+	for i := base; i < base+c.ways; i++ {
+		switch t := c.tags[i]; {
+		case t == key:
+			c.lru[i] = c.tick
 			if markDirty {
-				ways[i].dirty = true
+				c.dirty[i] = true
 			}
 			return 0, false
+		case t == 0:
+			if free < 0 {
+				free = i
+			}
+		case c.lru[i] < c.lru[old]:
+			old = i
 		}
 	}
-	victimIdx := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victimIdx = i
-			break
-		}
-		if ways[i].lru < ways[victimIdx].lru {
-			victimIdx = i
+	v := free
+	if v < 0 {
+		v = old
+		if c.dirty[v] {
+			victim = addr.Address(c.tags[v] >> 1 << c.shift)
+			writeback = true
+			c.stats.Writebacks++
 		}
 	}
-	v := &ways[victimIdx]
-	if v.valid && v.dirty {
-		victim = addr.Address(v.tag << c.shift)
-		writeback = true
-		c.stats.Writebacks++
-	}
-	*v = line{tag: tag, valid: true, dirty: markDirty, lru: c.tick}
+	c.tags[v], c.lru[v], c.dirty[v] = key, c.tick, markDirty
 	return victim, writeback
 }
 
@@ -195,14 +205,11 @@ func (c *Cache) Fill(a addr.Address, markDirty bool) (victim addr.Address, write
 // kernel boundaries, §II of the paper). Lines stay resident but clean.
 func (c *Cache) FlushDirty() []addr.Address {
 	var dirty []addr.Address
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.valid && ln.dirty {
-				dirty = append(dirty, addr.Address(ln.tag<<c.shift))
-				ln.dirty = false
-				c.stats.Writebacks++
-			}
+	for i, d := range c.dirty {
+		if d {
+			dirty = append(dirty, addr.Address(c.tags[i]>>1<<c.shift))
+			c.dirty[i] = false
+			c.stats.Writebacks++
 		}
 	}
 	return dirty
@@ -211,11 +218,9 @@ func (c *Cache) FlushDirty() []addr.Address {
 // InvalidateAll drops every line without writebacks (used between kernels,
 // mirroring software-managed coherence flushes).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.dirty)
 }
 
 // Stats returns the event counters so far.

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/xrand"
 )
 
 func l1Config() Config { return Config{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 4} }
@@ -188,5 +190,166 @@ func TestCachePropertyCapacityBound(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sliceCache is the array-of-line-structs cache the packed tag, LRU and
+// dirty arrays replaced, kept as the reference model.
+type sliceCache struct {
+	sets    [][]refLine
+	setMask uint64
+	shift   uint
+	tick    uint64
+	stats   Stats
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func newSliceCache(cfg Config) *sliceCache {
+	nSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
+	c := &sliceCache{sets: make([][]refLine, nSets), setMask: uint64(nSets - 1)}
+	for i := range c.sets {
+		c.sets[i] = make([]refLine, cfg.Ways)
+	}
+	for 1<<c.shift < cfg.LineBytes {
+		c.shift++
+	}
+	return c
+}
+
+func (c *sliceCache) index(a addr.Address) ([]refLine, uint64) {
+	lineAddr := uint64(a) >> c.shift
+	return c.sets[lineAddr&c.setMask], lineAddr
+}
+
+func (c *sliceCache) probe(a addr.Address) bool {
+	ways, tag := c.index(a)
+	for _, ln := range ways {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *sliceCache) access(a addr.Address, isWrite bool) bool {
+	ways, tag := c.index(a)
+	c.tick++
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].lru = c.tick
+			ways[i].dirty = ways[i].dirty || isWrite
+			c.stats.Hits++
+			return true
+		}
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *sliceCache) fill(a addr.Address, markDirty bool) (addr.Address, bool) {
+	ways, tag := c.index(a)
+	c.tick++
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].lru = c.tick
+			ways[i].dirty = ways[i].dirty || markDirty
+			return 0, false
+		}
+	}
+	v := 0
+	for i := range ways {
+		if !ways[i].valid {
+			v = i
+			break
+		}
+		if ways[i].lru < ways[v].lru {
+			v = i
+		}
+	}
+	var victim addr.Address
+	wb := ways[v].valid && ways[v].dirty
+	if wb {
+		victim = addr.Address(ways[v].tag << c.shift)
+		c.stats.Writebacks++
+	}
+	ways[v] = refLine{tag: tag, valid: true, dirty: markDirty, lru: c.tick}
+	return victim, wb
+}
+
+func (c *sliceCache) flushDirty() []addr.Address {
+	var dirty []addr.Address
+	for _, ways := range c.sets {
+		for i := range ways {
+			if ways[i].valid && ways[i].dirty {
+				dirty = append(dirty, addr.Address(ways[i].tag<<c.shift))
+				ways[i].dirty = false
+				c.stats.Writebacks++
+			}
+		}
+	}
+	return dirty
+}
+
+func TestPackedCacheMatchesSliceReference(t *testing.T) {
+	// Random Access/Probe/Fill/CreditMissRetries/FlushDirty/InvalidateAll
+	// streams over a few sets' worth of lines (so sets fill, LRU decides
+	// victims and dirty lines are evicted) must match the reference in
+	// every hit, victim, write-back and counter.
+	for _, cfg := range []Config{
+		{SizeBytes: 64, LineBytes: 64, Ways: 1},
+		{SizeBytes: 1024, LineBytes: 64, Ways: 2},
+		{SizeBytes: 4096, LineBytes: 128, Ways: 8},
+		{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 4},
+		{SizeBytes: 512, LineBytes: 32, Ways: 16},
+	} {
+		rng := xrand.New(uint64(cfg.SizeBytes + cfg.Ways))
+		c, ref := MustNew(cfg), newSliceCache(cfg)
+		lines := 3 * cfg.SizeBytes / cfg.LineBytes
+		for op := 0; op < 50000; op++ {
+			a := addr.Address(rng.Intn(lines * cfg.LineBytes)) // any byte of a line
+			write := rng.Bool(0.3)
+			switch r := rng.Float64(); {
+			case r < 0.4:
+				if got, want := c.Access(a, write), ref.access(a, write); got != want {
+					t.Fatalf("%+v op %d: Access(%#x) = %v, reference %v", cfg, op, a, got, want)
+				}
+			case r < 0.55:
+				if got, want := c.Probe(a), ref.probe(a); got != want {
+					t.Fatalf("%+v op %d: Probe(%#x) = %v, reference %v", cfg, op, a, got, want)
+				}
+			case r < 0.95:
+				gv, gw := c.Fill(a, write)
+				rv, rw := ref.fill(a, write)
+				if gv != rv || gw != rw {
+					t.Fatalf("%+v op %d: Fill(%#x) = %#x %v, reference %#x %v", cfg, op, a, gv, gw, rv, rw)
+				}
+			case r < 0.98:
+				k := uint64(rng.Intn(5))
+				c.CreditMissRetries(k)
+				ref.tick += k
+				ref.stats.Misses += k
+			case r < 0.995:
+				got, want := c.FlushDirty(), ref.flushDirty()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v op %d: FlushDirty = %#x, reference %#x", cfg, op, got, want)
+				}
+			default:
+				c.InvalidateAll()
+				for _, ways := range ref.sets {
+					clear(ways)
+				}
+			}
+			if c.Stats() != ref.stats || c.tick != ref.tick {
+				t.Fatalf("%+v op %d: stats %+v tick %d, reference %+v tick %d", cfg, op, c.Stats(), c.tick, ref.stats, ref.tick)
+			}
+		}
+		if st := c.Stats(); st.Hits == 0 || st.Misses == 0 || st.Writebacks == 0 {
+			t.Errorf("%+v: stream too tame: %+v", cfg, st)
+		}
 	}
 }

@@ -31,6 +31,7 @@ type MSHR struct {
 type mshrEntry struct {
 	line    addr.Address
 	next    int32 // next entry on the same hash chain or the free list, -1 ends
+	write   bool  // some waiter stores to the line: it must fill dirty
 	waiters []Waiter
 }
 
@@ -79,8 +80,9 @@ const (
 	// AllocMerged means the miss was merged onto an in-flight entry:
 	// no new request is needed.
 	AllocMerged
-	// AllocStallFull means the table (or the entry's merge capacity) is
-	// full: the access must be retried later.
+	// AllocStallFull means the access must be retried later: the entry's
+	// merge capacity is full, or a new entry was needed and either the
+	// table is full or the caller cannot send the fetch.
 	AllocStallFull
 )
 
@@ -97,8 +99,13 @@ func (m *MSHR) link(line addr.Address) *int32 {
 	return l
 }
 
-// Allocate records a miss on line by w. See Outcome for the contract.
-func (m *MSHR) Allocate(line addr.Address, w Waiter) Outcome {
+// Allocate records a miss on line by w, merging onto the line's in-flight
+// entry or starting a new one, in one hash-chain walk. write marks a store:
+// the line then fills dirty. fetch reports whether the caller can send a
+// memory request right now (its outbound queue has room); without it a
+// miss that needs a new entry stalls, while a merge still succeeds. See
+// Outcome for the contract.
+func (m *MSHR) Allocate(line addr.Address, w Waiter, write, fetch bool) Outcome {
 	l := m.link(line)
 	if *l >= 0 {
 		e := &m.entries[*l]
@@ -106,17 +113,18 @@ func (m *MSHR) Allocate(line addr.Address, w Waiter) Outcome {
 			return AllocStallFull
 		}
 		e.waiters = append(e.waiters, w)
+		e.write = e.write || write
 		m.mergedMisses++
 		return AllocMerged
 	}
-	if m.free < 0 {
+	if m.free < 0 || !fetch {
 		return AllocStallFull
 	}
 	// Move the free list's head entry to the end of line's chain.
 	i := m.free
 	e := &m.entries[i]
 	m.free = e.next
-	e.line, e.next, e.waiters = line, -1, append(e.waiters[:0], w)
+	e.line, e.next, e.write, e.waiters = line, -1, write, append(e.waiters[:0], w)
 	*l = i
 	m.inFlight++
 	if m.inFlight > m.peak {
@@ -125,24 +133,21 @@ func (m *MSHR) Allocate(line addr.Address, w Waiter) Outcome {
 	return AllocNew
 }
 
-// Pending reports whether line has an in-flight entry.
-func (m *MSHR) Pending(line addr.Address) bool { return *m.link(line) >= 0 }
-
-// Fill completes the miss on line, releasing and returning all waiters.
-// The returned slice is the entry's own storage: it is valid until the next
-// Allocate. Filling a line with no entry returns nil (harmless, e.g. after
-// a flush).
-func (m *MSHR) Fill(line addr.Address) []Waiter {
+// Fill completes the miss on line, releasing and returning all waiters and
+// whether any of them stored to the line. The returned slice is the
+// entry's own storage: it is valid until the next Allocate. Filling a line
+// with no entry returns nil, false (harmless, e.g. after a flush).
+func (m *MSHR) Fill(line addr.Address) (waiters []Waiter, write bool) {
 	l := m.link(line)
 	i := *l
 	if i < 0 {
-		return nil
+		return nil, false
 	}
 	e := &m.entries[i]
 	*l = e.next
 	e.next, m.free = m.free, i
 	m.inFlight--
-	return e.waiters
+	return e.waiters, e.write
 }
 
 // InFlight returns the number of occupied entries.

@@ -19,10 +19,10 @@ func TestMSHRNewValidation(t *testing.T) {
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
 	m := MustNewMSHR(4, 0)
-	if got := m.Allocate(0x100, 1); got != AllocNew {
+	if got := m.Allocate(0x100, 1, false, true); got != AllocNew {
 		t.Fatalf("first miss: got %v, want AllocNew", got)
 	}
-	if got := m.Allocate(0x100, 2); got != AllocMerged {
+	if got := m.Allocate(0x100, 2, false, true); got != AllocMerged {
 		t.Fatalf("second miss same line: got %v, want AllocMerged", got)
 	}
 	if m.InFlight() != 1 {
@@ -31,53 +31,53 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	if m.MergedMisses() != 1 {
 		t.Errorf("MergedMisses = %d, want 1", m.MergedMisses())
 	}
-	waiters := m.Fill(0x100)
-	if len(waiters) != 2 || waiters[0] != 1 || waiters[1] != 2 {
-		t.Errorf("Fill returned %v, want [1 2]", waiters)
+	waiters, write := m.Fill(0x100)
+	if len(waiters) != 2 || waiters[0] != 1 || waiters[1] != 2 || write {
+		t.Errorf("Fill returned %v, %v, want [1 2], false", waiters, write)
 	}
-	if m.Pending(0x100) {
+	if pending(m, 0x100) {
 		t.Error("entry should be released after Fill")
 	}
 }
 
 func TestMSHRCapacityStall(t *testing.T) {
 	m := MustNewMSHR(2, 0)
-	m.Allocate(0x0, 1)
-	m.Allocate(0x40, 2)
+	m.Allocate(0x0, 1, false, true)
+	m.Allocate(0x40, 2, false, true)
 	if !m.Full() {
 		t.Error("table should be full")
 	}
-	if got := m.Allocate(0x80, 3); got != AllocStallFull {
+	if got := m.Allocate(0x80, 3, false, true); got != AllocStallFull {
 		t.Errorf("allocation beyond capacity: got %v, want AllocStallFull", got)
 	}
 	// Merging is still allowed when full.
-	if got := m.Allocate(0x0, 4); got != AllocMerged {
+	if got := m.Allocate(0x0, 4, false, true); got != AllocMerged {
 		t.Errorf("merge when full: got %v, want AllocMerged", got)
 	}
 }
 
 func TestMSHRPerEntryMergeLimit(t *testing.T) {
 	m := MustNewMSHR(4, 2)
-	m.Allocate(0x0, 1)
-	if got := m.Allocate(0x0, 2); got != AllocMerged {
+	m.Allocate(0x0, 1, false, true)
+	if got := m.Allocate(0x0, 2, false, true); got != AllocMerged {
 		t.Fatalf("second waiter: got %v", got)
 	}
-	if got := m.Allocate(0x0, 3); got != AllocStallFull {
+	if got := m.Allocate(0x0, 3, false, true); got != AllocStallFull {
 		t.Errorf("third waiter beyond merge limit: got %v, want AllocStallFull", got)
 	}
 }
 
 func TestMSHRFillUnknownLine(t *testing.T) {
 	m := MustNewMSHR(4, 0)
-	if ws := m.Fill(0xdead); ws != nil {
-		t.Errorf("fill of unknown line returned %v, want nil", ws)
+	if ws, write := m.Fill(0xdead); ws != nil || write {
+		t.Errorf("fill of unknown line returned %v, %v, want nil, false", ws, write)
 	}
 }
 
 func TestMSHRPeak(t *testing.T) {
 	m := MustNewMSHR(8, 0)
 	for i := 0; i < 5; i++ {
-		m.Allocate(addr.Address(i*64), Waiter(i))
+		m.Allocate(addr.Address(i*64), Waiter(i), false, true)
 	}
 	m.Fill(0)
 	m.Fill(64)
@@ -97,14 +97,15 @@ func TestMSHRPropertyConservation(t *testing.T) {
 		for _, op := range ops {
 			line := lines[int(op)%len(lines)]
 			if op%3 == 0 {
-				for _, w := range m.Fill(line) {
+				ws, _ := m.Fill(line)
+				for _, w := range ws {
 					if released[w] {
 						return false // double release
 					}
 					released[w] = true
 				}
 			} else {
-				if out := m.Allocate(line, next); out != AllocStallFull {
+				if out := m.Allocate(line, next, false, true); out != AllocStallFull {
 					allocated[next] = true
 					next++
 				}
@@ -112,7 +113,8 @@ func TestMSHRPropertyConservation(t *testing.T) {
 		}
 		// Drain remaining entries.
 		for _, line := range lines {
-			for _, w := range m.Fill(line) {
+			ws, _ := m.Fill(line)
+			for _, w := range ws {
 				if released[w] {
 					return false
 				}
@@ -134,71 +136,100 @@ func TestMSHRPropertyConservation(t *testing.T) {
 	}
 }
 
-// mapMSHR is the map-of-slices table the slot array replaced, kept as the
-// reference model.
+// pending reports whether line has an in-flight entry.
+func pending(m *MSHR, line addr.Address) bool { return *m.link(line) >= 0 }
+
+// mapMSHR is the map-of-slices table the slot array replaced, with the
+// dirty-line set the SIMT core once kept beside it, kept as the reference
+// model.
 type mapMSHR struct {
 	capacity, maxPerEntry, peak int
 	entries                     map[addr.Address][]Waiter
+	stores                      map[addr.Address]bool
 	merged                      uint64
 }
 
-func (m *mapMSHR) allocate(line addr.Address, w Waiter) Outcome {
+func (m *mapMSHR) allocate(line addr.Address, w Waiter, write, fetch bool) Outcome {
+	out := AllocStallFull
 	if ws, ok := m.entries[line]; ok {
 		if m.maxPerEntry > 0 && len(ws) >= m.maxPerEntry {
 			return AllocStallFull
 		}
 		m.entries[line] = append(ws, w)
 		m.merged++
-		return AllocMerged
+		out = AllocMerged
+	} else {
+		if len(m.entries) >= m.capacity || !fetch {
+			return AllocStallFull
+		}
+		m.entries[line] = []Waiter{w}
+		m.peak = max(m.peak, len(m.entries))
+		out = AllocNew
 	}
-	if len(m.entries) >= m.capacity {
-		return AllocStallFull
+	if write {
+		m.stores[line] = true
 	}
-	m.entries[line] = []Waiter{w}
-	m.peak = max(m.peak, len(m.entries))
-	return AllocNew
+	return out
 }
 
-func (m *mapMSHR) fill(line addr.Address) []Waiter {
-	ws := m.entries[line]
+func (m *mapMSHR) fill(line addr.Address) ([]Waiter, bool) {
+	ws, write := m.entries[line], m.stores[line]
 	delete(m.entries, line)
-	return ws
+	delete(m.stores, line)
+	return ws, write
 }
 
 func TestMSHRMatchesMapReference(t *testing.T) {
 	// Random allocate/fill streams over more lines than entries (so hash
-	// chains collide, the table fills and entries are recycled) must match
-	// the reference outcome for outcome, waiter for waiter.
+	// chains collide, the table fills and entries are recycled), with
+	// stores and refused fetches mixed in, must match the reference outcome
+	// for outcome, waiter for waiter, dirty flag for dirty flag.
 	for _, tc := range []struct{ capacity, mergeCap, lines int }{
 		{1, 0, 3}, {3, 2, 8}, {8, 0, 40}, {64, 8, 200},
 	} {
 		rng := xrand.New(uint64(tc.capacity))
 		m := MustNewMSHR(tc.capacity, tc.mergeCap)
-		ref := &mapMSHR{capacity: tc.capacity, maxPerEntry: tc.mergeCap, entries: map[addr.Address][]Waiter{}}
+		ref := &mapMSHR{capacity: tc.capacity, maxPerEntry: tc.mergeCap,
+			entries: map[addr.Address][]Waiter{}, stores: map[addr.Address]bool{}}
+		var dirtyFills, refused int
 		for op := 0; op < 20000; op++ {
 			// Strided like real line addresses: only the bits above the
 			// line offset differ.
 			line := addr.Address(rng.Intn(tc.lines)) * 64
 			if rng.Bool(0.4) {
-				got, want := m.Fill(line), ref.fill(line)
-				if len(got) != len(want) {
-					t.Fatalf("cap %d op %d: Fill(%#x) returned %v, want %v", tc.capacity, op, line, got, want)
+				got, gotWrite := m.Fill(line)
+				want, wantWrite := ref.fill(line)
+				if len(got) != len(want) || gotWrite != wantWrite {
+					t.Fatalf("cap %d op %d: Fill(%#x) returned %v %v, want %v %v", tc.capacity, op, line, got, gotWrite, want, wantWrite)
 				}
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("cap %d op %d: Fill(%#x) returned %v, want %v", tc.capacity, op, line, got, want)
 					}
 				}
-			} else if got, want := m.Allocate(line, Waiter(op)), ref.allocate(line, Waiter(op)); got != want {
-				t.Fatalf("cap %d op %d: Allocate(%#x) = %v, want %v", tc.capacity, op, line, got, want)
+				if gotWrite {
+					dirtyFills++
+				}
+			} else {
+				write, fetch := rng.Bool(0.3), rng.Bool(0.8)
+				got, want := m.Allocate(line, Waiter(op), write, fetch), ref.allocate(line, Waiter(op), write, fetch)
+				if got != want {
+					t.Fatalf("cap %d op %d: Allocate(%#x, write=%v, fetch=%v) = %v, want %v", tc.capacity, op, line, write, fetch, got, want)
+				}
+				if !fetch && got == AllocStallFull {
+					refused++
+				}
 			}
 			_, refPending := ref.entries[line]
-			if m.Pending(line) != refPending || m.InFlight() != len(ref.entries) ||
+			if pending(m, line) != refPending || m.InFlight() != len(ref.entries) ||
 				m.Full() != (len(ref.entries) >= tc.capacity) || m.Peak() != ref.peak || m.MergedMisses() != ref.merged {
 				t.Fatalf("cap %d op %d: pending=%v inflight=%d full=%v peak=%d merged=%d; reference pending=%v inflight=%d peak=%d merged=%d",
-					tc.capacity, op, m.Pending(line), m.InFlight(), m.Full(), m.Peak(), m.MergedMisses(),
+					tc.capacity, op, pending(m, line), m.InFlight(), m.Full(), m.Peak(), m.MergedMisses(),
 					refPending, len(ref.entries), ref.peak, ref.merged)
 			}
+		}
+		if dirtyFills == 0 || refused == 0 {
+			t.Errorf("cap %d: stream never filled dirty (%d) or refused a fetch (%d)", tc.capacity, dirtyFills, refused)
 		}
 	}
 }
@@ -208,12 +239,12 @@ func TestMSHRSteadyStateAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		for i := 0; i < 8; i++ {
 			for w := 0; w < 4; w++ {
-				m.Allocate(addr.Address(i*64), Waiter(w))
+				m.Allocate(addr.Address(i*64), Waiter(w), false, true)
 			}
 		}
 		for i := 0; i < 8; i++ {
-			if got := len(m.Fill(addr.Address(i * 64))); got != 4 {
-				t.Fatalf("fill released %d waiters, want 4", got)
+			if ws, _ := m.Fill(addr.Address(i * 64)); len(ws) != 4 {
+				t.Fatalf("fill released %d waiters, want 4", len(ws))
 			}
 		}
 	}

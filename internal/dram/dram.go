@@ -52,11 +52,14 @@ type Request struct {
 	Meta    interface{} // opaque caller payload, returned on completion
 }
 
+// queued is one request in the controller's queue, threaded into its
+// bank's FIFO (or, while unused, the free list) through prev/next.
 type queued struct {
-	req   Request
-	bank  uint64
-	row   uint64
-	entry uint64 // arrival order for FCFS tie-break
+	req        Request
+	bank       uint64
+	row        uint64
+	entry      uint64 // arrival order for FCFS tie-break
+	prev, next int32  // bank FIFO neighbours, -1 at the ends; next threads the free list
 }
 
 type inflight struct {
@@ -71,6 +74,10 @@ type bank struct {
 	lastActAt   uint64 // for tRC and tRAS accounting
 	everActed   bool
 	prechargeAt uint64 // when the currently-scheduled precharge completes (== readyAt path)
+
+	// The bank's queued requests in arrival order (slot indices, -1 when
+	// empty), and the oldest of them that hits the open row (-1: none).
+	head, tail, hit int32
 }
 
 // Stats aggregates controller activity.
@@ -106,7 +113,9 @@ type Controller struct {
 	cfg      Config
 	mapper   *addr.Mapper
 	now      uint64
-	queue    []queued
+	slots    []queued // QueueCapacity entries: the bank FIFOs plus the free list
+	free     int32    // head of the free list, -1 when the queue is full
+	queued   int      // occupied slots
 	nextID   uint64
 	banks    []bank
 	lastAct  uint64 // last activate on any bank, for tRRD
@@ -117,9 +126,10 @@ type Controller struct {
 
 	// Due cycles gate the two per-tick scans and feed NextWorkCycle, so the
 	// gate and the idle-skip horizon cannot disagree. issueDue is the
-	// minimum bank readyAt over the queue: no tick before it can issue.
-	// doneDue is the minimum doneAt over inflight: no tick before it
-	// completes a burst. NeverCycle when the respective list is empty.
+	// minimum readyAt over banks with queued requests: no tick before it
+	// can issue. doneDue is the minimum doneAt over inflight: no tick
+	// before it completes a burst. NeverCycle when the respective list is
+	// empty.
 	issueDue uint64
 	doneDue  uint64
 	done     []Request // Tick's result scratch, reused every completing tick
@@ -136,14 +146,23 @@ func NewController(cfg Config, mapper *addr.Mapper) (*Controller, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("dram: mapper must not be nil")
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:    cfg,
 		mapper: mapper,
+		slots:  make([]queued, cfg.QueueCapacity),
 		banks:  make([]bank, cfg.NumBanks),
 
 		issueDue: NeverCycle,
 		doneDue:  NeverCycle,
-	}, nil
+	}
+	for i := range c.slots {
+		c.slots[i].next = int32(i) + 1
+	}
+	c.slots[len(c.slots)-1].next = -1
+	for i := range c.banks {
+		c.banks[i].head, c.banks[i].tail, c.banks[i].hit = -1, -1, -1
+	}
+	return c, nil
 }
 
 // MustNewController is NewController but panics on error.
@@ -156,7 +175,7 @@ func MustNewController(cfg Config, mapper *addr.Mapper) *Controller {
 }
 
 // CanAccept reports whether the request queue has a free entry.
-func (c *Controller) CanAccept() bool { return len(c.queue) < c.cfg.QueueCapacity }
+func (c *Controller) CanAccept() bool { return c.free >= 0 }
 
 // Enqueue adds a request, reporting whether the queue accepted it. A full
 // queue refuses the request (returns false) and the caller applies
@@ -167,17 +186,31 @@ func (c *Controller) Enqueue(req Request) bool {
 	}
 	br := c.mapper.Decode(req.Addr)
 	bank := br.Bank % uint64(c.cfg.NumBanks)
-	c.queue = append(c.queue, queued{req: req, bank: bank, row: br.Row, entry: c.nextID})
+	b := &c.banks[bank]
+	i := c.free
+	q := &c.slots[i]
+	c.free = q.next
+	*q = queued{req: req, bank: bank, row: br.Row, entry: c.nextID, prev: b.tail, next: -1}
+	if b.tail >= 0 {
+		c.slots[b.tail].next = i
+	} else {
+		b.head = i
+	}
+	b.tail = i
+	if b.hit < 0 && b.rowOpen && b.row == br.Row {
+		b.hit = i
+	}
+	c.queued++
 	c.nextID++
-	c.issueDue = min(c.issueDue, c.banks[bank].readyAt)
+	c.issueDue = min(c.issueDue, b.readyAt)
 	return true
 }
 
 // QueueLen returns the current queue occupancy.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int { return c.queued }
 
 // Busy reports whether any work is queued or in flight.
-func (c *Controller) Busy() bool { return len(c.queue) > 0 || len(c.inflight) > 0 }
+func (c *Controller) Busy() bool { return c.queued > 0 || len(c.inflight) > 0 }
 
 // Now returns the controller's cycle counter (Tick count so far).
 func (c *Controller) Now() uint64 { return c.now }
@@ -193,13 +226,13 @@ const NeverCycle = ^uint64(0)
 // the busy/occupancy counters, which SkipAhead replays in O(1).
 //
 // Exactness: a queued request issues on the first tick where its bank's
-// readyAt has passed, so the earliest candidate is max(now+1, min over
-// queue of readyAt); no earlier tick can issue anything, and completions
-// fire precisely at their recorded doneAt. Both minima are the cached
+// readyAt has passed, so the earliest candidate is max(now+1, min of
+// readyAt over banks with queued requests); no earlier tick can issue
+// anything, and completions fire precisely at their recorded doneAt. Both minima are the cached
 // issueDue / doneDue that gate Tick's scans.
 func (c *Controller) NextWorkCycle() uint64 {
 	next := c.doneDue
-	if len(c.queue) > 0 {
+	if c.queued > 0 {
 		next = min(next, max64(c.now+1, c.issueDue))
 	}
 	return next
@@ -213,7 +246,7 @@ func (c *Controller) SkipAhead(k uint64) {
 	if c.Busy() {
 		c.stats.ActiveCycles += k
 		c.stats.TotalQueueSamples += k
-		c.stats.QueueOccupancySum += k * uint64(len(c.queue))
+		c.stats.QueueOccupancySum += k * uint64(c.queued)
 	}
 }
 
@@ -235,7 +268,7 @@ func (c *Controller) Tick() []Request {
 	if c.Busy() {
 		c.stats.ActiveCycles++
 		c.stats.TotalQueueSamples++
-		c.stats.QueueOccupancySum += uint64(len(c.queue))
+		c.stats.QueueOccupancySum += uint64(c.queued)
 	}
 	if c.issueDue <= c.now {
 		c.schedule()
@@ -248,39 +281,76 @@ func (c *Controller) Tick() []Request {
 
 // schedule issues at most one transaction per cycle using FR-FCFS: the
 // oldest row-hit request that can issue now wins; otherwise the oldest
-// issuable request.
+// issuable request. A request can issue when its bank is ready, so the
+// pick visits ready banks, not queued requests: the oldest row hit is the
+// oldest of the ready banks' cached hits, and the oldest issuable request
+// is the oldest of their FIFO heads (entry ids are unique, so both minima
+// are the ones a scan of the whole queue in any order finds).
 func (c *Controller) schedule() {
-	pick := -1
-	pickHit := false
-	for i := range c.queue {
-		q := &c.queue[i]
-		b := &c.banks[q.bank]
-		if b.readyAt > c.now {
+	pick, pickHit := int32(-1), false
+	for i := range c.banks {
+		b := &c.banks[i]
+		if b.head < 0 || b.readyAt > c.now {
 			continue
 		}
-		hit := b.rowOpen && b.row == q.row
-		if hit {
-			if !pickHit || c.queue[pick].entry > q.entry {
-				pick, pickHit = i, true
+		if b.hit >= 0 {
+			if !pickHit || c.slots[pick].entry > c.slots[b.hit].entry {
+				pick, pickHit = b.hit, true
 			}
-		} else if !pickHit && (pick < 0 || c.queue[pick].entry > q.entry) {
-			pick = i
+		} else if !pickHit && (pick < 0 || c.slots[pick].entry > c.slots[b.head].entry) {
+			pick = b.head
 		}
 	}
 	if pick < 0 {
 		return
 	}
-	q := c.queue[pick]
-	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
+	q := &c.slots[pick]
+	b := &c.banks[q.bank]
 	c.issue(q, pickHit)
-	// The issue moved one bank's readyAt and removed one entry.
+	// A row hit leaves the row open and every older request of the bank a
+	// miss, so the next hit can only follow it; a miss opened a new row.
+	after := q.next
+	c.unlink(pick)
+	from := b.head
+	if pickHit {
+		from = after
+	}
+	b.hit = -1
+	for i := from; i >= 0; i = c.slots[i].next {
+		if c.slots[i].row == b.row {
+			b.hit = i
+			break
+		}
+	}
+	// The issue moved one bank's readyAt.
 	c.issueDue = NeverCycle
-	for i := range c.queue {
-		c.issueDue = min(c.issueDue, c.banks[c.queue[i].bank].readyAt)
+	for i := range c.banks {
+		if c.banks[i].head >= 0 {
+			c.issueDue = min(c.issueDue, c.banks[i].readyAt)
+		}
 	}
 }
 
-func (c *Controller) issue(q queued, rowHit bool) {
+// unlink removes slot i from its bank's FIFO onto the free list.
+func (c *Controller) unlink(i int32) {
+	q := &c.slots[i]
+	b := &c.banks[q.bank]
+	if q.prev >= 0 {
+		c.slots[q.prev].next = q.next
+	} else {
+		b.head = q.next
+	}
+	if q.next >= 0 {
+		c.slots[q.next].prev = q.prev
+	} else {
+		b.tail = q.prev
+	}
+	*q = queued{next: c.free} // drop the request's Meta reference
+	c.free = i
+	c.queued--
+}
+
+func (c *Controller) issue(q *queued, rowHit bool) {
 	t := &c.cfg.Timing
 	b := &c.banks[q.bank]
 	casAt := c.now

@@ -240,26 +240,28 @@ func TestRowLocalityMetric(t *testing.T) {
 	}
 }
 
-// tickUngated forces both due-cycle gates open, so Tick scans the queue and
-// the in-flight list unconditionally as it did before the gates existed.
+// tickUngated forces both due-cycle gates open, so Tick visits the banks
+// and scans the in-flight list unconditionally, as it would without gates.
 // (It leaves the forced controller's own NextWorkCycle meaningless.)
 func tickUngated(c *Controller) []Request {
 	c.issueDue, c.doneDue = 0, 0
 	return c.Tick()
 }
 
-// nextWorkScan is NextWorkCycle computed from scratch over the queue and
-// the in-flight list: the scan the cached dues replaced.
+// nextWorkScan is NextWorkCycle computed from scratch over the bank FIFOs
+// and the in-flight list: the scan the cached dues replaced.
 func nextWorkScan(c *Controller) uint64 {
 	next := NeverCycle
 	for _, f := range c.inflight {
 		next = min(next, f.doneAt)
 	}
-	if len(c.queue) > 0 {
-		minReady := NeverCycle
-		for _, q := range c.queue {
-			minReady = min(minReady, c.banks[q.bank].readyAt)
+	minReady := NeverCycle
+	for _, b := range c.banks {
+		for i := b.head; i >= 0; i = c.slots[i].next {
+			minReady = min(minReady, b.readyAt)
 		}
+	}
+	if minReady != NeverCycle {
 		next = min(next, max(c.now+1, minReady))
 	}
 	return next
@@ -311,6 +313,132 @@ func TestDueCycleGateMatchesUngated(t *testing.T) {
 		}
 		if completed == 0 || completed < next-DefaultConfig().QueueCapacity-8 {
 			t.Errorf("seed %d: only %d of %d requests completed", seed, completed, next)
+		}
+	}
+}
+
+// flatQueue is the single-slice FR-FCFS queue the bank FIFOs replaced,
+// kept as the reference model. It owns a Controller for the bank timing,
+// data bus, in-flight list and stats (issue and complete), but queues and
+// picks from its own slice by scanning every entry each tick.
+type flatQueue struct {
+	c     *Controller
+	queue []queued
+}
+
+func (f *flatQueue) enqueue(req Request) bool {
+	if len(f.queue) >= f.c.cfg.QueueCapacity {
+		return false
+	}
+	br := f.c.mapper.Decode(req.Addr)
+	f.queue = append(f.queue, queued{req: req, bank: br.Bank % uint64(f.c.cfg.NumBanks), row: br.Row, entry: f.c.nextID})
+	f.c.nextID++
+	return true
+}
+
+func (f *flatQueue) tick() []Request {
+	c := f.c
+	c.now++
+	if len(f.queue) > 0 || len(c.inflight) > 0 {
+		c.stats.ActiveCycles++
+		c.stats.TotalQueueSamples++
+		c.stats.QueueOccupancySum += uint64(len(f.queue))
+	}
+	pick, pickHit := -1, false
+	for i := range f.queue {
+		q := &f.queue[i]
+		b := &c.banks[q.bank]
+		if b.readyAt > c.now {
+			continue
+		}
+		if hit := b.rowOpen && b.row == q.row; hit {
+			if !pickHit || f.queue[pick].entry > q.entry {
+				pick, pickHit = i, true
+			}
+		} else if !pickHit && (pick < 0 || f.queue[pick].entry > q.entry) {
+			pick = i
+		}
+	}
+	if pick >= 0 {
+		q := f.queue[pick]
+		f.queue = append(f.queue[:pick], f.queue[pick+1:]...)
+		c.issue(&q, pickHit)
+	}
+	return c.complete()
+}
+
+// nextWork is the flat queue's NextWorkCycle, from scratch.
+func (f *flatQueue) nextWork() uint64 {
+	next := NeverCycle
+	for _, fl := range f.c.inflight {
+		next = min(next, fl.doneAt)
+	}
+	if len(f.queue) > 0 {
+		minReady := NeverCycle
+		for _, q := range f.queue {
+			minReady = min(minReady, f.c.banks[q.bank].readyAt)
+		}
+		next = min(next, max(f.c.now+1, minReady))
+	}
+	return next
+}
+
+func TestBankFIFOsMatchFlatQueue(t *testing.T) {
+	// Random enqueue streams through the bank FIFOs and the flat-queue
+	// reference: same acceptance, same completions per tick in the same
+	// order, same stats and the same NextWorkCycle at every tick. Small
+	// bank counts and row-local addresses keep several requests per bank,
+	// so a bank's row hit often sits behind its head.
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := xrand.New(seed)
+		cfg := DefaultConfig()
+		cfg.NumBanks = []int{1, 2, 8}[seed%3]
+		cfg.QueueCapacity = []int{1, 5, 32}[seed/3%3]
+		m := addr.MustNewMapper(addr.Config{})
+		got := MustNewController(cfg, m)
+		ref := &flatQueue{c: MustNewController(cfg, m)}
+		burstiness := 0.05 + 0.9*rng.Float64()
+		rows := 1 + rng.Intn(16)
+		next, completed := 0, 0
+		for cycle := 0; cycle < 20000; cycle++ {
+			for rng.Bool(burstiness) {
+				// Local rows are 2 KB per bank, 8 banks per row stripe, and
+				// MCs interleave every 256 B: pick a few rows per bank.
+				a := addr.Address(rng.Intn(rows))*bankStride()*8 + addr.Address(rng.Intn(8))*bankStride() +
+					addr.Address(rng.Intn(4))*64
+				if rng.Bool(0.2) {
+					a = addr.Address(rng.Intn(1<<22)) &^ 63
+				}
+				req := Request{Addr: a, IsWrite: rng.Bool(0.3), Meta: next}
+				okG, okR := got.Enqueue(req), ref.enqueue(req)
+				if okG != okR {
+					t.Fatalf("seed %d cycle %d: Enqueue accepted %v, reference %v", seed, cycle, okG, okR)
+				}
+				if !okG {
+					break
+				}
+				next++
+			}
+			if g, w := got.NextWorkCycle(), ref.nextWork(); g != w {
+				t.Fatalf("seed %d cycle %d: NextWorkCycle = %d, reference %d", seed, cycle, g, w)
+			}
+			doneG, doneR := got.Tick(), ref.tick()
+			if len(doneG) != len(doneR) {
+				t.Fatalf("seed %d cycle %d: %d completions, reference %d", seed, cycle, len(doneG), len(doneR))
+			}
+			for i := range doneG {
+				if doneG[i] != doneR[i] {
+					t.Fatalf("seed %d cycle %d: completion %d is %+v, reference %+v", seed, cycle, i, doneG[i], doneR[i])
+				}
+			}
+			completed += len(doneG)
+			if got.Stats() != ref.c.Stats() || got.QueueLen() != len(ref.queue) {
+				t.Fatalf("seed %d cycle %d: diverged:\ngot %+v (queue %d)\nref %+v (queue %d)",
+					seed, cycle, got.Stats(), got.QueueLen(), ref.c.Stats(), len(ref.queue))
+			}
+		}
+		if st := got.Stats(); completed < next-cfg.QueueCapacity-8 || st.RowHits == 0 || st.RowMiss == 0 {
+			t.Errorf("seed %d: %d of %d requests completed, %d row hits, %d misses", seed, completed, next, st.RowHits, st.RowMiss)
 		}
 	}
 }

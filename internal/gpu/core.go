@@ -129,9 +129,8 @@ type Core struct {
 	pendingWarp int
 	busyWarps   int
 
-	l1            *cache.Cache
-	mshr          *cache.MSHR
-	pendingStores map[addr.Address]bool // in-flight lines that must fill dirty
+	l1   *cache.Cache
+	mshr *cache.MSHR // also records which in-flight lines must fill dirty
 
 	memQ          ring.Ring[memAccess]  // coalesced accesses awaiting the L1 port
 	outQ          ring.Ring[MemRequest] // grows past OutQueueCap only for write-backs
@@ -170,17 +169,16 @@ func New(cfg Config, gen *workload.Generator) (*Core, error) {
 		ctaSize = prof.Warps / prof.CTAs
 	}
 	return &Core{
-		cfg:           cfg,
-		gen:           gen,
-		warps:         make([]warpState, prof.Warps),
-		ctaSize:       ctaSize,
-		readyMask:     1<<uint(prof.Warps) - 1, // every warp starts ready
-		pendingWarp:   -1,
-		l1:            l1,
-		mshr:          cache.MustNewMSHR(cfg.MSHRs, cfg.MSHRMergeCap),
-		pendingStores: make(map[addr.Address]bool),
-		memQ:          ring.New[memAccess](16, 0),
-		outQ:          ring.New[MemRequest](cfg.OutQueueCap, 0),
+		cfg:         cfg,
+		gen:         gen,
+		warps:       make([]warpState, prof.Warps),
+		ctaSize:     ctaSize,
+		readyMask:   1<<uint(prof.Warps) - 1, // every warp starts ready
+		pendingWarp: -1,
+		l1:          l1,
+		mshr:        cache.MustNewMSHR(cfg.MSHRs, cfg.MSHRMergeCap),
+		memQ:        ring.New[memAccess](16, 0),
+		outQ:        ring.New[MemRequest](cfg.OutQueueCap, 0),
 	}, nil
 }
 
@@ -384,21 +382,12 @@ func (c *Core) tryAccess(acc memAccess) bool {
 		return true
 	}
 	// Miss: merge onto an in-flight fetch or start a new one.
-	if c.mshr.Pending(acc.line) {
-		if c.mshr.Allocate(acc.line, cache.Waiter(acc.warp)) == cache.AllocStallFull {
-			c.stats.LineAccesses--
-			return false
-		}
-	} else {
-		if c.mshr.Full() || c.outQ.Len() >= c.cfg.OutQueueCap {
-			c.stats.LineAccesses--
-			return false
-		}
-		c.mshr.Allocate(acc.line, cache.Waiter(acc.warp))
+	switch c.mshr.Allocate(acc.line, cache.Waiter(acc.warp), acc.write, c.outQ.Len() < c.cfg.OutQueueCap) {
+	case cache.AllocStallFull:
+		c.stats.LineAccesses--
+		return false
+	case cache.AllocNew:
 		c.outQ.Push(MemRequest{Line: acc.line})
-	}
-	if acc.write {
-		c.pendingStores[acc.line] = true
 	}
 	return true
 }
@@ -407,13 +396,13 @@ func (c *Core) tryAccess(acc memAccess) bool {
 func (c *Core) DeliverFill(line addr.Address) {
 	c.progress++
 	c.memBlocked = false // freed MSHR entry / filled line may unblock memQ
-	victim, wb := c.l1.Fill(line, c.pendingStores[line])
-	delete(c.pendingStores, line)
+	waiters, dirty := c.mshr.Fill(line)
+	victim, wb := c.l1.Fill(line, dirty)
 	if wb {
 		// Write-backs bypass the read-request cap: they carry the line out.
 		c.outQ.Push(MemRequest{Line: victim, Write: true})
 	}
-	for _, w := range c.mshr.Fill(line) {
+	for _, w := range waiters {
 		c.lineDone(int(w))
 	}
 }

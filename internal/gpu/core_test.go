@@ -670,29 +670,29 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 		prof    workload.Profile
 		tune    func(*Config)
 		drain   bool                                                  // pop requests while driving into the block
-		blocked func(c *Core, front memAccess) bool                   // the intended block reason holds
+		blocked func(c *Core, pending bool) bool                      // the intended block reason holds; pending: the front's line is in flight
 		rearm   func(c *Core, front memAccess, inFlight addr.Address) // external event that unblocks the front
 	}{
 		{
 			name: "outq-full", prof: stream,
 			tune: func(cfg *Config) { cfg.OutQueueCap = 2 },
-			blocked: func(c *Core, f memAccess) bool {
-				return !c.mshr.Pending(f.line) && !c.mshr.Full() && c.outQ.Len() >= c.cfg.OutQueueCap
+			blocked: func(c *Core, pending bool) bool {
+				return !pending && !c.mshr.Full() && c.outQ.Len() >= c.cfg.OutQueueCap
 			},
 			rearm: func(c *Core, _ memAccess, _ addr.Address) { c.PopRequest() },
 		},
 		{
 			name: "mshr-full", prof: stream, drain: true,
 			tune: func(cfg *Config) { cfg.MSHRs = 3 },
-			blocked: func(c *Core, f memAccess) bool {
-				return !c.mshr.Pending(f.line) && c.mshr.Full() && c.outQ.Len() == 0
+			blocked: func(c *Core, pending bool) bool {
+				return !pending && c.mshr.Full() && c.outQ.Len() == 0
 			},
 			rearm: func(c *Core, _ memAccess, inFlight addr.Address) { c.DeliverFill(inFlight) },
 		},
 		{
 			name: "merge-cap-full", prof: scatter, drain: true,
 			tune:    func(cfg *Config) { cfg.MSHRMergeCap = 1 },
-			blocked: func(c *Core, f memAccess) bool { return c.mshr.Pending(f.line) && !c.mshr.Full() },
+			blocked: func(c *Core, pending bool) bool { return pending && !c.mshr.Full() },
 			rearm:   func(c *Core, f memAccess, _ addr.Address) { c.DeliverFill(f.line) },
 		},
 	} {
@@ -703,6 +703,17 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 			retried := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 5))
 			both := []*Core{credited, retried}
 			var inFlight addr.Address // a line both cores have requested and not been filled
+			// Nothing is filled before the block, so every line the core
+			// requested, popped or still queued, holds an MSHR entry.
+			popped := map[addr.Address]bool{}
+			pending := func(c *Core, line addr.Address) bool {
+				for i := 0; i < c.outQ.Len(); i++ {
+					if r := c.outQ.At(i); !r.Write && r.Line == line {
+						return true
+					}
+				}
+				return popped[line]
+			}
 			for cyc := 0; !credited.memBlocked; cyc++ {
 				if cyc > 10000 {
 					t.Fatal("core never blocked")
@@ -712,13 +723,14 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 					for tc.drain && c.outQ.Len() > 0 && !c.memBlocked {
 						req, _ := c.PopRequest()
 						inFlight = req.Line
+						popped[req.Line] = !req.Write
 					}
 				}
 			}
 			front := *credited.memQ.Front()
-			if !tc.blocked(credited, front) {
+			if !tc.blocked(credited, pending(credited, front.line)) {
 				t.Fatalf("blocked for another reason: pending=%v mshr=%d/%d outQ=%d/%d",
-					credited.mshr.Pending(front.line), credited.mshr.InFlight(), cfg.MSHRs,
+					pending(credited, front.line), credited.mshr.InFlight(), cfg.MSHRs,
 					credited.outQ.Len(), cfg.OutQueueCap)
 			}
 			requireTwins := func(when string) {

@@ -198,17 +198,12 @@ func (m *MCNode) serviceOne(cycle uint64) {
 		return
 	}
 	// L2 miss: merge or fetch from DRAM.
-	if m.l2mshr.Pending(req.line) {
-		if m.l2mshr.Allocate(req.line, cache.Waiter(req.src)) == cache.AllocStallFull {
-			m.stats.Requests--
-			return // retry next cycle
-		}
-	} else {
-		if m.l2mshr.Full() || !m.ctl.Enqueue(dram.Request{Addr: req.line}) {
-			m.stats.Requests--
-			return // DRAM queue backpressure; retry next cycle
-		}
-		m.l2mshr.Allocate(req.line, cache.Waiter(req.src))
+	switch m.l2mshr.Allocate(req.line, cache.Waiter(req.src), false, m.ctl.CanAccept()) {
+	case cache.AllocStallFull:
+		m.stats.Requests--
+		return // MSHR or DRAM queue backpressure; retry next cycle
+	case cache.AllocNew:
+		m.ctl.Enqueue(dram.Request{Addr: req.line})
 	}
 	m.popInQ()
 }
@@ -278,7 +273,8 @@ func (m *MCNode) TickDRAM() {
 		if victim, wb := m.l2.Fill(line, false); wb {
 			m.writeQ.Push(victim)
 		}
-		for _, w := range m.l2mshr.Fill(line) {
+		waiters, _ := m.l2mshr.Fill(line)
+		for _, w := range waiters {
 			m.replyQ.Push(timedReply{line: line, requester: noc.NodeID(w)})
 		}
 	}

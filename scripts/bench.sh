@@ -23,6 +23,13 @@
 #
 #	scripts/bench.sh before-mask-core BENCH_2026-09-28.json gpu
 #
+# A change confined to the memory side (L1/L2 tag arrays, MSHRs, the MC
+# node and its DRAM channel) captures the per-MC-cycle and per-access
+# microbenchmarks plus the per-core-tick rows that drive the L1 and MSHR by
+# passing `mem`:
+#
+#	scripts/bench.sh before-bank-fifos BENCH_2026-10-15.json mem
+#
 # Every capture records the host (CPU model, goos/goarch), GOMAXPROCS and
 # NumCPU next to its rows; a before/after pair must come from one host.
 # Compare a pair per family (geomean ns/op and allocs/op; exits 1 past the
@@ -30,7 +37,7 @@
 #
 #	go run ./cmd/benchjson -compare BENCH_x.json#before-y BENCH_x.json#after-y
 #
-# Usage: scripts/bench.sh [label] [outfile] [all|noc|gpu]
+# Usage: scripts/bench.sh [label] [outfile] [all|noc|gpu|mem]
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,9 +46,9 @@ OUT="${2:-BENCH_$(date +%F).json}"
 SUITE="${3:-all}"
 
 case "$SUITE" in
-all | noc | gpu) ;;
+all | noc | gpu | mem) ;;
 *)
-	echo "bench.sh: unknown suite '$SUITE' (want all, noc or gpu)" >&2
+	echo "bench.sh: unknown suite '$SUITE' (want all, noc, gpu or mem)" >&2
 	exit 2
 	;;
 esac
@@ -52,7 +59,7 @@ esac
 	# rows (…-l1/-l4) get a derived per-seed speedup_vs_l1 metric from
 	# cmd/benchjson (valid on any host: lane batching is work elision, not
 	# parallelism).
-	[ "$SUITE" = gpu ] ||
+	[ "$SUITE" = gpu ] || [ "$SUITE" = mem ] ||
 		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
 	if [ "$SUITE" = gpu ]; then
 		# One core clock cycle on compute-bound, memory-bound (blocked L1
@@ -63,6 +70,13 @@ esac
 		# the lane-batched memory-bound manycore run.
 		go test -run '^$' -bench 'BenchmarkIdleSkipClosedLoop' -benchmem -benchtime 1x .
 		go test -run '^$' -bench 'BenchmarkLaneThroughput' -benchmem -benchtime 5x .
+	elif [ "$SUITE" = mem ]; then
+		# One MC node cycle under a steady read/write-back stream, one L1
+		# and one L2 line access, and the core ticks that drive the L1 and
+		# its MSHR table; fixed iteration counts so allocs/op is comparable.
+		go test -run '^$' -bench 'BenchmarkMCNode' -benchmem -benchtime 2000000x ./internal/mem/
+		go test -run '^$' -bench 'BenchmarkCacheAccess' -benchmem -benchtime 5000000x ./internal/cache/
+		go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 2000000x ./internal/gpu/
 	elif [ "$SUITE" = noc ]; then
 		# The open-loop harness on the real mesh: driver + kernel, the same
 		# path the repository benchmark's open-loadlat workload takes.
