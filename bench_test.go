@@ -321,7 +321,7 @@ func BenchmarkLaneThroughput(b *testing.B) {
 	const batch = 4
 	for _, lanes := range []int{1, batch} {
 		b.Run(fmt.Sprintf("manycore-l%d", lanes), func(b *testing.B) {
-			cfg := laneManycoreConfig().WithLanes(lanes)
+			cfg := laneManycoreConfig()
 			seedsPerOp := lanes // one op covers L seeds, so ns/op scales with L
 			var seed uint64 = 1
 			for i := 0; i < b.N; i++ {

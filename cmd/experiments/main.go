@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	experiments [-scale f] [-bench AES,MUM,...] [-jobs N] [-lanes L]
+//	experiments [-scale f] [-bench AES,MUM,...] [-jobs N] [-seeds 1,2,...]
 //	            [-run-timeout d] [-checkpoint file [-resume]] [-v]
 //	            all|fig7|table6|...
 //
@@ -43,18 +43,14 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "kernel length scale (lower = faster, less accurate)")
 	bench := flag.String("bench", "", "comma-separated benchmark abbreviations (default: all 31)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	lanes := flag.Int("lanes", 0,
-		"lane-batch same-config different-seed runs that many at a time through one cycle loop (0 = let the sweep planner pick; bit-identical results)")
 	seeds := flag.String("seeds", "",
-		"comma-separated traffic seeds for seed-averaged sweeps (resilience, explore); replicas run as one lane batch")
+		"comma-separated traffic seeds for seed-averaged sweeps (resilience, explore); replicas run as lane batches")
 	frontierJSON := flag.String("frontier-json", "",
 		"write the explore experiment's machine-readable frontier to this file")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
 	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
 	checkpoint := flag.String("checkpoint", "", "JSONL journal recording each finished run (fsynced per record)")
 	resume := flag.Bool("resume", false, "reload -checkpoint and skip finished runs")
-	idleSkip := flag.Bool("idle-skip", true,
-		"fast-forward fully idle windows across clock domains (bit-identical results; disable to force edge-by-edge stepping)")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
 	pprofOut := prof.AddFlags()
 	flag.Usage = func() {
@@ -80,8 +76,6 @@ func main() {
 	opts := experiments.Options{
 		Scale:      *scale,
 		Jobs:       *jobs,
-		Lanes:      *lanes,
-		NoIdleSkip: !*idleSkip,
 		RunTimeout: *runTimeout,
 		Retries:    *retries,
 		Checkpoint: *checkpoint,

@@ -68,13 +68,9 @@ func main() {
 		"deadlock watchdog no-movement window in icnt cycles (0 disables health checks)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", 1,
-		"seed replicas per run (-seed, -seed+1, …), lane-batched through one lockstep cycle loop; each replica is bit-identical to a solo run of its seed")
-	plan := flag.Bool("plan", true,
-		"submit the sweep through the lane-aware planner: replica batch width is auto-tuned from the jobs*lanes <= GOMAXPROCS budget (results are bit-identical either way); -plan=false forces -lanes-wide batches")
+		"seed replicas per run (-seed, -seed+1, …); the pool runs them as lane batches whose width it plans from -jobs and GOMAXPROCS, each replica bit-identical to a solo run of its seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
 	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
-	idleSkip := flag.Bool("idle-skip", true,
-		"fast-forward fully idle windows across clock domains (bit-identical results; disable to force edge-by-edge stepping)")
 	pprofOut := prof.AddFlags()
 	flag.Parse()
 
@@ -112,15 +108,8 @@ func main() {
 	if nLanes < 1 {
 		nLanes = 1
 	}
-	// With the planner active the pool stays silent on lane width, so the
-	// per-batch plan fills it; -plan=false pins the fixed-flag behaviour.
-	poolLanes := 0
-	if !*plan {
-		poolLanes = nLanes
-	}
 	pool, err := runner.New(ctx, runner.Options{
 		Jobs:       *jobs,
-		Lanes:      poolLanes,
 		RunTimeout: *runTimeout,
 		Retries:    *retries,
 	})
@@ -130,7 +119,7 @@ func main() {
 	}
 
 	// Each benchmark expands into nLanes seed replicas (-seed, -seed+1, …);
-	// the pool coalesces the replicas into one lane-batched execution.
+	// the pool's planner coalesces the replicas into lane batches.
 	type runRow struct {
 		prof workload.Profile
 		seed uint64
@@ -150,7 +139,6 @@ func main() {
 		if *faultRate > 0 {
 			cfg = cfg.WithFaults(*faultRate, *faultSeed)
 		}
-		cfg.NoIdleSkip = !*idleSkip
 		cfg = cfg.WithWatchdog(*watchdog)
 		for l := 0; l < nLanes; l++ {
 			c := cfg
@@ -163,12 +151,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tesim:", err)
 		os.Exit(2)
 	}
-	var outs []runner.Outcome
-	if *plan {
-		outs = pool.DoAllPlanned(ctx, cfgs)
-	} else {
-		outs = pool.DoAll(cfgs)
-	}
+	outs := pool.Do(ctx, cfgs...)
 	pprofOut.Stop() // profile covers the simulations, not the report
 
 	headers := []string{"bench", "config"}

@@ -7,9 +7,9 @@
 // Usage:
 //
 //	tesimd [-addr host:port] [-store file.jsonl] [-queue-cap N]
-//	       [-jobs N] [-lanes L] [-run-timeout d] [-retries N]
+//	       [-jobs N] [-run-timeout d] [-retries N]
 //	       [-max-runs-per-job N] [-default-deadline d] [-max-deadline d]
-//	       [-drain-timeout d] [-idle-skip]
+//	       [-drain-timeout d]
 //
 // API:
 //
@@ -49,15 +49,12 @@ func main() {
 	store := flag.String("store", "tesimd.jsonl", "content-addressed result store journal (\"\" = memory only)")
 	queueCap := flag.Int("queue-cap", service.DefaultQueueCap, "max admitted unfinished jobs before shedding with 429")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	lanes := flag.Int("lanes", 0,
-		"lane-batch a job's same-config different-seed runs (see \"seeds\" in POST /v1/runs; 0/1 = solo, bit-identical results)")
 	runTimeout := flag.Duration("run-timeout", 5*time.Minute, "per-run wall-clock deadline (0 = none)")
 	retries := flag.Int("retries", service.DefaultRetries, "extra attempts for transient DNFs (stall/timeout)")
 	maxRuns := flag.Int("max-runs-per-job", service.DefaultMaxRunsPerJob, "max configs×benchmarks per request")
 	defDeadline := flag.Duration("default-deadline", service.DefaultDeadline, "end-to-end deadline for jobs that request none")
 	maxDeadline := flag.Duration("max-deadline", service.DefaultMaxDeadline, "clamp on requested job deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
-	idleSkip := flag.Bool("idle-skip", true, "fast-forward fully idle simulation windows (bit-identical results)")
 	listCPs := flag.Bool("list-crashpoints", false, "print registered crashpoint names (for scripts/chaos.sh) and exit")
 	flag.Parse()
 
@@ -73,13 +70,11 @@ func main() {
 		StorePath:       *store,
 		QueueCap:        *queueCap,
 		Jobs:            *jobs,
-		Lanes:           *lanes,
 		RunTimeout:      *runTimeout,
 		Retries:         *retries,
 		MaxRunsPerJob:   *maxRuns,
 		DefaultDeadline: *defDeadline,
 		MaxDeadline:     *maxDeadline,
-		NoIdleSkip:      !*idleSkip,
 		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {

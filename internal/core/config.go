@@ -84,25 +84,10 @@ type Config struct {
 	// normally bulk-advances the scheduler to the earliest work horizon
 	// instead of stepping edge by edge. Skipping changes wall-clock time
 	// only, never results, so it is deliberately excluded from Name
-	// suffixes and cache keys. The zero value keeps skipping on.
+	// suffixes and cache keys. The zero value keeps skipping on; no CLI
+	// sets it. It is the reference for the idle-skip equivalence tests and
+	// the IdleSkip benchmark rows.
 	NoIdleSkip bool
-
-	// Lanes requests lane-batched execution when several seeds of this
-	// configuration run together (see RunLanes and internal/runner): up to
-	// Lanes seed replicas share one cycle loop and one immutable topology
-	// backend. Each lane is bit-identical to its solo serial run — the
-	// lane kernel only changes wall-clock time — so, like NoIdleSkip, Lanes
-	// is deliberately excluded from Name suffixes and cache keys. 0 and 1
-	// both mean solo execution.
-	Lanes int
-}
-
-// WithLanes sets the lane-batching request. Unlike the other builders it
-// does NOT suffix Name: lane batching changes wall-clock time only, never
-// results, so lane-batched and solo runs must share cache keys.
-func (c Config) WithLanes(n int) Config {
-	c.Lanes = n
-	return c
 }
 
 // Baseline returns the paper's baseline system (§II, Tables II/III) running

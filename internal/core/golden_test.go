@@ -222,7 +222,7 @@ func TestGoldenDigestsLanes(t *testing.T) {
 					continue // one concurrent point per case keeps runtime sane
 				}
 				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", gc.id, lanesN, width), func(t *testing.T) {
-					cfg := gc.build().WithLanes(lanesN)
+					cfg := gc.build()
 					seeds := make([]uint64, lanesN)
 					for i := range seeds {
 						seeds[i] = cfg.Seed + uint64(i)

@@ -13,15 +13,13 @@ import (
 // on one light (LL) and one heavy (HH) benchmark from the suite's set, so
 // the frontier reflects both latency- and bandwidth-bound behaviour without
 // multiplying the grid by all 31 workloads. Seed replicas (Options.Seeds)
-// ride the sweep planner as single lane batches; the suite's checkpoint
-// journal makes the exploration resumable mid-rung.
+// ride the pool's planner as lane batches; the suite's checkpoint journal
+// makes the exploration resumable mid-rung.
 func (s *Suite) Explore() (*Report, error) {
 	ex, err := explore.New(s.pool, explore.Options{
 		Benchmarks: s.resilienceBench(),
 		Seeds:      s.opts.Seeds,
 		Scale:      s.opts.Scale,
-		Jobs:       s.opts.Jobs,
-		NoIdleSkip: s.opts.NoIdleSkip,
 		Progress:   s.opts.Progress,
 	})
 	if err != nil {

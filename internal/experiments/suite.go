@@ -45,21 +45,11 @@ type Options struct {
 	// byte-identical for any value: figures render serially from the
 	// memoized results.
 	Jobs int
-	// Lanes coalesces same-configuration/different-seed runs into
-	// lane-batched executions of that width (see runner.Options.Lanes and
-	// core.RunLanes). Every lane is bit-identical to its solo run, so it
-	// never enters cache keys; 0 and 1 both disable coalescing.
-	// When 0, the sweep planner auto-tunes the width per batch instead.
-	Lanes int
 	// Seeds lists the traffic seeds for figures that average over seed
 	// replicas (resilience). The replicas differ only in Seed, so the
-	// sweep planner submits each set as one lane batch. Empty keeps every
+	// pool's planner runs each set as lane batches. Empty keeps every
 	// builder's own seed — single-seed tables stay byte-identical.
 	Seeds []uint64
-	// NoIdleSkip forces edge-by-edge stepping instead of idle-horizon
-	// fast-forwarding. Results are bit-identical either way, so like
-	// Lanes it never enters cache keys; the zero value keeps skipping on.
-	NoIdleSkip bool
 	// RunTimeout is the per-run wall-clock deadline; a run that exceeds
 	// it becomes a "timeout" DNF row. 0 disables the deadline.
 	RunTimeout time.Duration
@@ -129,7 +119,6 @@ func New(opts Options) (*Suite, error) {
 	s := &Suite{opts: opts, bench: bench}
 	pool, err := runner.New(opts.Context, runner.Options{
 		Jobs:       opts.Jobs,
-		Lanes:      opts.Lanes,
 		RunTimeout: opts.RunTimeout,
 		Retries:    opts.Retries,
 		Backoff:    opts.RetryBackoff,
@@ -180,35 +169,32 @@ func (s *Suite) report(out runner.Outcome) {
 // does not abort the suite: the partial result comes back with its Status
 // set and is listed by DNF, so the remaining benchmarks still run and the
 // report marks the failure.
+//
+// The sweep's cancellation reaches the run through the pool's context, not
+// the call's: a run cut short by SIGINT then lands in the cache as a
+// "canceled" outcome, which the interrupt summary counts.
 func (s *Suite) run(cfg core.Config) core.Result {
-	cfg = cfg.ScaleWork(s.opts.Scale)
-	cfg.NoIdleSkip = s.opts.NoIdleSkip
-	return s.pool.Do(cfg).Result
+	return s.pool.Do(context.Background(), cfg.ScaleWork(s.opts.Scale))[0].Result
 }
 
-// runAll warms the result cache by pushing cfgs through the sweep planner:
-// same-configuration/different-seed replicas coalesce into single lane
-// batches and groups are ordered for cache/journal locality. Figures call
-// it (directly or via prefetch) before their serial rendering loops, which
-// then hit the cache; planning is order-insensitive and lanes are
-// bit-identical to solo runs, so rendering order — and thus table bytes —
-// is independent of the worker count, the lane width and the plan.
+// runAll warms the result cache with one pool batch: the pool's planner
+// coalesces same-configuration/different-seed replicas into lane batches
+// and orders groups for cache/journal locality. Figures call it (directly
+// or via prefetch) before their serial rendering loops, which then hit the
+// cache; planning is order-insensitive and lanes are bit-identical to solo
+// runs, so rendering order — and thus table bytes — is independent of the
+// worker count, the lane width and the plan.
 func (s *Suite) runAll(cfgs []core.Config) {
 	scaled := make([]core.Config, len(cfgs))
 	for i, c := range cfgs {
 		scaled[i] = c.ScaleWork(s.opts.Scale)
-		scaled[i].NoIdleSkip = s.opts.NoIdleSkip
 	}
-	ctx := s.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.pool.DoAllPlanned(ctx, scaled)
+	s.pool.Do(s.opts.Context, scaled...)
 }
 
 // seedReplicas expands cfg into one copy per suite seed. The replicas share
-// a lane group — only Seed differs — so runAll submits the set as one lane
-// batch. With no seed list the builder's own seed rides through untouched.
+// a lane group — only Seed differs — so the planner runs the set as lane
+// batches. With no seed list the builder's own seed rides through untouched.
 func (s *Suite) seedReplicas(cfg core.Config) []core.Config {
 	if len(s.opts.Seeds) == 0 {
 		return []core.Config{cfg}

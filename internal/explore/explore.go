@@ -55,21 +55,13 @@ type Options struct {
 	// harmonic mean across them is the IPC estimate). Must be non-empty.
 	Benchmarks []workload.Profile
 	// Seeds lists the traffic seeds averaged per (candidate, benchmark);
-	// empty means {1}. Replicas ride one lane batch via the planner.
+	// empty means {1}. The pool's planner runs the replicas as lane batches.
 	Seeds []uint64
 	// Rungs is the successive-halving schedule; empty means DefaultRungs.
 	Rungs []Rung
 	// Scale multiplies kernel length before rung budgets apply (the
 	// suite's -scale knob); 0 means 1.0.
 	Scale float64
-	// Jobs is the worker-slot count of the pool the exploration runs on,
-	// for the sweep planner's lane budget; 0 means the core count.
-	Jobs int
-	// MaxProcs overrides the planner's core budget (tests); 0 means
-	// runtime.GOMAXPROCS.
-	MaxProcs int
-	// NoIdleSkip forwards the suite's idle-skip override to every run.
-	NoIdleSkip bool
 	// Progress, when non-nil, receives one line per rung.
 	Progress io.Writer
 }
@@ -153,9 +145,8 @@ func (f *Frontier) JSON() ([]byte, error) { return json.MarshalIndent(f, "", "  
 // budget is part of the cache key (runner.Key includes the kernel length),
 // so partial rungs resume mid-flight.
 type Explorer struct {
-	opts    Options
-	pool    *runner.Pool
-	planner runner.Planner
+	opts Options
+	pool *runner.Pool
 }
 
 // New builds an explorer on pool.
@@ -189,10 +180,7 @@ func New(pool *runner.Pool, opts Options) (*Explorer, error) {
 		}
 		prev = r.Budget
 	}
-	e := &Explorer{opts: opts, pool: pool}
-	e.planner.Jobs = opts.Jobs
-	e.planner.MaxProcs = opts.MaxProcs
-	return e, nil
+	return &Explorer{opts: opts, pool: pool}, nil
 }
 
 // Run executes the exploration. The frontier, rung logs and savings are
@@ -304,10 +292,10 @@ func (e *Explorer) Run(ctx context.Context) (*Frontier, error) {
 }
 
 // scoreRung runs every (alive candidate × benchmark × seed) combination at
-// the given budget through the planned submission path and aggregates the
-// per-candidate estimates. Cached and journal-resumed outcomes count their
-// cycles like fresh ones, so the savings accounting is identical for a
-// resumed exploration.
+// the given budget as one pool batch (the pool plans it, so seed replicas
+// ride lane batches) and aggregates the per-candidate estimates. Cached and
+// journal-resumed outcomes count their cycles like fresh ones, so the
+// savings accounting is identical for a resumed exploration.
 func (e *Explorer) scoreRung(ctx context.Context, cands []Candidate, alive []int, budget float64) (map[int]Estimate, uint64, error) {
 	benches, seeds := e.opts.Benchmarks, e.opts.Seeds
 	per := len(benches) * len(seeds)
@@ -315,7 +303,6 @@ func (e *Explorer) scoreRung(ctx context.Context, cands []Candidate, alive []int
 	for _, idx := range alive {
 		for _, p := range benches {
 			cfg := cands[idx].Build(p).ScaleWork(e.opts.Scale * budget)
-			cfg.NoIdleSkip = e.opts.NoIdleSkip
 			for _, seed := range seeds {
 				c := cfg
 				c.Seed = seed
@@ -323,7 +310,7 @@ func (e *Explorer) scoreRung(ctx context.Context, cands []Candidate, alive []int
 			}
 		}
 	}
-	outs := e.pool.DoAllWithPlan(ctx, cfgs, e.planner.Plan(cfgs))
+	outs := e.pool.Do(ctx, cfgs...)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("explore: rung aborted: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/runner"
@@ -54,7 +55,6 @@ func TestExploreSmokeTinyGrid(t *testing.T) {
 		Grid:       tinyGrid(),
 		Benchmarks: []workload.Profile{mumProfile(t)},
 		Scale:      0.01,
-		Jobs:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,14 +105,16 @@ func TestExploreSmokeTinyGrid(t *testing.T) {
 // accounting — is byte-identical for any worker count or lane plan.
 func TestExploreDeterministicAcrossJobs(t *testing.T) {
 	run := func(jobs, maxprocs int) []byte {
+		// The pool plans each rung from its Jobs and GOMAXPROCS, so the
+		// core budget is set process-wide for this point and restored.
+		prev := runtime.GOMAXPROCS(maxprocs)
+		defer runtime.GOMAXPROCS(prev)
 		pool := newExplorerPool(t, runner.Options{Jobs: jobs})
 		ex, err := New(pool, Options{
 			Grid:       tinyGrid(),
 			Benchmarks: []workload.Profile{mumProfile(t)},
 			Seeds:      []uint64{1, 2},
 			Scale:      0.01,
-			Jobs:       jobs,
-			MaxProcs:   maxprocs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,18 +144,15 @@ func TestExploreDeterministicAcrossJobs(t *testing.T) {
 // re-executing only the missing simulations.
 func TestExploreResumesMidRung(t *testing.T) {
 	prof := mumProfile(t)
-	opts := func(jobs int) Options {
-		return Options{
-			Grid:       tinyGrid(),
-			Benchmarks: []workload.Profile{prof},
-			Scale:      0.01,
-			Jobs:       jobs,
-		}
+	opts := Options{
+		Grid:       tinyGrid(),
+		Benchmarks: []workload.Profile{prof},
+		Scale:      0.01,
 	}
 
 	// The reference: a clean uninterrupted exploration.
 	refPool := newExplorerPool(t, runner.Options{Jobs: 1})
-	ex, err := New(refPool, opts(1))
+	ex, err := New(refPool, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestExploreResumesMidRung(t *testing.T) {
 	for _, c := range cands[:3] {
 		cfg := c.Build(prof).ScaleWork(0.01 * warmup)
 		cfg.Seed = 1
-		if out := partial.Do(cfg); !out.OK() {
+		if out := partial.Do(context.Background(), cfg)[0]; !out.OK() {
 			t.Fatalf("warm-up run for %s degraded: %+v", c.Name, out.Result)
 		}
 	}
@@ -190,7 +189,7 @@ func TestExploreResumesMidRung(t *testing.T) {
 	// Resume: the journaled runs come back from the checkpoint, the rest
 	// execute, and the frontier is identical.
 	resumed := newExplorerPool(t, runner.Options{Jobs: 1, Checkpoint: journal, Resume: true})
-	ex2, err := New(resumed, opts(1))
+	ex2, err := New(resumed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestExploreDefaultGridAcceptance(t *testing.T) {
 	const scale = 0.02
 	pool := newExplorerPool(t, runner.Options{Jobs: 2})
 	bench := []workload.Profile{mumProfile(t)}
-	ex, err := New(pool, Options{Benchmarks: bench, Scale: scale, Jobs: 2, Progress: os.Stderr})
+	ex, err := New(pool, Options{Benchmarks: bench, Scale: scale, Progress: os.Stderr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestExploreDefaultGridAcceptance(t *testing.T) {
 			s, f.SimulatedCycles, f.ExhaustiveCycles)
 	}
 
-	exh, err := New(pool, Options{Benchmarks: bench, Scale: scale, Jobs: 2,
+	exh, err := New(pool, Options{Benchmarks: bench, Scale: scale,
 		Rungs: []Rung{{Budget: 1.0, Margin: 0}}})
 	if err != nil {
 		t.Fatal(err)

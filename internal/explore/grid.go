@@ -3,9 +3,9 @@
 // placement, VC count, buffer depth, channel width, routing algorithm and
 // channel slicing — and drives the candidates through successive-halving
 // rungs toward a Pareto frontier of throughput-effectiveness (IPC against
-// chip area). Every simulation goes through a runner.Pool via the
-// lane-aware sweep planner, so seed replicas coalesce into lane batches and
-// an interrupted exploration resumes from the pool's checkpoint journal.
+// chip area). Every simulation goes through a runner.Pool, whose planner
+// coalesces seed replicas into lane batches, and an interrupted
+// exploration resumes from the pool's checkpoint journal.
 package explore
 
 import (

@@ -15,18 +15,13 @@ import (
 	"repro/internal/iofault"
 )
 
-// journalVersion is the format written by this build. Version 2 frames
-// every record with a CRC32C and an explicit length so replay detects a
-// corrupt record anywhere in the file — not just a torn final line — and
-// quarantines it instead of silently accepting flipped bytes that happen
-// to still parse as JSON. Version 1 (plain JSONL, no checksums) remains
-// readable for migration: a v1 journal replays, and appends to it simply
-// start writing v2 frames (the loader accepts both line formats in any
-// mix).
+// journalVersion is the only format this build reads or writes. Version 2
+// frames every record with a CRC32C and an explicit length so replay
+// detects a corrupt record anywhere in the file — not just a torn final
+// line — and quarantines it instead of silently accepting flipped bytes
+// that happen to still parse as JSON. A journal with any other version
+// header is refused whole; an unframed line is corrupt like any other.
 const journalVersion = 2
-
-// oldestReadableVersion is the floor for migration reads.
-const oldestReadableVersion = 1
 
 // castagnoli is the CRC32C table (the polynomial used by ext4, btrfs and
 // iSCSI for exactly this job).
@@ -232,8 +227,8 @@ func (j *Journal) Close() error {
 //
 //	*<crc32c hex8> <payload length> <payload>\n
 //
-// The leading '*' cannot begin a JSON value, so v1 lines and v2 frames
-// coexist unambiguously in one file.
+// The leading '*' cannot begin a JSON value, so a frame is never mistaken
+// for the JSON header line.
 func frameRecord(payload []byte) []byte {
 	crc := crc32.Checksum(payload, castagnoli)
 	line := make([]byte, 0, len(payload)+20)
@@ -352,24 +347,17 @@ func LoadJournalFS(fs iofault.FS, path string) (recs []Record, stats ReplayStats
 			first = false
 			var hdr journalHeader
 			if json.Unmarshal(line, &hdr) == nil && hdr.Kind == "journal-header" {
-				if hdr.Version < oldestReadableVersion || hdr.Version > journalVersion {
-					return nil, stats, fmt.Errorf("runner: checkpoint %s is version %d, want %d..%d",
-						path, hdr.Version, oldestReadableVersion, journalVersion)
+				if hdr.Version != journalVersion {
+					return nil, stats, fmt.Errorf("runner: checkpoint %s is version %d, want %d",
+						path, hdr.Version, journalVersion)
 				}
 				continue
 			}
 			// Headerless journal: fall through and try the line as a record.
 		}
 		var rec Record
-		valid := false
-		if line[0] == '*' {
-			if payload, ok := parseFrame(line); ok {
-				valid = json.Unmarshal(payload, &rec) == nil && rec.Key != ""
-			}
-		} else {
-			// Legacy v1 record: plain JSON, parseability is the only check.
-			valid = json.Unmarshal(line, &rec) == nil && rec.Key != ""
-		}
+		payload, valid := parseFrame(line)
+		valid = valid && json.Unmarshal(payload, &rec) == nil && rec.Key != ""
 		switch {
 		case valid:
 			if i, ok := byKey[rec.Key]; ok {

@@ -92,9 +92,9 @@ func TestLoadJournalQuarantinesCorruptLines(t *testing.T) {
 // TestFlippedByteQuarantinesExactlyOne is the acceptance criterion for the
 // v2 framing: a single flipped byte in the middle of the file must cost
 // exactly the record it hit — every other record replays, the corrupt one
-// is quarantined, and nothing is falsely accepted. (Under the v1 plain-JSON
-// format a flipped byte inside a string value still parsed and was served
-// as truth.)
+// is quarantined, and nothing is falsely accepted. (Under the old v1
+// plain-JSON format a flipped byte inside a string value still parsed and
+// was served as truth.)
 func TestFlippedByteQuarantinesExactlyOne(t *testing.T) {
 	path := journalPath(t)
 	j, err := OpenJournal(path)
@@ -155,48 +155,50 @@ func TestFlippedByteQuarantinesExactlyOne(t *testing.T) {
 	}
 }
 
-// TestV1JournalMigration pins that a journal written by the previous
-// format (version-1 header, plain JSONL records, no checksums) still
-// replays, and that appending to it writes v2 frames the loader accepts
-// alongside the legacy lines.
-func TestV1JournalMigration(t *testing.T) {
+// TestV1JournalRejected pins the end of the v1 format: a journal with a
+// version-1 header is refused whole by the version check, and an unframed
+// JSON record inside a v2 journal is quarantined like any other corrupt
+// line — no record is ever trusted without its CRC.
+func TestV1JournalRejected(t *testing.T) {
 	path := journalPath(t)
 	v1 := `{"kind":"journal-header","version":1}
 {"key":"A|MUM|s1|i10","attempts":1,"result":{"Benchmark":"MUM","Config":"A","Status":"ok","IPC":3.5}}
-{"key":"B|MUM|s1|i10","attempts":2,"result":{"Benchmark":"MUM","Config":"B","Status":"stall"}}
 `
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Key != "A|MUM|s1|i10" || got[1].Attempts != 2 {
-		t.Fatalf("v1 journal replay = %+v", got)
-	}
-	if stats.Skipped != 0 || stats.Quarantined != 0 {
-		t.Errorf("v1 replay stats = %+v, want clean", stats)
+	if _, _, err := LoadJournal(path); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 journal replayed: err = %v, want a version error", err)
 	}
 
+	path = journalPath(t)
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "C|MUM|s1|i10", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j.Append(Record{Key: "B|MUM|s1|i10", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	raw, _ := os.ReadFile(path)
-	if !strings.Contains(string(raw), "\n*") {
-		t.Errorf("append to v1 journal did not write a v2 frame:\n%s", raw)
-	}
-	got, _, err = LoadJournal(path)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[2].Key != "C|MUM|s1|i10" {
-		t.Fatalf("mixed v1+v2 replay = %+v", got)
+	f.WriteString(`{"key":"C|MUM|s1|i10","attempts":1,"result":{"Status":"ok"}}` + "\n")
+	f.Close()
+	got, stats, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Key != "B|MUM|s1|i10" {
+		t.Fatalf("records = %+v, want only the framed one", got)
+	}
+	if stats.Quarantined != 1 || stats.Skipped != 0 {
+		t.Errorf("stats = %+v, want the unframed line quarantined", stats)
+	}
+	side, err := os.ReadFile(QuarantinePath(path))
+	if err != nil || !strings.Contains(string(side), `"key":"C|MUM`) {
+		t.Errorf("sidecar does not hold the unframed line: %q (%v)", side, err)
 	}
 }
 
@@ -361,7 +363,7 @@ func TestResumeSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1.DoAll([]core.Config{cfgA, cfgB})
+	p1.Do(context.Background(), cfgA, cfgB)
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +377,7 @@ func TestResumeSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := p2.DoAll([]core.Config{cfgA, cfgB, cfgC})
+	outs := p2.Do(context.Background(), cfgA, cfgB, cfgC)
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +416,7 @@ func TestTransientOutcomesNotJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Do(testCfg(t, "slow"))
+	doOne(p, testCfg(t, "slow"))
 	p.Close()
 	recs, _, err := LoadJournal(path)
 	if err != nil {

@@ -29,7 +29,7 @@ func TestPersistFailureNotCached(t *testing.T) {
 		}})
 	cfg := testCfg(t, "durable")
 
-	out := p.Do(cfg)
+	out := doOne(p, cfg)
 	if out.Result.Status != "io_error" {
 		t.Fatalf("status under persist failure = %q, want io_error", out.Result.Status)
 	}
@@ -42,7 +42,7 @@ func TestPersistFailureNotCached(t *testing.T) {
 
 	// The failed outcome must not have been cached: the next request
 	// re-executes rather than serving the unpersisted result from memory.
-	out = p.Do(cfg)
+	out = doOne(p, cfg)
 	if out.Cached {
 		t.Fatal("unpersisted outcome was served from cache")
 	}
@@ -52,14 +52,14 @@ func TestPersistFailureNotCached(t *testing.T) {
 
 	// Fault clears: re-execution persists, caches, and later calls hit.
 	fail.Store(false)
-	out = p.Do(cfg)
+	out = doOne(p, cfg)
 	if out.Result.Status != "ok" || out.Cached {
 		t.Fatalf("post-heal outcome = status %q cached %v, want fresh ok", out.Result.Status, out.Cached)
 	}
 	if persisted.Load() != 1 {
 		t.Errorf("persisted %d records, want 1", persisted.Load())
 	}
-	out = p.Do(cfg)
+	out = doOne(p, cfg)
 	if !out.Cached || out.Result.Status != "ok" {
 		t.Errorf("persisted outcome not served from cache: %+v", out)
 	}
@@ -74,7 +74,7 @@ func TestPersistSkipsTransients(t *testing.T) {
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "timeout"}, nil
 		},
 		Persist: func(Record) error { persisted.Add(1); return nil }})
-	p.Do(testCfg(t, "slow"))
+	doOne(p, testCfg(t, "slow"))
 	if persisted.Load() != 0 {
 		t.Errorf("Persist saw %d transient outcomes, want 0", persisted.Load())
 	}

@@ -2,13 +2,28 @@ package runner
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
+
+// withMaxProcs sets GOMAXPROCS — the planner's core budget, and with the
+// pool's Jobs the only input to a lane width — for one test, restoring it
+// on cleanup.
+func withMaxProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // laneBatchRecorder is a LaneRunFunc that records every batch it executes
 // and returns per-seed results through verdict (defaulting to "ok"). IPC
@@ -36,28 +51,35 @@ func (r *laneBatchRecorder) run(_ context.Context, cfg core.Config, seeds []uint
 	return results, errs
 }
 
+// seedCfgs builds n replicas of one configuration, seeds 1..n.
+func seedCfgs(t *testing.T, name string, n int) []core.Config {
+	t.Helper()
+	cfgs := make([]core.Config, n)
+	for i := range cfgs {
+		cfgs[i] = testCfg(t, name)
+		cfgs[i].Seed = uint64(i + 1)
+	}
+	return cfgs
+}
+
 // TestDoAllCoalescesLanes pins the coalescing contract: same-config
-// different-seed requests chunk into lane batches of Options.Lanes, each
+// different-seed requests chunk into lane batches of the planned width, each
 // batch executes once, and every seed keeps its solo cache identity — its
 // own Key, its own Outcome carrying that seed's result, and a cache entry a
-// later Do serves without re-executing.
+// later Do serves without re-executing. One slot on a 4-core budget plans
+// the 6 seeds 4 wide.
 func TestDoAllCoalescesLanes(t *testing.T) {
+	withMaxProcs(t, 4)
 	rec := &laneBatchRecorder{}
 	var soloCalls atomic.Int64
-	p := newPool(t, Options{Jobs: 2, Lanes: 4,
+	p := newPool(t, Options{Jobs: 1,
 		RunLanes: rec.run,
 		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
 			soloCalls.Add(1)
 			return okRun(ctx, cfg)
 		}})
-	base := testCfg(t, "coalesce")
-	var cfgs []core.Config
-	for s := uint64(1); s <= 6; s++ {
-		cfg := base
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	outs := p.DoAll(cfgs)
+	cfgs := seedCfgs(t, "coalesce", 6)
+	outs := p.Do(context.Background(), cfgs...)
 
 	if n := soloCalls.Load(); n != 0 {
 		t.Errorf("solo path executed %d times; every seed should ride a lane batch", n)
@@ -81,7 +103,7 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 	}
 	// Lane batching must be invisible to the cache: a repeat request for any
 	// seed is a hit, no third batch.
-	if out := p.Do(cfgs[3]); !out.Cached || out.Result.IPC != float64(cfgs[3].Seed) {
+	if out := doOne(p, cfgs[3]); !out.Cached || out.Result.IPC != float64(cfgs[3].Seed) {
 		t.Errorf("repeat request = %+v, want cache hit with that seed's result", out)
 	}
 	if len(rec.batches) != 2 {
@@ -94,6 +116,7 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 // through the solo path with its full retry budget — while its batch
 // siblings keep their lane results without re-execution.
 func TestLaneRetryableFallsBackToSolo(t *testing.T) {
+	withMaxProcs(t, 4)
 	const flaky = uint64(2)
 	rec := &laneBatchRecorder{verdict: func(seed uint64) string {
 		if seed == flaky {
@@ -102,20 +125,15 @@ func TestLaneRetryableFallsBackToSolo(t *testing.T) {
 		return "ok"
 	}}
 	var soloRuns atomic.Int64
-	p := newPool(t, Options{Jobs: 2, Lanes: 3, Retries: 2,
+	p := newPool(t, Options{Jobs: 1, Retries: 2,
 		RunLanes: rec.run,
 		Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 			soloRuns.Add(1)
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name,
 				Status: "ok", IPC: float64(cfg.Seed)}, nil
 		}})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 3; s++ {
-		cfg := testCfg(t, "flaky-lane")
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	outs := p.DoAll(cfgs)
+	cfgs := seedCfgs(t, "flaky-lane", 3)
+	outs := p.Do(context.Background(), cfgs...)
 	for i, o := range outs {
 		if !o.OK() || o.Result.IPC != float64(cfgs[i].Seed) {
 			t.Errorf("outs[%d] = %+v, want ok with seed %d", i, o.Result, cfgs[i].Seed)
@@ -133,49 +151,45 @@ func TestLaneRetryableFallsBackToSolo(t *testing.T) {
 // lane's DNF is terminal — published as-is, no solo re-execution — matching
 // what solo execution would have recorded.
 func TestLaneRetryableTerminalWithoutRetries(t *testing.T) {
+	withMaxProcs(t, 2)
 	rec := &laneBatchRecorder{verdict: func(uint64) string { return "stall" }}
 	var soloRuns atomic.Int64
-	p := newPool(t, Options{Jobs: 1, Lanes: 2,
+	p := newPool(t, Options{Jobs: 1,
 		RunLanes: rec.run,
 		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
 			soloRuns.Add(1)
 			return okRun(ctx, cfg)
 		}})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 2; s++ {
-		cfg := testCfg(t, "stuck-lane")
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	outs := p.DoAll(cfgs)
+	outs := p.Do(context.Background(), seedCfgs(t, "stuck-lane", 2)...)
 	for i, o := range outs {
 		if o.Result.Status != "stall" {
 			t.Errorf("outs[%d].Status = %q, want the lane's stall verdict", i, o.Result.Status)
 		}
+	}
+	if len(rec.batches) != 1 {
+		t.Errorf("lane batches = %v, want one 2-wide batch", rec.batches)
 	}
 	if soloRuns.Load() != 0 {
 		t.Errorf("solo path ran %d times despite empty retry budget", soloRuns.Load())
 	}
 }
 
-// TestLaneDuplicateKeysShareOneExecution: duplicate seeds in one DoAll ride
-// the singleflight. Whichever path claims the key first (the duplicate goes
-// solo and races the chunk), each distinct seed executes exactly once and
+// TestLaneDuplicateKeysShareOneExecution: a key repeated in one batch
+// rides the singleflight — each distinct seed executes exactly once and
 // the duplicate is served the same outcome.
 func TestLaneDuplicateKeysShareOneExecution(t *testing.T) {
+	withMaxProcs(t, 2)
 	rec := &laneBatchRecorder{}
 	var soloRuns atomic.Int64
-	p := newPool(t, Options{Jobs: 2, Lanes: 2, RunLanes: rec.run,
+	p := newPool(t, Options{Jobs: 2, RunLanes: rec.run,
 		Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 			soloRuns.Add(1)
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name,
 				Status: "ok", IPC: float64(cfg.Seed)}, nil
 		}})
-	a := testCfg(t, "dup")
-	a.Seed = 1
-	b := testCfg(t, "dup")
-	b.Seed = 2
-	outs := p.DoAll([]core.Config{a, b, a})
+	cfgs := seedCfgs(t, "dup", 2)
+	a, b := cfgs[0], cfgs[1]
+	outs := p.Do(context.Background(), a, b, a)
 	batched := 0
 	for _, batch := range rec.batches {
 		batched += len(batch)
@@ -193,20 +207,15 @@ func TestLaneDuplicateKeysShareOneExecution(t *testing.T) {
 }
 
 // TestLanePanicIsolation: a panicking lane batch becomes per-seed "panic"
-// DNFs with the stack attached, and the rest of the DoAll survives.
+// DNFs with the stack attached, and the rest of the batch survives.
 func TestLanePanicIsolation(t *testing.T) {
-	p := newPool(t, Options{Jobs: 2, Lanes: 2,
+	withMaxProcs(t, 2)
+	p := newPool(t, Options{Jobs: 1,
 		RunLanes: func(_ context.Context, _ core.Config, _ []uint64) ([]core.Result, []error) {
 			panic("lane kernel exploded")
 		},
 		Run: okRun})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 2; s++ {
-		cfg := testCfg(t, "lane-boom")
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	outs := p.DoAll(cfgs)
+	outs := p.Do(context.Background(), seedCfgs(t, "lane-boom", 2)...)
 	for i, o := range outs {
 		if o.Result.Status != "panic" {
 			t.Errorf("outs[%d].Status = %q, want panic", i, o.Result.Status)
@@ -224,23 +233,22 @@ func TestLanePanicIsolation(t *testing.T) {
 // durability gate individually — one Persist record per seed, keyed like a
 // solo run — before publication.
 func TestLanePersistGatePerSeed(t *testing.T) {
+	withMaxProcs(t, 4)
 	rec := &laneBatchRecorder{}
 	var mu sync.Mutex
 	persisted := map[string]Record{}
-	p := newPool(t, Options{Jobs: 1, Lanes: 3, RunLanes: rec.run, Run: okRun,
+	p := newPool(t, Options{Jobs: 1, RunLanes: rec.run, Run: okRun,
 		Persist: func(r Record) error {
 			mu.Lock()
 			persisted[r.Key] = r
 			mu.Unlock()
 			return nil
 		}})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 3; s++ {
-		cfg := testCfg(t, "persist-lane")
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
+	cfgs := seedCfgs(t, "persist-lane", 3)
+	p.Do(context.Background(), cfgs...)
+	if len(rec.batches) != 1 {
+		t.Errorf("lane batches = %v, want one 3-wide batch", rec.batches)
 	}
-	p.DoAll(cfgs)
 	if len(persisted) != 3 {
 		t.Fatalf("persisted %d records, want 3 (one per seed)", len(persisted))
 	}
@@ -252,23 +260,18 @@ func TestLanePersistGatePerSeed(t *testing.T) {
 	}
 }
 
-// TestLaneWidthBelowTwoStaysSolo: Lanes 0/1 (and a leftover chunk of one)
-// never touch the lane entry point.
+// TestLaneWidthBelowTwoStaysSolo: on a 1-core host the planner degrades to
+// width 1, and a width-1 chunk never touches the lane entry point.
 func TestLaneWidthBelowTwoStaysSolo(t *testing.T) {
+	withMaxProcs(t, 1)
 	var laneCalls atomic.Int64
-	p := newPool(t, Options{Jobs: 2, Lanes: 1,
+	p := newPool(t, Options{Jobs: 2,
 		RunLanes: func(ctx context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
 			laneCalls.Add(1)
 			return make([]core.Result, len(seeds)), make([]error, len(seeds))
 		},
 		Run: okRun})
-	var cfgs []core.Config
-	for s := uint64(1); s <= 3; s++ {
-		cfg := testCfg(t, "solo-width")
-		cfg.Seed = s
-		cfgs = append(cfgs, cfg)
-	}
-	outs := p.DoAll(cfgs)
+	outs := p.Do(context.Background(), seedCfgs(t, "solo-width", 3)...)
 	if laneCalls.Load() != 0 {
 		t.Errorf("lane entry point called %d times at width 1", laneCalls.Load())
 	}
@@ -276,5 +279,199 @@ func TestLaneWidthBelowTwoStaysSolo(t *testing.T) {
 		if !o.OK() {
 			t.Errorf("outs[%d].Status = %q, want ok", i, o.Result.Status)
 		}
+	}
+}
+
+// publishEffects is everything a batch leaves behind: the outcomes Do
+// returned, the pool's cache, the journal, the executed count and the OnDone
+// stream (journal and OnDone sorted: solo chunks race each other).
+type publishEffects struct {
+	Outs, Cache, Journal, OnDone []string
+	Executed                     int
+	LaneCalls                    int
+}
+
+func renderOutcome(o Outcome) string {
+	return fmt.Sprintf("%s %s a%d cached=%v resumed=%v", o.Key, o.Result.Status, o.Attempts, o.Cached, o.Resumed)
+}
+
+// publishCase is one row of TestPublishPipelineShared. verdict returns a
+// seed's status; "" blocks the run until its context dies. cancel names
+// the context to cancel once every chunk's run has started, so both keys
+// are claimed.
+type publishCase struct {
+	name        string
+	retries     int
+	verdict     func(seed uint64) string
+	persistFail bool
+	cancel      string // "", "call" or "pool"
+
+	wantTarget   string // status and attempts of seed 1's outcome
+	wantCached   bool
+	wantJournal  bool
+	wantExecuted int
+}
+
+// runPublishCase submits seeds 1 and 2 of one configuration. With lanes
+// false the plan cuts two solo chunks (1-core budget) running on two slots;
+// with lanes true one 2-wide lane chunk (2-core budget, one slot).
+func runPublishCase(t *testing.T, tc publishCase, lanes bool) publishEffects {
+	maxprocs, jobs := 1, 2
+	if lanes {
+		maxprocs, jobs = 2, 1
+	}
+	withMaxProcs(t, maxprocs)
+	cfgs := seedCfgs(t, "publish", 2)
+	target := Key(cfgs[0])
+	path := filepath.Join(t.TempDir(), "publish.jsonl")
+	poolCtx, stopPool := context.WithCancel(context.Background())
+	defer stopPool()
+	callCtx, stopCall := context.WithCancel(context.Background())
+	defer stopCall()
+
+	started := make(chan struct{}, 2) // one send per seed at most
+	verdict := func(ctx context.Context, cfg core.Config, seed uint64) core.Result {
+		status := tc.verdict(seed)
+		if status == "" {
+			started <- struct{}{}
+			<-ctx.Done()
+			status = "canceled"
+		}
+		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status, IPC: float64(seed)}
+	}
+	var mu sync.Mutex
+	var eff publishEffects
+	opts := Options{Jobs: jobs, Retries: tc.retries, Backoff: time.Millisecond, Checkpoint: path,
+		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
+			return verdict(ctx, cfg, cfg.Seed), nil
+		},
+		RunLanes: func(ctx context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
+			mu.Lock()
+			eff.LaneCalls++
+			mu.Unlock()
+			results := make([]core.Result, len(seeds))
+			for i, s := range seeds {
+				results[i] = verdict(ctx, cfg, s)
+			}
+			return results, make([]error, len(seeds))
+		},
+		OnDone: func(o Outcome) {
+			mu.Lock()
+			eff.OnDone = append(eff.OnDone, renderOutcome(o))
+			mu.Unlock()
+		},
+	}
+	if tc.persistFail {
+		opts.Persist = func(r Record) error {
+			if r.Key == target {
+				return syscall.ENOSPC
+			}
+			return nil
+		}
+	}
+	p, err := New(poolCtx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.cancel != "" {
+		go func() {
+			// Each solo chunk starts its own run; the lane chunk's first
+			// lane starts after claiming both keys.
+			for i := 0; i < jobs; i++ {
+				<-started
+			}
+			if tc.cancel == "call" {
+				stopCall()
+			} else {
+				stopPool()
+			}
+		}()
+	}
+	for _, o := range p.Do(callCtx, cfgs...) {
+		eff.Outs = append(eff.Outs, renderOutcome(o))
+	}
+	for _, o := range p.Outcomes() {
+		eff.Cache = append(eff.Cache, renderOutcome(o))
+	}
+	eff.Executed = p.Executed()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		eff.Journal = append(eff.Journal, fmt.Sprintf("%s %s a%d", r.Key, r.Result.Status, r.Attempts))
+	}
+	sort.Strings(eff.Journal)
+	sort.Strings(eff.OnDone)
+	return eff
+}
+
+// TestPublishPipelineShared drives each publication case through a solo
+// chunk and a lane chunk and demands identical cache, journal, Executed(),
+// OnDone and Outcome effects: there is one publish pipeline, whatever the
+// chunk width.
+func TestPublishPipelineShared(t *testing.T) {
+	ok := func(uint64) string { return "ok" }
+	block := func(uint64) string { return "" }
+	cases := []publishCase{
+		{name: "ok", verdict: ok,
+			wantTarget: "ok a1", wantCached: true, wantJournal: true, wantExecuted: 2},
+		// The lane spends one attempt, is left unpublished, and falls back
+		// to the solo loop with its full budget: 1 + 2 retries.
+		{name: "retryable-stall", retries: 2,
+			verdict: func(seed uint64) string {
+				if seed == 1 {
+					return "stall"
+				}
+				return "ok"
+			},
+			wantTarget: "stall a3", wantCached: true, wantJournal: true, wantExecuted: 2},
+		{name: "persist-failure", verdict: ok, persistFail: true,
+			wantTarget: "io_error a1", wantExecuted: 2},
+		{name: "call-cancel", verdict: block, cancel: "call",
+			wantTarget: "canceled a1", wantExecuted: 0},
+		{name: "pool-cancel", verdict: block, cancel: "pool",
+			wantTarget: "canceled a1", wantCached: true, wantExecuted: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			solo := runPublishCase(t, tc, false)
+			lane := runPublishCase(t, tc, true)
+			if solo.LaneCalls != 0 || lane.LaneCalls != 1 {
+				t.Fatalf("lane calls solo=%d lane=%d, want 0 and 1", solo.LaneCalls, lane.LaneCalls)
+			}
+			solo.LaneCalls, lane.LaneCalls = 0, 0
+			if !reflect.DeepEqual(solo, lane) {
+				t.Errorf("solo and lane chunks published differently:\nsolo %+v\nlane %+v", solo, lane)
+			}
+			target := "publish|MUM|s1|"
+			if len(lane.Outs) != 2 || !strings.HasPrefix(lane.Outs[0], target) ||
+				!strings.Contains(lane.Outs[0], " "+tc.wantTarget+" cached=false") {
+				t.Errorf("seed 1 outcome = %v, want %q", lane.Outs, tc.wantTarget)
+			}
+			has := func(list []string) bool {
+				for _, s := range list {
+					if strings.HasPrefix(s, target) {
+						return true
+					}
+				}
+				return false
+			}
+			if has(lane.Cache) != tc.wantCached {
+				t.Errorf("seed 1 cached = %v, want %v (cache %v)", has(lane.Cache), tc.wantCached, lane.Cache)
+			}
+			if has(lane.Journal) != tc.wantJournal {
+				t.Errorf("seed 1 journaled = %v, want %v (journal %v)", has(lane.Journal), tc.wantJournal, lane.Journal)
+			}
+			if lane.Executed != tc.wantExecuted {
+				t.Errorf("Executed() = %d, want %d", lane.Executed, tc.wantExecuted)
+			}
+			if len(lane.OnDone) != 2 {
+				t.Errorf("OnDone fired %d times, want once per seed: %v", len(lane.OnDone), lane.OnDone)
+			}
+		})
 	}
 }

@@ -39,12 +39,11 @@ func plannerSweep(t testing.TB, groups, seeds int) []core.Config {
 
 // TestPlannerGroupsReplicas pins the planning contract: the order is a
 // permutation, every lane group is contiguous with seeds ascending, groups
-// collate by name, and the accounting matches the grid shape.
+// collate by name, and the widths match the grid shape.
 func TestPlannerGroupsReplicas(t *testing.T) {
+	withMaxProcs(t, 8)
 	cfgs := plannerSweep(t, 4, 6)
-	var pl Planner
-	pl.MaxProcs = 8
-	pl.Jobs = 8
+	pl := Planner{Jobs: 8}
 	plan := pl.Plan(cfgs)
 
 	if len(plan.Order) != len(cfgs) || len(plan.Width) != len(cfgs) {
@@ -66,14 +65,8 @@ func TestPlannerGroupsReplicas(t *testing.T) {
 			t.Fatalf("seeds not ascending within group %q at %d", a.Name, j)
 		}
 	}
-	if plan.Groups != 4 {
-		t.Errorf("Groups = %d, want 4", plan.Groups)
-	}
 	// 24 runs over 8 slots → target width 3; 6 seeds per group → two
 	// 3-wide batches per group, everything batched.
-	if plan.Batched != 24 || plan.Batches != 8 {
-		t.Errorf("Batched/Batches = %d/%d, want 24/8", plan.Batched, plan.Batches)
-	}
 	for j, w := range plan.Width {
 		if w != 3 {
 			t.Errorf("Width[%d] = %d, want 3", j, w)
@@ -86,18 +79,14 @@ func TestPlannerGroupsReplicas(t *testing.T) {
 // a degraded CI box never oversubscribes itself and bench capture rows stay
 // honest.
 func TestPlannerOneCoreDegrade(t *testing.T) {
+	withMaxProcs(t, 1)
 	cfgs := plannerSweep(t, 3, 8)
-	var pl Planner
-	pl.MaxProcs = 1
-	pl.Jobs = 1
+	pl := Planner{Jobs: 1}
 	plan := pl.Plan(cfgs)
 	for j, w := range plan.Width {
 		if w != 1 {
 			t.Fatalf("Width[%d] = %d, want 1 on a 1-core host", j, w)
 		}
-	}
-	if plan.Batches != 0 || plan.Batched != 0 {
-		t.Errorf("1-core plan still batches lanes: %+v", plan)
 	}
 }
 
@@ -106,9 +95,9 @@ func TestPlannerOneCoreDegrade(t *testing.T) {
 // caller permuted the sweep, so planned tables cannot depend on emission
 // order.
 func TestPlannerDeterministicAcrossPermutations(t *testing.T) {
+	withMaxProcs(t, 8)
 	base := plannerSweep(t, 3, 4)
 	var pl Planner
-	pl.MaxProcs = 8
 	ref := pl.Plan(base)
 	refKeys := make([]string, len(ref.Order))
 	for j, i := range ref.Order {
@@ -135,20 +124,21 @@ func TestPlannerDeterministicAcrossPermutations(t *testing.T) {
 // explorer can re-plan every rung for free. This is the same guarantee the
 // CI alloc gate pins via BenchmarkSweepPlanner.
 func TestPlannerZeroAllocs(t *testing.T) {
+	withMaxProcs(t, 8)
 	cfgs := plannerSweep(t, 8, 8)
 	var pl Planner
-	pl.MaxProcs = 8
 	pl.Plan(cfgs) // warm the scratch
 	if allocs := testing.AllocsPerRun(20, func() { pl.Plan(cfgs) }); allocs != 0 {
 		t.Errorf("Plan allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestDoAllPlannedMatchesDoAll: the planned path returns outcomes in the
-// caller's order with per-seed identity intact, coalesces replicas into
-// lane batches, and a later unplanned request is served from the same
-// cache.
+// TestDoAllPlannedMatchesDoAll: the DoAllPlanned forwarder is Do — outcomes
+// in the caller's order with per-seed identity intact, replicas coalesced
+// into lane batches (12 runs on 2 slots plan 6 wide on a 8-core budget),
+// and a later single-config Do served from the same cache.
 func TestDoAllPlannedMatchesDoAll(t *testing.T) {
+	withMaxProcs(t, 8)
 	rec := &laneBatchRecorder{}
 	var soloRuns atomic.Int64
 	p := newPool(t, Options{Jobs: 2,
@@ -158,9 +148,8 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name,
 				Status: "ok", IPC: float64(cfg.Seed)}, nil
 		}})
-	cfgs := plannerSweep(t, 2, 6) // 12 runs on 2 jobs → width 6 batches
-	pl := Planner{MaxProcs: 8, Jobs: 2}
-	outs := p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
+	cfgs := plannerSweep(t, 2, 6)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if want := Key(cfgs[i]); o.Key != want {
 			t.Errorf("outs[%d].Key = %q, want caller-order key %q", i, o.Key, want)
@@ -173,36 +162,15 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 	for _, b := range rec.batches {
 		batched += len(b)
 	}
-	if batched != 12 || soloRuns.Load() != 0 {
-		t.Errorf("batched %d seeds, solo %d; planner should coalesce all 12 replicas",
-			batched, soloRuns.Load())
+	if len(rec.batches) != 2 || batched != 12 || soloRuns.Load() != 0 {
+		t.Errorf("batches %v, solo %d; the plan should coalesce all 12 replicas into two",
+			rec.batches, soloRuns.Load())
 	}
 	if p.Executed() != 12 {
 		t.Errorf("Executed() = %d, want 12", p.Executed())
 	}
-	if out := p.Do(cfgs[5]); !out.Cached {
-		t.Errorf("unplanned repeat missed the cache: %+v", out)
-	}
-}
-
-// TestDoAllPlannedExplicitRequestsWin: a config's own Lanes survives
-// planning untouched — the plan only fills silence.
-func TestDoAllPlannedExplicitRequestsWin(t *testing.T) {
-	rec := &laneBatchRecorder{}
-	p := newPool(t, Options{Jobs: 1, RunLanes: rec.run, Run: okRun})
-	cfgs := plannerSweep(t, 1, 4)
-	for i := range cfgs {
-		cfgs[i].Lanes = 1 // caller explicitly demands solo runs
-	}
-	pl := Planner{MaxProcs: 8, Jobs: 1}
-	outs := p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
-	if len(rec.batches) != 0 {
-		t.Errorf("explicit Lanes=1 still produced lane batches %v", rec.batches)
-	}
-	for i, o := range outs {
-		if !o.OK() {
-			t.Errorf("outs[%d].Status = %q, want ok", i, o.Result.Status)
-		}
+	if out := doOne(p, cfgs[5]); !out.Cached {
+		t.Errorf("single-config repeat missed the cache: %+v", out)
 	}
 }
 
@@ -211,52 +179,11 @@ func TestDoAllPlannedExplicitRequestsWin(t *testing.T) {
 // bench gate fails on any nonzero allocs/op.
 func BenchmarkSweepPlanner(b *testing.B) {
 	cfgs := plannerSweep(b, 64, 8)
-	var pl Planner
-	pl.MaxProcs = 16
-	pl.Jobs = 8
+	pl := Planner{Jobs: 8}
 	pl.Plan(cfgs) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pl.Plan(cfgs)
 	}
-}
-
-// BenchmarkSweepSubmission compares submitting a replica-heavy sweep
-// through the naive per-config path against the planner (batched) path,
-// with a stub kernel so the measured cost is the runner's own
-// orchestration. Not alloc-gated: pool bookkeeping allocates by design.
-func BenchmarkSweepSubmission(b *testing.B) {
-	laneRun := func(_ context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
-		results := make([]core.Result, len(seeds))
-		for i := range seeds {
-			results[i] = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}
-		}
-		return results, make([]error, len(seeds))
-	}
-	soloRun := func(_ context.Context, cfg core.Config) (core.Result, error) {
-		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}, nil
-	}
-	cfgs := plannerSweep(b, 16, 8)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := New(context.Background(), Options{Jobs: 4, RunLanes: laneRun, Run: soloRun})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.DoAll(cfgs)
-			p.Close()
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		pl := Planner{MaxProcs: 16, Jobs: 4}
-		for i := 0; i < b.N; i++ {
-			p, err := New(context.Background(), Options{Jobs: 4, RunLanes: laneRun, Run: soloRun})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
-			p.Close()
-		}
-	})
 }

@@ -57,15 +57,6 @@ type Options struct {
 	// "timeout") gets before it is recorded; deterministic verdicts
 	// (deadlock, livelock, cycle-cap, panic) are never retried.
 	Retries int
-	// Lanes is the default lane-batch width applied to every config whose
-	// own Lanes field is zero: DoAll/DoAllContext coalesce up to Lanes
-	// same-configuration/different-seed requests into one lane-batched
-	// execution (core.RunLanes) occupying a single worker slot. Lane
-	// batching is result-invariant — every lane is bit-identical to its
-	// solo run — so it does not participate in cache keys or checkpoint
-	// identity: each seed keeps its own Key, cache entry and journal
-	// record. 0 and 1 both disable coalescing.
-	Lanes int
 	// Backoff is the base delay before the first retry; successive
 	// retries double it (capped by MaxBackoff), each with ±50%
 	// deterministic jitter. 0 means DefaultBackoff.
@@ -202,11 +193,9 @@ func Key(cfg core.Config) string {
 // retries, panic isolation and checkpointing. All methods are safe for
 // concurrent use.
 type Pool struct {
-	ctx      context.Context
-	opts     Options
-	run      RunFunc
-	runLanes LaneRunFunc
-	sem      chan struct{}
+	ctx  context.Context
+	opts Options
+	sem  chan struct{}
 
 	mu         sync.Mutex
 	cache      map[string]Outcome
@@ -241,20 +230,18 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 	if opts.Retries < 0 {
 		return nil, fmt.Errorf("runner: Retries must be >= 0, got %d", opts.Retries)
 	}
+	if opts.Run == nil {
+		opts.Run = core.Run
+	}
+	if opts.RunLanes == nil {
+		opts.RunLanes = core.RunLanes
+	}
 	p := &Pool{
 		ctx:      ctx,
 		opts:     opts,
-		run:      opts.Run,
-		runLanes: opts.RunLanes,
 		sem:      make(chan struct{}, opts.Jobs),
 		cache:    make(map[string]Outcome),
 		inflight: make(map[string]*flight),
-	}
-	if p.run == nil {
-		p.run = core.Run
-	}
-	if p.runLanes == nil {
-		p.runLanes = core.RunLanes
 	}
 	if opts.Checkpoint != "" {
 		if opts.Resume {
@@ -301,301 +288,129 @@ func (p *Pool) abandon(fl *flight) {
 	p.mu.Unlock()
 }
 
-// Do executes (or recalls) one run. It blocks until the outcome is
-// terminal; duplicate concurrent requests for the same key share a single
-// execution.
-func (p *Pool) Do(cfg core.Config) Outcome {
-	return p.DoContext(context.Background(), cfg)
-}
-
-// DoContext is Do bounded by a per-call context — the service daemon's
-// end-to-end request deadline. The run executes under the pool context as
-// before, but every concurrent caller for the key holds a stake in it:
-// when ctx dies the caller gets a "canceled" outcome immediately, and when
-// the last interested caller is gone the in-flight run itself is cancelled
-// (a disconnected client must not keep burning a worker).
+// Do executes (or recalls) every config and blocks until each outcome is
+// terminal; outs[i] corresponds to cfgs[i], and a single config is a batch
+// of one. The batch always goes through the sweep planner (Planner.Plan),
+// which orders it so the seed replicas of one configuration sit together
+// and picks each group's lane width. Then:
 //
-// An outcome forced by per-call cancellation ("canceled"/"timeout" with
-// the run context dead while the pool is still alive) is transient: it is
-// returned to the caller but neither cached, journaled nor counted as
-// executed, so a later request re-executes the run. Pool-context
-// cancellation (harness shutdown) keeps the historical behaviour: the
-// canceled outcome is cached so sweep summaries can render it.
-func (p *Pool) DoContext(ctx context.Context, cfg core.Config) Outcome {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	key := Key(cfg)
-	for {
-		if ctx.Err() != nil {
-			return canceledOutcome(cfg, key, 0, ctx.Err())
-		}
-		p.mu.Lock()
-		if out, ok := p.cache[key]; ok {
-			p.mu.Unlock()
-			out.Cached = true
-			return out
-		}
-		if p.opts.Lookup != nil {
-			if rec, ok := p.opts.Lookup(key); ok && rec.Key == key {
-				out := Outcome{Key: key, Result: rec.Result, Attempts: rec.Attempts, Resumed: true}
-				p.cache[key] = out
-				p.mu.Unlock()
-				return out
-			}
-		}
-		if fl, ok := p.inflight[key]; ok {
-			fl.waiters++
-			p.mu.Unlock()
-			select {
-			case <-fl.done:
-				continue // the winner has populated the cache (or left a transient gap)
-			case <-ctx.Done():
-				p.abandon(fl)
-				return canceledOutcome(cfg, key, 0, ctx.Err())
-			}
-		}
-		runCtx, cancel := context.WithCancel(p.ctx)
-		fl := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-		p.inflight[key] = fl
-		p.mu.Unlock()
-
-		// The winner's own context dying abandons its stake like any
-		// other waiter's; the run is cancelled only when no caller
-		// remains interested.
-		stop := context.AfterFunc(ctx, func() { p.abandon(fl) })
-		out := p.acquireAndRun(runCtx, cfg, key)
-		transient := (out.Result.Status == "canceled" || out.Result.Status == "timeout") &&
-			runCtx.Err() != nil && p.ctx.Err() == nil
-		stop()
-		cancel()
-
-		// Durability gate: a durable outcome must be persisted BEFORE it
-		// is published to the cache, so the pool never serves from memory
-		// a result that would not survive a restart. A persist failure
-		// turns the outcome into an uncached "io_error": the caller sees
-		// the degradation, and a later request re-executes the run.
-		durable := !transient && out.Result.Status != "canceled" && out.Result.Status != "timeout"
-		var persistErr error
-		if durable && p.opts.Persist != nil {
-			p.cbMu.Lock()
-			persistErr = p.opts.Persist(Record{Key: out.Key, Attempts: out.Attempts, Result: out.Result})
-			p.cbMu.Unlock()
-			if persistErr != nil {
-				out.Result.Status = "io_error"
-				out.Err = persistErr
-			}
-		}
-
-		p.mu.Lock()
-		if !transient && persistErr == nil {
-			p.cache[key] = out
-		}
-		delete(p.inflight, key)
-		if !transient {
-			p.executed++
-			if persistErr == nil {
-				p.appendJournalLocked(out)
-			}
-		}
-		p.mu.Unlock()
-		close(fl.done)
-
-		if p.opts.OnDone != nil {
-			p.cbMu.Lock()
-			p.opts.OnDone(out)
-			p.cbMu.Unlock()
-		}
-		return out
-	}
-}
-
-// DoAll fans cfgs out across the worker pool and waits for every outcome;
-// outs[i] corresponds to cfgs[i]. Harnesses use it to warm the cache in
-// parallel before rendering tables serially (and deterministically) from
-// cache hits. When lane batching is enabled (Options.Lanes or per-config
-// Lanes >= 2) it coalesces same-configuration/different-seed requests into
-// lane-batched executions; see DoAllContext.
-func (p *Pool) DoAll(cfgs []core.Config) []Outcome {
-	return p.DoAllContext(context.Background(), cfgs)
-}
-
-// laneWidth resolves the effective lane-batch width for one config: the
-// config's own request, the pool default where the config is silent, floored
-// at one (solo).
-func (p *Pool) laneWidth(cfg core.Config) int {
-	w := cfg.Lanes
-	if w == 0 {
-		w = p.opts.Lanes
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// laneGroupKey identifies configs that may share a lane batch: the cache
-// identity (see Key) minus the seed. Configs in one group are identical
-// simulations by the Key contract — anything that changes results must also
-// change Name — so RunLanes may legally replicate one representative across
-// the group's seeds.
-func laneGroupKey(cfg core.Config) string {
-	return fmt.Sprintf("%s|%s|i%d", cfg.Name, cfg.Workload.Abbr, cfg.Workload.InstrsPerWarp)
-}
-
-// DoAllContext is DoAll bounded by a per-call context, with lane-batch
-// coalescing: requests that differ only in Seed (same lane group) and carry
-// an effective lane width >= 2 are chunked width seeds at a time into single
-// core.RunLanes executions. A chunk occupies ONE worker slot — its lanes
-// advance round-robin in one goroutine — and every member seed keeps its
-// solo identity end to end: its own cache Key, its own flight (so concurrent
-// Do/DoContext callers for the same seed share the batched execution), its
-// own journal record and its own Outcome, bit-identical to what a solo run
-// would have produced.
+//  1. each group is cut into chunks of its width;
+//  2. each chunk claims its keys: a cache or Lookup hit settles at once, and
+//     a key already in flight (elsewhere or earlier in the batch) is left
+//     over;
+//  3. each chunk runs on one worker slot: a chunk of one is the solo retry
+//     loop, a wider chunk is one RunLanes call whose lanes advance
+//     round-robin in one goroutine;
+//  4. every outcome passes through publish;
+//  5. the leftovers settle solo, joining any run of their key still in
+//     flight. Lanes whose verdict is retryable with budget left are
+//     leftovers too, so they re-execute with their full retry budget.
 //
-// Everything the lane path cannot settle falls back to the solo path with
-// its full retry budget: duplicate keys, seeds already in flight elsewhere,
-// leftover chunks of one, and lanes whose verdict is transient-retryable
-// ("stall"/"timeout" with retries configured) — a retryable lane verdict is
-// deliberately NOT published, so the fallback re-executes it instead of
-// serving a DNF that solo execution would have retried away.
-func (p *Pool) DoAllContext(ctx context.Context, cfgs []core.Config) []Outcome {
+// Every member keeps its solo identity end to end: its own Key, flight,
+// cache entry, journal record and Outcome, bit-identical to what a solo run
+// produces. So neither the plan nor the lane width changes a result.
+//
+// ctx bounds the call — the service daemon's end-to-end request deadline.
+// Runs execute under the pool context, but every caller waiting on a key
+// holds a stake in its flight: when ctx dies the caller gets a "canceled"
+// outcome at once, and when the last interested caller is gone the run
+// itself is cancelled (a disconnected client must not keep burning a
+// worker). Such an outcome is transient: returned, but neither cached,
+// journaled nor counted as executed, so a later request re-executes the
+// run. Pool-context cancellation (harness shutdown) instead caches the
+// canceled outcome so sweep summaries can render it.
+func (p *Pool) Do(ctx context.Context, cfgs ...core.Config) []Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	outs := make([]Outcome, len(cfgs))
-	settled := make([]bool, len(cfgs))
+	pl := Planner{Jobs: p.opts.Jobs}
+	plan := pl.Plan(cfgs)
 
-	// Partition: lane-eligible requests group by identity-minus-seed;
-	// everything else (width < 2, duplicate keys) goes straight to the solo
-	// path, where the singleflight cache deduplicates against the batch.
-	groups := make(map[string][]int)
-	var order []string
-	claimed := make(map[string]bool)
-	var solo []int
-	for i, cfg := range cfgs {
-		k := Key(cfg)
-		if p.laneWidth(cfg) < 2 || claimed[k] {
-			solo = append(solo, i)
-			continue
+	var chunks [][]int
+	var left []int
+	for j, i := range plan.Order {
+		n := len(chunks)
+		switch {
+		case j == 0 || !samePlanGroup(&cfgs[plan.Order[j-1]], &cfgs[i]):
+			chunks = append(chunks, []int{i})
+		case cfgs[plan.Order[j-1]].Seed == cfgs[i].Seed:
+			left = append(left, i) // the same key twice: settle from the first
+		case len(chunks[n-1]) == plan.Width[j]:
+			chunks = append(chunks, []int{i})
+		default:
+			chunks[n-1] = append(chunks[n-1], i)
 		}
-		claimed[k] = true
-		gk := laneGroupKey(cfg)
-		if _, ok := groups[gk]; !ok {
-			order = append(order, gk)
-		}
-		groups[gk] = append(groups[gk], i)
 	}
 
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, gk := range order {
-		idxs := groups[gk]
-		width := p.laneWidth(cfgs[idxs[0]])
-		for start := 0; start < len(idxs); start += width {
-			end := start + width
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			chunk := idxs[start:end]
-			if len(chunk) < 2 {
-				solo = append(solo, chunk...) // a lane of one is just a solo run
-				continue
-			}
-			wg.Add(1)
-			go func(chunk []int) {
-				defer wg.Done()
-				p.doLaneChunk(ctx, cfgs, chunk, outs, settled)
-			}(chunk)
-		}
-	}
-	for _, i := range solo {
+	for _, chunk := range chunks {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			outs[i] = p.DoContext(ctx, cfgs[i])
-			settled[i] = true
-		}(i)
+			if l := p.runChunk(ctx, cfgs, chunk, outs); len(l) > 0 {
+				mu.Lock()
+				left = append(left, l...)
+				mu.Unlock()
+			}
+		}()
 	}
 	wg.Wait()
-
-	// Second pass: chunk members the lane path left unsettled (keys that
-	// were already in flight elsewhere, retryable lane verdicts) resolve
-	// through the solo path.
-	var fb sync.WaitGroup
-	for i := range cfgs {
-		if settled[i] {
-			continue
-		}
-		fb.Add(1)
-		go func(i int) {
-			defer fb.Done()
-			outs[i] = p.DoContext(ctx, cfgs[i])
-		}(i)
+	for _, i := range left {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.settle(ctx, cfgs, i, outs)
+		}()
 	}
-	fb.Wait()
+	wg.Wait()
 	return outs
 }
 
-// laneClaim is one seed's stake in a lane chunk: its index in the caller's
-// cfgs slice, its cache key, and the flight registered for it.
-type laneClaim struct {
+// claim is one key's stake in a chunk: its index in the caller's cfgs, its
+// cache key, and the flight registered for it.
+type claim struct {
 	idx int
 	key string
 	fl  *flight
 }
 
-// doLaneChunk executes one lane batch. It claims a flight per member seed
-// (cache and Lookup hits settle immediately; keys already in flight
-// elsewhere drop out and fall back), runs the claimed seeds through one
-// RunLanes call on a single worker slot, and publishes each lane's outcome
-// through exactly the DoContext pipeline: transient classification,
-// durability gate, cache, journal, executed count, OnDone.
-func (p *Pool) doLaneChunk(ctx context.Context, cfgs []core.Config, chunk []int, outs []Outcome, settled []bool) {
+// runChunk claims, executes and publishes one chunk of same-group configs,
+// writing every settled outcome into outs. It returns the leftovers: keys
+// already in flight, and lanes left unpublished by publish.
+func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, outs []Outcome) (left []int) {
 	if ctx.Err() != nil {
 		for _, i := range chunk {
-			outs[i] = canceledOutcome(cfgs[i], Key(cfgs[i]), 0, ctx.Err())
-			settled[i] = true
+			outs[i] = canceledOutcome(cfgs[i], Key(cfgs[i]), ctx.Err())
 		}
-		return
+		return nil
 	}
-
 	runCtx, cancel := context.WithCancel(p.ctx)
 	defer cancel()
 
-	var claims []laneClaim
+	var claims []claim
 	p.mu.Lock()
 	for _, i := range chunk {
 		key := Key(cfgs[i])
-		if out, ok := p.cache[key]; ok {
-			out.Cached = true
+		if out, ok := p.recallLocked(key); ok {
 			outs[i] = out
-			settled[i] = true
-			continue
+		} else if _, ok := p.inflight[key]; ok {
+			left = append(left, i)
+		} else {
+			fl := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
+			p.inflight[key] = fl
+			claims = append(claims, claim{idx: i, key: key, fl: fl})
 		}
-		if p.opts.Lookup != nil {
-			if rec, ok := p.opts.Lookup(key); ok && rec.Key == key {
-				out := Outcome{Key: key, Result: rec.Result, Attempts: rec.Attempts, Resumed: true}
-				p.cache[key] = out
-				outs[i] = out
-				settled[i] = true
-				continue
-			}
-		}
-		if _, ok := p.inflight[key]; ok {
-			continue // already running elsewhere; the fallback pass waits on it
-		}
-		fl := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-		p.inflight[key] = fl
-		claims = append(claims, laneClaim{idx: i, key: key, fl: fl})
 	}
 	p.mu.Unlock()
 	if len(claims) == 0 {
-		return
+		return left
 	}
 
-	// The chunk caller's context dying withdraws its stake in every claimed
-	// flight. The flights share one cancel, so the batch aborts when ANY
-	// claimed seed loses its last waiter — the lanes advance in lockstep and
+	// The caller's context dying withdraws its stake in every claimed
+	// flight. The flights share one cancel, so the chunk aborts when ANY
+	// claimed key loses its last waiter — lanes advance in lockstep and
 	// cannot be cancelled individually; an aborted lane's verdict is
 	// transient and re-executes on the next request.
 	stop := context.AfterFunc(ctx, func() {
@@ -605,95 +420,111 @@ func (p *Pool) doLaneChunk(ctx context.Context, cfgs []core.Config, chunk []int,
 	})
 	defer stop()
 
-	// One representative config carries the whole batch (the group key
-	// guarantees the members are the same simulation modulo seed).
-	base := cfgs[claims[0].idx]
-	base.Lanes = len(claims)
-	seeds := make([]uint64, len(claims))
-	for j, c := range claims {
-		seeds[j] = cfgs[c.idx].Seed
-	}
-
-	// One worker slot serves the whole batch: the lanes run round-robin in
-	// this goroutine, so a chunk is one job from the scheduler's view.
-	var results []core.Result
-	var errs []error
-	var stack string
+	var results []Outcome
 	select {
 	case p.sem <- struct{}{}:
 		if runCtx.Err() == nil {
-			results, errs, stack = p.runLanesOnce(runCtx, base, seeds)
+			results = p.execute(runCtx, cfgs, claims)
 		}
 		<-p.sem
 	case <-runCtx.Done():
 	}
-
 	for j, c := range claims {
-		var out Outcome
-		if results == nil {
-			out = canceledOutcome(cfgs[c.idx], c.key, 0, runCtx.Err())
-		} else {
-			out = Outcome{Key: c.key, Result: results[j], Attempts: 1, Err: errs[j], Stack: stack}
+		out := canceledOutcome(cfgs[c.idx], c.key, runCtx.Err())
+		if results != nil {
+			out = results[j]
 		}
-		if final, ok := p.publishLaneOutcome(runCtx, c, out); ok {
+		if final, ok := p.publish(runCtx, c, out); ok {
 			outs[c.idx] = final
-			settled[c.idx] = true
+		} else {
+			left = append(left, c.idx)
 		}
 	}
+	return left
 }
 
-// runLanesOnce executes a single lane-batch attempt with panic isolation
-// and the per-run deadline scaled by the batch width (one loop carries
-// len(seeds) runs' worth of work). Result identity backfill mirrors
-// runOnce, per lane.
-func (p *Pool) runLanesOnce(ctx context.Context, cfg core.Config, seeds []uint64) (results []core.Result, errs []error, stack string) {
-	if p.opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(len(seeds))*p.opts.RunTimeout)
-		defer cancel()
+// recallLocked serves key from the cache, or from the external Lookup store
+// (caching the hit). The caller holds p.mu.
+func (p *Pool) recallLocked(key string) (Outcome, bool) {
+	if out, ok := p.cache[key]; ok {
+		out.Cached = true
+		return out, true
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			stack = string(debug.Stack())
-			err := fmt.Errorf("runner: lane batch %s/%s panicked: %v", cfg.Name, cfg.Workload.Abbr, r)
-			results = make([]core.Result, len(seeds))
-			errs = make([]error, len(seeds))
-			for i := range seeds {
-				results[i] = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
-				errs[i] = err
+	if p.opts.Lookup != nil {
+		if rec, ok := p.opts.Lookup(key); ok && rec.Key == key {
+			out := Outcome{Key: key, Result: rec.Result, Attempts: rec.Attempts, Resumed: true}
+			p.cache[key] = out
+			return out, true
+		}
+	}
+	return Outcome{}, false
+}
+
+// settle resolves one leftover as a solo chunk. While its key is in flight
+// it waits as one more stake in that flight, then claims again: the landed
+// outcome is a cache hit, and a transient gap re-executes.
+func (p *Pool) settle(ctx context.Context, cfgs []core.Config, i int, outs []Outcome) {
+	key := Key(cfgs[i])
+	for {
+		p.mu.Lock()
+		fl := p.inflight[key]
+		if fl != nil {
+			fl.waiters++
+		}
+		p.mu.Unlock()
+		if fl != nil {
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				p.abandon(fl)
+				outs[i] = canceledOutcome(cfgs[i], key, ctx.Err())
+				return
 			}
 		}
-	}()
-	results, errs = p.runLanes(ctx, cfg, seeds)
-	for i := range results {
-		if results[i].Benchmark == "" {
-			results[i].Benchmark = cfg.Workload.Abbr
-		}
-		if results[i].Config == "" {
-			results[i].Config = cfg.Name
-		}
-		if errs[i] != nil && (results[i].Status == "" || results[i].Status == "ok") {
-			results[i].Status = errs[i].Error()
+		if len(p.runChunk(ctx, cfgs, []int{i}, outs)) == 0 {
+			return
 		}
 	}
-	return results, errs, ""
 }
 
-// publishLaneOutcome pushes one lane's outcome through the DoContext
-// publication pipeline, returning the published outcome (persist failure
-// rewrites it to "io_error") and whether it settled the request. False
-// means the flight closed with a gap — a retryable verdict the solo
-// fallback should re-execute with the full retry budget.
-func (p *Pool) publishLaneOutcome(runCtx context.Context, c laneClaim, out Outcome) (Outcome, bool) {
+// execute runs the claimed configs on the worker slot the caller holds: one
+// claim is the solo retry loop, several are one lane batch. The claims share
+// a lane group, so the first config stands for all of them but its seed.
+func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) []Outcome {
+	cfg := cfgs[claims[0].idx]
+	if len(claims) == 1 {
+		return []Outcome{p.retryLoop(ctx, cfg, claims[0].key)}
+	}
+	seeds := make([]uint64, len(claims))
+	for j, c := range claims {
+		seeds[j] = cfgs[c.idx].Seed
+	}
+	results, errs, stack := p.runLanesOnce(ctx, cfg, seeds)
+	outs := make([]Outcome, len(claims))
+	for j, c := range claims {
+		outs[j] = Outcome{Key: c.key, Result: results[j], Attempts: 1, Err: errs[j], Stack: stack}
+	}
+	return outs
+}
+
+// publish is the one pipeline every claimed outcome passes through, solo or
+// lane: transient classification, the durability gate, cache, journal, the
+// executed count and OnDone. It closes the claim's flight and returns the
+// published outcome (a persist failure rewrites it to "io_error"). false
+// means the outcome was left unpublished: a retryable verdict with retry
+// budget left, which only a lane can produce (the solo loop spends its
+// budget in place, and the lockstep loop cannot re-run one lane).
+func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, bool) {
 	transient := (out.Result.Status == "canceled" || out.Result.Status == "timeout") &&
 		runCtx.Err() != nil && p.ctx.Err() == nil
-	// A retryable DNF from a lane has spent only attempt 1 of its budget;
-	// solo execution would have retried it in place. The lockstep loop
-	// cannot re-run one lane, so leave the verdict unpublished and let the
-	// fallback pass re-execute the seed solo.
 	retryLater := !transient && Retryable(out.Result.Status) &&
-		p.opts.Retries > 0 && runCtx.Err() == nil
+		out.Attempts <= p.opts.Retries && runCtx.Err() == nil
 
+	// Durability gate: a durable outcome must be persisted BEFORE it is
+	// published to the cache, so the pool never serves from memory a result
+	// that would not survive a restart. A persist failure turns the outcome
+	// into an uncached "io_error": the caller sees the degradation, and a
+	// later request re-executes the run.
 	durable := !transient && !retryLater &&
 		out.Result.Status != "canceled" && out.Result.Status != "timeout"
 	var persistErr error
@@ -732,28 +563,46 @@ func (p *Pool) publishLaneOutcome(runCtx context.Context, c laneClaim, out Outco
 	return out, true
 }
 
-// acquireAndRun takes a worker slot and executes the retry loop under ctx
-// (the flight's run context: the pool context narrowed by per-call
-// cancellation).
-func (p *Pool) acquireAndRun(ctx context.Context, cfg core.Config, key string) Outcome {
-	select {
-	case p.sem <- struct{}{}:
-		defer func() { <-p.sem }()
-	case <-ctx.Done():
-		return canceledOutcome(cfg, key, 0, ctx.Err())
+// runLanesOnce executes a single lane-batch attempt with panic isolation
+// and the per-run deadline scaled by the batch width (one loop carries
+// len(seeds) runs' worth of work). Result identity backfill mirrors
+// runOnce, per lane.
+func (p *Pool) runLanesOnce(ctx context.Context, cfg core.Config, seeds []uint64) (results []core.Result, errs []error, stack string) {
+	if p.opts.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(len(seeds))*p.opts.RunTimeout)
+		defer cancel()
 	}
-	if ctx.Err() != nil {
-		return canceledOutcome(cfg, key, 0, ctx.Err())
+	defer func() {
+		if r := recover(); r != nil {
+			stack = string(debug.Stack())
+			err := fmt.Errorf("runner: lane batch %s/%s panicked: %v", cfg.Name, cfg.Workload.Abbr, r)
+			results = make([]core.Result, len(seeds))
+			errs = make([]error, len(seeds))
+			for i := range seeds {
+				results[i] = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
+				errs[i] = err
+			}
+		}
+	}()
+	results, errs = p.opts.RunLanes(ctx, cfg, seeds)
+	for i := range results {
+		results[i] = backfill(results[i], errs[i], cfg)
 	}
+	return results, errs, ""
+}
 
+// retryLoop executes one run with bounded, jittered retries of transient
+// verdicts, on the worker slot the caller holds. ctx is the flight's run
+// context: the pool context narrowed by per-call cancellation.
+func (p *Pool) retryLoop(ctx context.Context, cfg core.Config, key string) Outcome {
 	maxAttempts := 1 + p.opts.Retries
 	// The jitter stream is keyed off the run identity so backoff delays
 	// are reproducible; it only perturbs timing, never results.
 	jitter := xrand.New(hashKey(key) ^ 0x6a6974746572) // "jitter"
-	var out Outcome
 	for attempt := 1; ; attempt++ {
 		res, err, stack := p.runOnce(ctx, cfg)
-		out = Outcome{Key: key, Result: res, Attempts: attempt, Err: err, Stack: stack}
+		out := Outcome{Key: key, Result: res, Attempts: attempt, Err: err, Stack: stack}
 		if res.OK() || !Retryable(res.Status) || attempt >= maxAttempts || ctx.Err() != nil {
 			return out
 		}
@@ -783,7 +632,13 @@ func (p *Pool) runOnce(ctx context.Context, cfg core.Config) (res core.Result, e
 			res = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
 		}
 	}()
-	res, err = p.run(ctx, cfg)
+	res, err = p.opts.Run(ctx, cfg)
+	return backfill(res, err, cfg), err, ""
+}
+
+// backfill fills a result's identity from cfg where the run left it blank,
+// and promotes an error outside the verdict vocabulary into Status.
+func backfill(res core.Result, err error, cfg core.Config) core.Result {
 	if res.Benchmark == "" {
 		res.Benchmark = cfg.Workload.Abbr
 	}
@@ -793,17 +648,14 @@ func (p *Pool) runOnce(ctx context.Context, cfg core.Config) (res core.Result, e
 	if err != nil && (res.Status == "" || res.Status == "ok") {
 		res.Status = err.Error()
 	}
-	return res, err, ""
+	return res
 }
 
-func canceledOutcome(cfg core.Config, key string, attempts int, err error) Outcome {
-	if attempts == 0 {
-		attempts = 1
-	}
+func canceledOutcome(cfg core.Config, key string, err error) Outcome {
 	return Outcome{
 		Key:      key,
 		Result:   core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "canceled"},
-		Attempts: attempts,
+		Attempts: 1,
 		Err:      err,
 	}
 }
@@ -843,13 +695,6 @@ func (p *Pool) Quarantined() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.replay.Quarantined
-}
-
-// Replay returns the full resume replay statistics.
-func (p *Pool) Replay() ReplayStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.replay
 }
 
 // Outcomes snapshots every terminal outcome, sorted by key for stable

@@ -32,6 +32,9 @@ func okRun(_ context.Context, cfg core.Config) (core.Result, error) {
 	return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok", IPC: 1}, nil
 }
 
+// doOne submits cfg as a batch of one and returns its outcome.
+func doOne(p *Pool, cfg core.Config) Outcome { return p.Do(context.Background(), cfg)[0] }
+
 func newPool(t *testing.T, opts Options) *Pool {
 	t.Helper()
 	if opts.Backoff == 0 {
@@ -56,13 +59,13 @@ func TestPoolMemoizesAndSingleflights(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); p.Do(cfg) }()
+		go func() { defer wg.Done(); doOne(p, cfg) }()
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 1 {
 		t.Errorf("8 concurrent identical requests executed %d times, want 1", n)
 	}
-	out := p.Do(cfg)
+	out := doOne(p, cfg)
 	if !out.Cached {
 		t.Error("repeat request not served from cache")
 	}
@@ -81,7 +84,7 @@ func TestPanicIsolation(t *testing.T) {
 	cfgs := []core.Config{
 		testCfg(t, "a"), testCfg(t, "boom"), testCfg(t, "b"), testCfg(t, "c"),
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.Do(context.Background(), cfgs...)
 	ok := 0
 	var bad Outcome
 	for _, o := range outs {
@@ -116,7 +119,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 		}
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok", IPC: 2}, nil
 	}})
-	out := p.Do(testCfg(t, "flaky"))
+	out := doOne(p, testCfg(t, "flaky"))
 	if !out.OK() {
 		t.Fatalf("flaky run did not recover: status %q", out.Result.Status)
 	}
@@ -129,7 +132,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	p := newPool(t, Options{Jobs: 1, Retries: 2, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "stall"}, nil
 	}})
-	out := p.Do(testCfg(t, "stuck"))
+	out := doOne(p, testCfg(t, "stuck"))
 	if out.OK() || out.Result.Status != "stall" {
 		t.Fatalf("outcome = %+v, want stall DNF", out.Result)
 	}
@@ -145,7 +148,7 @@ func TestDeterministicVerdictsNeverRetried(t *testing.T) {
 			calls.Add(1)
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status}, nil
 		}})
-		out := p.Do(testCfg(t, "det-"+status))
+		out := doOne(p, testCfg(t, "det-"+status))
 		if calls.Load() != 1 || out.Attempts != 1 {
 			t.Errorf("%s: executed %d times (attempts %d), want exactly 1", status, calls.Load(), out.Attempts)
 		}
@@ -156,7 +159,7 @@ func TestErrorBecomesDNFWithMessage(t *testing.T) {
 	p := newPool(t, Options{Jobs: 1, Run: func(_ context.Context, _ core.Config) (core.Result, error) {
 		return core.Result{}, errors.New("bad configuration: no MCs")
 	}})
-	out := p.Do(testCfg(t, "badcfg"))
+	out := doOne(p, testCfg(t, "badcfg"))
 	if out.OK() {
 		t.Fatal("error outcome reported OK")
 	}
@@ -186,10 +189,10 @@ func TestRunTimeoutVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPool(t, Options{Jobs: 2, RunTimeout: time.Second})
-	outs := p.DoAll([]core.Config{
+	outs := p.Do(context.Background(),
 		core.Baseline(bin).ScaleWork(0.05),
 		core.Baseline(mum),
-	})
+	)
 	if !outs[0].OK() {
 		t.Errorf("fast run status = %q, want ok", outs[0].Result.Status)
 	}
@@ -215,12 +218,12 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	defer p.Close()
 	go func() { <-started; cancel() }()
-	out := p.Do(testCfg(t, "longrun"))
+	out := doOne(p, testCfg(t, "longrun"))
 	if out.Result.Status != "canceled" {
 		t.Fatalf("status = %q, want canceled", out.Result.Status)
 	}
 	// Post-cancel requests must not execute at all.
-	out2 := p.Do(testCfg(t, "never"))
+	out2 := doOne(p, testCfg(t, "never"))
 	if out2.Result.Status != "canceled" {
 		t.Errorf("post-cancel status = %q, want canceled", out2.Result.Status)
 	}
@@ -232,7 +235,7 @@ func TestDoAllPreservesOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cfgs = append(cfgs, testCfg(t, fmt.Sprintf("cfg-%02d", i)))
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.Do(context.Background(), cfgs...)
 	for i, o := range outs {
 		if want := fmt.Sprintf("cfg-%02d", i); o.Result.Config != want {
 			t.Fatalf("outs[%d] = %s, want %s", i, o.Result.Config, want)
@@ -319,11 +322,11 @@ func TestBackoffDelayBounds(t *testing.T) {
 	}
 }
 
-// TestDoContextClientDisconnect is the service-daemon contract: cancelling
+// TestDoClientDisconnect is the service-daemon contract: cancelling
 // the per-call context aborts the in-flight run (no other caller is
 // interested), the caller gets a transient "canceled" outcome, and a later
 // request re-executes the run instead of being served the stale verdict.
-func TestDoContextClientDisconnect(t *testing.T) {
+func TestDoClientDisconnect(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{}, 8)
 	p := newPool(t, Options{Jobs: 2, Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
@@ -339,7 +342,7 @@ func TestDoContextClientDisconnect(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	outCh := make(chan Outcome, 1)
-	go func() { outCh <- p.DoContext(ctx, cfg) }()
+	go func() { outCh <- p.Do(ctx, cfg)[0] }()
 	<-started
 	cancel() // the only client walks away
 	out := <-outCh
@@ -349,7 +352,7 @@ func TestDoContextClientDisconnect(t *testing.T) {
 
 	// The canceled verdict must not poison the cache: a fresh request
 	// re-executes and completes.
-	out = p.Do(cfg)
+	out = doOne(p, cfg)
 	if out.Cached || !out.OK() {
 		t.Fatalf("re-request after disconnect: cached=%v status=%q, want fresh ok run",
 			out.Cached, out.Result.Status)
@@ -359,10 +362,10 @@ func TestDoContextClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestDoContextSharedRunSurvivesOneDisconnect: two callers share one
+// TestDoSharedRunSurvivesOneDisconnect: two callers share one
 // flight; the first disconnecting must not cancel the run the second is
 // still waiting for.
-func TestDoContextSharedRunSurvivesOneDisconnect(t *testing.T) {
+func TestDoSharedRunSurvivesOneDisconnect(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	p := newPool(t, Options{Jobs: 2, Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
@@ -379,11 +382,11 @@ func TestDoContextSharedRunSurvivesOneDisconnect(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	out1 := make(chan Outcome, 1)
-	go func() { out1 <- p.DoContext(ctx1, cfg) }()
+	go func() { out1 <- p.Do(ctx1, cfg)[0] }()
 	<-started
 
 	out2 := make(chan Outcome, 1)
-	go func() { out2 <- p.DoContext(context.Background(), cfg) }()
+	go func() { out2 <- p.Do(context.Background(), cfg)[0] }()
 	// Give the second caller time to join the flight, then drop the first.
 	time.Sleep(10 * time.Millisecond)
 	cancel1()
@@ -420,7 +423,7 @@ func TestLookupHookServesExternalStore(t *testing.T) {
 			return Record{}, false
 		},
 	})
-	out := p.Do(cfg)
+	out := doOne(p, cfg)
 	if !out.Resumed || out.Result.IPC != 7 || out.Attempts != 2 {
 		t.Fatalf("store hit not honoured: %+v", out)
 	}
@@ -429,7 +432,7 @@ func TestLookupHookServesExternalStore(t *testing.T) {
 	}
 	// Misses still execute.
 	other := testCfg(t, "fresh")
-	if out := p.Do(other); out.Resumed || !out.OK() {
+	if out := doOne(p, other); out.Resumed || !out.OK() {
 		t.Fatalf("store miss mishandled: %+v", out)
 	}
 	if calls.Load() != 1 {

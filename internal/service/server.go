@@ -43,11 +43,6 @@ type Options struct {
 	// Jobs bounds concurrent simulations (runner workers); 0 means
 	// GOMAXPROCS.
 	Jobs int
-	// Lanes coalesces a job's same-config/different-seed runs into
-	// lane-batched executions of that width (see runner.Options.Lanes and
-	// Spec.Seeds). Results are bit-identical to solo runs; 0 and 1 both
-	// disable coalescing.
-	Lanes int
 	// RunTimeout is the per-run wall-clock deadline; 0 disables it.
 	RunTimeout time.Duration
 	// Retries re-attempts transient DNFs; negative means 0, zero means
@@ -59,16 +54,12 @@ type Options struct {
 	MaxDeadline time.Duration
 	// RetryAfter is the hint returned with 429/503 responses.
 	RetryAfter time.Duration
-	// NoIdleSkip disables idle-horizon fast-forwarding in runs.
-	NoIdleSkip bool
 	// FS is the filesystem seam under the result store; nil means the
 	// real filesystem. Tests inject iofault.FaultFS to prove the
 	// ENOSPC/EIO/wounded-mode contract end to end.
 	FS iofault.FS
 	// Run overrides the simulation entry point (tests only).
 	Run runner.RunFunc
-	// RunLanes overrides the lane-batch entry point (tests only).
-	RunLanes runner.LaneRunFunc
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -169,9 +160,7 @@ func New(opts Options) (*Server, error) {
 		Jobs:       opts.Jobs,
 		RunTimeout: opts.RunTimeout,
 		Retries:    opts.Retries,
-		Lanes:      opts.Lanes,
 		Run:        opts.Run,
-		RunLanes:   opts.RunLanes,
 		Lookup:     store.Get,
 		// Persist runs BEFORE the pool publishes an outcome to its cache:
 		// the store append is fsynced when it returns, so everything the
@@ -312,9 +301,6 @@ func (s *Server) admit(id string, spec Spec, req Request) (j *Job, created, ok b
 		deadline = s.opts.MaxDeadline
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, deadline)
-	for i := range cfgs {
-		cfgs[i].NoIdleSkip = s.opts.NoIdleSkip
-	}
 	j = newJob(id, spec, cfgs, ctx, cancel, req.Wait)
 	s.jobs[id] = j
 	return j, true, true
@@ -326,50 +312,31 @@ func (s *Server) lookupJob(id string) *Job {
 	return s.jobs[id]
 }
 
-// runJob executes one admitted job: every run fans out through the pool
-// (which bounds real concurrency), under the job's deadline context. With
-// lane batching enabled the whole job goes through DoAllContext so
-// same-config multi-seed runs (Spec.Seeds) coalesce into lane batches;
-// per-run progress then lands when the batch settles, and the latency
-// histogram records the amortized per-run cost.
+// runJob executes one admitted job under the job's deadline context: every
+// run is its own one-config pool submission (the pool bounds real
+// concurrency), so NDJSON progress and the run-latency histogram advance
+// per run rather than per batch.
 func (s *Server) runJob(j *Job) {
 	defer s.jobWG.Done()
 	defer s.adm.Release()
 	defer j.cancel()
 	j.start()
-	if s.opts.Lanes >= 2 {
-		t0 := time.Now()
-		outs := s.pool.DoAllContext(j.ctx, j.cfgs)
-		fresh := 0
-		for i, out := range outs {
+	var wg sync.WaitGroup
+	for i := range j.cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			t0 := time.Now()
+			out := s.pool.Do(j.ctx, j.cfgs[i])[0]
 			if !out.Cached && !out.Resumed {
-				fresh++
+				s.statMu.Lock()
+				s.runLat.Observe(time.Since(t0).Seconds())
+				s.statMu.Unlock()
 			}
 			j.finishRun(i, out)
-		}
-		if fresh > 0 {
-			s.statMu.Lock()
-			s.runLat.Observe(time.Since(t0).Seconds() / float64(fresh))
-			s.statMu.Unlock()
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range j.cfgs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t0 := time.Now()
-				out := s.pool.DoContext(j.ctx, j.cfgs[i])
-				if !out.Cached && !out.Resumed {
-					s.statMu.Lock()
-					s.runLat.Observe(time.Since(t0).Seconds())
-					s.statMu.Unlock()
-				}
-				j.finishRun(i, out)
-			}(i)
-		}
-		wg.Wait()
+		}(i)
 	}
+	wg.Wait()
 	j.finish()
 	status, reason, _, _ := j.snapshot()
 	s.opts.Logf("service: job %s %s%s (%d runs)", j.ID, status, suffixIf(reason), len(j.cfgs))

@@ -682,28 +682,18 @@ func TestSpecSeeds(t *testing.T) {
 	}
 }
 
-// TestLaneBatchedJob drives the lane path end to end: a multi-seed job on a
-// lane-enabled server coalesces its seeds into lane batches, every seed
-// still gets its own run row and store record, and a re-submission is
-// served from the store without re-executing.
-func TestLaneBatchedJob(t *testing.T) {
-	var batches atomic.Int64
-	fakeLanes := func(ctx context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
-		batches.Add(1)
-		results := make([]core.Result, len(seeds))
-		errs := make([]error, len(seeds))
-		for i, s := range seeds {
-			c := cfg
-			c.Seed = s
-			results[i], errs[i] = fakeRun(ctx, c)
-		}
-		return results, errs
-	}
+// TestMultiSeedJob drives a multi-seed job end to end: every seed gets its
+// own run row and store record, and a re-submission is served from the
+// store byte-identically without re-executing.
+func TestMultiSeedJob(t *testing.T) {
+	var runs atomic.Int64
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{
+	srv, ts := newTestServer(t, Options{
 		StorePath: filepath.Join(dir, "store.jsonl"),
-		Lanes:     2,
-		RunLanes:  fakeLanes,
+		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
+			runs.Add(1)
+			return fakeRun(ctx, cfg)
+		},
 	})
 	body := `{"configs":["TB-DOR"],"benchmarks":["MUM"],"seeds":[1,2,3,4],"scale":0.05,"wait":true}`
 	resp, b := post(t, ts.URL, body)
@@ -729,15 +719,18 @@ func TestLaneBatchedJob(t *testing.T) {
 			t.Errorf("run status %q, want ok", r.Status)
 		}
 	}
-	if got := batches.Load(); got != 2 {
-		t.Errorf("lane batches executed = %d, want 2 (4 seeds at width 2)", got)
+	if got := srv.store.Len(); got != 4 {
+		t.Errorf("store holds %d records, want 4 (one per seed)", got)
 	}
-	// Re-submission: all four seeds served from the store, no new batches.
+	if got := runs.Load(); got != 4 {
+		t.Errorf("executed %d runs, want 4", got)
+	}
+	// Re-submission: all four seeds served from the store, nothing runs.
 	resp, b2 := post(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(b, b2) {
 		t.Errorf("re-submission not byte-identical (status %d)", resp.StatusCode)
 	}
-	if got := batches.Load(); got != 2 {
-		t.Errorf("re-submission grew batches to %d", got)
+	if got := runs.Load(); got != 4 {
+		t.Errorf("re-submission grew executed runs to %d", got)
 	}
 }

@@ -9,7 +9,7 @@
 //   - a bounded admission queue with load shedding: a full queue answers
 //     429 with Retry-After instead of queueing unboundedly;
 //   - per-request end-to-end deadlines propagated as contexts through
-//     runner.Pool.DoContext into core.Run, so a disconnected client or an
+//     runner.Pool.Do into core.Run, so a disconnected client or an
 //     expired deadline cancels in-flight simulation work;
 //   - a crash-safe result store: every completed run is appended and
 //     fsynced in the runner journal format, replayed on startup (torn

@@ -82,10 +82,9 @@ esac
 		# path the repository benchmark's open-loadlat workload takes.
 		go test -run '^$' -bench 'BenchmarkFig21OpenLoop' -benchmem -benchtime 5x .
 	else
-		# Sweep-planner microbenchmarks: a warm re-plan of an explorer-shaped
-		# sweep (alloc-gated at 0 allocs/op in CI) plus the naive-vs-planned
-		# submission comparison on a stub kernel.
-		go test -run '^$' -bench 'BenchmarkSweepPlanner|BenchmarkSweepSubmission' -benchmem -benchtime 200x ./internal/runner/
+		# Sweep-planner microbenchmark: a warm re-plan of an explorer-shaped
+		# sweep (alloc-gated at 0 allocs/op in CI).
+		go test -run '^$' -bench 'BenchmarkSweepPlanner' -benchmem -benchtime 200x ./internal/runner/
 		# Class-representative figure benchmarks (hm_speedup metrics et al)
 		# and the idle-horizon fast-forward pairs, whose skip rows get a
 		# derived speedup_vs_noskip metric from cmd/benchjson.
