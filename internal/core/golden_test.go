@@ -57,7 +57,25 @@ func goldenMatrix() []goldenCase {
 		// Wu-style ring (dateline VCs) and the BaseJump single-flit DOR mesh.
 		{"ring", func() Config { return Ring(hh).ScaleWork(goldenScale) }},
 		{"basejump", func() Config { return BaseJump(hh).ScaleWork(goldenScale) }},
+		// Credit return latencies other than the paper's one cycle: 0 (the
+		// router clamps it to 1), and 2, 3 and 5, where a freed slot reaches
+		// the upstream router several cycles after the pop. The 3-cycle row
+		// also loses credits to the fault model, which resynchronises them.
+		{"credlat-0", func() Config { return withCreditLatency(Baseline(hh), 0).ScaleWork(goldenScale) }},
+		{"credlat-2", func() Config {
+			return withCreditLatency(Baseline(hh).WithCheckerboardRouting(), 2).ScaleWork(goldenScale)
+		}},
+		{"credlat-5", func() Config { return withCreditLatency(Ring(hh), 5).ScaleWork(goldenScale) }},
+		{"faults-on-credlat-3", func() Config {
+			return withCreditLatency(Baseline(hh).WithFaults(0.002, 7), 3).ScaleWork(goldenScale)
+		}},
 	}
+}
+
+// withCreditLatency sets the network's credit return latency, in cycles.
+func withCreditLatency(c Config, cycles uint64) Config {
+	c.Noc.CreditLatency = cycles
+	return c
 }
 
 // goldenDigests maps case id -> sha256 over the run's Result and per-node
@@ -71,6 +89,11 @@ var goldenDigests = map[string]string{
 	"gto-1cycle":      "db76eefa868c75cd2876fed07c006084bd5cf30c63cc972fa965b11ec89a00d3",
 	"ring":            "51e4b0e39959fe1bc680344dd50762ead988123e32f4179b1857b47490d2c992",
 	"basejump":        "1ad401730d4b84114e72652da7d59ec1d2a707ab764f70715b72a84ee896392b",
+	// credlat-0 equals baseline-dor: a zero credit latency runs as one cycle.
+	"credlat-0":           "557ff6ccda4c9e8e662596e329c9c95542e3b3f911d64c908f956ffe0d5a8a0f",
+	"credlat-2":           "e7cde8625e23de7853b786b058945da75d7a56919b6cb40b3a4f59f8a16da859",
+	"credlat-5":           "353ff9fee05823110b5d4b8d25fff0f4484a0cce14489a71481effd005a1207f",
+	"faults-on-credlat-3": "241e3c052a9f1c93de77a6a3c77205ffd52d68305b8f0fa3c58da41e69badb80",
 }
 
 // digestRun hashes everything observable about a seeded run: scalar results

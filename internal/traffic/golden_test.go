@@ -53,6 +53,15 @@ func openMatrix() []openGolden {
 		cfg.RouterStages = 2
 		return cfg
 	}
+	// credLat runs mesh with a credit return latency other than the paper's
+	// one cycle (0 is clamped to 1 by the router).
+	credLat := func(mesh func() noc.Config, cycles uint64) func() noc.Config {
+		return func() noc.Config {
+			cfg := mesh()
+			cfg.CreditLatency = cycles
+			return cfg
+		}
+	}
 	return []openGolden{
 		{"uniform-low", UniformRandom, 0.02, base},
 		{"uniform-high", UniformRandom, 0.08, base},
@@ -60,6 +69,9 @@ func openMatrix() []openGolden {
 		{"uniform-cb", UniformRandom, 0.04, cb},
 		{"uniform-ring", UniformRandom, 0.02, ringCfg},
 		{"uniform-bj", UniformRandom, 0.04, bjCfg},
+		{"uniform-high-credlat-0", UniformRandom, 0.08, credLat(base, 0)},
+		{"uniform-cb-credlat-2", UniformRandom, 0.04, credLat(cb, 2)},
+		{"uniform-bj-credlat-5", UniformRandom, 0.04, credLat(bjCfg, 5)},
 	}
 }
 
@@ -70,6 +82,11 @@ var openGoldenDigests = map[string]string{
 	"uniform-cb":   "a04734af6ef791e75c420d3d21a20d3d7231125d2f8a5f823977b5519b16c0c5",
 	"uniform-ring": "1f3a596721767b7e6f491f5f2da0a80fd03c8192832312c93b4044b4702ca816",
 	"uniform-bj":   "06595778788992f3eaa01a4fa076d21f8f6c4cb654dbcd3ad4416978f7b33622",
+	// uniform-high-credlat-0 equals uniform-high: a zero credit latency runs
+	// as one cycle.
+	"uniform-high-credlat-0": "30441cffff5917d81ce04f9d9e258d8fcb41ffb3b7ac73cd3b6b9cfa9e2f9a61",
+	"uniform-cb-credlat-2":   "03f3ac47655e87c17811fd519be76c975ce573f948dea4fe5ad8822e1d4a09d7",
+	"uniform-bj-credlat-5":   "e28058976a8d84f6f8e133940ce8c2b8eb8173037eaca4516daeb8d67a8f9ed8",
 }
 
 func digestOpenLoop(res Result, ns *noc.NetStats) string {
@@ -143,9 +160,10 @@ func concurrently(n int, run func(i int)) {
 	wg.Wait()
 }
 
-// TestOpenLoopGoldenDigests pins the open-loop harness bit-exactly at six
-// seeded operating points (four mesh, one ring, one basejump), alone and
-// with copies running concurrently.
+// TestOpenLoopGoldenDigests pins the open-loop harness bit-exactly at nine
+// seeded operating points (six mesh, one ring, two basejump; three of them
+// at a credit latency other than one cycle), alone and with copies running
+// concurrently.
 func TestOpenLoopGoldenDigests(t *testing.T) {
 	record := os.Getenv("GOLDEN_RECORD") != ""
 	for _, og := range openMatrix() {
