@@ -64,10 +64,11 @@ func (k BackendKind) singleFlit() bool { return k == BackendBaseJump }
 // only geometry and routing.
 //
 // Contract notes:
-//   - Channels: the kernel wires one flit channel and one credit channel for
-//     every (node, direction) with Neighbor >= 0, and Neighbor must be
-//     symmetric under Port.opposite (Neighbor(Neighbor(n,d), d.opposite())
-//     == n) so credits return on the reverse port.
+//   - Channels: the kernel wires one flit channel for every (node,
+//     direction) with Neighbor >= 0, and Neighbor must be symmetric under
+//     Port.opposite (Neighbor(Neighbor(n,d), d.opposite()) == n), so each
+//     direction input has exactly one upstream router: the one that derives
+//     its credits from that buffer, and to which lost credits return.
 //   - NextHop may mutate the packet's phase state (checkerboard
 //     intermediates, ring datelines); the router reads the allowed-VC set
 //     after NextHop, so a phase flip applies to the outgoing link.

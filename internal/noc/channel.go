@@ -1,13 +1,18 @@
 package noc
 
-import "repro/internal/ring"
+import (
+	"fmt"
+
+	"repro/internal/ring"
+)
 
 // channel is a unidirectional link between two routers. It holds no flits:
 // send deposits the flit straight into the downstream input VC, stamped with
 // the cycle it comes off the wire (Flit.arrived), and the downstream router
 // ignores it until that cycle (see router.acceptFlit and arrMask). The slot
-// is already reserved — the sender spent a credit on it — so wire occupancy
-// plus buffered flits never exceed the buffer depth.
+// is already reserved — the sender saw it free (router.freeSlots counts the
+// flits on the wire) — so wire occupancy plus buffered flits never exceed
+// the buffer depth.
 type channel struct {
 	dst     *router
 	dstPort int // input port index at dst
@@ -25,52 +30,42 @@ func (c *channel) send(f Flit, cycle uint64) {
 	c.dst.acceptFlit(c.dstPort, f, cycle)
 }
 
-// creditEvent returns one buffer slot to the upstream router's output unit.
+// creditEvent is one lost credit on its way back to the upstream router.
 type creditEvent struct {
 	vc  int
 	due uint64
 }
 
-// creditChannel carries credits back along a link: dst is the upstream
-// router and dstPort its output port feeding the link. Credit conservation
-// bounds the in-flight credits per VC by the buffer depth, so the ring is
-// hard-bounded at numVCs*bufDepth. Nothing delivers credits on a schedule:
-// only dst's own step reads its credit counters, so dst pulls what is due at
-// the top of its step (router.pullCredits) and a credit waiting at an idle
-// router costs nothing.
+// creditChannel carries lost credits back along a link: dst is the upstream
+// router and dstPort its output port feeding the link. It exists only when
+// faults are enabled; every other credit is derived (router.freeSlots). A
+// lost credit is withheld at dst from the pop until its due cycle, so at most
+// numVCs*bufDepth are queued, and every one is delayed by the same resync
+// window, so dues are in send order. Nothing delivers them on a schedule:
+// only dst's own step reads its free slots, so dst pulls what is due at the
+// top of its step (router.pullCredits) and a credit waiting at an idle router
+// costs nothing.
 type creditChannel struct {
 	dst     *router
 	dstPort int
 	q       ring.Ring[creditEvent]
 }
 
-// send queues one credit at the upstream router and flags the port for its
-// next pull. A credit-loss fault delays it by the resync window instead of
-// destroying it, so credit conservation holds at quiescence and the
-// invariant checks stay valid.
-func (c *creditChannel) send(vc int, due uint64) {
-	if fs := c.dst.net.fs; fs != nil {
-		due += fs.delayCredit(c.dst.net)
-	}
+// withhold takes one slot of dst's output (dstPort, vc) out of service until
+// due, and flags the port for dst's next pull.
+func (c *creditChannel) withhold(vc int, due uint64) {
+	c.dst.outputs[c.dst.inIdx(c.dstPort, vc)].withheld++
 	c.q.Push(creditEvent{vc: vc, due: due})
 	c.dst.credPend |= 1 << uint(c.dstPort)
 }
 
-// deliver returns all due credits. Resync-delayed credits make due values
-// non-monotonic, so the whole queue is scanned, compacting the not-yet-due
-// remainder in place; credits on one VC are fungible, and the scan order is
-// the deterministic send order.
+// deliver returns the due credits to service, front first.
 func (c *creditChannel) deliver(cycle uint64) {
-	kept := 0
-	n := c.q.Len()
-	for i := 0; i < n; i++ {
-		ev := *c.q.At(i)
-		if ev.due <= cycle {
-			c.dst.acceptCredit(c.dstPort, ev.vc)
-		} else {
-			*c.q.At(kept) = ev
-			kept++
+	for c.q.Len() > 0 && c.q.Front().due <= cycle {
+		ev := c.q.Pop()
+		o := &c.dst.outputs[c.dst.inIdx(c.dstPort, ev.vc)]
+		if o.withheld--; o.withheld < 0 {
+			panic(fmt.Sprintf("noc: router %d port %d vc %d credit overflow", c.dst.p.node, c.dstPort, ev.vc))
 		}
 	}
-	c.q.Truncate(kept)
 }

@@ -6,37 +6,93 @@ import (
 	"repro/internal/xrand"
 )
 
+// popLog is the credit audit's own record of the pops on every direction
+// input VC, observed from outside the router: the front flit each VC held at
+// the last check, and the cycles of its pops whose credit was not lost.
+type popLog struct {
+	front map[*inVC]Flit
+	pops  map[*inVC][]uint64
+}
+
+func newPopLog() *popLog {
+	return &popLog{front: make(map[*inVC]Flit), pops: make(map[*inVC][]uint64)}
+}
+
+// observe logs the pop, if any, that ivc made in the tick just run: its old
+// front flit is gone (a VC pops at most one flit a cycle, from the front). A
+// pop whose credit was lost shows up as a return-ring event on back due
+// exactly credLat plus the resync window later; any other pop's credit is in
+// flight. It returns the pops whose credit has not yet reached upstream.
+func (pl *popLog) observe(ivc *inVC, vc int, back *creditChannel, cycle, credLat, resync uint64) int {
+	if prev, had := pl.front[ivc]; had {
+		if ivc.buf.Len() == 0 || ivc.buf.Front().Pkt != prev.Pkt || ivc.buf.Front().Seq != prev.Seq {
+			lost := false
+			for i := 0; back != nil && i < back.q.Len(); i++ {
+				if ev := back.q.At(i); ev.vc == vc && ev.due == cycle+credLat+resync {
+					lost = true
+				}
+			}
+			if !lost {
+				pl.pops[ivc] = append(pl.pops[ivc], cycle)
+			}
+		}
+	}
+	delete(pl.front, ivc)
+	if ivc.buf.Len() > 0 {
+		pl.front[ivc] = *ivc.buf.Front()
+	}
+	kept := pl.pops[ivc][:0]
+	for _, at := range pl.pops[ivc] {
+		if at+credLat > cycle {
+			kept = append(kept, at)
+		}
+	}
+	pl.pops[ivc] = kept
+	return len(kept)
+}
+
 // checkCreditConservation verifies, for every direction link and VC, that
 //
-//	upstream credits + flits on the wire + flits buffered downstream
-//	+ credits on the way back == buffer depth
+//	free slots upstream + flits on the wire + flits buffered downstream
+//	+ credits in flight + credits withheld == buffer depth
 //
 // This is the fundamental credit-based flow-control invariant; any leak or
-// double-count breaks it immediately. Links hold no flits of their own: a
-// flit on the wire already sits in the downstream buffer with an arrival
-// stamp in the future, and a credit on the way back sits in the upstream
-// router's return queue until its next step pulls it.
-func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
+// double-count breaks it immediately. The free slots are what the upstream
+// router's switch allocation reads (router.freeSlots); the other four terms
+// are counted here independently. Links hold no flits of their own: a flit on
+// the wire already sits in the downstream buffer with an arrival stamp in
+// the future. A credit in flight is a pop at most credLat-1 cycles old, as
+// the pop log saw it (it must be called after every Tick), and a withheld
+// credit is a lost one waiting on the upstream router's return ring, which
+// exists only when faults are enabled. With quiet set the network has
+// drained and every credit is back: the free slots must equal the depth.
+func checkCreditConservation(t *testing.T, m *Mesh, pl *popLog, cycle int, quiet bool) {
 	t.Helper()
 	n := &m.meshNet
 	depth := n.cfg.BufDepth
 	for id, r := range n.routers {
+		if (r.credIn != nil) != (n.fs != nil) {
+			t.Fatalf("router %d: return rings built %v, faults enabled %v", id, r.credIn != nil, n.fs != nil)
+		}
 		for d := Port(0); d < numDirs; d++ {
 			ch := r.outChans[d]
 			if ch == nil {
 				continue
 			}
 			down := ch.dst
-			back := r.credIn[d]
-			if back == nil || back.dst != r || back.dstPort != int(d) || down.credChans[ch.dstPort] != back {
-				t.Fatalf("router %d dir %v: no credit channel back from router %d", id, d, down.p.node)
+			var back *creditChannel
+			if n.fs != nil {
+				back = r.credIn[d]
+				if back == nil || back.dst != r || back.dstPort != int(d) || down.credChans[ch.dstPort] != back {
+					t.Fatalf("router %d dir %v: no credit channel back from router %d", id, d, down.p.node)
+				}
 			}
 			for vc := 0; vc < n.cfg.NumVCs; vc++ {
-				credits := r.outputs[r.inIdx(int(d), vc)].credits
+				free := r.freeSlots(int(d), vc, n.cycle)
+				ivc := &down.inputs[down.inIdx(ch.dstPort, vc)]
 				onWire, buffered := 0, 0
-				buf := &down.inputs[down.inIdx(ch.dstPort, vc)].buf
-				for i := 0; i < buf.Len(); i++ {
-					if buf.At(i).arrived > n.cycle {
+				for i := 0; i < ivc.buf.Len(); i++ {
+					if ivc.buf.At(i).arrived > n.cycle {
 						onWire++
 					} else if onWire > 0 {
 						t.Fatalf("cycle %d router %d dir %v vc %d: arrived flit queued behind one on the wire",
@@ -45,16 +101,24 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 						buffered++
 					}
 				}
-				creditsBack := 0
-				for i := 0; i < back.q.Len(); i++ {
+				inflight := pl.observe(ivc, vc, back, n.cycle, r.p.credLat, n.cfg.Fault.CreditResyncCycles)
+				withheld := 0
+				for i := 0; back != nil && i < back.q.Len(); i++ {
 					if back.q.At(i).vc == vc {
-						creditsBack++
+						withheld++
 					}
 				}
-				total := credits + onWire + buffered + creditsBack
-				if total != depth {
-					t.Fatalf("cycle %d router %d dir %v vc %d: credits=%d wire=%d buf=%d back=%d, sum %d != depth %d",
-						cycle, id, d, vc, credits, onWire, buffered, creditsBack, total, depth)
+				if got := r.outputs[r.inIdx(int(d), vc)].withheld; got != withheld {
+					t.Fatalf("cycle %d router %d dir %v vc %d: %d credits withheld, %d on the return ring",
+						cycle, id, d, vc, got, withheld)
+				}
+				if total := free + onWire + buffered + inflight + withheld; free < 0 || total != depth {
+					t.Fatalf("cycle %d router %d dir %v vc %d: free=%d wire=%d buf=%d inflight=%d withheld=%d, sum %d != depth %d",
+						cycle, id, d, vc, free, onWire, buffered, inflight, withheld, total, depth)
+				}
+				if quiet && free != depth {
+					t.Fatalf("cycle %d router %d dir %v vc %d: drained network has %d of %d slots free",
+						cycle, id, d, vc, free, depth)
 				}
 			}
 		}
@@ -62,40 +126,75 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 }
 
 // TestCreditConservationUnderLoad drives heavy mixed traffic and checks the
-// invariant every cycle.
+// invariant every cycle, through saturation and the drain, on a mesh and a
+// checkerboard mesh at the paper's 1-cycle credit return, a 5-cycle return,
+// and a faulty mesh whose lost credits are withheld for the resync window.
+// Once the network is quiet and the last credit has had time to return (the
+// routers pull what their next step would), every link is back at depth.
 func TestCreditConservationUnderLoad(t *testing.T) {
-	for _, cb := range []bool{false, true} {
-		cfg := DefaultConfig()
-		if cb {
-			cfg.Checkerboard = true
-			cfg.Routing = RoutingCheckerboard
-			cfg.NumVCs = 4
-			cfg.MCs = CheckerboardPlacement(6, 6, 8)
-			cfg.MCInjPorts = 2
-		}
-		m := MustNewMesh(cfg)
-		topo := m.Topology()
-		rng := xrand.New(99)
-		comp := topo.ComputeNodes()
-		mcs := topo.MCs()
-		for cycle := 0; cycle < 3000; cycle++ {
-			if cycle < 2000 {
-				for k := 0; k < 3; k++ {
-					var p *Packet
-					if k == 2 {
-						p = &Packet{Src: mcs[rng.Intn(len(mcs))], Dst: comp[rng.Intn(len(comp))],
-							Class: ClassReply, Bytes: 64}
-					} else {
-						p = &Packet{Src: comp[rng.Intn(len(comp))], Dst: mcs[rng.Intn(len(mcs))],
-							Class: ClassRequest, Bytes: 8}
+	cfgs := map[string]Config{"mesh": DefaultConfig()}
+	cb := DefaultConfig()
+	cb.Checkerboard = true
+	cb.Routing = RoutingCheckerboard
+	cb.NumVCs = 4
+	cb.MCs = CheckerboardPlacement(6, 6, 8)
+	cb.MCInjPorts = 2
+	cfgs["checkerboard"] = cb
+	slow := DefaultConfig()
+	slow.CreditLatency = 5
+	cfgs["credit-latency-5"] = slow
+	faulty := DefaultConfig()
+	faulty.CreditLatency = 3
+	faulty.Fault = faulty.Fault.WithRate(0.004, 3)
+	faulty.Fault.RetxTimeout = 512
+	faulty.Fault.CreditResyncCycles = 40
+	cfgs["faults"] = faulty
+
+	for name, cfg := range cfgs {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			m := MustNewMesh(cfg)
+			topo := m.Topology()
+			rng := xrand.New(99)
+			comp := topo.ComputeNodes()
+			mcs := topo.MCs()
+			pl := newPopLog()
+			cycle := 0
+			for ; cycle < 2000 || (!m.Quiet() && cycle < 20000); cycle++ {
+				if cycle < 2000 {
+					for k := 0; k < 3; k++ {
+						var p *Packet
+						if k == 2 {
+							p = &Packet{Src: mcs[rng.Intn(len(mcs))], Dst: comp[rng.Intn(len(comp))],
+								Class: ClassReply, Bytes: 64}
+						} else {
+							p = &Packet{Src: comp[rng.Intn(len(comp))], Dst: mcs[rng.Intn(len(mcs))],
+								Class: ClassRequest, Bytes: 8}
+						}
+						m.TryInject(p)
 					}
-					m.TryInject(p)
 				}
+				m.Tick()
+				collectAll(m, topo.NumNodes())
+				checkCreditConservation(t, m, pl, cycle, false)
 			}
-			m.Tick()
-			collectAll(m, topo.NumNodes())
-			checkCreditConservation(t, m, cycle)
-		}
+			if !m.Quiet() {
+				t.Fatalf("network did not drain by cycle %d", cycle)
+			}
+			settle := cfg.CreditLatency + cfg.Fault.CreditResyncCycles
+			for i := uint64(0); i < settle; i++ {
+				m.Tick()
+				checkCreditConservation(t, m, pl, cycle, false)
+				cycle++
+			}
+			for _, r := range m.routers {
+				r.pullCredits(m.Cycle())
+			}
+			checkCreditConservation(t, m, pl, cycle, true)
+			if st := m.Stats(); name == "faults" && st.LostCredits == 0 {
+				t.Error("no credit was lost: the withheld path never ran")
+			}
+		})
 	}
 }
 
@@ -226,7 +325,7 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 }
 
 // checkStageMasks rebuilds each router's stage masks, cached arrival stamps
-// and pending-credit flags by scanning its input VCs and return queues — the
+// and pending-credit flags by scanning its input VCs and lost-credit rings — the
 // scan the masks replaced in router.step — and demands the maintained state
 // match bit for bit. An idle VC holding flits is on arrMask exactly while its
 // front is still on the wire (stamp in the future) and on rcMask once it has
@@ -280,6 +379,8 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 			t.Fatalf("cycle %d router %d: active-list bit %v, busy %v",
 				cycle, id, m.rtrActive.has(id), r.busy())
 		}
+		// Only lost credits are queued, on rings that exist only with faults
+		// enabled; a fault-free router never has a pull pending.
 		var pend uint8
 		for d, cc := range r.credIn {
 			if cc != nil && cc.q.Len() > 0 {
@@ -287,7 +388,7 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 			}
 		}
 		if r.credPend != pend {
-			t.Fatalf("cycle %d router %d: credPend %#b, return queues say %#b", cycle, id, r.credPend, pend)
+			t.Fatalf("cycle %d router %d: credPend %#b, withheld-credit rings say %#b", cycle, id, r.credPend, pend)
 		}
 		for k, req := range r.vaReq {
 			if req != 0 {
@@ -377,7 +478,7 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 			ivc.buf.Len() == 0 || ivc.buf.Front().arrived > cycle {
 			continue
 		}
-		if !r.outputReady(ivc.outPort, ivc.outVC) {
+		if !r.outputReady(ivc.outPort, ivc.outVC, cycle) {
 			continue
 		}
 		r.saInPtr[in] = (v + 1) % n

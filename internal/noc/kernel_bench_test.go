@@ -26,6 +26,13 @@ func BenchmarkCycleKernel(b *testing.B) {
 		cfg.MCInjPorts = 2
 		benchCycleKernel(b, cfg, 4)
 	})
+	// High load with a 3-cycle credit return: a freed slot's credit stays in
+	// the downstream VC's pop window for several cycles.
+	b.Run("credit-latency-3", func(b *testing.B) {
+		cfg := DefaultConfig()
+		cfg.CreditLatency = 3
+		benchCycleKernel(b, cfg, 8)
+	})
 	// Convergence tail: the network drains after a burst, so most tiles are
 	// idle most cycles — the case active-component lists exist for.
 	b.Run("drain-tail", func(b *testing.B) { benchDrainTail(b, DefaultConfig()) })

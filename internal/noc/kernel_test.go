@@ -171,34 +171,108 @@ func TestChannelPartialDelivery(t *testing.T) {
 	}
 }
 
-// TestCreditChannelOutOfOrderDues checks the credit pull with non-monotonic
-// due times (the fault model's resync delay): due credits are returned even
-// when queued behind later ones, the remainder is compacted in order, and the
-// port stays flagged on credPend exactly while credits are queued.
+// creditLink returns a fresh network's link from router 0 eastwards: the
+// upstream router, its channel, and the downstream input VC 0 filled to the
+// buffer depth with single-flit packets that have already arrived.
+func creditLink(cfg Config) (*router, *channel, *inVC) {
+	m := MustNewMesh(cfg)
+	up := m.routers[0]
+	ch := up.outChans[East]
+	for i := 0; i < cfg.BufDepth; i++ {
+		ch.send(Flit{Pkt: &Packet{}, Head: true, Tail: true, arrived: 1}, 0)
+	}
+	return up, ch, &ch.dst.inputs[ch.dst.inIdx(ch.dstPort, 0)]
+}
+
+// TestCreditChannelOutOfOrderDues checks that lost and derived credits come
+// back out of order: a slot whose credit was lost stays withheld for the
+// resync window while the slot of a later pop returns after the credit
+// latency, the return ring is pulled front first, and the port stays flagged
+// on credPend exactly while lost credits are queued.
 func TestCreditChannelOutOfOrderDues(t *testing.T) {
-	m := MustNewMesh(DefaultConfig())
-	cc := m.routers[0].credIn[East]
-	r := cc.dst
-	out := &r.outputs[r.inIdx(cc.dstPort, 0)]
-	out.credits = 0 // make room so returned credits are countable
-	for _, due := range []uint64{5, 2, 9, 1} {
-		cc.send(0, due)
+	const credLat, resync = 2, 6
+	cfg := DefaultConfig()
+	cfg.CreditLatency = credLat
+	cfg.Fault = cfg.Fault.WithRate(0.5, 1) // builds the lost-credit rings
+	cfg.Fault.CreditResyncCycles = resync
+	up, ch, ivc := creditLink(cfg)
+	cc := ch.dst.credChans[ch.dstPort]
+	if cc == nil || up.credIn[East] != cc {
+		t.Fatal("no lost-credit ring between the link's two routers")
 	}
-	flag := uint8(1) << uint(cc.dstPort)
-	if r.credIn[cc.dstPort] != cc || r.credPend != flag {
-		t.Fatalf("after send: credPend %#b, want %#b on the link's own output port", r.credPend, flag)
+	// Pops at cycles 10 (credit lost), 11 (derived) and 12 (lost).
+	for _, pop := range []struct {
+		cycle uint64
+		lost  bool
+	}{{10, true}, {11, false}, {12, true}} {
+		ivc.buf.Pop()
+		if pop.lost {
+			cc.withhold(0, pop.cycle+credLat+resync)
+		} else {
+			ivc.notePop(pop.cycle)
+		}
 	}
-	r.pullCredits(4)
-	if out.credits != 2 {
-		t.Fatalf("credits after cycle 4 = %d, want 2 (dues 2 and 1)", out.credits)
+	flag := uint8(1) << uint(East)
+	if up.credPend != flag || cc.q.Len() != 2 || up.outputs[up.inIdx(int(East), 0)].withheld != 2 {
+		t.Fatalf("after the pops: credPend %#b (want %#b), %d queued (want 2)", up.credPend, flag, cc.q.Len())
 	}
-	if cc.q.Len() != 2 || cc.q.At(0).due != 5 || cc.q.At(1).due != 9 || r.credPend != flag {
-		t.Fatalf("remainder not compacted in order: len %d, credPend %#b", cc.q.Len(), r.credPend)
+	// Free slots as the upstream router's step sees them: pull, then read.
+	// The derived credit of the pop at 11 is back at 13, ahead of the lost
+	// credit of the pop at 10 (due 18); the one from 12 follows at 20.
+	want := map[uint64]int{12: 0, 13: 1, 17: 1, 18: 2, 19: 2, 20: 3}
+	for cycle := uint64(12); cycle <= 20; cycle++ {
+		up.pullCredits(cycle)
+		w, ok := want[cycle]
+		if got := up.freeSlots(int(East), 0, cycle); ok && got != w {
+			t.Fatalf("cycle %d: %d free slots, want %d", cycle, got, w)
+		}
+		if queued := cc.q.Len(); (up.credPend != 0) != (queued > 0) {
+			t.Fatalf("cycle %d: credPend %#b with %d credits queued", cycle, up.credPend, queued)
+		}
+		if cycle == 18 && (cc.q.Len() != 1 || cc.q.Front().due != 20) {
+			t.Fatalf("cycle 18: ring not pulled front first: len %d", cc.q.Len())
+		}
 	}
-	r.pullCredits(9)
-	if out.credits != 4 || cc.q.Len() != 0 || r.credPend != 0 {
-		t.Fatalf("after cycle 9: credits %d (want 4), queued %d (want 0), credPend %#b (want 0)",
-			out.credits, cc.q.Len(), r.credPend)
+	if cc.q.Len() != 0 || up.credPend != 0 || up.outputs[up.inIdx(int(East), 0)].withheld != 0 {
+		t.Fatalf("after cycle 20: %d queued, credPend %#b, want an empty ring", cc.q.Len(), up.credPend)
+	}
+}
+
+// TestDerivedCreditTiming pins the credit loop on one link: with the
+// downstream VC full, a pop at cycle c opens the upstream output at exactly
+// c+L for credit latencies L of 1, 2, 5 and the full 64-cycle pop window,
+// and a credit the fault model loses opens it at exactly c+L+R, R being the
+// resync window.
+func TestDerivedCreditTiming(t *testing.T) {
+	const c, resync = 100, 7
+	for _, credLat := range []uint64{1, 2, 5, 64} {
+		for _, lost := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.CreditLatency = credLat
+			if lost {
+				cfg.Fault = cfg.Fault.WithRate(0.5, 1)
+				cfg.Fault.CreditResyncCycles = resync
+			}
+			up, ch, ivc := creditLink(cfg)
+			if up.outputReady(int(East), 0, c) {
+				t.Fatalf("L=%d: output ready into a full VC", credLat)
+			}
+			ivc.buf.Pop()
+			opens := c + credLat
+			if lost {
+				ch.dst.credChans[ch.dstPort].withhold(0, c+credLat+resync)
+				opens += resync
+			} else {
+				ch.dst.releaseSlot(ivc, c)
+			}
+			for cycle := uint64(c); cycle <= opens+1; cycle++ {
+				up.pullCredits(cycle)
+				if got := up.outputReady(int(East), 0, cycle); got != (cycle >= opens) {
+					t.Fatalf("L=%d lost=%v: output ready %v at cycle %d, want it to open at %d",
+						credLat, lost, got, cycle, opens)
+				}
+			}
+		}
 	}
 }
 

@@ -53,25 +53,29 @@ func TestMeshConfigValidation(t *testing.T) {
 }
 
 // TestRouterWidthValidation pins the static bounds of the mask-driven
-// router: input VCs per router fit a 64-bit stage mask and a VC number fits
-// Flit.VC. Over-wide configs are refused with an error by every constructor,
-// never truncated and never a panic.
+// router: input VCs per router fit a 64-bit stage mask, a VC number fits
+// Flit.VC and a credit returns within the 64-cycle pop window. Over-wide
+// configs are refused with an error by every constructor, never truncated
+// and never a panic.
 func TestRouterWidthValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		numVCs, mcPorts int
+		credLat         uint64
 		ok              bool
 	}{
-		{"baseline 2 VCs", 2, 1, true},
-		{"ablation 8 VCs (40 input VCs)", 8, 1, true},
-		{"8 VCs, 4 MC ports (exactly 64)", 8, 4, true},
-		{"8 VCs, 5 MC ports (72)", 8, 5, false},
-		{"12 VCs, 2 MC ports (72)", 12, 2, false},
-		{"16 VCs (80)", 16, 1, false},
-		{"VC number past int16", math.MaxInt16 + 1, 1, false},
+		{"baseline 2 VCs", 2, 1, 1, true},
+		{"ablation 8 VCs (40 input VCs)", 8, 1, 1, true},
+		{"8 VCs, 4 MC ports (exactly 64)", 8, 4, 1, true},
+		{"8 VCs, 5 MC ports (72)", 8, 5, 1, false},
+		{"12 VCs, 2 MC ports (72)", 12, 2, 1, false},
+		{"16 VCs (80)", 16, 1, 1, false},
+		{"VC number past int16", math.MaxInt16 + 1, 1, 1, false},
+		{"credit latency 64 (the whole pop window)", 2, 1, 64, true},
+		{"credit latency 65", 2, 1, 65, false},
 	} {
 		cfg := DefaultConfig()
-		cfg.NumVCs, cfg.MCInjPorts = tc.numVCs, tc.mcPorts
+		cfg.NumVCs, cfg.MCInjPorts, cfg.CreditLatency = tc.numVCs, tc.mcPorts, tc.credLat
 		_, err := NewMesh(cfg)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: NewMesh error = %v, want ok=%v", tc.name, err, tc.ok)

@@ -254,9 +254,9 @@ type meshNet struct {
 	// ejection NI sets a bit when it appends a packet, Delivered clears it.
 	delivSet activeSet
 
-	// credDue is the due cycle of the last credit a router sent; with no
-	// faults dues only grow, so it tells NextWorkCycle whether a credit is
-	// still on its way back.
+	// credDue is the cycle the last freed slot's credit reaches its upstream
+	// router (resync delay not included); dues only grow, so it tells
+	// NextWorkCycle whether a credit is still on its way back.
 	credDue uint64
 
 	// interScratch is the reusable candidate buffer for checkerboard
@@ -395,9 +395,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		}
 		n.routers = append(n.routers, newRouter(p, n))
 	}
-	// Wire direction channels and credits. Credit queues are bounded by
-	// credit flow control: at most numVCs*bufDepth credits can be in flight
-	// on one link.
+	// Wire direction channels, and with faults enabled the lost-credit
+	// return rings: a lost credit withholds a slot of the link's buffer, so
+	// at most numVCs*bufDepth are queued on one link.
 	chanCap := cfg.NumVCs * cfg.BufDepth
 	for id := 0; id < nNodes; id++ {
 		r := n.routers[id]
@@ -406,14 +406,12 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			if nb < 0 {
 				continue
 			}
-			ch := &channel{dst: n.routers[nb], dstPort: int(d.opposite())}
-			r.outChans[d] = ch
-			cc := &creditChannel{dst: r, dstPort: int(d)}
-			cc.q = ring.New[creditEvent](chanCap, chanCap)
-			n.routers[nb].credChans[int(d.opposite())] = cc
-			r.credIn[d] = cc
-			for v := 0; v < cfg.NumVCs; v++ {
-				r.outputs[r.inIdx(int(d), v)].credits = cfg.BufDepth
+			r.outChans[d] = &channel{dst: n.routers[nb], dstPort: int(d.opposite())}
+			if n.fs != nil {
+				cc := &creditChannel{dst: r, dstPort: int(d)}
+				cc.q = ring.New[creditEvent](chanCap, chanCap)
+				n.routers[nb].credChans[int(d.opposite())] = cc
+				r.credIn[d] = cc
 			}
 		}
 	}
@@ -424,12 +422,16 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 }
 
 // checkRouterWidth rejects configurations the router's fixed-width state
-// cannot represent: a VC number must fit Flit.VC, and the widest router (an
+// cannot represent: a VC number must fit Flit.VC, a credit must return
+// within the 64-cycle pop window of inVC.popBits, and the widest router (an
 // MC tile: four direction inputs plus MCInjPorts injection ports) must fit
 // its input VCs in one 64-bit stage mask.
 func checkRouterWidth(cfg Config) error {
 	if cfg.NumVCs > math.MaxInt16 {
 		return fmt.Errorf("noc: %d VCs exceed the flit VC field (max %d)", cfg.NumVCs, math.MaxInt16)
+	}
+	if cfg.CreditLatency > maxCreditLatency {
+		return fmt.Errorf("noc: credit latency %d exceeds the %d-cycle pop window", cfg.CreditLatency, maxCreditLatency)
 	}
 	if in := (int(numDirs) + cfg.MCInjPorts) * cfg.NumVCs; in > maxInputVCs {
 		return fmt.Errorf("noc: %d input ports x %d VCs = %d input VCs per MC router, limit %d",
@@ -585,9 +587,10 @@ func (n *meshNet) noteHop(pkt *Packet) {
 // any queued injection, router with a VC in a pipeline stage, pending
 // ejection or credit still on its way back means the very next tick works;
 // otherwise the earliest arrival among the flits on the wire, which are the
-// fronts of the routers' arrMask VCs. (A credit wakes nobody — see
-// creditChannel — but counting the cycle it lands as work keeps the horizon,
-// and so every skip count, what it was when credits had a delivery phase.)
+// fronts of the routers' arrMask VCs. (A credit wakes nobody — the upstream
+// router derives it, see router.freeSlots — but counting the cycle it lands
+// as work keeps the horizon, and so every skip count, what it was when
+// credits had a delivery phase.)
 // Fault injection draws its RNG every cycle and a tripped monitor must keep
 // reporting, so both force edge-by-edge ticking. With an armed deadlock
 // watchdog and work in flight, the horizon also never passes the cycle the

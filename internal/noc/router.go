@@ -12,6 +12,11 @@ import (
 // router would not fit.
 const maxInputVCs = 64
 
+// maxCreditLatency is the width of an input VC's pop window (inVC.popBits):
+// a credit must reach the upstream router within 64 cycles of its pop.
+// newMeshNet rejects longer credit latencies.
+const maxCreditLatency = 64
+
 // vcState is the lifecycle of an input virtual channel.
 type vcState int
 
@@ -25,8 +30,16 @@ const (
 // The FIFO also holds flits still on the wire (deposited at send, stamped
 // with their arrival cycle); nextAt caches the front flit's stamp so the
 // stages can tell a visible flit from one in flight without touching buf.
+//
+// popAt and popBits are the credits on their way back upstream: bit k of
+// popBits is set when a flit was popped at cycle popAt-k (a VC pops at most
+// once a cycle), and a pop's credit is in flight for credLat cycles. The
+// upstream router reads them, with buf, to derive its free slots (see
+// router.freeSlots), so no credit is ever queued on the fault-free path.
 type inVC struct {
 	buf     ring.Ring[Flit]
+	popAt   uint64 // cycle of the last pop recorded in popBits
+	popBits uint64 // bit k: a pop at popAt-k whose credit was not lost
 	nextAt  uint64 // front flit's arrival cycle; NeverCycle when buf is empty
 	state   vcState
 	port    int   // input port this VC sits on (fixed at construction)
@@ -37,10 +50,27 @@ type inVC struct {
 	readyAt uint64
 }
 
+// notePop records a pop at cycle whose credit returns after credLat. Bits
+// shifted past 63 are pops older than any credit latency (at most 64).
+func (ivc *inVC) notePop(cycle uint64) {
+	ivc.popBits = ivc.popBits<<(cycle-ivc.popAt) | 1
+	ivc.popAt = cycle
+}
+
+// inflight counts the pops whose credit has not reached the upstream router
+// by cycle: those at cycles after cycle-credLat.
+func (ivc *inVC) inflight(cycle, credLat uint64) int {
+	age := cycle - ivc.popAt
+	if age >= credLat {
+		return 0
+	}
+	return bits.OnesCount64(ivc.popBits & (uint64(1)<<(credLat-age) - 1))
+}
+
 // outVC is the book-keeping for one (output port, VC) pair.
 type outVC struct {
-	credits int // free buffer slots at the downstream input VC
-	owner   int // input index holding this VC, or -1 when free
+	owner    int // input index holding this VC, or -1 when free
+	withheld int // lost credits of the downstream VC still on the resync path
 }
 
 // pipeDelays maps a router pipeline depth to stage delays. The uncontended
@@ -105,13 +135,16 @@ type router struct {
 	// never reorders a side effect.
 	arrMask, rcMask, vaMask, saMask uint64
 
-	outChans  []*channel       // per dir output port; nil at mesh edge
-	credChans []*creditChannel // per dir input port, back to upstream; nil at edge or terminal
-	credIn    []*creditChannel // per dir output port, credits coming back; nil at edge
+	outChans []*channel // per dir output port; nil at mesh edge
 
-	// credPend has bit d set while credIn[d] holds queued credits; step pulls
-	// the due ones before it reads any credit counter.
-	credPend uint8
+	// The lost-credit return path, built only when faults are enabled:
+	// credChans per dir input port (back to upstream) and credIn per dir
+	// output port (lost credits coming back); nil at the edge. credPend has
+	// bit d set while credIn[d] holds queued credits; step pulls the due
+	// ones before it reads any free-slot count.
+	credChans []*creditChannel
+	credIn    []*creditChannel
+	credPend  uint8
 
 	ejQ []ring.Ring[Flit] // per ejection port; Flit.arrived is the drain cycle
 
@@ -165,8 +198,6 @@ func newRouter(p routerParams, net *meshNet) *router {
 		r.outputs[o].owner = -1
 	}
 	r.outChans = make([]*channel, numDirs)
-	r.credChans = make([]*creditChannel, numDirs)
-	r.credIn = make([]*creditChannel, numDirs)
 	r.ejQ = make([]ring.Ring[Flit], p.nEj)
 	for e := range r.ejQ {
 		r.ejQ[e] = ring.New[Flit](p.ejCap, p.ejCap)
@@ -179,6 +210,8 @@ func newRouter(p routerParams, net *meshNet) *router {
 	r.saReq = make([]uint64, r.nOut)
 	if net != nil && net.fs != nil {
 		r.stuck = make([]uint64, r.nIn*p.numVCs)
+		r.credChans = make([]*creditChannel, numDirs)
+		r.credIn = make([]*creditChannel, numDirs)
 	}
 	return r
 }
@@ -189,8 +222,8 @@ func (r *router) inIdx(port, vc int) int { return port*r.p.numVCs + vc }
 
 // busy reports whether any input VC holds work (a flit buffered or on the
 // wire towards it, or allocation state); step is a no-op otherwise, so the
-// network skips the router. Queued credits alone do not make a router busy:
-// nothing reads a credit counter before the next step pulls them.
+// network skips the router. Queued lost credits alone do not make a router
+// busy: nothing reads a free-slot count before the next step pulls them.
 func (r *router) busy() bool { return r.arrMask|r.rcMask|r.vaMask|r.saMask != 0 }
 
 // working reports whether the router has a VC in a pipeline stage, i.e. work
@@ -224,16 +257,7 @@ func (r *router) acceptFlit(port int, f Flit, cycle uint64) {
 	ivc.buf.Push(f)
 }
 
-// acceptCredit returns a buffer slot for (output port, vc).
-func (r *router) acceptCredit(port, vc int) {
-	o := &r.outputs[r.inIdx(port, vc)]
-	o.credits++
-	if o.credits > r.p.bufDepth {
-		panic(fmt.Sprintf("noc: router %d port %d vc %d credit overflow", r.p.node, port, vc))
-	}
-}
-
-// pullCredits takes the due credits off the flagged return links.
+// pullCredits takes the due lost credits off the flagged return links.
 func (r *router) pullCredits(cycle uint64) {
 	for m := r.credPend; m != 0; m &= m - 1 {
 		d := bits.TrailingZeros8(m)
@@ -286,9 +310,9 @@ func (r *router) legalOutput(in, out int) bool {
 	return Port(out) == Port(in).opposite()
 }
 
-// step runs one router cycle: pull returned credits, admit flits that have
-// come off the wire, then route computation, VC allocation, switch allocation
-// and switch traversal, each over its stage mask.
+// step runs one router cycle: pull resynchronised lost credits, admit flits
+// that have come off the wire, then route computation, VC allocation, switch
+// allocation and switch traversal, each over its stage mask.
 func (r *router) step(cycle uint64) {
 	if r.credPend != 0 {
 		r.pullCredits(cycle)
@@ -425,7 +449,7 @@ func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 		if r.stuck != nil && r.stuck[idx] > cycle {
 			continue // transient stuck-VC fault freezes this VC's allocation
 		}
-		if !r.outputReady(ivc.outPort, ivc.outVC) {
+		if !r.outputReady(ivc.outPort, ivc.outVC, cycle) {
 			continue
 		}
 		r.saInPtr[in] = (v + 1) % n
@@ -439,13 +463,26 @@ func rotateWindow(w uint64, start, n int) uint64 {
 	return (w>>uint(start) | w<<uint(n-start)) & (uint64(1)<<uint(n) - 1)
 }
 
-// outputReady reports whether a flit can leave via (port, vc) this cycle:
-// a downstream credit for direction ports, a queue slot for ejection ports.
-func (r *router) outputReady(port, vc int) bool {
+// outputReady reports whether a flit can leave via (port, vc) at cycle: a
+// free downstream slot for direction ports, a queue slot for ejection ports.
+func (r *router) outputReady(port, vc int, cycle uint64) bool {
 	if port < int(numDirs) {
-		return r.outputs[r.inIdx(port, vc)].credits > 0
+		return r.freeSlots(port, vc, cycle) > 0
 	}
 	return !r.ejQ[port-int(numDirs)].Full()
+}
+
+// freeSlots is the credit count of direction output (port, vc) at cycle,
+// derived from the downstream input VC: its depth less the flits it holds
+// (on the wire or buffered: send deposits them), the pops whose credit is
+// still in flight, and the lost credits withheld until their resync. Reading the neighbour's VC is exact whichever of the two
+// routers steps first in a cycle: a pop at this cycle is in flight either
+// way, since credLat is at least 1.
+func (r *router) freeSlots(port, vc int, cycle uint64) int {
+	ch := r.outChans[port]
+	down := &ch.dst.inputs[ch.dstPort*r.p.numVCs+vc]
+	return r.p.bufDepth - down.buf.Len() - down.inflight(cycle, r.p.credLat) -
+		r.outputs[r.inIdx(port, vc)].withheld
 }
 
 // traverse moves the front flit of input VC idx through the switch.
@@ -460,7 +497,6 @@ func (r *router) traverse(idx int, cycle uint64) {
 	out := &r.outputs[r.inIdx(op, ov)]
 	f.VC = int16(ov)
 	if op < int(numDirs) {
-		out.credits--
 		f.arrived = cycle + r.stD + r.p.chanLat
 		r.outChans[op].send(f, cycle)
 	} else {
@@ -476,10 +512,8 @@ func (r *router) traverse(idx int, cycle uint64) {
 	}
 	// Return the freed buffer slot upstream (direction inputs only; the
 	// network interface reads injection buffer occupancy directly).
-	if ivc.port < int(numDirs) && r.credChans[ivc.port] != nil {
-		due := cycle + r.p.credLat
-		r.credChans[ivc.port].send(ivc.vc, due)
-		r.net.credDue = due
+	if ivc.port < int(numDirs) {
+		r.releaseSlot(ivc, cycle)
 	}
 	if f.Tail {
 		out.owner = -1
@@ -496,6 +530,23 @@ func (r *router) traverse(idx int, cycle uint64) {
 			r.arrMask |= 1 << uint(idx)
 		}
 	}
+}
+
+// releaseSlot returns the slot of a flit popped at cycle from direction input
+// ivc: its credit reaches the upstream router credLat cycles later, which
+// the upstream router reads off popBits. A credit the fault model loses
+// (drawn here, once per pop, in traversal order) stays out of popBits: it is
+// withheld upstream and rides the return ring until the resync window ends.
+func (r *router) releaseSlot(ivc *inVC, cycle uint64) {
+	due := cycle + r.p.credLat
+	r.net.credDue = due
+	if fs := r.net.fs; fs != nil {
+		if delay := fs.delayCredit(r.net); delay > 0 {
+			r.credChans[ivc.port].withhold(ivc.vc, due+delay)
+			return
+		}
+	}
+	ivc.notePop(cycle)
 }
 
 // drainEjected pops all arrived flits from the ejection queues.

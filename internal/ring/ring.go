@@ -1,6 +1,6 @@
 // Package ring provides a generic circular FIFO used for every queue on the
 // simulator's cycle-level hot path: input VC buffers, source queues,
-// ejection queues, channel event queues and core/memory-controller service
+// ejection queues, lost-credit return rings and core/memory-controller service
 // queues. Unlike an append/copy slice queue, a ring never moves elements on
 // pop and never reallocates in steady state: push and pop are index
 // arithmetic on a fixed backing array, which is what makes the cycle kernel
@@ -89,20 +89,6 @@ func (r *Ring[T]) Pop() T {
 	}
 	r.n--
 	return v
-}
-
-// Truncate keeps the first m elements and discards the rest, zeroing the
-// dropped slots. Used by compacting scans that rewrite the kept prefix in
-// place (credit delivery with fault-delayed, non-monotonic due times).
-func (r *Ring[T]) Truncate(m int) {
-	if m > r.n {
-		panic("ring: truncate beyond length")
-	}
-	var zero T
-	for i := m; i < r.n; i++ {
-		r.buf[r.idx(i)] = zero
-	}
-	r.n = m
 }
 
 // grow enlarges the backing array (doubling, clamped to the hard bound),

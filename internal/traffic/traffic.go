@@ -11,8 +11,10 @@ package traffic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/noc"
+	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -45,14 +47,13 @@ const HotspotFraction = 0.20
 
 // Config parameterizes one open-loop run.
 type Config struct {
-	Pattern        Pattern
-	InjectionRate  float64 // offered load, flits/cycle per compute node
-	ReplyBytes     int     // reply payload size (64 B => 4 flits at 16 B)
-	WarmupCycles   int
-	MeasureCycles  int
-	DrainCycles    int // extra cycles to let measured packets arrive
-	Seed           uint64
-	MaxQueuedPerMC int // reply backlog cap per MC before it stalls (0: unbounded)
+	Pattern       Pattern
+	InjectionRate float64 // offered load, flits/cycle per compute node
+	ReplyBytes    int     // reply payload size (64 B => 4 flits at 16 B)
+	WarmupCycles  int
+	MeasureCycles int
+	DrainCycles   int // extra cycles to let measured packets arrive
+	Seed          uint64
 
 	// NoIdleSkip disables idle-horizon fast-forwarding during the drain
 	// phase. Once injection stops and every reply backlog is empty the
@@ -140,7 +141,8 @@ type laneRun struct {
 	measured           int
 	dropCycles         int
 	replyFlitsInjected uint64
-	backlog            [][]pendingReply // per MC, indexed like backend.MCs()
+	backlog            []ring.Ring[pendingReply] // per MC, indexed like backend.MCs()
+	delivered          []uint64                  // node bitset: this cycle's DeliveredSet
 	live               bool
 }
 
@@ -166,6 +168,7 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 		n = 1
 	}
 	var comp, mcs []noc.NodeID
+	var mcSet []uint64 // node bitset of the MCs
 	lanes := make([]*laneRun, n)
 	for i := range lanes {
 		net, backend := r.build()
@@ -175,14 +178,23 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 			if len(mcs) == 0 {
 				panic("traffic: network has no MC nodes")
 			}
+			mcSet = make([]uint64, (backend.NumNodes()+63)/64)
+			for _, mc := range mcs {
+				mcSet[mc>>6] |= 1 << (uint(mc) & 63)
+			}
 		}
-		lanes[i] = &laneRun{
-			net:     net,
-			rng:     xrand.New(cfg.Seed + uint64(i)),
-			hist:    stats.NewHistogram(4, 1024), // latency buckets up to 4096 cycles
-			backlog: make([][]pendingReply, len(mcs)),
-			live:    true,
+		l := &laneRun{
+			net:       net,
+			rng:       xrand.New(cfg.Seed + uint64(i)),
+			hist:      stats.NewHistogram(4, 1024), // latency buckets up to 4096 cycles
+			backlog:   make([]ring.Ring[pendingReply], len(mcs)),
+			delivered: make([]uint64, len(mcSet)),
+			live:      true,
 		}
+		for j := range l.backlog {
+			l.backlog[j] = ring.New[pendingReply](8, 0)
+		}
+		lanes[i] = l
 	}
 	hot := mcs[0]
 	liveN := n
@@ -227,22 +239,28 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 					}
 				}
 			}
+			// Only nodes the network flags have a batch to drain; the set
+			// stays valid for the cycle, since nothing below ticks the
+			// network.
+			clear(l.delivered)
+			l.net.DeliveredSet(l.delivered)
 			// MCs turn arrived requests into replies. A delivered batch is
 			// consumed in full before the next Get, so recycling its packets
 			// cannot alias one still being read.
 			for j, mc := range mcs {
-				for _, pkt := range l.net.Delivered(mc) {
-					if pkt.Write {
-						l.lat.Add(float64(pkt.TotalLatency()))
-						l.hist.Add(float64(pkt.TotalLatency()))
+				q := &l.backlog[j]
+				if l.delivered[mc>>6]&(1<<(uint(mc)&63)) != 0 {
+					for _, pkt := range l.net.Delivered(mc) {
+						if pkt.Write {
+							l.lat.Add(float64(pkt.TotalLatency()))
+							l.hist.Add(float64(pkt.TotalLatency()))
+						}
+						q.Push(pendingReply{dst: pkt.Src, offeredAt: pkt.Line, measured: pkt.Write})
+						l.pool.Put(pkt)
 					}
-					l.backlog[j] = append(l.backlog[j],
-						pendingReply{dst: pkt.Src, offeredAt: pkt.Line, measured: pkt.Write})
-					l.pool.Put(pkt)
 				}
-				q := l.backlog[j]
-				nAcc := 0
-				for _, pr := range q {
+				for q.Len() > 0 && l.net.CanInject(mc, noc.ClassReply) {
+					pr := q.Front()
 					reply := l.pool.Get()
 					reply.Src, reply.Dst, reply.Class, reply.Bytes = mc, pr.dst, noc.ClassReply, cfg.ReplyBytes
 					reply.Line, reply.Write = pr.offeredAt, pr.measured
@@ -250,21 +268,24 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 						l.pool.Put(reply)
 						break
 					}
+					q.Pop()
 					l.replyFlitsInjected++
-					nAcc++
 				}
-				l.backlog[j] = q[:copy(q, q[nAcc:])]
 			}
-			// Compute nodes absorb replies.
-			for _, c := range comp {
-				for _, pkt := range l.net.Delivered(c) {
-					if pkt.Write {
-						l.lat.Add(float64(pkt.TotalLatency()))
-						l.hist.Add(float64(pkt.TotalLatency()))
-						l.rtt.Add(float64(pkt.ArrivedAt - pkt.Line))
-						l.measured++
+			// Compute nodes absorb replies, walked in ascending node id:
+			// that is ComputeNodes order, which fixes the order latency
+			// samples are added in, and with it the float sums.
+			for wi, w := range l.delivered {
+				for w &^= mcSet[wi]; w != 0; w &= w - 1 {
+					for _, pkt := range l.net.Delivered(noc.NodeID(wi<<6 + bits.TrailingZeros64(w))) {
+						if pkt.Write {
+							l.lat.Add(float64(pkt.TotalLatency()))
+							l.hist.Add(float64(pkt.TotalLatency()))
+							l.rtt.Add(float64(pkt.ArrivedAt - pkt.Line))
+							l.measured++
+						}
+						l.pool.Put(pkt)
 					}
-					l.pool.Put(pkt)
 				}
 			}
 		}
@@ -331,8 +352,8 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 	for i, l := range lanes {
 		st := l.net.Stats()
 		backlogged := 0
-		for _, q := range l.backlog {
-			backlogged += len(q)
+		for j := range l.backlog {
+			backlogged += l.backlog[j].Len()
 		}
 		out[i] = Result{
 			OfferedLoad:     cfg.InjectionRate,
@@ -351,9 +372,9 @@ func (r *Runner) RunLanes(cfg Config) []Result {
 }
 
 // backlogEmpty reports whether no MC holds a queued reply.
-func backlogEmpty(backlog [][]pendingReply) bool {
-	for _, q := range backlog {
-		if len(q) > 0 {
+func backlogEmpty(backlog []ring.Ring[pendingReply]) bool {
+	for j := range backlog {
+		if backlog[j].Len() > 0 {
 			return false
 		}
 	}

@@ -191,3 +191,32 @@ func TestNoMCNetworkPanicsClearly(t *testing.T) {
 	}()
 	r.Run(quickConfig())
 }
+
+// TestComputeNodesAreAscendingNonMCs pins what RunLanes' delivery walk
+// relies on: on every backend of the open-loop matrix, ComputeNodes lists
+// exactly the non-MC nodes in ascending id order, so walking the delivered
+// set's non-MC bits lowest first visits compute nodes in ComputeNodes order.
+func TestComputeNodesAreAscendingNonMCs(t *testing.T) {
+	for _, og := range openMatrix() {
+		b := noc.MustBuildBackend(og.mesh())
+		isMC := make(map[noc.NodeID]bool)
+		for _, mc := range b.MCs() {
+			isMC[mc] = true
+		}
+		var want []noc.NodeID
+		for n := 0; n < b.NumNodes(); n++ {
+			if !isMC[noc.NodeID(n)] {
+				want = append(want, noc.NodeID(n))
+			}
+		}
+		got := b.ComputeNodes()
+		if len(got) != len(want) {
+			t.Fatalf("%s (%s): %d compute nodes, want the %d non-MC nodes", og.id, b.Kind(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s (%s): compute node %d is %d, want %d", og.id, b.Kind(), i, got[i], want[i])
+			}
+		}
+	}
+}
