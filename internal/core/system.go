@@ -385,15 +385,3 @@ func (s *System) RowLocality() float64 {
 	}
 	return total / float64(len(s.mcs))
 }
-
-// AvgDRAMQueue returns the mean DRAM queue occupancy across channels.
-func (s *System) AvgDRAMQueue() float64 {
-	total := 0.0
-	for _, mc := range s.mcs {
-		st := mc.DRAMStats()
-		if st.TotalQueueSamples > 0 {
-			total += float64(st.QueueOccupancySum) / float64(st.TotalQueueSamples)
-		}
-	}
-	return total / float64(len(s.mcs))
-}

@@ -348,12 +348,3 @@ func pct(ratio float64) string {
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(ratio-1))
 }
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

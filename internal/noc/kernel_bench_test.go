@@ -70,124 +70,6 @@ func BenchmarkBackendKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneKernel measures the lane-batched cycle kernel on every
-// topology backend: one op advances a LaneSet of L seed replicas by one
-// cycle under the closed-loop request/reply protocol, so the -l4 rows cost
-// roughly 4× the -l1 rows in ns/op while sharing a single Backend (route
-// tables and geometry built once). Sub-benchmark names end in -l<N> so
-// cmd/benchjson derives a per-lane speedup_vs_l1 metric. The harness is
-// allocation-free like benchCycleKernel, keeping the 0 allocs/op gate
-// honest on the lane hot path.
-func BenchmarkLaneKernel(b *testing.B) {
-	backendCfg := func(kind BackendKind) Config {
-		cfg := DefaultConfig()
-		switch kind {
-		case BackendRing:
-			cfg.Topology = BackendRing
-			cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 4, 4, 2
-		case BackendBaseJump:
-			cfg.Topology = BackendBaseJump
-			cfg.FlitBytes, cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 64, 2, 2, 2
-		}
-		return cfg
-	}
-	for _, kind := range []BackendKind{BackendMesh, BackendRing, BackendBaseJump} {
-		for _, lanes := range []int{1, 4} {
-			cfg := backendCfg(kind)
-			b.Run(fmt.Sprintf("%s-l%d", kind, lanes), func(b *testing.B) {
-				benchLaneKernel(b, cfg, lanes, 4)
-			})
-		}
-	}
-}
-
-// benchLaneKernel drives a LaneSet with `outstanding` requests in flight
-// per compute node per lane, warms every lane to steady state, then times
-// b.N lockstep ticks.
-func benchLaneKernel(b *testing.B, cfg Config, lanes, outstanding int) {
-	ls := MustNewLaneSet(cfg, lanes)
-	backend := ls.Backend()
-	comp := backend.ComputeNodes()
-	mcs := backend.MCs()
-	pools := make([]PacketPool, lanes)
-	inflight := make([][]int, lanes)
-	backlog := make([][][]*Packet, lanes)
-	rr := make([]int, lanes)
-	for l := 0; l < lanes; l++ {
-		inflight[l] = make([]int, len(comp))
-		backlog[l] = make([][]*Packet, len(mcs))
-		for i := range backlog[l] {
-			backlog[l][i] = make([]*Packet, 0, outstanding*len(comp))
-		}
-	}
-
-	tick := func() {
-		for l := 0; l < lanes; l++ {
-			m := ls.Lane(l)
-			pool := &pools[l]
-			for i, c := range comp {
-				for inflight[l][i] < outstanding {
-					p := pool.Get()
-					p.Src, p.Dst = c, mcs[rr[l]%len(mcs)]
-					p.Class, p.Bytes = ClassRequest, 8
-					p.Line = uint64(i)
-					rr[l]++
-					if !m.TryInject(p) {
-						pool.Put(p)
-						break
-					}
-					inflight[l][i]++
-				}
-			}
-			for j, mc := range mcs {
-				for _, pkt := range m.Delivered(mc) {
-					r := pool.Get()
-					r.Src, r.Dst = mc, pkt.Src
-					r.Class, r.Bytes = ClassReply, 64
-					r.Line = pkt.Line
-					backlog[l][j] = append(backlog[l][j], r)
-					pool.Put(pkt)
-				}
-				q := backlog[l][j]
-				n := 0
-				for _, r := range q {
-					if !m.TryInject(r) {
-						break
-					}
-					n++
-				}
-				backlog[l][j] = q[:copy(q, q[n:])]
-			}
-			for _, c := range comp {
-				for _, pkt := range m.Delivered(c) {
-					inflight[l][pkt.Line]--
-					pool.Put(pkt)
-				}
-			}
-		}
-		ls.Tick()
-	}
-
-	for i := 0; i < 3000; i++ { // warm every lane to steady state
-		tick()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick()
-	}
-	b.StopTimer()
-	var hops, cycles uint64
-	for l := 0; l < lanes; l++ {
-		st := ls.Lane(l).Stats()
-		hops += st.FlitHops
-		cycles = st.Cycles
-	}
-	if cycles > 0 {
-		b.ReportMetric(float64(hops)/float64(cycles), "hops/cycle")
-	}
-}
-
 // benchCycleKernel drives cfg with `outstanding` requests in flight per
 // compute node, warms the queues to steady state, then times b.N ticks.
 func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {

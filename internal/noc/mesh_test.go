@@ -58,6 +58,7 @@ func TestMeshConfigValidation(t *testing.T) {
 // configs are refused with an error by every constructor, never truncated
 // and never a panic.
 func TestRouterWidthValidation(t *testing.T) {
+	shared := MustBuildBackend(DefaultConfig()) // no row changes the geometry
 	for _, tc := range []struct {
 		name            string
 		numVCs, mcPorts int
@@ -80,8 +81,8 @@ func TestRouterWidthValidation(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: NewMesh error = %v, want ok=%v", tc.name, err, tc.ok)
 		}
-		if _, lerr := NewLaneSet(cfg, 2); (lerr == nil) != tc.ok {
-			t.Errorf("%s: NewLaneSet error = %v, want ok=%v", tc.name, lerr, tc.ok)
+		if _, serr := NewMeshWithBackend(cfg, shared); (serr == nil) != tc.ok {
+			t.Errorf("%s: NewMeshWithBackend error = %v, want ok=%v", tc.name, serr, tc.ok)
 		}
 	}
 }

@@ -289,9 +289,9 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	return newMeshNet(cfg, backend)
 }
 
-// NewMeshWithBackend builds a network on a prebuilt backend, so lane-batched
-// seed replicas of one configuration (see core.RunLanes) pay for geometry and
-// route tables once. Backends are immutable at runtime — PlanRoute threads
+// NewMeshWithBackend builds a network on a prebuilt backend. Its caller is
+// core.RunLanes, whose seed replicas of one configuration pay for geometry
+// and route tables once. Backends are immutable at runtime — PlanRoute threads
 // the caller's rng and scratch through — so sharing one across networks is
 // race-free. cfg must describe the same substrate the backend was built from.
 func NewMeshWithBackend(cfg Config, backend Backend) (*Mesh, error) {

@@ -18,15 +18,14 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultQueueCap        = 64
-	DefaultMaxRunsPerJob   = 256
-	DefaultRetries         = 1
-	DefaultDeadline        = 10 * time.Minute
-	DefaultMaxDeadline     = time.Hour
-	DefaultRetryAfter      = 2 * time.Second
-	DefaultMaxBodyBytes    = 1 << 20
-	forcedDrainGrace       = 10 * time.Second // bound on run-cancellation unwind after a drain deadline
-	defaultShutdownTimeout = 30 * time.Second
+	DefaultQueueCap      = 64
+	DefaultMaxRunsPerJob = 256
+	DefaultRetries       = 1
+	DefaultDeadline      = 10 * time.Minute
+	DefaultMaxDeadline   = time.Hour
+	DefaultRetryAfter    = 2 * time.Second
+	DefaultMaxBodyBytes  = 1 << 20
+	forcedDrainGrace     = 10 * time.Second // bound on run-cancellation unwind after a drain deadline
 )
 
 // Options configures a Server. The zero value is usable: in-memory store,

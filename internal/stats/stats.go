@@ -66,10 +66,6 @@ func ArithmeticMean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
-// HarmonicMeanSpeedup aggregates per-benchmark speedups (each expressed as
-// new/old) the way the paper does: harmonic mean over ratios.
-func HarmonicMeanSpeedup(ratios []float64) float64 { return HarmonicMean(ratios) }
-
 // Ratio is a convenient two-counter rate: events over opportunities.
 type Ratio struct {
 	Hits  uint64

@@ -191,13 +191,13 @@ func TestOpenLoopGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestOpenLoopGoldenDigestsLanes proves each lane of a lane-batched
-// open-loop run is bit-identical to its solo run: lane 0 carries the golden
-// seed and must reproduce the recorded digest; every sibling lane (seed+i)
-// must reproduce the digest of its own solo run, computed on the fly. The
-// shards-2 point runs two batches concurrently. Lane count 1 is
-// TestOpenLoopGoldenDigests itself (Run delegates to the single-lane loop),
-// so only 2 and 4 appear here.
+// TestOpenLoopGoldenDigestsLanes pins that a reused Runner carries no state
+// between runs, which is how Fig21 drives one Runner across offered loads. A
+// lanes-N row runs seeds Seed…Seed+N−1 one after another through one
+// Runner: seed Seed must reproduce the recorded digest, and every later seed
+// must reproduce a fresh Runner's run of the same seed. The shards-2 point
+// runs two such sequences concurrently. The rows keep the names they had
+// when N seeds advanced through one lockstep loop; that loop is gone.
 func TestOpenLoopGoldenDigestsLanes(t *testing.T) {
 	for _, og := range openMatrix() {
 		og := og
@@ -209,32 +209,32 @@ func TestOpenLoopGoldenDigestsLanes(t *testing.T) {
 					continue // one concurrent point per case keeps runtime sane
 				}
 				t.Run(fmt.Sprintf("%s/lanes-%d/shards-%d", og.id, lanesN, width), func(t *testing.T) {
-					cfg := og.config()
-					cfg.Lanes = lanesN
-					nets := make([][]noc.Network, width)
-					results := make([][]Result, width)
+					seedCfg := func(i int) Config {
+						cfg := og.config()
+						cfg.Seed += uint64(i)
+						return cfg
+					}
+					got := make([][]string, width)
 					concurrently(width, func(b int) {
-						results[b] = og.runner(func(n noc.Network) { nets[b] = append(nets[b], n) }).RunLanes(cfg)
+						var last noc.Network
+						r := og.runner(func(n noc.Network) { last = n })
+						for i := 0; i < lanesN; i++ {
+							res := r.Run(seedCfg(i))
+							got[b] = append(got[b], digestOpenLoop(res, last.Stats()))
+						}
 					})
 					want := make([]string, lanesN)
 					want[0] = openGoldenDigests[og.id]
 					for i := 1; i < lanesN; i++ {
-						// Sibling seeds have no recorded digest; their
-						// reference is the solo run of the same seed.
-						solo := cfg
-						solo.Lanes = 1
-						solo.Seed = cfg.Seed + uint64(i)
-						want[i] = og.digest(solo)
+						// Later seeds have no recorded digest; their reference
+						// is a fresh Runner's run of the same seed.
+						want[i] = og.digest(seedCfg(i))
 					}
-					for b := range results {
-						if len(results[b]) != lanesN || len(nets[b]) != lanesN {
-							t.Fatalf("batch %d: got %d results over %d nets, want %d lanes",
-								b, len(results[b]), len(nets[b]), lanesN)
-						}
-						for i := range results[b] {
-							if got := digestOpenLoop(results[b][i], nets[b][i].Stats()); got != want[i] {
-								t.Errorf("batch %d lane %d (seed %d) is not bit-identical to its solo run:\n got  %s\n want %s",
-									b, i, cfg.Seed+uint64(i), got, want[i])
+					for b := range got {
+						for i := range got[b] {
+							if got[b][i] != want[i] {
+								t.Errorf("sequence %d run %d (seed %d) differs from a fresh run:\n got  %s\n want %s",
+									b, i, og.config().Seed+uint64(i), got[b][i], want[i])
 							}
 						}
 					}

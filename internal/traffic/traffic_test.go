@@ -113,10 +113,11 @@ func TestCheckerboard2PSaturatesLater(t *testing.T) {
 
 func TestSweepOrdering(t *testing.T) {
 	r := testRunner()
-	base := quickConfig()
-	results := r.Sweep(base, []float64{0.005, 0.02})
-	if len(results) != 2 {
-		t.Fatalf("sweep returned %d results", len(results))
+	var results []Result
+	for _, rate := range []float64{0.005, 0.02} {
+		cfg := quickConfig()
+		cfg.InjectionRate = rate
+		results = append(results, r.Run(cfg))
 	}
 	if results[0].OfferedLoad != 0.005 || results[1].OfferedLoad != 0.02 {
 		t.Error("sweep results out of order")
@@ -192,7 +193,7 @@ func TestNoMCNetworkPanicsClearly(t *testing.T) {
 	r.Run(quickConfig())
 }
 
-// TestComputeNodesAreAscendingNonMCs pins what RunLanes' delivery walk
+// TestComputeNodesAreAscendingNonMCs pins what Run's delivery walk
 // relies on: on every backend of the open-loop matrix, ComputeNodes lists
 // exactly the non-MC nodes in ascending id order, so walking the delivered
 // set's non-MC bits lowest first visits compute nodes in ComputeNodes order.

@@ -12,7 +12,7 @@
 #	scripts/bench.sh after-refactor
 #
 # A change confined to the NoC cycle kernel can capture just the rows it
-# moves — the three kernel microbenchmarks plus the open-loop Fig 21 point —
+# moves — the two kernel microbenchmarks plus the open-loop Fig 21 point —
 # by passing `noc` as the third argument (a minute instead of ten):
 #
 #	scripts/bench.sh before-mask-router BENCH_2026-09-28.json noc
@@ -55,12 +55,9 @@ esac
 
 {
 	# Cycle-kernel microbenchmarks: fixed iteration count so allocs/op and
-	# hops/cycle are comparable across captures. The lane-batched kernel
-	# rows (…-l1/-l4) get a derived per-seed speedup_vs_l1 metric from
-	# cmd/benchjson (valid on any host: lane batching is work elision, not
-	# parallelism).
+	# hops/cycle are comparable across captures.
 	[ "$SUITE" = gpu ] || [ "$SUITE" = mem ] ||
-		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
+		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkBackendKernel' -benchmem -benchtime 2000x ./internal/noc/
 	if [ "$SUITE" = gpu ]; then
 		# One core clock cycle on compute-bound, memory-bound (blocked L1
 		# port) and barrier kernels; fixed iteration count so allocs/op is
