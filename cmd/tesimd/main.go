@@ -1,8 +1,9 @@
 // Command tesimd is the simulation-as-a-service daemon: a long-running
 // HTTP/JSON server that accepts simulation and sweep requests, executes
-// them on the resilient runner pool, and persists completed runs in a
-// crash-safe content-addressed store so repeat queries are O(1) and a
-// killed daemon resumes without re-simulating.
+// them on the resilient runner pool, and persists completed runs in the
+// pool's crash-safe checkpoint journal (the -store file), keyed by run, so
+// repeat queries are O(1) and a killed daemon resumes without
+// re-simulating.
 //
 // Usage:
 //

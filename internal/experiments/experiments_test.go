@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -139,6 +140,25 @@ func TestSuiteRecordsDNF(t *testing.T) {
 	_ = s.run(cfg)
 	if s.Executed() != before || len(s.DNF()) != 1 {
 		t.Error("cached DNF re-ran or duplicated")
+	}
+}
+
+// TestSuiteRecordsRefusedAppendDNF: a run the checkpoint journal refused is
+// an uncached "io_error" outcome, yet it stays on the DNF list (so the
+// experiments command exits nonzero) until a later execution of the same
+// key supersedes it.
+func TestSuiteRecordsRefusedAppendDNF(t *testing.T) {
+	s := quickSuite(t)
+	out := runner.Outcome{Key: "refused|BIN|s1|i1", Attempts: 1,
+		Result: core.Result{Config: "refused", Benchmark: "BIN", Status: "io_error"}}
+	s.report(out)
+	if dnf := s.DNF(); len(dnf) != 1 || dnf[0] != "refused|BIN: io_error" {
+		t.Fatalf("DNF rows = %v, want one refused|BIN io_error entry", dnf)
+	}
+	out.Result.Status = "ok"
+	s.report(out)
+	if dnf := s.DNF(); len(dnf) != 0 {
+		t.Errorf("DNF rows after a durable re-run = %v, want none", dnf)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -96,6 +97,9 @@ type Suite struct {
 	bench    []workload.Profile
 	pool     *runner.Pool
 	frontier *explore.Frontier // last Explore result (nil before any)
+
+	mu         sync.Mutex
+	notDurable map[string]runner.Outcome // io_error runs not since re-executed, by key
 }
 
 // New builds a suite.
@@ -116,7 +120,7 @@ func New(opts Options) (*Suite, error) {
 			bench = append(bench, p)
 		}
 	}
-	s := &Suite{opts: opts, bench: bench}
+	s := &Suite{opts: opts, bench: bench, notDurable: make(map[string]runner.Outcome)}
 	pool, err := runner.New(opts.Context, runner.Options{
 		Jobs:       opts.Jobs,
 		RunTimeout: opts.RunTimeout,
@@ -147,8 +151,17 @@ func (s *Suite) Benchmarks() []workload.Profile { return s.bench }
 
 // report is the pool's serialized completion callback: one progress line
 // per freshly executed run. It fires only for real executions, never for
-// cache hits or checkpoint-resumed results.
+// cache hits or checkpoint-resumed results. It also remembers the runs the
+// journal refused: an "io_error" outcome is never cached, so DNF lists it
+// from here until a later execution of the same key supersedes it.
 func (s *Suite) report(out runner.Outcome) {
+	s.mu.Lock()
+	if out.Result.Status == "io_error" {
+		s.notDurable[out.Key] = out
+	} else {
+		delete(s.notDurable, out.Key)
+	}
+	s.mu.Unlock()
 	if s.opts.Progress == nil {
 		return
 	}
@@ -230,11 +243,18 @@ func (s *Suite) prefetch(builders ...func(workload.Profile) core.Config) {
 	s.runAll(cfgs)
 }
 
-// DNF lists the degraded runs as "config|bench: status" lines, sorted;
-// runs that needed retries carry their attempt count.
+// DNF lists the degraded runs as "config|bench: status" lines, sorted,
+// including the runs the checkpoint journal refused ("io_error"); runs
+// that needed retries carry their attempt count.
 func (s *Suite) DNF() []string {
+	outs := s.pool.Outcomes()
+	s.mu.Lock()
+	for _, o := range s.notDurable {
+		outs = append(outs, o)
+	}
+	s.mu.Unlock()
 	var out []string
-	for _, o := range s.pool.Outcomes() {
+	for _, o := range outs {
 		if o.OK() {
 			continue
 		}
@@ -257,12 +277,12 @@ func (s *Suite) Executed() int { return s.pool.Executed() }
 
 // SkippedJournalLines returns how many torn trailing checkpoint lines
 // resume ignored (an interrupted final append; at most one).
-func (s *Suite) SkippedJournalLines() int { return s.pool.Skipped() }
+func (s *Suite) SkippedJournalLines() int { return s.pool.Replay().Skipped }
 
 // QuarantinedJournalLines returns how many corrupt checkpoint records
 // resume moved to the .corrupt sidecar (CRC mismatch, bad framing, or
 // invalid JSON anywhere in the file).
-func (s *Suite) QuarantinedJournalLines() int { return s.pool.Quarantined() }
+func (s *Suite) QuarantinedJournalLines() int { return s.pool.Replay().Quarantined }
 
 // Close flushes and closes the checkpoint journal.
 func (s *Suite) Close() error { return s.pool.Close() }

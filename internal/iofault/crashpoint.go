@@ -41,12 +41,12 @@ const (
 	// CPQuarantineBeforeWrite fires as a corrupt record is being copied to
 	// the .corrupt sidecar during replay.
 	CPQuarantineBeforeWrite = "journal.quarantine.before-write"
-	// CPStorePutBeforeAppend fires when the service store has decided to
+	// CPPublishBeforeAppend fires when the runner pool has decided to
 	// persist a fresh outcome, before the journal append begins.
-	CPStorePutBeforeAppend = "store.put.before-append"
-	// CPStorePutAfterAppend fires after the store's journal append
-	// returned (record durable) but before Put acknowledges to the pool.
-	CPStorePutAfterAppend = "store.put.after-append"
+	CPPublishBeforeAppend = "pool.publish.before-append"
+	// CPPublishAfterAppend fires after the pool's journal append returned
+	// (record durable) but before the outcome is published.
+	CPPublishAfterAppend = "pool.publish.after-append"
 )
 
 // EnvCrashpoint and EnvCrashpointHits are the environment variables that
@@ -67,8 +67,8 @@ func Points() []string {
 		CPSealBeforeSync,
 		CPSealAfterSync,
 		CPQuarantineBeforeWrite,
-		CPStorePutBeforeAppend,
-		CPStorePutAfterAppend,
+		CPPublishBeforeAppend,
+		CPPublishAfterAppend,
 	}
 }
 

@@ -69,11 +69,9 @@ func QuarantinePath(path string) string { return path + ".corrupt" }
 // Journal appends checkpoint records to a CRC-framed JSONL file, fsyncing
 // after every record so a killed process loses at most the runs still in
 // flight — never a completed one. Methods are not safe for concurrent use;
-// the Pool and service Store serialize access under their own locks.
+// the Pool, its only writer, serializes access under its journal lock.
 type Journal struct {
-	fs   iofault.FS
-	f    iofault.File
-	path string
+	f iofault.File
 
 	size    int64 // bytes written (best effort; authoritative after sync)
 	synced  int64 // bytes known durable (last successful fsync)
@@ -104,7 +102,7 @@ func OpenJournalFS(fs iofault.FS, path string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: stat checkpoint: %w", err)
 	}
-	j := &Journal{fs: fs, f: f, path: path, size: st.Size(), synced: st.Size()}
+	j := &Journal{f: f, size: st.Size(), synced: st.Size()}
 	if st.Size() == 0 {
 		hdr, _ := json.Marshal(journalHeader{Kind: "journal-header", Version: journalVersion})
 		// The header is not a record append: a crash while writing it
@@ -201,9 +199,6 @@ func (j *Journal) writeLine(line []byte, crash bool) error {
 // Wounded returns the first durable-write failure, or nil for a healthy
 // journal.
 func (j *Journal) Wounded() error { return j.wounded }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the journal file. A healthy journal is fsynced first (and
 // the error checked — records already acknowledged were each fsynced by

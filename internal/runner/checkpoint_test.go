@@ -406,24 +406,29 @@ func TestResumeSkipsFinishedRuns(t *testing.T) {
 }
 
 // Canceled and timed-out runs are not "finished": they must not be
-// journaled, so a resumed sweep re-executes them.
+// journaled or counted as records, so a resumed sweep re-executes them.
 func TestTransientOutcomesNotJournaled(t *testing.T) {
-	path := journalPath(t)
-	p, err := New(context.Background(), Options{Jobs: 1, Checkpoint: path,
-		Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
-			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "timeout"}, nil
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doOne(p, testCfg(t, "slow"))
-	p.Close()
-	recs, _, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Errorf("timeout outcome journaled: %+v", recs)
+	for _, status := range []string{"timeout", "canceled"} {
+		path := journalPath(t)
+		p, err := New(context.Background(), Options{Jobs: 1, Checkpoint: path,
+			Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
+				return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status}, nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doOne(p, testCfg(t, "slow"))
+		if p.Records() != 0 {
+			t.Errorf("%s outcome counted as %d record(s)", status, p.Records())
+		}
+		p.Close()
+		recs, _, err := LoadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Errorf("%s outcome journaled: %+v", status, recs)
+		}
 	}
 }
 

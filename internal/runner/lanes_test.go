@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -230,27 +229,34 @@ func TestLanePanicIsolation(t *testing.T) {
 }
 
 // TestLanePersistGatePerSeed: every lane outcome passes through the
-// durability gate individually — one Persist record per seed, keyed like a
+// durability gate individually — one journal record per seed, keyed like a
 // solo run — before publication.
 func TestLanePersistGatePerSeed(t *testing.T) {
 	withMaxProcs(t, 4)
 	rec := &laneBatchRecorder{}
-	var mu sync.Mutex
-	persisted := map[string]Record{}
-	p := newPool(t, Options{Jobs: 1, RunLanes: rec.run, Run: okRun,
-		Persist: func(r Record) error {
-			mu.Lock()
-			persisted[r.Key] = r
-			mu.Unlock()
-			return nil
-		}})
+	path := filepath.Join(t.TempDir(), "lanes.jsonl")
+	p := newPool(t, Options{Jobs: 1, RunLanes: rec.run, Run: okRun, Checkpoint: path})
 	cfgs := seedCfgs(t, "persist-lane", 3)
 	p.Do(context.Background(), cfgs...)
 	if len(rec.batches) != 1 {
 		t.Errorf("lane batches = %v, want one 3-wide batch", rec.batches)
 	}
-	if len(persisted) != 3 {
-		t.Fatalf("persisted %d records, want 3 (one per seed)", len(persisted))
+	if p.Records() != 3 {
+		t.Errorf("Records = %d, want 3", p.Records())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("journaled %d records, want 3 (one per seed)", len(recs))
+	}
+	persisted := map[string]Record{}
+	for _, r := range recs {
+		persisted[r.Key] = r
 	}
 	for _, cfg := range cfgs {
 		r, ok := persisted[Key(cfg)]
@@ -362,12 +368,7 @@ func runPublishCase(t *testing.T, tc publishCase, lanes bool) publishEffects {
 		},
 	}
 	if tc.persistFail {
-		opts.Persist = func(r Record) error {
-			if r.Key == target {
-				return syscall.ENOSPC
-			}
-			return nil
-		}
+		opts.FS = failWritesOf(target)
 	}
 	p, err := New(poolCtx, opts)
 	if err != nil {

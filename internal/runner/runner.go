@@ -1,7 +1,8 @@
 // Package runner is the resilient execution layer between the experiment
 // harnesses and core.Run. Every closed-loop simulation in the repository —
-// the experiments suite, tesim, and any future sweep — goes through a Pool,
-// which provides what a 600-run paper sweep needs to survive a long night:
+// the experiments suite, tesim, the explorer and the tesimd service — goes
+// through a Pool, which provides what a 600-run paper sweep needs to survive
+// a long night:
 //
 //   - a bounded worker pool (Jobs workers, default GOMAXPROCS) with a
 //     memoizing, singleflight result cache, so figures sharing a
@@ -18,17 +19,24 @@
 //     with per-run attempt accounting surfaced in the Outcome;
 //   - an fsynced JSONL checkpoint journal (Checkpoint/Resume) recording
 //     each finished run, so an interrupted sweep resumes without
-//     re-executing completed simulations (see checkpoint.go).
+//     re-executing completed simulations (see checkpoint.go). One
+//     durability rule holds for every caller: a durable outcome is
+//     appended and fsynced before it is cached, and an outcome the journal
+//     refuses is returned as an uncached "io_error", so nothing is served
+//     from memory that would not survive a restart. The service daemon's
+//     result store is this journal.
 package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -65,16 +73,12 @@ type Options struct {
 	// jitter is applied, so a long retry budget cannot stretch a single
 	// wait into minutes. 0 means DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// Lookup, when non-nil, is consulted on every cache miss before a
-	// run executes: an external content-addressed result store (the
-	// service daemon's journal-backed store). A hit whose Key matches is
-	// cached and returned as a Resumed outcome without executing. Called
-	// with the pool lock held; it must be fast and must not call back
-	// into the pool.
-	Lookup func(key string) (Record, bool)
-	// Checkpoint, when non-empty, is the JSONL journal path; every
-	// finished run is appended and fsynced so a killed sweep loses at
-	// most the runs still in flight.
+	// Checkpoint, when non-empty, is the JSONL journal path. Every
+	// durable outcome is appended and fsynced BEFORE it is cached, so a
+	// killed sweep loses at most the runs still in flight and nothing is
+	// served that a restart would lose. An outcome the journal refuses is
+	// returned with Status "io_error" and not cached, so a later request
+	// re-executes it.
 	Checkpoint string
 	// Resume preloads the journal into the cache so finished runs are
 	// never re-executed.
@@ -83,14 +87,6 @@ type Options struct {
 	// the real filesystem. Tests inject iofault.FaultFS to prove the
 	// durability contract under EIO/ENOSPC/power-cut.
 	FS iofault.FS
-	// Persist, when non-nil, is called with every freshly executed
-	// durable outcome BEFORE it is published to the cache — the service
-	// daemon's fsynced store append. A non-nil error means the outcome
-	// could not be made durable: the pool then refuses to cache it and
-	// returns it with Status "io_error", so nothing is ever acknowledged
-	// or served from memory that would not survive a restart. Calls are
-	// serialized.
-	Persist func(Record) error
 	// Run overrides the simulation entry point (tests only).
 	Run RunFunc
 	// RunLanes overrides the lane-batch entry point (tests only).
@@ -154,7 +150,7 @@ var retryableStatus = map[string]bool{
 	"canceled":  false,
 	"error":     false,
 	// io_error: the run itself finished but its result could not be made
-	// durable (store append failed). Retrying the simulation while the
+	// durable (the journal append failed). Retrying the simulation while the
 	// disk is still broken just burns a worker; the outcome is never
 	// cached, so a later re-submission re-executes once the fault clears.
 	"io_error": false,
@@ -197,13 +193,19 @@ type Pool struct {
 	opts Options
 	sem  chan struct{}
 
-	mu         sync.Mutex
-	cache      map[string]Outcome
-	inflight   map[string]*flight
-	executed   int
-	replay     ReplayStats // what resume found besides valid records
-	journal    *Journal
-	journalErr error // first journal write failure, surfaced by Close
+	replay ReplayStats // what resume found besides valid records; set by New
+
+	mu       sync.Mutex
+	cache    map[string]Outcome
+	inflight map[string]*flight
+	executed int
+	records  int // durable outcomes: replayed plus published since
+
+	// jmu serializes journal appends and Close. It is never held with mu,
+	// so an fsync stalls neither claims nor cache hits.
+	jmu     sync.Mutex
+	journal *Journal
+	wounded atomic.Bool // the last journal append failed
 
 	cbMu sync.Mutex // serializes OnDone callbacks
 }
@@ -250,6 +252,7 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 				return nil, err
 			}
 			p.replay = stats
+			p.records = len(recs)
 			for _, rec := range recs {
 				p.cache[rec.Key] = Outcome{
 					Key:      rec.Key,
@@ -295,8 +298,8 @@ func (p *Pool) abandon(fl *flight) {
 // and picks each group's lane width. Then:
 //
 //  1. each group is cut into chunks of its width;
-//  2. each chunk claims its keys: a cache or Lookup hit settles at once, and
-//     a key already in flight (elsewhere or earlier in the batch) is left
+//  2. each chunk claims its keys: a cache hit settles at once, and a key
+//     already in flight (elsewhere or earlier in the batch) is left
 //     over;
 //  3. each chunk runs on one worker slot: a chunk of one is the solo retry
 //     loop, a wider chunk is one RunLanes call whose lanes advance
@@ -393,7 +396,8 @@ func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, ou
 	p.mu.Lock()
 	for _, i := range chunk {
 		key := Key(cfgs[i])
-		if out, ok := p.recallLocked(key); ok {
+		if out, ok := p.cache[key]; ok {
+			out.Cached = true
 			outs[i] = out
 		} else if _, ok := p.inflight[key]; ok {
 			left = append(left, i)
@@ -441,23 +445,6 @@ func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, ou
 		}
 	}
 	return left
-}
-
-// recallLocked serves key from the cache, or from the external Lookup store
-// (caching the hit). The caller holds p.mu.
-func (p *Pool) recallLocked(key string) (Outcome, bool) {
-	if out, ok := p.cache[key]; ok {
-		out.Cached = true
-		return out, true
-	}
-	if p.opts.Lookup != nil {
-		if rec, ok := p.opts.Lookup(key); ok && rec.Key == key {
-			out := Outcome{Key: key, Result: rec.Result, Attempts: rec.Attempts, Resumed: true}
-			p.cache[key] = out
-			return out, true
-		}
-	}
-	return Outcome{}, false
 }
 
 // settle resolves one leftover as a solo chunk. While its key is in flight
@@ -508,47 +495,47 @@ func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) 
 }
 
 // publish is the one pipeline every claimed outcome passes through, solo or
-// lane: transient classification, the durability gate, cache, journal, the
-// executed count and OnDone. It closes the claim's flight and returns the
-// published outcome (a persist failure rewrites it to "io_error"). false
-// means the outcome was left unpublished: a retryable verdict with retry
-// budget left, which only a lane can produce (the solo loop spends its
-// budget in place, and the lockstep loop cannot re-run one lane).
+// lane: transient classification, the durability gate (the journal append),
+// cache, the executed count and OnDone. It closes the claim's flight and
+// returns the published outcome (a refused append rewrites it to
+// "io_error"). false means the outcome was left unpublished: a retryable
+// verdict with retry budget left, which only a lane can produce (the solo
+// loop spends its budget in place, and the lockstep loop cannot re-run one
+// lane).
 func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, bool) {
 	transient := (out.Result.Status == "canceled" || out.Result.Status == "timeout") &&
 		runCtx.Err() != nil && p.ctx.Err() == nil
 	retryLater := !transient && Retryable(out.Result.Status) &&
 		out.Attempts <= p.opts.Retries && runCtx.Err() == nil
 
-	// Durability gate: a durable outcome must be persisted BEFORE it is
+	// Durability gate: a durable outcome must be journaled BEFORE it is
 	// published to the cache, so the pool never serves from memory a result
-	// that would not survive a restart. A persist failure turns the outcome
+	// that would not survive a restart. A refused append turns the outcome
 	// into an uncached "io_error": the caller sees the degradation, and a
-	// later request re-executes the run.
-	durable := !transient && !retryLater &&
-		out.Result.Status != "canceled" && out.Result.Status != "timeout"
-	var persistErr error
-	if durable && p.opts.Persist != nil {
-		p.cbMu.Lock()
-		persistErr = p.opts.Persist(Record{Key: out.Key, Attempts: out.Attempts, Result: out.Result})
-		p.cbMu.Unlock()
-		if persistErr != nil {
-			out.Result.Status = "io_error"
-			out.Err = persistErr
+	// later request re-executes the run. "canceled" runs are not finished
+	// (the sweep is shutting down) and "timeout" verdicts are host-transient,
+	// so neither is durable: both re-execute on resume.
+	settled := !transient && !retryLater
+	cached := settled
+	durable := settled && out.Result.Status != "canceled" && out.Result.Status != "timeout"
+	if durable {
+		if err := p.persist(out); err != nil {
+			out.Result.Status, out.Err = "io_error", err
+			cached, durable = false, false
 		}
 	}
 
 	p.mu.Lock()
-	if !transient && !retryLater && persistErr == nil {
+	if settled {
+		p.executed++
+	}
+	if cached {
 		p.cache[c.key] = out
 	}
-	delete(p.inflight, c.key)
-	if !transient && !retryLater {
-		p.executed++
-		if persistErr == nil {
-			p.appendJournalLocked(out)
-		}
+	if durable {
+		p.records++
 	}
+	delete(p.inflight, c.key)
 	p.mu.Unlock()
 	close(c.fl.done)
 
@@ -660,18 +647,26 @@ func canceledOutcome(cfg core.Config, key string, err error) Outcome {
 	}
 }
 
-// appendJournalLocked checkpoints a finished run. "canceled" runs are not
-// finished (the sweep is shutting down) and "timeout" verdicts are
-// host-transient, so neither is journaled: both re-execute on resume.
-func (p *Pool) appendJournalLocked(out Outcome) {
-	if p.journal == nil || out.Result.Status == "canceled" || out.Result.Status == "timeout" {
-		return
+// persist appends and fsyncs one durable outcome to the checkpoint journal
+// (a no-op for a memory-only pool). A failure marks the pool wounded until
+// an append succeeds again; the journal heals itself on that append.
+func (p *Pool) persist(out Outcome) error {
+	if p.opts.Checkpoint == "" {
+		return nil
 	}
-	// A journal write failure must not kill the sweep it exists to
-	// protect; the error is remembered and surfaced via Close.
+	p.jmu.Lock()
+	defer p.jmu.Unlock()
+	if p.journal == nil {
+		return errors.New("runner: checkpoint journal is closed")
+	}
+	iofault.Crashpoint(iofault.CPPublishBeforeAppend)
 	if err := p.journal.Append(Record{Key: out.Key, Attempts: out.Attempts, Result: out.Result}); err != nil {
-		p.journalErr = err
+		p.wounded.Store(true)
+		return err
 	}
+	p.wounded.Store(false)
+	iofault.Crashpoint(iofault.CPPublishAfterAppend)
+	return nil
 }
 
 // Executed returns how many simulations this pool actually ran (cache hits
@@ -682,20 +677,21 @@ func (p *Pool) Executed() int {
 	return p.executed
 }
 
-// Skipped returns how many torn journal lines resume ignored.
-func (p *Pool) Skipped() int {
+// Replay returns what resume found in the journal besides valid records:
+// torn lines skipped, corrupt records quarantined, a sidecar write error.
+func (p *Pool) Replay() ReplayStats { return p.replay }
+
+// Records returns how many durable outcomes the pool holds: the ones resume
+// replayed plus the ones published since. Memory-only pools count them too.
+func (p *Pool) Records() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.replay.Skipped
+	return p.records
 }
 
-// Quarantined returns how many corrupt journal records resume moved to
-// the .corrupt sidecar.
-func (p *Pool) Quarantined() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.replay.Quarantined
-}
+// Wounded reports whether the last journal append failed. It reads an
+// atomic, so a readiness probe never waits behind an fsync.
+func (p *Pool) Wounded() bool { return p.wounded.Load() }
 
 // Outcomes snapshots every terminal outcome, sorted by key for stable
 // reporting.
@@ -710,19 +706,17 @@ func (p *Pool) Outcomes() []Outcome {
 	return outs
 }
 
-// Close flushes and closes the checkpoint journal, returning any write
-// error swallowed during the sweep.
+// Close flushes and closes the checkpoint journal. A refused append was
+// already returned as its run's "io_error" outcome, so Close reports only
+// its own failure.
 func (p *Pool) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var err error
-	if p.journal != nil {
-		err = p.journal.Close()
-		p.journal = nil
+	p.jmu.Lock()
+	defer p.jmu.Unlock()
+	if p.journal == nil {
+		return nil
 	}
-	if p.journalErr != nil {
-		return p.journalErr
-	}
+	err := p.journal.Close()
+	p.journal = nil
 	return err
 }
 

@@ -402,40 +402,3 @@ func TestDoSharedRunSurvivesOneDisconnect(t *testing.T) {
 	}
 	<-out1
 }
-
-// TestLookupHookServesExternalStore: a cache miss consults the external
-// content-addressed store before executing anything.
-func TestLookupHookServesExternalStore(t *testing.T) {
-	cfg := testCfg(t, "stored")
-	key := Key(cfg)
-	var calls atomic.Int64
-	p := newPool(t, Options{
-		Jobs: 2,
-		Run: func(ctx context.Context, c core.Config) (core.Result, error) {
-			calls.Add(1)
-			return okRun(ctx, c)
-		},
-		Lookup: func(k string) (Record, bool) {
-			if k == key {
-				return Record{Key: k, Attempts: 2,
-					Result: core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok", IPC: 7}}, true
-			}
-			return Record{}, false
-		},
-	})
-	out := doOne(p, cfg)
-	if !out.Resumed || out.Result.IPC != 7 || out.Attempts != 2 {
-		t.Fatalf("store hit not honoured: %+v", out)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("run executed %d times despite store hit", calls.Load())
-	}
-	// Misses still execute.
-	other := testCfg(t, "fresh")
-	if out := doOne(p, other); out.Resumed || !out.OK() {
-		t.Fatalf("store miss mishandled: %+v", out)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("store miss executed %d times, want 1", calls.Load())
-	}
-}

@@ -233,11 +233,11 @@ func TestChaosAppendCrashpoints(t *testing.T) {
 	// the write returns, the bytes are in the file (a process kill, unlike
 	// a power cut, does not empty the page cache), so replay resumes it.
 	durableAfterKill := map[string]bool{
-		iofault.CPAppendBeforeWrite:    false,
-		iofault.CPAppendAfterWrite:     true,
-		iofault.CPAppendAfterSync:      true,
-		iofault.CPStorePutBeforeAppend: false,
-		iofault.CPStorePutAfterAppend:  true,
+		iofault.CPAppendBeforeWrite:   false,
+		iofault.CPAppendAfterWrite:    true,
+		iofault.CPAppendAfterSync:     true,
+		iofault.CPPublishBeforeAppend: false,
+		iofault.CPPublishAfterAppend:  true,
 	}
 	for point, durable := range durableAfterKill {
 		t.Run(point, func(t *testing.T) {

@@ -102,8 +102,8 @@ func TestStoreFaultDegradesAndRecovers(t *testing.T) {
 	if r, _ := get(t, ts.URL+"/readyz"); r.StatusCode != http.StatusOK {
 		t.Errorf("readyz after heal = %d, want 200", r.StatusCode)
 	}
-	if srv.store.Wounded() != nil {
-		t.Errorf("store still wounded after heal: %v", srv.store.Wounded())
+	if srv.pool.Wounded() {
+		t.Error("store still wounded after heal")
 	}
 
 	// The journal on disk holds exactly the two durable runs, cleanly.
@@ -144,7 +144,7 @@ func TestFaultedJobNotServedFromCache(t *testing.T) {
 	if n := srv.pool.Executed(); n != 2 {
 		t.Errorf("pool executed %d runs, want 2 (one per submission, no caching)", n)
 	}
-	if srv.store.Len() != 0 {
-		t.Errorf("store holds %d results under a dead disk, want 0", srv.store.Len())
+	if srv.pool.Records() != 0 {
+		t.Errorf("store holds %d results under a dead disk, want 0", srv.pool.Records())
 	}
 }

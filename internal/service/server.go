@@ -31,8 +31,9 @@ const (
 // Options configures a Server. The zero value is usable: in-memory store,
 // GOMAXPROCS workers, a 64-deep admission queue.
 type Options struct {
-	// StorePath is the result-store journal; "" keeps results in memory
-	// only (they will not survive a restart).
+	// StorePath is the result store: the runner pool's checkpoint
+	// journal, replayed at startup. "" keeps results in memory only (they
+	// will not survive a restart).
 	StorePath string
 	// QueueCap bounds admitted, unfinished jobs; 0 means DefaultQueueCap.
 	QueueCap int
@@ -64,27 +65,19 @@ type Options struct {
 }
 
 // Server is the simulation service: admission control in front of the
-// resilient runner pool, a crash-safe result store behind it, and an
-// HTTP/JSON job API on top.
+// resilient runner pool, whose crash-safe checkpoint journal is the result
+// store, and an HTTP/JSON job API on top.
 type Server struct {
-	opts  Options
-	store *Store
-	pool  *runner.Pool
-	adm   *Admission
-	mux   *http.ServeMux
+	opts Options
+	pool *runner.Pool
+	adm  *Admission
+	mux  *http.ServeMux
 
 	baseCtx context.Context
 	stopAll context.CancelFunc
 
 	draining atomic.Bool
-	// wounded mirrors the store journal's health for the lock-free
-	// readiness path: set when a Put fails, cleared when one succeeds
-	// (the journal heals itself on the first append after the fault
-	// clears). While wounded, the daemon keeps serving — reads, cached
-	// results, even fresh runs — but readiness is degraded and no fresh
-	// result is acknowledged as durable.
-	wounded atomic.Bool
-	started time.Time
+	started  time.Time
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -96,7 +89,7 @@ type Server struct {
 	runLat  *stats.LogHistogram // simulation wall time, seconds
 }
 
-// New assembles a server: store replay, pool wiring, route table.
+// New assembles a server: pool wiring with store replay, route table.
 func New(opts Options) (*Server, error) {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = DefaultQueueCap
@@ -125,28 +118,44 @@ func New(opts Options) (*Server, error) {
 		opts.Logf = func(string, ...any) {}
 	}
 
-	store, err := OpenStoreFS(opts.FS, opts.StorePath)
+	baseCtx, stopAll := context.WithCancel(context.Background())
+	// The pool's journal is the result store: every durable outcome is
+	// fsynced before the pool caches it, so everything the daemon ever
+	// acknowledges — HTTP result documents, cache hits, replayed runs — is
+	// durable by construction. A refused append comes back as an uncached
+	// "io_error" run, and readiness degrades until an append heals the
+	// journal.
+	pool, err := runner.New(baseCtx, runner.Options{
+		Jobs:       opts.Jobs,
+		RunTimeout: opts.RunTimeout,
+		Retries:    opts.Retries,
+		Checkpoint: opts.StorePath,
+		Resume:     true,
+		FS:         opts.FS,
+		Run:        opts.Run,
+	})
 	if err != nil {
+		stopAll()
 		return nil, err
 	}
-	if n := store.Skipped(); n > 0 {
+	replay := pool.Replay()
+	if n := replay.Skipped; n > 0 {
 		opts.Logf("service: store replay skipped %d torn journal line(s); those runs re-execute on demand", n)
 	}
-	if n := store.Quarantined(); n > 0 {
+	if n := replay.Quarantined; n > 0 {
 		opts.Logf("service: store replay quarantined %d corrupt record(s) to %s; those runs re-execute on demand",
-			n, runner.QuarantinePath(store.Path()))
+			n, runner.QuarantinePath(opts.StorePath))
 	}
-	if err := store.Replay().SidecarErr; err != nil {
+	if err := replay.SidecarErr; err != nil {
 		opts.Logf("service: quarantine sidecar write failed (corrupt lines counted but not preserved): %v", err)
 	}
-	if store.Path() != "" {
-		opts.Logf("service: store %s replayed %d completed run(s)", store.Path(), store.Len())
+	if opts.StorePath != "" {
+		opts.Logf("service: store %s replayed %d completed run(s)", opts.StorePath, pool.Records())
 	}
 
-	baseCtx, stopAll := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
-		store:   store,
+		pool:    pool,
 		adm:     NewAdmission(opts.QueueCap),
 		baseCtx: baseCtx,
 		stopAll: stopAll,
@@ -154,37 +163,6 @@ func New(opts Options) (*Server, error) {
 		jobs:    make(map[string]*Job),
 		httpLat: stats.NewLogHistogram(1e-6, 3600, 16),
 		runLat:  stats.NewLogHistogram(1e-6, 3600, 16),
-	}
-	s.pool, err = runner.New(baseCtx, runner.Options{
-		Jobs:       opts.Jobs,
-		RunTimeout: opts.RunTimeout,
-		Retries:    opts.Retries,
-		Run:        opts.Run,
-		Lookup:     store.Get,
-		// Persist runs BEFORE the pool publishes an outcome to its cache:
-		// the store append is fsynced when it returns, so everything the
-		// daemon ever acknowledges — HTTP result documents, cache hits,
-		// store hits — is durable by construction. On failure the pool
-		// returns an uncached "io_error" outcome, and the wounded flag
-		// degrades readiness until a later Put heals the journal.
-		Persist: func(rec runner.Record) error {
-			err := store.Put(rec)
-			if err != nil {
-				if s.wounded.CompareAndSwap(false, true) {
-					opts.Logf("service: store wounded — append failed, serving degraded until it heals: %v", err)
-				}
-				return err
-			}
-			if s.wounded.CompareAndSwap(true, false) {
-				opts.Logf("service: store healed; appends are durable again")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		stopAll()
-		store.Close()
-		return nil, err
 	}
 
 	mux := http.NewServeMux()
@@ -327,6 +305,9 @@ func (s *Server) runJob(j *Job) {
 			defer wg.Done()
 			t0 := time.Now()
 			out := s.pool.Do(j.ctx, j.cfgs[i])[0]
+			if out.Result.Status == "io_error" {
+				s.opts.Logf("service: run %s not durable, not cached (readiness degraded): %v", out.Key, out.Err)
+			}
 			if !out.Cached && !out.Resumed {
 				s.statMu.Lock()
 				s.runLat.Observe(time.Since(t0).Seconds())
@@ -492,7 +473,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		s.writeError(w, http.StatusServiceUnavailable, "draining")
-	case s.wounded.Load():
+	case s.pool.Wounded():
 		s.writeError(w, http.StatusServiceUnavailable, "store wounded: results are not durable until the journal heals")
 	case s.adm.Saturated():
 		s.writeError(w, http.StatusServiceUnavailable, "admission queue saturated")
@@ -511,6 +492,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		byStatus[st]++
 	}
 	s.mu.Unlock()
+	replay := s.pool.Replay()
 
 	s.statMu.Lock()
 	lat := map[string]any{
@@ -530,11 +512,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"jobs":          byStatus,
 		"pool_executed": s.pool.Executed(),
 		"store": map[string]any{
-			"results":     s.store.Len(),
-			"skipped":     s.store.Skipped(),
-			"quarantined": s.store.Quarantined(),
-			"wounded":     s.wounded.Load(),
-			"path":        s.store.Path(),
+			"results":     s.pool.Records(),
+			"skipped":     replay.Skipped,
+			"quarantined": replay.Quarantined,
+			"wounded":     s.pool.Wounded(),
+			"path":        s.opts.StorePath,
 		},
 		"latency": lat,
 	})
@@ -580,7 +562,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.Close()
 }
 
-// Close releases the pool and store. Safe to call more than once.
+// Close releases the pool and its store journal. Safe to call more than
+// once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -590,12 +573,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.stopAll()
-	perr := s.pool.Close()
-	serr := s.store.Close()
-	if perr != nil {
-		return perr
-	}
-	return serr
+	return s.pool.Close()
 }
 
 // Draining reports whether the server has begun (or finished) draining.

@@ -203,14 +203,31 @@ func TestCrashRestartServesFromStore(t *testing.T) {
 		calls2.Add(1)
 		return fakeRun(ctx, cfg)
 	}})
-	if srv2.store.Skipped() != 1 {
-		t.Errorf("store replay skipped %d lines, want 1 (the torn one)", srv2.store.Skipped())
+	if srv2.pool.Replay().Skipped != 1 {
+		t.Errorf("store replay skipped %d lines, want 1 (the torn one)", srv2.pool.Replay().Skipped)
 	}
 	resp, body = post(t, ts2.URL, smallSweep)
 	if resp.StatusCode != 200 {
 		t.Fatalf("re-submit after restart: %d %s", resp.StatusCode, body)
 	}
 	json.Unmarshal(body, &doc)
+	// Replay preloads the pool's cache, so even the first request after the
+	// restart reads every run as a cached, resumed outcome.
+	var status struct {
+		Runs []struct {
+			Cached  bool `json:"cached"`
+			Resumed bool `json:"resumed"`
+		} `json:"runs"`
+	}
+	json.Unmarshal(body, &status)
+	if len(status.Runs) != 4 {
+		t.Fatalf("job status lists %d runs, want 4", len(status.Runs))
+	}
+	for i, r := range status.Runs {
+		if !r.Cached || !r.Resumed {
+			t.Errorf("run %d after restart: cached=%v resumed=%v, want both true", i, r.Cached, r.Resumed)
+		}
+	}
 	_, res2 := get(t, ts2.URL+"/v1/runs/"+doc.ID+"/result")
 	if !bytes.Equal(res1, res2) {
 		t.Fatalf("restarted result differs from pre-crash result:\n%s\n%s", res1, res2)
@@ -719,7 +736,7 @@ func TestMultiSeedJob(t *testing.T) {
 			t.Errorf("run status %q, want ok", r.Status)
 		}
 	}
-	if got := srv.store.Len(); got != 4 {
+	if got := srv.pool.Records(); got != 4 {
 		t.Errorf("store holds %d records, want 4 (one per seed)", got)
 	}
 	if got := runs.Load(); got != 4 {
