@@ -119,6 +119,30 @@ func TestPersistFailureNotCached(t *testing.T) {
 	}
 }
 
+// TestPersistSkipsTransients: canceled and timeout verdicts are not
+// durable, so the persist step must never see them. With every journal
+// write and fsync refused, a transient outcome keeps its own status instead
+// of becoming an io_error, and the pool is not wounded.
+func TestPersistSkipsTransients(t *testing.T) {
+	for _, status := range []string{"timeout", "canceled"} {
+		ff := iofault.NewFaultFS(iofault.OS)
+		p := newPool(t, Options{Jobs: 1, Checkpoint: journalPath(t), FS: ff,
+			Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
+				return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status}, nil
+			}})
+		ff.Inject(iofault.Fault{Op: "write", Err: syscall.ENOSPC, Count: -1})
+		ff.Inject(iofault.Fault{Op: "sync", Err: syscall.EIO, Count: -1})
+		out := doOne(p, testCfg(t, "slow"))
+		if out.Result.Status != status || out.Err != nil {
+			t.Errorf("%s outcome under a refusing journal = status %q err %v, want %q and nil",
+				status, out.Result.Status, out.Err, status)
+		}
+		if p.Wounded() {
+			t.Errorf("%s outcome reached the journal: pool wounded", status)
+		}
+	}
+}
+
 // TestRefusedAppendIsRunOutcomeNotCloseError pins the durability rule for
 // checkpointed sweeps: a refused append is reported once, as the run's
 // uncached "io_error" outcome (a DNF row), and Close does not report it
