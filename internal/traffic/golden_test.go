@@ -62,6 +62,22 @@ func openMatrix() []openGolden {
 			return cfg
 		}
 	}
+	// mcEj and ejCap vary the ejection side: MC ejection ports, and the
+	// per-port ejection bound (it binds only at one flit).
+	mcEj := func(ports int) func() noc.Config {
+		return func() noc.Config {
+			cfg := base()
+			cfg.MCEjPorts = ports
+			return cfg
+		}
+	}
+	ejCap := func(flits int) func() noc.Config {
+		return func() noc.Config {
+			cfg := base()
+			cfg.EjQueueCap = flits
+			return cfg
+		}
+	}
 	return []openGolden{
 		{"uniform-low", UniformRandom, 0.02, base},
 		{"uniform-high", UniformRandom, 0.08, base},
@@ -72,6 +88,8 @@ func openMatrix() []openGolden {
 		{"uniform-high-credlat-0", UniformRandom, 0.08, credLat(base, 0)},
 		{"uniform-cb-credlat-2", UniformRandom, 0.04, credLat(cb, 2)},
 		{"uniform-bj-credlat-5", UniformRandom, 0.04, credLat(bjCfg, 5)},
+		{"multiport-mc-2e", UniformRandom, 0.08, mcEj(2)},
+		{"ejq-cap-1", UniformRandom, 0.08, ejCap(1)},
 	}
 }
 
@@ -87,6 +105,8 @@ var openGoldenDigests = map[string]string{
 	"uniform-high-credlat-0": "30441cffff5917d81ce04f9d9e258d8fcb41ffb3b7ac73cd3b6b9cfa9e2f9a61",
 	"uniform-cb-credlat-2":   "03f3ac47655e87c17811fd519be76c975ce573f948dea4fe5ad8822e1d4a09d7",
 	"uniform-bj-credlat-5":   "e28058976a8d84f6f8e133940ce8c2b8eb8173037eaca4516daeb8d67a8f9ed8",
+	"multiport-mc-2e":        "b5130c35415321c135fca947da1b9206cc970ca77cfc9d23c301a15c4944ae28",
+	"ejq-cap-1":              "4056c3e24f132ca2c661e638af82ca950eaf77bb1aa3423e8d0d0fb54a14e844",
 }
 
 func digestOpenLoop(res Result, ns *noc.NetStats) string {
@@ -160,10 +180,10 @@ func concurrently(n int, run func(i int)) {
 	wg.Wait()
 }
 
-// TestOpenLoopGoldenDigests pins the open-loop harness bit-exactly at nine
-// seeded operating points (six mesh, one ring, two basejump; three of them
-// at a credit latency other than one cycle), alone and with copies running
-// concurrently.
+// TestOpenLoopGoldenDigests pins the open-loop harness bit-exactly at eleven
+// seeded operating points (eight mesh, one ring, two basejump; three of them
+// at a credit latency other than one cycle, two on the ejection side), alone
+// and with copies running concurrently.
 func TestOpenLoopGoldenDigests(t *testing.T) {
 	record := os.Getenv("GOLDEN_RECORD") != ""
 	for _, og := range openMatrix() {
