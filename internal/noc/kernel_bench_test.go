@@ -33,6 +33,14 @@ func BenchmarkCycleKernel(b *testing.B) {
 		cfg.CreditLatency = 3
 		benchCycleKernel(b, cfg, 8)
 	})
+	// Two injection and two ejection ports at the MC routers (Fig 19's
+	// 2P/2E): two flits can eject at one node in a cycle.
+	b.Run("multiport-ej", func(b *testing.B) {
+		cfg := DefaultConfig()
+		cfg.MCInjPorts = 2
+		cfg.MCEjPorts = 2
+		benchCycleKernel(b, cfg, 8)
+	})
 	// Convergence tail: the network drains after a burst, so most tiles are
 	// idle most cycles — the case active-component lists exist for.
 	b.Run("drain-tail", func(b *testing.B) { benchDrainTail(b, DefaultConfig()) })
