@@ -91,7 +91,7 @@ func (n *Ideal) Tick() {
 		}
 		p := n.pending.Pop()
 		flits := flitCount(p.Bytes, n.flitBytes)
-		p.flits = flits
+		p.flits = int32(flits)
 		if n.cap > 0 {
 			n.budget -= float64(flits)
 		}

@@ -25,7 +25,6 @@ type netIface struct {
 	writers [][]injWriter // [injPort][vc]
 	pend    int           // queued packets + in-progress writers; injectStep is a no-op at 0
 	classRR int
-	asm     map[uint64]int
 
 	// delivered/spare double-buffer the per-tick delivery batch: Delivered
 	// swaps them instead of dropping the slice, so the steady state reuses
@@ -35,7 +34,7 @@ type netIface struct {
 }
 
 func newNetIface(node NodeID, rtr *router, net *meshNet) *netIface {
-	ni := &netIface{node: node, rtr: rtr, net: net, asm: make(map[uint64]int)}
+	ni := &netIface{node: node, rtr: rtr, net: net}
 	for c := range ni.srcQ {
 		ni.srcQ[c] = ring.New[*Packet](net.cfg.SrcQueueCap, net.cfg.SrcQueueCap)
 	}
@@ -84,8 +83,11 @@ func (ni *netIface) continueWrite(port int, cycle uint64) bool {
 // startWrite begins injecting the next queued packet on port, if any class
 // has a packet whose VC set offers a free writer slot with buffer space.
 func (ni *netIface) startWrite(port int, cycle uint64) {
-	for k := 0; k < int(NumClasses); k++ {
-		class := TrafficClass((ni.classRR + k) % int(NumClasses))
+	class := TrafficClass(ni.classRR)
+	for k := 0; k < int(NumClasses); k, class = k+1, class+1 {
+		if class == NumClasses {
+			class = 0
+		}
 		q := &ni.srcQ[class]
 		if q.Len() == 0 {
 			continue
@@ -96,13 +98,16 @@ func (ni *netIface) startWrite(port int, cycle uint64) {
 			continue
 		}
 		q.Pop() // the packet stays counted in pend until its writer finishes
-		ni.classRR = (int(class) + 1) % int(NumClasses)
+		if ni.classRR = int(class) + 1; ni.classRR == int(NumClasses) {
+			ni.classRR = 0
+		}
 		pkt.InjectedAt = cycle
-		pkt.flits = ni.net.flitsFor(pkt.Bytes)
+		pkt.flits = int32(ni.net.flitsFor(pkt.Bytes))
+		pkt.ejected = 0
 		ni.net.stats.InjectedPackets[ni.node]++
 		ni.net.stats.InjectedBytes[ni.node] += uint64(pkt.Bytes)
 		w := &ni.writers[port][vc]
-		*w = injWriter{pkt: pkt, total: pkt.flits, vc: vc}
+		*w = injWriter{pkt: pkt, total: int(pkt.flits), vc: vc}
 		ni.writeFlit(port, w, cycle)
 		return
 	}
@@ -137,33 +142,37 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 	}
 }
 
-// ejectStep drains arrived flits and assembles packets. Flits of one packet
-// arrive in order, but packets on different VCs may interleave, so assembly
-// counts flits per packet ID. Latency observations are order-sensitive
-// float sums; the ejection phase visits nodes in ascending order, which fixes
-// the order of the Add calls.
-func (ni *netIface) ejectStep(cycle uint64) {
+// ejFlit is a flit on an ejection link: its packet, the cycle it reaches
+// the NI, and the node and ejection port it left through.
+type ejFlit struct {
+	pkt  *Packet
+	at   uint64
+	node int32
+	port int32
+}
+
+// eject takes one flit of pkt off the ejection link at cycle and, at the
+// packet's last flit, assembles it. Flits of one packet arrive in order, but
+// packets on different VCs may interleave, so the count lives on the packet.
+// Latency observations are order-sensitive float sums; the eject phase
+// hands flits over in node-then-port order, which fixes the order of the
+// Add calls.
+func (ni *netIface) eject(pkt *Packet, cycle uint64) {
 	n := ni.net
-	ni.rtr.drainEjected(cycle, func(f Flit) {
-		n.stats.EjectedFlits[ni.node]++
-		n.moveCount++
-		pkt := f.Pkt
-		got := ni.asm[pkt.ID] + 1
-		if got < pkt.flits {
-			ni.asm[pkt.ID] = got
-			return
-		}
-		delete(ni.asm, pkt.ID)
-		pkt.ArrivedAt = cycle
-		n.active--
-		if n.fs != nil && !n.fs.onAssembled(n, pkt) {
-			return // failed the end-to-end check: corrupt, duplicate or lost
-		}
-		ni.delivered = append(ni.delivered, pkt)
-		n.delivSet.set(int(ni.node))
-		lat := float64(pkt.NetworkLatency())
-		n.stats.NetLatency.Add(lat)
-		n.stats.TotalLatency.Add(float64(pkt.TotalLatency()))
-		n.stats.LatencyByClass[pkt.Class].Add(lat)
-	})
+	n.stats.EjectedFlits[ni.node]++
+	n.moveCount++
+	if pkt.ejected++; pkt.ejected < pkt.flits {
+		return
+	}
+	pkt.ArrivedAt = cycle
+	n.active--
+	if n.fs != nil && !n.fs.onAssembled(n, pkt) {
+		return // failed the end-to-end check: corrupt, duplicate or lost
+	}
+	ni.delivered = append(ni.delivered, pkt)
+	n.delivSet.set(int(ni.node))
+	lat := float64(pkt.NetworkLatency())
+	n.stats.NetLatency.Add(lat)
+	n.stats.TotalLatency.Add(float64(pkt.TotalLatency()))
+	n.stats.LatencyByClass[pkt.Class].Add(lat)
 }

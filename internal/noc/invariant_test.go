@@ -331,10 +331,30 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 // front is still on the wire (stamp in the future) and on rcMask once it has
 // arrived. It also checks that the derived busy condition agrees with a
 // scan-counted one (zero busy VCs exactly when all masks are zero) and, at a
-// cycle boundary, with the router's bit on the network's active list.
+// cycle boundary, with the router's bit on the network's active list. Last,
+// it rebuilds every ejection port's in-flight count from the ejection FIFO,
+// whose stamps must not decrease and must all lie ahead of the cycle just
+// ticked (the eject phase left nothing due behind).
 func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 	t.Helper()
 	now := m.Cycle()
+	ejOut := make(map[[2]int]int)
+	for i, last := 0, uint64(0); i < m.ejq.Len(); i++ {
+		e := m.ejq.At(i)
+		if e.at <= now || e.at < last {
+			t.Fatalf("cycle %d: ejection FIFO entry %d due at %d (previous %d, now %d)", cycle, i, e.at, last, now)
+		}
+		last = e.at
+		ejOut[[2]int{int(e.node), int(e.port)}]++
+	}
+	for id, r := range m.meshNet.routers {
+		for e, got := range r.ejOut {
+			if want := ejOut[[2]int{id, e}]; got != want || got > r.p.ejCap {
+				t.Fatalf("cycle %d router %d: ejOut[%d] = %d, FIFO holds %d, bound %d",
+					cycle, id, e, got, want, r.p.ejCap)
+			}
+		}
+	}
 	for id, r := range m.meshNet.routers {
 		var arr, rc, va, sa uint64
 		busy := 0
@@ -405,8 +425,9 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 
 // TestStageMasksMatchVCState drives seeded request/reply traffic through
 // every backend — plus a checkerboard mesh, a fault-injected run (stuck VCs,
-// delayed credits, retransmission) and a router at the full 64-input-VC mask
-// width — and audits the stage masks after every Tick, through saturation
+// delayed credits, retransmission), a router at the full 64-input-VC mask
+// width and two-port MC ejection at a one-flit ejection bound — and audits
+// the stage masks and ejection counts after every Tick, through saturation
 // and the drain back to an empty network.
 func TestStageMasksMatchVCState(t *testing.T) {
 	cfgs := backendConfigs()
@@ -424,6 +445,9 @@ func TestStageMasksMatchVCState(t *testing.T) {
 	wide := DefaultConfig()
 	wide.NumVCs, wide.MCInjPorts = 8, 4 // MC routers use all 64 mask bits
 	cfgs["wide-64"] = wide
+	ej := DefaultConfig()
+	ej.MCEjPorts, ej.EjQueueCap = 2, 1
+	cfgs["ej-2-cap-1"] = ej
 
 	for name, cfg := range cfgs {
 		cfg := cfg
@@ -498,12 +522,13 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 func TestPickSAInputMatchesScan(t *testing.T) {
 	const cycle = 10
 	for n := 1; n <= 8; n++ {
-		r := newRouter(routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}, nil)
+		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}
+		r := newRouter(p, nil, make([]Flit, p.slabFlits()))
 		in := r.nIn - 1
 		for v := 0; v < n; v++ {
 			ivc := &r.inputs[r.inIdx(in, v)]
 			ivc.buf.Push(Flit{Head: true, Tail: true})
-			ivc.outPort, ivc.outVC = int(numDirs), 0 // ejection port: ready while its queue has room
+			ivc.outPort, ivc.outVC = int(numDirs), 0 // ejection port: ready while under its in-flight bound
 		}
 		for start := 0; start < n; start++ {
 			for active := uint64(0); active < 1<<uint(n); active++ {

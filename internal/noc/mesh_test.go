@@ -85,6 +85,14 @@ func TestRouterWidthValidation(t *testing.T) {
 			t.Errorf("%s: NewMeshWithBackend error = %v, want ok=%v", tc.name, serr, tc.ok)
 		}
 	}
+	// Switch allocation's requested-output mask holds 64 output ports.
+	for ej, ok := range map[int]bool{60: true, 61: false} {
+		cfg := DefaultConfig()
+		cfg.MCEjPorts = ej
+		if _, err := NewMesh(cfg); (err == nil) != ok {
+			t.Errorf("%d MC ejection ports: NewMesh error = %v, want ok=%v", ej, err, ok)
+		}
+	}
 }
 
 func TestVCPlan(t *testing.T) {

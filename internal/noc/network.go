@@ -141,7 +141,7 @@ type Config struct {
 	MCInjPorts       int         // injection ports at MC routers (2P: 2)
 	MCEjPorts        int         // ejection ports at MC routers
 	SrcQueueCap      int         // source queue capacity per class, packets
-	EjQueueCap       int         // ejection queue capacity, flits
+	EjQueueCap       int         // flits in flight per ejection link; binds only below stD+1, i.e. at 1
 	Seed             uint64
 	Fault            fault.Config // fault injection + health monitoring policy
 }
@@ -236,19 +236,25 @@ type meshNet struct {
 	active  int
 	nextPkt uint64
 
-	// Active-component work lists: one bitset per Tick phase (inject, route,
-	// eject), indexed like the matching component slice. A component sets
-	// its bit when it gains work (a queued packet or flit) and the phase loop
-	// clears the bit once the component goes idle, so the common case — most
-	// tiles idle — costs nothing per cycle. A router that sends to a
-	// neighbour puts that neighbour on the router list mid-phase; whether
-	// the traversal still reaches it this cycle is immaterial, because the
-	// flit is stamped with a later cycle and a step that finds nothing due
-	// is a no-op. So the in-order bitset iteration does exactly the work the
-	// dense loops would have, keeping equal-seeded runs bit-identical.
+	// Active-component work lists: one bitset per component Tick phase
+	// (inject, route), indexed like the matching component slice. A
+	// component sets its bit when it gains work (a queued packet or flit)
+	// and the phase loop clears the bit once the component goes idle, so
+	// the common case — most tiles idle — costs nothing per cycle. A router
+	// that sends to a neighbour puts that neighbour on the router list
+	// mid-phase; whether the traversal still reaches it this cycle is
+	// immaterial, because the flit is stamped with a later cycle and a step
+	// that finds nothing due is a no-op. So the in-order bitset iteration
+	// does exactly the work the dense loops would have, keeping
+	// equal-seeded runs bit-identical.
 	injActive activeSet
 	rtrActive activeSet
-	ejActive  activeSet
+
+	// ejq holds the flits on the ejection links, in traversal order, each
+	// stamped with the cycle it reaches its NI. Stamps never decrease, so
+	// the eject phase pops the due ones off the front. Sized once: at most
+	// EjQueueCap flits are in flight per ejection port (router.ejOut).
+	ejq ring.Ring[ejFlit]
 
 	// delivSet holds the nodes whose Delivered batch is non-empty: the
 	// ejection NI sets a bit when it appends a packet, Delivered clears it.
@@ -369,10 +375,13 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	n.interScratch = make([]NodeID, 0, nNodes)
 	n.injActive = newActiveSet(nNodes)
 	n.rtrActive = newActiveSet(nNodes)
-	n.ejActive = newActiveSet(nNodes)
 	n.delivSet = newActiveSet(nNodes)
 
-	for id := 0; id < nNodes; id++ {
+	// Size the flit slab that holds every input VC buffer, and the ejection
+	// FIFO, before building the routers that window into them.
+	params := make([]routerParams, nNodes)
+	slabFlits, ejPorts := 0, 0
+	for id := range params {
 		node := NodeID(id)
 		p := routerParams{
 			node:     node,
@@ -393,7 +402,17 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			p.nInj = cfg.MCInjPorts
 			p.nEj = cfg.MCEjPorts
 		}
-		n.routers = append(n.routers, newRouter(p, n))
+		params[id] = p
+		slabFlits += p.slabFlits()
+		ejPorts += p.nEj
+	}
+	n.ejq = ring.New[ejFlit](ejPorts*cfg.EjQueueCap, ejPorts*cfg.EjQueueCap)
+	slab := make([]Flit, slabFlits)
+	n.routers = make([]*router, nNodes)
+	for id, p := range params {
+		k := p.slabFlits()
+		n.routers[id] = newRouter(p, n, slab[:k:k])
+		slab = slab[k:]
 	}
 	// Wire direction channels, and with faults enabled the lost-credit
 	// return rings: a lost credit withholds a slot of the link's buffer, so
@@ -424,8 +443,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 // checkRouterWidth rejects configurations the router's fixed-width state
 // cannot represent: a VC number must fit Flit.VC, a credit must return
 // within the 64-cycle pop window of inVC.popBits, and the widest router (an
-// MC tile: four direction inputs plus MCInjPorts injection ports) must fit
-// its input VCs in one 64-bit stage mask.
+// MC tile: four direction inputs plus MCInjPorts injection ports, four
+// direction outputs plus MCEjPorts ejection ports) must fit its input VCs
+// in one 64-bit stage mask and its output ports in one 64-bit request mask.
 func checkRouterWidth(cfg Config) error {
 	if cfg.NumVCs > math.MaxInt16 {
 		return fmt.Errorf("noc: %d VCs exceed the flit VC field (max %d)", cfg.NumVCs, math.MaxInt16)
@@ -436,6 +456,9 @@ func checkRouterWidth(cfg Config) error {
 	if in := (int(numDirs) + cfg.MCInjPorts) * cfg.NumVCs; in > maxInputVCs {
 		return fmt.Errorf("noc: %d input ports x %d VCs = %d input VCs per MC router, limit %d",
 			int(numDirs)+cfg.MCInjPorts, cfg.NumVCs, in, maxInputVCs)
+	}
+	if out := int(numDirs) + cfg.MCEjPorts; out > maxOutputPorts {
+		return fmt.Errorf("noc: %d output ports per MC router, limit %d", out, maxOutputPorts)
 	}
 	return nil
 }
@@ -532,9 +555,14 @@ func (n *meshNet) DeliveredSet(dst []uint64) {
 }
 
 // Tick advances one network cycle: the cycle count and fault machinery,
-// then the three phases — inject, route, eject — each walking only its
-// active components in ascending index order, the same order the dense
-// loops used, so arbitration and fault-RNG draw sequences are unchanged.
+// then the three phases — inject, route, eject. Inject and route walk only
+// their active components in ascending index order, the same order the
+// dense loops used, so arbitration and fault-RNG draw sequences are
+// unchanged. Eject pops the due flits off the ejection FIFO and hands each
+// to its NI. Every due flit left its router the cycle before (stD is 1) and
+// a port sends at most one flit a cycle, so traversal order — router
+// ascending, then output port ascending — is the node-then-port order a
+// per-node drain would visit, and latency sums add up in the same order.
 // Links are not a phase: a router's sends land in the neighbour's buffers
 // directly. The cycle ends with the deferred livelock verdict and the
 // health monitors.
@@ -558,12 +586,11 @@ func (n *meshNet) Tick() {
 			n.rtrActive.clear(i)
 		}
 	})
-	n.ejActive.forEach(func(i int) {
-		n.nis[i].ejectStep(cycle)
-		if n.routers[i].ejCount == 0 {
-			n.ejActive.clear(i)
-		}
-	})
+	for q := &n.ejq; q.Len() > 0 && q.Front().at <= cycle; {
+		e := q.Pop()
+		n.routers[e.node].ejOut[e.port]--
+		n.nis[e.node].eject(e.pkt, cycle)
+	}
 	if n.llPkt != nil {
 		n.tripLivelock(n.llPkt)
 		n.llPkt = nil
@@ -598,7 +625,7 @@ func (n *meshNet) noteHop(pkt *Packet) {
 // cycle as when stepping.
 func (n *meshNet) NextWorkCycle() uint64 {
 	if n.fs != nil || n.health != nil ||
-		!n.injActive.isEmpty() || !n.ejActive.isEmpty() || n.credDue > n.cycle {
+		!n.injActive.isEmpty() || n.ejq.Len() > 0 || n.credDue > n.cycle {
 		return n.cycle + 1
 	}
 	next := NeverCycle

@@ -62,7 +62,12 @@ type Packet struct {
 	InjectedAt uint64 // when the head flit entered the injection buffer
 	ArrivedAt  uint64 // when the last flit was ejected
 
-	flits int // cached flit count
+	// flits is the cached flit count and ejected the flits that have
+	// reached the destination NI so far: the packet is assembled when the
+	// two meet. Two int32s share the word a single int would take, keeping
+	// Packet at 152 bytes.
+	flits   int32
+	ejected int32
 
 	// Resilience state (used only when fault injection is enabled).
 	lid     uint64 // logical transfer id: wire ID of the first attempt

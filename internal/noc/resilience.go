@@ -265,15 +265,12 @@ func (n *meshNet) tripLivelock(pkt *Packet) {
 }
 
 // inNetworkFlits counts every flit currently in the mesh: input VC buffers
-// (which hold the flits on the wires too) and ejection queues.
+// (which hold the flits on the wires too) and the ejection FIFO.
 func (n *meshNet) inNetworkFlits() uint64 {
-	var total uint64
+	total := uint64(n.ejq.Len())
 	for _, r := range n.routers {
 		for i := range r.inputs {
 			total += uint64(r.inputs[i].buf.Len())
-		}
-		for e := range r.ejQ {
-			total += uint64(r.ejQ[e].Len())
 		}
 	}
 	return total

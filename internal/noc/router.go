@@ -3,14 +3,17 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/ring"
 )
 
 // maxInputVCs is the width of the per-router stage masks: one bit per input
 // VC, indexed port*numVCs+vc. newMeshNet rejects configurations whose widest
 // router would not fit.
 const maxInputVCs = 64
+
+// maxOutputPorts is the width of switch allocation's mask of requested
+// output ports: four directions plus the ejection ports. newMeshNet rejects
+// configurations whose MC routers would have more.
+const maxOutputPorts = 64
 
 // maxCreditLatency is the width of an input VC's pop window (inVC.popBits):
 // a credit must reach the upstream router within 64 cycles of its pop.
@@ -26,6 +29,54 @@ const (
 	vcActive                // output VC held, flits compete in switch allocation
 )
 
+// flitFIFO is one input VC buffer: a fixed bufDepth-flit window of the
+// network's flit slab, used as a circular FIFO. It checks no bounds of its
+// own — acceptFlit tests Full before every Push, and only non-empty VCs are
+// popped — so Push and Pop inline. A popped slot keeps its flit until it is
+// overwritten, so a VC holds at most bufDepth stale packet pointers.
+type flitFIFO struct {
+	buf  []Flit
+	head int
+	n    int
+}
+
+// Len returns the number of buffered flits (those on the wire included).
+func (q *flitFIFO) Len() int { return q.n }
+
+// Full reports whether every slot of the window is taken.
+func (q *flitFIFO) Full() bool { return q.n == len(q.buf) }
+
+// Front returns the oldest flit.
+func (q *flitFIFO) Front() *Flit { return &q.buf[q.head] }
+
+// At returns the i-th flit from the front (0-based).
+func (q *flitFIFO) At(i int) *Flit {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
+// Push appends f; the caller has checked Full.
+func (q *flitFIFO) Push(f Flit) {
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = f
+	q.n++
+}
+
+// Pop removes and returns the front flit; the caller has checked Len.
+func (q *flitFIFO) Pop() Flit {
+	f := q.buf[q.head]
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return f
+}
+
 // inVC is one input virtual channel: a flit FIFO plus allocation state.
 // The FIFO also holds flits still on the wire (deposited at send, stamped
 // with their arrival cycle); nextAt caches the front flit's stamp so the
@@ -37,7 +88,7 @@ const (
 // upstream router reads them, with buf, to derive its free slots (see
 // router.freeSlots), so no credit is ever queued on the fault-free path.
 type inVC struct {
-	buf     ring.Ring[Flit]
+	buf     flitFIFO
 	popAt   uint64 // cycle of the last pop recorded in popBits
 	popBits uint64 // bit k: a pop at popAt-k whose credit was not lost
 	nextAt  uint64 // front flit's arrival cycle; NeverCycle when buf is empty
@@ -99,7 +150,7 @@ type routerParams struct {
 	stages   int // pipeline depth (4 baseline, 3 half, 1 aggressive)
 	chanLat  uint64
 	credLat  uint64
-	ejCap    int // ejection queue capacity, in flits
+	ejCap    int // flits in flight on one ejection link (Config.EjQueueCap)
 }
 
 // router is a VC wormhole router with separable round-robin (iSLIP-style)
@@ -146,11 +197,13 @@ type router struct {
 	credIn    []*creditChannel
 	credPend  uint8
 
-	ejQ []ring.Ring[Flit] // per ejection port; Flit.arrived is the drain cycle
-
-	// ejCount counts flits across the ejection queues; the ejection phase
-	// skips the router at 0.
-	ejCount int
+	// ejOut[e] counts the flits on ejection port e's link: traversed, and
+	// on the network's ejection FIFO until the NI takes them. The port
+	// accepts a flit while ejOut[e] < ejCap. A flit is on the link for stD
+	// = 1 cycle and a port sends at most one a cycle, so ejOut[e] is at
+	// most 1 when switch allocation reads it, and the bound binds only at
+	// ejCap 1, where a port's next flit waits a cycle.
+	ejOut []int
 
 	// stuck[inIdx] holds the cycle until which a stuck-VC fault freezes that
 	// input VC's switch allocation; nil when faults are disabled.
@@ -171,7 +224,15 @@ type router struct {
 	saReq  []uint64
 }
 
-func newRouter(p routerParams, net *meshNet) *router {
+// slabFlits is the size of a router's window of the network's flit slab:
+// one bufDepth-flit buffer per input VC.
+func (p *routerParams) slabFlits() int {
+	return (int(numDirs) + p.nInj) * p.numVCs * p.bufDepth
+}
+
+// newRouter builds a router whose input VC buffers are consecutive
+// bufDepth-flit windows of slab, which holds p.slabFlits() flits.
+func newRouter(p routerParams, net *meshNet, slab []Flit) *router {
 	r := &router{p: p, net: net}
 	r.rcD, r.vaD, r.stD = pipeDelays(p.stages)
 	if r.p.credLat == 0 {
@@ -191,17 +252,14 @@ func newRouter(p routerParams, net *meshNet) *router {
 		ivc.port, ivc.vc = i/p.numVCs, i%p.numVCs
 		ivc.outPort = -1
 		ivc.nextAt = NeverCycle
-		ivc.buf = ring.New[Flit](p.bufDepth, p.bufDepth)
+		ivc.buf.buf = slab[i*p.bufDepth : (i+1)*p.bufDepth : (i+1)*p.bufDepth]
 	}
 	r.outputs = make([]outVC, r.nOut*p.numVCs)
 	for o := range r.outputs {
 		r.outputs[o].owner = -1
 	}
 	r.outChans = make([]*channel, numDirs)
-	r.ejQ = make([]ring.Ring[Flit], p.nEj)
-	for e := range r.ejQ {
-		r.ejQ[e] = ring.New[Flit](p.ejCap, p.ejCap)
-	}
+	r.ejOut = make([]int, p.nEj)
 	r.vaPtr = make([]int, r.nOut*p.numVCs)
 	r.saInPtr = make([]int, r.nIn)
 	r.saOutPtr = make([]int, r.nOut)
@@ -346,7 +404,9 @@ func (r *router) routeCompute(cycle uint64) {
 		outPort := int(out)
 		if eject {
 			outPort = int(numDirs) + r.ejRR
-			r.ejRR = (r.ejRR + 1) % r.p.nEj
+			if r.ejRR++; r.ejRR == r.p.nEj {
+				r.ejRR = 0
+			}
 		}
 		if !r.legalOutput(ivc.port, outPort) {
 			panic(fmt.Sprintf("noc: illegal turn at router %d (half=%v): in %d -> out %d for pkt %d (%d->%d)",
@@ -412,18 +472,20 @@ func (r *router) vcAllocate(cycle uint64) {
 func (r *router) switchAllocate(cycle uint64) {
 	n := uint(r.p.numVCs)
 	window := uint64(1)<<n - 1
+	var outs uint64 // bit o: output port o has a bidder in saReq[o]
 	for in, m := 0, r.saMask; m != 0; in, m = in+1, m>>n {
 		if m&window == 0 {
 			continue
 		}
 		if idx, ok := r.pickSAInput(in, m&window, cycle); ok {
-			r.saReq[r.inputs[idx].outPort] |= 1 << uint(idx)
+			out := r.inputs[idx].outPort
+			r.saReq[out] |= 1 << uint(idx)
+			outs |= 1 << uint(out)
 		}
 	}
-	for out, req := range r.saReq {
-		if req == 0 {
-			continue
-		}
+	for ; outs != 0; outs &= outs - 1 {
+		out := bits.TrailingZeros64(outs)
+		req := r.saReq[out]
 		r.saReq[out] = 0
 		r.traverse(pickRRMask(req, &r.saOutPtr[out]), cycle)
 	}
@@ -433,6 +495,7 @@ func (r *router) switchAllocate(cycle uint64) {
 // returns its input index. active is the port's numVCs-bit window of saMask.
 // Rotating the window right by the port's pointer puts VC (start+k)%n at bit
 // k, so ascending bits visit the active VCs in round-robin order from start.
+// A candidate's output readiness is outputReady, read inline.
 func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 	n := r.p.numVCs
 	start := r.saInPtr[in]
@@ -449,10 +512,19 @@ func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 		if r.stuck != nil && r.stuck[idx] > cycle {
 			continue // transient stuck-VC fault freezes this VC's allocation
 		}
-		if !r.outputReady(ivc.outPort, ivc.outVC, cycle) {
-			continue
+		if op := ivc.outPort; op < int(numDirs) {
+			ch := r.outChans[op]
+			down := &ch.dst.inputs[ch.dstPort*n+ivc.outVC]
+			if down.buf.n+down.inflight(cycle, r.p.credLat)+r.outputs[op*n+ivc.outVC].withheld >= r.p.bufDepth {
+				continue // no free slot downstream (freeSlots <= 0)
+			}
+		} else if r.ejOut[op-int(numDirs)] >= r.p.ejCap {
+			continue // the ejection link is at its in-flight bound
 		}
-		r.saInPtr[in] = (v + 1) % n
+		if v++; v == n {
+			v = 0
+		}
+		r.saInPtr[in] = v
 		return idx, true
 	}
 	return 0, false
@@ -464,12 +536,13 @@ func rotateWindow(w uint64, start, n int) uint64 {
 }
 
 // outputReady reports whether a flit can leave via (port, vc) at cycle: a
-// free downstream slot for direction ports, a queue slot for ejection ports.
+// free downstream slot for direction ports, room under the in-flight bound
+// for ejection ports.
 func (r *router) outputReady(port, vc int, cycle uint64) bool {
 	if port < int(numDirs) {
 		return r.freeSlots(port, vc, cycle) > 0
 	}
-	return !r.ejQ[port-int(numDirs)].Full()
+	return r.ejOut[port-int(numDirs)] < r.p.ejCap
 }
 
 // freeSlots is the credit count of direction output (port, vc) at cycle,
@@ -500,10 +573,9 @@ func (r *router) traverse(idx int, cycle uint64) {
 		f.arrived = cycle + r.stD + r.p.chanLat
 		r.outChans[op].send(f, cycle)
 	} else {
-		f.arrived = cycle + r.stD
-		r.ejQ[op-int(numDirs)].Push(f)
-		r.ejCount++
-		r.net.ejActive.set(int(r.p.node))
+		e := op - int(numDirs)
+		r.ejOut[e]++
+		r.net.ejq.Push(ejFlit{pkt: f.Pkt, at: cycle + r.stD, node: int32(r.p.node), port: int32(e)})
 	}
 	r.net.stats.FlitHops++
 	r.net.moveCount++
@@ -547,17 +619,6 @@ func (r *router) releaseSlot(ivc *inVC, cycle uint64) {
 		}
 	}
 	ivc.notePop(cycle)
-}
-
-// drainEjected pops all arrived flits from the ejection queues.
-func (r *router) drainEjected(cycle uint64, visit func(Flit)) {
-	for e := range r.ejQ {
-		q := &r.ejQ[e]
-		for q.Len() > 0 && q.Front().arrived <= cycle {
-			r.ejCount--
-			visit(q.Pop())
-		}
-	}
 }
 
 // pickRRMask chooses the first bidder at or after *ptr in cyclic order and

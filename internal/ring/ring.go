@@ -1,10 +1,11 @@
-// Package ring provides a generic circular FIFO used for every queue on the
-// simulator's cycle-level hot path: input VC buffers, source queues,
-// ejection queues, lost-credit return rings and core/memory-controller service
-// queues. Unlike an append/copy slice queue, a ring never moves elements on
-// pop and never reallocates in steady state: push and pop are index
-// arithmetic on a fixed backing array, which is what makes the cycle kernel
-// allocation-free after warm-up.
+// Package ring provides a generic circular FIFO used for the queues on the
+// simulator's cycle-level hot path: source queues, the ejection FIFO,
+// lost-credit return rings and core/memory-controller service queues (input
+// VC buffers are fixed windows of one flit slab, see noc's flitFIFO).
+// Unlike an append/copy slice queue, a ring never moves elements on pop and
+// never reallocates in steady state: push and pop are index arithmetic on a
+// fixed backing array, which is what makes the cycle kernel allocation-free
+// after warm-up.
 package ring
 
 // Ring is a circular FIFO.
