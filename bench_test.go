@@ -201,9 +201,9 @@ func BenchmarkFig21OpenLoop(b *testing.B) {
 // L2-resident working set through a deep (128-cycle) memory pipeline. Every
 // memory instruction parks the warp on an outstanding fill with the mesh
 // quiescent and DRAM idle — the bursty stall-dominated regime where
-// idle-horizon fast-forwarding pays, and the worst case for edge-by-edge
-// stepping. Wide flits and 1-cycle routers keep the busy fraction of each
-// round trip small so the skippable window dominates.
+// dormancy elision pays most, and the worst case for ticking every
+// component on every edge. Wide flits and 1-cycle routers keep the busy
+// fraction of each round trip small so the dormant window dominates.
 func idleSkipClosedLoopConfig() core.Config {
 	prof := workload.Profile{
 		Name: "MemStall", Abbr: "MSTL", Class: "LH",
@@ -226,9 +226,11 @@ func idleSkipClosedLoopConfig() core.Config {
 }
 
 // BenchmarkIdleSkipClosedLoop times the memory-bound closed-loop run with
-// idle-horizon fast-forwarding on (the default) and off. Results are
-// bit-identical between the two modes (TestIdleSkipEquivalence); only
-// wall-clock differs, so skip-vs-noskip ns/op is the speedup.
+// dormancy elision on (the default) and off. The loop steps every
+// scheduler edge in both modes; skip elides the ticks of dormant
+// components, noskip ticks every component on every edge. Results are
+// bit-identical between the two modes (TestIdleSkipEquivalenceMemBound);
+// only wall-clock differs, so skip-vs-noskip ns/op is elision's speedup.
 func BenchmarkIdleSkipClosedLoop(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

@@ -200,9 +200,11 @@ func parse(r *os.File) ([]Benchmark, string, error) {
 }
 
 // deriveSkipSpeedups adds a speedup_vs_noskip metric to every "<base>/skip"
-// benchmark with a "<base>/noskip" sibling in the same capture: edge-by-edge
-// ns/op divided by fast-forwarding ns/op. Idle-horizon skipping is
-// single-threaded work avoidance, so the ratio holds on any host.
+// benchmark with a "<base>/noskip" sibling in the same capture: the
+// reference mode's ns/op divided by the skipping mode's. In the closed loop
+// that is dormancy elision against ticking every component on every edge;
+// in the open loop, the drain-phase skip against stepping the drain. Both
+// are single-threaded work avoidance, so the ratio holds on any host.
 func deriveSkipSpeedups(benches []Benchmark) {
 	noskip := make(map[string]float64)
 	for _, b := range benches {

@@ -153,8 +153,8 @@ func (c *Cache) Access(a addr.Address, isWrite bool) (hit bool) {
 // blocked line without touching array state. A stalled front-of-queue
 // request that retries every cycle ticks the LRU clock and records a miss
 // each time but never changes tag/LRU/dirty state (the line is absent, and
-// misses do not update LRU); idle-horizon fast-forward uses this to credit
-// a skipped window of such retries in O(1) with bit-identical counters.
+// misses do not update LRU); a core's SkipAhead uses this to credit an
+// elided window of such retries in O(1) with bit-identical counters.
 func (c *Cache) CreditMissRetries(k uint64) {
 	c.tick += k
 	c.stats.Misses += k

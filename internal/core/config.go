@@ -78,15 +78,15 @@ type Config struct {
 	Seed          uint64
 	MaxIcntCycles uint64 // safety stop; 0 means a generous default
 
-	// NoIdleSkip disables idle-horizon fast-forwarding: when every
-	// subsystem reports a quiescent window (see Network.NextWorkCycle and
-	// the per-component SkipAhead contracts in DESIGN.md) the driver
-	// normally bulk-advances the scheduler to the earliest work horizon
-	// instead of stepping edge by edge. Skipping changes wall-clock time
-	// only, never results, so it is deliberately excluded from Name
-	// suffixes and cache keys. The zero value keeps skipping on; no CLI
-	// sets it. It is the reference for the idle-skip equivalence tests and
-	// the IdleSkip benchmark rows.
+	// NoIdleSkip disables dormancy elision: the loop normally stops
+	// ticking a core, MC side or network whose work horizon has not
+	// arrived (see Network.NextWorkCycle and the per-component SkipAhead
+	// contracts in DESIGN.md) and pays its idle cycles with one skip
+	// credit when an event wakes it. Elision changes wall-clock time only,
+	// never results, so it is deliberately excluded from Name suffixes and
+	// cache keys. The zero value keeps elision on; no CLI sets it. It is
+	// the reference for the idle-skip equivalence tests and the IdleSkip
+	// benchmark rows.
 	NoIdleSkip bool
 }
 

@@ -73,7 +73,7 @@ type loop struct {
 	wd      *fault.Watchdog // system stall watchdog; nil when unmonitored
 	buf     []timing.Domain
 	maxIcnt uint64
-	elide   bool // dormancy elision + idle skips (off under NoIdleSkip)
+	elide   bool // dormancy elision (off under NoIdleSkip)
 
 	coreCred []uint64
 	awake    bitset // cores ticked on core edges; the rest are dormant
@@ -139,12 +139,11 @@ func (s *System) initLoop() {
 	}
 }
 
-// step advances the run by one scheduler step and reports whether it is
+// step advances the run by one scheduler edge and reports whether it is
 // still live: the loop-top done check, cycle cap and context poll, the
-// domain edges, the health check, the stall watchdog and the idle skip.
-// Component ticks are gated by the dormancy state; everything else is the
-// edge-by-edge algorithm, so every verdict fires on the cycle it would
-// without elision.
+// domain edges, the health check and the stall watchdog. Component ticks
+// are gated by the dormancy state; everything else is the edge-by-edge
+// algorithm, so every verdict fires on the cycle it would without elision.
 func (s *System) step(ctx context.Context) bool {
 	if s.done() {
 		s.finish()
@@ -164,14 +163,12 @@ func (s *System) step(ctx context.Context) bool {
 		}
 	}
 	s.buf = s.sched.Step(s.buf)
-	icntTicked := false
 	for _, d := range s.buf {
 		switch d {
 		case timing.DomainCore:
 			s.coreEdge()
 		case timing.DomainInterconnect:
 			s.icntEdge()
-			icntTicked = true
 		case timing.DomainDRAM:
 			s.dramEdge()
 		}
@@ -184,14 +181,6 @@ func (s *System) step(ctx context.Context) bool {
 		s.wd.Observe(icnt, s.progress(), 1) {
 		s.hang(fault.ErrStall, "stall")
 		return false
-	}
-	// Attempt a fast-forward only after interconnect edges: idle windows
-	// always span whole interconnect cycles, and gating the attempt keeps
-	// the horizon scans off the core/DRAM-edge iterations during busy
-	// phases.
-	if s.elide && icntTicked {
-		s.skipIdle()
-		s.strideToNextIcnt()
 	}
 	return true
 }
@@ -280,18 +269,15 @@ func (s *System) settleCore(i int) {
 	}
 }
 
-// coreEdge runs the core-domain edge: every awake core pays any pending skip
-// credit (left lazily by skipIdle's bulk advance) and ticks.
+// coreEdge runs the core-domain edge: every awake core ticks. An awake core
+// was ticked on the previous core edge or paid up to it when woken, so this
+// tick is the only cycle it is owed.
 func (s *System) coreEdge() {
 	cc := s.sched.Cycles(timing.DomainCore)
 	for wi, w := range s.awake {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			c := s.cores[i]
-			if k := cc - 1 - s.coreCred[i]; k > 0 {
-				c.SkipAhead(k)
-			}
-			c.Tick()
+			s.cores[i].Tick()
 			s.coreCred[i] = cc
 			s.settleCore(i)
 		}
@@ -469,177 +455,4 @@ func (s *System) deliverFills(i int) {
 		s.pool.Put(pkt)
 	}
 	s.settleCore(i)
-}
-
-// skipIdle fast-forwards the scheduler across a fully idle window. It reads
-// every subsystem's conservative next-work horizon — live for awake cores,
-// cached wakes for the network and the MCs — converts each to an absolute
-// femtosecond instant, and bulk-advances the scheduler to the earliest one
-// with SkipTo. The skipped idle edges are paid lazily: each component's
-// cred watermark lags the domain counter, and its next real tick, wake
-// event or the run's retirement settles the difference with one skip
-// credit, which the idle-horizon contract defines to be bit-identical to
-// ticking it that many times. When any domain has work on its very next
-// edge the method returns without touching anything.
-func (s *System) skipIdle() {
-	const never = noc.NeverCycle
-
-	// A queued outbound request forces a real interconnect tick (injection).
-	// Awake cores are the only ones with a finite horizon; in compute-bound
-	// phases one of them works on its very next tick, the cheap early-out.
-	if !s.outbound.empty() {
-		return
-	}
-	coreNow := s.sched.Cycles(timing.DomainCore)
-	kCore := never
-	for i, c := range s.cores {
-		if !s.awake.has(i) {
-			continue
-		}
-		h := c.NextWorkCycle()
-		if h <= coreNow+1 {
-			return // core issues or accesses its L1 on the very next tick
-		}
-		if k := h - coreNow - 1; k < kCore {
-			kCore = k
-		}
-	}
-
-	// Interconnect horizon: the network itself and each MC's network side
-	// ride the same domain; both wakes are post-step counts.
-	icntNow := s.sched.Cycles(timing.DomainInterconnect)
-	kIcnt := never
-	if s.netWake != never {
-		if s.netWake <= icntNow+1 {
-			return // network moves flits on the very next tick
-		}
-		kIcnt = s.netWake - icntNow - 1
-	}
-	for _, w := range s.icntWake {
-		if w == never {
-			continue
-		}
-		if w <= icntNow+1 {
-			return // MC processes or injects on the very next tick
-		}
-		if k := w - icntNow - 1; k < kIcnt {
-			kIcnt = k
-		}
-	}
-
-	// DRAM horizon. Unlike the gates above, imminent DRAM work only bounds
-	// the skip: core and interconnect edges strictly before the next DRAM
-	// work edge are still credited, which is where memory-bound phases
-	// (every warp parked on an outstanding fetch) win their wall-clock.
-	dramNow := s.sched.Cycles(timing.DomainDRAM)
-	kDram := never
-	for _, w := range s.dramWake {
-		if w == never {
-			continue
-		}
-		k := uint64(0)
-		if w > dramNow+1 {
-			k = w - dramNow - 1
-		}
-		if k < kDram {
-			kDram = k
-		}
-	}
-
-	// The stall watchdog samples at interconnect cycles that are multiples
-	// of stallCheckPeriod, and step feeds it the loop-top cycle count; the
-	// skip must leave those samples exactly where stepping would put them.
-	if s.wd != nil {
-		if s.wd.Synced(s.progress()) {
-			// The recorded window is live: the first sample at or past
-			// LastMovement+Window trips (idle windows cannot advance the
-			// progress counter). Keep every interconnect edge from that
-			// sample's cycle onward un-skipped so the trip — and the domain
-			// counters its diagnostic reports — are bit-identical to
-			// stepping.
-			c := ceilCheck(s.wd.LastMovement() + s.wd.Window)
-			if c <= icntNow {
-				return
-			}
-			if b := c - icntNow - 1; b < kIcnt {
-				kIcnt = b
-			}
-		} else {
-			// Progress advanced since the last sample, so the next sample
-			// resets the window; it must observe the same cycle value under
-			// skipping as under stepping.
-			if b := ceilCheck(icntNow) - icntNow; b < kIcnt {
-				kIcnt = b
-			}
-		}
-	}
-
-	// A completed run exits at the next loop-top done() check without
-	// ticking again; skipping past that point would tack idle cycles onto
-	// the final counters.
-	if s.done() {
-		return
-	}
-
-	// Earliest real-work instant across the domains, capped at the cycle
-	// limit's own edge so a cycle-cap verdict lands with every counter
-	// unchanged.
-	h := s.sched.EdgeFs(timing.DomainInterconnect, s.maxIcnt)
-	if kCore != never {
-		if t := s.sched.HorizonFs(timing.DomainCore, kCore); t < h {
-			h = t
-		}
-	}
-	if kIcnt != never {
-		if t := s.sched.HorizonFs(timing.DomainInterconnect, kIcnt); t < h {
-			h = t
-		}
-	}
-	if kDram != never {
-		if t := s.sched.HorizonFs(timing.DomainDRAM, kDram); t < h {
-			h = t
-		}
-	}
-	if h <= s.sched.NextFs() {
-		return // no edge strictly inside the idle window
-	}
-	s.sched.SkipTo(h)
-}
-
-// ceilCheck rounds x up to the next multiple of stallCheckPeriod (a power
-// of two).
-func ceilCheck(x uint64) uint64 {
-	return (x + stallCheckPeriod - 1) &^ uint64(stallCheckPeriod-1)
-}
-
-// strideToNextIcnt bulk-advances the scheduler to the next interconnect
-// edge when the interconnect is the only domain with live work: every core
-// dormant and every DRAM side fully drained. The skipped core/DRAM edges
-// carry no ticks — they would only pay the loop prologue — and their idle
-// credits settle lazily like any other elision. Observable state at every
-// remaining loop top (interconnect cycle count, progress counter, health,
-// watchdog samples) is exactly what edge-by-edge stepping produces, since
-// nothing can change between two interconnect edges while the other domains
-// are dormant.
-func (s *System) strideToNextIcnt() {
-	if !s.awake.empty() {
-		return
-	}
-	for _, w := range s.dramWake {
-		if w != mem.NeverCycle {
-			return
-		}
-	}
-	// If the next loop top will retire the run — complete, or the cycle cap
-	// reached — stepping would observe it at the FIRST edge after this one,
-	// before any further core/DRAM edges advance their counters. Striding
-	// would credit those edges and inflate the final cycle counts, so hold
-	// position and let the loop top take the exit exactly.
-	ic := s.sched.Cycles(timing.DomainInterconnect)
-	if ic >= s.maxIcnt || s.done() {
-		return
-	}
-	if h := s.sched.EdgeFs(timing.DomainInterconnect, ic+1); h > s.sched.NextFs() {
-		s.sched.SkipTo(h)
-	}
 }

@@ -38,6 +38,9 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 		if s.coreCred[i] > cc {
 			t.Fatalf("step %d core %d: credit %d past the core count %d", step, i, s.coreCred[i], cc)
 		}
+		if s.awake.has(i) && s.coreCred[i] != cc {
+			t.Fatalf("step %d core %d: awake with credit %d behind the core count %d", step, i, s.coreCred[i], cc)
+		}
 	}
 	if s.netCred > ic {
 		t.Fatalf("step %d: network credit %d past the interconnect count %d", step, s.netCred, ic)
@@ -61,8 +64,9 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 // off, and checks after every step that a dormant core is asleep with
 // nothing to send, that the outbound set is exactly the cores with a queued
 // request, that the recorded completions are exactly the finished cores,
-// that no credit watermark runs ahead of its domain and that every delivery
-// batch was drained.
+// that no credit watermark runs ahead of its domain, that an awake core's
+// watermark is its domain's count (so a core edge never owes it idle
+// credit) and that every delivery batch was drained.
 func TestDormancyInvariants(t *testing.T) {
 	hh := quickProfile("HH")
 	cases := []struct {

@@ -1,19 +1,24 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/workload"
 )
 
-// checkSkipEquivalence runs cfg with idle-horizon fast-forwarding disabled,
-// then width copies of it with fast-forwarding enabled (the default) at
-// once, and fails unless every copy is bit-identical to the reference.
-// Field-level comparison runs first so a divergence points at the counter
-// that drifted, not just at a hash.
-func checkSkipEquivalence(t *testing.T, cfg Config, width int) {
+// checkSkipEquivalence runs cfg with dormancy elision disabled, then width
+// copies of it with elision enabled (the default) at once, and fails unless
+// every copy is bit-identical to the reference: the same Result (Status
+// included), network counters and digest, and for a degraded run the same
+// error and the same diagnostic dump. Field-level comparison runs first so
+// a divergence points at the counter that drifted, not just at a hash. It
+// returns the reference run's verdict, nil when the run completed, for the
+// caller to judge.
+func checkSkipEquivalence(t *testing.T, cfg Config, width int) error {
 	t.Helper()
 
 	off := cfg
@@ -23,9 +28,6 @@ func checkSkipEquivalence(t *testing.T, cfg Config, width int) {
 		t.Fatal(err)
 	}
 	resOff, errOff := sysOff.Run(nil)
-	if errOff != nil {
-		t.Fatalf("no-skip run degraded: %v", errOff)
-	}
 
 	on := cfg
 	on.NoIdleSkip = false
@@ -41,8 +43,11 @@ func checkSkipEquivalence(t *testing.T, cfg Config, width int) {
 	nsOff := sysOff.NetStats()
 	dOff := digestRun(resOff, nsOff)
 	for c, sysOn := range systems {
-		if errs[c] != nil {
-			t.Fatalf("skip run, copy %d: %v", c, errs[c])
+		if sysOn == nil {
+			t.Fatalf("copy %d failed to build: %v", c, errs[c])
+		}
+		if v, ref := verdictOf(errs[c]), verdictOf(errOff); v != ref {
+			t.Errorf("copy %d: verdict differs with skipping:\n skip:    %s\n no-skip: %s", c, v, ref)
 		}
 		resOn, nsOn := results[c], sysOn.NetStats()
 		if resOn != resOff {
@@ -63,30 +68,44 @@ func checkSkipEquivalence(t *testing.T, cfg Config, width int) {
 			t.Errorf("copy %d: digest differs with skipping: %s vs %s", c, dOn, dOff)
 		}
 	}
+	return errOff
 }
 
-// TestIdleSkipEquivalence proves idle-horizon fast-forwarding is invisible:
-// every golden configuration must produce the SAME digest with skipping
-// enabled and disabled, at every width of the determinism matrix.
+// verdictOf renders a run's verdict for comparison: the error text and, for
+// a hang, the full diagnostic dump.
+func verdictOf(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	var he *fault.HangError
+	if fault.AsHang(err, &he) {
+		return err.Error() + "\n" + he.Diag.String()
+	}
+	return err.Error()
+}
+
+// TestIdleSkipEquivalence proves dormancy elision is invisible: every
+// golden configuration must produce the SAME digest with elision enabled
+// and disabled, at every width of the determinism matrix.
 func TestIdleSkipEquivalence(t *testing.T) {
 	for _, gc := range goldenMatrix() {
 		gc := gc
 		for _, width := range goldenWidths {
 			width := width
 			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, width), func(t *testing.T) {
-				checkSkipEquivalence(t, gc.build(), width)
+				if err := checkSkipEquivalence(t, gc.build(), width); err != nil {
+					t.Fatalf("run degraded: %v", err)
+				}
 			})
 		}
 	}
 }
 
-// TestIdleSkipEquivalenceMemBound covers the stall-dominated regime the
-// golden matrix barely enters: a single core parking its only warp on a
-// deep (128-cycle) memory pipeline, so nearly every cycle sits inside a
-// skippable window and the fast-forward machinery — not the edge-by-edge
-// path — produces almost all of the run. This is the configuration
-// BenchmarkIdleSkipClosedLoop times.
-func TestIdleSkipEquivalenceMemBound(t *testing.T) {
+// memBoundConfig is the stall-dominated regime the golden matrix barely
+// enters: a single core parking its only warp on a deep (128-cycle) memory
+// pipeline, so nearly every edge finds every component dormant. This is
+// the configuration BenchmarkIdleSkipClosedLoop times.
+func memBoundConfig() Config {
 	prof := workload.Profile{
 		Name: "MemStall", Abbr: "MSTL", Class: "LH",
 		Warps: 1, InstrsPerWarp: 600,
@@ -104,10 +123,60 @@ func TestIdleSkipEquivalenceMemBound(t *testing.T) {
 	nc.FlitBytes = 64
 	cfg.Noc = nc
 	cfg.Mem.L2Latency = 128
+	return cfg
+}
+
+// TestIdleSkipEquivalenceMemBound covers memBoundConfig, where elision
+// rather than real ticks settles almost every component cycle: each
+// dormant core, MC side and network pays its idle window with one skip
+// credit when the next event wakes it.
+func TestIdleSkipEquivalenceMemBound(t *testing.T) {
+	cfg := memBoundConfig()
 	for _, width := range []int{1, 2} {
 		width := width
 		t.Run(fmt.Sprintf("shards-%d", width), func(t *testing.T) {
-			checkSkipEquivalence(t, cfg, width)
+			if err := checkSkipEquivalence(t, cfg, width); err != nil {
+				t.Fatalf("run degraded: %v", err)
+			}
 		})
+	}
+}
+
+// TestIdleSkipVerdictEquivalence pins the verdicts of degraded and
+// fault-injected runs under elision: a cycle-capped run, a cycle-capped
+// memory-bound run whose cap lands while every component is dormant, a
+// wedged faulty network that the watchdogs must declare hung, and a faulty
+// run that recovers must end with the same Result, status, error and
+// diagnostic whether dormant components are elided or ticked every edge.
+func TestIdleSkipVerdictEquivalence(t *testing.T) {
+	capped := Baseline(quickProfile("HH"))
+	capped.MaxIcntCycles = 200
+	memCapped := memBoundConfig()
+	memCapped.MaxIcntCycles = 2000
+	wedged := Baseline(quickProfile("HH")).WithFaults(1, 3)
+	wedged.Noc.Fault.CreditResyncCycles = 1 << 40
+	wedged.Noc.Fault.RetxTimeout = 1 << 40
+	wedged.Noc.Fault.WatchdogCycles = 2000
+	recovers := Baseline(quickProfile("LL")).WithFaults(0.002, 7)
+	recovers.Noc.Fault.RetxTimeout = 512
+	cases := []struct {
+		id   string
+		cfg  Config
+		want func(error) bool
+	}{
+		{"cycle-cap", capped, func(err error) bool { return errors.Is(err, fault.ErrCycleCap) }},
+		{"membound-cycle-cap", memCapped, func(err error) bool { return errors.Is(err, fault.ErrCycleCap) }},
+		{"wedged", wedged, fault.IsHang},
+		{"faults-recover", recovers, func(err error) bool { return err == nil }},
+	}
+	for _, tc := range cases {
+		for _, width := range []int{1, 2} {
+			tc, width := tc, width
+			t.Run(fmt.Sprintf("%s/shards-%d", tc.id, width), func(t *testing.T) {
+				if err := checkSkipEquivalence(t, tc.cfg, width); !tc.want(err) {
+					t.Fatalf("unexpected verdict: %v", err)
+				}
+			})
+		}
 	}
 }

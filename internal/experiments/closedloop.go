@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/area"
 	"repro/internal/core"
@@ -48,8 +49,7 @@ func (s *Suite) Fig8() *Report {
 	tb := stats.NewTable("Fig 8: perfect-NoC speedup vs MC injection rate",
 		"bench", "class", "mcInj(flits/cyc/node)", "speedup")
 	s.prefetch(core.Baseline, core.Perfect)
-	type pt struct{ x, y float64 }
-	var pts []pt
+	var xs, ys []float64
 	for _, p := range s.bench {
 		base := s.run(core.Baseline(p))
 		perf := s.run(core.Perfect(p))
@@ -59,38 +59,45 @@ func (s *Suite) Fig8() *Report {
 		}
 		ratio := perf.IPC / base.IPC
 		tb.AddRow(p.Abbr, p.Class, perf.MCInjRate, pct(ratio))
-		pts = append(pts, pt{x: perf.MCInjRate, y: ratio})
+		xs = append(xs, perf.MCInjRate)
+		ys = append(ys, ratio)
 	}
-	// Pearson correlation between log-ish variables, as a summary.
-	var sx, sy, sxx, syy, sxy float64
-	for _, p := range pts {
-		sx += p.x
-		sy += p.y
-		sxx += p.x * p.x
-		syy += p.y * p.y
-		sxy += p.x * p.y
+	r := "n/a"
+	if corr, ok := pearson(xs, ys); ok {
+		r = fmt.Sprintf("%.2f", corr)
 	}
-	n := float64(len(pts))
-	corr := (n*sxy - sx*sy) / (sqrt(n*sxx-sx*sx) * sqrt(n*syy-sy*sy))
 	return &Report{
 		ID:    "fig8",
 		Title: "Speedup correlates with memory-node injection rate",
 		Table: tb,
 		Summary: []string{
-			fmt.Sprintf("correlation(speedup, MC injection rate): paper 'correlated', measured r=%.2f", corr),
+			"correlation(speedup, MC injection rate): paper 'correlated', measured r=" + r,
 		},
 	}
 }
 
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
+// pearson returns the Pearson correlation coefficient of the paired
+// samples, or false when it is undefined: fewer than two pairs, or no
+// spread in either variable.
+func pearson(xs, ys []float64) (float64, bool) {
+	var sx, sy, sxx, syy, sxy float64
+	spreadX, spreadY := false, false
+	for i, x := range xs {
+		y := ys[i]
+		spreadX = spreadX || x != xs[0]
+		spreadY = spreadY || y != ys[0]
+		sx += x
+		sy += y
+		sxx += x * x
+		syy += y * y
+		sxy += x * y
 	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
+	n := float64(len(xs))
+	vx, vy := n*sxx-sx*sx, n*syy-sy*sy
+	if !spreadX || !spreadY || vx <= 0 || vy <= 0 {
+		return 0, false
 	}
-	return x
+	return (n*sxy - sx*sy) / (math.Sqrt(vx) * math.Sqrt(vy)), true
 }
 
 // Fig9 compares doubling channel bandwidth against 1-cycle routers

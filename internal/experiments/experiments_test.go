@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -196,5 +197,42 @@ func TestPct(t *testing.T) {
 	}
 	if pct(0.95) != "-5.0%" {
 		t.Errorf("pct(0.95) = %s", pct(0.95))
+	}
+}
+
+func TestPearson(t *testing.T) {
+	cases := []struct {
+		id     string
+		xs, ys []float64
+		want   float64
+		ok     bool
+	}{
+		{"empty", nil, nil, 0, false},
+		{"one-pair", []float64{0.3}, []float64{1.4}, 0, false},
+		{"constant-x", []float64{0.1, 0.1, 0.1}, []float64{1, 2, 3}, 0, false},
+		{"constant-y", []float64{1, 2, 3}, []float64{1.2, 1.2, 1.2}, 0, false},
+		{"linear", []float64{1, 2, 3, 4}, []float64{2, 5, 8, 11}, 1, true},
+		{"anti-linear", []float64{1, 2, 3, 4}, []float64{4, 3, 2, 1}, -1, true},
+		// Deviations (-2,-1,0,1,2) and (-2,0,1,0,1): r = 6/sqrt(10·6).
+		{"textbook", []float64{1, 2, 3, 4, 5}, []float64{2, 4, 5, 4, 5}, 6 / math.Sqrt(60), true},
+	}
+	for _, tc := range cases {
+		got, ok := pearson(tc.xs, tc.ys)
+		if ok != tc.ok || math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: pearson = %v, %v; want %v, %v", tc.id, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestFig8SinglePointCorrelation pins the summary of a one-benchmark Fig 8:
+// a single finished point has no correlation, and the report says so.
+func TestFig8SinglePointCorrelation(t *testing.T) {
+	s, err := New(Options{Scale: 0.05, Benchmarks: []string{"MUM"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := s.Fig8().String()
+	if !strings.Contains(out, "measured r=n/a") {
+		t.Fatalf("one-point fig8 summary lacks r=n/a:\n%s", out)
 	}
 }

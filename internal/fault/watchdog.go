@@ -46,14 +46,6 @@ func (w *Watchdog) Observe(cycle, moved uint64, inFlight int) bool {
 // LastMovement returns the cycle of the last observed movement.
 func (w *Watchdog) LastMovement() uint64 { return w.lastMove }
 
-// Synced reports whether the watchdog has already recorded the given
-// movement-counter value: a further Observe with the same count will not
-// reset the no-movement window. Idle-horizon skipping uses this to decide
-// whether LastMovement()+Window bounds the next possible trip cycle.
-func (w *Watchdog) Synced(moved uint64) bool {
-	return w != nil && w.primed && w.lastCount == moved
-}
-
 // VCDump is one occupied virtual channel in a diagnostic snapshot.
 type VCDump struct {
 	Node      int    // router (mesh tile) id

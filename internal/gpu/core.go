@@ -467,7 +467,8 @@ const NeverCycle = ^uint64(0)
 // that SkipAhead replays (cycle/cooldown/stall counters and blocked
 // front-of-memQ retries). Until that cycle — or an external DeliverFill /
 // PopRequest, which the caller must treat as invalidating — every Tick is
-// equivalent to a unit of SkipAhead.
+// equivalent to a unit of SkipAhead. The closed loop reads only Asleep;
+// this full horizon is the oracle the tests hold Asleep to.
 func (c *Core) NextWorkCycle() uint64 {
 	// End-of-kernel flush fires on the next tick.
 	if c.kernelDrained() {

@@ -8,10 +8,7 @@
 // GDDR3 DRAM at 1107 MHz.
 package timing
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Domain identifies one clock domain in a Scheduler.
 type Domain int
@@ -107,89 +104,8 @@ func (s *Scheduler) Step(buf []Domain) []Domain {
 }
 
 // NumDomains is the number of clock domains a Scheduler interleaves,
-// exported so callers can size per-domain credit arrays.
+// exported so callers can size the buffer they pass to Step.
 const NumDomains = int(numDomains)
-
-// NextFs returns the absolute time of the earliest pending clock edge —
-// the edge the next call to Step would execute.
-func (s *Scheduler) NextFs() uint64 {
-	next := s.domains[0].nextFs
-	for d := 1; d < int(numDomains); d++ {
-		if s.domains[d].nextFs < next {
-			next = s.domains[d].nextFs
-		}
-	}
-	return next
-}
-
-// EdgeFs returns the absolute time of the edge that brings domain d's
-// cycle counter to the given value (edge k fires at k×period). The result
-// saturates at the maximum representable time instead of wrapping, so a
-// +∞-style cycle bound stays an upper bound.
-func (s *Scheduler) EdgeFs(d Domain, cycle uint64) uint64 {
-	return satMulAdd(cycle, s.domains[d].periodFs, 0)
-}
-
-// HorizonFs returns the absolute time of domain d's next edge after
-// idleTicks further edges — i.e. the edge a component whose next work is
-// idleTicks ticks away will execute on. idleTicks of zero names the very
-// next edge. Saturates instead of wrapping.
-func (s *Scheduler) HorizonFs(d Domain, idleTicks uint64) uint64 {
-	return satMulAdd(idleTicks, s.domains[d].periodFs, s.domains[d].nextFs)
-}
-
-// SkipTo bulk-advances every domain past all of its edges strictly before
-// targetFs, crediting cycle counters exactly as the equivalent sequence of
-// Step calls would, and returns the per-domain credited edge counts. Time
-// advances to the latest credited edge (it never moves backwards). The
-// edge at targetFs itself is left pending, so the next Step executes it
-// normally — callers pick targetFs as the earliest edge on which any
-// component has real work, and the skipped window is provably empty.
-func (s *Scheduler) SkipTo(targetFs uint64) [NumDomains]uint64 {
-	var credited [NumDomains]uint64
-	for d := 0; d < int(numDomains); d++ {
-		st := &s.domains[d]
-		if st.nextFs >= targetFs {
-			continue
-		}
-		var n, last uint64
-		if span := targetFs - st.nextFs; span <= st.periodFs<<2 {
-			// Small window (a handful of edges, the common case when a
-			// caller strides one fast-domain cycle at a time): count edges
-			// additively instead of paying a 64-bit division.
-			last = st.nextFs
-			n = 1
-			for e := last + st.periodFs; e < targetFs; e += st.periodFs {
-				last = e
-				n++
-			}
-		} else {
-			n = (targetFs-1-st.nextFs)/st.periodFs + 1
-			last = st.nextFs + (n-1)*st.periodFs
-		}
-		st.cycles += n
-		st.nextFs += n * st.periodFs
-		credited[d] = n
-		if last > s.nowFs {
-			s.nowFs = last
-		}
-	}
-	return credited
-}
-
-// satMulAdd returns a×b+c, saturating at the maximum uint64 instead of
-// wrapping.
-func satMulAdd(a, b, c uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	if hi != 0 {
-		return ^uint64(0)
-	}
-	sum, carry := bits.Add64(lo, c, 0)
-	if carry != 0 {
-		return ^uint64(0)
-	}
-	return sum
-}
 
 // NowFs returns the current simulated time in femtoseconds.
 func (s *Scheduler) NowFs() uint64 { return s.nowFs }

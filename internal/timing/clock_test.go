@@ -92,119 +92,26 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-func TestSchedulerSkipToMatchesStepping(t *testing.T) {
-	// One SkipTo to an arbitrary future edge must leave Cycles() and the
-	// pending-edge schedule identical to stepping edge by edge up to (but
-	// not including) that edge, and the credited counts must match the
-	// per-domain tick counts stepping observed.
-	for _, horizonSteps := range []int{1, 2, 3, 7, 100, 12345} {
-		stepped := MustNewScheduler(1296, 602, 1107)
-		var buf []Domain
-		var ticked [NumDomains]uint64
-		for i := 0; i < horizonSteps; i++ {
-			buf = stepped.Step(buf)
-			for _, d := range buf {
-				ticked[d]++
-			}
-		}
-		target := stepped.NextFs()
-
-		skipped := MustNewScheduler(1296, 602, 1107)
-		credited := skipped.SkipTo(target)
-
-		if credited != ticked {
-			t.Fatalf("horizon %d: credited %v, stepping ticked %v", horizonSteps, credited, ticked)
-		}
-		for d := DomainCore; d <= DomainDRAM; d++ {
-			if skipped.Cycles(d) != stepped.Cycles(d) {
-				t.Errorf("horizon %d: %s cycles: skip %d, step %d",
-					horizonSteps, d, skipped.Cycles(d), stepped.Cycles(d))
-			}
-		}
-		if skipped.NowFs() != stepped.NowFs() {
-			t.Errorf("horizon %d: NowFs: skip %d, step %d", horizonSteps, skipped.NowFs(), stepped.NowFs())
-		}
-		if skipped.NextFs() != stepped.NextFs() {
-			t.Errorf("horizon %d: NextFs: skip %d, step %d", horizonSteps, skipped.NextFs(), stepped.NextFs())
-		}
-	}
-}
-
-func TestSchedulerSkipToCoincidentEdges(t *testing.T) {
-	// With equal frequencies every edge is coincident across all three
-	// domains; a skip to edge N must credit N-1 edges to each domain and
-	// leave edge N pending for Step.
-	s := MustNewScheduler(1000, 1000, 1000)
-	period := s.PeriodFs(DomainCore)
-	credited := s.SkipTo(5 * period)
-	for d := 0; d < NumDomains; d++ {
-		if credited[d] != 4 {
-			t.Fatalf("domain %d credited %d, want 4", d, credited[d])
-		}
-	}
-	var buf []Domain
-	buf = s.Step(buf)
-	if len(buf) != 3 {
-		t.Fatalf("edge after skip: want all 3 domains, got %v", buf)
-	}
-	if s.NowFs() != 5*period || s.Cycles(DomainCore) != 5 {
-		t.Fatalf("after skip+step: nowFs=%d cycles=%d, want %d and 5", s.NowFs(), s.Cycles(DomainCore), 5*period)
-	}
-}
-
-func TestSchedulerSkipToNoPendingEdgeIsNoop(t *testing.T) {
-	// A target at or before the earliest pending edge credits nothing.
-	s := MustNewScheduler(1296, 602, 1107)
-	for _, target := range []uint64{0, 1, s.NextFs()} {
-		credited := s.SkipTo(target)
-		if credited != [NumDomains]uint64{} {
-			t.Fatalf("SkipTo(%d) credited %v, want nothing", target, credited)
-		}
-	}
-	if s.NowFs() != 0 {
-		t.Fatalf("no-op skip moved time to %d", s.NowFs())
-	}
-}
-
 func TestSchedulerTruncatedPeriodDrift(t *testing.T) {
 	// Periods are truncated to integer femtoseconds (1296 MHz → 771604 fs,
 	// exact value 771604.938…), so domain edges drift slightly fast
-	// relative to ideal real time. This is a property of the femtosecond
-	// representation, not of SkipTo: bulk advance reproduces exactly the
-	// same truncated edge times as stepping. This test documents the
-	// drift bound: after N edges the accumulated error is N × frac(period)
-	// < N fs, i.e. under one nanosecond per million cycles.
+	// relative to ideal real time. This test documents the drift bound:
+	// after N edges the accumulated error is N × frac(period) < N fs, i.e.
+	// under one nanosecond per million cycles.
 	s := MustNewScheduler(1296, 602, 1107)
 	const n = 1_000_000
-	s.SkipTo(s.EdgeFs(DomainCore, n+1))
-	if got := s.Cycles(DomainCore); got < n {
-		t.Fatalf("core cycles after skip: %d, want >= %d", got, n)
+	var buf []Domain
+	for s.Cycles(DomainCore) < n {
+		buf = s.Step(buf)
+	}
+	if s.NowFs() != n*s.PeriodFs(DomainCore) {
+		t.Fatalf("core edge %d at %d fs, want %d × period", n, s.NowFs(), n)
 	}
 	idealFs := float64(n) * femtosPerSecond / (1296e6)
-	truncFs := float64(n * s.PeriodFs(DomainCore))
+	truncFs := float64(s.NowFs())
 	drift := idealFs - truncFs
 	if drift < 0 || drift > n {
 		t.Fatalf("truncation drift %v fs outside [0, %d) fs after %d cycles", drift, n, n)
-	}
-}
-
-func TestSchedulerPropertySkipEquivalence(t *testing.T) {
-	// Property: for any step count, stepping N edges then reading NextFs
-	// gives a target where SkipTo on a fresh scheduler reproduces the
-	// exact same state.
-	f := func(steps uint16) bool {
-		n := int(steps%3000) + 1
-		a := MustNewScheduler(1296, 602, 1107)
-		var buf []Domain
-		for i := 0; i < n; i++ {
-			buf = a.Step(buf)
-		}
-		b := MustNewScheduler(1296, 602, 1107)
-		b.SkipTo(a.NextFs())
-		return *a == *b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

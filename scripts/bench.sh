@@ -63,8 +63,9 @@ esac
 		# port) and barrier kernels; fixed iteration count so allocs/op is
 		# comparable across captures.
 		go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 2000000x ./internal/gpu/
-		# The closed loops those ticks add up to: the idle-skip pair and
-		# the lane-batched memory-bound manycore run.
+		# The closed loops those ticks add up to: the dormancy-elision
+		# pair (elided vs every component ticked on every edge) and the
+		# lane-batched memory-bound manycore run.
 		go test -run '^$' -bench 'BenchmarkIdleSkipClosedLoop' -benchmem -benchtime 1x .
 		go test -run '^$' -bench 'BenchmarkLaneThroughput' -benchmem -benchtime 5x .
 	elif [ "$SUITE" = mem ]; then
@@ -83,8 +84,9 @@ esac
 		# sweep (alloc-gated at 0 allocs/op in CI).
 		go test -run '^$' -bench 'BenchmarkSweepPlanner' -benchmem -benchtime 200x ./internal/runner/
 		# Class-representative figure benchmarks (hm_speedup metrics et al)
-		# and the idle-horizon fast-forward pairs, whose skip rows get a
-		# derived speedup_vs_noskip metric from cmd/benchjson.
+		# and the idle-skip pairs (closed-loop dormancy elision, open-loop
+		# drain skip), whose skip rows get a derived speedup_vs_noskip
+		# metric from cmd/benchjson.
 		go test -run '^$' -bench 'Fig|Table|Headline|IdleSkip' -benchmem -benchtime 1x .
 		# Lane-batched end-to-end throughput (memory-bound manycore closed
 		# loop at 1 and 4 seed lanes). Longer benchtime: the per-seed
