@@ -17,15 +17,7 @@ import (
 func BenchmarkCycleKernel(b *testing.B) {
 	b.Run("low-load", func(b *testing.B) { benchCycleKernel(b, DefaultConfig(), 1) })
 	b.Run("high-load", func(b *testing.B) { benchCycleKernel(b, DefaultConfig(), 8) })
-	b.Run("checkerboard", func(b *testing.B) {
-		cfg := DefaultConfig()
-		cfg.Checkerboard = true
-		cfg.Routing = RoutingCheckerboard
-		cfg.NumVCs = 4
-		cfg.MCs = CheckerboardPlacement(6, 6, 8)
-		cfg.MCInjPorts = 2
-		benchCycleKernel(b, cfg, 4)
-	})
+	b.Run("checkerboard", func(b *testing.B) { benchCycleKernel(b, checkerboardKernelConfig(), 4) })
 	// High load with a 3-cycle credit return: a freed slot's credit stays in
 	// the downstream VC's pop window for several cycles.
 	b.Run("credit-latency-3", func(b *testing.B) {
@@ -44,6 +36,18 @@ func BenchmarkCycleKernel(b *testing.B) {
 	// Convergence tail: the network drains after a burst, so most tiles are
 	// idle most cycles — the case active-component lists exist for.
 	b.Run("drain-tail", func(b *testing.B) { benchDrainTail(b, DefaultConfig()) })
+}
+
+// checkerboardKernelConfig is the CycleKernel/checkerboard network: the
+// checkerboard mesh with two-phase routing, 4 VCs and two MC injection ports.
+func checkerboardKernelConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Checkerboard = true
+	cfg.Routing = RoutingCheckerboard
+	cfg.NumVCs = 4
+	cfg.MCs = CheckerboardPlacement(6, 6, 8)
+	cfg.MCInjPorts = 2
+	return cfg
 }
 
 // BenchmarkBackendKernel measures the cycle kernel across the topology
