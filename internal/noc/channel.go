@@ -7,27 +7,18 @@ import (
 )
 
 // channel is a unidirectional link between two routers. It holds no flits:
-// send deposits the flit straight into the downstream input VC, stamped with
-// the cycle it comes off the wire (Flit.arrived), and the downstream router
-// ignores it until that cycle (see router.acceptFlit and arrMask). The slot
-// is already reserved — the sender saw it free (router.freeSlots counts the
-// flits on the wire) — so wire occupancy plus buffered flits never exceed
-// the buffer depth.
+// the upstream router's traverse deposits a sent flit straight into the
+// downstream input VC, stamped with the cycle it comes off the wire
+// (Flit.arrived), and the downstream router ignores it until that cycle (see
+// router.acceptFlit and arrMask). The slot is already reserved — the sender
+// saw it free (router.freeSlots counts the flits on the wire) — so wire
+// occupancy plus buffered flits never exceed the buffer depth. A flit struck
+// by a link fault still occupies its slot and flows on (flow control
+// acknowledges it), but poisons its packet for the end-to-end check at the
+// ejection interface.
 type channel struct {
 	dst     *router
 	dstPort int // input port index at dst
-}
-
-// send puts f on the wire at cycle; f.arrived already holds the cycle it
-// lands. Each send is the link fault model's strike point, drawn on the
-// arrival cycle (see faultState.strikes): a corrupted flit still occupies its
-// buffer slot and flows on (flow control acknowledges it), but poisons its
-// packet for the end-to-end check at the ejection interface.
-func (c *channel) send(f Flit, cycle uint64) {
-	if fs := c.dst.net.fs; fs != nil {
-		fs.noteSend(f.Pkt, f.arrived)
-	}
-	c.dst.acceptFlit(c.dstPort, f, cycle)
 }
 
 // creditEvent is one lost credit on its way back to the upstream router.

@@ -1,6 +1,10 @@
 package noc
 
-import "repro/internal/ring"
+import (
+	"math/bits"
+
+	"repro/internal/ring"
+)
 
 // injWriter streams one packet's flits into an injection buffer VC. Flits
 // are synthesized on the fly from (pkt, next) rather than materialized as a
@@ -16,13 +20,18 @@ type injWriter struct {
 // netIface is the per-node network interface: bounded source queues feeding
 // the router's injection port(s), and packet reassembly on the ejection
 // side. Each injection port writes at most one flit per cycle, so a 2-port
-// MC router has twice the terminal injection bandwidth (§IV-D).
+// MC router has twice the terminal injection bandwidth (§IV-D). writing has
+// bit port*numVCs+vc set while writers[port][vc] holds a packet: each
+// injection port's numVCs-bit window is its mask of busy writers, which
+// continueWrite walks and pickInjVC takes out of the packet's allowed VCs.
+// The injection VCs are router input VCs, so all windows fit one word.
 type netIface struct {
 	node    NodeID
 	rtr     *router
 	net     *meshNet
 	srcQ    [NumClasses]ring.Ring[*Packet]
 	writers [][]injWriter // [injPort][vc]
+	writing uint64        // bit port*numVCs+vc: writers[port][vc].pkt != nil
 	pend    int           // queued packets + in-progress writers; injectStep is a no-op at 0
 	classRR int
 
@@ -63,18 +72,21 @@ func (ni *netIface) injectStep(cycle uint64) {
 	}
 }
 
-// continueWrite pushes the next flit of an in-progress packet on port,
-// returning whether a flit was written.
+// portWriting returns port's window of the writing mask.
+func (ni *netIface) portWriting(port int) uint64 {
+	n := uint(ni.rtr.p.numVCs)
+	return ni.writing >> (uint(port) * n) & (uint64(1)<<n - 1)
+}
+
+// continueWrite pushes the next flit of the lowest-VC in-progress packet on
+// port that has buffer space, returning whether a flit was written.
 func (ni *netIface) continueWrite(port int, cycle uint64) bool {
-	for v := range ni.writers[port] {
-		w := &ni.writers[port][v]
-		if w.pkt == nil {
-			continue
-		}
+	for m := ni.portWriting(port); m != 0; m &= m - 1 {
+		v := bits.TrailingZeros64(m)
 		if ni.rtr.injSpace(port, v) == 0 {
 			continue
 		}
-		ni.writeFlit(port, w, cycle)
+		ni.writeFlit(port, &ni.writers[port][v], cycle)
 		return true
 	}
 	return false
@@ -108,16 +120,17 @@ func (ni *netIface) startWrite(port int, cycle uint64) {
 		ni.net.stats.InjectedBytes[ni.node] += uint64(pkt.Bytes)
 		w := &ni.writers[port][vc]
 		*w = injWriter{pkt: pkt, total: int(pkt.flits), vc: vc}
+		ni.writing |= 1 << uint(port*ni.rtr.p.numVCs+vc)
 		ni.writeFlit(port, w, cycle)
 		return
 	}
 }
 
-// pickInjVC returns a VC from the packet's allowed set with no in-progress
-// writer on this port and at least one free buffer slot, or -1.
+// pickInjVC returns the lowest VC of the packet's allowed mask with no
+// in-progress writer on this port and at least one free buffer slot, or -1.
 func (ni *netIface) pickInjVC(port int, pkt *Packet) int {
-	for _, v := range ni.net.vcs.allowed(pkt.Class, pkt.YXPhase) {
-		if ni.writers[port][v].pkt == nil && ni.rtr.injSpace(port, v) > 0 {
+	for m := ni.net.vcs.allowed(pkt.Class, pkt.YXPhase) &^ ni.portWriting(port); m != 0; m &= m - 1 {
+		if v := bits.TrailingZeros64(m); ni.rtr.injSpace(port, v) > 0 {
 			return v
 		}
 	}
@@ -138,6 +151,7 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 	ni.net.moveCount++
 	if w.next == w.total {
 		w.pkt = nil
+		ni.writing &^= 1 << uint(port*ni.rtr.p.numVCs+w.vc)
 		ni.pend--
 	}
 }

@@ -149,7 +149,7 @@ func TestChannelPartialDelivery(t *testing.T) {
 	idx := r.inIdx(ch.dstPort, 0)
 	ivc := &r.inputs[idx]
 	for _, at := range []uint64{3, 5, 9} {
-		ch.send(Flit{VC: 0, Head: true, Tail: true, arrived: at}, 1)
+		ch.dst.acceptFlit(ch.dstPort, Flit{VC: 0, Head: true, Tail: true, arrived: at}, 1)
 	}
 	bit := uint64(1) << uint(idx)
 	if ivc.buf.Len() != 3 || ivc.nextAt != 3 || r.arrMask != bit || r.rcMask != 0 {
@@ -181,7 +181,7 @@ func creditLink(cfg Config) (*router, *channel, *inVC) {
 	up := m.routers[0]
 	ch := up.outChans[East]
 	for i := 0; i < cfg.BufDepth; i++ {
-		ch.send(Flit{Pkt: &Packet{}, Head: true, Tail: true, arrived: 1}, 0)
+		ch.dst.acceptFlit(ch.dstPort, Flit{Pkt: &Packet{}, Head: true, Tail: true, arrived: 1}, 0)
 	}
 	return up, ch, &ch.dst.inputs[ch.dst.inIdx(ch.dstPort, 0)]
 }

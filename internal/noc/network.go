@@ -172,9 +172,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// vcPlan maps (traffic class, routing phase) to the allowed output VCs.
+// vcPlan maps (traffic class, routing phase) to the allowed output VCs, as
+// a mask with bit v set for VC v. Every set is a contiguous ascending range,
+// so the lowest set bit of the mask ANDed with the free VCs is the first
+// free VC in the set's order.
 type vcPlan struct {
-	sets [NumClasses][2][]int
+	masks [NumClasses][2]uint64
 }
 
 func buildVCPlan(numVCs int, split bool, phases int) (vcPlan, error) {
@@ -199,22 +202,20 @@ func buildVCPlan(numVCs int, split bool, phases int) (vcPlan, error) {
 			if phases > 1 {
 				base += phase * per
 			}
-			set := make([]int, per)
-			for i := range set {
-				set[i] = base + i
-			}
-			p.sets[class][phase] = set
+			p.masks[class][phase] = (uint64(1)<<uint(per) - 1) << uint(base)
 		}
 	}
 	return p, nil
 }
 
-func (p *vcPlan) allowed(class TrafficClass, yxPhase bool) []int {
+// allowed returns the output VC mask of a packet of class in its routing
+// phase.
+func (p *vcPlan) allowed(class TrafficClass, yxPhase bool) uint64 {
 	phase := 0
 	if yxPhase {
 		phase = 1
 	}
-	return p.sets[class][phase]
+	return p.masks[class][phase]
 }
 
 // Mesh is the cycle-level network engine. Despite the historical name it
@@ -425,7 +426,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			if nb < 0 {
 				continue
 			}
-			r.outChans[d] = &channel{dst: n.routers[nb], dstPort: int(d.opposite())}
+			down, port := n.routers[nb], int(d.opposite())
+			r.outChans[d] = &channel{dst: down, dstPort: port}
+			r.downVCs[d] = down.inputs[port*cfg.NumVCs : (port+1)*cfg.NumVCs]
 			if n.fs != nil {
 				cc := &creditChannel{dst: r, dstPort: int(d)}
 				cc.q = ring.New[creditEvent](chanCap, chanCap)

@@ -93,11 +93,14 @@ type inVC struct {
 	popBits uint64 // bit k: a pop at popAt-k whose credit was not lost
 	nextAt  uint64 // front flit's arrival cycle; NeverCycle when buf is empty
 	state   vcState
-	port    int   // input port this VC sits on (fixed at construction)
-	vc      int   // VC number within the port (fixed at construction)
-	outPort int   // granted output port (valid from vcWaitVA on)
-	outVC   int   // granted output VC (valid in vcActive)
-	allowed []int // output VCs this packet may use at this hop
+	port    int // input port this VC sits on (fixed at construction)
+	vc      int // VC number within the port (fixed at construction)
+	outPort int // granted output port (valid from vcWaitVA on)
+	outVC   int // granted output VC (valid in vcActive)
+	// allowed has bit v set for each output VC v this packet may use at this
+	// hop: its vcPlan mask, set at route computation and cleared at the
+	// tail, so it is 0 outside VC and switch allocation.
+	allowed uint64
 	readyAt uint64
 }
 
@@ -188,6 +191,16 @@ type router struct {
 
 	outChans []*channel // per dir output port; nil at mesh edge
 
+	// downVCs[d] is the downstream router's window of input VCs fed by
+	// direction output d (its numVCs VCs on the opposite input port), nil at
+	// the edge. Switch allocation reads free slots through it.
+	downVCs [numDirs][]inVC
+
+	// outFree[port] has bit v set while output VC (port, v) has no owner:
+	// it mirrors outputs[].owner < 0, cleared at the VA grant and set again
+	// at the tail, so a VA bid is one AND with the VC's allowed mask.
+	outFree []uint64
+
 	// The lost-credit return path, built only when faults are enabled:
 	// credChans per dir input port (back to upstream) and credIn per dir
 	// output port (lost credits coming back); nil at the edge. credPend has
@@ -219,6 +232,7 @@ type router struct {
 	// input indices bidding for output VC key = outPort*numVCs+outVC and
 	// vaKeys the dirty keys in discovery order; saReq[out] is the mask of
 	// switch bidders per output port. Every mask is zero between cycles.
+	// vaReq, saReq and outFree share one backing array.
 	vaReq  []uint64
 	vaKeys []int
 	saReq  []uint64
@@ -263,9 +277,15 @@ func newRouter(p routerParams, net *meshNet, slab []Flit) *router {
 	r.vaPtr = make([]int, r.nOut*p.numVCs)
 	r.saInPtr = make([]int, r.nIn)
 	r.saOutPtr = make([]int, r.nOut)
-	r.vaReq = make([]uint64, r.nOut*p.numVCs)
-	r.vaKeys = make([]int, 0, r.nOut*p.numVCs)
-	r.saReq = make([]uint64, r.nOut)
+	nKeys := r.nOut * p.numVCs
+	masks := make([]uint64, nKeys+2*r.nOut)
+	r.vaReq = masks[:nKeys:nKeys]
+	r.saReq = masks[nKeys : nKeys+r.nOut : nKeys+r.nOut]
+	r.outFree = masks[nKeys+r.nOut:]
+	for o := range r.outFree {
+		r.outFree[o] = uint64(1)<<uint(p.numVCs) - 1
+	}
+	r.vaKeys = make([]int, 0, nKeys)
 	if net != nil && net.fs != nil {
 		r.stuck = make([]uint64, r.nIn*p.numVCs)
 		r.credChans = make([]*creditChannel, numDirs)
@@ -370,7 +390,11 @@ func (r *router) legalOutput(in, out int) bool {
 
 // step runs one router cycle: pull resynchronised lost credits, admit flits
 // that have come off the wire, then route computation, VC allocation, switch
-// allocation and switch traversal, each over its stage mask.
+// allocation and switch traversal, each over its stage mask. A VC that
+// entered a stage this step and cannot act in it yet is left out of that
+// stage's visit: a head routed now whose RC delay runs past this cycle, and,
+// when vaD is 1, a VC granted now. Every VC granted in an earlier step is
+// ready (readyAt <= cycle), so switch allocation tests no allocation delay.
 func (r *router) step(cycle uint64) {
 	if r.credPend != 0 {
 		r.pullCredits(cycle)
@@ -378,22 +402,29 @@ func (r *router) step(cycle uint64) {
 	if r.arrMask != 0 {
 		r.promoteArrived(cycle)
 	}
+	var fresh, granted uint64
 	if r.rcMask != 0 {
-		r.routeCompute(cycle)
+		fresh = r.routeCompute(cycle)
 	}
-	if r.vaMask != 0 {
-		r.vcAllocate(cycle)
+	if va := r.vaMask &^ fresh; va != 0 {
+		granted = r.vcAllocate(va, cycle)
 	}
-	if r.saMask != 0 {
-		r.switchAllocate(cycle)
+	sa := r.saMask
+	if r.vaD > 0 {
+		sa &^= granted
+	}
+	if sa != 0 {
+		r.switchAllocate(sa, cycle)
 	}
 }
 
 // routeCompute processes the head flits at the front of idle VCs; every VC
-// it visits moves on to VC allocation.
-func (r *router) routeCompute(cycle uint64) {
+// it visits moves on to VC allocation. It returns the VCs it routed whose
+// readyAt is still ahead of cycle, which VC allocation skips this step.
+func (r *router) routeCompute(cycle uint64) (fresh uint64) {
 	for m := r.rcMask; m != 0; m &= m - 1 {
-		ivc := &r.inputs[bits.TrailingZeros64(m)]
+		idx := bits.TrailingZeros64(m)
+		ivc := &r.inputs[idx]
 		head := ivc.buf.Front()
 		if !head.Head {
 			panic(fmt.Sprintf("noc: router %d: non-head flit (pkt %d seq %d) at front of idle vc",
@@ -420,35 +451,39 @@ func (r *router) routeCompute(cycle uint64) {
 		ivc.readyAt = head.arrived + r.rcD
 		if ivc.readyAt < cycle {
 			ivc.readyAt = cycle
+		} else if ivc.readyAt > cycle {
+			fresh |= 1 << uint(idx)
 		}
 	}
 	r.vaMask |= r.rcMask
 	r.rcMask = 0
+	return fresh
 }
 
-// vcAllocate matches waiting input VCs to free output VCs: each input VC
-// bids for the first free VC in its allowed set; each contested output VC
-// grants round-robin. Grants are processed in key-discovery order; they are
-// independent per key (every input VC bids on exactly one key), so the
-// order does not affect the outcome.
-func (r *router) vcAllocate(cycle uint64) {
+// vcAllocate matches the waiting input VCs in visit (a subset of vaMask) to
+// free output VCs: each ready input VC bids for the lowest free VC of its
+// allowed mask at its output port, which is the first free VC of the plan's
+// ascending set; each contested output VC grants round-robin. Grants are
+// processed in key-discovery order; they are independent per key (every
+// input VC bids on exactly one key), so the order does not affect the
+// outcome. It returns the granted VCs.
+func (r *router) vcAllocate(visit uint64, cycle uint64) (granted uint64) {
 	n := r.p.numVCs
-	for m := r.vaMask; m != 0; m &= m - 1 {
+	for m := visit; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
 		ivc := &r.inputs[idx]
 		if ivc.readyAt > cycle {
+			continue // routed in an earlier step, still inside its RC delay
+		}
+		free := ivc.allowed & r.outFree[ivc.outPort]
+		if free == 0 {
 			continue
 		}
-		base := ivc.outPort * n
-		for _, ov := range ivc.allowed {
-			if key := base + ov; r.outputs[key].owner < 0 {
-				if r.vaReq[key] == 0 {
-					r.vaKeys = append(r.vaKeys, key)
-				}
-				r.vaReq[key] |= 1 << uint(idx)
-				break
-			}
+		key := ivc.outPort*n + bits.TrailingZeros64(free)
+		if r.vaReq[key] == 0 {
+			r.vaKeys = append(r.vaKeys, key)
 		}
+		r.vaReq[key] |= 1 << uint(idx)
 	}
 	for _, key := range r.vaKeys {
 		winner := pickRRMask(r.vaReq[key], &r.vaPtr[key])
@@ -456,24 +491,28 @@ func (r *router) vcAllocate(cycle uint64) {
 		ivc := &r.inputs[winner]
 		r.outputs[key].owner = winner
 		ivc.outVC = key - ivc.outPort*n
+		r.outFree[ivc.outPort] &^= 1 << uint(ivc.outVC)
 		ivc.state = vcActive
 		ivc.readyAt = cycle + r.vaD
-		r.vaMask &^= 1 << uint(winner)
-		r.saMask |= 1 << uint(winner)
+		granted |= 1 << uint(winner)
 	}
+	r.vaMask &^= granted
+	r.saMask |= granted
 	r.vaKeys = r.vaKeys[:0]
+	return granted
 }
 
 // switchAllocate picks one flit per input port and one per output port
-// (input-first separable allocation) and traverses the switch. Grants run
-// in output-port order: traverse draws from the fault RNG (credit-loss per
-// send), so the iteration order must be deterministic for equal-seeded runs
-// to stay bit-identical.
-func (r *router) switchAllocate(cycle uint64) {
+// (input-first separable allocation) among the VCs in visit, a subset of
+// saMask that step has cleared of VCs still inside their VA delay, and
+// traverses the switch. Grants run in output-port order: traverse draws from
+// the fault RNG (credit-loss per send), so the iteration order must be
+// deterministic for equal-seeded runs to stay bit-identical.
+func (r *router) switchAllocate(visit uint64, cycle uint64) {
 	n := uint(r.p.numVCs)
 	window := uint64(1)<<n - 1
 	var outs uint64 // bit o: output port o has a bidder in saReq[o]
-	for in, m := 0, r.saMask; m != 0; in, m = in+1, m>>n {
+	for in, m := 0, visit; m != 0; in, m = in+1, m>>n {
 		if m&window == 0 {
 			continue
 		}
@@ -492,10 +531,13 @@ func (r *router) switchAllocate(cycle uint64) {
 }
 
 // pickSAInput selects, round-robin, an eligible VC at input port in and
-// returns its input index. active is the port's numVCs-bit window of saMask.
-// Rotating the window right by the port's pointer puts VC (start+k)%n at bit
-// k, so ascending bits visit the active VCs in round-robin order from start.
-// A candidate's output readiness is outputReady, read inline.
+// returns its input index. active is the port's numVCs-bit window of the
+// switch allocation visit mask, whose VCs are all past their allocation
+// delay. Rotating the window right by the port's pointer puts VC (start+k)%n
+// at bit k, so ascending bits visit the active VCs in round-robin order from
+// start. A candidate is eligible once its front flit is off the wire, no
+// stuck-VC fault holds it, and its output is ready: outputReady, read inline
+// through the downstream VC window for direction ports.
 func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 	n := r.p.numVCs
 	start := r.saInPtr[in]
@@ -506,15 +548,14 @@ func (r *router) pickSAInput(in int, active uint64, cycle uint64) (int, bool) {
 		}
 		idx := in*n + v
 		ivc := &r.inputs[idx]
-		if ivc.readyAt > cycle || ivc.nextAt > cycle {
-			continue // allocation delay, or no flit has come off the wire
+		if ivc.nextAt > cycle {
+			continue // no flit has come off the wire
 		}
 		if r.stuck != nil && r.stuck[idx] > cycle {
 			continue // transient stuck-VC fault freezes this VC's allocation
 		}
 		if op := ivc.outPort; op < int(numDirs) {
-			ch := r.outChans[op]
-			down := &ch.dst.inputs[ch.dstPort*n+ivc.outVC]
+			down := &r.downVCs[op][ivc.outVC]
 			if down.buf.n+down.inflight(cycle, r.p.credLat)+r.outputs[op*n+ivc.outVC].withheld >= r.p.bufDepth {
 				continue // no free slot downstream (freeSlots <= 0)
 			}
@@ -547,13 +588,13 @@ func (r *router) outputReady(port, vc int, cycle uint64) bool {
 
 // freeSlots is the credit count of direction output (port, vc) at cycle,
 // derived from the downstream input VC: its depth less the flits it holds
-// (on the wire or buffered: send deposits them), the pops whose credit is
-// still in flight, and the lost credits withheld until their resync. Reading the neighbour's VC is exact whichever of the two
-// routers steps first in a cycle: a pop at this cycle is in flight either
-// way, since credLat is at least 1.
+// (on the wire or buffered: traverse deposits them), the pops whose credit
+// is still in flight, and the lost credits withheld until their resync.
+// Reading the neighbour's VC is exact whichever of the two routers steps
+// first in a cycle: a pop at this cycle is in flight either way, since
+// credLat is at least 1.
 func (r *router) freeSlots(port, vc int, cycle uint64) int {
-	ch := r.outChans[port]
-	down := &ch.dst.inputs[ch.dstPort*r.p.numVCs+vc]
+	down := &r.downVCs[port][vc]
 	return r.p.bufDepth - down.buf.Len() - down.inflight(cycle, r.p.credLat) -
 		r.outputs[r.inIdx(port, vc)].withheld
 }
@@ -570,8 +611,15 @@ func (r *router) traverse(idx int, cycle uint64) {
 	out := &r.outputs[r.inIdx(op, ov)]
 	f.VC = int16(ov)
 	if op < int(numDirs) {
+		// The flit goes on the wire: straight into the downstream VC,
+		// stamped with the cycle it lands. Each send is the link fault
+		// model's strike point, drawn on the arrival cycle.
 		f.arrived = cycle + r.stD + r.p.chanLat
-		r.outChans[op].send(f, cycle)
+		if fs := r.net.fs; fs != nil {
+			fs.noteSend(f.Pkt, f.arrived)
+		}
+		ch := r.outChans[op]
+		ch.dst.acceptFlit(ch.dstPort, f, cycle)
 	} else {
 		e := op - int(numDirs)
 		r.ejOut[e]++
@@ -589,9 +637,10 @@ func (r *router) traverse(idx int, cycle uint64) {
 	}
 	if f.Tail {
 		out.owner = -1
+		r.outFree[op] |= 1 << uint(ov)
 		ivc.state = vcIdle
 		ivc.outPort = -1
-		ivc.allowed = nil
+		ivc.allowed = 0
 		// The VC leaves switch allocation; a next packet already queued
 		// behind the tail is a head awaiting route computation, or still
 		// on the wire.
