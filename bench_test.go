@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/noc"
@@ -356,7 +355,7 @@ func BenchmarkLaneThroughput(b *testing.B) {
 // BenchmarkTable06Area regenerates the area table.
 func BenchmarkTable06Area(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base := area.FromConfig(noc.DefaultConfig(), false)
+		base := core.Baseline(workload.Profile{}).Area()
 		if base.Routers < 60 || base.Routers > 75 {
 			b.Fatalf("baseline router area %v off Table VI", base.Routers)
 		}
@@ -370,10 +369,10 @@ func BenchmarkHeadlineThroughputEffectiveness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hm := runPair(b, core.Baseline, core.ThroughputEffective)
 		single := runPair(b, core.Baseline, core.ThroughputEffectiveSingle)
-		baseChip := area.FromConfig(noc.DefaultConfig(), false).Chip()
 		p, _ := workload.ByAbbr("MUM")
-		teChip := area.FromConfig(core.ThroughputEffective(p).Noc, true).Chip()
-		te1Chip := area.FromConfig(core.ThroughputEffectiveSingle(p).Noc, false).Chip()
+		baseChip := core.Baseline(p).Area().Chip()
+		teChip := core.ThroughputEffective(p).Area().Chip()
+		te1Chip := core.ThroughputEffectiveSingle(p).Area().Chip()
 		b.ReportMetric(100*(hm*baseChip/teChip-1), "ipc_per_mm2_gain_pct")
 		b.ReportMetric(100*(single*baseChip/te1Chip-1), "ipc_per_mm2_gain_1net_pct")
 	}

@@ -30,33 +30,9 @@ import (
 	"repro/internal/workload"
 )
 
-// configs maps CLI names to configuration builders.
-var configs = map[string]func(workload.Profile) core.Config{
-	"baseline": core.Baseline,
-	"2xbw":     func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() },
-	"1cycle":   func(p workload.Profile) core.Config { return core.Baseline(p).With1CycleRouters() },
-	"cp":       func(p workload.Profile) core.Config { return core.Baseline(p).WithCheckerboardPlacement() },
-	"cpcr":     func(p workload.Profile) core.Config { return core.Baseline(p).WithCheckerboardRouting() },
-	"double": func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork()
-	},
-	"te":       core.ThroughputEffective,
-	"te1net":   core.ThroughputEffectiveSingle,
-	"perfect":  core.Perfect,
-	"ring":     core.Ring,
-	"basejump": core.BaseJump,
-	"romm": func(p workload.Profile) core.Config {
-		c := core.Baseline(p).WithCheckerboardPlacement()
-		c.Name = "CP-ROMM"
-		c.Noc.Routing = noc.RoutingROMM
-		c.Noc.NumVCs = 4
-		return c
-	},
-}
-
 func main() {
 	bench := flag.String("bench", "MUM", `benchmark abbreviation from Table I, or "all"`)
-	config := flag.String("config", "baseline", "network configuration: "+strings.Join(configNames(), "|"))
+	config := flag.String("config", "baseline", "network configuration: "+strings.Join(configAliases(), "|"))
 	topology := flag.String("topology", "mesh",
 		"network substrate for topology-neutral configs: mesh|ring|basejump (named configs like -config ring already pick theirs)")
 	scale := flag.Float64("scale", 1.0, "kernel length scale")
@@ -78,9 +54,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tesim: -fault-rate %g outside [0,1]\n", *faultRate)
 		os.Exit(2)
 	}
-	build, ok := configs[strings.ToLower(*config)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tesim: unknown config %q (have %s)\n", *config, strings.Join(configNames(), ", "))
+	var build func(workload.Profile) core.Config
+	for _, d := range core.DesignPoints() {
+		if d.Alias == strings.ToLower(*config) {
+			build = d.Build
+		}
+	}
+	if build == nil {
+		fmt.Fprintf(os.Stderr, "tesim: unknown config %q (have %s)\n", *config, strings.Join(configAliases(), ", "))
 		os.Exit(2)
 	}
 	kind, err := noc.ParseBackendKind(strings.ToLower(*topology))
@@ -222,18 +203,12 @@ func main() {
 	}
 }
 
-func configNames() []string {
-	names := make([]string, 0, len(configs))
-	for k := range configs {
-		names = append(names, k)
+// configAliases lists the -config spellings of core.DesignPoints in table
+// order.
+func configAliases() []string {
+	var aliases []string
+	for _, d := range core.DesignPoints() {
+		aliases = append(aliases, d.Alias)
 	}
-	// Stable order for help text.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	return names
+	return aliases
 }

@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -30,23 +29,17 @@ func main() {
 		profiles = append(profiles, p)
 	}
 
-	type design struct {
+	designs := []struct {
 		name  string
 		build func(workload.Profile) core.Config
-		area  float64 // chip mm^2
-	}
-	teNoc := core.ThroughputEffective(profiles[0]).Noc
-	te1Noc := core.ThroughputEffectiveSingle(profiles[0]).Noc
-	bw2 := core.Baseline(profiles[0]).With2xBW().Noc
-	designs := []design{
-		{"Balanced Mesh", core.Baseline, area.FromConfig(core.Baseline(profiles[0]).Noc, false).Chip()},
-		{"2x BW", func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() },
-			area.FromConfig(bw2, false).Chip()},
-		{"Thr. Eff.", core.ThroughputEffective, area.FromConfig(teNoc, true).Chip()},
-		{"Thr. Eff. (1net)", core.ThroughputEffectiveSingle, area.FromConfig(te1Noc, false).Chip()},
-		{"Ring", core.Ring, area.FromConfig(core.Ring(profiles[0]).Noc, false).Chip()},
-		{"BaseJump", core.BaseJump, area.FromConfig(core.BaseJump(profiles[0]).Noc, false).Chip()},
-		{"Ideal NoC", core.Perfect, area.ComputeAreaMM2},
+	}{
+		{"Balanced Mesh", core.Baseline},
+		{"2x BW", func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() }},
+		{"Thr. Eff.", core.ThroughputEffective},
+		{"Thr. Eff. (1net)", core.ThroughputEffectiveSingle},
+		{"Ring", core.Ring},
+		{"BaseJump", core.BaseJump},
+		{"Ideal NoC", core.Perfect},
 	}
 
 	fmt.Printf("%-17s %10s %12s %14s %16s\n",
@@ -58,12 +51,13 @@ func main() {
 			ipcs = append(ipcs, core.MustRun(d.build(p).ScaleWork(0.4)).IPC)
 		}
 		avg := stats.ArithmeticMean(ipcs)
-		eff := avg / d.area
+		chip := d.build(profiles[0]).Area().Chip()
+		eff := avg / chip
 		if baseEff == 0 {
 			baseEff = eff
 		}
 		fmt.Printf("%-17s %10.1f %12.1f %14.4f %16.3f   (%+.1f%% vs baseline)\n",
-			d.name, avg, d.area, 1e3/d.area, 1e3*eff, 100*(eff/baseEff-1))
+			d.name, avg, chip, 1e3/chip, 1e3*eff, 100*(eff/baseEff-1))
 	}
 	fmt.Println("\nCurves of constant IPC/mm^2 run diagonally in Fig 2; designs to the")
 	fmt.Println("upper-right are more throughput-effective.")

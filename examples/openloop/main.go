@@ -10,26 +10,21 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/noc"
+	"repro/internal/core"
 	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 func main() {
-	tb := noc.DefaultConfig()
-
-	cpcr2p := tb
-	cpcr2p.Checkerboard = true
-	cpcr2p.Routing = noc.RoutingCheckerboard
-	cpcr2p.MCs = noc.CheckerboardPlacement(6, 6, 8)
-	cpcr2p.NumVCs = 4
-	cpcr2p.MCInjPorts = 2
-
+	// The open loop drives the network alone; the builders' workload is
+	// unused.
+	var p workload.Profile
 	configs := []struct {
-		name string
-		cfg  noc.Config
+		name  string
+		build func(workload.Profile) core.Config
 	}{
-		{"TB-DOR", tb},
-		{"CP-CR-2P", cpcr2p},
+		{"TB-DOR", core.Baseline},
+		{"CP-CR-2P", core.ThroughputEffectiveSingle},
 	}
 	rates := []float64{0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08}
 
@@ -42,7 +37,7 @@ func main() {
 		fmt.Println()
 		runners := make([]*traffic.Runner, len(configs))
 		for i, c := range configs {
-			runners[i] = traffic.NewMeshRunner(c.cfg)
+			runners[i] = traffic.NewMeshRunner(c.build(p).Noc)
 		}
 		for _, rate := range rates {
 			fmt.Printf("%-10.3f", rate)

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -29,9 +28,9 @@ func main() {
 	teRes := core.MustRun(thrEff)
 	te1Res := core.MustRun(thrEffSingle)
 
-	baseArea := area.FromConfig(baseline.Noc, false)
-	teArea := area.FromConfig(thrEff.Noc, true)
-	te1Area := area.FromConfig(thrEffSingle.Noc, false)
+	baseArea := baseline.Area()
+	teArea := thrEff.Area()
+	te1Area := thrEffSingle.Area()
 
 	fmt.Printf("benchmark: %s (%s)\n\n", profile.Name, profile.Abbr)
 	fmt.Printf("%-28s %10s %12s %12s\n", "config", "IPC", "chip mm^2", "IPC/mm^2")

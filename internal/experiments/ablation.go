@@ -26,40 +26,26 @@ func (s *Suite) Ablations() *Report {
 		"variant", "reply B/cyc/MC", "router mm^2 (sum)", "B/cyc/MC per mm^2")
 
 	type variant struct {
-		name   string
-		cfg    noc.Config
-		sliced bool
+		name string
+		cfg  noc.Config
 	}
+	p := s.bench[0]
 	mk := func(mutate func(*noc.Config)) noc.Config {
-		cfg := noc.DefaultConfig()
-		cfg.Checkerboard = true
-		cfg.Routing = noc.RoutingCheckerboard
-		cfg.MCs = noc.CheckerboardPlacement(6, 6, 8)
-		cfg.NumVCs = 4
+		cfg := builder("CP-CR")(p).Noc
 		mutate(&cfg)
 		return cfg
 	}
 	variants := []variant{
-		{"paper point (CP-CR 16B 4VC d8)", mk(func(*noc.Config) {}), false},
-		{"VCs=2 (DOR only)", func() noc.Config {
-			cfg := noc.DefaultConfig()
-			cfg.MCs = noc.CheckerboardPlacement(6, 6, 8)
-			return cfg
-		}(), false},
-		{"VCs=8", mk(func(c *noc.Config) { c.NumVCs = 8 }), false},
-		{"buffers=4", mk(func(c *noc.Config) { c.BufDepth = 4 }), false},
-		{"buffers=16", mk(func(c *noc.Config) { c.BufDepth = 16 }), false},
-		{"1-cycle routers", mk(func(c *noc.Config) { c.RouterStages = 1; c.HalfRouterStages = 1 }), false},
-		{"top-bottom placement (DOR)", noc.DefaultConfig(), false},
-		{"channels=32B", mk(func(c *noc.Config) { c.FlitBytes = 32 }), false},
-		{"MC inj ports=2", mk(func(c *noc.Config) { c.MCInjPorts = 2 }), false},
-		{"ROMM, full routers (CP)", func() noc.Config {
-			cfg := noc.DefaultConfig()
-			cfg.MCs = noc.CheckerboardPlacement(6, 6, 8)
-			cfg.Routing = noc.RoutingROMM
-			cfg.NumVCs = 4
-			return cfg
-		}(), false},
+		{"paper point (CP-CR 16B 4VC d8)", mk(func(*noc.Config) {})},
+		{"VCs=2 (DOR only)", builder("CP-DOR")(p).Noc},
+		{"VCs=8", mk(func(c *noc.Config) { c.NumVCs = 8 })},
+		{"buffers=4", mk(func(c *noc.Config) { c.BufDepth = 4 })},
+		{"buffers=16", mk(func(c *noc.Config) { c.BufDepth = 16 })},
+		{"1-cycle routers", mk(func(c *noc.Config) { c.RouterStages = 1; c.HalfRouterStages = 1 })},
+		{"top-bottom placement (DOR)", noc.DefaultConfig()},
+		{"channels=32B", mk(func(c *noc.Config) { c.FlitBytes = 32 })},
+		{"MC inj ports=2", mk(func(c *noc.Config) { c.MCInjPorts = 2 })},
+		{"ROMM, full routers (CP)", builder("CP-ROMM")(p).Noc},
 	}
 
 	probe := traffic.DefaultConfig()
@@ -74,7 +60,7 @@ func (s *Suite) Ablations() *Report {
 	for _, v := range variants {
 		res := traffic.NewMeshRunner(v.cfg).Run(probe)
 		bytesPerMC := res.ReplyInjectRate * 64
-		routers := area.FromConfig(v.cfg, v.sliced).Routers
+		routers := area.FromConfig(v.cfg, false).Routers
 		tb.AddRow(v.name, bytesPerMC, routers, bytesPerMC/routers)
 	}
 	summary = append(summary,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/area"
 	"repro/internal/core"
-	"repro/internal/noc"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -105,9 +104,7 @@ func pearson(xs, ys []float64) (float64, bool) {
 func (s *Suite) Fig9() *Report {
 	tb := stats.NewTable("Fig 9: bandwidth vs latency scaling",
 		"bench", "class", "2xBW speedup", "1-cycle speedup")
-	s.prefetch(core.Baseline,
-		func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() },
-		func(p workload.Profile) core.Config { return core.Baseline(p).With1CycleRouters() })
+	s.prefetch(core.Baseline, builder("2x-TB-DOR"), builder("TB-DOR-1cyc"))
 	bw := map[string]float64{}
 	lat := map[string]float64{}
 	for _, p := range s.bench {
@@ -138,8 +135,7 @@ func (s *Suite) Fig9() *Report {
 func (s *Suite) Fig10() *Report {
 	tb := stats.NewTable("Fig 10: NoC latency ratio, 1-cycle vs 4-cycle routers",
 		"bench", "class", "lat(4cyc)", "lat(1cyc)", "ratio")
-	s.prefetch(core.Baseline,
-		func(p workload.Profile) core.Config { return core.Baseline(p).With1CycleRouters() })
+	s.prefetch(core.Baseline, builder("TB-DOR-1cyc"))
 	lo, hi := 10.0, 0.0
 	for _, p := range s.bench {
 		base := s.run(core.Baseline(p))
@@ -196,9 +192,7 @@ func (s *Suite) Fig11() *Report {
 func (s *Suite) Fig16() *Report {
 	tb := stats.NewTable("Fig 16: checkerboard placement vs top-bottom (2 VCs)",
 		"bench", "class", "speedup")
-	ratios := s.speedups(core.Baseline, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardPlacement()
-	})
+	ratios := s.speedups(core.Baseline, builder("CP-DOR"))
 	for _, abbr := range s.orderedAbbrs() {
 		tb.AddRow(abbr, paperClassOf(abbr), pct(ratios[abbr]))
 	}
@@ -218,15 +212,9 @@ func (s *Suite) Fig16() *Report {
 func (s *Suite) Fig17() *Report {
 	tb := stats.NewTable("Fig 17: relative performance vs CP-DOR-2VC",
 		"bench", "class", "CP-DOR-4VC", "CP-CR-4VC")
-	base := func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardPlacement()
-	}
-	dor4 := s.speedups(base, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardPlacement().WithVCs(4)
-	})
-	cr4 := s.speedups(base, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting()
-	})
+	base := builder("CP-DOR")
+	dor4 := s.speedups(base, func(p workload.Profile) core.Config { return base(p).WithVCs(4) })
+	cr4 := s.speedups(base, builder("CP-CR"))
 	for _, abbr := range s.orderedAbbrs() {
 		tb.AddRow(abbr, paperClassOf(abbr), pct(dor4[abbr]), pct(cr4[abbr]))
 	}
@@ -249,11 +237,7 @@ func (s *Suite) Fig17() *Report {
 func (s *Suite) Fig18() *Report {
 	tb := stats.NewTable("Fig 18: double 8B network vs single 16B 4VC network",
 		"bench", "class", "speedup")
-	ratios := s.speedups(func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting()
-	}, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork()
-	})
+	ratios := s.speedups(builder("CP-CR"), builder("Double-CP-CR"))
 	for _, abbr := range s.orderedAbbrs() {
 		tb.AddRow(abbr, paperClassOf(abbr), pct(ratios[abbr]))
 	}
@@ -273,18 +257,11 @@ func (s *Suite) Fig18() *Report {
 func (s *Suite) Fig19() *Report {
 	tb := stats.NewTable("Fig 19: multi-port MC routers vs double network",
 		"bench", "class", "2 inj ports", "2 ej ports", "2 inj + 2 ej")
-	base := func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork()
-	}
-	twoP := s.speedups(base, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork().WithMCInjectionPorts(2)
-	})
-	twoE := s.speedups(base, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork().WithMCEjectionPorts(2)
-	})
+	base := builder("Double-CP-CR")
+	twoP := s.speedups(base, func(p workload.Profile) core.Config { return base(p).WithMCInjectionPorts(2) })
+	twoE := s.speedups(base, func(p workload.Profile) core.Config { return base(p).WithMCEjectionPorts(2) })
 	both := s.speedups(base, func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork().
-			WithMCInjectionPorts(2).WithMCEjectionPorts(2)
+		return base(p).WithMCInjectionPorts(2).WithMCEjectionPorts(2)
 	})
 	maxP := 0.0
 	for _, abbr := range s.orderedAbbrs() {
@@ -351,7 +328,7 @@ func (s *Suite) Fig6() *Report {
 	for _, p := range s.bench {
 		ref[p.Abbr] = s.run(core.Perfect(p)).IPC
 	}
-	baseNoC := area.FromConfig(noc.DefaultConfig(), false).NoC()
+	baseNoC := core.Baseline(s.bench[0]).Area().NoC()
 	var atBaseline float64
 	bestCostX, bestCost := 0.0, 0.0
 	for _, x := range xs {
@@ -394,42 +371,35 @@ func (s *Suite) Fig6() *Report {
 func (s *Suite) Fig2() *Report {
 	tb := stats.NewTable("Fig 2: throughput-effective design space",
 		"design", "avg IPC", "chip mm^2", "IPC/mm^2", "vs baseline")
-	type point struct {
-		name string
-		cfg  func(workload.Profile) core.Config
-		area area.NetworkArea
-	}
-	teCfg := core.ThroughputEffective(s.bench[0])
-	teSingleCfg := core.ThroughputEffectiveSingle(s.bench[0])
-	pts := []point{
-		{"Balanced Mesh", core.Baseline, area.FromConfig(noc.DefaultConfig(), false)},
-		{"2x BW", func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() },
-			area.FromConfig(with2x(), false)},
-		{"Thr. Eff.", core.ThroughputEffective, area.FromConfig(teCfg.Noc, true)},
-		{"Thr. Eff. (1net)", core.ThroughputEffectiveSingle, area.FromConfig(teSingleCfg.Noc, false)},
-		{"Ideal NoC", core.Perfect, area.NetworkArea{}},
+	pts := []struct {
+		name  string
+		build func(workload.Profile) core.Config
+	}{
+		{"Balanced Mesh", core.Baseline},
+		{"2x BW", builder("2x-TB-DOR")},
+		{"Thr. Eff.", core.ThroughputEffective},
+		{"Thr. Eff. (1net)", core.ThroughputEffectiveSingle},
+		{"Ideal NoC", core.Perfect},
 	}
 	builders := make([]func(workload.Profile) core.Config, len(pts))
 	for i, pt := range pts {
-		builders[i] = pt.cfg
+		builders[i] = pt.build
 	}
 	s.prefetch(builders...)
 	var baseEff float64
-	var rows []string
 	for _, pt := range pts {
 		var ipcs []float64
 		for _, p := range s.bench {
-			ipcs = append(ipcs, s.run(pt.cfg(p)).IPC)
+			ipcs = append(ipcs, s.run(pt.build(p)).IPC)
 		}
 		avg := stats.ArithmeticMean(ipcs)
-		eff := avg / pt.area.Chip()
+		chip := pt.build(s.bench[0]).Area().Chip()
+		eff := avg / chip
 		if pt.name == "Balanced Mesh" {
 			baseEff = eff
 		}
-		tb.AddRow(pt.name, avg, pt.area.Chip(), eff, pct(eff/baseEff))
-		rows = append(rows, fmt.Sprintf("%s: %.3f IPC/mm^2", pt.name, eff))
+		tb.AddRow(pt.name, avg, chip, eff, pct(eff/baseEff))
 	}
-	_ = rows
 	return &Report{
 		ID:    "fig2",
 		Title: "Design points in throughput vs inverse-area space",
@@ -440,26 +410,20 @@ func (s *Suite) Fig2() *Report {
 	}
 }
 
-func with2x() noc.Config {
-	cfg := noc.DefaultConfig()
-	cfg.FlitBytes *= 2
-	return cfg
-}
-
 // Headline computes the +25.4% IPC/mm² claim: Fig 20's HM IPC gain combined
 // with Table VI's area reduction, for both the paper-exact combined design
 // and the single-network variant.
 func (s *Suite) Headline() *Report {
-	baseArea := area.FromConfig(noc.DefaultConfig(), false)
+	baseArea := core.Baseline(s.bench[0]).Area()
 
 	ratios := s.speedups(core.Baseline, core.ThroughputEffective)
 	ipcGain := hm(ratios, nil)
-	teArea := area.FromConfig(core.ThroughputEffective(s.bench[0]).Noc, true)
+	teArea := core.ThroughputEffective(s.bench[0]).Area()
 	gain := ipcGain * baseArea.Chip() / teArea.Chip()
 
 	singleRatios := s.speedups(core.Baseline, core.ThroughputEffectiveSingle)
 	singleIPC := hm(singleRatios, nil)
-	singleArea := area.FromConfig(core.ThroughputEffectiveSingle(s.bench[0]).Noc, false)
+	singleArea := core.ThroughputEffectiveSingle(s.bench[0]).Area()
 	singleGain := singleIPC * baseArea.Chip() / singleArea.Chip()
 
 	tb := stats.NewTable("Headline: throughput-effectiveness",

@@ -99,13 +99,7 @@ func (s *Suite) Resilience() *Report {
 	tb := stats.NewTable("Resilience: IPC retention under injected network faults",
 		"bench", "config", "fault rate", "IPC", "rel IPC", "retx pkts", "dropped", "avg retries", "status")
 
-	configs := []struct {
-		name string
-		mk   func(workload.Profile) core.Config
-	}{
-		{"TB-DOR", func(p workload.Profile) core.Config { return core.Baseline(p) }},
-		{"CP-CR", func(p workload.Profile) core.Config { return core.Baseline(p).WithCheckerboardRouting() }},
-	}
+	configs := []string{"TB-DOR", "CP-CR"}
 	bench := s.resilienceBench()
 	worstRate := resilienceRates[len(resilienceRates)-1]
 
@@ -113,12 +107,13 @@ func (s *Suite) Resilience() *Report {
 	// the sweep planner: each point's seed replicas differ only in Seed,
 	// so they coalesce into one lane batch.
 	var cfgs []core.Config
-	for _, c := range configs {
+	for _, name := range configs {
+		mk := builder(name)
 		for _, p := range bench {
-			cfgs = append(cfgs, s.seedReplicas(c.mk(p))...)
+			cfgs = append(cfgs, s.seedReplicas(mk(p))...)
 			for _, rate := range resilienceRates {
 				if rate > 0 {
-					cfgs = append(cfgs, s.seedReplicas(faultyCfg(c.mk(p), rate))...)
+					cfgs = append(cfgs, s.seedReplicas(faultyCfg(mk(p), rate))...)
 				}
 			}
 		}
@@ -126,14 +121,15 @@ func (s *Suite) Resilience() *Report {
 	s.runAll(cfgs)
 
 	var summary []string
-	for _, c := range configs {
+	for _, name := range configs {
+		mk := builder(name)
 		var retained []float64
 		for _, p := range bench {
-			base := collapseSeeds(s.runSeeds(c.mk(p)))
+			base := collapseSeeds(s.runSeeds(mk(p)))
 			for _, rate := range resilienceRates {
 				r := base
 				if rate > 0 {
-					r = collapseSeeds(s.runSeeds(faultyCfg(c.mk(p), rate)))
+					r = collapseSeeds(s.runSeeds(faultyCfg(mk(p), rate)))
 				}
 				rel := "-"
 				if r.OK() && base.OK() && base.IPC > 0 {
@@ -147,17 +143,17 @@ func (s *Suite) Resilience() *Report {
 				if status == "" {
 					status = "ok"
 				}
-				tb.AddRow(p.Abbr, c.name, fmt.Sprintf("%g", rate), r.IPC, rel,
+				tb.AddRow(p.Abbr, name, fmt.Sprintf("%g", rate), r.IPC, rel,
 					r.RetxPackets, r.DroppedPackets, fmt.Sprintf("%.3f", r.AvgRetries), status)
 			}
 		}
 		if len(retained) > 0 {
 			summary = append(summary, fmt.Sprintf(
 				"%s retains %.1f%% of fault-free IPC at fault rate %g (hmean of %d benchmarks)",
-				c.name, 100*stats.HarmonicMean(retained), worstRate, len(retained)))
+				name, 100*stats.HarmonicMean(retained), worstRate, len(retained)))
 		} else {
 			summary = append(summary, fmt.Sprintf(
-				"%s: no benchmark finished at fault rate %g (see DNF rows)", c.name, worstRate))
+				"%s: no benchmark finished at fault rate %g (see DNF rows)", name, worstRate))
 		}
 	}
 	if dnf := s.DNF(); len(dnf) > 0 {

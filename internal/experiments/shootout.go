@@ -44,7 +44,7 @@ func (s *Suite) Shootout() *Report {
 			ipcs = append(ipcs, res.IPC)
 		}
 		ipc := stats.HarmonicMean(ipcs)
-		na := area.FromConfig(e.build(s.bench[0]).Noc, false)
+		na := e.build(s.bench[0]).Area()
 		te := area.ThroughputEffectiveness(ipc, na)
 		rel := "1.00x"
 		if i == 0 {

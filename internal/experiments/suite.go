@@ -232,6 +232,15 @@ func (s *Suite) runSeeds(cfg core.Config) []core.Result {
 	return out
 }
 
+// builder returns the Build of the core.DesignPoints row called name.
+func builder(name string) func(workload.Profile) core.Config {
+	d, ok := core.DesignPointNamed(name)
+	if !ok {
+		panic("experiments: no design point " + name)
+	}
+	return d.Build
+}
+
 // prefetch warms the cache for every (benchmark × builder) combination.
 func (s *Suite) prefetch(builders ...func(workload.Profile) core.Config) {
 	cfgs := make([]core.Config, 0, len(s.bench)*len(builders))

@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/area"
-	"repro/internal/noc"
+	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Table6 regenerates the area table (paper Table VI) from the analytic
@@ -14,35 +15,20 @@ func (s *Suite) Table6() *Report {
 	tb := stats.NewTable("Table VI: area estimations (mm^2, 65nm)",
 		"config", "router area sum", "link area sum", "NoC overhead", "total chip")
 
-	type row struct {
-		name   string
-		cfg    noc.Config
-		sliced bool
-		paper  [2]float64 // router sum, chip
-	}
-	base := noc.DefaultConfig()
-	bw2 := base
-	bw2.FlitBytes = 32
-	cpcr := base
-	cpcr.Checkerboard = true
-	cpcr.Routing = noc.RoutingCheckerboard
-	cpcr.MCs = noc.CheckerboardPlacement(6, 6, 8)
-	cpcr.NumVCs = 4
-	dbl := cpcr
-	dbl.NumVCs = 2
-	dbl2p := dbl
-	dbl2p.MCInjPorts = 2
-
-	rows := []row{
-		{"Baseline", base, false, [2]float64{69.00, 576}},
-		{"2x-BW", bw2, false, [2]float64{263.0, 790.9}},
-		{"CP-CR", cpcr, false, [2]float64{59.20, 566.2}},
-		{"Double CP-CR", dbl, true, [2]float64{29.74, 536.74}},
-		{"Double CP-CR 2P", dbl2p, true, [2]float64{30.44, 537.44}},
+	rows := []struct {
+		name  string
+		build func(workload.Profile) core.Config
+		paper [2]float64 // router sum, chip
+	}{
+		{"Baseline", core.Baseline, [2]float64{69.00, 576}},
+		{"2x-BW", builder("2x-TB-DOR"), [2]float64{263.0, 790.9}},
+		{"CP-CR", builder("CP-CR"), [2]float64{59.20, 566.2}},
+		{"Double CP-CR", builder("Double-CP-CR"), [2]float64{29.74, 536.74}},
+		{"Double CP-CR 2P", core.ThroughputEffective, [2]float64{30.44, 537.44}},
 	}
 	var summary []string
 	for _, r := range rows {
-		a := area.FromConfig(r.cfg, r.sliced)
+		a := r.build(s.bench[0]).Area()
 		overhead := a.NoC() / area.ChipAreaMM2
 		tb.AddRow(r.name, a.Routers, a.Links, fmt.Sprintf("%.1f%%", 100*overhead), a.Chip())
 		summary = append(summary, fmt.Sprintf(

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -75,8 +74,9 @@ func DefaultGrid() Grid {
 // PaperPointName is the canonical candidate name of the paper's combined
 // throughput-effective design: checkerboard placement + routing, dedicated
 // double network at 16-byte (pre-slice) channels with 2 VCs per slice, and
-// 2 MC injection ports. The validation check asserts this point is
-// recovered on the frontier.
+// 2 MC injection ports: core.ThroughputEffective in every Config field but
+// Name. The validation check asserts this point is recovered on the
+// frontier.
 const PaperPointName = "x-mesh-cp-cr-vc2-bd8-fb16-p2-dbl"
 
 // Candidate is one enumerated design point: the axis values, the canonical
@@ -207,7 +207,7 @@ func (g Grid) Candidates() ([]Candidate, error) {
 									if _, err := core.NewSystem(cfg); err != nil {
 										continue // the simulator rejects this combination
 									}
-									na := area.FromConfig(cfg.Noc, c.Double)
+									na := cfg.Area()
 									c.NoCArea = na.NoC()
 									c.ChipArea = na.Chip()
 									out = append(out, c)

@@ -1,11 +1,14 @@
 package explore
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // TestGridCandidates pins the enumeration contract on the default grid:
@@ -143,5 +146,36 @@ func TestPaperPointNameMatchesGrammar(t *testing.T) {
 	}
 	if !strings.HasPrefix(PaperPointName, "x-mesh-cp-cr") {
 		t.Errorf("paper point %q should be a checkerboard mesh design", PaperPointName)
+	}
+}
+
+// TestPaperPointIsThroughputEffective ties the paper point to the Thr.Eff.
+// design point: the enumerated candidate builds core.ThroughputEffective's
+// config in every field but Name, and is priced at its area.
+func TestPaperPointIsThroughputEffective(t *testing.T) {
+	cands, err := DefaultGrid().Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := sort.Search(len(cands), func(i int) bool { return cands[i].Name >= PaperPointName })
+	if i == len(cands) || cands[i].Name != PaperPointName {
+		t.Fatalf("paper point %s not enumerated", PaperPointName)
+	}
+	for _, abbr := range []string{"MUM", "BIN"} {
+		p, err := workload.ByAbbr(abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := cands[i].Build(p), core.ThroughputEffective(p)
+		if got.Name != PaperPointName {
+			t.Errorf("paper point builds a config named %q", got.Name)
+		}
+		got.Name = want.Name
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: paper point builds\n%+v\nwant Thr.Eff.\n%+v", abbr, got, want)
+		}
+	}
+	if te := core.ThroughputEffective(workload.Profile{}).Area(); cands[i].ChipArea != te.Chip() {
+		t.Errorf("paper point chip area %v, Thr.Eff. %v", cands[i].ChipArea, te.Chip())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -635,6 +636,36 @@ func TestSpecTopology(t *testing.T) {
 	if ncfgs[0].Noc.Topology != noc.BackendBaseJump || ncfgs[1].Noc.Topology != noc.BackendRing {
 		t.Errorf("named design points built wrong backends: %v, %v",
 			ncfgs[0].Noc.Topology, ncfgs[1].Noc.Topology)
+	}
+}
+
+// TestConfigsListing pins the GET /v1/configs body: every core.DesignPoints
+// name, sorted.
+func TestConfigsListing(t *testing.T) {
+	_, ts := newTestServer(t, Options{Jobs: 1})
+	resp, body := get(t, ts.URL+"/v1/configs")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/configs: %d", resp.StatusCode)
+	}
+	const want = `{"configs":["2x-TB-DOR","BaseJump","CP-CR","CP-DOR","CP-ROMM","Double-CP-CR",` +
+		`"Perfect","Ring","TB-DOR","TB-DOR-1cyc","Thr.Eff.","Thr.Eff.(1net)"]}` + "\n"
+	if string(body) != want {
+		t.Errorf("GET /v1/configs body\n got %s\nwant %s", body, want)
+	}
+}
+
+// TestTopologyNeutralSet pins the derived set of design points a topology
+// may re-target, and the rejection text for one that fixes its own.
+func TestTopologyNeutralSet(t *testing.T) {
+	want := []string{"2x-TB-DOR", "CP-DOR", "Perfect", "TB-DOR", "TB-DOR-1cyc"}
+	if got := topologyNeutral(); !reflect.DeepEqual(got, want) {
+		t.Errorf("topologyNeutral() = %v, want %v", got, want)
+	}
+	_, err := Spec{Configs: []string{"CP-CR"}, Benchmarks: []string{"MUM"}, Topology: "ring"}.Canonical(100)
+	const msg = `config "CP-CR" fixes its own topology; topology "ring" applies only to ` +
+		`[2x-TB-DOR CP-DOR Perfect TB-DOR TB-DOR-1cyc]`
+	if err == nil || err.Error() != msg {
+		t.Errorf("CP-CR on ring: %v, want %q", err, msg)
 	}
 }
 

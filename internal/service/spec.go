@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -33,52 +34,35 @@ import (
 	"repro/internal/workload"
 )
 
-// designPoints maps the named NoC design points of the paper's evaluation
-// to their Config builders. The names are the API vocabulary for
-// POST /v1/runs; GET /v1/configs lists them.
-var designPoints = map[string]func(workload.Profile) core.Config{
-	"TB-DOR":      core.Baseline,
-	"2x-TB-DOR":   func(p workload.Profile) core.Config { return core.Baseline(p).With2xBW() },
-	"TB-DOR-1cyc": func(p workload.Profile) core.Config { return core.Baseline(p).With1CycleRouters() },
-	"CP-DOR":      func(p workload.Profile) core.Config { return core.Baseline(p).WithCheckerboardPlacement() },
-	"CP-CR":       func(p workload.Profile) core.Config { return core.Baseline(p).WithCheckerboardRouting() },
-	"Double-CP-CR": func(p workload.Profile) core.Config {
-		return core.Baseline(p).WithCheckerboardRouting().WithDoubleNetwork()
-	},
-	"Thr.Eff.":       core.ThroughputEffective,
-	"Thr.Eff.(1net)": core.ThroughputEffectiveSingle,
-	"Perfect":        core.Perfect,
-	"Ring":           core.Ring,
-	"BaseJump":       core.BaseJump,
-}
-
-// topologyNeutral lists the design points that carry no topology decision of
-// their own and can therefore be re-targeted by Spec.Topology. The rest bake
-// one in: checkerboard routing and the double network are mesh-only, and the
-// named Ring/BaseJump points already are their topology.
-var topologyNeutral = map[string]bool{
-	"TB-DOR":      true,
-	"2x-TB-DOR":   true,
-	"TB-DOR-1cyc": true,
-	"CP-DOR":      true,
-	"Perfect":     true,
-}
-
-// topologyNeutralNames returns the sorted topology-neutral design points.
-func topologyNeutralNames() []string {
-	names := make([]string, 0, len(topologyNeutral))
-	for n := range topologyNeutral {
-		names = append(names, n)
+// DesignPoints returns the accepted configuration names, sorted: the
+// Name of every core.DesignPoints row. GET /v1/configs lists them.
+func DesignPoints() []string {
+	var names []string
+	for _, d := range core.DesignPoints() {
+		names = append(names, d.Name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// DesignPoints returns the accepted configuration names, sorted.
-func DesignPoints() []string {
-	names := make([]string, 0, len(designPoints))
-	for n := range designPoints {
-		names = append(names, n)
+// topologyNeutral returns the sorted design points that carry no topology
+// decision of their own and can therefore be re-targeted by Spec.Topology:
+// mesh points that both non-mesh backends accept. The rest bake one in:
+// checkerboard and ROMM routing and the double network are mesh-only, and
+// the named Ring/BaseJump points already are their topology.
+func topologyNeutral() []string {
+	p := workload.Catalog()[0]
+	var names []string
+	for _, d := range core.DesignPoints() {
+		cfg := d.Build(p)
+		if cfg.Noc.Topology != noc.BackendMesh {
+			continue
+		}
+		_, ringErr := cfg.WithTopology(noc.BackendRing)
+		_, bjErr := cfg.WithTopology(noc.BackendBaseJump)
+		if ringErr == nil && bjErr == nil {
+			names = append(names, d.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -141,7 +125,7 @@ func (s Spec) Canonical(maxRuns int) (Spec, error) {
 		return Spec{}, fmt.Errorf("benchmarks required (Table I abbreviations, e.g. MUM)")
 	}
 	for _, name := range out.Configs {
-		if _, ok := designPoints[name]; !ok {
+		if _, ok := core.DesignPointNamed(name); !ok {
 			return Spec{}, fmt.Errorf("unknown config %q (want one of %v)", name, DesignPoints())
 		}
 	}
@@ -184,10 +168,11 @@ func (s Spec) Canonical(maxRuns int) (Spec, error) {
 		return Spec{}, fmt.Errorf("unknown topology %q (want mesh, ring or basejump)", out.Topology)
 	}
 	if out.Topology != "" {
+		neutral := topologyNeutral()
 		for _, name := range out.Configs {
-			if !topologyNeutral[name] {
+			if !slices.Contains(neutral, name) {
 				return Spec{}, fmt.Errorf("config %q fixes its own topology; topology %q applies only to %v",
-					name, out.Topology, topologyNeutralNames())
+					name, out.Topology, neutral)
 			}
 		}
 	}
@@ -223,8 +208,8 @@ func (s Spec) ID() string {
 func (s Spec) BuildConfigs() ([]core.Config, error) {
 	cfgs := make([]core.Config, 0, len(s.Configs)*len(s.Benchmarks))
 	for _, name := range s.Configs {
-		build := designPoints[name]
-		if build == nil {
+		d, ok := core.DesignPointNamed(name)
+		if !ok {
 			return nil, fmt.Errorf("unknown config %q", name)
 		}
 		for _, abbr := range s.Benchmarks {
@@ -232,7 +217,7 @@ func (s Spec) BuildConfigs() ([]core.Config, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg := build(p)
+			cfg := d.Build(p)
 			if s.Topology != "" {
 				kind, err := noc.ParseBackendKind(s.Topology)
 				if err != nil {
