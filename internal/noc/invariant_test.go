@@ -75,21 +75,24 @@ func checkCreditConservation(t *testing.T, m *Mesh, pl *popLog, cycle int, quiet
 			t.Fatalf("router %d: return rings built %v, faults enabled %v", id, r.credIn != nil, n.fs != nil)
 		}
 		for d := Port(0); d < numDirs; d++ {
-			ch := r.outChans[d]
-			if ch == nil {
+			down := r.downRtr[d]
+			if down == nil {
 				continue
 			}
-			down := ch.dst
+			port := int(d.opposite())
 			var back *creditChannel
 			if n.fs != nil {
 				back = r.credIn[d]
-				if back == nil || back.dst != r || back.dstPort != int(d) || down.credChans[ch.dstPort] != back {
+				if back == nil || back.dst != r || back.dstPort != int(d) || down.credChans[port] != back {
 					t.Fatalf("router %d dir %v: no credit channel back from router %d", id, d, down.p.node)
 				}
 			}
 			for vc := 0; vc < n.cfg.NumVCs; vc++ {
-				free := r.freeSlots(int(d), vc, n.cycle)
-				ivc := &down.inputs[down.inIdx(ch.dstPort, vc)]
+				ivc := &down.inputs[down.inIdx(port, vc)]
+				if &r.downVCs[d][vc] != ivc {
+					t.Fatalf("router %d dir %v vc %d: downstream window is not router %d's input VC", id, d, vc, down.p.node)
+				}
+				free := r.freeSlots(ivc, n.cycle)
 				onWire, buffered := 0, 0
 				for i := 0; i < ivc.buf.Len(); i++ {
 					if ivc.buf.At(i).arrived > n.cycle {
@@ -108,7 +111,7 @@ func checkCreditConservation(t *testing.T, m *Mesh, pl *popLog, cycle int, quiet
 						withheld++
 					}
 				}
-				if got := r.outputs[r.inIdx(int(d), vc)].withheld; got != withheld {
+				if got := ivc.withheld; got != withheld {
 					t.Fatalf("cycle %d router %d dir %v vc %d: %d credits withheld, %d on the return ring",
 						cycle, id, d, vc, got, withheld)
 				}
@@ -566,7 +569,7 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 			ivc.buf.Len() == 0 || ivc.buf.Front().arrived > cycle {
 			continue
 		}
-		if !r.outputReady(ivc.outPort, ivc.outVC, cycle) {
+		if !r.outputReady(ivc, cycle) {
 			continue
 		}
 		r.saInPtr[in] = (v + 1) % n

@@ -138,18 +138,27 @@ func TestPickRRMaskMatchesPickRR(t *testing.T) {
 	}
 }
 
-// TestChannelPartialDelivery checks stamp-gated visibility: a sent flit sits
-// in the downstream buffer at once, but the VC stays on arrMask — and out of
-// route computation — until the cycle its head comes off the wire, and later
-// flits stay invisible behind it.
+// TestChannelPartialDelivery checks stamp-gated visibility on a link: a sent
+// flit, deposited through the upstream router's downVCs window, sits in the
+// downstream buffer at once, but the VC stays on arrMask — and out of route
+// computation — until the cycle its head comes off the wire, and later flits
+// stay invisible behind it. Only the deposit onto the idle, empty VC wakes
+// the downstream router.
 func TestChannelPartialDelivery(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
-	ch := m.routers[0].outChans[East]
-	r := ch.dst
-	idx := r.inIdx(ch.dstPort, 0)
-	ivc := &r.inputs[idx]
+	up := m.routers[0]
+	r := up.downRtr[East]
+	ivc := &up.downVCs[East][0]
+	idx := r.inIdx(ivc.port, 0)
+	if ivc.port != int(West) || &r.inputs[idx] != ivc {
+		t.Fatalf("router 0's east window is port %d of router %d, want the west input VCs", ivc.port, r.p.node)
+	}
 	for _, at := range []uint64{3, 5, 9} {
-		ch.dst.acceptFlit(ch.dstPort, Flit{VC: 0, Head: true, Tail: true, arrived: at}, 1)
+		if woke := ivc.deposit(Flit{VC: 0, Head: true, Tail: true, arrived: at}); woke != (at == 3) {
+			t.Fatalf("deposit stamped %d: woke %v, want only the first onto an idle, empty VC to wake", at, woke)
+		} else if woke {
+			r.wake(ivc, 1)
+		}
 	}
 	bit := uint64(1) << uint(idx)
 	if ivc.buf.Len() != 3 || ivc.nextAt != 3 || r.arrMask != bit || r.rcMask != 0 {
@@ -174,16 +183,20 @@ func TestChannelPartialDelivery(t *testing.T) {
 }
 
 // creditLink returns a fresh network's link from router 0 eastwards: the
-// upstream router, its channel, and the downstream input VC 0 filled to the
-// buffer depth with single-flit packets that have already arrived.
-func creditLink(cfg Config) (*router, *channel, *inVC) {
+// upstream router, the downstream router, and its input VC 0 on the link
+// filled to the buffer depth with single-flit packets that have already
+// arrived.
+func creditLink(cfg Config) (up, down *router, ivc *inVC) {
 	m := MustNewMesh(cfg)
-	up := m.routers[0]
-	ch := up.outChans[East]
+	up = m.routers[0]
+	down = up.downRtr[East]
+	ivc = &up.downVCs[East][0]
 	for i := 0; i < cfg.BufDepth; i++ {
-		ch.dst.acceptFlit(ch.dstPort, Flit{Pkt: &Packet{}, Head: true, Tail: true, arrived: 1}, 0)
+		if ivc.deposit(Flit{Pkt: &Packet{}, Head: true, Tail: true, arrived: 1}) {
+			down.wake(ivc, 0)
+		}
 	}
-	return up, ch, &ch.dst.inputs[ch.dst.inIdx(ch.dstPort, 0)]
+	return up, down, ivc
 }
 
 // TestCreditChannelOutOfOrderDues checks that lost and derived credits come
@@ -197,8 +210,8 @@ func TestCreditChannelOutOfOrderDues(t *testing.T) {
 	cfg.CreditLatency = credLat
 	cfg.Fault = cfg.Fault.WithRate(0.5, 1) // builds the lost-credit rings
 	cfg.Fault.CreditResyncCycles = resync
-	up, ch, ivc := creditLink(cfg)
-	cc := ch.dst.credChans[ch.dstPort]
+	up, down, ivc := creditLink(cfg)
+	cc := down.credChans[West]
 	if cc == nil || up.credIn[East] != cc {
 		t.Fatal("no lost-credit ring between the link's two routers")
 	}
@@ -215,7 +228,7 @@ func TestCreditChannelOutOfOrderDues(t *testing.T) {
 		}
 	}
 	flag := uint8(1) << uint(East)
-	if up.credPend != flag || cc.q.Len() != 2 || up.outputs[up.inIdx(int(East), 0)].withheld != 2 {
+	if up.credPend != flag || cc.q.Len() != 2 || ivc.withheld != 2 {
 		t.Fatalf("after the pops: credPend %#b (want %#b), %d queued (want 2)", up.credPend, flag, cc.q.Len())
 	}
 	// Free slots as the upstream router's step sees them: pull, then read.
@@ -225,7 +238,7 @@ func TestCreditChannelOutOfOrderDues(t *testing.T) {
 	for cycle := uint64(12); cycle <= 20; cycle++ {
 		up.pullCredits(cycle)
 		w, ok := want[cycle]
-		if got := up.freeSlots(int(East), 0, cycle); ok && got != w {
+		if got := up.freeSlots(ivc, cycle); ok && got != w {
 			t.Fatalf("cycle %d: %d free slots, want %d", cycle, got, w)
 		}
 		if queued := cc.q.Len(); (up.credPend != 0) != (queued > 0) {
@@ -235,7 +248,7 @@ func TestCreditChannelOutOfOrderDues(t *testing.T) {
 			t.Fatalf("cycle 18: ring not pulled front first: len %d", cc.q.Len())
 		}
 	}
-	if cc.q.Len() != 0 || up.credPend != 0 || up.outputs[up.inIdx(int(East), 0)].withheld != 0 {
+	if cc.q.Len() != 0 || up.credPend != 0 || ivc.withheld != 0 {
 		t.Fatalf("after cycle 20: %d queued, credPend %#b, want an empty ring", cc.q.Len(), up.credPend)
 	}
 }
@@ -255,21 +268,21 @@ func TestDerivedCreditTiming(t *testing.T) {
 				cfg.Fault = cfg.Fault.WithRate(0.5, 1)
 				cfg.Fault.CreditResyncCycles = resync
 			}
-			up, ch, ivc := creditLink(cfg)
-			if up.outputReady(int(East), 0, c) {
+			up, down, ivc := creditLink(cfg)
+			if up.freeSlots(ivc, c) > 0 {
 				t.Fatalf("L=%d: output ready into a full VC", credLat)
 			}
 			ivc.buf.Pop()
 			opens := c + credLat
 			if lost {
-				ch.dst.credChans[ch.dstPort].withhold(0, c+credLat+resync)
+				down.credChans[West].withhold(0, c+credLat+resync)
 				opens += resync
 			} else {
-				ch.dst.releaseSlot(ivc, c)
+				down.releaseSlot(ivc, c)
 			}
 			for cycle := uint64(c); cycle <= opens+1; cycle++ {
 				up.pullCredits(cycle)
-				if got := up.outputReady(int(East), 0, cycle); got != (cycle >= opens) {
+				if got := up.freeSlots(ivc, cycle) > 0; got != (cycle >= opens) {
 					t.Fatalf("L=%d lost=%v: output ready %v at cycle %d, want it to open at %d",
 						credLat, lost, got, cycle, opens)
 				}

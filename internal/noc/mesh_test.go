@@ -106,8 +106,8 @@ func TestNewMeshAllocations(t *testing.T) {
 		cfg  Config
 		max  float64
 	}{
-		{"default", DefaultConfig(), 732},
-		{"checkerboard", checkerboardKernelConfig(), 740},
+		{"default", DefaultConfig(), 536},
+		{"checkerboard", checkerboardKernelConfig(), 544},
 	} {
 		allocs := testing.AllocsPerRun(10, func() { MustNewMesh(tc.cfg) })
 		if allocs > tc.max {

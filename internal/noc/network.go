@@ -415,7 +415,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		n.routers[id] = newRouter(p, n, slab[:k:k])
 		slab = slab[k:]
 	}
-	// Wire direction channels, and with faults enabled the lost-credit
+	// Wire the direction links, and with faults enabled the lost-credit
 	// return rings: a lost credit withholds a slot of the link's buffer, so
 	// at most numVCs*bufDepth are queued on one link.
 	chanCap := cfg.NumVCs * cfg.BufDepth
@@ -427,7 +427,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 				continue
 			}
 			down, port := n.routers[nb], int(d.opposite())
-			r.outChans[d] = &channel{dst: down, dstPort: port}
+			r.downRtr[d] = down
 			r.downVCs[d] = down.inputs[port*cfg.NumVCs : (port+1)*cfg.NumVCs]
 			if n.fs != nil {
 				cc := &creditChannel{dst: r, dstPort: int(d)}

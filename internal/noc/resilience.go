@@ -346,9 +346,9 @@ func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 				Hops:      head.Pkt.hops,
 			}
 			switch {
-			case r.stuck != nil && r.stuck[i] > n.cycle:
+			case r.stuck[i] > n.cycle:
 				dump.Blocked = fmt.Sprintf("stuck-VC fault until cycle %d", r.stuck[i])
-			case ivc.state == vcActive && !r.outputReady(ivc.outPort, ivc.outVC, n.cycle):
+			case ivc.state == vcActive && !r.outputReady(ivc, n.cycle):
 				dump.Blocked = fmt.Sprintf("no credit for out port %d vc %d", ivc.outPort, ivc.outVC)
 			case ivc.state == vcWaitVA:
 				dump.Blocked = fmt.Sprintf("waiting for an output VC on port %d", ivc.outPort)
