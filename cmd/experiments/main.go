@@ -8,9 +8,9 @@
 //
 // Simulations run through a resilient worker pool: -jobs bounds
 // concurrency (tables are byte-identical for any value), -run-timeout
-// turns wedged runs into DNF rows, -retries re-attempts transient
-// failures, and -checkpoint/-resume journal finished runs so an
-// interrupted sweep (SIGINT/SIGTERM included) picks up where it left off.
+// turns wedged runs into DNF rows, and -checkpoint/-resume journal
+// finished runs so an interrupted sweep (SIGINT/SIGTERM included) picks up
+// where it left off.
 //
 // Usage:
 //
@@ -48,7 +48,6 @@ func main() {
 	frontierJSON := flag.String("frontier-json", "",
 		"write the explore experiment's machine-readable frontier to this file")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
-	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
 	checkpoint := flag.String("checkpoint", "", "JSONL journal recording each finished run (fsynced per record)")
 	resume := flag.Bool("resume", false, "reload -checkpoint and skip finished runs")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
@@ -77,7 +76,6 @@ func main() {
 		Scale:      *scale,
 		Jobs:       *jobs,
 		RunTimeout: *runTimeout,
-		Retries:    *retries,
 		Checkpoint: *checkpoint,
 		Resume:     *resume,
 		Context:    ctx,
@@ -150,12 +148,12 @@ func main() {
 		fmt.Printf("frontier written to %s (%d points)\n", *frontierJSON, len(f.Points))
 	}
 
-	// Closing summary: per-status outcome counts, attempt accounting, the
-	// explorer's early-termination savings, and the DNF rows excluded from
-	// the aggregates.
+	// Closing summary: per-status outcome counts, the explorer's
+	// early-termination savings, and the DNF rows excluded from the
+	// aggregates.
 	var outcomes stats.Outcomes
 	for _, o := range suite.Outcomes() {
-		outcomes.Observe(o.Result.Status, o.Attempts)
+		outcomes.Observe(o.Result.Status)
 	}
 	if f := suite.Frontier(); f != nil {
 		outcomes.AddEarlyTermination(f.KilledEarly, f.SimulatedCycles, f.ExhaustiveCycles)

@@ -1,7 +1,7 @@
 // Command tesim runs one closed-loop simulation: a Table I benchmark (or
 // all of them) on one of the paper's network configurations, printing the
 // run's throughput and memory-system statistics. Multi-benchmark runs go
-// through the resilient worker pool (-jobs, -run-timeout, -retries): a
+// through the resilient worker pool (-jobs, -run-timeout): a
 // wedged or panicking run becomes a DNF row instead of a hung or dead
 // process, and rows always print in catalog order.
 //
@@ -46,7 +46,6 @@ func main() {
 	lanes := flag.Int("lanes", 1,
 		"seed replicas per run (-seed, -seed+1, …); the pool runs them as lane batches whose width it plans from -jobs and GOMAXPROCS, each replica bit-identical to a solo run of its seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
-	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
 	pprofOut := prof.AddFlags()
 	flag.Parse()
 
@@ -92,7 +91,6 @@ func main() {
 	pool, err := runner.New(ctx, runner.Options{
 		Jobs:       *jobs,
 		RunTimeout: *runTimeout,
-		Retries:    *retries,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tesim:", err)
@@ -144,9 +142,6 @@ func main() {
 	if *faultRate > 0 {
 		headers = append(headers, "retx", "dropped", "avg retries")
 	}
-	if *retries > 0 {
-		headers = append(headers, "attempts")
-	}
 	tb := stats.NewTable("tesim results", headers...)
 	var ipcs []float64
 	dnf := 0
@@ -159,8 +154,7 @@ func main() {
 			// panic, config error): report the row plus any diagnostic and
 			// keep going.
 			dnf++
-			fmt.Fprintf(os.Stderr, "tesim: %s did not finish: %s (attempt %d)\n",
-				p.Abbr, res.Status, out.Attempts)
+			fmt.Fprintf(os.Stderr, "tesim: %s did not finish: %s\n", p.Abbr, res.Status)
 			var he *fault.HangError
 			if fault.AsHang(out.Err, &he) && !he.Diag.Empty() {
 				fmt.Fprintln(os.Stderr, he.Diag.String())
@@ -187,9 +181,6 @@ func main() {
 			status)
 		if *faultRate > 0 {
 			row = append(row, res.RetxPackets, res.DroppedPackets, fmt.Sprintf("%.3f", res.AvgRetries))
-		}
-		if *retries > 0 {
-			row = append(row, out.Attempts)
 		}
 		tb.AddRow(row...)
 	}

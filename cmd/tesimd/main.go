@@ -8,7 +8,7 @@
 // Usage:
 //
 //	tesimd [-addr host:port] [-store file.jsonl] [-queue-cap N]
-//	       [-jobs N] [-run-timeout d] [-retries N]
+//	       [-jobs N] [-run-timeout d]
 //	       [-max-runs-per-job N] [-default-deadline d] [-max-deadline d]
 //	       [-drain-timeout d]
 //
@@ -51,7 +51,6 @@ func main() {
 	queueCap := flag.Int("queue-cap", service.DefaultQueueCap, "max admitted unfinished jobs before shedding with 429")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 5*time.Minute, "per-run wall-clock deadline (0 = none)")
-	retries := flag.Int("retries", service.DefaultRetries, "extra attempts for transient DNFs (stall/timeout)")
 	maxRuns := flag.Int("max-runs-per-job", service.DefaultMaxRunsPerJob, "max configs×benchmarks per request")
 	defDeadline := flag.Duration("default-deadline", service.DefaultDeadline, "end-to-end deadline for jobs that request none")
 	maxDeadline := flag.Duration("max-deadline", service.DefaultMaxDeadline, "clamp on requested job deadlines")
@@ -72,7 +71,6 @@ func main() {
 		QueueCap:        *queueCap,
 		Jobs:            *jobs,
 		RunTimeout:      *runTimeout,
-		Retries:         *retries,
 		MaxRunsPerJob:   *maxRuns,
 		DefaultDeadline: *defDeadline,
 		MaxDeadline:     *maxDeadline,

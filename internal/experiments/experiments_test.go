@@ -150,7 +150,7 @@ func TestSuiteRecordsDNF(t *testing.T) {
 // key supersedes it.
 func TestSuiteRecordsRefusedAppendDNF(t *testing.T) {
 	s := quickSuite(t)
-	out := runner.Outcome{Key: "refused|BIN|s1|i1", Attempts: 1,
+	out := runner.Outcome{Key: "refused|BIN|s1|i1",
 		Result: core.Result{Config: "refused", Benchmark: "BIN", Status: "io_error"}}
 	s.report(out)
 	if dnf := s.DNF(); len(dnf) != 1 || dnf[0] != "refused|BIN: io_error" {

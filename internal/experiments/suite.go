@@ -54,12 +54,6 @@ type Options struct {
 	// RunTimeout is the per-run wall-clock deadline; a run that exceeds
 	// it becomes a "timeout" DNF row. 0 disables the deadline.
 	RunTimeout time.Duration
-	// Retries is how many extra attempts transient DNFs (stall, timeout)
-	// get before being recorded.
-	Retries int
-	// RetryBackoff overrides the base retry delay (tests); 0 means the
-	// runner default.
-	RetryBackoff time.Duration
 	// Checkpoint is the JSONL journal path recording each finished run;
 	// empty disables checkpointing.
 	Checkpoint string
@@ -91,7 +85,7 @@ func (r *Report) String() string {
 
 // Suite runs and caches the experiments. Every simulation goes through a
 // runner.Pool, which supplies the worker pool, per-run deadlines, panic
-// isolation, retries and the checkpoint journal.
+// isolation and the checkpoint journal.
 type Suite struct {
 	opts     Options
 	bench    []workload.Profile
@@ -124,8 +118,6 @@ func New(opts Options) (*Suite, error) {
 	pool, err := runner.New(opts.Context, runner.Options{
 		Jobs:       opts.Jobs,
 		RunTimeout: opts.RunTimeout,
-		Retries:    opts.Retries,
-		Backoff:    opts.RetryBackoff,
 		Checkpoint: opts.Checkpoint,
 		Resume:     opts.Resume,
 		OnDone:     s.report,
@@ -167,8 +159,7 @@ func (s *Suite) report(out runner.Outcome) {
 	}
 	r := out.Result
 	if !out.OK() {
-		fmt.Fprintf(s.opts.Progress, "DNF %-16s %-4s %s (attempt %d)\n",
-			r.Config, r.Benchmark, r.Status, out.Attempts)
+		fmt.Fprintf(s.opts.Progress, "DNF %-16s %-4s %s\n", r.Config, r.Benchmark, r.Status)
 		if out.Stack != "" {
 			fmt.Fprintln(s.opts.Progress, out.Stack)
 		}
@@ -253,8 +244,7 @@ func (s *Suite) prefetch(builders ...func(workload.Profile) core.Config) {
 }
 
 // DNF lists the degraded runs as "config|bench: status" lines, sorted,
-// including the runs the checkpoint journal refused ("io_error"); runs
-// that needed retries carry their attempt count.
+// including the runs the checkpoint journal refused ("io_error").
 func (s *Suite) DNF() []string {
 	outs := s.pool.Outcomes()
 	s.mu.Lock()
@@ -267,11 +257,7 @@ func (s *Suite) DNF() []string {
 		if o.OK() {
 			continue
 		}
-		line := fmt.Sprintf("%s|%s: %s", o.Result.Config, o.Result.Benchmark, o.Result.Status)
-		if o.Attempts > 1 {
-			line += fmt.Sprintf(" (attempts %d)", o.Attempts)
-		}
-		out = append(out, line)
+		out = append(out, fmt.Sprintf("%s|%s: %s", o.Result.Config, o.Result.Benchmark, o.Result.Status))
 	}
 	sort.Strings(out)
 	return out

@@ -138,7 +138,7 @@ func (f *Frontier) CycleSavings() float64 {
 func (f *Frontier) JSON() ([]byte, error) { return json.MarshalIndent(f, "", "  ") }
 
 // Explorer drives a grid through the successive-halving schedule on a
-// runner.Pool. The pool supplies workers, memoization, retries, DNF
+// runner.Pool. The pool supplies workers, memoization, DNF
 // isolation and the checkpoint journal; the explorer never runs a
 // simulation itself, so an exploration interrupted at any point resumes
 // from the journal with every finished run served from cache — each rung's

@@ -33,13 +33,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ever believes a record durable that the disk rejected.
 var ErrWounded = errors.New("journal wounded: a durable write failed; appends are refused until a retry heals it")
 
-// Record is one checkpointed run: the cache key, how many attempts it
-// took, and the full Result so a resumed sweep renders identical tables
-// without re-simulating.
+// Record is one checkpointed run: the cache key and the full Result, so a
+// resumed sweep renders identical tables without re-simulating. Records
+// written by older builds also carry an "attempts" field, which decoding
+// ignores.
 type Record struct {
-	Key      string      `json:"key"`
-	Attempts int         `json:"attempts"`
-	Result   core.Result `json:"result"`
+	Key    string      `json:"key"`
+	Result core.Result `json:"result"`
 }
 
 // journalHeader is the first line of every journal file.

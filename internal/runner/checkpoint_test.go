@@ -2,10 +2,13 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -25,8 +28,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Key: "A|MUM|s1|i100", Attempts: 1, Result: core.Result{Benchmark: "MUM", Config: "A", Status: "ok", IPC: 42.5}},
-		{Key: "B|MUM|s1|i100", Attempts: 3, Result: core.Result{Benchmark: "MUM", Config: "B", Status: "stall"}},
+		{Key: "A|MUM|s1|i100", Result: core.Result{Benchmark: "MUM", Config: "A", Status: "ok", IPC: 42.5}},
+		{Key: "B|MUM|s1|i100", Result: core.Result{Benchmark: "MUM", Config: "B", Status: "stall"}},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -54,7 +57,7 @@ func TestLoadJournalQuarantinesCorruptLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "good|run|s1|i1", Attempts: 1,
+	if err := j.Append(Record{Key: "good|run|s1|i1",
 		Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestFlippedByteQuarantinesExactlyOne(t *testing.T) {
 	}
 	keys := []string{"A|MUM|s1|i10", "B|MUM|s1|i10", "C|MUM|s1|i10"}
 	for _, key := range keys {
-		if err := j.Append(Record{Key: key, Attempts: 1, Result: core.Result{Status: "ok", IPC: 7.25}}); err != nil {
+		if err := j.Append(Record{Key: key, Result: core.Result{Status: "ok", IPC: 7.25}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +145,7 @@ func TestFlippedByteQuarantinesExactlyOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Record{Key: "D|MUM|s1|i10", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j2.Append(Record{Key: "D|MUM|s1|i10", Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -176,7 +179,7 @@ func TestV1JournalRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "B|MUM|s1|i10", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j.Append(Record{Key: "B|MUM|s1|i10", Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -199,6 +202,42 @@ func TestV1JournalRejected(t *testing.T) {
 	side, err := os.ReadFile(QuarantinePath(path))
 	if err != nil || !strings.Contains(string(side), `"key":"C|MUM`) {
 		t.Errorf("sidecar does not hold the unframed line: %q (%v)", side, err)
+	}
+}
+
+// TestJournalReadsAttemptsField: records written before the attempts count
+// was dropped carry an "attempts" key inside their CRC frame. Such a
+// journal still loads, and a pool resuming from it serves the stored
+// Result unchanged without executing the run.
+func TestJournalReadsAttemptsField(t *testing.T) {
+	cfg := testCfg(t, "old")
+	want := core.Result{Benchmark: "MUM", Config: "old", Status: "stall",
+		IPC: 12.25, IcntCycles: 4096, ScalarInstrs: 777, AvgNetLatency: 31.5}
+	res, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := fmt.Sprintf(`{"key":%q,"attempts":3,"result":%s}`, Key(cfg), res)
+	path := journalPath(t)
+	old := `{"kind":"journal-header","version":2}` + "\n" + string(frameRecord([]byte(payload)))
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, stats, err := LoadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0] != (Record{Key: Key(cfg), Result: want}) || stats != (ReplayStats{}) {
+		t.Fatalf("records = %+v, stats %+v, want the one stored record", recs, stats)
+	}
+	var calls atomic.Int64
+	p := newPool(t, Options{Jobs: 1, Checkpoint: path, Resume: true,
+		Run: func(ctx context.Context, c core.Config) (core.Result, error) {
+			calls.Add(1)
+			return okRun(ctx, c)
+		}})
+	if out := doOne(p, cfg); !out.Resumed || out.Result != want || calls.Load() != 0 {
+		t.Errorf("resumed outcome %+v after %d executions, want the stored result and none", out, calls.Load())
 	}
 }
 
@@ -228,12 +267,12 @@ func TestWoundedJournalRefusesThenHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "A|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j.Append(Record{Key: "A|MUM|s1|i1", Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
 
 	ff.Inject(iofault.Fault{Op: "sync", Err: syscall.ENOSPC})
-	err = j.Append(Record{Key: "B|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok"}})
+	err = j.Append(Record{Key: "B|MUM|s1|i1", Result: core.Result{Status: "ok"}})
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append under ENOSPC = %v, want ENOSPC", err)
 	}
@@ -242,13 +281,13 @@ func TestWoundedJournalRefusesThenHeals(t *testing.T) {
 	}
 	// While wounded and the disk still broken, appends refuse loudly.
 	ff.Inject(iofault.Fault{Op: "truncate", Err: syscall.EIO})
-	if err := j.Append(Record{Key: "C|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok"}}); !errors.Is(err, ErrWounded) {
+	if err := j.Append(Record{Key: "C|MUM|s1|i1", Result: core.Result{Status: "ok"}}); !errors.Is(err, ErrWounded) {
 		t.Fatalf("wounded append = %v, want ErrWounded", err)
 	}
 
 	// Fault cleared: the next append heals (truncate to the durable
 	// boundary) and succeeds.
-	if err := j.Append(Record{Key: "D|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j.Append(Record{Key: "D|MUM|s1|i1", Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatalf("append after fault cleared: %v", err)
 	}
 	if j.Wounded() != nil {
@@ -286,13 +325,13 @@ func TestJournalPowerCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(Record{Key: "durable|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok", IPC: 1}}); err != nil {
+		if err := j.Append(Record{Key: "durable|MUM|s1|i1", Result: core.Result{Status: "ok", IPC: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		// From here on, fsync lies: records appear committed but are not.
 		ff.DropSyncs(true)
 		for _, key := range []string{"lost1|MUM|s1|i1", "lost2|MUM|s1|i1"} {
-			if err := j.Append(Record{Key: key, Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+			if err := j.Append(Record{Key: key, Result: core.Result{Status: "ok"}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -329,7 +368,7 @@ func TestJournalPowerCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j2.Append(Record{Key: "post|MUM|s1|i1", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+		if err := j2.Append(Record{Key: "post|MUM|s1|i1", Result: core.Result{Status: "ok"}}); err != nil {
 			t.Fatal(err)
 		}
 		j2.Close()
@@ -445,7 +484,7 @@ func TestLoadJournalTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"A|MUM|s1|i10", "B|MUM|s1|i10"} {
-		if err := j.Append(Record{Key: key, Attempts: 1, Result: core.Result{Status: "ok", IPC: 3}}); err != nil {
+		if err := j.Append(Record{Key: key, Result: core.Result{Status: "ok", IPC: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -483,7 +522,7 @@ func TestLoadJournalTruncatedFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Record{Key: "D|MUM|s1|i10", Attempts: 1, Result: core.Result{Status: "ok"}}); err != nil {
+	if err := j2.Append(Record{Key: "D|MUM|s1|i10", Result: core.Result{Status: "ok"}}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()

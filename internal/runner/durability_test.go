@@ -231,7 +231,7 @@ func TestLookupHookServesExternalStore(t *testing.T) {
 		t.Errorf("Records = %d after replay, want 1", p.Records())
 	}
 	out := doOne(p, cfg)
-	if !out.Resumed || out.Result.IPC != 7 || out.Attempts != 1 {
+	if !out.Resumed || out.Result.IPC != 7 {
 		t.Fatalf("stored record not honoured: %+v", out)
 	}
 	if calls.Load() != 0 {

@@ -14,9 +14,9 @@
 //   - panic isolation: a recover around every run converts an unexpected
 //     panic into a typed DNF outcome carrying the stack, so one bad
 //     configuration cannot kill the rest of the sweep;
-//   - bounded retry with jittered exponential backoff for transient
-//     verdicts ("stall", "timeout") — never for deterministic deadlocks —
-//     with per-run attempt accounting surfaced in the Outcome;
+//   - one execution per run: every verdict but "timeout" and "canceled"
+//     is a pure function of the core.Config, so a run is never retried;
+//     a timeout is not journaled, so a resume runs it again;
 //   - an fsynced JSONL checkpoint journal (Checkpoint/Resume) recording
 //     each finished run, so an interrupted sweep resumes without
 //     re-executing completed simulations (see checkpoint.go). One
@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -41,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/iofault"
-	"repro/internal/xrand"
 )
 
 // RunFunc executes one simulation. The default is core.Run; tests inject
@@ -55,24 +53,12 @@ type RunFunc func(ctx context.Context, cfg core.Config) (core.Result, error)
 type LaneRunFunc func(ctx context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error)
 
 // Options configures a Pool. The zero value is usable: GOMAXPROCS workers,
-// no per-run deadline, no retries, no checkpoint.
+// no per-run deadline, no checkpoint.
 type Options struct {
 	// Jobs bounds concurrent simulations; 0 means GOMAXPROCS.
 	Jobs int
 	// RunTimeout is the per-run wall-clock deadline; 0 disables it.
 	RunTimeout time.Duration
-	// Retries is how many extra attempts a transient DNF ("stall",
-	// "timeout") gets before it is recorded; deterministic verdicts
-	// (deadlock, livelock, cycle-cap, panic) are never retried.
-	Retries int
-	// Backoff is the base delay before the first retry; successive
-	// retries double it (capped by MaxBackoff), each with ±50%
-	// deterministic jitter. 0 means DefaultBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth of retry delays before
-	// jitter is applied, so a long retry budget cannot stretch a single
-	// wait into minutes. 0 means DefaultMaxBackoff.
-	MaxBackoff time.Duration
 	// Checkpoint, when non-empty, is the JSONL journal path. Every
 	// durable outcome is appended and fsynced BEFORE it is cached, so a
 	// killed sweep loses at most the runs still in flight and nothing is
@@ -97,12 +83,6 @@ type Options struct {
 	OnDone func(Outcome)
 }
 
-// DefaultBackoff is the base retry delay when Options.Backoff is zero.
-const DefaultBackoff = 250 * time.Millisecond
-
-// DefaultMaxBackoff is the retry-delay cap when Options.MaxBackoff is zero.
-const DefaultMaxBackoff = 15 * time.Second
-
 // Outcome is the terminal state of one run request.
 type Outcome struct {
 	// Key identifies the (config, benchmark, seed, kernel-length) tuple.
@@ -110,10 +90,8 @@ type Outcome struct {
 	// Result is the simulation's (possibly partial) statistics. For a
 	// panic or configuration error the Status carries the message.
 	Result core.Result
-	// Attempts is how many executions the run took (1 = no retry).
-	Attempts int
-	// Err is the final attempt's error (nil for clean runs; not
-	// preserved across checkpoint resume).
+	// Err is the run's error (nil for clean runs; not preserved across
+	// checkpoint resume).
 	Err error
 	// Stack is the captured goroutine stack when the run panicked.
 	Stack string
@@ -127,55 +105,6 @@ type Outcome struct {
 // OK reports whether the run completed without a degradation verdict.
 func (o Outcome) OK() bool { return o.Result.OK() }
 
-// retryableStatus classifies every verdict in the Result.Status
-// vocabulary. Transient verdicts are worth another attempt: a wall-clock
-// timeout is host scheduling, not simulated behaviour, and fault injection
-// can make system stalls load-dependent. Deterministic verdicts —
-// deadlock, livelock, cycle-cap, invariant, panic, an invalid
-// configuration — always reproduce, so retrying them only wastes the
-// sweep's time, and "canceled" means the harness itself is shutting down.
-// A status outside the table (a future verdict, or an error message
-// promoted into Status) is terminal until someone classifies it here;
-// TestRetryableClassification pins the full table.
-var retryableStatus = map[string]bool{
-	"stall":   true,
-	"timeout": true,
-
-	"ok":        false,
-	"deadlock":  false,
-	"livelock":  false,
-	"cycle-cap": false,
-	"invariant": false,
-	"panic":     false,
-	"canceled":  false,
-	"error":     false,
-	// io_error: the run itself finished but its result could not be made
-	// durable (the journal append failed). Retrying the simulation while the
-	// disk is still broken just burns a worker; the outcome is never
-	// cached, so a later re-submission re-executes once the fault clears.
-	"io_error": false,
-}
-
-// Retryable reports whether a status is a transient verdict worth another
-// attempt; see retryableStatus for the classification table.
-func Retryable(status string) bool { return retryableStatus[status] }
-
-// backoffDelay returns the jittered delay before retry number retry
-// (1-based): base doubled per retry, capped at max before ±50% jitter, so
-// the result always lies in [cap/2, 3·cap/2] where cap = min(base<<(retry-1),
-// max). The doubling loop (rather than a shift) cannot overflow however
-// large the retry budget is.
-func backoffDelay(base, max time.Duration, retry int, jitter *xrand.Rand) time.Duration {
-	d := base
-	for i := 1; i < retry && d < max; i++ {
-		d <<= 1
-	}
-	if d > max {
-		d = max
-	}
-	return time.Duration(float64(d) * (0.5 + jitter.Float64()))
-}
-
 // Key derives the cache/journal identity of a configuration: name,
 // benchmark, seed and scaled kernel length. Two configs that differ only
 // in fields outside the key must also differ in Name (the Config builders
@@ -186,8 +115,8 @@ func Key(cfg core.Config) string {
 }
 
 // Pool executes runs through a bounded set of workers with memoization,
-// retries, panic isolation and checkpointing. All methods are safe for
-// concurrent use.
+// panic isolation and checkpointing. All methods are safe for concurrent
+// use.
 type Pool struct {
 	ctx  context.Context
 	opts Options
@@ -220,18 +149,6 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 	if opts.Jobs <= 0 {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = DefaultBackoff
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = DefaultMaxBackoff
-	}
-	if opts.MaxBackoff < opts.Backoff {
-		opts.MaxBackoff = opts.Backoff
-	}
-	if opts.Retries < 0 {
-		return nil, fmt.Errorf("runner: Retries must be >= 0, got %d", opts.Retries)
-	}
 	if opts.Run == nil {
 		opts.Run = core.Run
 	}
@@ -254,12 +171,7 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 			p.replay = stats
 			p.records = len(recs)
 			for _, rec := range recs {
-				p.cache[rec.Key] = Outcome{
-					Key:      rec.Key,
-					Result:   rec.Result,
-					Attempts: rec.Attempts,
-					Resumed:  true,
-				}
+				p.cache[rec.Key] = Outcome{Key: rec.Key, Result: rec.Result, Resumed: true}
 			}
 		}
 		j, err := OpenJournalFS(opts.FS, opts.Checkpoint)
@@ -301,13 +213,12 @@ func (p *Pool) abandon(fl *flight) {
 //  2. each chunk claims its keys: a cache hit settles at once, and a key
 //     already in flight (elsewhere or earlier in the batch) is left
 //     over;
-//  3. each chunk runs on one worker slot: a chunk of one is the solo retry
-//     loop, a wider chunk is one RunLanes call whose lanes advance
-//     round-robin in one goroutine;
+//  3. each chunk runs on one worker slot: a chunk of one is one solo run,
+//     a wider chunk is one RunLanes call whose lanes advance round-robin
+//     in one goroutine;
 //  4. every outcome passes through publish;
 //  5. the leftovers settle solo, joining any run of their key still in
-//     flight. Lanes whose verdict is retryable with budget left are
-//     leftovers too, so they re-execute with their full retry budget.
+//     flight.
 //
 // Every member keeps its solo identity end to end: its own Key, flight,
 // cache entry, journal record and Outcome, bit-identical to what a solo run
@@ -381,7 +292,7 @@ type claim struct {
 
 // runChunk claims, executes and publishes one chunk of same-group configs,
 // writing every settled outcome into outs. It returns the leftovers: keys
-// already in flight, and lanes left unpublished by publish.
+// already in flight.
 func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, outs []Outcome) (left []int) {
 	if ctx.Err() != nil {
 		for _, i := range chunk {
@@ -438,11 +349,7 @@ func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, ou
 		if results != nil {
 			out = results[j]
 		}
-		if final, ok := p.publish(runCtx, c, out); ok {
-			outs[c.idx] = final
-		} else {
-			left = append(left, c.idx)
-		}
+		outs[c.idx] = p.publish(runCtx, c, out)
 	}
 	return left
 }
@@ -475,12 +382,13 @@ func (p *Pool) settle(ctx context.Context, cfgs []core.Config, i int, outs []Out
 }
 
 // execute runs the claimed configs on the worker slot the caller holds: one
-// claim is the solo retry loop, several are one lane batch. The claims share
+// claim is one solo run, several are one lane batch. The claims share
 // a lane group, so the first config stands for all of them but its seed.
 func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) []Outcome {
 	cfg := cfgs[claims[0].idx]
 	if len(claims) == 1 {
-		return []Outcome{p.retryLoop(ctx, cfg, claims[0].key)}
+		res, err, stack := p.runOnce(ctx, cfg)
+		return []Outcome{{Key: claims[0].key, Result: res, Err: err, Stack: stack}}
 	}
 	seeds := make([]uint64, len(claims))
 	for j, c := range claims {
@@ -489,7 +397,7 @@ func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) 
 	results, errs, stack := p.runLanesOnce(ctx, cfg, seeds)
 	outs := make([]Outcome, len(claims))
 	for j, c := range claims {
-		outs[j] = Outcome{Key: c.key, Result: results[j], Attempts: 1, Err: errs[j], Stack: stack}
+		outs[j] = Outcome{Key: c.key, Result: results[j], Err: errs[j], Stack: stack}
 	}
 	return outs
 }
@@ -498,15 +406,10 @@ func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) 
 // lane: transient classification, the durability gate (the journal append),
 // cache, the executed count and OnDone. It closes the claim's flight and
 // returns the published outcome (a refused append rewrites it to
-// "io_error"). false means the outcome was left unpublished: a retryable
-// verdict with retry budget left, which only a lane can produce (the solo
-// loop spends its budget in place, and the lockstep loop cannot re-run one
-// lane).
-func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, bool) {
+// "io_error").
+func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) Outcome {
 	transient := (out.Result.Status == "canceled" || out.Result.Status == "timeout") &&
 		runCtx.Err() != nil && p.ctx.Err() == nil
-	retryLater := !transient && Retryable(out.Result.Status) &&
-		out.Attempts <= p.opts.Retries && runCtx.Err() == nil
 
 	// Durability gate: a durable outcome must be journaled BEFORE it is
 	// published to the cache, so the pool never serves from memory a result
@@ -515,9 +418,8 @@ func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, b
 	// later request re-executes the run. "canceled" runs are not finished
 	// (the sweep is shutting down) and "timeout" verdicts are host-transient,
 	// so neither is durable: both re-execute on resume.
-	settled := !transient && !retryLater
-	cached := settled
-	durable := settled && out.Result.Status != "canceled" && out.Result.Status != "timeout"
+	cached := !transient
+	durable := !transient && out.Result.Status != "canceled" && out.Result.Status != "timeout"
 	if durable {
 		if err := p.persist(out); err != nil {
 			out.Result.Status, out.Err = "io_error", err
@@ -526,7 +428,7 @@ func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, b
 	}
 
 	p.mu.Lock()
-	if settled {
+	if !transient {
 		p.executed++
 	}
 	if cached {
@@ -539,18 +441,15 @@ func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) (Outcome, b
 	p.mu.Unlock()
 	close(c.fl.done)
 
-	if retryLater {
-		return out, false
-	}
 	if p.opts.OnDone != nil {
 		p.cbMu.Lock()
 		p.opts.OnDone(out)
 		p.cbMu.Unlock()
 	}
-	return out, true
+	return out
 }
 
-// runLanesOnce executes a single lane-batch attempt with panic isolation
+// runLanesOnce executes one lane batch with panic isolation
 // and the per-run deadline scaled by the batch width (one loop carries
 // len(seeds) runs' worth of work). Result identity backfill mirrors
 // runOnce, per lane.
@@ -579,30 +478,7 @@ func (p *Pool) runLanesOnce(ctx context.Context, cfg core.Config, seeds []uint64
 	return results, errs, ""
 }
 
-// retryLoop executes one run with bounded, jittered retries of transient
-// verdicts, on the worker slot the caller holds. ctx is the flight's run
-// context: the pool context narrowed by per-call cancellation.
-func (p *Pool) retryLoop(ctx context.Context, cfg core.Config, key string) Outcome {
-	maxAttempts := 1 + p.opts.Retries
-	// The jitter stream is keyed off the run identity so backoff delays
-	// are reproducible; it only perturbs timing, never results.
-	jitter := xrand.New(hashKey(key) ^ 0x6a6974746572) // "jitter"
-	for attempt := 1; ; attempt++ {
-		res, err, stack := p.runOnce(ctx, cfg)
-		out := Outcome{Key: key, Result: res, Attempts: attempt, Err: err, Stack: stack}
-		if res.OK() || !Retryable(res.Status) || attempt >= maxAttempts || ctx.Err() != nil {
-			return out
-		}
-		delay := backoffDelay(p.opts.Backoff, p.opts.MaxBackoff, attempt, jitter)
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return out
-		}
-	}
-}
-
-// runOnce executes a single attempt with the per-run deadline and panic
+// runOnce executes one run with the per-run deadline and panic
 // isolation. A panic becomes a "panic" DNF with the stack attached; an
 // error outside the typed vocabulary (e.g. an invalid configuration)
 // becomes a DNF whose Status carries the message.
@@ -640,10 +516,9 @@ func backfill(res core.Result, err error, cfg core.Config) core.Result {
 
 func canceledOutcome(cfg core.Config, key string, err error) Outcome {
 	return Outcome{
-		Key:      key,
-		Result:   core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "canceled"},
-		Attempts: 1,
-		Err:      err,
+		Key:    key,
+		Result: core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "canceled"},
+		Err:    err,
 	}
 }
 
@@ -660,7 +535,7 @@ func (p *Pool) persist(out Outcome) error {
 		return errors.New("runner: checkpoint journal is closed")
 	}
 	iofault.Crashpoint(iofault.CPPublishBeforeAppend)
-	if err := p.journal.Append(Record{Key: out.Key, Attempts: out.Attempts, Result: out.Result}); err != nil {
+	if err := p.journal.Append(Record{Key: out.Key, Result: out.Result}); err != nil {
 		p.wounded.Store(true)
 		return err
 	}
@@ -718,10 +593,4 @@ func (p *Pool) Close() error {
 	err := p.journal.Close()
 	p.journal = nil
 	return err
-}
-
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // testCfg builds a distinct config without needing a real simulation.
@@ -37,9 +36,6 @@ func doOne(p *Pool, cfg core.Config) Outcome { return p.Do(context.Background(),
 
 func newPool(t *testing.T, opts Options) *Pool {
 	t.Helper()
-	if opts.Backoff == 0 {
-		opts.Backoff = time.Millisecond
-	}
 	p, err := New(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +96,6 @@ func TestPanicIsolation(t *testing.T) {
 	if bad.Result.Status != "panic" {
 		t.Errorf("panicked run status = %q, want panic", bad.Result.Status)
 	}
-	if bad.Attempts != 1 {
-		t.Errorf("panic retried: attempts = %d, want 1 (panics are deterministic)", bad.Attempts)
-	}
 	if !strings.Contains(bad.Stack, "goroutine") {
 		t.Errorf("panic outcome missing stack: %q", bad.Stack)
 	}
@@ -111,46 +104,24 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	p := newPool(t, Options{Jobs: 1, Retries: 2, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
-		if calls.Add(1) < 3 {
-			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "timeout"}, nil
-		}
-		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok", IPC: 2}, nil
-	}})
-	out := doOne(p, testCfg(t, "flaky"))
-	if !out.OK() {
-		t.Fatalf("flaky run did not recover: status %q", out.Result.Status)
-	}
-	if out.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", out.Attempts)
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	p := newPool(t, Options{Jobs: 1, Retries: 2, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
-		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "stall"}, nil
-	}})
-	out := doOne(p, testCfg(t, "stuck"))
-	if out.OK() || out.Result.Status != "stall" {
-		t.Fatalf("outcome = %+v, want stall DNF", out.Result)
-	}
-	if out.Attempts != 3 {
-		t.Errorf("attempts = %d, want 1 + 2 retries", out.Attempts)
-	}
-}
-
+// TestDeterministicVerdictsNeverRetried: every verdict is terminal. The
+// simulator is deterministic, so a stall repeats on a re-run, and a timeout
+// the pool's own deadline produced stays in the cache for the pool's life.
 func TestDeterministicVerdictsNeverRetried(t *testing.T) {
-	for _, status := range []string{"deadlock", "livelock", "cycle-cap", "invariant", "panic"} {
+	for _, status := range []string{"stall", "timeout", "deadlock", "livelock", "cycle-cap", "invariant", "panic"} {
 		var calls atomic.Int64
-		p := newPool(t, Options{Jobs: 1, Retries: 5, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
+		p := newPool(t, Options{Jobs: 1, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 			calls.Add(1)
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status}, nil
 		}})
-		out := doOne(p, testCfg(t, "det-"+status))
-		if calls.Load() != 1 || out.Attempts != 1 {
-			t.Errorf("%s: executed %d times (attempts %d), want exactly 1", status, calls.Load(), out.Attempts)
+		cfg := testCfg(t, "det-"+status)
+		out := doOne(p, cfg)
+		if again := doOne(p, cfg); !again.Cached || again.Result.Status != status {
+			t.Errorf("%s: second request cached=%v status %q, want the cached verdict", status, again.Cached, again.Result.Status)
+		}
+		if calls.Load() != 1 || p.Executed() != 1 || out.Result.Status != status {
+			t.Errorf("%s: status %q after %d executions (pool counts %d), want the verdict after exactly 1",
+				status, out.Result.Status, calls.Load(), p.Executed())
 		}
 	}
 }
@@ -172,8 +143,8 @@ func TestErrorBecomesDNFWithMessage(t *testing.T) {
 }
 
 // TestRunTimeoutVerdict exercises the real core.Run path: a slow run must
-// surface as one "timeout" DNF row with its attempt count while the fast
-// sibling in the same sweep completes. BIN at scale 0.05 finishes in tens
+// surface as one "timeout" DNF row while the fast sibling in the same sweep
+// completes. BIN at scale 0.05 finishes in tens
 // of milliseconds; MUM at full scale needs ~10s, far past the 1s deadline
 // on any plausible machine.
 func TestRunTimeoutVerdict(t *testing.T) {
@@ -198,10 +169,6 @@ func TestRunTimeoutVerdict(t *testing.T) {
 	}
 	if outs[1].Result.Status != "timeout" {
 		t.Fatalf("slow run status = %q, want timeout", outs[1].Result.Status)
-	}
-	if outs[1].Attempts != 1 {
-		// Retries default to 0 here.
-		t.Errorf("attempts = %d, want 1", outs[1].Attempts)
 	}
 }
 
@@ -251,74 +218,6 @@ func TestKeyDistinguishesSeedAndScale(t *testing.T) {
 	keys := map[string]bool{Key(a): true, Key(b): true, Key(c): true}
 	if len(keys) != 3 {
 		t.Errorf("seed/scale variants share keys: %v", keys)
-	}
-}
-
-// TestRetryableClassification pins the full verdict table: transient
-// verdicts retry, deterministic ones are terminal, and an unknown status
-// (a future verdict nobody classified yet) defaults to terminal.
-func TestRetryableClassification(t *testing.T) {
-	cases := map[string]bool{
-		"stall":   true,
-		"timeout": true,
-
-		"ok":        false,
-		"deadlock":  false,
-		"livelock":  false,
-		"cycle-cap": false,
-		"invariant": false,
-		"panic":     false,
-		"canceled":  false,
-		"error":     false,
-		"io_error":  false,
-
-		// Outside the vocabulary: an invalid-config message promoted
-		// into Status, and a verdict that does not exist yet.
-		"core: configuration has no memory controllers": false,
-		"some-future-verdict":                           false,
-		"":                                              false,
-	}
-	for status, want := range cases {
-		if got := Retryable(status); got != want {
-			t.Errorf("Retryable(%q) = %v, want %v", status, got, want)
-		}
-	}
-}
-
-// TestBackoffDelayBounds asserts the jitter and cap contract: every delay
-// lies in [cap/2, 3*cap/2] where cap = min(base<<(retry-1), max), and huge
-// retry budgets can neither overflow nor exceed the cap.
-func TestBackoffDelayBounds(t *testing.T) {
-	base := 10 * time.Millisecond
-	max := 160 * time.Millisecond
-	jitter := xrand.New(42)
-	for retry := 1; retry <= 200; retry++ {
-		exp := base
-		for i := 1; i < retry && exp < max; i++ {
-			exp <<= 1
-		}
-		if exp > max {
-			exp = max
-		}
-		d := backoffDelay(base, max, retry, jitter)
-		if d < exp/2 || d > exp+exp/2 {
-			t.Fatalf("retry %d: delay %v outside [%v, %v]", retry, d, exp/2, exp+exp/2)
-		}
-		if d < 0 || d > max+max/2 {
-			t.Fatalf("retry %d: delay %v breaches the cap %v (overflow?)", retry, d, max+max/2)
-		}
-	}
-	// Uncapped growth for the first few retries: retry 3 must be able to
-	// exceed retry 1's ceiling, or the backoff is not exponential at all.
-	saw := false
-	for i := 0; i < 64; i++ {
-		if backoffDelay(base, max, 3, jitter) > 3*base/2 {
-			saw = true
-			break
-		}
-	}
-	if !saw {
-		t.Error("retry 3 never exceeded retry 1's jitter ceiling; backoff not growing")
 	}
 }
 

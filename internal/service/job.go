@@ -31,8 +31,8 @@ type Event struct {
 
 // RunResult is the deterministic per-run payload of a job's result
 // document: the run identity and the full simulation result, with no
-// timestamps, attempt counts or cache provenance, so the /result document
-// is byte-identical across retries, daemon restarts and store replays.
+// timestamps or cache provenance, so the /result document is
+// byte-identical across resubmissions, daemon restarts and store replays.
 type RunResult struct {
 	Key    string      `json:"key"`
 	Result core.Result `json:"result"`

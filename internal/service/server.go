@@ -20,7 +20,6 @@ import (
 const (
 	DefaultQueueCap      = 64
 	DefaultMaxRunsPerJob = 256
-	DefaultRetries       = 1
 	DefaultDeadline      = 10 * time.Minute
 	DefaultMaxDeadline   = time.Hour
 	DefaultRetryAfter    = 2 * time.Second
@@ -45,9 +44,6 @@ type Options struct {
 	Jobs int
 	// RunTimeout is the per-run wall-clock deadline; 0 disables it.
 	RunTimeout time.Duration
-	// Retries re-attempts transient DNFs; negative means 0, zero means
-	// DefaultRetries.
-	Retries int
 	// DefaultDeadline bounds jobs that do not request a deadline.
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps requested deadlines.
@@ -100,11 +96,6 @@ func New(opts Options) (*Server, error) {
 	if opts.Jobs <= 0 {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
-	if opts.Retries == 0 {
-		opts.Retries = DefaultRetries
-	} else if opts.Retries < 0 {
-		opts.Retries = 0
-	}
 	if opts.DefaultDeadline <= 0 {
 		opts.DefaultDeadline = DefaultDeadline
 	}
@@ -128,7 +119,6 @@ func New(opts Options) (*Server, error) {
 	pool, err := runner.New(baseCtx, runner.Options{
 		Jobs:       opts.Jobs,
 		RunTimeout: opts.RunTimeout,
-		Retries:    opts.Retries,
 		Checkpoint: opts.StorePath,
 		Resume:     true,
 		FS:         opts.FS,
@@ -361,11 +351,10 @@ func (s *Server) jobDoc(j *Job) map[string]any {
 			continue // not finished yet
 		}
 		runs = append(runs, map[string]any{
-			"key":      out.Key,
-			"status":   statusLabel(out.Result.Status),
-			"attempts": out.Attempts,
-			"cached":   out.Cached,
-			"resumed":  out.Resumed,
+			"key":     out.Key,
+			"status":  statusLabel(out.Result.Status),
+			"cached":  out.Cached,
+			"resumed": out.Resumed,
 		})
 	}
 	doc := map[string]any{

@@ -354,12 +354,11 @@ func (t *Table) String() string {
 }
 
 // Outcomes tallies the terminal states of a sweep's runs: how many landed
-// in each status ("ok", "deadlock", "timeout", "panic", ...) and the
-// distribution of attempts the resilient runner needed per run. The
-// experiment CLIs render it as the sweep's closing DNF/attempt summary.
+// in each status ("ok", "deadlock", "timeout", "panic", ...). The
+// experiment CLIs render it as the sweep's closing DNF summary.
 type Outcomes struct {
 	byStatus map[string]int
-	attempts IntDist
+	runs     int
 
 	// Early-termination savings reported by the design-space explorer:
 	// how many configurations successive halving killed before their
@@ -400,9 +399,9 @@ func (o *Outcomes) CycleSavings() float64 {
 	return float64(o.exhaustiveCycles) / float64(o.simulatedCycles)
 }
 
-// Observe records one run's terminal status and attempt count; an empty
-// status counts as "ok".
-func (o *Outcomes) Observe(status string, attempts int) {
+// Observe records one run's terminal status; an empty status counts as
+// "ok".
+func (o *Outcomes) Observe(status string) {
 	if o.byStatus == nil {
 		o.byStatus = make(map[string]int)
 	}
@@ -410,11 +409,11 @@ func (o *Outcomes) Observe(status string, attempts int) {
 		status = "ok"
 	}
 	o.byStatus[status]++
-	o.attempts.Add(attempts)
+	o.runs++
 }
 
 // Total returns the number of observed runs.
-func (o *Outcomes) Total() int { return int(o.attempts.N()) }
+func (o *Outcomes) Total() int { return o.runs }
 
 // DNF returns how many runs did not finish cleanly.
 func (o *Outcomes) DNF() int { return o.Total() - o.byStatus["ok"] }
@@ -422,13 +421,8 @@ func (o *Outcomes) DNF() int { return o.Total() - o.byStatus["ok"] }
 // Count returns how many runs ended with the given status.
 func (o *Outcomes) Count(status string) int { return o.byStatus[status] }
 
-// Retried returns how many runs needed more than one attempt.
-func (o *Outcomes) Retried() int {
-	return o.Total() - int(o.attempts.Count(1)) - int(o.attempts.Count(0))
-}
-
-// Table renders the per-status counts with attempt accounting, sorted by
-// status for diff-stable output.
+// Table renders the per-status counts, sorted by status for diff-stable
+// output.
 func (o *Outcomes) Table() *Table {
 	tb := NewTable("run outcomes", "status", "runs", "share")
 	statuses := make([]string, 0, len(o.byStatus))
@@ -445,15 +439,12 @@ func (o *Outcomes) Table() *Table {
 }
 
 // Summary renders the one-line sweep verdict the CLIs print after the
-// tables, e.g. "12 runs: 10 ok, 2 DNF, 1 retried (max 3 attempts)".
+// tables, e.g. "12 runs: 10 ok, 2 DNF".
 func (o *Outcomes) Summary() string {
 	if o.Total() == 0 {
 		return "0 runs"
 	}
 	s := fmt.Sprintf("%d runs: %d ok, %d DNF", o.Total(), o.byStatus["ok"], o.DNF())
-	if r := o.Retried(); r > 0 {
-		s += fmt.Sprintf(", %d retried (max %d attempts)", r, o.attempts.Max())
-	}
 	if o.killedEarly > 0 || o.simulatedCycles > 0 {
 		s += fmt.Sprintf("; explorer killed %d config(s) early, simulated %d of %d exhaustive cycles (%.1fx saved)",
 			o.killedEarly, o.simulatedCycles, o.exhaustiveCycles, o.CycleSavings())

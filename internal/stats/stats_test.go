@@ -223,7 +223,7 @@ func TestOutcomesEarlyTermination(t *testing.T) {
 	if !strings.Contains(o.Summary(), "0 runs") {
 		t.Errorf("summary = %q", o.Summary())
 	}
-	o.Observe("ok", 1)
+	o.Observe("ok")
 	if strings.Contains(o.Summary(), "explorer") {
 		t.Errorf("summary should not mention the explorer before savings are recorded: %q", o.Summary())
 	}
