@@ -160,8 +160,10 @@ func main() {
 	}
 	dnf := suite.DNF()
 	if outcomes.Total() > 0 {
-		fmt.Printf("%s in %.0fs (%d simulated here)\n",
-			outcomes.Summary(), time.Since(start).Seconds(), suite.Executed())
+		// stdout stays a pure function of the flags, so two runs of one
+		// sweep diff clean; the wall-clock time goes to stderr.
+		fmt.Printf("%s (%d simulated here)\n", outcomes.Summary(), suite.Executed())
+		fmt.Fprintf(os.Stderr, "experiments: sweep took %.0fs\n", time.Since(start).Seconds())
 	}
 	if len(dnf) > 0 {
 		fmt.Printf("%d run(s) did not finish (excluded from aggregates):\n", len(dnf))

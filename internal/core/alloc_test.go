@@ -52,3 +52,33 @@ func TestClosedLoopSteadyStateAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestNewSystemAllocations pins what building a system costs in heap
+// allocations on the baseline mesh, the throughput-effective double network
+// and the perfect network. The topology backend comes from noc's cache and
+// each network is carved from a few per-network slabs, so the network's
+// share is a handful of allocations; most of the count is the SIMT cores,
+// their workload generators and the memory side.
+func TestNewSystemAllocations(t *testing.T) {
+	mum, err := workload.ByAbbr("MUM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg Config
+		max float64
+	}{
+		{Baseline(mum), 594},
+		{ThroughputEffective(mum), 618},
+		{Perfect(mum), 585},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := NewSystem(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s: NewSystem makes %.0f allocations, at most %.0f allowed", tc.cfg.Name, allocs, tc.max)
+		}
+	}
+}

@@ -1,18 +1,15 @@
 package core
 
-import (
-	"context"
-
-	"repro/internal/noc"
-)
+import "context"
 
 // RunLanes executes len(seeds) replicas of cfg — identical except for
 // Config.Seed — through one interleaved cycle loop. The replicas ("lanes")
-// share the immutable topology backend (geometry, route tables; backends are
-// read-only at runtime), while every lane keeps its own mutable state: VC
-// buffers, queues, stats, RNG streams and a private clock scheduler. Each
-// round advances every live lane by one call of the step function System.Run
-// loops over, so a lane executes exactly what Run executes for its seed,
+// share the immutable topology backend (geometry, route tables) through
+// noc.BuildBackend's process-wide cache, as any systems of one geometry do,
+// while every lane keeps its own mutable state: VC buffers, queues, stats,
+// RNG streams and a private clock scheduler. Each round advances every live
+// lane by one call of the step function System.Run loops over, so a lane
+// executes exactly what Run executes for its seed,
 // interleaved in wall-clock with its siblings; lanes retire individually as
 // they finish and a retired lane costs nothing. One seed is simply a batch
 // of one.
@@ -54,22 +51,16 @@ func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*System, []err
 	return lanes, errs
 }
 
-// newLanes builds one System per seed. Only the single-mesh network family
-// can share its backend (Double builds two slices, ideal networks have no
-// kernel); other kinds simply construct per lane, exactly as NewSystem does.
+// newLanes builds one System per seed. The lanes share their topology
+// backend through noc.BuildBackend's cache, exactly as separate NewSystem
+// calls do.
 func newLanes(cfg Config, seeds []uint64) ([]*System, []error) {
-	var share noc.Backend
-	if cfg.Net == NetMesh && len(seeds) > 0 {
-		if b, err := noc.BuildBackend(cfg.Noc); err == nil {
-			share = b
-		}
-	}
 	errs := make([]error, len(seeds))
 	lanes := make([]*System, len(seeds))
 	for i, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		lanes[i], errs[i] = newSystem(c, share)
+		lanes[i], errs[i] = NewSystem(c)
 	}
 	return lanes, errs
 }

@@ -86,13 +86,9 @@ type System struct {
 	loop // cycle-loop state, see loop.go
 }
 
-// NewSystem builds the system for cfg.
-func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, nil) }
-
-// newSystem builds the system, optionally sharing a prebuilt topology
-// backend (lane-batched seed replicas build geometry and route tables once;
-// see RunLanes). A nil share builds the backend from cfg as usual.
-func newSystem(cfg Config, share noc.Backend) (*System, error) {
+// NewSystem builds the system for cfg. Its topology backend comes from
+// noc.BuildBackend's cache, so systems of one geometry share it.
+func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,12 +100,7 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 
 	switch cfg.Net {
 	case NetMesh:
-		var m *noc.Mesh
-		if share != nil {
-			m, err = noc.NewMeshWithBackend(cfg.Noc, share)
-		} else {
-			m, err = noc.NewMesh(cfg.Noc)
-		}
+		m, err := noc.NewMesh(cfg.Noc)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +125,8 @@ func newSystem(cfg Config, share noc.Backend) (*System, error) {
 			return nil, err
 		}
 		// Node roles come from a routing-neutral backend of the configured
-		// topology (half-routers irrelevant on an ideal network).
+		// topology (half-routers irrelevant on an ideal network): the cached
+		// one a DOR mesh of this geometry uses.
 		role := cfg.Noc
 		role.Checkerboard = false
 		role.Routing = noc.RoutingDOR

@@ -154,16 +154,30 @@ func TestCheckpointResumeSweep(t *testing.T) {
 }
 
 // TestSuiteTimeoutDNF drives a real wall-clock timeout through the whole
-// suite: full-scale MUM (~10s) blows a 1s deadline and must land as one
-// "timeout" DNF row, executed once, while full-scale BIN (<1s) completes.
+// suite: full-scale MUM blows the deadline and must land as one "timeout"
+// DNF row, executed once, while full-scale BIN completes. MUM takes 10 to 25
+// times as long as BIN (the low end under the race detector), so the
+// deadline is set from a timed solo BIN run in this process: four times that
+// run, and never under one second. BIN then fits and MUM does not however
+// much the host or the race detector slows both.
 func TestSuiteTimeoutDNF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timeout sweep skipped in -short mode")
 	}
+	solo, err := New(Options{Benchmarks: []string{"BIN"}, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	_ = solo.Fig11()
+	deadline := max(time.Second, 4*time.Since(begin))
+	if dnf := solo.DNF(); len(dnf) != 0 {
+		t.Fatalf("solo BIN did not finish: %v", dnf)
+	}
 	s, err := New(Options{
 		Benchmarks: []string{"BIN", "MUM"},
 		Jobs:       2,
-		RunTimeout: time.Second,
+		RunTimeout: deadline,
 	})
 	if err != nil {
 		t.Fatal(err)

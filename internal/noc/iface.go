@@ -20,19 +20,20 @@ type injWriter struct {
 // netIface is the per-node network interface: bounded source queues feeding
 // the router's injection port(s), and packet reassembly on the ejection
 // side. Each injection port writes at most one flit per cycle, so a 2-port
-// MC router has twice the terminal injection bandwidth (§IV-D). writing has
-// bit port*numVCs+vc set while writers[port][vc] holds a packet: each
-// injection port's numVCs-bit window is its mask of busy writers, which
-// continueWrite walks and pickInjVC takes out of the packet's allowed VCs.
-// The injection VCs are router input VCs, so all windows fit one word.
+// MC router has twice the terminal injection bandwidth (§IV-D). writers is
+// flat over port*numVCs+vc, and writing has the same bit set while that
+// writer holds a packet: each injection port's numVCs-bit window is its mask
+// of busy writers, which continueWrite walks and pickInjVC takes out of the
+// packet's allowed VCs. The injection VCs are router input VCs, so all
+// windows fit one word.
 type netIface struct {
 	node    NodeID
 	rtr     *router
 	net     *meshNet
 	srcQ    [NumClasses]ring.Ring[*Packet]
-	writers [][]injWriter // [injPort][vc]
-	writing uint64        // bit port*numVCs+vc: writers[port][vc].pkt != nil
-	pend    int           // queued packets + in-progress writers; injectStep is a no-op at 0
+	writers []injWriter // [port*numVCs+vc]
+	writing uint64      // bit port*numVCs+vc: writers[port*numVCs+vc].pkt != nil
+	pend    int         // queued packets + in-progress writers; injectStep is a no-op at 0
 	classRR int
 
 	// delivered/spare double-buffer the per-tick delivery batch: Delivered
@@ -42,16 +43,15 @@ type netIface struct {
 	spare     []*Packet
 }
 
-func newNetIface(node NodeID, rtr *router, net *meshNet) *netIface {
-	ni := &netIface{node: node, rtr: rtr, net: net}
+// init builds ni in place for node, carving its writers (rtr.p.nInj*numVCs)
+// and its source-queue buffers (NumClasses*SrcQueueCap) from the network's
+// slabs.
+func (ni *netIface) init(node NodeID, rtr *router, net *meshNet, writers *[]injWriter, queued *[]*Packet) {
+	*ni = netIface{node: node, rtr: rtr, net: net}
 	for c := range ni.srcQ {
-		ni.srcQ[c] = ring.New[*Packet](net.cfg.SrcQueueCap, net.cfg.SrcQueueCap)
+		ni.srcQ[c] = ring.Over(carve(queued, net.cfg.SrcQueueCap), net.cfg.SrcQueueCap)
 	}
-	ni.writers = make([][]injWriter, rtr.p.nInj)
-	for p := range ni.writers {
-		ni.writers[p] = make([]injWriter, rtr.p.numVCs)
-	}
-	return ni
+	ni.writers = carve(writers, rtr.p.nInj*rtr.p.numVCs)
 }
 
 // enqueue appends p to its class's source queue and marks the interface
@@ -64,7 +64,7 @@ func (ni *netIface) enqueue(p *Packet) {
 
 // injectStep advances injection by up to one flit per port.
 func (ni *netIface) injectStep(cycle uint64) {
-	for port := range ni.writers {
+	for port, nInj := 0, ni.rtr.p.nInj; port < nInj; port++ {
 		if ni.continueWrite(port, cycle) {
 			continue
 		}
@@ -86,7 +86,7 @@ func (ni *netIface) continueWrite(port int, cycle uint64) bool {
 		if ni.rtr.injSpace(port, v) == 0 {
 			continue
 		}
-		ni.writeFlit(port, &ni.writers[port][v], cycle)
+		ni.writeFlit(port, &ni.writers[port*ni.rtr.p.numVCs+v], cycle)
 		return true
 	}
 	return false
@@ -118,9 +118,10 @@ func (ni *netIface) startWrite(port int, cycle uint64) {
 		pkt.ejected = 0
 		ni.net.stats.InjectedPackets[ni.node]++
 		ni.net.stats.InjectedBytes[ni.node] += uint64(pkt.Bytes)
-		w := &ni.writers[port][vc]
+		i := port*ni.rtr.p.numVCs + vc
+		w := &ni.writers[i]
 		*w = injWriter{pkt: pkt, total: int(pkt.flits), vc: vc}
-		ni.writing |= 1 << uint(port*ni.rtr.p.numVCs+vc)
+		ni.writing |= 1 << uint(i)
 		ni.writeFlit(port, w, cycle)
 		return
 	}

@@ -443,11 +443,9 @@ func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 			}
 		}
 		var writing uint64
-		for port, ws := range m.nis[id].writers {
-			for v := range ws {
-				if ws[v].pkt != nil {
-					writing |= 1 << uint(port*r.p.numVCs+v)
-				}
+		for i, w := range m.nis[id].writers {
+			if w.pkt != nil {
+				writing |= 1 << uint(i)
 			}
 		}
 		if got := m.nis[id].writing; got != writing {
@@ -591,7 +589,7 @@ func TestPickSAInputMatchesScan(t *testing.T) {
 	const cycle = 10
 	for n := 1; n <= 8; n++ {
 		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}
-		r := newRouter(p, nil, make([]Flit, p.slabFlits()))
+		r := standaloneRouter(p)
 		in := r.nIn - 1
 		for v := 0; v < n; v++ {
 			ivc := &r.inputs[r.inIdx(in, v)]
@@ -676,7 +674,7 @@ func TestVAMaskPickMatchesScan(t *testing.T) {
 	const cycle = 10
 	for n := 1; n <= 8; n++ {
 		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}
-		r := newRouter(p, nil, make([]Flit, p.slabFlits()))
+		r := standaloneRouter(p)
 		const idx = 0
 		ivc := &r.inputs[idx]
 		for _, split := range []bool{false, true} {

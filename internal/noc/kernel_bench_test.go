@@ -56,29 +56,55 @@ func checkerboardKernelConfig() Config {
 // identical load, so the rows compare what a tick costs on each substrate
 // (and keep the 0 allocs/op gate honest on every backend's hot path).
 func BenchmarkBackendKernel(b *testing.B) {
-	backendCfg := func(kind BackendKind, w, h int) Config {
-		cfg := DefaultConfig()
-		if w != 6 || h != 6 {
-			cfg.Width, cfg.Height = w, h
-			cfg.MCs = TopBottomPlacement(w, h, 8)
-		}
-		switch kind {
-		case BackendRing:
-			cfg.Topology = BackendRing
-			cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 4, 4, 2
-		case BackendBaseJump:
-			cfg.Topology = BackendBaseJump
-			cfg.FlitBytes, cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 64, 2, 2, 2
-		}
-		return cfg
-	}
 	for _, kind := range []BackendKind{BackendMesh, BackendRing, BackendBaseJump} {
 		for _, dim := range []struct{ w, h int }{{6, 6}, {12, 12}} {
-			cfg := backendCfg(kind, dim.w, dim.h)
+			cfg := backendKernelConfig(kind, dim.w, dim.h)
 			b.Run(fmt.Sprintf("%s-%dx%d", kind, dim.w, dim.h), func(b *testing.B) {
 				benchCycleKernel(b, cfg, 4)
 			})
 		}
+	}
+}
+
+// backendKernelConfig is the BackendKernel network of one backend kind on a
+// w×h geometry.
+func backendKernelConfig(kind BackendKind, w, h int) Config {
+	cfg := DefaultConfig()
+	if w != 6 || h != 6 {
+		cfg.Width, cfg.Height = w, h
+		cfg.MCs = TopBottomPlacement(w, h, 8)
+	}
+	switch kind {
+	case BackendRing:
+		cfg.Topology = BackendRing
+		cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 4, 4, 2
+	case BackendBaseJump:
+		cfg.Topology = BackendBaseJump
+		cfg.FlitBytes, cfg.NumVCs, cfg.BufDepth, cfg.RouterStages = 64, 2, 2, 2
+	}
+	return cfg
+}
+
+// BenchmarkNewMesh measures building one network (one op = one NewMesh) on
+// the paper's 6×6 geometry for each backend family: the construction cost
+// every simulated run pays once, on a backend the cache already holds after
+// the first op. allocs/op is the construction gate's count.
+func BenchmarkNewMesh(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"checkerboard", checkerboardKernelConfig()},
+		{"ring", backendKernelConfig(BackendRing, 6, 6)},
+		{"basejump", backendKernelConfig(BackendBaseJump, 6, 6)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MustNewMesh(tc.cfg)
+			}
+		})
 	}
 }
 

@@ -39,11 +39,18 @@ func (s *allocState) equal(o *allocState) bool {
 	return slices.Equal(s.ints, o.ints) && slices.Equal(s.words, o.words)
 }
 
+// standaloneRouter builds a network-less router on slabs of its own.
+func standaloneRouter(p routerParams) *router {
+	r := new(router)
+	r.init(p, nil, p.slabSize().alloc())
+	return r
+}
+
 // loneTestRouter builds a network-less router whose direction outputs feed
 // downstream windows of their own, so switch allocation can read free slots
 // on every output port.
 func loneTestRouter(p routerParams) *router {
-	r := newRouter(p, nil, make([]Flit, p.slabFlits()))
+	r := standaloneRouter(p)
 	for d := range r.downVCs {
 		down := make([]inVC, p.numVCs)
 		slab := make([]Flit, p.numVCs*p.bufDepth)

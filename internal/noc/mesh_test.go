@@ -55,10 +55,8 @@ func TestMeshConfigValidation(t *testing.T) {
 // TestRouterWidthValidation pins the static bounds of the mask-driven
 // router: input VCs per router fit a 64-bit stage mask, a VC number fits
 // Flit.VC and a credit returns within the 64-cycle pop window. Over-wide
-// configs are refused with an error by every constructor, never truncated
-// and never a panic.
+// configs are refused with an error, never truncated and never a panic.
 func TestRouterWidthValidation(t *testing.T) {
-	shared := MustBuildBackend(DefaultConfig()) // no row changes the geometry
 	for _, tc := range []struct {
 		name            string
 		numVCs, mcPorts int
@@ -81,9 +79,6 @@ func TestRouterWidthValidation(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: NewMesh error = %v, want ok=%v", tc.name, err, tc.ok)
 		}
-		if _, serr := NewMeshWithBackend(cfg, shared); (serr == nil) != tc.ok {
-			t.Errorf("%s: NewMeshWithBackend error = %v, want ok=%v", tc.name, serr, tc.ok)
-		}
 	}
 	// Switch allocation's requested-output mask holds 64 output ports.
 	for ej, ok := range map[int]bool{60: true, 61: false} {
@@ -97,17 +92,19 @@ func TestRouterWidthValidation(t *testing.T) {
 
 // TestNewMeshAllocations pins what building a network costs in heap
 // allocations, on the baseline mesh and on the CycleKernel/checkerboard
-// network: per-router and per-NI state must come out of the allocations
-// that already exist, so a new mask or table adds no allocation per
-// component.
+// network: the backend comes from the cache, and routers, NIs, writers and
+// queues are carved from per-network slabs, so the count does not grow with
+// the node count and a new per-component field or table must come out of a
+// slab rather than add an allocation per component.
 func TestNewMeshAllocations(t *testing.T) {
+	withFreshBackendCache(t)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		max  float64
 	}{
-		{"default", DefaultConfig(), 536},
-		{"checkerboard", checkerboardKernelConfig(), 544},
+		{"default", DefaultConfig(), 18},
+		{"checkerboard", checkerboardKernelConfig(), 18},
 	} {
 		allocs := testing.AllocsPerRun(10, func() { MustNewMesh(tc.cfg) })
 		if allocs > tc.max {

@@ -296,33 +296,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	return newMeshNet(cfg, backend)
 }
 
-// NewMeshWithBackend builds a network on a prebuilt backend. Its caller is
-// core.RunLanes, whose seed replicas of one configuration pay for geometry
-// and route tables once. Backends are immutable at runtime — PlanRoute threads
-// the caller's rng and scratch through — so sharing one across networks is
-// race-free. cfg must describe the same substrate the backend was built from.
-func NewMeshWithBackend(cfg Config, backend Backend) (*Mesh, error) {
-	if backend == nil {
-		return nil, fmt.Errorf("noc: NewMeshWithBackend needs a backend")
-	}
-	if backend.Kind() != cfg.Topology {
-		return nil, fmt.Errorf("noc: backend is %v but config wants %v", backend.Kind(), cfg.Topology)
-	}
-	if got, want := backend.NumNodes(), cfg.Width*cfg.Height; got != want {
-		return nil, fmt.Errorf("noc: backend has %d nodes but config describes %d", got, want)
-	}
-	mcs := backend.MCs()
-	if len(mcs) != len(cfg.MCs) {
-		return nil, fmt.Errorf("noc: backend has %d MCs but config places %d", len(mcs), len(cfg.MCs))
-	}
-	for i, mc := range mcs {
-		if mc != cfg.MCs[i] {
-			return nil, fmt.Errorf("noc: backend MC %d is node %d but config places node %d", i, mc, cfg.MCs[i])
-		}
-	}
-	return newMeshNet(cfg, backend)
-}
-
 // newMeshNet builds the network body on an already-validated backend.
 func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	if cfg.FlitBytes <= 0 || cfg.BufDepth <= 0 || cfg.NumVCs <= 0 {
@@ -369,20 +342,24 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		}
 	}
 	nNodes := backend.NumNodes()
-	n.stats.InjectedFlits = make([]uint64, nNodes)
-	n.stats.InjectedPackets = make([]uint64, nNodes)
-	n.stats.InjectedBytes = make([]uint64, nNodes)
-	n.stats.EjectedFlits = make([]uint64, nNodes)
+	counters := make([]uint64, 4*nNodes)
+	n.stats.InjectedFlits = carve(&counters, nNodes)
+	n.stats.InjectedPackets = carve(&counters, nNodes)
+	n.stats.InjectedBytes = carve(&counters, nNodes)
+	n.stats.EjectedFlits = carve(&counters, nNodes)
 	n.interScratch = make([]NodeID, 0, nNodes)
-	n.injActive = newActiveSet(nNodes)
-	n.rtrActive = newActiveSet(nNodes)
-	n.delivSet = newActiveSet(nNodes)
+	setWords := (nNodes + 63) / 64
+	sets := make([]uint64, 3*setWords)
+	n.injActive.words = carve(&sets, setWords)
+	n.rtrActive.words = carve(&sets, setWords)
+	n.delivSet.words = carve(&sets, setWords)
 
-	// Size the flit slab that holds every input VC buffer, and the ejection
-	// FIFO, before building the routers that window into them.
-	params := make([]routerParams, nNodes)
-	slabFlits, ejPorts := 0, 0
-	for id := range params {
+	// One pass sets every router's parameters and sizes the slabs that hold
+	// all per-router and per-NI state; the constructors below carve them.
+	routers := make([]router, nNodes)
+	var size slabSize
+	injPorts, ejPorts := 0, 0
+	for id := range routers {
 		node := NodeID(id)
 		p := routerParams{
 			node:     node,
@@ -403,44 +380,79 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			p.nInj = cfg.MCInjPorts
 			p.nEj = cfg.MCEjPorts
 		}
-		params[id] = p
-		slabFlits += p.slabFlits()
+		routers[id].p = p
+		size.add(p.slabSize())
+		injPorts += p.nInj
 		ejPorts += p.nEj
 	}
 	n.ejq = ring.New[ejFlit](ejPorts*cfg.EjQueueCap, ejPorts*cfg.EjQueueCap)
-	slab := make([]Flit, slabFlits)
+	slabs := size.alloc()
 	n.routers = make([]*router, nNodes)
-	for id, p := range params {
-		k := p.slabFlits()
-		n.routers[id] = newRouter(p, n, slab[:k:k])
-		slab = slab[k:]
+	for id := range routers {
+		r := &routers[id]
+		r.init(r.p, n, slabs)
+		n.routers[id] = r
 	}
-	// Wire the direction links, and with faults enabled the lost-credit
-	// return rings: a lost credit withholds a slot of the link's buffer, so
-	// at most numVCs*bufDepth are queued on one link.
-	chanCap := cfg.NumVCs * cfg.BufDepth
+	if n.fs != nil {
+		n.wireCreditReturn()
+	}
 	for id := 0; id < nNodes; id++ {
 		r := n.routers[id]
 		for d := Port(0); d < numDirs; d++ {
-			nb := backend.Neighbor(NodeID(id), d)
-			if nb < 0 {
-				continue
-			}
-			down, port := n.routers[nb], int(d.opposite())
-			r.downRtr[d] = down
-			r.downVCs[d] = down.inputs[port*cfg.NumVCs : (port+1)*cfg.NumVCs]
-			if n.fs != nil {
-				cc := &creditChannel{dst: r, dstPort: int(d)}
-				cc.q = ring.New[creditEvent](chanCap, chanCap)
-				n.routers[nb].credChans[int(d.opposite())] = cc
-				r.credIn[d] = cc
+			if nb := backend.Neighbor(NodeID(id), d); nb >= 0 {
+				down, port := n.routers[nb], int(d.opposite())
+				r.downRtr[d] = down
+				r.downVCs[d] = down.inputs[port*cfg.NumVCs : (port+1)*cfg.NumVCs]
 			}
 		}
 	}
-	for id := 0; id < nNodes; id++ {
-		n.nis = append(n.nis, newNetIface(NodeID(id), n.routers[id], n))
+	nis := make([]netIface, nNodes)
+	writers := make([]injWriter, injPorts*cfg.NumVCs)
+	queued := make([]*Packet, nNodes*int(NumClasses)*cfg.SrcQueueCap)
+	n.nis = make([]*netIface, nNodes)
+	for id := range nis {
+		nis[id].init(NodeID(id), n.routers[id], n, &writers, &queued)
+		n.nis[id] = &nis[id]
 	}
 	return m, nil
+}
+
+// wireCreditReturn builds the lost-credit return path of a faulty network:
+// for every direction link a creditChannel from the downstream router's
+// input port back to the upstream router's output port, on a ring that
+// holds every credit the link's buffers can withhold (numVCs*bufDepth). The
+// channels, their rings and the routers' credChans/credIn tables come from
+// one slab each.
+func (n *meshNet) wireCreditReturn() {
+	nNodes, chanCap := len(n.routers), n.cfg.NumVCs*n.cfg.BufDepth
+	links := 0
+	for id := 0; id < nNodes; id++ {
+		for d := Port(0); d < numDirs; d++ {
+			if n.backend.Neighbor(NodeID(id), d) >= 0 {
+				links++
+			}
+		}
+	}
+	tables := make([]*creditChannel, 2*int(numDirs)*nNodes)
+	chans := make([]creditChannel, links)
+	events := make([]creditEvent, links*chanCap)
+	for _, r := range n.routers {
+		r.credChans = carve(&tables, int(numDirs))
+		r.credIn = carve(&tables, int(numDirs))
+	}
+	for id, r := range n.routers {
+		for d := Port(0); d < numDirs; d++ {
+			nb := n.backend.Neighbor(NodeID(id), d)
+			if nb < 0 {
+				continue
+			}
+			cc := &chans[0]
+			chans = chans[1:]
+			*cc = creditChannel{dst: r, dstPort: int(d), q: ring.Over(carve(&events, chanCap), chanCap)}
+			n.routers[nb].credChans[int(d.opposite())] = cc
+			r.credIn[d] = cc
+		}
+	}
 }
 
 // checkRouterWidth rejects configurations the router's fixed-width state

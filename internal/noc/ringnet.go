@@ -21,9 +21,10 @@ import (
 // dateline twice, so phase 1 is acyclic. Phases() is therefore 2, and with
 // split traffic classes the VC budget must divide by 4.
 type ringBackend struct {
-	n      int
-	mcs    map[NodeID]bool
-	mcList []NodeID
+	n       int
+	mcs     map[NodeID]bool
+	mcList  []NodeID
+	compute []NodeID // the non-MC nodes in id order
 }
 
 func newRingBackend(cfg Config) (*ringBackend, error) {
@@ -48,6 +49,7 @@ func newRingBackend(cfg Config) (*ringBackend, error) {
 		b.mcs[mc] = true
 		b.mcList = append(b.mcList, mc)
 	}
+	b.compute = nonMCNodes(n, b.mcs)
 	return b, nil
 }
 
@@ -55,19 +57,13 @@ func (b *ringBackend) Kind() BackendKind  { return BackendRing }
 func (b *ringBackend) NumNodes() int      { return b.n }
 func (b *ringBackend) IsHalf(NodeID) bool { return false }
 func (b *ringBackend) IsMC(n NodeID) bool { return b.mcs[n] }
-func (b *ringBackend) MCs() []NodeID      { return b.mcList }
 func (b *ringBackend) SingleFlit() bool   { return false }
 func (b *ringBackend) Phases() int        { return 2 }
 
-func (b *ringBackend) ComputeNodes() []NodeID {
-	var out []NodeID
-	for n := 0; n < b.n; n++ {
-		if !b.mcs[NodeID(n)] {
-			out = append(out, NodeID(n))
-		}
-	}
-	return out
-}
+// MCs and ComputeNodes hand out shared slices, clipped so that an append
+// copies; callers must not write them.
+func (b *ringBackend) MCs() []NodeID          { return b.mcList[:len(b.mcList):len(b.mcList)] }
+func (b *ringBackend) ComputeNodes() []NodeID { return b.compute[:len(b.compute):len(b.compute)] }
 
 // Neighbor wires only the East/West ports; North/South carry no channels.
 func (b *ringBackend) Neighbor(n NodeID, d Port) NodeID {

@@ -249,22 +249,74 @@ type router struct {
 	// input indices bidding for output VC key = outPort*numVCs+outVC and
 	// vaKeys the dirty keys in discovery order; saReq[out] is the mask of
 	// switch bidders per output port. Every mask is zero between cycles.
-	// vaReq, saReq, outFree and stuck share one backing array.
+	// vaReq, saReq, outFree and stuck are windows of the network's word
+	// slab (routerSlabs).
 	vaReq  []uint64
 	vaKeys []int
 	saReq  []uint64
 }
 
-// slabFlits is the size of a router's window of the network's flit slab:
-// one bufDepth-flit buffer per input VC.
-func (p *routerParams) slabFlits() int {
-	return (int(numDirs) + p.nInj) * p.numVCs * p.bufDepth
+// routerSlabs holds the network-wide arrays that routers carve their state
+// from: each router takes the next consecutive window of every slab, so a
+// whole network's router state is five allocations however many routers it
+// has. A router's window of flits holds one bufDepth-flit buffer per input
+// VC; its ints hold ejOut, vaPtr, saInPtr, saOutPtr and vaKeys; its words
+// hold vaReq, saReq, outFree and stuck.
+type routerSlabs struct {
+	flits   []Flit
+	inputs  []inVC
+	outputs []outVC
+	ints    []int
+	words   []uint64
 }
 
-// newRouter builds a router whose input VC buffers are consecutive
-// bufDepth-flit windows of slab, which holds p.slabFlits() flits.
-func newRouter(p routerParams, net *meshNet, slab []Flit) *router {
-	r := &router{p: p, net: net}
+// slabSize counts what a router with params p takes of each slab, as the
+// lengths of a sizing routerSlabs.
+type slabSize struct{ flits, inputs, outputs, ints, words int }
+
+func (p *routerParams) slabSize() slabSize {
+	nIn, nOut := int(numDirs)+p.nInj, int(numDirs)+p.nEj
+	nIns, nKeys := nIn*p.numVCs, nOut*p.numVCs
+	return slabSize{
+		flits:   nIns * p.bufDepth,
+		inputs:  nIns,
+		outputs: nKeys,
+		ints:    p.nEj + nKeys + nIn + nOut + nKeys,
+		words:   nKeys + 2*nOut + nIns,
+	}
+}
+
+func (s *slabSize) add(o slabSize) {
+	s.flits += o.flits
+	s.inputs += o.inputs
+	s.outputs += o.outputs
+	s.ints += o.ints
+	s.words += o.words
+}
+
+// alloc makes slabs of exactly these sizes.
+func (s slabSize) alloc() *routerSlabs {
+	return &routerSlabs{
+		flits:   make([]Flit, s.flits),
+		inputs:  make([]inVC, s.inputs),
+		outputs: make([]outVC, s.outputs),
+		ints:    make([]int, s.ints),
+		words:   make([]uint64, s.words),
+	}
+}
+
+// carve cuts the next n elements off the front of *slab, clipped so that
+// an append never runs into the next owner's window.
+func carve[T any](slab *[]T, n int) []T {
+	w := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return w
+}
+
+// init builds r in place from p, carving its buffers and tables from s,
+// which must hold at least p.slabSize().
+func (r *router) init(p routerParams, net *meshNet, s *routerSlabs) {
+	*r = router{p: p, net: net}
 	r.rcD, r.vaD, r.stD = pipeDelays(p.stages)
 	if r.p.credLat == 0 {
 		// A credit is never usable in the cycle it is sent: an upstream
@@ -278,37 +330,32 @@ func newRouter(p routerParams, net *meshNet, slab []Flit) *router {
 		panic(fmt.Sprintf("noc: router %d has %d input VCs, stage masks hold %d",
 			p.node, r.nIn*p.numVCs, maxInputVCs))
 	}
-	r.inputs = make([]inVC, r.nIn*p.numVCs)
+	nKeys, nIns := r.nOut*p.numVCs, r.nIn*p.numVCs
+	flits := carve(&s.flits, nIns*p.bufDepth)
+	r.inputs = carve(&s.inputs, nIns)
 	for i := range r.inputs {
 		ivc := &r.inputs[i]
 		ivc.port, ivc.vc = i/p.numVCs, i%p.numVCs
 		ivc.outPort = -1
 		ivc.nextAt = NeverCycle
-		ivc.buf.buf = slab[i*p.bufDepth : (i+1)*p.bufDepth : (i+1)*p.bufDepth]
+		ivc.buf.buf = flits[i*p.bufDepth : (i+1)*p.bufDepth : (i+1)*p.bufDepth]
 	}
-	r.outputs = make([]outVC, r.nOut*p.numVCs)
+	r.outputs = carve(&s.outputs, nKeys)
 	for o := range r.outputs {
 		r.outputs[o].owner = -1
 	}
-	r.ejOut = make([]int, p.nEj)
-	r.vaPtr = make([]int, r.nOut*p.numVCs)
-	r.saInPtr = make([]int, r.nIn)
-	r.saOutPtr = make([]int, r.nOut)
-	nKeys, nIns := r.nOut*p.numVCs, r.nIn*p.numVCs
-	words := make([]uint64, nKeys+2*r.nOut+nIns)
-	r.vaReq = words[:nKeys:nKeys]
-	r.saReq = words[nKeys : nKeys+r.nOut : nKeys+r.nOut]
-	r.outFree = words[nKeys+r.nOut : nKeys+2*r.nOut : nKeys+2*r.nOut]
-	r.stuck = words[nKeys+2*r.nOut:]
+	r.ejOut = carve(&s.ints, p.nEj)
+	r.vaPtr = carve(&s.ints, nKeys)
+	r.saInPtr = carve(&s.ints, r.nIn)
+	r.saOutPtr = carve(&s.ints, r.nOut)
+	r.vaKeys = carve(&s.ints, nKeys)[:0]
+	r.vaReq = carve(&s.words, nKeys)
+	r.saReq = carve(&s.words, r.nOut)
+	r.outFree = carve(&s.words, r.nOut)
+	r.stuck = carve(&s.words, nIns)
 	for o := range r.outFree {
 		r.outFree[o] = uint64(1)<<uint(p.numVCs) - 1
 	}
-	r.vaKeys = make([]int, 0, nKeys)
-	if net != nil && net.fs != nil {
-		r.credChans = make([]*creditChannel, numDirs)
-		r.credIn = make([]*creditChannel, numDirs)
-	}
-	return r
 }
 
 // inIdx flattens (port, vc) into the index shared by inputs, outputs, stuck

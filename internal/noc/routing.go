@@ -173,7 +173,7 @@ func nextHop(t *Topology, cur NodeID, p *Packet) (out Port, eject bool) {
 	if p.YXPhase {
 		phase = 1
 	}
-	return Port(t.routes[phase][int(cur)*t.Width*t.Height+int(target)]), false
+	return Port(t.routes[phase][int(cur)*t.width*t.height+int(target)]), false
 }
 
 func horizontal(from, to Coord) Port {

@@ -48,12 +48,16 @@ func (p Port) opposite() Port {
 // Coord is a mesh coordinate; (0,0) is the top-left tile, Y grows downward.
 type Coord struct{ X, Y int }
 
-// Topology describes the mesh geometry and node roles.
+// Topology describes the mesh geometry and node roles. It is immutable once
+// built, because the backend cache shares one Topology between every network
+// of a geometry (see BuildBackend): no field is exported, and the slices it
+// hands out are clipped to their length so that an append copies.
 type Topology struct {
-	Width, Height int
+	width, height int
 	checkerboard  bool
 	mcs           map[NodeID]bool
 	mcList        []NodeID
+	compute       []NodeID // the non-MC nodes in id order
 	// routes holds the precomputed per-hop route tables, one per routing
 	// phase (0 = XY, 1 = YX), indexed cur×numNodes+target. Route planning
 	// (planRoute) decides the phase and intermediate once at injection;
@@ -74,7 +78,7 @@ func NewTopology(width, height int, checkerboard bool, mcs []NodeID) (*Topology,
 	if width < 2 || height < 2 {
 		return nil, fmt.Errorf("noc: mesh must be at least 2x2, got %dx%d", width, height)
 	}
-	t := &Topology{Width: width, Height: height, checkerboard: checkerboard, mcs: make(map[NodeID]bool)}
+	t := &Topology{width: width, height: height, checkerboard: checkerboard, mcs: make(map[NodeID]bool)}
 	for _, mc := range mcs {
 		if mc < 0 || int(mc) >= width*height {
 			return nil, fmt.Errorf("noc: MC node %d out of range for %dx%d mesh", mc, width, height)
@@ -89,8 +93,21 @@ func NewTopology(width, height int, checkerboard bool, mcs []NodeID) (*Topology,
 		t.mcs[mc] = true
 		t.mcList = append(t.mcList, mc)
 	}
+	t.compute = nonMCNodes(width*height, t.mcs)
 	t.buildRoutes()
 	return t, nil
+}
+
+// nonMCNodes lists the nodes in [0, n) that host no memory controller, in
+// id order.
+func nonMCNodes(n int, mcs map[NodeID]bool) []NodeID {
+	out := make([]NodeID, 0, n-len(mcs))
+	for id := NodeID(0); int(id) < n; id++ {
+		if !mcs[id] {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // buildRoutes precomputes the per-phase next-hop tables. Both phases are
@@ -138,14 +155,14 @@ func MustNewTopology(width, height int, checkerboard bool, mcs []NodeID) *Topolo
 }
 
 // NumNodes returns the tile count.
-func (t *Topology) NumNodes() int { return t.Width * t.Height }
+func (t *Topology) NumNodes() int { return t.width * t.height }
 
 // Node returns the id of the tile at (x, y).
-func (t *Topology) Node(x, y int) NodeID { return NodeID(y*t.Width + x) }
+func (t *Topology) Node(x, y int) NodeID { return NodeID(y*t.width + x) }
 
 // Coord returns the coordinate of node n.
 func (t *Topology) Coord(n NodeID) Coord {
-	return Coord{X: int(n) % t.Width, Y: int(n) / t.Width}
+	return Coord{X: int(n) % t.width, Y: int(n) / t.width}
 }
 
 // IsHalf reports whether node n holds a half-router.
@@ -163,19 +180,13 @@ func (t *Topology) Checkerboard() bool { return t.checkerboard }
 // IsMC reports whether node n hosts a memory controller.
 func (t *Topology) IsMC(n NodeID) bool { return t.mcs[n] }
 
-// MCs returns the MC nodes in declaration order.
-func (t *Topology) MCs() []NodeID { return t.mcList }
+// MCs returns the MC nodes in declaration order. The slice is shared:
+// callers must not write it.
+func (t *Topology) MCs() []NodeID { return t.mcList[:len(t.mcList):len(t.mcList)] }
 
-// ComputeNodes returns all non-MC nodes in id order.
-func (t *Topology) ComputeNodes() []NodeID {
-	var out []NodeID
-	for n := 0; n < t.NumNodes(); n++ {
-		if !t.mcs[NodeID(n)] {
-			out = append(out, NodeID(n))
-		}
-	}
-	return out
-}
+// ComputeNodes returns all non-MC nodes in id order. The slice is shared:
+// callers must not write it.
+func (t *Topology) ComputeNodes() []NodeID { return t.compute[:len(t.compute):len(t.compute)] }
 
 // Neighbor returns the node reached from n via direction p, or -1 at the
 // mesh edge.
@@ -193,7 +204,7 @@ func (t *Topology) Neighbor(n NodeID, p Port) NodeID {
 	default:
 		panic("noc: Neighbor of non-direction port")
 	}
-	if c.X < 0 || c.X >= t.Width || c.Y < 0 || c.Y >= t.Height {
+	if c.X < 0 || c.X >= t.width || c.Y < 0 || c.Y >= t.height {
 		return -1
 	}
 	return t.Node(c.X, c.Y)

@@ -95,3 +95,40 @@ func TestPopZeroesSlot(t *testing.T) {
 		t.Error("queued slot zeroed")
 	}
 }
+
+// TestOverStaysInCallerBuffer builds rings on adjacent windows of one
+// array: each keeps FIFO order inside its own window, never writes its
+// neighbour's, and keeps the hard bound of a ring from New.
+func TestOverStaysInCallerBuffer(t *testing.T) {
+	backing := make([]int, 6)
+	a, b := Over(backing[0:3:3], 3), Over(backing[3:6:6], 3)
+	for round := 0; round < 10; round++ {
+		for i := 0; i < 3; i++ {
+			a.Push(100*round + i)
+			b.Push(-(100*round + i))
+		}
+		for i := 0; i < 3; i++ {
+			if got := a.Pop(); got != 100*round+i {
+				t.Fatalf("round %d: a popped %d, want %d", round, got, 100*round+i)
+			}
+			if got := b.Pop(); got != -(100*round + i) {
+				t.Fatalf("round %d: b popped %d, want %d", round, got, -(100*round + i))
+			}
+		}
+	}
+	if &a.buf[0] != &backing[0] || &b.buf[0] != &backing[3] {
+		t.Error("a ring left its caller buffer")
+	}
+	a.Push(1)
+	a.Push(2)
+	a.Push(3)
+	if !a.Full() {
+		t.Fatal("ring with 3/3 elements not Full")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("push past the hard capacity bound did not panic")
+		}
+	}()
+	a.Push(4)
+}

@@ -11,9 +11,9 @@
 #	... make changes ...
 #	scripts/bench.sh after-refactor
 #
-# A change confined to the NoC cycle kernel can capture just the rows it
-# moves — the two kernel microbenchmarks plus the open-loop Fig 21 point —
-# by passing `noc` as the third argument (a minute instead of ten):
+# A change confined to the NoC can capture just the rows it moves — the two
+# kernel microbenchmarks, network construction and the open-loop Fig 21
+# point — by passing `noc` as the third argument (a minute instead of ten):
 #
 #	scripts/bench.sh before-mask-router BENCH_2026-09-28.json noc
 #
@@ -76,6 +76,9 @@ esac
 		go test -run '^$' -bench 'BenchmarkCacheAccess' -benchmem -benchtime 5000000x ./internal/cache/
 		go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 2000000x ./internal/gpu/
 	elif [ "$SUITE" = noc ]; then
+		# Building one network per backend family: what every run pays
+		# before its first cycle.
+		go test -run '^$' -bench 'BenchmarkNewMesh' -benchmem -benchtime 2000x ./internal/noc/
 		# The open-loop harness on the real mesh: driver + kernel, the same
 		# path the repository benchmark's open-loadlat workload takes.
 		go test -run '^$' -bench 'BenchmarkFig21OpenLoop' -benchmem -benchtime 5x .
