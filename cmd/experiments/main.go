@@ -1,16 +1,21 @@
 // Command experiments regenerates the paper's evaluation tables and
 // figures. Each figure/table has an identifier (fig2..fig21, table6,
 // headline); "all" runs the full evaluation in paper order. The separate
-// "explore" experiment sweeps the full design-space grid through
-// successive-halving rungs toward a throughput-effectiveness Pareto
-// frontier (-frontier-json writes the machine-readable result); it is too
-// expensive to ride along in "all", so it only runs when named.
+// "explore" experiment scores every candidate of the design-space grid and
+// prints the exact throughput-effectiveness Pareto frontier
+// (-frontier-json writes the machine-readable result); it is too expensive
+// to ride along in "all", so it only runs when named.
 //
 // Simulations run through a resilient worker pool: -jobs bounds
 // concurrency (tables are byte-identical for any value), -run-timeout
 // turns wedged runs into DNF rows, and -checkpoint/-resume journal
 // finished runs so an interrupted sweep (SIGINT/SIGTERM included) picks up
 // where it left off.
+//
+// After each experiment id, one JSON line on stderr reports what it cost:
+// {"experiment":…,"wall_s":…,"runs":…,"executed":…,"icnt_cycles":…}, the
+// deltas of the suite's outcome table, executed count and interconnect
+// cycles across that id. stdout stays a pure function of the flags.
 //
 // Usage:
 //
@@ -24,6 +29,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -124,6 +130,7 @@ func main() {
 		if ctx.Err() != nil {
 			break
 		}
+		before, t0 := snapshot(suite), time.Now()
 		rep, err := suite.ByID(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -131,6 +138,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(rep)
+		fmt.Fprintf(os.Stderr, "%s\n", costLine(id, time.Since(t0), before, snapshot(suite)))
 	}
 	pprofOut.Stop() // profile covers the sweep, not the summary
 
@@ -148,15 +156,11 @@ func main() {
 		fmt.Printf("frontier written to %s (%d points)\n", *frontierJSON, len(f.Points))
 	}
 
-	// Closing summary: per-status outcome counts, the explorer's
-	// early-termination savings, and the DNF rows excluded from the
-	// aggregates.
+	// Closing summary: per-status outcome counts and the DNF rows excluded
+	// from the aggregates.
 	var outcomes stats.Outcomes
 	for _, o := range suite.Outcomes() {
 		outcomes.Observe(o.Result.Status)
-	}
-	if f := suite.Frontier(); f != nil {
-		outcomes.AddEarlyTermination(f.KilledEarly, f.SimulatedCycles, f.ExhaustiveCycles)
 	}
 	dnf := suite.DNF()
 	if outcomes.Total() > 0 {
@@ -187,4 +191,35 @@ func main() {
 	if len(dnf) > 0 {
 		os.Exit(1)
 	}
+}
+
+// tally is the suite state one cost line differences: the outcome table's
+// size and interconnect cycles, and the executed count.
+type tally struct {
+	runs, executed int
+	cycles         uint64
+}
+
+func snapshot(s *experiments.Suite) tally {
+	t := tally{executed: s.Executed()}
+	for _, o := range s.Outcomes() {
+		t.runs++
+		t.cycles += o.Result.IcntCycles
+	}
+	return t
+}
+
+// costLine renders one experiment's cost as a JSON line. runs counts the
+// outcomes the experiment added to the suite's table, executed the
+// simulations it ran; a configuration an earlier experiment already ran
+// adds to neither.
+func costLine(id string, wall time.Duration, before, after tally) []byte {
+	line, _ := json.Marshal(struct {
+		Experiment string  `json:"experiment"`
+		WallS      float64 `json:"wall_s"`
+		Runs       int     `json:"runs"`
+		Executed   int     `json:"executed"`
+		IcntCycles uint64  `json:"icnt_cycles"`
+	}{id, wall.Seconds(), after.runs - before.runs, after.executed - before.executed, after.cycles - before.cycles})
+	return line
 }

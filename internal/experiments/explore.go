@@ -8,25 +8,23 @@ import (
 )
 
 // Explore runs the design-space exploration engine (internal/explore) on
-// the suite's worker pool: the default multi-topology grid is driven
-// through successive-halving rungs and scored — like the resilience sweep —
-// on one light (LL) and one heavy (HH) benchmark from the suite's set, so
-// the frontier reflects both latency- and bandwidth-bound behaviour without
-// multiplying the grid by all 31 workloads. Seed replicas (Options.Seeds)
-// ride the pool's planner as lane batches; the suite's checkpoint journal
-// makes the exploration resumable mid-rung.
+// the suite's worker pool: every candidate of the default multi-topology
+// grid is scored at full length — like the resilience sweep — on one light
+// (LL) and one heavy (HH) benchmark from the suite's set, so the frontier
+// reflects both latency- and bandwidth-bound behaviour without multiplying
+// the grid by all 31 workloads. Seed replicas (Options.Seeds) ride the
+// pool's planner as lane batches; the suite's checkpoint journal makes the
+// exploration resumable mid-sweep.
 func (s *Suite) Explore() (*Report, error) {
 	ex, err := explore.New(s.pool, explore.Options{
 		Benchmarks: s.resilienceBench(),
 		Seeds:      s.opts.Seeds,
 		Scale:      s.opts.Scale,
-		Progress:   s.opts.Progress,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx := s.opts.Context
-	f, err := ex.Run(ctx)
+	f, err := ex.Run(s.opts.Context)
 	if err != nil {
 		return nil, err
 	}
@@ -39,33 +37,24 @@ func (s *Suite) Explore() (*Report, error) {
 			fmt.Sprintf("%.5f", pt.TE), pt.Runs, pt.DNF)
 	}
 
-	var summary []string
-	summary = append(summary, fmt.Sprintf(
-		"grid: %d valid candidates over %v; frontier: %d of %d final survivors",
-		f.Grid, f.Benchmarks, len(f.Points), len(f.Survivors)))
-	for _, rl := range f.Rungs {
-		line := fmt.Sprintf("rung %d (budget %.2f, margin %.2f): %d entered, %d killed, %d dnf, %d promoted",
-			rl.Index, rl.Budget, rl.Margin, rl.Entered, len(rl.Killed), len(rl.DNF), rl.Promoted)
-		if len(rl.DNF) > 0 {
-			line += fmt.Sprintf(" %v", rl.DNF)
-		}
-		summary = append(summary, line)
+	summary := []string{
+		fmt.Sprintf("grid: %d valid candidates over %v; %d scored, %d dnf; frontier: %d points",
+			f.Grid, f.Benchmarks, len(f.Survivors), len(f.DNF), len(f.Points)),
+		fmt.Sprintf("simulated %d icnt cycles", f.SimulatedCycles),
+		fmt.Sprintf("validation: paper combined design %s on frontier: %v", f.PaperPoint, f.PaperPointOnFrontier),
 	}
-	summary = append(summary, fmt.Sprintf(
-		"successive halving killed %d of %d candidate(s) before full-length runs; simulated %d of ~%d exhaustive icnt cycles (%.1fx saved)",
-		f.KilledEarly, f.Grid, f.SimulatedCycles, f.ExhaustiveCycles, f.CycleSavings()))
-	summary = append(summary, fmt.Sprintf(
-		"validation: paper combined design %s on frontier: %v", f.PaperPoint, f.PaperPointOnFrontier))
+	if len(f.DNF) > 0 {
+		summary = append(summary, fmt.Sprintf("dnf candidates: %v", f.DNF))
+	}
 
 	return &Report{
 		ID:      "explore",
-		Title:   "Successive-halving design-space exploration (IPC vs chip mm^2)",
+		Title:   "Design-space exploration (IPC vs chip mm^2)",
 		Table:   tb,
 		Summary: summary,
 	}, nil
 }
 
 // Frontier returns the machine-readable result of the last Explore call
-// (nil before any). The CLIs serialize it with its JSON method and feed its
-// early-termination savings into the closing stats.Outcomes summary.
+// (nil before any). The CLI serializes it with its JSON method.
 func (s *Suite) Frontier() *explore.Frontier { return s.frontier }

@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // TestExploreExperimentReport drives the design-space exploration through
 // the suite registration ("explore" is invoked by name, not part of All):
-// the report carries the frontier table, the rung accounting and the
+// the report carries the frontier table, the sweep accounting and the
 // validation line, and the machine-readable frontier is exposed for the
-// CLI's -frontier-json and savings summary. Scale 0.002 floors every rung
-// to probe-length kernels, so the full default grid stays cheap.
+// CLI's -frontier-json. Scale 0.002 floors every kernel to probe length, so
+// the full default grid stays cheap.
 func TestExploreExperimentReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-grid exploration skipped in -short mode")
@@ -27,8 +28,9 @@ func TestExploreExperimentReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := rep.String()
-	for _, want := range []string{"explore", "Pareto frontier", "rung 0", "rung 2",
-		"successive halving killed", "validation: paper combined design"} {
+	for _, want := range []string{"---- explore: Design-space exploration (IPC vs chip mm^2) ----",
+		"Pareto frontier", "grid: 120 valid candidates over [MUM]; 120 scored, 0 dnf; frontier: ",
+		"validation: paper combined design"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explore report missing %q:\n%s", want, out)
 		}
@@ -39,6 +41,9 @@ func TestExploreExperimentReport(t *testing.T) {
 	}
 	if f.SimulatedCycles == 0 || len(f.Points) == 0 {
 		t.Errorf("frontier missing data: %d points, %d simulated cycles", len(f.Points), f.SimulatedCycles)
+	}
+	if want := fmt.Sprintf("simulated %d icnt cycles", f.SimulatedCycles); !strings.Contains(out, want) {
+		t.Errorf("explore report missing %q:\n%s", want, out)
 	}
 	if _, err := f.JSON(); err != nil {
 		t.Fatalf("frontier JSON: %v", err)

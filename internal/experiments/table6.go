@@ -99,8 +99,8 @@ func (s *Suite) ByID(id string) (*Report, error) {
 
 // IDs lists the experiment identifiers "all" expands to, in paper order.
 // The design-space exploration ("explore") is deliberately not among them:
-// it sweeps the whole default grid through successive-halving rungs, which
-// dwarfs any single figure, so it only runs when invoked by name.
+// it runs every candidate of the default grid at full length, which dwarfs
+// any single figure, so it only runs when invoked by name.
 func IDs() []string {
 	return []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "table6", "headline",

@@ -1,9 +1,9 @@
 // Package explore is the design-space exploration engine: it enumerates a
 // configurable grid over the axes the paper co-explores — topology, MC
 // placement, VC count, buffer depth, channel width, routing algorithm and
-// channel slicing — and drives the candidates through successive-halving
-// rungs toward a Pareto frontier of throughput-effectiveness (IPC against
-// chip area). Every simulation goes through a runner.Pool, whose planner
+// channel slicing — scores every candidate at full length, and returns
+// the exact Pareto frontier of throughput-effectiveness (IPC against chip
+// area). Every simulation goes through a runner.Pool, whose planner
 // coalesces seed replicas into lane batches, and an interrupted
 // exploration resumes from the pool's checkpoint journal.
 package explore
@@ -56,8 +56,7 @@ type Grid struct {
 // 2/4 VCs, 4/8-flit buffers, the paper's 16-byte baseline and 32-byte
 // doubled channels, single and double networks, 1 or 2 MC injection ports.
 // After validity filtering this enumerates on the order of a hundred
-// candidates — the successive-halving schedule is what keeps running all
-// of them tractable.
+// candidates.
 func DefaultGrid() Grid {
 	return Grid{
 		Topologies: []string{"mesh", "ring", "basejump"},
@@ -100,10 +99,9 @@ type Candidate struct {
 }
 
 // Build instantiates the candidate for one workload. The returned config
-// carries the candidate's canonical Name, so every run of this design point
-// shares cache/journal identity across rungs only when the kernel length
-// also matches (runner.Key includes InstrsPerWarp — each rung's budget is
-// its own key).
+// carries the candidate's canonical Name, which keys the design point's
+// runs in the runner cache and journal (together with the benchmark, seed
+// and kernel length).
 func (c Candidate) Build(p workload.Profile) core.Config {
 	cfg := core.Baseline(p)
 	cfg.Noc.NumVCs = c.VCs

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -71,7 +70,7 @@ func TestGridCandidates(t *testing.T) {
 }
 
 // TestCandidateBuildCarriesName: runner cache identity comes from the
-// candidate name, and rung budgets land in the kernel length.
+// candidate name, and the sweep's scale lands in the kernel length.
 func TestCandidateBuildCarriesName(t *testing.T) {
 	cands, err := tinyGrid().Candidates()
 	if err != nil {
@@ -84,56 +83,10 @@ func TestCandidateBuildCarriesName(t *testing.T) {
 			t.Errorf("Build name %q, want %q", cfg.Name, c.Name)
 		}
 		if got := cfg.ScaleWork(0.05).Workload.InstrsPerWarp; got >= cfg.Workload.InstrsPerWarp {
-			t.Errorf("%s: budget scaling did not shorten the kernel (%d -> %d)",
+			t.Errorf("%s: scaling did not shorten the kernel (%d -> %d)",
 				c.Name, cfg.Workload.InstrsPerWarp, got)
 		}
 	}
-}
-
-// TestKillPass pins the dominance-kill semantics: only surviving candidates
-// kill, the margin protects near-ties, and margin 0 reproduces the exact
-// Pareto frontier.
-func TestKillPass(t *testing.T) {
-	est := map[int]Estimate{
-		0: {Candidate: "a", IPC: 10.0, ChipArea: 5},
-		1: {Candidate: "b", IPC: 9.3, ChipArea: 5},  // within 10% of a: survives at margin 0.10
-		2: {Candidate: "c", IPC: 8.6, ChipArea: 5},  // dominated by a beyond the margin
-		3: {Candidate: "d", IPC: 11.0, ChipArea: 9}, // bigger area, best IPC: survives
-	}
-	scored := []int{0, 1, 2, 3}
-
-	survivors, kills := killPass(scored, est, 0.10)
-	if want := []int{0, 1, 3}; !equalInts(survivors, want) {
-		t.Errorf("margin 0.10 survivors = %v, want %v", survivors, want)
-	}
-	if len(kills) != 1 || kills[0].Candidate != "c" || kills[0].By != "a" {
-		t.Errorf("margin 0.10 kills = %+v, want c killed by a", kills)
-	}
-
-	// Margin 0 must equal the exact Pareto frontier.
-	survivors, _ = killPass(scored, est, 0)
-	var ipc, chip []float64
-	for _, i := range scored {
-		ipc = append(ipc, est[i].IPC)
-		chip = append(chip, est[i].ChipArea)
-	}
-	frontier := stats.ParetoFrontier(ipc, chip)
-	sort.Ints(frontier)
-	if !equalInts(survivors, frontier) {
-		t.Errorf("margin 0 survivors = %v, want Pareto frontier %v", survivors, frontier)
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPaperPointNameMatchesGrammar: the validation constant stays in sync

@@ -120,8 +120,8 @@ func TestPlannerDeterministicAcrossPermutations(t *testing.T) {
 	}
 }
 
-// TestPlannerZeroAllocs: a warm Planner plans without allocating, so the
-// explorer can re-plan every rung for free. This is the same guarantee the
+// TestPlannerZeroAllocs: a warm Planner plans without allocating, so a
+// caller can re-plan every batch for free. This is the same guarantee the
 // CI alloc gate pins via BenchmarkSweepPlanner.
 func TestPlannerZeroAllocs(t *testing.T) {
 	withMaxProcs(t, 8)

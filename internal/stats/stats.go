@@ -232,26 +232,9 @@ func (h *Histogram) Percentile(p float64) float64 {
 // most the area, strictly better on one axis. Ties on both axes do not
 // dominate, so exact duplicates coexist on a frontier.
 func Dominates(ipcA, areaA, ipcB, areaB float64) bool {
-	return DominatesWithMargin(ipcA, areaA, ipcB, areaB, 0)
-}
-
-// DominatesWithMargin is the explorer's kill rule: a dominates b only when
-// a's throughput clears b's by the given relative margin (a.ipc >=
-// b.ipc*(1+margin)) at no extra area. The margin is the confidence guard for
-// successive halving — early rungs estimate IPC from short warm-up budgets,
-// so a near-frontier configuration must not die to estimation noise; the
-// margin shrinks to zero as budgets grow. A margin of 0 is plain Pareto
-// dominance.
-func DominatesWithMargin(ipcA, areaA, ipcB, areaB, margin float64) bool {
-	if areaA > areaB {
+	if areaA > areaB || ipcA < ipcB {
 		return false
 	}
-	need := ipcB * (1 + margin)
-	if ipcA < need {
-		return false
-	}
-	// At least one axis must be strictly better, so identical points never
-	// dominate each other.
 	return ipcA > ipcB || areaA < areaB
 }
 
@@ -359,44 +342,6 @@ func (t *Table) String() string {
 type Outcomes struct {
 	byStatus map[string]int
 	runs     int
-
-	// Early-termination savings reported by the design-space explorer:
-	// how many configurations successive halving killed before their
-	// full-length runs, and the simulated-cycle cost of the search versus
-	// the exhaustive grid it replaced. Zero values mean no explorer ran.
-	killedEarly      int
-	simulatedCycles  uint64
-	exhaustiveCycles uint64
-}
-
-// AddEarlyTermination records a design-space explorer's successive-halving
-// savings: killed configurations never reached their full-length runs,
-// simulated is the total interconnect cycles the search actually executed,
-// and exhaustive is the estimated cycle cost of running the full grid at
-// the final budget. Multiple explorer sweeps accumulate.
-func (o *Outcomes) AddEarlyTermination(killed int, simulated, exhaustive uint64) {
-	o.killedEarly += killed
-	o.simulatedCycles += simulated
-	o.exhaustiveCycles += exhaustive
-}
-
-// KilledEarly returns how many configurations were early-terminated.
-func (o *Outcomes) KilledEarly() int { return o.killedEarly }
-
-// SimulatedCycles returns the recorded search cost in interconnect cycles.
-func (o *Outcomes) SimulatedCycles() uint64 { return o.simulatedCycles }
-
-// ExhaustiveCycles returns the estimated cost of the exhaustive grid.
-func (o *Outcomes) ExhaustiveCycles() uint64 { return o.exhaustiveCycles }
-
-// CycleSavings returns exhaustive/simulated — how many times fewer cycles
-// the successive-halving search simulated than the exhaustive grid would
-// have (0 when no explorer savings were recorded).
-func (o *Outcomes) CycleSavings() float64 {
-	if o.simulatedCycles == 0 || o.exhaustiveCycles == 0 {
-		return 0
-	}
-	return float64(o.exhaustiveCycles) / float64(o.simulatedCycles)
 }
 
 // Observe records one run's terminal status; an empty status counts as
@@ -444,12 +389,7 @@ func (o *Outcomes) Summary() string {
 	if o.Total() == 0 {
 		return "0 runs"
 	}
-	s := fmt.Sprintf("%d runs: %d ok, %d DNF", o.Total(), o.byStatus["ok"], o.DNF())
-	if o.killedEarly > 0 || o.simulatedCycles > 0 {
-		s += fmt.Sprintf("; explorer killed %d config(s) early, simulated %d of %d exhaustive cycles (%.1fx saved)",
-			o.killedEarly, o.simulatedCycles, o.exhaustiveCycles, o.CycleSavings())
-	}
-	return s
+	return fmt.Sprintf("%d runs: %d ok, %d DNF", o.Total(), o.byStatus["ok"], o.DNF())
 }
 
 // SortRowsByColumn orders rows by the named column's string value;

@@ -142,6 +142,18 @@ func TestTableFormatting(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("want 4 lines (title+header+2 rows), got %d: %q", len(lines), out)
 	}
+
+	// The sweep verdict line the CLIs print under their tables.
+	var o Outcomes
+	if got := o.Summary(); got != "0 runs" {
+		t.Errorf("empty summary = %q, want \"0 runs\"", got)
+	}
+	o.Observe("ok")
+	o.Observe("")
+	o.Observe("deadlock")
+	if got, want := o.Summary(), "3 runs: 2 ok, 1 DNF"; got != want {
+		t.Errorf("summary = %q, want %q", got, want)
+	}
 }
 
 func TestTableSort(t *testing.T) {
@@ -166,32 +178,27 @@ func TestTableSortUnknownColumnIsNoop(t *testing.T) {
 	}
 }
 
+// TestDominatesWithMargin pins plain Pareto dominance, the explorer's
+// frontier rule (the name predates the removal of its kill margins).
 func TestDominatesWithMargin(t *testing.T) {
 	cases := []struct {
 		name        string
 		ipcA, areaA float64
 		ipcB, areaB float64
-		margin      float64
 		want        bool
 	}{
-		{"strictly better both axes", 2, 10, 1, 20, 0, true},
-		{"better ipc same area", 2, 10, 1, 10, 0, true},
-		{"same ipc smaller area", 1, 5, 1, 10, 0, true},
-		{"identical points never dominate", 1, 10, 1, 10, 0, false},
-		{"larger area never dominates", 3, 20, 1, 10, 0, false},
-		{"margin protects near point", 1.05, 10, 1, 10, 0.10, false},
-		{"margin cleared", 1.2, 10, 1, 10, 0.10, true},
-		{"margin boundary needs strict ipc or area", 1.1, 10, 1, 10, 0.10, true},
-		{"worse ipc never dominates", 0.5, 5, 1, 10, 0, false},
+		{"strictly better both axes", 2, 10, 1, 20, true},
+		{"better ipc same area", 2, 10, 1, 10, true},
+		{"same ipc smaller area", 1, 5, 1, 10, true},
+		{"identical points never dominate", 1, 10, 1, 10, false},
+		{"larger area never dominates", 3, 20, 1, 10, false},
+		{"worse ipc never dominates", 0.5, 5, 1, 10, false},
 	}
 	for _, c := range cases {
-		if got := DominatesWithMargin(c.ipcA, c.areaA, c.ipcB, c.areaB, c.margin); got != c.want {
-			t.Errorf("%s: DominatesWithMargin(%v,%v,%v,%v,%v) = %v, want %v",
-				c.name, c.ipcA, c.areaA, c.ipcB, c.areaB, c.margin, got, c.want)
+		if got := Dominates(c.ipcA, c.areaA, c.ipcB, c.areaB); got != c.want {
+			t.Errorf("%s: Dominates(%v,%v,%v,%v) = %v, want %v",
+				c.name, c.ipcA, c.areaA, c.ipcB, c.areaB, got, c.want)
 		}
-	}
-	if !Dominates(2, 10, 1, 20) || Dominates(1, 10, 1, 10) {
-		t.Error("Dominates must be DominatesWithMargin at margin 0")
 	}
 }
 
@@ -212,34 +219,5 @@ func TestParetoFrontier(t *testing.T) {
 	}
 	if f := ParetoFrontier(nil, nil); len(f) != 0 {
 		t.Errorf("empty input frontier = %v, want empty", f)
-	}
-}
-
-func TestOutcomesEarlyTermination(t *testing.T) {
-	var o Outcomes
-	if o.CycleSavings() != 0 {
-		t.Error("zero Outcomes should report 0 savings")
-	}
-	if !strings.Contains(o.Summary(), "0 runs") {
-		t.Errorf("summary = %q", o.Summary())
-	}
-	o.Observe("ok")
-	if strings.Contains(o.Summary(), "explorer") {
-		t.Errorf("summary should not mention the explorer before savings are recorded: %q", o.Summary())
-	}
-	o.AddEarlyTermination(90, 1000, 4000)
-	o.AddEarlyTermination(10, 0, 0)
-	if o.KilledEarly() != 100 {
-		t.Errorf("killed = %d, want 100", o.KilledEarly())
-	}
-	if o.SimulatedCycles() != 1000 || o.ExhaustiveCycles() != 4000 {
-		t.Errorf("cycles = %d/%d, want 1000/4000", o.SimulatedCycles(), o.ExhaustiveCycles())
-	}
-	if got := o.CycleSavings(); math.Abs(got-4.0) > 1e-12 {
-		t.Errorf("savings = %v, want 4.0", got)
-	}
-	sum := o.Summary()
-	if !strings.Contains(sum, "killed 100 config(s) early") || !strings.Contains(sum, "4.0x saved") {
-		t.Errorf("summary = %q, want early-termination savings", sum)
 	}
 }
