@@ -39,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/runner"
@@ -185,7 +186,7 @@ func main() {
 			where = fmt.Sprintf("; resume with -checkpoint %s -resume", *checkpoint)
 		}
 		fmt.Printf("sweep interrupted: %d run(s) completed%s\n",
-			outcomes.Total()-outcomes.Count("canceled"), where)
+			outcomes.Total()-outcomes.Count(core.StatusCanceled), where)
 		os.Exit(130)
 	}
 	if len(dnf) > 0 {
@@ -194,14 +195,14 @@ func main() {
 }
 
 // tally is the suite state one cost line differences: the outcome table's
-// size and interconnect cycles, and the executed count.
+// size and interconnect cycles, and the request and executed counts.
 type tally struct {
-	runs, executed int
-	cycles         uint64
+	runs, requests, executed int
+	cycles                   uint64
 }
 
 func snapshot(s *experiments.Suite) tally {
-	t := tally{executed: s.Executed()}
+	t := tally{requests: s.Requests(), executed: s.Executed()}
 	for _, o := range s.Outcomes() {
 		t.runs++
 		t.cycles += o.Result.IcntCycles
@@ -211,15 +212,19 @@ func snapshot(s *experiments.Suite) tally {
 
 // costLine renders one experiment's cost as a JSON line. runs counts the
 // outcomes the experiment added to the suite's table, executed the
-// simulations it ran; a configuration an earlier experiment already ran
-// adds to neither.
+// simulations it ran, and hits the runs it asked for that the memo table
+// or the checkpoint journal served: a configuration an earlier experiment
+// already ran adds to hits only.
 func costLine(id string, wall time.Duration, before, after tally) []byte {
 	line, _ := json.Marshal(struct {
 		Experiment string  `json:"experiment"`
 		WallS      float64 `json:"wall_s"`
 		Runs       int     `json:"runs"`
 		Executed   int     `json:"executed"`
+		Hits       int     `json:"hits"`
 		IcntCycles uint64  `json:"icnt_cycles"`
-	}{id, wall.Seconds(), after.runs - before.runs, after.executed - before.executed, after.cycles - before.cycles})
+	}{id, wall.Seconds(), after.runs - before.runs, after.executed - before.executed,
+		(after.requests - before.requests) - (after.executed - before.executed),
+		after.cycles - before.cycles})
 	return line
 }

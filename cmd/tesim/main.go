@@ -150,9 +150,9 @@ func main() {
 		out := outs[i]
 		res := out.Result
 		if !out.OK() {
-			// Degraded run (deadlock, livelock, cycle cap, stall, timeout,
-			// panic, config error): report the row plus any diagnostic and
-			// keep going.
+			// Degraded run (deadlock, invariant, cycle cap, timeout, panic,
+			// config error): report the row plus any diagnostic and keep
+			// going.
 			dnf++
 			fmt.Fprintf(os.Stderr, "tesim: %s did not finish: %s\n", p.Abbr, res.Status)
 			var he *fault.HangError
@@ -167,7 +167,7 @@ func main() {
 		}
 		status := res.Status
 		if status == "" {
-			status = "ok"
+			status = core.StatusOK
 		}
 		row := []interface{}{p.Abbr, res.Config}
 		if nLanes > 1 {

@@ -13,10 +13,6 @@ import (
 	"repro/internal/timing"
 )
 
-// stallCheckPeriod is how often (in interconnect cycles) the loop feeds the
-// system-level stall watchdog.
-const stallCheckPeriod = 64
-
 // ctxCheckPeriod is how often (in interconnect cycles) the loop polls its
 // context for a deadline or cancellation. Coarse enough to stay off the
 // hot path, fine enough that a timed-out run dies within microseconds.
@@ -70,7 +66,6 @@ func (b bitset) empty() bool {
 // Cores keep the wake as a bit: a core is awake (ticked on core edges) or
 // dormant (asleep with an empty out-queue, woken only by a fill).
 type loop struct {
-	wd      *fault.Watchdog // system stall watchdog; nil when unmonitored
 	buf     []timing.Domain
 	maxIcnt uint64
 	elide   bool // dormancy elision (off under NoIdleSkip)
@@ -110,12 +105,6 @@ func (s *System) initLoop() {
 		s.maxIcnt = defaultMaxIcntCycles
 	}
 	s.elide = !s.cfg.NoIdleSkip
-	// The system stall watchdog backs up the network's: it watches total
-	// forward progress (instructions, memory work and flit movement), so it
-	// also catches hangs outside the network. Same window, in icnt cycles.
-	if s.cfg.Noc.Fault.Monitored() {
-		s.wd = fault.NewWatchdog(s.cfg.Noc.Fault.WatchdogCycles)
-	}
 	s.coreCred = make([]uint64, nc)
 	s.awake = newBitset(nc)
 	for i := range s.cores {
@@ -141,7 +130,7 @@ func (s *System) initLoop() {
 
 // step advances the run by one scheduler edge and reports whether it is
 // still live: the loop-top done check, cycle cap and context poll, the
-// domain edges, the health check and the stall watchdog. Component ticks
+// domain edges and the network's health check. Component ticks
 // are gated by the dormancy state; everything else is the edge-by-edge
 // algorithm, so every verdict fires on the cycle it would without elision.
 func (s *System) step(ctx context.Context) bool {
@@ -152,7 +141,7 @@ func (s *System) step(ctx context.Context) bool {
 	icnt := s.sched.Cycles(timing.DomainInterconnect)
 	if icnt >= s.maxIcnt {
 		s.timedOut = true
-		s.hang(fault.ErrCycleCap, "cycle-cap")
+		s.hang(fault.ErrCycleCap, StatusCycleCap)
 		return false
 	}
 	if icnt%ctxCheckPeriod == 0 {
@@ -175,11 +164,6 @@ func (s *System) step(ctx context.Context) bool {
 	}
 	if err := s.net.Health(); err != nil {
 		s.fail(err)
-		return false
-	}
-	if s.wd != nil && icnt%stallCheckPeriod == 0 &&
-		s.wd.Observe(icnt, s.progress(), 1) {
-		s.hang(fault.ErrStall, "stall")
 		return false
 	}
 	return true

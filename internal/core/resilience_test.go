@@ -106,10 +106,10 @@ func TestWedgedNetworkSurfacesDeadlock(t *testing.T) {
 
 // TestHangVerdictsDeterministic pins that a hang verdict is a pure function
 // of the Config: two solo runs and lane 0 of a width-2 RunLanes batch end
-// with the same status, error text and diagnostic dump. The system-level
-// "stall" verdict is not reached by any faults-on config found so far (the
-// network watchdog fires first); it comes from the same icnt-cycle loop, so
-// the same argument holds for it.
+// with the same status, error text and diagnostic dump. These are the hang
+// verdicts a Config reaches; "invariant" needs a flit lost from the
+// network's books, which only a test that edits a built System can inject
+// (TestEveryVerdictReachable).
 func TestHangVerdictsDeterministic(t *testing.T) {
 	bin, err := workload.ByAbbr("BIN")
 	if err != nil {

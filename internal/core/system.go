@@ -38,36 +38,46 @@ type Result struct {
 	TimedOut        bool // hit MaxIcntCycles before completing
 
 	// Resilience outcome.
-	Status         string  // "ok", "cycle-cap", "deadlock", "livelock", "stall", "invariant"
+	Status         string  // one of the Status constants; a runner may add its own
 	RetxPackets    uint64  // wire packets re-injected by the timeout machinery
 	DroppedPackets uint64  // packets discarded by the end-to-end check
 	AvgRetries     float64 // mean retries per delivered transfer
 }
 
+// The Result.Status vocabulary of a run. Journals, result documents and
+// HTTP replies carry these strings, so they never change; a journal written
+// by an older build may also hold "stall" or "livelock", verdicts no run
+// reaches any more.
+const (
+	StatusOK        = "ok"
+	StatusCycleCap  = "cycle-cap" // the MaxIcntCycles safety stop
+	StatusDeadlock  = "deadlock"  // the network watchdog saw no flit move
+	StatusInvariant = "invariant" // the flit-conservation audit failed
+	StatusTimeout   = "timeout"   // the context's deadline expired
+	StatusCanceled  = "canceled"  // the context was canceled
+	StatusError     = "error"     // any other run error
+)
+
 // OK reports whether the run completed without a degradation verdict.
-func (r Result) OK() bool { return r.Status == "" || r.Status == "ok" }
+func (r Result) OK() bool { return r.Status == "" || r.Status == StatusOK }
 
 // statusOf maps a run error to the Result.Status vocabulary.
 func statusOf(err error) string {
 	switch {
 	case err == nil:
-		return "ok"
+		return StatusOK
 	case errors.Is(err, fault.ErrCycleCap):
-		return "cycle-cap"
+		return StatusCycleCap
 	case errors.Is(err, fault.ErrDeadlock):
-		return "deadlock"
-	case errors.Is(err, fault.ErrLivelock):
-		return "livelock"
-	case errors.Is(err, fault.ErrStall):
-		return "stall"
+		return StatusDeadlock
 	case errors.Is(err, fault.ErrInvariant):
-		return "invariant"
+		return StatusInvariant
 	case errors.Is(err, fault.ErrTimeout):
-		return "timeout"
+		return StatusTimeout
 	case errors.Is(err, fault.ErrCanceled):
-		return "canceled"
+		return StatusCanceled
 	}
-	return "error"
+	return StatusError
 }
 
 // System is one assembled accelerator.
@@ -177,9 +187,8 @@ func NewSystem(cfg Config) (*System, error) {
 
 // Run executes the kernel to completion (or until a degradation verdict)
 // and returns the run's statistics. A non-nil error is a *fault.HangError
-// (cycle cap, deadlock, livelock, system stall, invariant violation, or a
-// context verdict); the Result is still populated so harnesses can record
-// the degraded run.
+// (cycle cap, deadlock, invariant violation, or a context verdict); the
+// Result is still populated so harnesses can record the degraded run.
 //
 // The context bounds the run in wall-clock time: a deadline expiry yields
 // a "timeout" verdict and a cancellation a "canceled" one, both checked
@@ -220,27 +229,9 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	return s.res, s.runErr
 }
 
-// progress sums the monotonic work counters of every component: cores, MCs
-// and the network (flit hops plus the packets it has ever accepted).
-func (s *System) progress() uint64 {
-	var total uint64
-	for _, c := range s.cores {
-		total += c.Progress()
-	}
-	for _, mc := range s.mcs {
-		total += mc.Progress()
-	}
-	ns := s.net.Stats()
-	total += ns.FlitHops
-	for _, v := range ns.EjectedFlits {
-		total += v
-	}
-	return total
-}
-
-// diagnose builds the system-level diagnostic for a cycle-cap or stall
-// verdict: per-component work snapshots, plus the network's own dump when
-// it has one.
+// diagnose builds the system-level diagnostic for a cycle-cap or context
+// verdict: per-component work snapshots, plus the network's own dump when it
+// has one.
 func (s *System) diagnose(kind string) *fault.Diagnostic {
 	d := &fault.Diagnostic{
 		Kind:  kind,
@@ -261,7 +252,6 @@ func (s *System) diagnose(kind string) *fault.Diagnostic {
 	d.Notes = append(d.Notes,
 		fmt.Sprintf("%d/%d cores done, %d/%d MCs busy, network quiet=%v",
 			coresDone, len(s.cores), mcsBusy, len(s.mcs), s.net.Quiet()))
-	d.Notes = append(d.Notes, fmt.Sprintf("total progress counter %d", s.progress()))
 	if nd, ok := s.net.(interface{ Diagnostics() *fault.Diagnostic }); ok {
 		if sub := nd.Diagnostics(); sub != nil {
 			d.VCs = append(d.VCs, sub.VCs...)

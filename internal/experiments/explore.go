@@ -29,6 +29,7 @@ func (s *Suite) Explore() (*Report, error) {
 		return nil, err
 	}
 	s.frontier = f
+	s.requests.Add(int64(f.Grid * len(f.Benchmarks) * len(f.Seeds)))
 
 	tb := stats.NewTable("Explore: throughput-effectiveness Pareto frontier",
 		"candidate", "IPC (hmean)", "NoC mm^2", "chip mm^2", "IPC/mm^2", "runs", "dnf")

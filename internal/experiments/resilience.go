@@ -82,7 +82,7 @@ func collapseSeeds(runs []core.Result) core.Result {
 	agg.RetxPackets = retx / uint64(ok)
 	agg.DroppedPackets = dropped / uint64(ok)
 	if ok == len(runs) {
-		agg.Status = "ok"
+		agg.Status = core.StatusOK
 	} else {
 		agg.Status = fmt.Sprintf("%d/%d %s", len(runs)-ok, len(runs), firstBad)
 	}
@@ -141,7 +141,7 @@ func (s *Suite) Resilience() *Report {
 				}
 				status := r.Status
 				if status == "" {
-					status = "ok"
+					status = core.StatusOK
 				}
 				tb.AddRow(p.Abbr, name, fmt.Sprintf("%g", rate), r.IPC, rel,
 					r.RetxPackets, r.DroppedPackets, fmt.Sprintf("%.3f", r.AvgRetries), status)
@@ -159,7 +159,7 @@ func (s *Suite) Resilience() *Report {
 	if dnf := s.DNF(); len(dnf) > 0 {
 		summary = append(summary, fmt.Sprintf("%d run(s) did not finish: %v", len(dnf), dnf))
 	} else {
-		summary = append(summary, "all faulty runs recovered: no deadlock, livelock or cycle-cap DNFs")
+		summary = append(summary, "all faulty runs recovered: no deadlock, cycle-cap or other DNFs")
 	}
 	return &Report{
 		ID:      "resilience",

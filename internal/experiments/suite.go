@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -92,6 +93,10 @@ type Suite struct {
 	pool     *runner.Pool
 	frontier *explore.Frontier // last Explore result (nil before any)
 
+	// requests counts the configurations asked of the pool, executed or
+	// served from its memo table alike.
+	requests atomic.Int64
+
 	mu         sync.Mutex
 	notDurable map[string]runner.Outcome // io_error runs not since re-executed, by key
 }
@@ -148,7 +153,7 @@ func (s *Suite) Benchmarks() []workload.Profile { return s.bench }
 // from here until a later execution of the same key supersedes it.
 func (s *Suite) report(out runner.Outcome) {
 	s.mu.Lock()
-	if out.Result.Status == "io_error" {
+	if out.Result.Status == runner.StatusIOError {
 		s.notDurable[out.Key] = out
 	} else {
 		delete(s.notDurable, out.Key)
@@ -169,7 +174,7 @@ func (s *Suite) report(out runner.Outcome) {
 }
 
 // run executes (or recalls) one closed-loop simulation. A degraded run
-// (cycle cap, deadlock, stall, timeout, panic, or any unexpected error)
+// (cycle cap, deadlock, timeout, panic, or any unexpected error)
 // does not abort the suite: the partial result comes back with its Status
 // set and is listed by DNF, so the remaining benchmarks still run and the
 // report marks the failure.
@@ -178,6 +183,7 @@ func (s *Suite) report(out runner.Outcome) {
 // the call's: a run cut short by SIGINT then lands in the cache as a
 // "canceled" outcome, which the interrupt summary counts.
 func (s *Suite) run(cfg core.Config) core.Result {
+	s.requests.Add(1)
 	return s.pool.Do(context.Background(), cfg.ScaleWork(s.opts.Scale))[0].Result
 }
 
@@ -193,6 +199,7 @@ func (s *Suite) runAll(cfgs []core.Config) {
 	for i, c := range cfgs {
 		scaled[i] = c.ScaleWork(s.opts.Scale)
 	}
+	s.requests.Add(int64(len(scaled)))
 	s.pool.Do(s.opts.Context, scaled...)
 }
 
@@ -269,6 +276,12 @@ func (s *Suite) Outcomes() []runner.Outcome { return s.pool.Outcomes() }
 // Executed returns how many simulations actually ran in this process
 // (cache hits and checkpoint-resumed runs excluded).
 func (s *Suite) Executed() int { return s.pool.Executed() }
+
+// Requests returns how many run configurations the suite has asked of its
+// pool, each repeat and each render-time recall of a prefetched batch
+// included; Requests minus Executed is the runs the memo table or the
+// checkpoint journal served.
+func (s *Suite) Requests() int { return int(s.requests.Load()) }
 
 // SkippedJournalLines returns how many torn trailing checkpoint lines
 // resume ignored (an interrupted final append; at most one).

@@ -8,12 +8,17 @@
 //     faults never perturbs a run's packet streams;
 //   - a health Watchdog: a cycle-driven monitor that detects deadlock (no
 //     flit movement for a window of cycles while packets are in flight) and
-//     that, together with per-packet hop budgets and flit-conservation
-//     audits, turns silent hangs into typed errors carrying a structured
-//     Diagnostic dump instead of a panic;
-//   - the typed error vocabulary (ErrDeadlock, ErrLivelock, ErrCycleCap,
-//     ErrInvariant, ErrStall) that lets the experiment harness record a
+//     that, together with periodic flit-conservation audits, turns silent
+//     hangs into typed errors carrying a structured Diagnostic dump instead
+//     of a panic;
+//   - the typed error vocabulary (ErrDeadlock, ErrCycleCap, ErrInvariant,
+//     ErrTimeout, ErrCanceled) that lets the experiment harness record a
 //     degraded-but-reported result per benchmark rather than aborting.
+//
+// Routes are minimal or two-phase minimal on every backend, retransmissions
+// included, so a packet cannot wander and there is no livelock verdict; a
+// component outside the network that stops working ends its run at the
+// closed loop's cycle cap.
 //
 // The network's recovery mechanism (end-to-end sequence tracking with
 // timeout retransmission at the injecting network interfaces) lives in
@@ -35,15 +40,10 @@ var (
 	// ErrDeadlock: packets are in flight but nothing has moved for the
 	// watchdog window.
 	ErrDeadlock = errors.New("fault: network deadlock detected")
-	// ErrLivelock: a packet exceeded its hop budget without ejecting.
-	ErrLivelock = errors.New("fault: packet exceeded hop budget (livelock)")
 	// ErrCycleCap: a closed-loop run hit its safety cycle cap.
 	ErrCycleCap = errors.New("fault: simulation hit the cycle cap")
 	// ErrInvariant: a conservation audit failed (flits created or lost).
 	ErrInvariant = errors.New("fault: flit conservation violated")
-	// ErrStall: the whole system (cores, MCs and network together) made no
-	// forward progress for the watchdog window.
-	ErrStall = errors.New("fault: system-wide stall detected")
 	// ErrTimeout: the run exceeded its wall-clock deadline (the harness's
 	// per-run context timed out). Unlike ErrCycleCap this is a property of
 	// the host machine, not the simulated system, so it is the one verdict
@@ -88,12 +88,9 @@ type Config struct {
 	MaxRetries int
 
 	// WatchdogCycles is the no-movement window after which the watchdog
-	// declares deadlock; 0 disables the watchdog, the hop budget and the
-	// conservation audit.
+	// declares deadlock; 0 disables the watchdog and the conservation
+	// audit.
 	WatchdogCycles uint64
-	// HopBudget is the livelock bound in switch traversals per packet;
-	// 0 derives a generous bound from the mesh diagonal.
-	HopBudget int
 	// AuditCycles is the period of the flit-conservation audit; 0 derives
 	// a default from WatchdogCycles.
 	AuditCycles uint64
@@ -112,7 +109,6 @@ func DefaultConfig() Config {
 		RetxBackoffMax:     8,
 		MaxRetries:         0,
 		WatchdogCycles:     50_000,
-		HopBudget:          0,
 		AuditCycles:        0,
 	}
 }

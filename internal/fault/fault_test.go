@@ -149,7 +149,7 @@ func TestHangErrorWrapping(t *testing.T) {
 	if !errors.Is(err, ErrDeadlock) {
 		t.Error("errors.Is failed to match ErrDeadlock")
 	}
-	if errors.Is(err, ErrLivelock) {
+	if errors.Is(err, ErrInvariant) {
 		t.Error("matched the wrong condition")
 	}
 	if !IsHang(err) || !IsHang(fmt.Errorf("outer: %w", err)) {

@@ -6,10 +6,9 @@ import (
 )
 
 // Watchdog detects deadlock from a movement counter: if work is in flight
-// but the counter has not advanced for Window cycles, the network (or
-// system) is wedged. The caller feeds it once per cycle; the watchdog keeps
-// no reference to the monitored component, so the same type serves the NoC
-// (flit movement) and the closed-loop system (instruction/memory progress).
+// but the counter has not advanced for Window cycles, the network is
+// wedged. The caller feeds it once per cycle; the watchdog keeps no
+// reference to the monitored network.
 type Watchdog struct {
 	Window uint64
 
@@ -62,7 +61,7 @@ type VCDump struct {
 // Diagnostic is the structured dump emitted instead of a panic when the
 // watchdog (or an audit) trips.
 type Diagnostic struct {
-	Kind      string // "deadlock", "livelock", "cycle-cap", "stall", "invariant"
+	Kind      string // "deadlock", "invariant", "cycle-cap", "timeout", "canceled"
 	Cycle     uint64 // cycle the condition was declared
 	InFlight  int    // packets in flight (queued, in-network, awaiting retx)
 	LastMove  uint64 // last cycle anything moved
@@ -99,8 +98,8 @@ func (d *Diagnostic) String() string {
 }
 
 // HangError wraps a typed failure condition with its diagnostic dump. Use
-// errors.Is against ErrDeadlock / ErrLivelock / ErrCycleCap / ErrInvariant /
-// ErrStall to classify it.
+// errors.Is against ErrDeadlock / ErrCycleCap / ErrInvariant / ErrTimeout /
+// ErrCanceled to classify it.
 type HangError struct {
 	Err  error
 	Diag *Diagnostic

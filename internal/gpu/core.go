@@ -137,9 +137,8 @@ type Core struct {
 	issueCooldown int
 	memBlocked    bool // memQ front failed tryAccess; only external events unblock it
 
-	flushed  bool
-	stats    Stats
-	progress uint64 // monotonic work counter for the system stall watchdog
+	flushed bool
+	stats   Stats
 }
 
 type memAccess struct {
@@ -295,7 +294,6 @@ func (c *Core) issueWarp(w int) bool {
 		c.rrNext = (w + 1) % len(c.warps)
 	}
 	c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
-	c.progress++
 	c.stats.WarpInstrs++
 	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
 	switch {
@@ -369,7 +367,6 @@ func (c *Core) memoryUnit() {
 		c.stats.MemStallFull++
 		return
 	}
-	c.progress++
 	c.memQ.Pop()
 }
 
@@ -394,7 +391,6 @@ func (c *Core) tryAccess(acc memAccess) bool {
 
 // DeliverFill completes an in-flight line fetch (a read reply arrived).
 func (c *Core) DeliverFill(line addr.Address) {
-	c.progress++
 	c.memBlocked = false // freed MSHR entry / filled line may unblock memQ
 	waiters, dirty := c.mshr.Fill(line)
 	victim, wb := c.l1.Fill(line, dirty)
@@ -452,11 +448,6 @@ func (c *Core) Done() bool {
 	return c.gen.AllDone() && c.busyWarps == 0 && c.memQ.Len() == 0 &&
 		c.flushed && c.outQ.Len() == 0 && c.mshr.InFlight() == 0
 }
-
-// Progress returns a monotonic counter of forward progress (instructions
-// issued, L1 accesses completed, fills delivered). The system stall
-// watchdog compares it across cycles to detect a wedged machine.
-func (c *Core) Progress() uint64 { return c.progress }
 
 // NeverCycle is the NextWorkCycle sentinel for "no future work without an
 // external event" (a fill delivery or an out-queue drain).

@@ -104,8 +104,7 @@ type MCNode struct {
 	// plain allocation (standalone MC nodes in tests).
 	pool *noc.PacketPool
 
-	stats    Stats
-	progress uint64 // monotonic work counter for the system stall watchdog
+	stats Stats
 }
 
 // New builds an MC node at the given mesh tile.
@@ -159,7 +158,6 @@ func (m *MCNode) AcceptRequest(pkt *noc.Packet) {
 		panic(fmt.Sprintf("mem: packet %d is not a request", pkt.ID))
 	}
 	m.inQ.Push(inReq{line: addr.Address(pkt.Line), write: pkt.Write, src: pkt.Src})
-	m.progress++
 }
 
 // TickIcnt advances the MC by one interconnect cycle: one L2 bank access,
@@ -188,13 +186,13 @@ func (m *MCNode) serviceOne(cycle uint64) {
 				m.writeQ.Push(victim)
 			}
 		}
-		m.popInQ()
+		m.inQ.Pop()
 		return
 	}
 	m.stats.Requests++
 	if m.l2.Access(req.line, false) {
 		m.hitQ.Push(timedReply{due: cycle + m.cfg.L2Latency, line: req.line, requester: req.src})
-		m.popInQ()
+		m.inQ.Pop()
 		return
 	}
 	// L2 miss: merge or fetch from DRAM.
@@ -205,12 +203,7 @@ func (m *MCNode) serviceOne(cycle uint64) {
 	case cache.AllocNew:
 		m.ctl.Enqueue(dram.Request{Addr: req.line})
 	}
-	m.popInQ()
-}
-
-func (m *MCNode) popInQ() {
 	m.inQ.Pop()
-	m.progress++
 }
 
 // promoteHits moves matured L2 hits into the reply queue (due times are
@@ -237,7 +230,6 @@ func (m *MCNode) injectReplies(cycle uint64, net noc.Network) {
 			return
 		}
 		m.stats.RepliesInjected++
-		m.progress++
 		m.replyQ.Pop()
 	}
 }
@@ -262,10 +254,8 @@ func (m *MCNode) putPacket(p *noc.Packet) {
 func (m *MCNode) TickDRAM() {
 	for m.writeQ.Len() > 0 && m.ctl.Enqueue(dram.Request{Addr: *m.writeQ.Front(), IsWrite: true}) {
 		m.writeQ.Pop()
-		m.progress++
 	}
 	for _, done := range m.ctl.Tick() {
-		m.progress++
 		if done.IsWrite {
 			continue
 		}
@@ -335,11 +325,6 @@ func (m *MCNode) Busy() bool {
 	return m.inQ.Len() > 0 || m.hitQ.Len() > 0 || m.replyQ.Len() > 0 ||
 		m.writeQ.Len() > 0 || m.ctl.Busy() || m.l2mshr.InFlight() > 0
 }
-
-// Progress returns a monotonic counter of work the MC has completed
-// (requests accepted and consumed, replies injected, DRAM commands
-// finished). The system stall watchdog compares it across cycles.
-func (m *MCNode) Progress() uint64 { return m.progress }
 
 // Stats returns the MC counters.
 func (m *MCNode) Stats() Stats { return m.stats }

@@ -174,8 +174,7 @@ func (d *Double) SkipAhead(k uint64) {
 }
 
 // Stats merges both slices' counters into one snapshot, valid until the
-// next Stats call (the closed-loop driver samples it on every stall check, so
-// the merge target is reused rather than built fresh).
+// next Stats call (the merge target is reused rather than built fresh).
 func (d *Double) Stats() *NetStats {
 	a, b := d.nets[0].Stats(), d.nets[1].Stats()
 	m := &d.merged

@@ -42,7 +42,7 @@ type Network interface {
 	// Stats exposes aggregate counters.
 	Stats() *NetStats
 	// Health returns nil while the network is sound, or a sticky
-	// *fault.HangError once the deadlock/livelock/invariant monitors trip.
+	// *fault.HangError once the deadlock/invariant monitors trip.
 	Health() error
 	// NextWorkCycle returns a conservative bound on the next cycle count
 	// at which Tick would do anything beyond the deterministic idle-tick
@@ -278,13 +278,7 @@ type meshNet struct {
 	wd         *fault.Watchdog
 	health     *fault.HangError
 	moveCount  uint64 // monotonic flit-movement counter for the watchdog
-	hopBudget  int    // livelock bound, switch traversals per wire packet
 	auditEvery uint64 // flit-conservation audit period
-
-	// llPkt is the cycle's first hop-budget violation in router order. The
-	// verdict is deferred to the end of Tick so that tripLivelock snapshots
-	// the network at a cycle boundary.
-	llPkt *Packet
 }
 
 // NewMesh validates cfg and builds the network.
@@ -332,10 +326,6 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	}
 	if cfg.Fault.Monitored() {
 		n.wd = fault.NewWatchdog(cfg.Fault.WatchdogCycles)
-		n.hopBudget = cfg.Fault.HopBudget
-		if n.hopBudget <= 0 {
-			n.hopBudget = 16 * (cfg.Width + cfg.Height)
-		}
 		n.auditEvery = cfg.Fault.AuditCycles
 		if n.auditEvery == 0 {
 			n.auditEvery = cfg.Fault.WatchdogCycles / 4
@@ -579,8 +569,7 @@ func (n *meshNet) DeliveredSet(dst []uint64) {
 // ascending, then output port ascending — is the node-then-port order a
 // per-node drain would visit, and latency sums add up in the same order.
 // Links are not a phase: a router's sends land in the neighbour's buffers
-// directly. The cycle ends with the deferred livelock verdict and the
-// health monitors.
+// directly. The cycle ends with the health monitors.
 func (n *meshNet) Tick() {
 	n.cycle++
 	cycle := n.cycle
@@ -606,23 +595,8 @@ func (n *meshNet) Tick() {
 		n.routers[e.node].ejOut[e.port]--
 		n.nis[e.node].eject(e.pkt, cycle)
 	}
-	if n.llPkt != nil {
-		n.tripLivelock(n.llPkt)
-		n.llPkt = nil
-	}
 	n.stats.Cycles++
 	n.observeHealth()
-}
-
-// noteHop charges one switch traversal to pkt and keeps the cycle's first
-// hop-budget violation for the livelock verdict at the end of Tick.
-func (n *meshNet) noteHop(pkt *Packet) {
-	pkt.hops++
-	if n.wd == nil || n.health != nil || n.hopBudget <= 0 ||
-		pkt.hops <= n.hopBudget || n.llPkt != nil {
-		return
-	}
-	n.llPkt = pkt
 }
 
 // NextWorkCycle scans the work lists for the earliest cycle with real work:

@@ -73,7 +73,7 @@ type Packet struct {
 	lid     uint64 // logical transfer id: wire ID of the first attempt
 	attempt int    // 1-based transmission attempt this wire packet carries
 	corrupt bool   // a link fault struck a flit; discard at the ejection NI
-	hops    int    // switch traversals so far, for the livelock budget
+	hops    int    // switch traversals so far, for the deadlock dump
 }
 
 // Attempt returns which end-to-end transmission attempt this wire packet

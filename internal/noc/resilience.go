@@ -205,7 +205,7 @@ func (fs *faultState) delayCredit(n *meshNet) uint64 {
 }
 
 // Health returns the sticky watchdog verdict: nil while the network is
-// sound, a *fault.HangError (deadlock, livelock or conservation violation)
+// sound, a *fault.HangError (deadlock or conservation violation)
 // once the monitor has tripped.
 func (n *meshNet) Health() error {
 	if n.health == nil {
@@ -250,18 +250,6 @@ func (n *meshNet) observeHealth() {
 			n.health = fault.Hang(fault.ErrInvariant, d)
 		}
 	}
-}
-
-// tripLivelock raises the sticky livelock verdict for pkt, the cycle's first
-// hop-budget violation in router order. Runs only at the end of Tick, so the
-// diagnostic snapshot is taken at a cycle boundary with every queue in a
-// consistent state.
-func (n *meshNet) tripLivelock(pkt *Packet) {
-	d := n.diagnose("livelock")
-	d.Notes = append(d.Notes,
-		fmt.Sprintf("packet %d (%d->%d, attempt %d) exceeded hop budget %d",
-			pkt.ID, pkt.Src, pkt.Dst, pkt.attempt, n.hopBudget))
-	n.health = fault.Hang(fault.ErrLivelock, d)
 }
 
 // inNetworkFlits counts every flit currently in the mesh: input VC buffers

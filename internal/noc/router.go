@@ -772,7 +772,7 @@ func (r *router) traverse(idx int, cycle uint64) {
 	r.net.stats.FlitHops++
 	r.net.moveCount++
 	if f.Head {
-		r.net.noteHop(f.Pkt)
+		f.Pkt.hops++
 	}
 	// Return the freed buffer slot upstream (direction inputs only; the
 	// network interface reads injection buffer occupancy directly).

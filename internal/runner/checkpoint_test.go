@@ -21,6 +21,9 @@ func journalPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "sweep.jsonl")
 }
 
+// TestJournalRoundTrip: records load back as written, including the
+// "stall" and "livelock" verdicts older builds journaled and no run
+// reaches any more.
 func TestJournalRoundTrip(t *testing.T) {
 	path := journalPath(t)
 	j, err := OpenJournal(path)
@@ -30,6 +33,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Key: "A|MUM|s1|i100", Result: core.Result{Benchmark: "MUM", Config: "A", Status: "ok", IPC: 42.5}},
 		{Key: "B|MUM|s1|i100", Result: core.Result{Benchmark: "MUM", Config: "B", Status: "stall"}},
+		{Key: "C|MUM|s1|i100", Result: core.Result{Benchmark: "MUM", Config: "C", Status: "livelock"}},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -46,7 +50,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if stats.Skipped != 0 || stats.Quarantined != 0 {
 		t.Errorf("replay stats = %+v, want clean", stats)
 	}
-	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
+	if len(got) != len(recs) || got[0] != recs[0] || got[1] != recs[1] || got[2] != recs[2] {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

@@ -109,12 +109,12 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 	}
 }
 
-// TestLaneRetryableTerminalWithoutRetries: a stalled lane's DNF is
+// TestLaneRetryableTerminalWithoutRetries: a deadlocked lane's DNF is
 // terminal — published as-is, no solo re-execution — matching what solo
 // execution would have recorded.
 func TestLaneRetryableTerminalWithoutRetries(t *testing.T) {
 	withMaxProcs(t, 2)
-	rec := &laneBatchRecorder{verdict: func(uint64) string { return "stall" }}
+	rec := &laneBatchRecorder{verdict: func(uint64) string { return core.StatusDeadlock }}
 	var soloRuns atomic.Int64
 	p := newPool(t, Options{Jobs: 1,
 		RunLanes: rec.run,
@@ -124,15 +124,15 @@ func TestLaneRetryableTerminalWithoutRetries(t *testing.T) {
 		}})
 	outs := p.Do(context.Background(), seedCfgs(t, "stuck-lane", 2)...)
 	for i, o := range outs {
-		if o.Result.Status != "stall" {
-			t.Errorf("outs[%d].Status = %q, want the lane's stall verdict", i, o.Result.Status)
+		if o.Result.Status != core.StatusDeadlock {
+			t.Errorf("outs[%d].Status = %q, want the lane's deadlock verdict", i, o.Result.Status)
 		}
 	}
 	if len(rec.batches) != 1 {
 		t.Errorf("lane batches = %v, want one 2-wide batch", rec.batches)
 	}
 	if soloRuns.Load() != 0 {
-		t.Errorf("solo path ran %d times for a terminal lane stall", soloRuns.Load())
+		t.Errorf("solo path ran %d times for a terminal lane deadlock", soloRuns.Load())
 	}
 }
 
@@ -394,11 +394,11 @@ func TestPublishPipelineShared(t *testing.T) {
 	cases := []publishCase{
 		{name: "ok", verdict: ok,
 			wantTarget: "ok", wantCached: true, wantJournal: true, wantExecuted: 2},
-		// A stall, once classed retryable, is terminal: the simulator is
-		// deterministic, so it is published from the run that found it,
-		// lane or solo, and is durable.
-		{name: "retryable-stall", verdict: seed1("stall"),
-			wantTarget: "stall", wantCached: true, wantJournal: true, wantExecuted: 2},
+		// A hang verdict is terminal: the simulator is deterministic, so
+		// it is published from the run that found it, lane or solo, and is
+		// durable.
+		{name: "retryable-stall", verdict: seed1(core.StatusDeadlock),
+			wantTarget: core.StatusDeadlock, wantCached: true, wantJournal: true, wantExecuted: 2},
 		// A timeout the pool's own deadline produced is cached for the
 		// pool's life but not journaled, so a resume runs it again.
 		{name: "timeout", verdict: seed1("timeout"),

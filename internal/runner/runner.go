@@ -42,6 +42,12 @@ import (
 	"repro/internal/iofault"
 )
 
+// The statuses a Pool adds to core's Result.Status vocabulary.
+const (
+	StatusPanic   = "panic"    // the run panicked; Outcome.Stack holds the stack
+	StatusIOError = "io_error" // the checkpoint journal refused the outcome
+)
+
 // RunFunc executes one simulation. The default is core.Run; tests inject
 // panicking or flaky substitutes to exercise the isolation machinery.
 type RunFunc func(ctx context.Context, cfg core.Config) (core.Result, error)
@@ -408,7 +414,7 @@ func (p *Pool) execute(ctx context.Context, cfgs []core.Config, claims []claim) 
 // returns the published outcome (a refused append rewrites it to
 // "io_error").
 func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) Outcome {
-	transient := (out.Result.Status == "canceled" || out.Result.Status == "timeout") &&
+	transient := (out.Result.Status == core.StatusCanceled || out.Result.Status == core.StatusTimeout) &&
 		runCtx.Err() != nil && p.ctx.Err() == nil
 
 	// Durability gate: a durable outcome must be journaled BEFORE it is
@@ -419,10 +425,10 @@ func (p *Pool) publish(runCtx context.Context, c claim, out Outcome) Outcome {
 	// (the sweep is shutting down) and "timeout" verdicts are host-transient,
 	// so neither is durable: both re-execute on resume.
 	cached := !transient
-	durable := !transient && out.Result.Status != "canceled" && out.Result.Status != "timeout"
+	durable := !transient && out.Result.Status != core.StatusCanceled && out.Result.Status != core.StatusTimeout
 	if durable {
 		if err := p.persist(out); err != nil {
-			out.Result.Status, out.Err = "io_error", err
+			out.Result.Status, out.Err = StatusIOError, err
 			cached, durable = false, false
 		}
 	}
@@ -466,7 +472,7 @@ func (p *Pool) runLanesOnce(ctx context.Context, cfg core.Config, seeds []uint64
 			results = make([]core.Result, len(seeds))
 			errs = make([]error, len(seeds))
 			for i := range seeds {
-				results[i] = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
+				results[i] = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: StatusPanic}
 				errs[i] = err
 			}
 		}
@@ -492,7 +498,7 @@ func (p *Pool) runOnce(ctx context.Context, cfg core.Config) (res core.Result, e
 		if r := recover(); r != nil {
 			stack = string(debug.Stack())
 			err = fmt.Errorf("runner: run %s/%s panicked: %v", cfg.Name, cfg.Workload.Abbr, r)
-			res = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "panic"}
+			res = core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: StatusPanic}
 		}
 	}()
 	res, err = p.opts.Run(ctx, cfg)
@@ -508,7 +514,7 @@ func backfill(res core.Result, err error, cfg core.Config) core.Result {
 	if res.Config == "" {
 		res.Config = cfg.Name
 	}
-	if err != nil && (res.Status == "" || res.Status == "ok") {
+	if err != nil && res.OK() {
 		res.Status = err.Error()
 	}
 	return res
@@ -517,7 +523,7 @@ func backfill(res core.Result, err error, cfg core.Config) core.Result {
 func canceledOutcome(cfg core.Config, key string, err error) Outcome {
 	return Outcome{
 		Key:    key,
-		Result: core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "canceled"},
+		Result: core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: core.StatusCanceled},
 		Err:    err,
 	}
 }

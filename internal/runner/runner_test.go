@@ -105,10 +105,11 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestDeterministicVerdictsNeverRetried: every verdict is terminal. The
-// simulator is deterministic, so a stall repeats on a re-run, and a timeout
-// the pool's own deadline produced stays in the cache for the pool's life.
+// simulator is deterministic, so a deadlock repeats on a re-run, and a
+// timeout the pool's own deadline produced stays in the cache for the
+// pool's life.
 func TestDeterministicVerdictsNeverRetried(t *testing.T) {
-	for _, status := range []string{"stall", "timeout", "deadlock", "livelock", "cycle-cap", "invariant", "panic"} {
+	for _, status := range []string{core.StatusTimeout, core.StatusDeadlock, core.StatusCycleCap, core.StatusInvariant, StatusPanic} {
 		var calls atomic.Int64
 		p := newPool(t, Options{Jobs: 1, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 			calls.Add(1)

@@ -167,7 +167,7 @@ func (j *Job) ephemeral() bool {
 		return true
 	case StatusDone:
 		for _, out := range j.outs {
-			if out.Result.Status == "io_error" {
+			if out.Result.Status == runner.StatusIOError {
 				return true
 			}
 		}
@@ -184,7 +184,7 @@ func eventForStatus(status string) string {
 
 func statusLabel(s string) string {
 	if s == "" {
-		return "ok"
+		return core.StatusOK
 	}
 	return s
 }
@@ -239,7 +239,7 @@ func (j *Job) resultDoc() ResultDoc {
 	for i, out := range j.outs {
 		res := out.Result
 		if res.Status == "" {
-			res.Status = "ok"
+			res.Status = core.StatusOK
 		}
 		doc.Runs[i] = RunResult{Key: out.Key, Result: res}
 	}

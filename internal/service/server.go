@@ -295,7 +295,7 @@ func (s *Server) runJob(j *Job) {
 			defer wg.Done()
 			t0 := time.Now()
 			out := s.pool.Do(j.ctx, j.cfgs[i])[0]
-			if out.Result.Status == "io_error" {
+			if out.Result.Status == runner.StatusIOError {
 				s.opts.Logf("service: run %s not durable, not cached (readiness degraded): %v", out.Key, out.Err)
 			}
 			if !out.Cached && !out.Resumed {

@@ -143,7 +143,7 @@ func (r *Runner) Run(cfg Config) Result {
 		pool                 noc.PacketPool
 		lat, rtt             stats.Mean
 		measured, dropCycles int
-		replyFlitsInjected   uint64
+		repliesInjected      uint64
 	)
 	hist := stats.NewHistogram(4, 1024) // latency buckets up to 4096 cycles
 
@@ -219,7 +219,7 @@ func (r *Runner) Run(cfg Config) Result {
 					break
 				}
 				q.Pop()
-				replyFlitsInjected++
+				repliesInjected++
 			}
 		}
 		// Compute nodes absorb replies, walked in ascending node id: that is
@@ -278,7 +278,7 @@ func (r *Runner) Run(cfg Config) Result {
 		MeasuredPackets: measured,
 		Saturated: dropCycles > cfg.MeasureCycles*len(comp)/20 ||
 			backlogged > 10*len(mcs),
-		ReplyInjectRate: float64(replyFlitsInjected) / float64(st.Cycles) / float64(len(mcs)),
+		ReplyInjectRate: float64(repliesInjected) / float64(st.Cycles) / float64(len(mcs)),
 	}
 }
 
