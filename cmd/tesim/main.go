@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -156,7 +157,7 @@ func main() {
 			dnf++
 			fmt.Fprintf(os.Stderr, "tesim: %s did not finish: %s\n", p.Abbr, res.Status)
 			var he *fault.HangError
-			if fault.AsHang(out.Err, &he) && !he.Diag.Empty() {
+			if errors.As(out.Err, &he) && !he.Diag.Empty() {
 				fmt.Fprintln(os.Stderr, he.Diag.String())
 			}
 			if out.Stack != "" {

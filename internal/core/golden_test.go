@@ -70,14 +70,8 @@ func goldenMatrix() []goldenCase {
 			return withCreditLatency(Baseline(hh).WithFaults(0.002, 7), 3).ScaleWork(goldenScale)
 		}},
 		// The ejection side: two ejection ports at the MC routers (Fig 19's
-		// 2E, where two flits can eject at one node in a cycle), and a
-		// one-flit ejection bound, the only capacity at which it binds.
+		// 2E, where two flits can eject at one node in a cycle).
 		{"multiport-mc-2e", func() Config { return Baseline(hh).WithMCEjectionPorts(2).ScaleWork(goldenScale) }},
-		{"ejq-cap-1", func() Config {
-			c := Baseline(hh).ScaleWork(goldenScale)
-			c.Noc.EjQueueCap = 1
-			return c
-		}},
 	}
 }
 
@@ -104,7 +98,6 @@ var goldenDigests = map[string]string{
 	"credlat-5":           "353ff9fee05823110b5d4b8d25fff0f4484a0cce14489a71481effd005a1207f",
 	"faults-on-credlat-3": "241e3c052a9f1c93de77a6a3c77205ffd52d68305b8f0fa3c58da41e69badb80",
 	"multiport-mc-2e":     "22d3eac724884d2caa5cf2d97f76ed38daaed94073053c2ee568d62135e9aa45",
-	"ejq-cap-1":           "8ee2f97258cc817f277f3a5f275afc122b2463a0c05344fe718a4d1583f21382",
 }
 
 // digestRun hashes everything observable about a seeded run: scalar results

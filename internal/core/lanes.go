@@ -40,6 +40,13 @@ func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*System, []err
 		ctx = context.Background()
 	}
 	lanes, errs := newLanes(cfg, seeds)
+	stepLanes(ctx, lanes)
+	return lanes, errs
+}
+
+// stepLanes advances every live lane by one step per round until all have
+// retired; nil lanes (failed builds) are skipped.
+func stepLanes(ctx context.Context, lanes []*System) {
 	for live := true; live; {
 		live = false
 		for _, s := range lanes {
@@ -48,7 +55,6 @@ func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*System, []err
 			}
 		}
 	}
-	return lanes, errs
 }
 
 // newLanes builds one System per seed. The lanes share their topology

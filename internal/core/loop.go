@@ -18,12 +18,13 @@ import (
 // hot path, fine enough that a timed-out run dies within microseconds.
 const ctxCheckPeriod = 256
 
-// ctxCondition maps a context error to the typed fault vocabulary.
-func ctxCondition(err error) error {
+// ctxCondition maps a context error to the status and typed condition it
+// ends a run with.
+func ctxCondition(err error) (string, error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return fault.ErrTimeout
+		return StatusTimeout, fault.ErrTimeout
 	}
-	return fault.ErrCanceled
+	return StatusCanceled, fault.ErrCanceled
 }
 
 // bitset is a fixed-size set over small non-negative indices (cores, nodes,
@@ -135,19 +136,18 @@ func (s *System) initLoop() {
 // algorithm, so every verdict fires on the cycle it would without elision.
 func (s *System) step(ctx context.Context) bool {
 	if s.done() {
-		s.finish()
+		s.finish(StatusOK)
 		return false
 	}
 	icnt := s.sched.Cycles(timing.DomainInterconnect)
 	if icnt >= s.maxIcnt {
 		s.timedOut = true
-		s.hang(fault.ErrCycleCap, StatusCycleCap)
+		s.hang(StatusCycleCap, fault.ErrCycleCap)
 		return false
 	}
 	if icnt%ctxCheckPeriod == 0 {
 		if cerr := ctx.Err(); cerr != nil {
-			cond := ctxCondition(cerr)
-			s.hang(cond, statusOf(cond))
+			s.hang(ctxCondition(cerr))
 			return false
 		}
 	}
@@ -163,31 +163,34 @@ func (s *System) step(ctx context.Context) bool {
 		}
 	}
 	if err := s.net.Health(); err != nil {
-		s.fail(err)
+		var he *fault.HangError
+		errors.As(err, &he) // the network's verdict names its status
+		s.fail(he.Diag.Kind, err)
 		return false
 	}
 	return true
 }
 
-// hang retires the run with a system-level verdict. Components are paid up
-// first, so the diagnostic reads the state edge-by-edge stepping leaves.
-func (s *System) hang(cond error, kind string) {
+// hang retires the run with a system-level verdict whose diagnostic kind is
+// its status. Components are paid up first, so the diagnostic reads the
+// state edge-by-edge stepping leaves.
+func (s *System) hang(status string, cond error) {
 	s.payAll()
-	s.fail(fault.Hang(cond, s.diagnose(kind)))
+	s.fail(status, fault.Hang(cond, s.diagnose(status)))
 }
 
 // fail records a degradation verdict and retires the run.
-func (s *System) fail(err error) {
+func (s *System) fail(status string, err error) {
 	s.runErr = err
-	s.finish()
+	s.finish(status)
 }
 
 // finish pays every component up to its final cycle count and assembles the
-// Result.
-func (s *System) finish() {
+// Result with the status the run ended in.
+func (s *System) finish(status string) {
 	s.payAll()
 	s.res = s.result(s.timedOut)
-	s.res.Status = statusOf(s.runErr)
+	s.res.Status = status
 	s.finished = true
 }
 

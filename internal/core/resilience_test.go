@@ -69,7 +69,7 @@ func TestCycleCapReturnsTypedError(t *testing.T) {
 		t.Fatalf("error %v is not ErrCycleCap", err)
 	}
 	var he *fault.HangError
-	if !fault.AsHang(err, &he) || he.Diag.Empty() {
+	if !errors.As(err, &he) || he.Diag.Empty() {
 		t.Fatal("cycle-cap verdict lacks a diagnostic")
 	}
 	if !res.TimedOut || res.Status != "cycle-cap" {
@@ -93,7 +93,7 @@ func TestWedgedNetworkSurfacesDeadlock(t *testing.T) {
 	if err == nil {
 		t.Fatal("wedged system completed")
 	}
-	if !fault.IsHang(err) {
+	if !isHang(err) {
 		t.Fatalf("wedged system returned a non-hang error: %v", err)
 	}
 	if errors.Is(err, fault.ErrDeadlock) && res.Status != "deadlock" {
@@ -105,35 +105,52 @@ func TestWedgedNetworkSurfacesDeadlock(t *testing.T) {
 }
 
 // TestHangVerdictsDeterministic pins that a hang verdict is a pure function
-// of the Config: two solo runs and lane 0 of a width-2 RunLanes batch end
-// with the same status, error text and diagnostic dump. These are the hang
-// verdicts a Config reaches; "invariant" needs a flit lost from the
-// network's books, which only a test that edits a built System can inject
-// (TestEveryVerdictReachable).
+// of the Config: two solo runs and lane 0 of a width-2 lane batch end with
+// the same status, error text and diagnostic dump. "invariant" needs a flit
+// lost from the network's books, which no Config reaches: its row adds one
+// flit to the injection books of every solo system and of lane 0 before
+// stepping, the loss TestEveryVerdictReachable injects.
 func TestHangVerdictsDeterministic(t *testing.T) {
 	bin, err := workload.ByAbbr("BIN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadlock := Baseline(bin).ScaleWork(0.01).WithFaults(0.05, 3).WithWatchdog(500)
+	base := Baseline(bin).ScaleWork(0.01)
+	deadlock := base.WithFaults(0.05, 3).WithWatchdog(500)
 	deadlock.Noc.Fault.RetxTimeout = 1000
-	capped := Baseline(bin).ScaleWork(0.01)
+	capped := base
 	capped.MaxIcntCycles = 300
+	noLoss := func(*System) {}
+	loseFlit := func(s *System) { s.NetStats().InjectedFlits[0]++ }
 	for _, tc := range []struct {
 		status string
 		cfg    Config
+		arm    func(*System)
 	}{
-		{"deadlock", deadlock},
-		{"cycle-cap", capped},
+		{StatusDeadlock, deadlock, noLoss},
+		{StatusCycleCap, capped, noLoss},
+		{StatusInvariant, base.WithWatchdog(500), loseFlit},
 	} {
 		t.Run(tc.status, func(t *testing.T) {
 			var got []string
 			for i := 0; i < 2; i++ {
-				res, err := Run(context.Background(), tc.cfg)
+				s, err := NewSystem(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.arm(s)
+				res, err := s.Run(context.Background())
 				got = append(got, hangVerdict(t, res, err))
 			}
-			results, errs := RunLanes(context.Background(), tc.cfg, []uint64{tc.cfg.Seed, tc.cfg.Seed + 1})
-			got = append(got, hangVerdict(t, results[0], errs[0]))
+			lanes, errs := newLanes(tc.cfg, []uint64{tc.cfg.Seed, tc.cfg.Seed + 1})
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.arm(lanes[0])
+			stepLanes(context.Background(), lanes)
+			got = append(got, hangVerdict(t, lanes[0].res, lanes[0].runErr))
 			if !strings.HasPrefix(got[0], tc.status+"\n") {
 				t.Fatalf("verdict = %q, want status %q", got[0], tc.status)
 			}
@@ -149,8 +166,14 @@ func TestHangVerdictsDeterministic(t *testing.T) {
 // hangVerdict renders a hang's status, error text and diagnostic dump.
 func hangVerdict(t *testing.T, res Result, err error) string {
 	t.Helper()
-	if !fault.IsHang(err) {
+	if !isHang(err) {
 		t.Fatalf("status %q: error %v is not a hang", res.Status, err)
 	}
 	return res.Status + "\n" + verdictOf(err)
+}
+
+// isHang reports whether err carries a *fault.HangError.
+func isHang(err error) bool {
+	var he *fault.HangError
+	return errors.As(err, &he)
 }

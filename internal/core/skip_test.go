@@ -78,7 +78,7 @@ func verdictOf(err error) string {
 		return "ok"
 	}
 	var he *fault.HangError
-	if fault.AsHang(err, &he) {
+	if errors.As(err, &he) {
 		return err.Error() + "\n" + he.Diag.String()
 	}
 	return err.Error()
@@ -166,7 +166,7 @@ func TestIdleSkipVerdictEquivalence(t *testing.T) {
 	}{
 		{"cycle-cap", capped, func(err error) bool { return errors.Is(err, fault.ErrCycleCap) }},
 		{"membound-cycle-cap", memCapped, func(err error) bool { return errors.Is(err, fault.ErrCycleCap) }},
-		{"wedged", wedged, fault.IsHang},
+		{"wedged", wedged, isHang},
 		{"faults-recover", recovers, func(err error) bool { return err == nil }},
 	}
 	for _, tc := range cases {

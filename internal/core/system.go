@@ -47,7 +47,8 @@ type Result struct {
 // The Result.Status vocabulary of a run. Journals, result documents and
 // HTTP replies carry these strings, so they never change; a journal written
 // by an older build may also hold "stall" or "livelock", verdicts no run
-// reaches any more.
+// reaches any more. Each status is recorded where its verdict is decided,
+// and a hang's diagnostic kind is its status.
 const (
 	StatusOK        = "ok"
 	StatusCycleCap  = "cycle-cap" // the MaxIcntCycles safety stop
@@ -55,30 +56,10 @@ const (
 	StatusInvariant = "invariant" // the flit-conservation audit failed
 	StatusTimeout   = "timeout"   // the context's deadline expired
 	StatusCanceled  = "canceled"  // the context was canceled
-	StatusError     = "error"     // any other run error
 )
 
 // OK reports whether the run completed without a degradation verdict.
 func (r Result) OK() bool { return r.Status == "" || r.Status == StatusOK }
-
-// statusOf maps a run error to the Result.Status vocabulary.
-func statusOf(err error) string {
-	switch {
-	case err == nil:
-		return StatusOK
-	case errors.Is(err, fault.ErrCycleCap):
-		return StatusCycleCap
-	case errors.Is(err, fault.ErrDeadlock):
-		return StatusDeadlock
-	case errors.Is(err, fault.ErrInvariant):
-		return StatusInvariant
-	case errors.Is(err, fault.ErrTimeout):
-		return StatusTimeout
-	case errors.Is(err, fault.ErrCanceled):
-		return StatusCanceled
-	}
-	return StatusError
-}
 
 // System is one assembled accelerator.
 type System struct {
@@ -210,7 +191,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 // TimedOut result.
 func MustRun(cfg Config) Result {
 	r, err := Run(context.Background(), cfg)
-	if err != nil && !fault.IsHang(err) {
+	var he *fault.HangError
+	if err != nil && !errors.As(err, &he) {
 		panic(err)
 	}
 	return r

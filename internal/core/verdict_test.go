@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -113,9 +114,8 @@ func TestEveryVerdictReachable(t *testing.T) {
 			res, err := core.Run(bg, deadlock)
 			return res.Status, err
 		}},
-		// Only tests set AuditCycles; the default audit runs every
-		// WatchdogCycles/4 cycles. One flit added to the injection books
-		// stands for a flit the network lost.
+		// The audit runs every WatchdogCycles/4 cycles. One flit added to
+		// the injection books stands for a flit the network lost.
 		{core.StatusInvariant, core.StatusInvariant, "invariant", func(t *testing.T) (string, error) {
 			s, err := core.NewSystem(base.WithWatchdog(500))
 			if err != nil {
@@ -171,7 +171,7 @@ func TestEveryVerdictReachable(t *testing.T) {
 			}
 			kind := ""
 			var he *fault.HangError
-			if fault.AsHang(err, &he) {
+			if errors.As(err, &he) {
 				kind = he.Diag.Kind
 			}
 			if kind != row.kind {

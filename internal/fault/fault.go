@@ -55,6 +55,14 @@ var (
 	ErrCanceled = errors.New("fault: run canceled")
 )
 
+// StuckCycles is how long a stuck-VC fault freezes an input VC's switch
+// allocation.
+const StuckCycles = 64
+
+// RetxBackoffMax caps the exponential backoff multiplier applied to
+// Config.RetxTimeout on successive retries (1, 2, 4, 8).
+const RetxBackoffMax = 8
+
 // Config parameterizes fault injection and health monitoring for one run.
 // The zero value disables injection; DefaultConfig enables only the
 // watchdog.
@@ -68,32 +76,20 @@ type Config struct {
 	// Seed seeds the fault injector's private RNG stream.
 	Seed uint64
 
-	// StuckCycles is how long a stuck-VC fault freezes an input VC's switch
-	// allocation.
-	StuckCycles uint64
 	// CreditResyncCycles models the credit-resync protocol: a lost credit
 	// is recovered (redelivered upstream) after this many cycles.
 	CreditResyncCycles uint64
 
 	// RetxTimeout is the end-to-end retransmission timeout in network
 	// cycles: a transfer not acknowledged (delivered) within the timeout is
-	// re-injected at the source network interface.
+	// re-injected at the source network interface. Retries are unlimited:
+	// faults are transient, so every transfer is eventually delivered.
 	RetxTimeout uint64
-	// RetxBackoffMax caps the exponential backoff multiplier applied to
-	// RetxTimeout on successive retries (1, 2, 4, ... up to this value).
-	RetxBackoffMax uint64
-	// MaxRetries bounds re-injections per transfer; 0 means unlimited
-	// (transient faults guarantee eventual delivery). When the bound is hit
-	// the transfer is dropped and counted as lost.
-	MaxRetries int
 
 	// WatchdogCycles is the no-movement window after which the watchdog
 	// declares deadlock; 0 disables the watchdog and the conservation
-	// audit.
+	// audit, which otherwise runs every WatchdogCycles/4 cycles.
 	WatchdogCycles uint64
-	// AuditCycles is the period of the flit-conservation audit; 0 derives
-	// a default from WatchdogCycles.
-	AuditCycles uint64
 }
 
 // DefaultConfig returns the default policy: injection off, watchdog on with
@@ -103,13 +99,9 @@ func DefaultConfig() Config {
 	return Config{
 		Rate:               0,
 		Seed:               1,
-		StuckCycles:        64,
 		CreditResyncCycles: 512,
 		RetxTimeout:        4096,
-		RetxBackoffMax:     8,
-		MaxRetries:         0,
 		WatchdogCycles:     50_000,
-		AuditCycles:        0,
 	}
 }
 
@@ -134,9 +126,6 @@ func (c Config) Validate() error {
 	if c.Enabled() && c.RetxTimeout == 0 {
 		return fmt.Errorf("fault: injection needs a positive RetxTimeout")
 	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("fault: MaxRetries must be >= 0")
-	}
 	return nil
 }
 
@@ -145,15 +134,8 @@ func (c Config) Validate() error {
 // exponential in the retry count, capped at RetxBackoffMax.
 func (c Config) RetxDeadline(now uint64, attempts int) uint64 {
 	mult := uint64(1)
-	for i := 1; i < attempts; i++ {
-		if mult >= c.RetxBackoffMax && c.RetxBackoffMax > 0 {
-			mult = c.RetxBackoffMax
-			break
-		}
+	for i := 1; i < attempts && mult < RetxBackoffMax; i++ {
 		mult *= 2
-	}
-	if c.RetxBackoffMax > 0 && mult > c.RetxBackoffMax {
-		mult = c.RetxBackoffMax
 	}
 	return now + c.RetxTimeout*mult
 }

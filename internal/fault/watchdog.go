@@ -99,7 +99,7 @@ func (d *Diagnostic) String() string {
 
 // HangError wraps a typed failure condition with its diagnostic dump. Use
 // errors.Is against ErrDeadlock / ErrCycleCap / ErrInvariant / ErrTimeout /
-// ErrCanceled to classify it.
+// ErrCanceled to classify it, and errors.As to reach the dump.
 type HangError struct {
 	Err  error
 	Diag *Diagnostic
@@ -118,29 +118,6 @@ func (e *HangError) Unwrap() error { return e.Err }
 
 // Hang wraps cond and diag into a HangError.
 func Hang(cond error, diag *Diagnostic) *HangError { return &HangError{Err: cond, Diag: diag} }
-
-// IsHang reports whether err is one of the degraded-run conditions a
-// harness should record as DNF rather than treat as a configuration error.
-func IsHang(err error) bool {
-	var he *HangError
-	return AsHang(err, &he)
-}
-
-// AsHang extracts the *HangError from err's chain.
-func AsHang(err error, out **HangError) bool {
-	for err != nil {
-		if he, ok := err.(*HangError); ok {
-			*out = he
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
 
 // CheckConservation verifies the flit-conservation invariant
 //

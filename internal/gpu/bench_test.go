@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkCoreTick measures the steady-state cost of one core clock cycle
-// (one op = one Tick plus the memory stub's share of it) on the three
+// (one op = one Tick plus the memory stub's share of it) on the two
 // shapes a closed-loop run spends its core ticks in:
 //
 //   - compute: 32 warps, no memory instructions — every fourth tick issues,
@@ -18,7 +18,6 @@ import (
 //   - memory: 32 warps of scattered misses behind a stub that drains one
 //     request every fourth tick and answers after a fixed latency, so the
 //     out-queue fills and the memQ front spends most ticks blocked.
-//   - barrier: 4 CTAs of 8 warps synchronizing every 8 instructions.
 //
 // The stub is allocation-free and the warm-up grows every queue to its
 // working size, so allocs/op is the core's own heap traffic; CI gates it
@@ -33,13 +32,10 @@ func BenchmarkCoreTick(b *testing.B) {
 	compute := base
 	memory := base
 	memory.MemFraction, memory.WriteFraction, memory.Sequential, memory.Reuse = 0.5, 0.2, 0.2, 0.1
-	barrier := base
-	barrier.MemFraction, barrier.Sequential, barrier.Reuse = 0.1, 0.7, 0.2
-	barrier.CTAs, barrier.BarrierEvery = 4, 8
 	for _, tc := range []struct {
 		name string
 		prof workload.Profile
-	}{{"compute", compute}, {"memory", memory}, {"barrier", barrier}} {
+	}{{"compute", compute}, {"memory", memory}} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := MustNew(DefaultConfig(), workload.MustNewGenerator(tc.prof, 0, 28, 1))
 			m := newMemStub(c)

@@ -79,13 +79,12 @@ type MemRequest struct {
 type warpState struct {
 	pendingLines []addr.Address // accesses of the current memory instruction not yet issued
 	pendingWrite bool
-	outstanding  int  // line fetches in flight
-	atBarrier    bool // waiting for the rest of its CTA
+	outstanding  int // line fetches in flight
 	done         bool
 }
 
 func (w *warpState) ready() bool {
-	return !w.done && !w.atBarrier && w.outstanding == 0 && len(w.pendingLines) == 0
+	return !w.done && w.outstanding == 0 && len(w.pendingLines) == 0
 }
 
 // maxWarps is the most resident warps a core supports: one readyMask bit each.
@@ -97,7 +96,6 @@ type Stats struct {
 	WarpInstrs   uint64
 	ScalarInstrs uint64
 	MemInstrs    uint64
-	Barriers     uint64
 	LineAccesses uint64
 	IssueStalls  uint64 // cycles with an issue slot but no ready warp
 	MemStallFull uint64 // memory-unit retries due to MSHR/out-queue pressure
@@ -113,11 +111,10 @@ func (s Stats) IPC() float64 {
 
 // Core is one SIMT compute core.
 type Core struct {
-	cfg     Config
-	gen     *workload.Generator
-	warps   []warpState
-	ctaSize int // warps per CTA; 0 without CTA structure
-	rrNext  int
+	cfg    Config
+	gen    *workload.Generator
+	warps  []warpState
+	rrNext int
 
 	// Warp state summarized where it changes, so no per-cycle path scans
 	// the warps. readyMask bit w is set iff warps[w].ready(). pendingWarp
@@ -163,15 +160,10 @@ func New(cfg Config, gen *workload.Generator) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctaSize := 0
-	if prof.CTAs > 0 {
-		ctaSize = prof.Warps / prof.CTAs
-	}
 	return &Core{
 		cfg:         cfg,
 		gen:         gen,
 		warps:       make([]warpState, prof.Warps),
-		ctaSize:     ctaSize,
 		readyMask:   1<<uint(prof.Warps) - 1, // every warp starts ready
 		pendingWarp: -1,
 		l1:          l1,
@@ -224,10 +216,9 @@ func (c *Core) issue() {
 		return
 	}
 	// Walk the ready warps in scheduling order. A warp whose stream turns
-	// out to be exhausted retires without using the slot, and retiring can
-	// release a barrier and so make other warps ready mid-walk: each step
-	// re-reads readyMask but only at positions after the ones already
-	// visited, exactly the warps a position-by-position scan still sees.
+	// out to be exhausted retires without using the slot, and the walk
+	// goes on at the positions after it, exactly the warps a
+	// position-by-position scan still sees.
 	for from := 0; ; {
 		w, pos, ok := schedPick(c.cfg.Scheduler, c.readyMask, c.rrNext, len(c.warps), from)
 		if !ok {
@@ -285,7 +276,6 @@ func (c *Core) issueWarp(w int) bool {
 	if !ok {
 		ws.done = true
 		c.readyMask &^= 1 << uint(w)
-		c.releaseBarrierIfComplete(w)
 		return false
 	}
 	if c.cfg.Scheduler == SchedGTO {
@@ -296,13 +286,7 @@ func (c *Core) issueWarp(w int) bool {
 	c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
 	c.stats.WarpInstrs++
 	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
-	switch {
-	case ins.Barrier:
-		c.stats.Barriers++
-		ws.atBarrier = true
-		c.readyMask &^= 1 << uint(w)
-		c.releaseBarrierIfComplete(w)
-	case ins.Mem:
+	if ins.Mem {
 		c.stats.MemInstrs++
 		ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)
 		ws.pendingWrite = ins.Write
@@ -313,28 +297,6 @@ func (c *Core) issueWarp(w int) bool {
 		}
 	}
 	return true
-}
-
-// releaseBarrierIfComplete frees warp w's CTA when every member has reached
-// the barrier (finished warps do not hold a barrier hostage).
-func (c *Core) releaseBarrierIfComplete(w int) {
-	lo, hi := w, w+1
-	if c.ctaSize > 0 {
-		lo = w / c.ctaSize * c.ctaSize
-		hi = lo + c.ctaSize
-		for i := lo; i < hi; i++ {
-			if !c.warps[i].atBarrier && !c.warps[i].done {
-				return
-			}
-		}
-	}
-	for i := lo; i < hi; i++ {
-		ws := &c.warps[i]
-		ws.atBarrier = false
-		if ws.ready() {
-			c.readyMask |= 1 << uint(i)
-		}
-	}
 }
 
 // memoryUnit services one coalesced line access per cycle through the L1.
@@ -404,7 +366,7 @@ func (c *Core) DeliverFill(line addr.Address) {
 }
 
 // lineDone retires one of warp w's in-flight line accesses; the last one
-// makes the warp idle and, unless it is done or at a barrier, ready again.
+// makes the warp idle and, unless it is done, ready again.
 func (c *Core) lineDone(w int) {
 	ws := &c.warps[w]
 	ws.outstanding--
@@ -478,8 +440,8 @@ func (c *Core) NextWorkCycle() uint64 {
 		// cooldown expires.
 		return c.stats.Cycles + uint64(c.issueCooldown) + 1
 	}
-	// Every warp is done, at a barrier held open by a fill-waiting peer,
-	// or waiting on outstanding fetches; only DeliverFill wakes the core.
+	// Every warp is done or waiting on outstanding fetches; only
+	// DeliverFill wakes the core.
 	return NeverCycle
 }
 

@@ -336,64 +336,6 @@ func TestDirtyFillAfterStoreMiss(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizesCTA(t *testing.T) {
-	// Two CTAs of 2 warps, barrier every 10 instructions. With a slow
-	// memory, warps drift; barriers must still all release and the kernel
-	// must finish.
-	p := testProfile()
-	p.Warps = 4
-	p.CTAs = 2
-	p.BarrierEvery = 10
-	p.InstrsPerWarp = 60
-	gen := workload.MustNewGenerator(p, 0, 1, 8)
-	c := MustNew(DefaultConfig(), gen)
-	st := runToCompletion(t, c, 150, 500000)
-	if st.Barriers == 0 {
-		t.Fatal("no barrier instructions issued")
-	}
-	// 5 barriers per warp (instrs 10,20,30,40,50) x 4 warps.
-	if st.Barriers != 20 {
-		t.Errorf("barriers = %d, want 20", st.Barriers)
-	}
-	if st.WarpInstrs != 4*60 {
-		t.Errorf("warp instrs = %d, want 240", st.WarpInstrs)
-	}
-}
-
-func TestBarrierActuallyBlocks(t *testing.T) {
-	// One CTA of 2 warps; warp progress may never diverge past a barrier
-	// boundary. Observe by checking issue interleaving: when one warp
-	// stalls on memory before its barrier, the other cannot run ahead into
-	// the next barrier interval's instructions... approximated by checking
-	// total completion still happens and barrier count matches.
-	p := testProfile()
-	p.Warps = 2
-	p.CTAs = 1
-	p.BarrierEvery = 5
-	p.InstrsPerWarp = 20
-	p.MemFraction = 0.5
-	gen := workload.MustNewGenerator(p, 0, 1, 9)
-	c := MustNew(DefaultConfig(), gen)
-	st := runToCompletion(t, c, 300, 500000)
-	if st.Barriers != 2*3 {
-		t.Errorf("barriers = %d, want 6", st.Barriers)
-	}
-}
-
-func TestBarrierProfileValidation(t *testing.T) {
-	p := testProfile()
-	p.BarrierEvery = 10 // without CTAs
-	if err := p.Validate(); err == nil {
-		t.Error("barriers without CTAs accepted")
-	}
-	p = testProfile()
-	p.Warps = 4
-	p.CTAs = 3 // does not divide 4
-	if err := p.Validate(); err == nil {
-		t.Error("non-dividing CTA count accepted")
-	}
-}
-
 func TestGTOSchedulerCompletes(t *testing.T) {
 	p := testProfile()
 	gen := workload.MustNewGenerator(p, 0, 1, 10)
@@ -471,8 +413,6 @@ func checkDerivedState(t *testing.T, c *Core, when string) {
 }
 
 func TestReadyMaskMatchesWarpState(t *testing.T) {
-	barrier := testProfile()
-	barrier.Warps, barrier.CTAs, barrier.BarrierEvery, barrier.InstrsPerWarp = 8, 2, 7, 60
 	wide := testProfile()
 	wide.Warps, wide.MemFraction = 32, 0.5
 	for _, tc := range []struct {
@@ -484,8 +424,6 @@ func TestReadyMaskMatchesWarpState(t *testing.T) {
 	}{
 		{"rr", testProfile(), SchedRR, 16, 1},
 		{"gto", wide, SchedGTO, 16, 1},
-		{"barrier", barrier, SchedRR, 16, 1},
-		{"barrier-gto", barrier, SchedGTO, 16, 1},
 		{"backpressure", wide, SchedRR, 2, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -590,27 +528,27 @@ func TestPickWarpMatchesScan(t *testing.T) {
 	}
 }
 
-func TestMidScanBarrierRelease(t *testing.T) {
-	// A ready warp whose stream is exhausted retires mid-scan, and its
-	// retirement completes the CTA's barrier: one released warp sits at a
-	// scan position already passed, one at a later position. The slot must
-	// go to the later one — the position-by-position scan never looked
-	// back — and not to the lowest set bit of the refreshed mask.
+func TestMidScanRetirement(t *testing.T) {
+	// A ready warp whose stream is exhausted retires mid-scan without using
+	// the issue slot, which goes to the next ready warp in scheduling order.
+	// The warp at a position the scan passes before the retiring one waits
+	// on a fetch; one other warp has finished.
 	for _, tc := range []struct {
 		name       string
 		sched      Scheduler
 		rrNext     int
 		exhausted  int
 		finished   int
+		waiting    int
 		wantIssued int
 	}{
-		{"rr", SchedRR, 0, 1, 2, 3},                  // order 0,1,2,3: warp 0 passed, warp 3 ahead
-		{"gto", SchedGTO, 2, 0, 1, 3},                // order 2,0,1,3: greedy warp 2 passed, warp 3 ahead
-		{"gto-greedy-retires", SchedGTO, 1, 1, 2, 0}, // order 1,0,2,3: nothing passed
+		{"rr", SchedRR, 0, 1, 2, 0, 3},                  // order 0,1,2,3
+		{"gto", SchedGTO, 2, 0, 1, 2, 3},                // order 2,0,1,3
+		{"gto-greedy-retires", SchedGTO, 1, 1, 2, 3, 0}, // order 1,0,2,3
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProfile()
-			p.Warps, p.CTAs, p.InstrsPerWarp, p.MemFraction = 4, 1, 3, 0
+			p.Warps, p.InstrsPerWarp, p.MemFraction = 4, 3, 0
 			gen := workload.MustNewGenerator(p, 0, 1, 1)
 			cfg := DefaultConfig()
 			cfg.Scheduler = tc.sched
@@ -621,12 +559,10 @@ func TestMidScanBarrierRelease(t *testing.T) {
 				}
 			}
 			c.warps[tc.finished].done = true
-			for w := range c.warps {
-				if w != tc.exhausted && w != tc.finished {
-					c.warps[w].atBarrier = true
-				}
-			}
-			c.readyMask = 1 << uint(tc.exhausted)
+			c.warps[tc.waiting].outstanding = 1
+			c.busyWarps = 1
+			c.readyMask = 1<<uint(p.Warps) - 1
+			c.readyMask &^= 1<<uint(tc.finished) | 1<<uint(tc.waiting)
 			c.rrNext = tc.rrNext
 			checkDerivedState(t, c, "setup")
 
@@ -645,11 +581,6 @@ func TestMidScanBarrierRelease(t *testing.T) {
 			}
 			if issued != tc.wantIssued {
 				t.Errorf("slot went to warp %d, want warp %d", issued, tc.wantIssued)
-			}
-			for w := range c.warps {
-				if c.warps[w].atBarrier {
-					t.Errorf("warp %d still at the barrier", w)
-				}
 			}
 		})
 	}

@@ -196,7 +196,6 @@ func (d *Double) Stats() *NetStats {
 	m.DroppedFlits = a.DroppedFlits + b.DroppedFlits
 	m.DuplicatePackets = a.DuplicatePackets + b.DuplicatePackets
 	m.Retransmits = a.Retransmits + b.Retransmits
-	m.LostPackets = a.LostPackets + b.LostPackets
 	m.LostCredits = a.LostCredits + b.LostCredits
 	m.StuckVCFaults = a.StuckVCFaults + b.StuckVCFaults
 	m.RetriesPerPacket = a.RetriesPerPacket.Merge(b.RetriesPerPacket)

@@ -158,12 +158,11 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 }
 
 // ejFlit is a flit on an ejection link: its packet, the cycle it reaches
-// the NI, and the node and ejection port it left through.
+// the NI, and the node it left.
 type ejFlit struct {
 	pkt  *Packet
 	at   uint64
 	node int32
-	port int32
 }
 
 // eject takes one flit of pkt off the ejection link at cycle and, at the

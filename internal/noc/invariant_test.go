@@ -338,28 +338,24 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 // that every VC in switch allocation is ready within vaD cycles. The
 // allocation masks are rebuilt too: outFree from the output VCs' owners,
 // each VC's allowed mask from its packet's VC plan (0 outside VC and switch
-// allocation), and each NI's writer mask from its writers. Last,
-// it rebuilds every ejection port's in-flight count from the ejection FIFO,
-// whose stamps must not decrease and must all lie ahead of the cycle just
-// ticked (the eject phase left nothing due behind).
+// allocation), and each NI's writer mask from its writers. Last, it checks
+// the bound that lets an ejection port send without a capacity check: every
+// flit on the ejection FIFO was sent in the tick just run (due the next
+// cycle, so the eject phase left nothing due behind), at most one per
+// ejection port of its router. With the at most one flit a port sends in
+// the next tick, no ejection link ever holds more than ejLinkFlits.
 func checkStageMasks(t *testing.T, m *Mesh, cycle int) {
 	t.Helper()
 	now := m.Cycle()
-	ejOut := make(map[[2]int]int)
-	for i, last := 0, uint64(0); i < m.ejq.Len(); i++ {
+	onLinks := make([]int, len(m.routers))
+	for i := 0; i < m.ejq.Len(); i++ {
 		e := m.ejq.At(i)
-		if e.at <= now || e.at < last {
-			t.Fatalf("cycle %d: ejection FIFO entry %d due at %d (previous %d, now %d)", cycle, i, e.at, last, now)
+		if e.at != now+1 {
+			t.Fatalf("cycle %d: ejection FIFO entry %d due at %d, now %d", cycle, i, e.at, now)
 		}
-		last = e.at
-		ejOut[[2]int{int(e.node), int(e.port)}]++
-	}
-	for id, r := range m.meshNet.routers {
-		for e, got := range r.ejOut {
-			if want := ejOut[[2]int{id, e}]; got != want || got > r.p.ejCap {
-				t.Fatalf("cycle %d router %d: ejOut[%d] = %d, FIFO holds %d, bound %d",
-					cycle, id, e, got, want, r.p.ejCap)
-			}
+		if onLinks[e.node]++; onLinks[e.node] > m.routers[e.node].p.nEj {
+			t.Fatalf("cycle %d router %d: %d flits on its %d ejection links",
+				cycle, e.node, onLinks[e.node], m.routers[e.node].p.nEj)
 		}
 	}
 	for id, r := range m.meshNet.routers {
@@ -491,9 +487,9 @@ func allowedFromPlan(plan *vcPlan, ivc *inVC) bool {
 // TestStageMasksMatchVCState drives seeded request/reply traffic through
 // every backend — plus a checkerboard mesh, a fault-injected run (stuck VCs,
 // delayed credits, retransmission), a router at the full 64-input-VC mask
-// width and two-port MC ejection at a one-flit ejection bound — and audits
-// the stage masks and ejection counts after every Tick, through saturation
-// and the drain back to an empty network.
+// width and two-port MC ejection — and audits the stage masks and the
+// ejection links after every Tick, through saturation and the drain back to
+// an empty network.
 func TestStageMasksMatchVCState(t *testing.T) {
 	cfgs := backendConfigs()
 	cb := DefaultConfig()
@@ -511,8 +507,8 @@ func TestStageMasksMatchVCState(t *testing.T) {
 	wide.NumVCs, wide.MCInjPorts = 8, 4 // MC routers use all 64 mask bits
 	cfgs["wide-64"] = wide
 	ej := DefaultConfig()
-	ej.MCEjPorts, ej.EjQueueCap = 2, 1
-	cfgs["ej-2-cap-1"] = ej
+	ej.MCEjPorts = 2
+	cfgs["ej-2"] = ej
 
 	for name, cfg := range cfgs {
 		cfg := cfg
@@ -588,13 +584,13 @@ func scanPickSAInput(r *router, in int, cycle uint64) (int, bool) {
 func TestPickSAInputMatchesScan(t *testing.T) {
 	const cycle = 10
 	for n := 1; n <= 8; n++ {
-		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}
+		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4}
 		r := standaloneRouter(p)
 		in := r.nIn - 1
 		for v := 0; v < n; v++ {
 			ivc := &r.inputs[r.inIdx(in, v)]
 			ivc.buf.Push(Flit{Head: true, Tail: true})
-			ivc.outPort, ivc.outVC = int(numDirs), 0 // ejection port: ready while under its in-flight bound
+			ivc.outPort, ivc.outVC = int(numDirs), 0 // ejection port: always ready
 		}
 		for start := 0; start < n; start++ {
 			for active := uint64(0); active < 1<<uint(n); active++ {
@@ -673,7 +669,7 @@ func scanVCSet(numVCs int, split bool, phases int, class TrafficClass, yx bool) 
 func TestVAMaskPickMatchesScan(t *testing.T) {
 	const cycle = 10
 	for n := 1; n <= 8; n++ {
-		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4, ejCap: 4}
+		p := routerParams{numVCs: n, bufDepth: 2, nInj: 1, nEj: 1, stages: 4}
 		r := standaloneRouter(p)
 		const idx = 0
 		ivc := &r.inputs[idx]

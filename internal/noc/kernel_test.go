@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -292,17 +291,14 @@ func TestDerivedCreditTiming(t *testing.T) {
 }
 
 // TestEjectionFIFODue checks the eject phase takes only the flits due by the
-// current cycle: a flit stamped for a later cycle stays on the FIFO, counted
-// against its port's in-flight bound, and keeps the next tick a work cycle.
-// The packet is assembled at its last flit.
+// current cycle: a flit stamped for a later cycle stays on the FIFO and keeps
+// the next tick a work cycle. The packet is assembled at its last flit.
 func TestEjectionFIFODue(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
 	n := &m.meshNet
-	r := n.routers[0]
 	pkt := &Packet{flits: 3}
 	for _, at := range []uint64{2, 3, 5} {
 		n.ejq.Push(ejFlit{pkt: pkt, at: at})
-		r.ejOut[0]++
 	}
 	n.active, n.cycle = 1, 1
 	for _, want := range []struct {
@@ -311,9 +307,9 @@ func TestEjectionFIFODue(t *testing.T) {
 	}{{2, 1, 2}, {3, 2, 1}, {4, 2, 1}, {5, 3, 0}} {
 		m.Tick()
 		got := int(n.stats.EjectedFlits[0])
-		if n.cycle != want.cycle || got != want.ejected || n.ejq.Len() != want.queue || r.ejOut[0] != want.queue {
-			t.Fatalf("cycle %d: ejected %d, queued %d, ejOut %d; want cycle %d, %d/%d/%d",
-				n.cycle, got, n.ejq.Len(), r.ejOut[0], want.cycle, want.ejected, want.queue, want.queue)
+		if n.cycle != want.cycle || got != want.ejected || n.ejq.Len() != want.queue {
+			t.Fatalf("cycle %d: ejected %d, queued %d; want cycle %d, %d/%d",
+				n.cycle, got, n.ejq.Len(), want.cycle, want.ejected, want.queue)
 		}
 		if want.queue > 0 && m.NextWorkCycle() != n.cycle+1 {
 			t.Fatalf("cycle %d: NextWorkCycle %d with flits on the ejection link", n.cycle, m.NextWorkCycle())
@@ -324,45 +320,35 @@ func TestEjectionFIFODue(t *testing.T) {
 	}
 }
 
-// TestEjectionCapOneWaitsOneCycle sends one 4-flit packet a hop to node 0
-// and records the cycle each flit reaches the NI. Under any bound of two or
-// more the flits eject on consecutive cycles; at EjQueueCap 1 each next flit
-// waits exactly one cycle for the link to clear. After every tick the flit
-// that traversed in it is still on the FIFO, due the next cycle.
-func TestEjectionCapOneWaitsOneCycle(t *testing.T) {
-	ejectCycles := func(ejCap int) []uint64 {
-		cfg := DefaultConfig()
-		cfg.EjQueueCap = ejCap
-		m := MustNewMesh(cfg)
-		n := &m.meshNet
-		if !m.TryInject(&Packet{Src: 1, Dst: 0, Class: ClassReply, Bytes: 4 * cfg.FlitBytes}) {
-			t.Fatal("inject refused")
-		}
-		var at []uint64
-		for !m.Quiet() && n.cycle < 100 {
-			before := n.stats.EjectedFlits[0]
-			m.Tick()
-			if n.stats.EjectedFlits[0] > before {
-				at = append(at, n.cycle)
-			}
-			if q := n.ejq.Len(); q != n.routers[0].ejOut[0] || q > ejCap || (q > 0 && n.ejq.Front().at != n.cycle+1) {
-				t.Fatalf("cap %d cycle %d: %d queued, ejOut %d", ejCap, n.cycle, q, n.routers[0].ejOut[0])
-			}
-		}
-		if len(at) != 4 {
-			t.Fatalf("cap %d: %d flits ejected, want 4", ejCap, len(at))
-		}
-		return at
+// TestEjectionBackToBack sends one 4-flit packet a hop to node 0 and records
+// the cycle each flit reaches the NI: the ejection port never makes a flit
+// wait, so they eject on consecutive cycles. After every tick the flit that
+// traversed in it is the only one on the FIFO, due the next cycle.
+func TestEjectionBackToBack(t *testing.T) {
+	cfg := DefaultConfig()
+	m := MustNewMesh(cfg)
+	n := &m.meshNet
+	if !m.TryInject(&Packet{Src: 1, Dst: 0, Class: ClassReply, Bytes: 4 * cfg.FlitBytes}) {
+		t.Fatal("inject refused")
 	}
-	free, one := ejectCycles(2), ejectCycles(1)
-	for i := range free {
-		if free[i] != free[0]+uint64(i) || one[i] != free[0]+2*uint64(i) {
-			t.Fatalf("eject cycles: cap 2 %v, cap 1 %v; want consecutive from %d, and every other cycle at cap 1",
-				free, one, free[0])
+	var at []uint64
+	for !m.Quiet() && n.cycle < 100 {
+		before := n.stats.EjectedFlits[0]
+		m.Tick()
+		if n.stats.EjectedFlits[0] > before {
+			at = append(at, n.cycle)
+		}
+		if q := n.ejq.Len(); q > 1 || (q > 0 && n.ejq.Front().at != n.cycle+1) {
+			t.Fatalf("cycle %d: %d flits on the ejection link", n.cycle, q)
 		}
 	}
-	if got := ejectCycles(8); !slices.Equal(got, free) {
-		t.Fatalf("cap 8 ejects at %v, cap 2 at %v", got, free)
+	if len(at) != 4 {
+		t.Fatalf("%d flits ejected, want 4", len(at))
+	}
+	for i := range at {
+		if at[i] != at[0]+uint64(i) {
+			t.Fatalf("eject cycles %v, want consecutive", at)
+		}
 	}
 }
 

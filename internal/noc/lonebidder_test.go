@@ -65,14 +65,13 @@ func loneTestRouter(p routerParams) *router {
 
 // saGate is one setting of every switch allocation eligibility gate for the
 // bidder and its output: a front flit still on the wire, a stuck-VC fault,
-// and either the downstream VC's buffered flits, recent pops (cycles ago,
-// lowest bit the current cycle) and withheld credits, or the ejection
-// port's flits in flight.
+// and for a direction port the downstream VC's buffered flits, recent pops
+// (cycles ago, lowest bit the current cycle) and withheld credits. An
+// ejection port has no gate of its own.
 type saGate struct {
 	onWire, stuck      bool
 	buffered, withheld int
 	pops               uint64 // bit k: a pop k cycles before the current one
-	ejOut              int
 }
 
 // apply sets g on input VC idx of r, granted output (op, ov), at cycle.
@@ -86,11 +85,7 @@ func (g saGate) apply(r *router, idx, op, ov int, cycle uint64) {
 	if g.stuck {
 		r.stuck[idx] = cycle + 1
 	}
-	for e := range r.ejOut {
-		r.ejOut[e] = 0
-	}
 	if op >= int(numDirs) {
-		r.ejOut[op-int(numDirs)] = g.ejOut
 		return
 	}
 	down := &r.downVCs[op][ov]
@@ -111,7 +106,7 @@ func (g saGate) eligible(r *router, op int) bool {
 		return false
 	}
 	if op >= int(numDirs) {
-		return g.ejOut < r.p.ejCap
+		return true
 	}
 	inflight := bits.OnesCount64(g.pops & (uint64(1)<<r.p.credLat - 1))
 	return g.buffered+inflight+g.withheld < r.p.bufDepth
@@ -120,14 +115,11 @@ func (g saGate) eligible(r *router, op int) bool {
 // saGates lists the gate settings for output port op: both flag gates alone,
 // and for a direction port every buffered count with every pop pattern over
 // the last credLat+1 cycles and 0 to 2 withheld credits, as long as they fit
-// the buffer; for an ejection port every in-flight count up to the bound.
+// the buffer; for an ejection port the open gate.
 func saGates(r *router, op int) []saGate {
 	gates := []saGate{{onWire: true}, {stuck: true}, {onWire: true, stuck: true}}
 	if op >= int(numDirs) {
-		for e := 0; e <= r.p.ejCap; e++ {
-			gates = append(gates, saGate{ejOut: e})
-		}
-		return gates
+		return append(gates, saGate{})
 	}
 	depth := r.p.bufDepth
 	for buffered := 0; buffered <= depth; buffered++ {
@@ -224,7 +216,7 @@ func TestLoneBidderMatchesArbitration(t *testing.T) {
 		}
 	}
 	for n := 1; n <= 8; n++ {
-		p := routerParams{numVCs: n, bufDepth: 4, nInj: 1, nEj: 1, stages: 4, credLat: 3, ejCap: 2}
+		p := routerParams{numVCs: n, bufDepth: 4, nInj: 1, nEj: 1, stages: 4, credLat: 3}
 		ref, lone := loneTestRouter(p), loneTestRouter(p)
 		nIns := ref.nIn * n
 

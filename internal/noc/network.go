@@ -80,7 +80,6 @@ type NetStats struct {
 	DroppedFlits     uint64        // flits belonging to dropped packets
 	DuplicatePackets uint64        // late copies of already-delivered transfers
 	Retransmits      uint64        // wire packets re-injected by the timeout
-	LostPackets      uint64        // transfers abandoned after MaxRetries
 	LostCredits      uint64        // credits delayed by the resync protocol
 	StuckVCFaults    uint64        // stuck-VC faults placed
 	RetriesPerPacket stats.IntDist // retries per delivered transfer
@@ -141,7 +140,6 @@ type Config struct {
 	MCInjPorts       int         // injection ports at MC routers (2P: 2)
 	MCEjPorts        int         // ejection ports at MC routers
 	SrcQueueCap      int         // source queue capacity per class, packets
-	EjQueueCap       int         // flits in flight per ejection link; binds only below stD+1, i.e. at 1
 	Seed             uint64
 	Fault            fault.Config // fault injection + health monitoring policy
 }
@@ -166,7 +164,6 @@ func DefaultConfig() Config {
 		MCInjPorts:       1,
 		MCEjPorts:        1,
 		SrcQueueCap:      8,
-		EjQueueCap:       8,
 		Seed:             1,
 		Fault:            fault.DefaultConfig(),
 	}
@@ -253,8 +250,8 @@ type meshNet struct {
 
 	// ejq holds the flits on the ejection links, in traversal order, each
 	// stamped with the cycle it reaches its NI. Stamps never decrease, so
-	// the eject phase pops the due ones off the front. Sized once: at most
-	// EjQueueCap flits are in flight per ejection port (router.ejOut).
+	// the eject phase pops the due ones off the front. Sized once, to
+	// ejLinkFlits per ejection port.
 	ejq ring.Ring[ejFlit]
 
 	// delivSet holds the nodes whose Delivered batch is non-empty: the
@@ -301,8 +298,8 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	if cfg.MCInjPorts <= 0 || cfg.MCEjPorts <= 0 {
 		return nil, fmt.Errorf("noc: MC port counts must be positive")
 	}
-	if cfg.SrcQueueCap <= 0 || cfg.EjQueueCap <= 0 {
-		return nil, fmt.Errorf("noc: queue capacities must be positive")
+	if cfg.SrcQueueCap <= 0 {
+		return nil, fmt.Errorf("noc: source queue capacity must be positive")
 	}
 	if err := checkRouterWidth(cfg); err != nil {
 		return nil, err
@@ -326,10 +323,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	}
 	if cfg.Fault.Monitored() {
 		n.wd = fault.NewWatchdog(cfg.Fault.WatchdogCycles)
-		n.auditEvery = cfg.Fault.AuditCycles
-		if n.auditEvery == 0 {
-			n.auditEvery = cfg.Fault.WatchdogCycles / 4
-		}
+		n.auditEvery = cfg.Fault.WatchdogCycles / 4
 	}
 	nNodes := backend.NumNodes()
 	counters := make([]uint64, 4*nNodes)
@@ -361,7 +355,6 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			stages:   cfg.RouterStages,
 			chanLat:  cfg.ChannelLatency,
 			credLat:  cfg.CreditLatency,
-			ejCap:    cfg.EjQueueCap,
 		}
 		if p.half {
 			p.stages = cfg.HalfRouterStages
@@ -375,7 +368,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 		injPorts += p.nInj
 		ejPorts += p.nEj
 	}
-	n.ejq = ring.New[ejFlit](ejPorts*cfg.EjQueueCap, ejPorts*cfg.EjQueueCap)
+	n.ejq = ring.New[ejFlit](ejPorts*ejLinkFlits, ejPorts*ejLinkFlits)
 	slabs := size.alloc()
 	n.routers = make([]*router, nNodes)
 	for id := range routers {
@@ -592,7 +585,6 @@ func (n *meshNet) Tick() {
 	})
 	for q := &n.ejq; q.Len() > 0 && q.Front().at <= cycle; {
 		e := q.Pop()
-		n.routers[e.node].ejOut[e.port]--
 		n.nis[e.node].eject(e.pkt, cycle)
 	}
 	n.stats.Cycles++

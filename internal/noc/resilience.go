@@ -13,7 +13,6 @@ type xfer struct {
 	attempts  int     // wire packets injected so far (1 = original)
 	inFlight  int     // wire packets currently queued or in the network
 	delivered bool    // an uncorrupted copy reached the destination
-	lost      bool    // retry budget exhausted; transfer abandoned
 	nextRetx  uint64  // cycle the retransmission timeout fires
 }
 
@@ -26,7 +25,7 @@ type faultState struct {
 	inj     *fault.Injector
 	xfers   map[uint64]*xfer
 	order   []uint64 // lids in injection order, for deterministic timeout scans
-	pending int      // transfers neither delivered nor abandoned
+	pending int      // transfers not yet delivered
 
 	// strikes is the link fault model's strike log: strikes[c%len] lists, in
 	// send order, the packets of the flits that come off a wire at cycle c.
@@ -81,7 +80,7 @@ func (fs *faultState) tick(n *meshNet) {
 		r := n.routers[fs.inj.Pick(len(n.routers))]
 		port := fs.inj.Pick(r.nIn)
 		vc := fs.inj.Pick(r.p.numVCs)
-		until := n.cycle + fs.cfg.StuckCycles
+		until := n.cycle + fault.StuckCycles
 		if idx := r.inIdx(port, vc); r.stuck[idx] < until {
 			r.stuck[idx] = until
 		}
@@ -96,14 +95,7 @@ func (fs *faultState) tick(n *meshNet) {
 			continue
 		}
 		kept = append(kept, lid)
-		if x.delivered || x.lost || n.cycle < x.nextRetx {
-			continue
-		}
-		retries := x.attempts - 1
-		if fs.cfg.MaxRetries > 0 && retries >= fs.cfg.MaxRetries {
-			x.lost = true
-			fs.pending--
-			n.stats.LostPackets++
+		if x.delivered || n.cycle < x.nextRetx {
 			continue
 		}
 		if !fs.reinject(n, x) {
@@ -177,8 +169,6 @@ func (fs *faultState) onAssembled(n *meshNet, pkt *Packet) (deliver bool) {
 	case pkt.corrupt:
 		n.stats.DroppedPackets++
 		n.stats.DroppedFlits += uint64(pkt.flits)
-	case x.lost:
-		// A straggler of an abandoned transfer; discard silently.
 	case x.delivered:
 		n.stats.DuplicatePackets++
 	default:
@@ -187,7 +177,7 @@ func (fs *faultState) onAssembled(n *meshNet, pkt *Packet) (deliver bool) {
 		n.stats.RetriesPerPacket.Add(x.attempts - 1)
 		deliver = true
 	}
-	if (x.delivered || x.lost) && x.inFlight == 0 {
+	if x.delivered && x.inFlight == 0 {
 		delete(fs.xfers, pkt.lid)
 	}
 	return deliver

@@ -145,6 +145,13 @@ func pipeDelays(stages int) (rc, va, st uint64) {
 	}
 }
 
+// ejLinkFlits is the most flits one ejection link holds. A flit stays on
+// the link for stD = 1 cycle (at every depth), a port sends at most one flit
+// a cycle, and the eject phase takes the due flits after every router has
+// stepped: so a link holds at most one flit between ticks, and two mid-tick,
+// last cycle's and this cycle's. An ejection port therefore never waits.
+const ejLinkFlits = 2
+
 // routerParams configures one router instance.
 type routerParams struct {
 	node     NodeID
@@ -156,7 +163,6 @@ type routerParams struct {
 	stages   int // pipeline depth (4 baseline, 3 half, 1 aggressive)
 	chanLat  uint64
 	credLat  uint64
-	ejCap    int // flits in flight on one ejection link (Config.EjQueueCap)
 }
 
 // router is a VC wormhole router with separable round-robin (iSLIP-style)
@@ -227,14 +233,6 @@ type router struct {
 	credIn    []*creditChannel
 	credPend  uint8
 
-	// ejOut[e] counts the flits on ejection port e's link: traversed, and
-	// on the network's ejection FIFO until the NI takes them. The port
-	// accepts a flit while ejOut[e] < ejCap. A flit is on the link for stD
-	// = 1 cycle and a port sends at most one a cycle, so ejOut[e] is at
-	// most 1 when switch allocation reads it, and the bound binds only at
-	// ejCap 1, where a port's next flit waits a cycle.
-	ejOut []int
-
 	// stuck[inIdx] holds the cycle until which a stuck-VC fault freezes that
 	// input VC's switch allocation; 0 unless faults are enabled.
 	stuck []uint64
@@ -260,7 +258,7 @@ type router struct {
 // from: each router takes the next consecutive window of every slab, so a
 // whole network's router state is five allocations however many routers it
 // has. A router's window of flits holds one bufDepth-flit buffer per input
-// VC; its ints hold ejOut, vaPtr, saInPtr, saOutPtr and vaKeys; its words
+// VC; its ints hold vaPtr, saInPtr, saOutPtr and vaKeys; its words
 // hold vaReq, saReq, outFree and stuck.
 type routerSlabs struct {
 	flits   []Flit
@@ -281,7 +279,7 @@ func (p *routerParams) slabSize() slabSize {
 		flits:   nIns * p.bufDepth,
 		inputs:  nIns,
 		outputs: nKeys,
-		ints:    p.nEj + nKeys + nIn + nOut + nKeys,
+		ints:    nKeys + nIn + nOut + nKeys,
 		words:   nKeys + 2*nOut + nIns,
 	}
 }
@@ -344,7 +342,6 @@ func (r *router) init(p routerParams, net *meshNet, s *routerSlabs) {
 	for o := range r.outputs {
 		r.outputs[o].owner = -1
 	}
-	r.ejOut = carve(&s.ints, p.nEj)
 	r.vaPtr = carve(&s.ints, nKeys)
 	r.saInPtr = carve(&s.ints, r.nIn)
 	r.saOutPtr = carve(&s.ints, r.nOut)
@@ -722,11 +719,12 @@ func (r *router) saEligible(ivc *inVC, idx int, cycle uint64) bool {
 }
 
 // outputReady reports whether a flit of ivc can leave via its granted output
-// at cycle: a free downstream slot for a direction port, room under the
-// in-flight bound for an ejection port.
+// at cycle: a free downstream slot for a direction port. An ejection port is
+// always ready: its link holds at most ejLinkFlits flits, which the FIFO is
+// sized for.
 func (r *router) outputReady(ivc *inVC, cycle uint64) bool {
 	if ivc.outPort >= int(numDirs) {
-		return r.ejOut[ivc.outPort-int(numDirs)] < r.p.ejCap
+		return true
 	}
 	return r.freeSlots(&r.downVCs[ivc.outPort][ivc.outVC], cycle) > 0
 }
@@ -765,9 +763,7 @@ func (r *router) traverse(idx int, cycle uint64) {
 			r.downRtr[op].wake(down, cycle)
 		}
 	} else {
-		e := op - int(numDirs)
-		r.ejOut[e]++
-		r.net.ejq.Push(ejFlit{pkt: f.Pkt, at: cycle + r.stD, node: int32(r.p.node), port: int32(e)})
+		r.net.ejq.Push(ejFlit{pkt: f.Pkt, at: cycle + r.stD, node: int32(r.p.node)})
 	}
 	r.net.stats.FlitHops++
 	r.net.moveCount++

@@ -62,19 +62,11 @@ func openMatrix() []openGolden {
 			return cfg
 		}
 	}
-	// mcEj and ejCap vary the ejection side: MC ejection ports, and the
-	// per-port ejection bound (it binds only at one flit).
+	// mcEj varies the ejection side: MC ejection ports.
 	mcEj := func(ports int) func() noc.Config {
 		return func() noc.Config {
 			cfg := base()
 			cfg.MCEjPorts = ports
-			return cfg
-		}
-	}
-	ejCap := func(flits int) func() noc.Config {
-		return func() noc.Config {
-			cfg := base()
-			cfg.EjQueueCap = flits
 			return cfg
 		}
 	}
@@ -89,7 +81,6 @@ func openMatrix() []openGolden {
 		{"uniform-cb-credlat-2", UniformRandom, 0.04, credLat(cb, 2)},
 		{"uniform-bj-credlat-5", UniformRandom, 0.04, credLat(bjCfg, 5)},
 		{"multiport-mc-2e", UniformRandom, 0.08, mcEj(2)},
-		{"ejq-cap-1", UniformRandom, 0.08, ejCap(1)},
 	}
 }
 
@@ -106,7 +97,6 @@ var openGoldenDigests = map[string]string{
 	"uniform-cb-credlat-2":   "03f3ac47655e87c17811fd519be76c975ce573f948dea4fe5ad8822e1d4a09d7",
 	"uniform-bj-credlat-5":   "e28058976a8d84f6f8e133940ce8c2b8eb8173037eaca4516daeb8d67a8f9ed8",
 	"multiport-mc-2e":        "b5130c35415321c135fca947da1b9206cc970ca77cfc9d23c301a15c4944ae28",
-	"ejq-cap-1":              "4056c3e24f132ca2c661e638af82ca950eaf77bb1aa3423e8d0d0fb54a14e844",
 }
 
 func digestOpenLoop(res Result, ns *noc.NetStats) string {

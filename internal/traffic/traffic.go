@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/ring"
 	"repro/internal/stats"
@@ -49,7 +50,6 @@ const HotspotFraction = 0.20
 type Config struct {
 	Pattern       Pattern
 	InjectionRate float64 // offered load, flits/cycle per compute node
-	ReplyBytes    int     // reply payload size (64 B => 4 flits at 16 B)
 	WarmupCycles  int
 	MeasureCycles int
 	DrainCycles   int // extra cycles to let measured packets arrive
@@ -65,12 +65,12 @@ type Config struct {
 	NoIdleSkip bool
 }
 
-// DefaultConfig returns the Fig 21 setup: 1-flit requests, 4-flit replies.
+// DefaultConfig returns the Fig 21 setup: 1-flit requests, and replies of
+// mem.ReplyBytes (4 flits at 16 B), the closed loop's reply size.
 func DefaultConfig() Config {
 	return Config{
 		Pattern:       UniformRandom,
 		InjectionRate: 0.02,
-		ReplyBytes:    64,
 		WarmupCycles:  2000,
 		MeasureCycles: 8000,
 		DrainCycles:   20000,
@@ -212,7 +212,7 @@ func (r *Runner) Run(cfg Config) Result {
 			for q.Len() > 0 && net.CanInject(mc, noc.ClassReply) {
 				pr := q.Front()
 				reply := pool.Get()
-				reply.Src, reply.Dst, reply.Class, reply.Bytes = mc, pr.dst, noc.ClassReply, cfg.ReplyBytes
+				reply.Src, reply.Dst, reply.Class, reply.Bytes = mc, pr.dst, noc.ClassReply, mem.ReplyBytes
 				reply.Line, reply.Write = pr.offeredAt, pr.measured
 				if !net.TryInject(reply) {
 					pool.Put(reply)

@@ -37,14 +37,6 @@ type Profile struct {
 	WorkingSetKB int     // global working set shared by all cores
 	Sequential   float64 // probability a memory instruction continues its warp's stream
 	Reuse        float64 // probability a memory instruction re-touches recent lines
-
-	// CTAs groups a core's warps into thread blocks for barrier
-	// synchronization (Table II allows up to 8 per core); 0 disables
-	// CTA structure. BarrierEvery inserts a barrier instruction every N
-	// warp instructions (0: no barriers). Barriers synchronize at warp
-	// granularity within a CTA, the behaviour §V-A notes for LE and SS.
-	CTAs         int
-	BarrierEvery int
 }
 
 // Validate checks profile invariants.
@@ -66,10 +58,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload %s: WorkingSetKB must be positive", p.Abbr)
 	case p.Sequential < 0 || p.Reuse < 0 || p.Sequential+p.Reuse > 1:
 		return fmt.Errorf("workload %s: Sequential/Reuse must be non-negative with sum <= 1", p.Abbr)
-	case p.CTAs < 0 || (p.CTAs > 0 && p.Warps%p.CTAs != 0):
-		return fmt.Errorf("workload %s: CTAs must evenly divide Warps", p.Abbr)
-	case p.BarrierEvery < 0 || (p.BarrierEvery > 0 && p.CTAs == 0):
-		return fmt.Errorf("workload %s: barriers require CTA structure", p.Abbr)
 	}
 	return nil
 }
@@ -78,7 +66,6 @@ func (p Profile) Validate() error {
 type Instr struct {
 	Mem           bool
 	Write         bool
-	Barrier       bool           // CTA-wide synchronization point
 	Lines         []addr.Address // cache-line base addresses (Mem only)
 	ActiveThreads int            // scalar instructions this warp instruction retires
 }
@@ -168,10 +155,6 @@ func (g *Generator) Next(w int) (ins Instr, ok bool) {
 		g.live--
 	}
 	ins.ActiveThreads = g.prof.ActiveThreads
-	if g.prof.BarrierEvery > 0 && wg.issued%g.prof.BarrierEvery == 0 && wg.issued < g.prof.InstrsPerWarp {
-		ins.Barrier = true
-		return ins, true
-	}
 	if !g.rng.Bool(g.prof.MemFraction) {
 		return ins, true
 	}

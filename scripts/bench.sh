@@ -59,8 +59,8 @@ esac
 	[ "$SUITE" = gpu ] || [ "$SUITE" = mem ] ||
 		go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkBackendKernel' -benchmem -benchtime 2000x ./internal/noc/
 	if [ "$SUITE" = gpu ]; then
-		# One core clock cycle on compute-bound, memory-bound (blocked L1
-		# port) and barrier kernels; fixed iteration count so allocs/op is
+		# One core clock cycle on compute-bound and memory-bound (blocked
+		# L1 port) kernels; fixed iteration count so allocs/op is
 		# comparable across captures.
 		go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 2000000x ./internal/gpu/
 		# The closed loops those ticks add up to: the dormancy-elision
