@@ -334,7 +334,7 @@ func TestPackedCacheMatchesSliceReference(t *testing.T) {
 				ref.tick += k
 				ref.stats.Misses += k
 			case r < 0.995:
-				got, want := c.FlushDirty(), ref.flushDirty()
+				got, want := c.FlushDirty(nil), ref.flushDirty()
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%+v op %d: FlushDirty = %#x, reference %#x", cfg, op, got, want)
 				}

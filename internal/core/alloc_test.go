@@ -82,3 +82,43 @@ func TestNewSystemAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildAllocations is the recycled-construction gate. Building into a
+// finished System of the same configuration — what a worker slot does
+// between the runs of a planned sweep — reuses every array and component,
+// so only the address mapper is new: one allocation, against NewSystem's
+// hundreds. A whole run on such a slot, the build, the cycle loop and its
+// warm-up included, stays within three: the mapper and Slot.Run's seed and
+// lane slices. The packet pool's free list, the MSHR waiter lists, the
+// warps' pending lines and the grown queues all come back from the last run.
+func TestRebuildAllocations(t *testing.T) {
+	mum, err := workload.ByAbbr("MUM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, cfg := range []Config{Baseline(mum), ThroughputEffective(mum), Perfect(mum)} {
+		cfg := cfg.ScaleWork(0.01)
+		t.Run(cfg.Name, func(t *testing.T) {
+			var sl Slot
+			if _, err := sl.Run(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			s := sl.spares[0]
+			if allocs := testing.AllocsPerRun(10, func() {
+				if err := s.build(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 1 {
+				t.Errorf("building into a finished System makes %.0f allocations, at most 1 allowed", allocs)
+			}
+			if allocs := testing.AllocsPerRun(3, func() {
+				if _, err := sl.Run(ctx, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 3 {
+				t.Errorf("a run on a reused slot makes %.0f allocations, at most 3 allowed", allocs)
+			}
+		})
+	}
+}

@@ -51,7 +51,7 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 				step, j, s.icntCred[j], s.dramCred[j], ic, dc)
 		}
 	}
-	set := newBitset(s.backend.NumNodes())
+	set := reuseBitset(nil, s.backend.NumNodes())
 	s.net.DeliveredSet(set)
 	for wi, w := range set {
 		if w != 0 {

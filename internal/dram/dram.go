@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/reuse"
 )
 
 // Timing holds GDDR3 timing parameters in DRAM clock cycles.
@@ -137,32 +138,44 @@ type Controller struct {
 
 // NewController builds a controller; mapper supplies bank/row decoding.
 func NewController(cfg Config, mapper *addr.Mapper) (*Controller, error) {
+	c := &Controller{}
+	if err := c.Init(cfg, mapper); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Init builds c in place, as NewController does, reusing the arrays of c's
+// previous build where their capacity fits: every queue slot on the free
+// list, every bank closed and empty, nothing in flight.
+func (c *Controller) Init(cfg Config, mapper *addr.Mapper) error {
 	if cfg.QueueCapacity <= 0 {
-		return nil, fmt.Errorf("dram: queue capacity must be positive, got %d", cfg.QueueCapacity)
+		return fmt.Errorf("dram: queue capacity must be positive, got %d", cfg.QueueCapacity)
 	}
 	if cfg.NumBanks <= 0 {
-		return nil, fmt.Errorf("dram: bank count must be positive, got %d", cfg.NumBanks)
+		return fmt.Errorf("dram: bank count must be positive, got %d", cfg.NumBanks)
 	}
 	if mapper == nil {
-		return nil, fmt.Errorf("dram: mapper must not be nil")
+		return fmt.Errorf("dram: mapper must not be nil")
 	}
-	c := &Controller{
-		cfg:    cfg,
-		mapper: mapper,
-		slots:  make([]queued, cfg.QueueCapacity),
-		banks:  make([]bank, cfg.NumBanks),
-
+	*c = Controller{
+		cfg:      cfg,
+		mapper:   mapper,
+		slots:    reuse.Slice(c.slots, cfg.QueueCapacity),
+		banks:    reuse.Slice(c.banks, cfg.NumBanks),
+		inflight: c.inflight[:0],
 		issueDue: NeverCycle,
 		doneDue:  NeverCycle,
+		done:     c.done[:0],
 	}
 	for i := range c.slots {
-		c.slots[i].next = int32(i) + 1
+		c.slots[i] = queued{next: int32(i) + 1}
 	}
 	c.slots[len(c.slots)-1].next = -1
 	for i := range c.banks {
-		c.banks[i].head, c.banks[i].tail, c.banks[i].hit = -1, -1, -1
+		c.banks[i] = bank{head: -1, tail: -1, hit: -1}
 	}
-	return c, nil
+	return nil
 }
 
 // MustNewController is NewController but panics on error.

@@ -480,26 +480,26 @@ func pickWarp(s Scheduler, rrNext, k, n int) int {
 	return (rrNext + k) % n
 }
 
-// checkPickOrder walks schedPick over one ready set and requires the warps
-// and positions the k = 0..n-1 scan would have visited, in the same order.
+// checkPickOrder picks from one ready set until it is empty, clearing each
+// picked warp's bit as a retiring warp does, and requires the warps the
+// k = 0..n-1 scan would have visited, in the same order.
 func checkPickOrder(t *testing.T, s Scheduler, ready uint64, rrNext, n int) {
 	t.Helper()
-	from := 0
+	left := ready
 	for k := 0; k < n; k++ {
 		want := pickWarp(s, rrNext, k, n)
 		if ready>>uint(want)&1 == 0 {
 			continue
 		}
-		w, pos, ok := schedPick(s, ready, rrNext, n, from)
-		if !ok || w != want || pos != k {
-			t.Fatalf("sched %d n=%d rrNext=%d ready=%#x from=%d: got warp %d pos %d ok=%v, scan visits warp %d at k=%d",
-				s, n, rrNext, ready, from, w, pos, ok, want, k)
+		w, ok := schedPick(s, left, rrNext, n)
+		if !ok || w != want {
+			t.Fatalf("sched %d n=%d rrNext=%d ready=%#x left=%#x: got warp %d ok=%v, scan visits warp %d at k=%d",
+				s, n, rrNext, ready, left, w, ok, want, k)
 		}
-		from = pos + 1
+		left &^= 1 << uint(w)
 	}
-	if w, pos, ok := schedPick(s, ready, rrNext, n, from); ok {
-		t.Fatalf("sched %d n=%d rrNext=%d ready=%#x from=%d: extra candidate warp %d pos %d",
-			s, n, rrNext, ready, from, w, pos)
+	if w, ok := schedPick(s, left, rrNext, n); ok {
+		t.Fatalf("sched %d n=%d rrNext=%d ready=%#x: extra candidate warp %d", s, n, rrNext, ready, w)
 	}
 }
 

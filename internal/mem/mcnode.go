@@ -91,9 +91,9 @@ type timedReply struct {
 type MCNode struct {
 	cfg    Config
 	node   noc.NodeID
-	l2     *cache.Cache
-	l2mshr *cache.MSHR
-	ctl    *dram.Controller
+	l2     cache.Cache
+	l2mshr cache.MSHR
+	ctl    dram.Controller
 
 	inQ    ring.Ring[inReq]
 	hitQ   ring.Ring[timedReply]   // L2 hits waiting out the bank latency
@@ -109,28 +109,45 @@ type MCNode struct {
 
 // New builds an MC node at the given mesh tile.
 func New(cfg Config, node noc.NodeID, mapper *addr.Mapper) (*MCNode, error) {
-	l2, err := cache.New(cfg.L2)
-	if err != nil {
+	m := &MCNode{}
+	if err := m.Init(cfg, node, mapper); err != nil {
 		return nil, err
 	}
-	if cfg.L2MSHRs <= 0 {
-		return nil, fmt.Errorf("mem: L2MSHRs must be positive")
-	}
-	ctl, err := dram.NewController(cfg.DRAM, mapper)
-	if err != nil {
-		return nil, err
-	}
-	return &MCNode{
+	return m, nil
+}
+
+// Init builds m in place, as New does, reusing the arrays of m's previous
+// build, its L2 bank's, MSHR table's, DRAM channel's and queues' among
+// them, where their capacity fits. The packet pool is unset.
+func (m *MCNode) Init(cfg Config, node noc.NodeID, mapper *addr.Mapper) error {
+	*m = MCNode{
 		cfg:    cfg,
 		node:   node,
-		l2:     l2,
-		l2mshr: cache.MustNewMSHR(cfg.L2MSHRs, 0),
-		ctl:    ctl,
-		inQ:    ring.New[inReq](16, 0),
-		hitQ:   ring.New[timedReply](16, 0),
-		replyQ: ring.New[timedReply](16, 0),
-		writeQ: ring.New[addr.Address](8, 0),
-	}, nil
+		l2:     m.l2,
+		l2mshr: m.l2mshr,
+		ctl:    m.ctl,
+		inQ:    m.inQ,
+		hitQ:   m.hitQ,
+		replyQ: m.replyQ,
+		writeQ: m.writeQ,
+	}
+	if err := m.l2.Init(cfg.L2); err != nil {
+		return err
+	}
+	if cfg.L2MSHRs <= 0 {
+		return fmt.Errorf("mem: L2MSHRs must be positive")
+	}
+	if err := m.l2mshr.Init(cfg.L2MSHRs, 0); err != nil {
+		return err
+	}
+	if err := m.ctl.Init(cfg.DRAM, mapper); err != nil {
+		return err
+	}
+	m.inQ.Init(16, 0)
+	m.hitQ.Init(16, 0)
+	m.replyQ.Init(16, 0)
+	m.writeQ.Init(8, 0)
+	return nil
 }
 
 // MustNew is New but panics on error.

@@ -13,11 +13,6 @@ type activeSet struct {
 	words []uint64
 }
 
-// newActiveSet builds a set over indices [0, n).
-func newActiveSet(n int) activeSet {
-	return activeSet{words: make([]uint64, (n+63)/64)}
-}
-
 // set marks index i active.
 func (s *activeSet) set(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 

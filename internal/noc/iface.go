@@ -45,9 +45,9 @@ type netIface struct {
 
 // init builds ni in place for node, carving its writers (rtr.p.nInj*numVCs)
 // and its source-queue buffers (NumClasses*SrcQueueCap) from the network's
-// slabs.
+// slabs. The delivery batches keep their backing arrays, emptied.
 func (ni *netIface) init(node NodeID, rtr *router, net *meshNet, writers *[]injWriter, queued *[]*Packet) {
-	*ni = netIface{node: node, rtr: rtr, net: net}
+	*ni = netIface{node: node, rtr: rtr, net: net, delivered: ni.delivered[:0], spare: ni.spare[:0]}
 	for c := range ni.srcQ {
 		ni.srcQ[c] = ring.Over(carve(queued, net.cfg.SrcQueueCap), net.cfg.SrcQueueCap)
 	}

@@ -42,7 +42,9 @@ func (s *allocState) equal(o *allocState) bool {
 // standaloneRouter builds a network-less router on slabs of its own.
 func standaloneRouter(p routerParams) *router {
 	r := new(router)
-	r.init(p, nil, p.slabSize().alloc())
+	var s routerSlabs
+	p.slabSize().reuse(&s)
+	r.init(p, nil, &s)
 	return r
 }
 

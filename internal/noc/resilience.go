@@ -137,7 +137,7 @@ func (fs *faultState) reinject(n *meshNet, x *xfer) bool {
 		OfferedAt: orig.OfferedAt,
 		lid:       orig.lid,
 	}
-	yx, inter, err := n.backend.PlanRoute(clone.Src, clone.Dst, n.rng, n.interScratch)
+	yx, inter, err := n.backend.PlanRoute(clone.Src, clone.Dst, &n.rng, n.interScratch)
 	if err != nil {
 		panic(err) // the original routed; a replan cannot fail
 	}
@@ -226,7 +226,7 @@ func (n *meshNet) inFlightTotal() int {
 // observeHealth runs the cycle-driven monitors: deadlock watchdog and the
 // periodic flit-conservation audit. The first trip wins and sticks.
 func (n *meshNet) observeHealth() {
-	if n.wd == nil || n.health != nil {
+	if n.wd.Window == 0 || n.health != nil {
 		return
 	}
 	if n.wd.Observe(n.cycle, n.moveCount, n.inFlightTotal()) {
@@ -295,7 +295,7 @@ func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 		Cycle:    n.cycle,
 		InFlight: n.inFlightTotal(),
 	}
-	if n.wd != nil {
+	if n.wd.Window > 0 {
 		d.LastMove = n.wd.LastMovement()
 	}
 	for _, r := range n.routers {

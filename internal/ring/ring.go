@@ -27,13 +27,30 @@ type Ring[T any] struct {
 // hard bound (0 = unbounded growth). An initial capacity below the bound is
 // allowed; the ring grows on demand up to the bound.
 func New[T any](capacity, max int) Ring[T] {
+	var r Ring[T]
+	r.Init(capacity, max)
+	return r
+}
+
+// Init empties r in place into what New(capacity, max) builds, keeping its
+// backing array, cleared, when that holds the initial capacity and fits
+// the bound. A ring that grew in its last use starts this one at the
+// size it grew to, which only changes Cap: a FIFO's contents do not
+// depend on its backing capacity.
+func (r *Ring[T]) Init(capacity, max int) {
 	if capacity < 1 {
 		capacity = 1
 	}
 	if max > 0 && capacity > max {
 		capacity = max
 	}
-	return Over(make([]T, capacity), max)
+	buf := r.buf
+	if len(buf) < capacity || (max > 0 && len(buf) > max) {
+		buf = make([]T, capacity)
+	} else {
+		clear(buf)
+	}
+	*r = Over(buf, max)
 }
 
 // Over builds a Ring on the caller's buffer, whose length is the initial

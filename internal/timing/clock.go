@@ -46,7 +46,8 @@ type domainState struct {
 }
 
 // Scheduler interleaves a fixed set of clock domains deterministically.
-// The zero value is not usable; construct with NewScheduler.
+// The zero value is not usable; construct with NewScheduler, or Init one
+// held by value.
 type Scheduler struct {
 	domains [numDomains]domainState
 	nowFs   uint64
@@ -56,18 +57,27 @@ type Scheduler struct {
 // the given frequencies in MHz. Frequencies must be positive.
 func NewScheduler(coreMHz, icntMHz, dramMHz float64) (*Scheduler, error) {
 	s := &Scheduler{}
+	if err := s.Init(coreMHz, icntMHz, dramMHz); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init builds s in place, as NewScheduler does: every domain at cycle 0.
+func (s *Scheduler) Init(coreMHz, icntMHz, dramMHz float64) error {
+	*s = Scheduler{}
 	freqs := [numDomains]float64{coreMHz, icntMHz, dramMHz}
 	for d, f := range freqs {
 		if f <= 0 {
-			return nil, fmt.Errorf("timing: %s frequency must be positive, got %v MHz", Domain(d), f)
+			return fmt.Errorf("timing: %s frequency must be positive, got %v MHz", Domain(d), f)
 		}
 		period := uint64(femtosPerSecond / (f * 1e6))
 		if period == 0 {
-			return nil, fmt.Errorf("timing: %s frequency %v MHz too high to represent", Domain(d), f)
+			return fmt.Errorf("timing: %s frequency %v MHz too high to represent", Domain(d), f)
 		}
 		s.domains[d] = domainState{periodFs: period, nextFs: period}
 	}
-	return s, nil
+	return nil
 }
 
 // MustNewScheduler is NewScheduler but panics on error; intended for the

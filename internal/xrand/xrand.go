@@ -4,7 +4,8 @@
 // streams and whole runs replay bit-exactly from a seed.
 package xrand
 
-// Rand is a xoshiro256** generator. The zero value is invalid; use New.
+// Rand is a xoshiro256** generator. The zero value is invalid; use New, or
+// Seed a Rand held by value.
 type Rand struct {
 	s [4]uint64
 }
@@ -13,18 +14,20 @@ type Rand struct {
 // a non-degenerate internal state for any seed (including zero).
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed re-seeds r in place: afterwards it draws what New(seed) draws.
+func (r *Rand) Seed(seed uint64) {
 	sm := seed
-	next := func() uint64 {
+	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		r.s[i] = z ^ (z >> 31)
 	}
-	for i := range r.s {
-		r.s[i] = next()
-	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
