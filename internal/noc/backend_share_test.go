@@ -127,8 +127,8 @@ func TestSharedBackendMatchesSoloNetworks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solo, err := newMeshNet(c, own)
-				if err != nil {
+				solo := &Mesh{}
+				if err := solo.init(c, own); err != nil {
 					t.Fatal(err)
 				}
 				if want := driveProtocol(t, solo, cycles); got[i] != want {

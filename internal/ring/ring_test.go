@@ -132,3 +132,32 @@ func TestOverStaysInCallerBuffer(t *testing.T) {
 	}()
 	a.Push(4)
 }
+
+// TestInitReusesGrownBuffer checks that Init empties a ring onto the buffer
+// it grew to, cleared, and allocates when that buffer exceeds a new bound.
+func TestInitReusesGrownBuffer(t *testing.T) {
+	r := New[*int](2, 0)
+	v := 7
+	for i := 0; i < 5; i++ {
+		r.Push(&v) // grows 2 -> 4 -> 8
+	}
+	grown := r.Cap()
+	r.Init(2, 0)
+	if r.Len() != 0 || r.Cap() != grown {
+		t.Fatalf("Init: len %d cap %d, want an empty ring on the grown buffer of %d", r.Len(), r.Cap(), grown)
+	}
+	for i := 0; i < grown; i++ {
+		if *r.At(i) != nil {
+			t.Fatalf("slot %d still holds a pointer after Init", i)
+		}
+	}
+	r.Push(&v)
+	if r.Pop() != &v || r.Len() != 0 {
+		t.Fatal("the reinitialized ring is not a FIFO")
+	}
+	// A buffer past the new hard bound is not reused.
+	r.Init(3, 3)
+	if r.Cap() != 3 {
+		t.Errorf("Init under a bound of 3 kept a buffer of %d", r.Cap())
+	}
+}

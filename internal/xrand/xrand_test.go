@@ -190,3 +190,18 @@ func TestIntnUniformity(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedRestartsStream checks that re-seeding in place draws exactly what
+// a new generator of that seed draws.
+func TestSeedRestartsStream(t *testing.T) {
+	var r Rand
+	r.Seed(42)
+	r.Uint64()
+	r.Seed(9)
+	ref := New(9)
+	for i := 0; i < 16; i++ {
+		if a, b := r.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("draw %d after Seed(9) = %d, New(9) draws %d", i, a, b)
+		}
+	}
+}
