@@ -96,7 +96,7 @@ func TestRetxDeadlineBackoff(t *testing.T) {
 }
 
 func TestWatchdogFiresOnlyOnStuckInFlight(t *testing.T) {
-	w := NewWatchdog(10)
+	w := &Watchdog{Window: 10}
 	moved := uint64(0)
 	// Healthy: movement every cycle.
 	for c := uint64(0); c < 50; c++ {
@@ -128,7 +128,7 @@ func TestWatchdogFiresOnlyOnStuckInFlight(t *testing.T) {
 }
 
 func TestWatchdogDisabled(t *testing.T) {
-	w := NewWatchdog(0)
+	w := &Watchdog{}
 	for c := uint64(0); c < 1000; c++ {
 		if w.Observe(c, 0, 5) {
 			t.Fatal("disabled watchdog fired")

@@ -8,18 +8,15 @@ import (
 // Watchdog detects deadlock from a movement counter: if work is in flight
 // but the counter has not advanced for Window cycles, the network is
 // wedged. The caller feeds it once per cycle; the watchdog keeps no
-// reference to the monitored network.
+// reference to the monitored network. Build one as a literal with its
+// Window set; the zero value is a disabled watchdog.
 type Watchdog struct {
-	Window uint64
+	Window uint64 // no-movement window; 0 disables (Observe reports healthy)
 
 	lastMove  uint64 // cycle the movement counter last advanced
 	lastCount uint64
 	primed    bool
 }
-
-// NewWatchdog returns a watchdog with the given no-movement window;
-// window 0 disables it (Observe always reports healthy).
-func NewWatchdog(window uint64) *Watchdog { return &Watchdog{Window: window} }
 
 // Observe records one cycle. moved is a monotonic movement counter (any
 // unit: flit events, retired instructions); inFlight is the amount of work
