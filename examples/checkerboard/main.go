@@ -15,7 +15,13 @@ import (
 )
 
 func main() {
-	topo := noc.MustNewTopology(6, 6, true, noc.CheckerboardPlacement(6, 6, 8))
+	cfg := noc.DefaultConfig()
+	cfg.Checkerboard = true
+	cfg.Routing = noc.RoutingCheckerboard
+	cfg.MCs = noc.CheckerboardPlacement(6, 6, 8)
+	// The mesh backend is a *noc.Topology, which also names tiles by
+	// coordinate.
+	topo := noc.MustBuildBackend(cfg).(*noc.Topology)
 
 	fmt.Println("6x6 checkerboard mesh (F=full router, h=half router, M=MC at half router):")
 	for y := 0; y < 6; y++ {
@@ -54,15 +60,16 @@ func main() {
 
 // tracePath walks a checkerboard route and renders each hop.
 func tracePath(topo *noc.Topology, src, dst noc.NodeID, rng *xrand.Rand) string {
-	pkt, err := noc.PlanPacket(topo, src, dst, rng)
+	yx, inter, err := topo.PlanRoute(src, dst, rng, nil)
 	if err != nil {
 		return "unroutable: " + err.Error()
 	}
+	pkt := &noc.Packet{Src: src, Dst: dst, YXPhase: yx, Intermediate: inter}
 	var steps []string
 	cur := src
 	steps = append(steps, coord(topo, cur))
 	for cur != dst {
-		out, eject := noc.NextHopPort(topo, cur, pkt)
+		out, eject := topo.NextHop(cur, pkt)
 		if eject {
 			break
 		}

@@ -119,17 +119,12 @@ func (n NetworkArea) NoC() float64 { return n.Routers + n.Links }
 // Chip returns the total die area assuming the paper's fixed compute area.
 func (n NetworkArea) Chip() float64 { return ComputeAreaMM2 + n.NoC() }
 
-// MeshLinks returns the number of unidirectional channels in a W×H mesh.
-func MeshLinks(width, height int) int {
-	return 2 * (width*(height-1) + height*(width-1))
-}
-
 // FromConfig computes the network area of any topology backend's
 // configuration, including double (channel-sliced) networks when sliced is
 // true: two networks at half channel width, mirroring noc.NewDouble. Router
 // kinds follow the backend: mesh/basejump nodes are full (or checkerboard
 // half-) routers, ring nodes are 2-direction ring stops, and the link count
-// comes from the backend's own channel enumeration.
+// is the kernel's own channel enumeration (noc.LinkCount).
 func FromConfig(cfg noc.Config, sliced bool) NetworkArea {
 	copies := 1
 	channel := cfg.FlitBytes
@@ -138,7 +133,7 @@ func FromConfig(cfg noc.Config, sliced bool) NetworkArea {
 		channel = cfg.FlitBytes / 2
 	}
 	backend := noc.MustBuildBackend(cfg)
-	ring := backend.Kind() == noc.BackendRing
+	ring := cfg.Topology == noc.BackendRing
 	var routers float64
 	for n := 0; n < backend.NumNodes(); n++ {
 		node := noc.NodeID(n)
@@ -155,7 +150,7 @@ func FromConfig(cfg noc.Config, sliced bool) NetworkArea {
 		}
 		routers += Router(kind, channel, cfg.NumVCs, cfg.BufDepth, inj, ej).Total()
 	}
-	links := float64(backend.Links()) * Link(channel)
+	links := float64(noc.LinkCount(backend)) * Link(channel)
 	return NetworkArea{
 		Routers: routers * float64(copies),
 		Links:   links * float64(copies),

@@ -102,12 +102,15 @@ func TestRingFromConfig(t *testing.T) {
 	}
 }
 
+// The link sum prices every channel the mesh wires: 120 on 6x6, 8 on 2x2.
 func TestMeshLinks(t *testing.T) {
-	if got := MeshLinks(6, 6); got != 120 {
-		t.Errorf("6x6 mesh links = %d, want 120", got)
-	}
-	if got := MeshLinks(2, 2); got != 8 {
-		t.Errorf("2x2 mesh links = %d, want 8", got)
+	for _, tc := range []struct{ w, h, links int }{{6, 6, 120}, {2, 2, 8}} {
+		cfg := noc.DefaultConfig()
+		cfg.Width, cfg.Height, cfg.MCs = tc.w, tc.h, nil
+		got := FromConfig(cfg, false).Links / Link(cfg.FlitBytes)
+		if math.Round(got) != float64(tc.links) {
+			t.Errorf("%dx%d mesh links = %.3f, want %d", tc.w, tc.h, got, tc.links)
+		}
 	}
 }
 

@@ -258,11 +258,8 @@ func (c Config) WithTopology(kind noc.BackendKind) (Config, error) {
 		c.Noc.HalfRouterStages = 2 // unused (no half-routers), kept valid
 	case noc.BackendBaseJump:
 		c.Name += "-bj"
-		c.Noc.FlitBytes = mem.ReplyBytes // widest packet rides in one flit
-		if mem.WriteRequestBytes > c.Noc.FlitBytes {
-			c.Noc.FlitBytes = mem.WriteRequestBytes
-		}
-		c.Noc.NumVCs = 2 // one VC per traffic class
+		c.Noc.FlitBytes = mem.MaxPacketBytes // widest packet rides in one flit
+		c.Noc.NumVCs = 2                     // one VC per traffic class
 		c.Noc.BufDepth = 2
 		c.Noc.RouterStages = 2
 		c.Noc.HalfRouterStages = 2

@@ -56,7 +56,7 @@ func TestAllPairsRoutesBounded(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s (%v): longest route %d switch traversals", dp.Name, b.Kind(), longest)
+		t.Logf("%s (%v): longest route %d switch traversals", dp.Name, cfg.Noc.Topology, longest)
 	}
 }
 

@@ -150,16 +150,6 @@ func (c Candidate) name() string {
 	return b.String()
 }
 
-// singleFlitWidth is the basejump backend's fixed channel width: the widest
-// packet must ride in one flit (mirrors core.Config.WithTopology).
-func singleFlitWidth() int {
-	w := mem.ReplyBytes
-	if mem.WriteRequestBytes > w {
-		w = mem.WriteRequestBytes
-	}
-	return w
-}
-
 // Candidates enumerates the grid, drops invalid combinations, names and
 // prices the rest, and returns them sorted by name. Validity is decided by
 // actually constructing the system (core.NewSystem) on a minimal workload,
@@ -179,7 +169,7 @@ func (g Grid) Candidates() ([]Candidate, error) {
 			placements, routings = []string{"tb"}, []string{"dor"}
 		}
 		if topo == "basejump" {
-			flits = []int{singleFlitWidth()}
+			flits = []int{mem.MaxPacketBytes} // the widest packet rides in one flit
 		}
 		for _, pl := range placements {
 			for _, rt := range routings {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -40,8 +41,8 @@ func TestGridCandidates(t *testing.T) {
 		}
 		switch c.Topology {
 		case "basejump":
-			if c.FlitB != singleFlitWidth() {
-				t.Errorf("%s: basejump channel %dB, want pinned %dB", c.Name, c.FlitB, singleFlitWidth())
+			if c.FlitB != mem.MaxPacketBytes {
+				t.Errorf("%s: basejump channel %dB, want pinned %dB", c.Name, c.FlitB, mem.MaxPacketBytes)
 			}
 			if c.Double {
 				t.Errorf("%s: single-flit backend cannot slice into a double network", c.Name)

@@ -44,6 +44,10 @@ const (
 	WriteRequestBytes = 64
 )
 
+// MaxPacketBytes is the widest packet the memory system sends, so the
+// channel width at which every packet rides in one flit.
+const MaxPacketBytes = max(ReplyBytes, ReadRequestBytes, WriteRequestBytes)
+
 // Config parameterizes an MC node.
 type Config struct {
 	L2        cache.Config

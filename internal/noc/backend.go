@@ -55,15 +55,29 @@ func ParseBackendKind(s string) (BackendKind, error) {
 	return 0, fmt.Errorf("noc: unknown topology %q (want mesh, ring or basejump)", s)
 }
 
-// singleFlit reports whether the kind carries whole packets in one flit
-// (checkable before a backend is built, e.g. by Double's slicing guard).
+// singleFlit reports whether the kind carries whole packets in one flit:
+// the rule every network of the kind enforces at injection, and that
+// Double's slicing guard reads before a network exists.
 func (k BackendKind) singleFlit() bool { return k == BackendBaseJump }
 
+// phases is how many VC phase classes cfg's routing needs (1 or 2); the VC
+// plan splits the VC budget across them. Two-phase mesh routing (CR, ROMM)
+// needs disjoint XY and YX classes, and the ring needs one class on each
+// side of its dateline; mesh DOR needs one.
+func (cfg Config) phases() int {
+	if cfg.Topology == BackendRing || cfg.Routing != RoutingDOR {
+		return 2
+	}
+	return 1
+}
+
 // Backend abstracts the interconnect substrate behind the cycle kernel:
-// node/channel enumeration, per-packet route planning and per-hop route
-// computation, and MC placement validation. The kernel (routers, VCs,
-// credits, NIs, fault injection) is backend-agnostic; a backend contributes
-// only geometry and routing.
+// node/channel enumeration, node roles, per-packet route planning and
+// per-hop route computation. The kernel (routers, VCs, credits, NIs, fault
+// injection) is backend-agnostic; a backend contributes only geometry and
+// routing. What follows from the backend kind alone — the single-flit rule,
+// the VC phase count — is decided from Config, and the link count is
+// LinkCount's walk over Neighbor.
 //
 // Contract notes:
 //   - Channels: the kernel wires one flit channel for every (node,
@@ -75,8 +89,6 @@ func (k BackendKind) singleFlit() bool { return k == BackendBaseJump }
 //     intermediates, ring datelines); the router reads the allowed-VC set
 //     after NextHop, so a phase flip applies to the outgoing link.
 type Backend interface {
-	// Kind identifies the backend.
-	Kind() BackendKind
 	// NumNodes returns the node count.
 	NumNodes() int
 	// Neighbor returns the node reached from n via direction d, or -1 when
@@ -103,14 +115,21 @@ type Backend interface {
 	// NextHop performs per-hop route computation at router cur for packet p,
 	// returning a direction port or eject=true.
 	NextHop(cur NodeID, p *Packet) (out Port, eject bool)
-	// Phases is how many VC phase classes routing needs (1 or 2); the VC
-	// plan splits the VC budget across them.
-	Phases() int
-	// SingleFlit reports whether every packet must fit in one flit.
-	SingleFlit() bool
-	// Links returns the number of unidirectional channels (the area model's
-	// link count).
-	Links() int
+}
+
+// LinkCount returns the number of unidirectional channels b wires: one for
+// every (node, direction) with a neighbour. It is the kernel's own channel
+// enumeration, so the area model's link count is the wiring simulated.
+func LinkCount(b Backend) int {
+	links := 0
+	for n := 0; n < b.NumNodes(); n++ {
+		for d := Port(0); d < numDirs; d++ {
+			if b.Neighbor(NodeID(n), d) >= 0 {
+				links++
+			}
+		}
+	}
+	return links
 }
 
 // BuildBackend validates cfg's geometry/routing combination and returns its
@@ -189,39 +208,24 @@ func (c *backendCache) insert(key []byte, b Backend) Backend {
 	return b
 }
 
-// buildBackend validates cfg and builds its backend, uncached.
+// buildBackend validates cfg and builds its backend, uncached. The mesh and
+// BaseJump share the Topology backend; BaseJump only narrows what it
+// accepts to full routers and DOR.
 func buildBackend(cfg Config) (Backend, error) {
 	switch cfg.Topology {
 	case BackendMesh:
-		return newMeshBackend(cfg)
 	case BackendRing:
 		return newRingBackend(cfg)
 	case BackendBaseJump:
-		return newBaseJumpBackend(cfg)
+		if cfg.Checkerboard {
+			return nil, fmt.Errorf("noc: basejump topology uses full routers only (Checkerboard must be off)")
+		}
+		if cfg.Routing != RoutingDOR {
+			return nil, fmt.Errorf("noc: basejump topology routes XY DOR only, got %v", cfg.Routing)
+		}
+	default:
+		return nil, fmt.Errorf("noc: unknown topology backend %d", int(cfg.Topology))
 	}
-	return nil, fmt.Errorf("noc: unknown topology backend %d", int(cfg.Topology))
-}
-
-// MustBuildBackend is BuildBackend but panics on error (area model, tools).
-func MustBuildBackend(cfg Config) Backend {
-	b, err := BuildBackend(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// meshBackend is the 2D mesh behind the Backend interface: geometry and MC
-// validation from Topology, routing from the precomputed per-phase tables.
-// It is a thin adapter — planRoute/nextHop are shared with the standalone
-// tracing helpers, so mesh behaviour is bit-identical to the pre-backend
-// kernel.
-type meshBackend struct {
-	topo *Topology
-	algo RoutingAlgo
-}
-
-func newMeshBackend(cfg Config) (*meshBackend, error) {
 	if cfg.Routing == RoutingCheckerboard && !cfg.Checkerboard {
 		return nil, fmt.Errorf("noc: checkerboard routing requires a checkerboard mesh")
 	}
@@ -232,65 +236,15 @@ func newMeshBackend(cfg Config) (*meshBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &meshBackend{topo: topo, algo: cfg.Routing}, nil
+	topo.algo = cfg.Routing
+	return topo, nil
 }
 
-func (b *meshBackend) Kind() BackendKind                { return BackendMesh }
-func (b *meshBackend) NumNodes() int                    { return b.topo.NumNodes() }
-func (b *meshBackend) Neighbor(n NodeID, d Port) NodeID { return b.topo.Neighbor(n, d) }
-func (b *meshBackend) HopCount(a, c NodeID) int         { return b.topo.HopCount(a, c) }
-func (b *meshBackend) IsHalf(n NodeID) bool             { return b.topo.IsHalf(n) }
-func (b *meshBackend) IsMC(n NodeID) bool               { return b.topo.IsMC(n) }
-func (b *meshBackend) MCs() []NodeID                    { return b.topo.MCs() }
-func (b *meshBackend) ComputeNodes() []NodeID           { return b.topo.ComputeNodes() }
-func (b *meshBackend) SingleFlit() bool                 { return false }
-func (b *meshBackend) topology() *Topology              { return b.topo }
-
-func (b *meshBackend) PlanRoute(src, dst NodeID, rng *xrand.Rand, scratch []NodeID) (bool, NodeID, error) {
-	return planRouteScratch(b.topo, b.algo, src, dst, rng, scratch)
-}
-
-func (b *meshBackend) NextHop(cur NodeID, p *Packet) (Port, bool) {
-	return nextHop(b.topo, cur, p)
-}
-
-// Phases: two-phase algorithms (CR, ROMM) need disjoint XY and YX VC
-// classes; plain DOR needs one.
-func (b *meshBackend) Phases() int {
-	if b.algo != RoutingDOR {
-		return 2
-	}
-	return 1
-}
-
-func (b *meshBackend) Links() int { return MeshLinkCount(b.topo.width, b.topo.height) }
-
-// MeshLinkCount returns the number of unidirectional channels in a W×H mesh.
-func MeshLinkCount(width, height int) int {
-	return 2 * (width*(height-1) + height*(width-1))
-}
-
-// basejumpBackend is the BaseJump-style single-flit DOR mesh: mesh geometry
-// and XY routing (always full routers), but whole packets ride in one
-// full-width flit, so wormhole state, multi-flit credits and deep VC budgets
-// all collapse. The kernel enforces the one-flit contract at injection.
-type basejumpBackend struct {
-	meshBackend
-}
-
-func newBaseJumpBackend(cfg Config) (*basejumpBackend, error) {
-	if cfg.Checkerboard {
-		return nil, fmt.Errorf("noc: basejump topology uses full routers only (Checkerboard must be off)")
-	}
-	if cfg.Routing != RoutingDOR {
-		return nil, fmt.Errorf("noc: basejump topology routes XY DOR only, got %v", cfg.Routing)
-	}
-	mb, err := newMeshBackend(cfg)
+// MustBuildBackend is BuildBackend but panics on error (area model, tools).
+func MustBuildBackend(cfg Config) Backend {
+	b, err := BuildBackend(cfg)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return &basejumpBackend{meshBackend: *mb}, nil
+	return b
 }
-
-func (b *basejumpBackend) Kind() BackendKind { return BackendBaseJump }
-func (b *basejumpBackend) SingleFlit() bool  { return true }

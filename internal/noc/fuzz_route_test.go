@@ -79,23 +79,23 @@ func FuzzPlanRoute(f *testing.F) {
 		for hops := 0; ; hops++ {
 			if hops > bound {
 				t.Fatalf("%s: route %d->%d (inter %d) still at node %d after %d hops (bound %d)",
-					backend.Kind(), s, d, inter, cur, hops, bound)
+					cfg.Topology, s, d, inter, cur, hops, bound)
 			}
 			out, eject := backend.NextHop(cur, p)
 			if eject {
 				if cur != d {
-					t.Fatalf("%s: route %d->%d ejected at %d", backend.Kind(), s, d, cur)
+					t.Fatalf("%s: route %d->%d ejected at %d", cfg.Topology, s, d, cur)
 				}
 				return
 			}
 			if out >= numDirs {
 				t.Fatalf("%s: NextHop at %d returned non-direction port %d",
-					backend.Kind(), cur, out)
+					cfg.Topology, cur, out)
 			}
 			next := backend.Neighbor(cur, out)
 			if next < 0 {
 				t.Fatalf("%s: NextHop at %d left via %v where the backend wires no channel",
-					backend.Kind(), cur, out)
+					cfg.Topology, cur, out)
 			}
 			cur = next
 		}

@@ -225,7 +225,6 @@ type Mesh struct{ meshNet }
 type meshNet struct {
 	cfg     Config
 	backend Backend
-	topo    *Topology // mesh geometry; nil for non-mesh backends
 	vcs     vcPlan
 	routers []*router
 	nis     []*netIface
@@ -332,7 +331,7 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 	if err := checkRouterWidth(cfg); err != nil {
 		return err
 	}
-	plan, err := buildVCPlan(cfg.NumVCs, cfg.SplitClasses, backend.Phases())
+	plan, err := buildVCPlan(cfg.NumVCs, cfg.SplitClasses, cfg.phases())
 	if err != nil {
 		return err
 	}
@@ -351,9 +350,6 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 		mem:          n.mem,
 	}
 	n.rng.Seed(cfg.Seed)
-	if mb, ok := backend.(interface{ topology() *Topology }); ok {
-		n.topo = mb.topology()
-	}
 	if cfg.Fault.Enabled() {
 		_, _, stD := pipeDelays(cfg.RouterStages) // the same at every depth
 		n.fs = newFaultState(cfg.Fault, stD+cfg.ChannelLatency)
@@ -448,14 +444,7 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 // one slab each.
 func (n *meshNet) wireCreditReturn() {
 	nNodes, chanCap := len(n.routers), n.cfg.NumVCs*n.cfg.BufDepth
-	links := 0
-	for id := 0; id < nNodes; id++ {
-		for d := Port(0); d < numDirs; d++ {
-			if n.backend.Neighbor(NodeID(id), d) >= 0 {
-				links++
-			}
-		}
-	}
+	links := LinkCount(n.backend)
 	tables := make([]*creditChannel, 2*int(numDirs)*nNodes)
 	chans := make([]creditChannel, links)
 	events := make([]creditEvent, links*chanCap)
@@ -512,7 +501,10 @@ func MustNewMesh(cfg Config) *Mesh {
 
 // Topology exposes the mesh geometry, or nil for backends without one
 // (ring). Prefer Backend for topology-agnostic callers.
-func (n *meshNet) Topology() *Topology { return n.topo }
+func (n *meshNet) Topology() *Topology {
+	t, _ := n.backend.(*Topology)
+	return t
+}
 
 // Backend exposes the topology backend.
 func (n *meshNet) Backend() Backend { return n.backend }
@@ -524,9 +516,9 @@ func (n *meshNet) FlitBytes() int { return n.cfg.FlitBytes }
 // backends whose packets must fit one channel word (basejump).
 func (n *meshNet) flitsFor(bytes int) int {
 	f := flitCount(bytes, n.cfg.FlitBytes)
-	if f > 1 && n.backend.SingleFlit() {
+	if f > 1 && n.cfg.Topology.singleFlit() {
 		panic(fmt.Sprintf("noc: %d-byte packet exceeds the %d-byte single-flit channel of the %s backend",
-			bytes, n.cfg.FlitBytes, n.backend.Kind()))
+			bytes, n.cfg.FlitBytes, n.cfg.Topology))
 	}
 	return f
 }

@@ -157,13 +157,11 @@ func (fs *faultState) reinject(n *meshNet, x *xfer) bool {
 // onAssembled is the end-to-end check at the ejection NI: it decides
 // whether the assembled wire packet is delivered to the caller, dropped as
 // corrupt (to be recovered by timeout), or discarded as a duplicate of an
-// already-delivered transfer.
+// already-delivered transfer. Every wire packet has its transfer's entry:
+// TryInject registers each transfer, retransmitted clones share its lid, and
+// the entry is deleted only once it is delivered with no copy in flight.
 func (fs *faultState) onAssembled(n *meshNet, pkt *Packet) (deliver bool) {
 	x := fs.xfers[pkt.lid]
-	if x == nil {
-		// A transfer injected before faults were enabled mid-run; pass through.
-		return true
-	}
 	x.inFlight--
 	switch {
 	case pkt.corrupt:

@@ -18,13 +18,12 @@ import (
 // the packet's phase bit so the outgoing link and every later hop allocate
 // from the phase-1 class. Each direction's channel cycle is thus broken at
 // its dateline, and a minimal route (≤ ⌊N/2⌋ hops) can never cross the same
-// dateline twice, so phase 1 is acyclic. Phases() is therefore 2, and with
-// split traffic classes the VC budget must divide by 4.
+// dateline twice, so phase 1 is acyclic. The ring therefore needs two VC
+// phases (Config.phases), and with split traffic classes the VC budget must
+// divide by 4.
 type ringBackend struct {
-	n       int
-	mcs     map[NodeID]bool
-	mcList  []NodeID
-	compute []NodeID // the non-MC nodes in id order
+	nodeRoles
+	n int
 }
 
 func newRingBackend(cfg Config) (*ringBackend, error) {
@@ -38,32 +37,15 @@ func newRingBackend(cfg Config) (*ringBackend, error) {
 	if cfg.Routing != RoutingDOR {
 		return nil, fmt.Errorf("noc: ring topology routes shortest-arc only (set Routing to DOR), got %v", cfg.Routing)
 	}
-	b := &ringBackend{n: n, mcs: make(map[NodeID]bool)}
-	for _, mc := range cfg.MCs {
-		if mc < 0 || int(mc) >= n {
-			return nil, fmt.Errorf("noc: MC node %d out of range for %d-node ring", mc, n)
-		}
-		if b.mcs[mc] {
-			return nil, fmt.Errorf("noc: duplicate MC node %d", mc)
-		}
-		b.mcs[mc] = true
-		b.mcList = append(b.mcList, mc)
+	b := &ringBackend{n: n}
+	if err := b.nodeRoles.init(n, fmt.Sprintf("%d-node ring", n), cfg.MCs); err != nil {
+		return nil, err
 	}
-	b.compute = nonMCNodes(n, b.mcs)
 	return b, nil
 }
 
-func (b *ringBackend) Kind() BackendKind  { return BackendRing }
 func (b *ringBackend) NumNodes() int      { return b.n }
 func (b *ringBackend) IsHalf(NodeID) bool { return false }
-func (b *ringBackend) IsMC(n NodeID) bool { return b.mcs[n] }
-func (b *ringBackend) SingleFlit() bool   { return false }
-func (b *ringBackend) Phases() int        { return 2 }
-
-// MCs and ComputeNodes hand out shared slices, clipped so that an append
-// copies; callers must not write them.
-func (b *ringBackend) MCs() []NodeID          { return b.mcList[:len(b.mcList):len(b.mcList)] }
-func (b *ringBackend) ComputeNodes() []NodeID { return b.compute[:len(b.compute):len(b.compute)] }
 
 // Neighbor wires only the East/West ports; North/South carry no channels.
 func (b *ringBackend) Neighbor(n NodeID, d Port) NodeID {
@@ -119,10 +101,3 @@ func (b *ringBackend) NextHop(cur NodeID, p *Packet) (Port, bool) {
 	}
 	return West, false
 }
-
-// Links counts the unidirectional channels: one East and one West per node.
-func (b *ringBackend) Links() int { return RingLinkCount(b.n) }
-
-// RingLinkCount returns the number of unidirectional channels in an N-node
-// bidirectional ring.
-func RingLinkCount(n int) int { return 2 * n }

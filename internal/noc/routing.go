@@ -40,23 +40,18 @@ func (r RoutingAlgo) String() string {
 	return fmt.Sprintf("routing(%d)", int(r))
 }
 
-// planRoute fills in the packet's routing state (YXPhase, Intermediate) at
-// injection time. For DOR it is always XY. For checkerboard routing it
-// implements the case analysis of §IV-B. It returns an error for
-// source/destination pairs the checkerboard network cannot route (full→full
-// with an odd column offset on different rows), which do not occur when MCs
-// and cache banks are placed at half-routers.
-func planRoute(t *Topology, algo RoutingAlgo, src, dst NodeID, rng *xrand.Rand) (yxPhase bool, intermediate NodeID, err error) {
-	return planRouteScratch(t, algo, src, dst, rng, nil)
-}
-
-// planRouteScratch is planRoute with a caller-provided candidate scratch
-// buffer for intermediate-node selection. The mesh passes a buffer sized to
-// the node count so hot-path route planning never allocates; a nil scratch
-// falls back to allocating (cold callers and tests).
-func planRouteScratch(t *Topology, algo RoutingAlgo, src, dst NodeID, rng *xrand.Rand, scratch []NodeID) (yxPhase bool, intermediate NodeID, err error) {
+// PlanRoute fills in a packet's routing state (YXPhase, Intermediate) at
+// injection time under the mesh's routing algorithm. DOR is always XY;
+// checkerboard routing implements the case analysis of §IV-B, and ROMM picks
+// a random minimal-quadrant intermediate. scratch is the candidate buffer
+// for intermediate selection: a network passes one sized to the node count
+// so hot-path planning never allocates, and a nil scratch allocates. It
+// returns an error for source/destination pairs the checkerboard network
+// cannot route (full→full with an odd column offset on different rows),
+// which do not occur when MCs and cache banks are placed at half-routers.
+func (t *Topology) PlanRoute(src, dst NodeID, rng *xrand.Rand, scratch []NodeID) (yxPhase bool, intermediate NodeID, err error) {
 	intermediate = -1
-	if algo == RoutingDOR || src == dst {
+	if t.algo == RoutingDOR || src == dst {
 		return false, -1, nil
 	}
 	cs, cd := t.Coord(src), t.Coord(dst)
@@ -66,7 +61,7 @@ func planRouteScratch(t *Topology, algo RoutingAlgo, src, dst NodeID, rng *xrand
 		// both phases' VCs balances load (the YX header bit is free to set).
 		return rng.Intn(2) == 1, -1, nil
 	}
-	if algo == RoutingROMM {
+	if t.algo == RoutingROMM {
 		// Two-phase ROMM: YX to a random minimal-quadrant intermediate,
 		// then XY. Needs full routers for the unrestricted turns.
 		xlo, xhi := minMax(cs.X, cd.X)
@@ -135,29 +130,13 @@ func minMax(a, b int) (int, int) {
 	return b, a
 }
 
-// PlanPacket builds a packet with its checkerboard routing state planned,
-// for tools that trace routes without running a network.
-func PlanPacket(t *Topology, src, dst NodeID, rng *xrand.Rand) (*Packet, error) {
-	yx, inter, err := planRoute(t, RoutingCheckerboard, src, dst, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Packet{Src: src, Dst: dst, YXPhase: yx, Intermediate: inter}, nil
-}
-
-// NextHopPort exposes per-hop route computation for tracing tools; it
-// mutates p's phase state exactly as the routers do.
-func NextHopPort(t *Topology, cur NodeID, p *Packet) (out Port, eject bool) {
-	return nextHop(t, cur, p)
-}
-
-// nextHop performs per-hop route computation at router cur for packet p,
+// NextHop performs per-hop route computation at router cur for packet p,
 // returning either a direction port or eject=true. It consumes the packet's
 // phase state: reaching the intermediate node switches a case-2 packet from
 // its YX phase to the final XY phase. The directional decision itself is a
 // single load from the topology's precomputed per-phase route tables
 // (cur != target always holds by the time the table is consulted).
-func nextHop(t *Topology, cur NodeID, p *Packet) (out Port, eject bool) {
+func (t *Topology) NextHop(cur NodeID, p *Packet) (out Port, eject bool) {
 	if cur == p.Dst {
 		return 0, true
 	}

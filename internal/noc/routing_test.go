@@ -7,20 +7,27 @@ import (
 	"repro/internal/xrand"
 )
 
+// routedMesh builds the 6x6 mesh backend routed by algo, with checkerboard
+// routers exactly when algo is checkerboard routing.
+func routedMesh(algo RoutingAlgo, mcs []NodeID) *Topology {
+	cfg := Config{Width: 6, Height: 6, Checkerboard: algo == RoutingCheckerboard, Routing: algo, MCs: mcs}
+	return MustBuildBackend(cfg).(*Topology)
+}
+
 // walkRoute follows a planned route hop by hop, validating every turn
 // against router connectivity, and returns the hop count.
-func walkRoute(t *testing.T, topo *Topology, algo RoutingAlgo, src, dst NodeID, rng *xrand.Rand) int {
+func walkRoute(t *testing.T, topo *Topology, src, dst NodeID, rng *xrand.Rand) int {
 	t.Helper()
-	yx, inter, err := planRoute(topo, algo, src, dst, rng)
+	yx, inter, err := topo.PlanRoute(src, dst, rng, nil)
 	if err != nil {
-		t.Fatalf("planRoute(%d->%d): %v", src, dst, err)
+		t.Fatalf("PlanRoute(%d->%d): %v", src, dst, err)
 	}
 	p := &Packet{Src: src, Dst: dst, YXPhase: yx, Intermediate: inter}
 	cur := src
 	inPort := -1 // injected
 	hops := 0
 	for {
-		out, eject := nextHop(topo, cur, p)
+		out, eject := topo.NextHop(cur, p)
 		if eject {
 			return hops
 		}
@@ -52,7 +59,7 @@ func TestDORRouteShape(t *testing.T) {
 	var ports []Port
 	cur := p.Src
 	for {
-		out, eject := nextHop(topo, cur, p)
+		out, eject := topo.NextHop(cur, p)
 		if eject {
 			break
 		}
@@ -79,7 +86,7 @@ func TestDORMinimalForAllPairs(t *testing.T) {
 			if s == d {
 				continue
 			}
-			hops := walkRoute(t, topo, RoutingDOR, NodeID(s), NodeID(d), rng)
+			hops := walkRoute(t, topo, NodeID(s), NodeID(d), rng)
 			if hops != topo.HopCount(NodeID(s), NodeID(d)) {
 				t.Fatalf("DOR %d->%d: %d hops, want %d", s, d, hops, topo.HopCount(NodeID(s), NodeID(d)))
 			}
@@ -90,7 +97,7 @@ func TestDORMinimalForAllPairs(t *testing.T) {
 func TestCheckerboardRoutingAllMixedPairs(t *testing.T) {
 	// Every pair with at least one half-router endpoint must route legally
 	// and minimally (checkerboard routing is minimal, §V-C).
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	rng := xrand.New(3)
 	checked := 0
 	for s := 0; s < topo.NumNodes(); s++ {
@@ -105,7 +112,7 @@ func TestCheckerboardRoutingAllMixedPairs(t *testing.T) {
 					continue // unroutable full->full pair, excluded by construction
 				}
 			}
-			hops := walkRoute(t, topo, RoutingCheckerboard, src, dst, rng)
+			hops := walkRoute(t, topo, src, dst, rng)
 			if hops != topo.HopCount(src, dst) {
 				t.Fatalf("CR %d->%d: %d hops, want %d (not minimal)", s, d, hops, topo.HopCount(src, dst))
 			}
@@ -118,12 +125,12 @@ func TestCheckerboardRoutingAllMixedPairs(t *testing.T) {
 }
 
 func TestCheckerboardCase1UsesYX(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	rng := xrand.New(4)
 	// Full (0,0) -> half (1,2): odd column offset, different row, XY turn at
 	// (1,0) which is half => YX required.
 	src, dst := topo.Node(0, 0), topo.Node(1, 2)
-	yx, inter, err := planRoute(topo, RoutingCheckerboard, src, dst, rng)
+	yx, inter, err := topo.PlanRoute(src, dst, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +140,12 @@ func TestCheckerboardCase1UsesYX(t *testing.T) {
 }
 
 func TestCheckerboardCase2UsesIntermediate(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	rng := xrand.New(5)
 	// Half (1,0) -> half (3,2): even column offset, different row, both DOR
 	// turn nodes are half => two-phase route via a full intermediate.
 	src, dst := topo.Node(1, 0), topo.Node(3, 2)
-	yx, inter, err := planRoute(topo, RoutingCheckerboard, src, dst, rng)
+	yx, inter, err := topo.PlanRoute(src, dst, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +167,11 @@ func TestCheckerboardCase2UsesIntermediate(t *testing.T) {
 func TestCheckerboardIntermediateRandomized(t *testing.T) {
 	// Different RNG streams should (eventually) pick different intermediates
 	// when several candidates exist.
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	src, dst := topo.Node(1, 0), topo.Node(5, 4)
 	seen := map[NodeID]bool{}
 	for seed := uint64(0); seed < 32; seed++ {
-		_, inter, err := planRoute(topo, RoutingCheckerboard, src, dst, xrand.New(seed))
+		_, inter, err := topo.PlanRoute(src, dst, xrand.New(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +183,7 @@ func TestCheckerboardIntermediateRandomized(t *testing.T) {
 }
 
 func TestCheckerboardStraightRoutesLegal(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	rng := xrand.New(6)
 	// Same row/column routes pass straight through half-routers.
 	for _, pair := range [][2]NodeID{
@@ -184,23 +191,23 @@ func TestCheckerboardStraightRoutesLegal(t *testing.T) {
 		{topo.Node(2, 0), topo.Node(2, 5)},
 		{topo.Node(1, 3), topo.Node(4, 3)},
 	} {
-		_, inter, err := planRoute(topo, RoutingCheckerboard, pair[0], pair[1], rng)
+		_, inter, err := topo.PlanRoute(pair[0], pair[1], rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if inter != -1 {
 			t.Errorf("straight route %v planned an intermediate (%d)", pair, inter)
 		}
-		walkRoute(t, topo, RoutingCheckerboard, pair[0], pair[1], rng)
+		walkRoute(t, topo, pair[0], pair[1], rng)
 	}
 }
 
 func TestCheckerboardUnroutableFullFullPair(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	rng := xrand.New(7)
 	// Full (0,0) -> full (1,1): odd column offset, different rows. §IV-A:
 	// cannot be routed without ejection at an intermediate node.
-	if _, _, err := planRoute(topo, RoutingCheckerboard, topo.Node(0, 0), topo.Node(1, 1), rng); err == nil {
+	if _, _, err := topo.PlanRoute(topo.Node(0, 0), topo.Node(1, 1), rng, nil); err == nil {
 		t.Error("unroutable full->full pair accepted")
 	}
 }
@@ -208,7 +215,7 @@ func TestCheckerboardUnroutableFullFullPair(t *testing.T) {
 func TestPlanRoutePropertyMCTraffic(t *testing.T) {
 	// Property: for the paper's actual traffic (compute<->MC with MCs at
 	// half-routers), planning always succeeds and routes are minimal.
-	topo := MustNewTopology(6, 6, true, CheckerboardPlacement(6, 6, 8))
+	topo := routedMesh(RoutingCheckerboard, CheckerboardPlacement(6, 6, 8))
 	rng := xrand.New(8)
 	comp := topo.ComputeNodes()
 	mcs := topo.MCs()
@@ -222,7 +229,7 @@ func TestPlanRoutePropertyMCTraffic(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		yx, inter, err := planRoute(topo, RoutingCheckerboard, src, dst, rng)
+		yx, inter, err := topo.PlanRoute(src, dst, rng, nil)
 		if err != nil {
 			return false
 		}
@@ -230,7 +237,7 @@ func TestPlanRoutePropertyMCTraffic(t *testing.T) {
 		cur := src
 		hops := 0
 		for cur != dst {
-			out, eject := nextHop(topo, cur, p)
+			out, eject := topo.NextHop(cur, p)
 			if eject {
 				return false
 			}
@@ -251,7 +258,7 @@ func TestPlanRoutePropertyMCTraffic(t *testing.T) {
 }
 
 func TestNextHopPhaseSwitchAtIntermediate(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, nil)
+	topo := routedMesh(RoutingCheckerboard, nil)
 	src, dst := topo.Node(1, 0), topo.Node(3, 2)
 	inter := topo.Node(1, 2) // full router: (1+2) odd? 3 odd -> half! pick (3,... )
 	// Choose a valid intermediate manually: full, not src row, even columns
@@ -262,7 +269,7 @@ func TestNextHopPhaseSwitchAtIntermediate(t *testing.T) {
 	sawSwitch := false
 	for cur != dst {
 		before := p.YXPhase
-		out, eject := nextHop(topo, cur, p)
+		out, eject := topo.NextHop(cur, p)
 		if eject {
 			t.Fatal("premature ejection")
 		}
@@ -283,14 +290,14 @@ func TestNextHopPhaseSwitchAtIntermediate(t *testing.T) {
 }
 
 func TestROMMDeliversMinimally(t *testing.T) {
-	topo := MustNewTopology(6, 6, false, nil)
+	topo := routedMesh(RoutingROMM, nil)
 	rng := xrand.New(17)
 	for s := 0; s < topo.NumNodes(); s++ {
 		for d := 0; d < topo.NumNodes(); d++ {
 			if s == d {
 				continue
 			}
-			hops := walkRoute(t, topo, RoutingROMM, NodeID(s), NodeID(d), rng)
+			hops := walkRoute(t, topo, NodeID(s), NodeID(d), rng)
 			if hops != topo.HopCount(NodeID(s), NodeID(d)) {
 				t.Fatalf("ROMM %d->%d: %d hops, want %d", s, d, hops, topo.HopCount(NodeID(s), NodeID(d)))
 			}
@@ -299,10 +306,10 @@ func TestROMMDeliversMinimally(t *testing.T) {
 }
 
 func TestROMMIntermediateInMinimalQuadrant(t *testing.T) {
-	topo := MustNewTopology(6, 6, false, nil)
+	topo := routedMesh(RoutingROMM, nil)
 	for seed := uint64(0); seed < 20; seed++ {
 		src, dst := topo.Node(1, 1), topo.Node(4, 4)
-		_, inter, err := planRoute(topo, RoutingROMM, src, dst, xrand.New(seed))
+		_, inter, err := topo.PlanRoute(src, dst, xrand.New(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,27 +341,56 @@ func TestROMMMeshTrafficDrains(t *testing.T) {
 	crossTraffic(t, cfg, 1500, 44)
 }
 
-func TestPlanPacketAndNextHopPort(t *testing.T) {
-	topo := MustNewTopology(6, 6, true, CheckerboardPlacement(6, 6, 8))
-	rng := xrand.New(9)
-	src, dst := topo.ComputeNodes()[0], topo.MCs()[0]
-	pkt, err := PlanPacket(topo, src, dst, rng)
+// TestPlanRouteAndNextHop traces a case-2 route on the CP-CR backend the
+// way a tool would, through the backend's own PlanRoute and NextHop: the
+// route turns at its intermediate and ejects at its destination within the
+// two legs' hop bound, and an unroutable full→full pair is an error.
+func TestPlanRouteAndNextHop(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Checkerboard = true
+	cfg.Routing = RoutingCheckerboard
+	cfg.MCs = CheckerboardPlacement(6, 6, 8)
+	b, err := BuildBackend(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := src
-	for hops := 0; cur != dst; hops++ {
-		out, eject := NextHopPort(topo, cur, pkt)
+	topo := b.(*Topology)
+	rng := xrand.New(9)
+	// Half (1,0), a compute node, to the MC at half (3,2): both DOR turns
+	// land on half-routers, so the route needs an intermediate.
+	src, dst := topo.Node(1, 0), topo.Node(3, 2)
+	if b.IsMC(src) || !b.IsMC(dst) {
+		t.Fatalf("want a compute->MC pair, got %d->%d", src, dst)
+	}
+	yx, inter, err := b.PlanRoute(src, dst, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !yx || inter < 0 {
+		t.Fatalf("case 2 plan = (yx=%v inter=%d), want YX phase with intermediate", yx, inter)
+	}
+	pkt := &Packet{Src: src, Dst: dst, YXPhase: yx, Intermediate: inter}
+	bound := b.HopCount(src, inter) + b.HopCount(inter, dst)
+	cur, visited := src, false
+	for hops := 0; ; hops++ {
+		visited = visited || cur == inter
+		out, eject := b.NextHop(cur, pkt)
 		if eject {
-			t.Fatal("premature ejection")
+			if cur != dst {
+				t.Fatalf("ejected at %d, want %d", cur, dst)
+			}
+			break
 		}
-		cur = topo.Neighbor(cur, out)
-		if hops > 20 {
-			t.Fatal("trace did not terminate")
+		if hops >= bound {
+			t.Fatalf("still at %d after %d hops (bound %d)", cur, hops, bound)
 		}
+		cur = b.Neighbor(cur, out)
+	}
+	if !visited {
+		t.Errorf("route skipped its intermediate %d", inter)
 	}
 	// Unroutable pairs surface as errors.
-	if _, err := PlanPacket(topo, topo.Node(0, 0), topo.Node(1, 1), rng); err == nil {
-		t.Error("unroutable pair accepted by PlanPacket")
+	if _, _, err := b.PlanRoute(topo.Node(0, 0), topo.Node(1, 1), rng, nil); err == nil {
+		t.Error("unroutable full->full pair accepted by PlanRoute")
 	}
 }

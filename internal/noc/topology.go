@@ -48,22 +48,68 @@ func (p Port) opposite() Port {
 // Coord is a mesh coordinate; (0,0) is the top-left tile, Y grows downward.
 type Coord struct{ X, Y int }
 
-// Topology describes the mesh geometry and node roles. It is immutable once
-// built, because the backend cache shares one Topology between every network
-// of a geometry (see BuildBackend): no field is exported, and the slices it
-// hands out are clipped to their length so that an append copies.
+// nodeRoles holds which nodes of a backend host memory controllers. It is
+// written once per backend, validating the MC list against the node count,
+// and read-only after, like the backend that embeds it.
+type nodeRoles struct {
+	mcs     map[NodeID]bool
+	mcList  []NodeID
+	compute []NodeID // the non-MC nodes in id order
+}
+
+// init records mcs as the MC nodes of an n-node backend named by shape (for
+// error messages), rejecting out-of-range and duplicate ids.
+func (r *nodeRoles) init(n int, shape string, mcs []NodeID) error {
+	r.mcs = make(map[NodeID]bool, len(mcs))
+	for _, mc := range mcs {
+		if mc < 0 || int(mc) >= n {
+			return fmt.Errorf("noc: MC node %d out of range for %s", mc, shape)
+		}
+		if r.mcs[mc] {
+			return fmt.Errorf("noc: duplicate MC node %d", mc)
+		}
+		r.mcs[mc] = true
+		r.mcList = append(r.mcList, mc)
+	}
+	r.compute = make([]NodeID, 0, n-len(mcs))
+	for id := NodeID(0); int(id) < n; id++ {
+		if !r.mcs[id] {
+			r.compute = append(r.compute, id)
+		}
+	}
+	return nil
+}
+
+// IsMC reports whether node n hosts a memory controller.
+func (r *nodeRoles) IsMC(n NodeID) bool { return r.mcs[n] }
+
+// MCs returns the MC nodes in declaration order. The slice is shared and
+// clipped so that an append copies: callers must not write it.
+func (r *nodeRoles) MCs() []NodeID { return r.mcList[:len(r.mcList):len(r.mcList)] }
+
+// ComputeNodes returns all non-MC nodes in id order. The slice is shared:
+// callers must not write it.
+func (r *nodeRoles) ComputeNodes() []NodeID { return r.compute[:len(r.compute):len(r.compute)] }
+
+// Topology is the 2D mesh backend: geometry, node roles and routing. It
+// serves both the paper's mesh (full or checkerboard routers, DOR, CR or
+// ROMM) and the BaseJump single-flit DOR mesh, which differs only in what
+// BuildBackend accepts and in the single-flit rule of its Config.Topology.
+// It is immutable once built, because the backend cache shares one Topology
+// between every network of a geometry (see BuildBackend): no field is
+// exported, and the slices it hands out are clipped to their length so that
+// an append copies.
 type Topology struct {
+	nodeRoles
 	width, height int
 	checkerboard  bool
-	mcs           map[NodeID]bool
-	mcList        []NodeID
-	compute       []NodeID // the non-MC nodes in id order
+	algo          RoutingAlgo
 	// routes holds the precomputed per-hop route tables, one per routing
-	// phase (0 = XY, 1 = YX), indexed cur×numNodes+target. Route planning
-	// (planRoute) decides the phase and intermediate once at injection;
-	// every subsequent hop is a single table load. Entries with
-	// cur == target are never consulted (routers eject, or retarget, first)
-	// and hold routeUnreachable.
+	// phase (0 = XY, 1 = YX), indexed cur×numNodes+target. PlanRoute
+	// decides the phase and intermediate once at injection; every
+	// subsequent hop is a single table load. Entries with cur == target are
+	// never consulted (routers eject, or retarget, first) and hold
+	// routeUnreachable.
 	routes [2][]uint8
 }
 
@@ -71,43 +117,26 @@ type Topology struct {
 // consults (cur == target).
 const routeUnreachable = uint8(numDirs)
 
-// NewTopology builds a W×H mesh. When checkerboard is true, odd-parity
-// tiles ((x+y) odd) hold half-routers; mcs lists the tiles hosting memory
-// controllers, which must then all sit at half-router tiles (§IV-A).
+// NewTopology builds a W×H mesh routed by DOR. When checkerboard is true,
+// odd-parity tiles ((x+y) odd) hold half-routers; mcs lists the tiles
+// hosting memory controllers, which must then all sit at half-router tiles
+// (§IV-A). BuildBackend sets the routing algorithm of its configuration.
 func NewTopology(width, height int, checkerboard bool, mcs []NodeID) (*Topology, error) {
 	if width < 2 || height < 2 {
 		return nil, fmt.Errorf("noc: mesh must be at least 2x2, got %dx%d", width, height)
 	}
-	t := &Topology{width: width, height: height, checkerboard: checkerboard, mcs: make(map[NodeID]bool)}
-	for _, mc := range mcs {
-		if mc < 0 || int(mc) >= width*height {
-			return nil, fmt.Errorf("noc: MC node %d out of range for %dx%d mesh", mc, width, height)
-		}
-		if t.mcs[mc] {
-			return nil, fmt.Errorf("noc: duplicate MC node %d", mc)
-		}
+	t := &Topology{width: width, height: height, checkerboard: checkerboard}
+	if err := t.nodeRoles.init(width*height, fmt.Sprintf("%dx%d mesh", width, height), mcs); err != nil {
+		return nil, err
+	}
+	for _, mc := range t.mcList {
 		if checkerboard && !t.IsHalf(mc) {
 			return nil, fmt.Errorf("noc: MC node %d (%v) must be at a half-router tile in a checkerboard mesh",
 				mc, t.Coord(mc))
 		}
-		t.mcs[mc] = true
-		t.mcList = append(t.mcList, mc)
 	}
-	t.compute = nonMCNodes(width*height, t.mcs)
 	t.buildRoutes()
 	return t, nil
-}
-
-// nonMCNodes lists the nodes in [0, n) that host no memory controller, in
-// id order.
-func nonMCNodes(n int, mcs map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, n-len(mcs))
-	for id := NodeID(0); int(id) < n; id++ {
-		if !mcs[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // buildRoutes precomputes the per-phase next-hop tables. Both phases are
@@ -173,20 +202,6 @@ func (t *Topology) IsHalf(n NodeID) bool {
 	c := t.Coord(n)
 	return (c.X+c.Y)%2 == 1
 }
-
-// Checkerboard reports whether half-routers are enabled.
-func (t *Topology) Checkerboard() bool { return t.checkerboard }
-
-// IsMC reports whether node n hosts a memory controller.
-func (t *Topology) IsMC(n NodeID) bool { return t.mcs[n] }
-
-// MCs returns the MC nodes in declaration order. The slice is shared:
-// callers must not write it.
-func (t *Topology) MCs() []NodeID { return t.mcList[:len(t.mcList):len(t.mcList)] }
-
-// ComputeNodes returns all non-MC nodes in id order. The slice is shared:
-// callers must not write it.
-func (t *Topology) ComputeNodes() []NodeID { return t.compute[:len(t.compute):len(t.compute)] }
 
 // Neighbor returns the node reached from n via direction p, or -1 at the
 // mesh edge.

@@ -60,7 +60,8 @@ type RunFunc func(ctx context.Context, cfg core.Config) (core.Result, error)
 // LaneRunFunc executes one lane batch: len(seeds) replicas of cfg differing
 // only in Seed, advanced through a single lockstep cycle loop. Without one
 // the pool runs each batch on its worker slot (core.Slot.RunLanes); tests
-// inject substitutes to exercise the coalescing and fallback machinery.
+// inject substitutes to record the batches the pool coalesces and to make
+// a batch fail or panic.
 type LaneRunFunc func(ctx context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error)
 
 // Options configures a Pool. The zero value is usable: GOMAXPROCS workers,

@@ -673,7 +673,7 @@ func TestTopologyNeutralSet(t *testing.T) {
 // a single-element list normalizes into the scalar Seed (so job IDs minted
 // before the field existed stay valid), zero seeds are rejected, the run
 // count multiplies by the seed count, and BuildConfigs emits the seeds of
-// one (config, benchmark) pair adjacently — the shape lane coalescing wants.
+// one (config, benchmark) pair adjacently.
 func TestSpecSeeds(t *testing.T) {
 	old, err := Spec{Configs: []string{"TB-DOR"}, Benchmarks: []string{"MUM"}, Seed: 5}.Canonical(100)
 	if err != nil {

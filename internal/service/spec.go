@@ -79,11 +79,12 @@ type Spec struct {
 	Benchmarks []string `json:"benchmarks"`
 	// Seed is the traffic seed; 0 normalizes to 1.
 	Seed uint64 `json:"seed"`
-	// Seeds runs every (config, benchmark) pair once per listed seed —
-	// the multi-seed sweep the lane-batched kernel coalesces. Sorted and
+	// Seeds runs every (config, benchmark) pair once per listed seed.
+	// Each seed is its own solo run: the daemon submits every run to the
+	// pool alone, so nothing here is lane-batched. Sorted and
 	// deduplicated; zero entries are rejected. A single-element list
-	// normalizes into Seed and an empty list (and an empty list means
-	// [Seed]), so job IDs from before this field existed stay valid.
+	// normalizes into Seed, and an empty list means [Seed], so job IDs
+	// from before this field existed stay valid.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Scale multiplies the kernel length in (0, 1]; 0 normalizes to 1.
 	Scale float64 `json:"scale"`
@@ -235,7 +236,7 @@ func (s Spec) BuildConfigs() ([]core.Config, error) {
 				cfg = cfg.WithFaults(s.FaultRate, s.FaultSeed)
 			}
 			// Seeds of one (config, benchmark) pair sit adjacent in the
-			// expansion, the shape the pool's lane coalescing batches.
+			// expansion; the daemon still runs each one alone.
 			for _, seed := range s.SeedList() {
 				c := cfg
 				c.Seed = seed

@@ -66,28 +66,6 @@ func ArithmeticMean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
-// Ratio is a convenient two-counter rate: events over opportunities.
-type Ratio struct {
-	Hits  uint64
-	Total uint64
-}
-
-// Observe records one opportunity, a hit when hit is true.
-func (r *Ratio) Observe(hit bool) {
-	r.Total++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns hits/total, or 0 when nothing was observed.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
-}
-
 // IntDist accumulates small non-negative integer samples — per-packet
 // retry counts, hop counts — keeping exact per-value counts for the low
 // values and an overflow tally above Cap.

@@ -69,19 +69,6 @@ func TestHarmonicLeqArithmetic(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Error("empty ratio should be 0")
-	}
-	for i := 0; i < 10; i++ {
-		r.Observe(i < 3)
-	}
-	if !almostEqual(r.Value(), 0.3) {
-		t.Errorf("ratio = %v, want 0.3", r.Value())
-	}
-}
-
 func TestHistogramMeanMax(t *testing.T) {
 	h := NewHistogram(10, 10)
 	for _, v := range []float64{5, 15, 25, 95, 150} {

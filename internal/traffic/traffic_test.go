@@ -199,7 +199,8 @@ func TestNoMCNetworkPanicsClearly(t *testing.T) {
 // set's non-MC bits lowest first visits compute nodes in ComputeNodes order.
 func TestComputeNodesAreAscendingNonMCs(t *testing.T) {
 	for _, og := range openMatrix() {
-		b := noc.MustBuildBackend(og.mesh())
+		cfg := og.mesh()
+		b := noc.MustBuildBackend(cfg)
 		isMC := make(map[noc.NodeID]bool)
 		for _, mc := range b.MCs() {
 			isMC[mc] = true
@@ -212,11 +213,11 @@ func TestComputeNodesAreAscendingNonMCs(t *testing.T) {
 		}
 		got := b.ComputeNodes()
 		if len(got) != len(want) {
-			t.Fatalf("%s (%s): %d compute nodes, want the %d non-MC nodes", og.id, b.Kind(), len(got), len(want))
+			t.Fatalf("%s (%s): %d compute nodes, want the %d non-MC nodes", og.id, cfg.Topology, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s (%s): compute node %d is %d, want %d", og.id, b.Kind(), i, got[i], want[i])
+				t.Fatalf("%s (%s): compute node %d is %d, want %d", og.id, cfg.Topology, i, got[i], want[i])
 			}
 		}
 	}
