@@ -111,7 +111,6 @@ func (s *System) build(cfg Config) error {
 		mcNodes:   spare.mcNodes[:0],
 		pool:      spare.pool,
 	}
-	s.pool.Reset()
 	if err := s.sched.Init(cfg.Clocks.CoreMHz, cfg.Clocks.IcntMHz, cfg.Clocks.DRAMMHz); err != nil {
 		return err
 	}

@@ -50,7 +50,6 @@ func DefaultConfig() Config {
 type Request struct {
 	Addr    addr.Address
 	IsWrite bool
-	Meta    interface{} // opaque caller payload, returned on completion
 }
 
 // queued is one request in the controller's queue, threaded into its
@@ -83,12 +82,10 @@ type bank struct {
 
 // Stats aggregates controller activity.
 type Stats struct {
-	Reads, Writes     uint64
-	RowHits, RowMiss  uint64
-	BusBusyCycles     uint64
-	ActiveCycles      uint64 // cycles with pending or in-flight work
-	TotalQueueSamples uint64
-	QueueOccupancySum uint64
+	Reads, Writes    uint64
+	RowHits, RowMiss uint64
+	BusBusyCycles    uint64
+	ActiveCycles     uint64 // cycles with pending or in-flight work
 }
 
 // Efficiency is the paper's DRAM-efficiency metric: the fraction of cycles
@@ -236,7 +233,7 @@ const NeverCycle = ^uint64(0)
 // real work — issues a transaction or completes a burst. With an empty
 // machine it returns NeverCycle; only Enqueue creates new work. Between
 // now and the returned cycle each Tick only advances the clock and accrues
-// the busy/occupancy counters, which SkipAhead replays in O(1).
+// the busy counter, which SkipAhead replays in O(1).
 //
 // Exactness: a queued request issues on the first tick where its bank's
 // readyAt has passed, so the earliest candidate is max(now+1, min of
@@ -251,15 +248,13 @@ func (c *Controller) NextWorkCycle() uint64 {
 	return next
 }
 
-// SkipAhead credits k idle ticks in O(1): the clock and the busy-time /
-// queue-occupancy statistics advance exactly as k Ticks would (Busy() is
-// invariant over a window with no issues, completions or enqueues).
+// SkipAhead credits k idle ticks in O(1): the clock and the busy-time
+// statistic advance exactly as k Ticks would (Busy() is invariant over a
+// window with no issues, completions or enqueues).
 func (c *Controller) SkipAhead(k uint64) {
 	c.now += k
 	if c.Busy() {
 		c.stats.ActiveCycles += k
-		c.stats.TotalQueueSamples += k
-		c.stats.QueueOccupancySum += k * uint64(c.queued)
 	}
 }
 
@@ -280,8 +275,6 @@ func (c *Controller) Tick() []Request {
 	c.now++
 	if c.Busy() {
 		c.stats.ActiveCycles++
-		c.stats.TotalQueueSamples++
-		c.stats.QueueOccupancySum += uint64(c.queued)
 	}
 	if c.issueDue <= c.now {
 		c.schedule()
@@ -358,7 +351,7 @@ func (c *Controller) unlink(i int32) {
 	} else {
 		b.tail = q.prev
 	}
-	*q = queued{next: c.free} // drop the request's Meta reference
+	*q = queued{next: c.free}
 	c.free = i
 	c.queued--
 }

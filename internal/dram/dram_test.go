@@ -46,7 +46,8 @@ func TestNewControllerValidation(t *testing.T) {
 
 func TestSingleReadLatency(t *testing.T) {
 	c := newTestController(t)
-	c.Enqueue(Request{Addr: 0, Meta: "r0"})
+	req := Request{Addr: 64}
+	c.Enqueue(req)
 	done := run(t, c, 1, 200)
 	// Cold bank: activate (tRCD=12) + CAS (tCL=9) + burst (4) after issue on
 	// cycle 1 => completion around cycle 26. Allow slack for model details.
@@ -55,8 +56,8 @@ func TestSingleReadLatency(t *testing.T) {
 	if c.now < minLat {
 		t.Errorf("completed at cycle %d, faster than tRCD+tCL+tBurst=%d", c.now, minLat)
 	}
-	if done[0].Meta != "r0" {
-		t.Errorf("wrong meta: %v", done[0].Meta)
+	if done[0] != req {
+		t.Errorf("completed %+v, want %+v", done[0], req)
 	}
 }
 
@@ -105,16 +106,19 @@ func TestFRFCFSPrioritizesRowHits(t *testing.T) {
 	// Open row 0 of bank 0 with one request, then enqueue a conflicting
 	// request (different row) followed by a row hit; FR-FCFS should finish
 	// the row hit before the conflict despite arrival order.
-	c.Enqueue(Request{Addr: 0, Meta: "opener"})
+	conflict := bankStride() * 8 * 100 // same bank, row 100
+	hit := addr.Address(64 * 8)        // same row as the opener
+	name := map[addr.Address]string{conflict: "conflict", hit: "hit"}
+	c.Enqueue(Request{Addr: 0})
 	for i := 0; i < 60; i++ {
 		c.Tick()
 	}
-	c.Enqueue(Request{Addr: bankStride() * 8 * 100, Meta: "conflict"}) // same bank, row 100
-	c.Enqueue(Request{Addr: 64 * 8, Meta: "hit"})                      // same row as opener
+	c.Enqueue(Request{Addr: conflict})
+	c.Enqueue(Request{Addr: hit})
 	var order []string
 	for i := 0; i < 500 && len(order) < 2; i++ {
 		for _, r := range c.Tick() {
-			order = append(order, r.Meta.(string))
+			order = append(order, name[r.Addr])
 		}
 	}
 	if len(order) != 2 || order[0] != "hit" {
@@ -179,7 +183,9 @@ func effFor(t *testing.T, gen func(i int) addr.Address) float64 {
 }
 
 func TestAllRequestsEventuallyComplete(t *testing.T) {
-	// Property: any batch of requests completes, exactly once each.
+	// Property: any batch of requests completes, exactly once each. A batch
+	// may repeat a request, so each distinct request must complete as many
+	// times as it was enqueued.
 	f := func(raws []uint32) bool {
 		c := MustNewController(DefaultConfig(), addr.MustNewMapper(addr.Config{}))
 		want := len(raws)
@@ -187,24 +193,28 @@ func TestAllRequestsEventuallyComplete(t *testing.T) {
 			raws = raws[:64]
 			want = 64
 		}
-		seen := map[int]int{}
+		pending := map[Request]int{}
 		fed := 0
 		got := 0
 		for cycle := 0; cycle < 200000 && got < want; cycle++ {
 			if fed < want && c.CanAccept() {
-				c.Enqueue(Request{Addr: addr.Address(raws[fed]) &^ 63, IsWrite: raws[fed]%3 == 0, Meta: fed})
+				req := Request{Addr: addr.Address(raws[fed]) &^ 63, IsWrite: raws[fed]%3 == 0}
+				c.Enqueue(req)
+				pending[req]++
 				fed++
 			}
 			for _, r := range c.Tick() {
-				seen[r.Meta.(int)]++
+				if pending[r]--; pending[r] < 0 {
+					return false
+				}
 				got++
 			}
 		}
 		if got != want {
 			return false
 		}
-		for i := 0; i < want; i++ {
-			if seen[i] != 1 {
+		for _, n := range pending {
+			if n != 0 {
 				return false
 			}
 		}
@@ -272,7 +282,8 @@ func TestDueCycleGateMatchesUngated(t *testing.T) {
 	// addresses, reads and writes) through a gated and an ungated
 	// controller: same completions on the same cycles in the same order,
 	// same stats, and the gated horizon equal to the from-scratch scan at
-	// every tick.
+	// every tick. Two equal requests are interchangeable, so completions
+	// compare by value.
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := xrand.New(seed)
 		gated, ungated := newTestController(t), newTestController(t)
@@ -284,7 +295,7 @@ func TestDueCycleGateMatchesUngated(t *testing.T) {
 				if rng.Bool(0.5) {
 					a = addr.Address(rng.Intn(64)) * 64 // stay in a few rows
 				}
-				req := Request{Addr: a, IsWrite: rng.Bool(0.3), Meta: next}
+				req := Request{Addr: a, IsWrite: rng.Bool(0.3)}
 				okG, okU := gated.Enqueue(req), ungated.Enqueue(req)
 				if okG != okU {
 					t.Fatalf("seed %d cycle %d: Enqueue accepted %v gated, %v ungated", seed, cycle, okG, okU)
@@ -341,8 +352,6 @@ func (f *flatQueue) tick() []Request {
 	c.now++
 	if len(f.queue) > 0 || len(c.inflight) > 0 {
 		c.stats.ActiveCycles++
-		c.stats.TotalQueueSamples++
-		c.stats.QueueOccupancySum += uint64(len(f.queue))
 	}
 	pick, pickHit := -1, false
 	for i := range f.queue {
@@ -409,7 +418,7 @@ func TestBankFIFOsMatchFlatQueue(t *testing.T) {
 				if rng.Bool(0.2) {
 					a = addr.Address(rng.Intn(1<<22)) &^ 63
 				}
-				req := Request{Addr: a, IsWrite: rng.Bool(0.3), Meta: next}
+				req := Request{Addr: a, IsWrite: rng.Bool(0.3)}
 				okG, okR := got.Enqueue(req), ref.enqueue(req)
 				if okG != okR {
 					t.Fatalf("seed %d cycle %d: Enqueue accepted %v, reference %v", seed, cycle, okG, okR)

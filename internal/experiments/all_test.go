@@ -30,10 +30,4 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Errorf("%s: missing table", id)
 		}
 	}
-	// The All() helper must cover every ID except itself.
-	if got := len(s.All()); got != len(IDs())-3 {
-		// All() runs the paper-order experiments; ablation, resilience and
-		// the backend shootout are extras.
-		t.Errorf("All() returned %d reports, want %d", got, len(IDs())-3)
-	}
 }

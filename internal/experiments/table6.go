@@ -43,66 +43,53 @@ func (s *Suite) Table6() *Report {
 	}
 }
 
-// All runs every experiment in paper order.
-func (s *Suite) All() []*Report {
-	return []*Report{
-		s.Fig2(), s.Fig6(), s.Fig7(), s.Fig8(), s.Fig9(), s.Fig10(), s.Fig11(),
-		s.Fig16(), s.Fig17(), s.Fig18(), s.Fig19(), s.Fig20(), s.Fig21(),
-		s.Table6(), s.Headline(),
-	}
+// table lists the experiments "all" expands to, in paper order, each with
+// the method that builds its report. The design-space exploration
+// ("explore") is deliberately not among them: it runs every candidate of
+// the default grid at full length, which dwarfs any single figure, so it
+// only runs when invoked by name.
+var table = []struct {
+	id  string
+	run func(*Suite) *Report
+}{
+	{"fig2", (*Suite).Fig2},
+	{"fig6", (*Suite).Fig6},
+	{"fig7", (*Suite).Fig7},
+	{"fig8", (*Suite).Fig8},
+	{"fig9", (*Suite).Fig9},
+	{"fig10", (*Suite).Fig10},
+	{"fig11", (*Suite).Fig11},
+	{"fig16", (*Suite).Fig16},
+	{"fig17", (*Suite).Fig17},
+	{"fig18", (*Suite).Fig18},
+	{"fig19", (*Suite).Fig19},
+	{"fig20", (*Suite).Fig20},
+	{"fig21", (*Suite).Fig21},
+	{"table6", (*Suite).Table6},
+	{"headline", (*Suite).Headline},
+	{"ablation", (*Suite).Ablations},
+	{"resilience", (*Suite).Resilience},
+	{"shootout", (*Suite).Shootout},
 }
 
 // ByID returns the report for one experiment id (e.g. "fig7", "table6").
 func (s *Suite) ByID(id string) (*Report, error) {
-	switch id {
-	case "fig2":
-		return s.Fig2(), nil
-	case "fig6":
-		return s.Fig6(), nil
-	case "fig7":
-		return s.Fig7(), nil
-	case "fig8":
-		return s.Fig8(), nil
-	case "fig9":
-		return s.Fig9(), nil
-	case "fig10":
-		return s.Fig10(), nil
-	case "fig11":
-		return s.Fig11(), nil
-	case "fig16":
-		return s.Fig16(), nil
-	case "fig17":
-		return s.Fig17(), nil
-	case "fig18":
-		return s.Fig18(), nil
-	case "fig19":
-		return s.Fig19(), nil
-	case "fig20":
-		return s.Fig20(), nil
-	case "fig21":
-		return s.Fig21(), nil
-	case "table6":
-		return s.Table6(), nil
-	case "headline":
-		return s.Headline(), nil
-	case "ablation":
-		return s.Ablations(), nil
-	case "resilience":
-		return s.Resilience(), nil
-	case "shootout":
-		return s.Shootout(), nil
-	case "explore":
+	if id == "explore" {
 		return s.Explore()
+	}
+	for _, e := range table {
+		if e.id == id {
+			return e.run(s), nil
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
 // IDs lists the experiment identifiers "all" expands to, in paper order.
-// The design-space exploration ("explore") is deliberately not among them:
-// it runs every candidate of the default grid at full length, which dwarfs
-// any single figure, so it only runs when invoked by name.
 func IDs() []string {
-	return []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "table6", "headline",
-		"ablation", "resilience", "shootout"}
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
 }

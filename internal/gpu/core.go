@@ -96,7 +96,6 @@ type Stats struct {
 	Cycles       uint64
 	WarpInstrs   uint64
 	ScalarInstrs uint64
-	MemInstrs    uint64
 	LineAccesses uint64
 	IssueStalls  uint64 // cycles with an issue slot but no ready warp
 	MemStallFull uint64 // memory-unit retries due to MSHR/out-queue pressure
@@ -308,7 +307,6 @@ func (c *Core) issueWarp(w int) bool {
 	c.stats.WarpInstrs++
 	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
 	if ins.Mem {
-		c.stats.MemInstrs++
 		ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)
 		ws.pendingWrite = ins.Write
 		if len(ws.pendingLines) > 0 {

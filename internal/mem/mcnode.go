@@ -18,14 +18,6 @@ import (
 	"repro/internal/ring"
 )
 
-// Request describes one memory request. The hot path carries its fields in
-// the typed Packet.Line/Packet.Write slots (boxing a struct into Packet.Meta
-// allocates per packet); the type remains for harnesses that prefer Meta.
-type Request struct {
-	Line  addr.Address
-	Write bool
-}
-
 // inReq is an accepted request waiting for L2 bank service. Requests are
 // copied out of their packets at acceptance so the packet object can be
 // recycled immediately.
@@ -69,12 +61,10 @@ func DefaultConfig() Config {
 
 // Stats aggregates MC activity.
 type Stats struct {
-	Requests        uint64
 	Writes          uint64
 	RepliesInjected uint64
 	StallCycles     uint64 // cycles a ready reply was refused by the network
 	Cycles          uint64 // interconnect cycles observed
-	ActiveCycles    uint64 // cycles with any work present
 }
 
 // StallFraction returns stalled cycles over all cycles (Fig 11's metric).
@@ -185,9 +175,6 @@ func (m *MCNode) AcceptRequest(pkt *noc.Packet) {
 // hit-latency progression, and reply injection into net.
 func (m *MCNode) TickIcnt(cycle uint64, net noc.Network) {
 	m.stats.Cycles++
-	if m.Busy() {
-		m.stats.ActiveCycles++
-	}
 	m.serviceOne(cycle)
 	m.promoteHits(cycle)
 	m.injectReplies(cycle, net)
@@ -210,7 +197,6 @@ func (m *MCNode) serviceOne(cycle uint64) {
 		m.inQ.Pop()
 		return
 	}
-	m.stats.Requests++
 	if m.l2.Access(req.line, false) {
 		m.hitQ.Push(timedReply{due: cycle + m.cfg.L2Latency, line: req.line, requester: req.src})
 		m.inQ.Pop()
@@ -219,7 +205,6 @@ func (m *MCNode) serviceOne(cycle uint64) {
 	// L2 miss: merge or fetch from DRAM.
 	switch m.l2mshr.Allocate(req.line, cache.Waiter(req.src), false, m.ctl.CanAccept()) {
 	case cache.AllocStallFull:
-		m.stats.Requests--
 		return // MSHR or DRAM queue backpressure; retry next cycle
 	case cache.AllocNew:
 		m.ctl.Enqueue(dram.Request{Addr: req.line})
@@ -280,7 +265,7 @@ func (m *MCNode) TickDRAM() {
 		if done.IsWrite {
 			continue
 		}
-		line := done.Addr // reads carry the line address; no Meta boxing
+		line := done.Addr
 		if victim, wb := m.l2.Fill(line, false); wb {
 			m.writeQ.Push(victim)
 		}
@@ -300,8 +285,8 @@ const NeverCycle = ^uint64(0)
 // the next TickIcnt call would carry the argument now. Queued requests or
 // ready replies mean work immediately; a maturing L2 hit works when its
 // latency expires; an MC waiting only on DRAM (or idle) never works on
-// the interconnect clock until an external event, and its per-tick
-// cycle/active counters are credited by SkipIcnt.
+// the interconnect clock until an external event, and its per-tick cycle
+// counter is credited by SkipIcnt.
 func (m *MCNode) NextIcntWorkCycle(now uint64) uint64 {
 	if m.inQ.Len() > 0 || m.replyQ.Len() > 0 {
 		return now
@@ -315,15 +300,9 @@ func (m *MCNode) NextIcntWorkCycle(now uint64) uint64 {
 	return NeverCycle
 }
 
-// SkipIcnt credits k idle interconnect ticks: cycle and active-cycle
-// counters advance exactly as k TickIcnt calls would (Busy() is invariant
-// over a window with no work on any clock domain).
-func (m *MCNode) SkipIcnt(k uint64) {
-	m.stats.Cycles += k
-	if m.Busy() {
-		m.stats.ActiveCycles += k
-	}
-}
+// SkipIcnt credits k idle interconnect ticks: the cycle counter advances
+// exactly as k TickIcnt calls would.
+func (m *MCNode) SkipIcnt(k uint64) { m.stats.Cycles += k }
 
 // NextDRAMWorkCycle returns the controller-cycle count at which the next
 // TickDRAM does real work: drains a pending write-back into a free queue

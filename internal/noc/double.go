@@ -67,7 +67,7 @@ func (d *Double) Init(cfg Config, balanced bool) error {
 		nets:     d.nets,
 		balanced: balanced,
 		deliv:    reuse.Keep(d.deliv, nodes),
-		counters: reuse.Slice(d.counters, 4*nodes),
+		counters: reuse.Slice(d.counters, 3*nodes),
 	}
 	for c := range d.nets {
 		sub := cfg
@@ -91,7 +91,6 @@ func (d *Double) Init(cfg Config, balanced bool) error {
 	counters := d.counters
 	d.merged.InjectedFlits = carve(&counters, nodes)
 	d.merged.InjectedPackets = carve(&counters, nodes)
-	d.merged.InjectedBytes = carve(&counters, nodes)
 	d.merged.EjectedFlits = carve(&counters, nodes)
 	return nil
 }
@@ -207,21 +206,15 @@ func (d *Double) Stats() *NetStats {
 	m := &d.merged
 	m.Cycles = a.Cycles
 	m.FlitHops = a.FlitHops + b.FlitHops
+	m.InjectedBytes = a.InjectedBytes + b.InjectedBytes
 	for i := range m.InjectedFlits {
 		m.InjectedFlits[i] = a.InjectedFlits[i] + b.InjectedFlits[i]
 		m.InjectedPackets[i] = a.InjectedPackets[i] + b.InjectedPackets[i]
-		m.InjectedBytes[i] = a.InjectedBytes[i] + b.InjectedBytes[i]
 		m.EjectedFlits[i] = a.EjectedFlits[i] + b.EjectedFlits[i]
 	}
 	m.NetLatency = a.NetLatency.Merge(b.NetLatency)
-	m.TotalLatency = a.TotalLatency.Merge(b.TotalLatency)
-	for c := range m.LatencyByClass {
-		m.LatencyByClass[c] = a.LatencyByClass[c].Merge(b.LatencyByClass[c])
-	}
 	m.CorruptFlits = a.CorruptFlits + b.CorruptFlits
 	m.DroppedPackets = a.DroppedPackets + b.DroppedPackets
-	m.DroppedFlits = a.DroppedFlits + b.DroppedFlits
-	m.DuplicatePackets = a.DuplicatePackets + b.DuplicatePackets
 	m.Retransmits = a.Retransmits + b.Retransmits
 	m.LostCredits = a.LostCredits + b.LostCredits
 	m.StuckVCFaults = a.StuckVCFaults + b.StuckVCFaults

@@ -54,7 +54,7 @@ func (n *Ideal) Init(numNodes, flitBytes int, flitsPerCycleCap float64) error {
 		pending:   n.pending,
 		delivered: reuse.Keep(n.delivered, numNodes),
 		spare:     reuse.Keep(n.spare, numNodes),
-		counters:  reuse.Slice(n.counters, 4*numNodes+(numNodes+63)/64),
+		counters:  reuse.Slice(n.counters, 3*numNodes+(numNodes+63)/64),
 	}
 	n.pending.Init(16, 0)
 	for i := range n.delivered {
@@ -64,7 +64,6 @@ func (n *Ideal) Init(numNodes, flitBytes int, flitsPerCycleCap float64) error {
 	counters := n.counters
 	n.stats.InjectedFlits = carve(&counters, numNodes)
 	n.stats.InjectedPackets = carve(&counters, numNodes)
-	n.stats.InjectedBytes = carve(&counters, numNodes)
 	n.stats.EjectedFlits = carve(&counters, numNodes)
 	n.delivSet.words = counters
 	return nil
@@ -125,11 +124,9 @@ func (n *Ideal) Tick() {
 		n.delivSet.set(int(p.Dst))
 		n.stats.InjectedFlits[p.Src] += uint64(flits)
 		n.stats.InjectedPackets[p.Src]++
-		n.stats.InjectedBytes[p.Src] += uint64(p.Bytes)
+		n.stats.InjectedBytes += uint64(p.Bytes)
 		n.stats.EjectedFlits[p.Dst] += uint64(flits)
 		n.stats.NetLatency.Add(0)
-		n.stats.TotalLatency.Add(float64(p.ArrivedAt - p.OfferedAt))
-		n.stats.LatencyByClass[p.Class].Add(0)
 		n.active--
 	}
 }

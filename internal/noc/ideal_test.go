@@ -99,13 +99,13 @@ func TestIdealLargePacketNotStarved(t *testing.T) {
 
 func TestIdealFIFOAcrossSources(t *testing.T) {
 	n := MustNewIdeal(8, 16, 1)
-	a := &Packet{Src: 0, Dst: 7, Class: ClassRequest, Bytes: 8, Meta: "a"}
-	b := &Packet{Src: 1, Dst: 7, Class: ClassRequest, Bytes: 8, Meta: "b"}
+	a := &Packet{Src: 0, Dst: 7, Class: ClassRequest, Bytes: 8, Line: 'a'}
+	b := &Packet{Src: 1, Dst: 7, Class: ClassRequest, Bytes: 8, Line: 'b'}
 	n.TryInject(a)
 	n.TryInject(b)
 	n.Tick()
 	first := n.Delivered(7)
-	if len(first) != 1 || first[0].Meta != "a" {
+	if len(first) != 1 || first[0].Line != 'a' {
 		t.Errorf("first delivery = %v, want a", first)
 	}
 }

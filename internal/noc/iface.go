@@ -117,7 +117,7 @@ func (ni *netIface) startWrite(port int, cycle uint64) {
 		pkt.flits = int32(ni.net.flitsFor(pkt.Bytes))
 		pkt.ejected = 0
 		ni.net.stats.InjectedPackets[ni.node]++
-		ni.net.stats.InjectedBytes[ni.node] += uint64(pkt.Bytes)
+		ni.net.stats.InjectedBytes += uint64(pkt.Bytes)
 		i := port*ni.rtr.p.numVCs + vc
 		w := &ni.writers[i]
 		*w = injWriter{pkt: pkt, total: int(pkt.flits), vc: vc}
@@ -185,8 +185,5 @@ func (ni *netIface) eject(pkt *Packet, cycle uint64) {
 	}
 	ni.delivered = append(ni.delivered, pkt)
 	n.delivSet.set(int(ni.node))
-	lat := float64(pkt.NetworkLatency())
-	n.stats.NetLatency.Add(lat)
-	n.stats.TotalLatency.Add(float64(pkt.TotalLatency()))
-	n.stats.LatencyByClass[pkt.Class].Add(lat)
+	n.stats.NetLatency.Add(float64(pkt.NetworkLatency()))
 }

@@ -216,7 +216,7 @@ func TestDeliveryOrderSameFlow(t *testing.T) {
 	src, dst := m.Topology().Node(0, 0), m.Topology().Node(5, 5)
 	const n = 30
 	for i := 0; i < n; i++ {
-		p := &Packet{Src: src, Dst: dst, Class: ClassRequest, Bytes: 8, Meta: i}
+		p := &Packet{Src: src, Dst: dst, Class: ClassRequest, Bytes: 8, Line: uint64(i)}
 		if !m.TryInject(p) {
 			t.Fatalf("inject %d refused", i)
 		}
@@ -227,8 +227,8 @@ func TestDeliveryOrderSameFlow(t *testing.T) {
 		t.Fatalf("delivered %d/%d", len(got), n)
 	}
 	for i, p := range got {
-		if p.Meta.(int) != i {
-			t.Fatalf("out-of-order delivery: position %d has packet %v", i, p.Meta)
+		if p.Line != uint64(i) {
+			t.Fatalf("out-of-order delivery: position %d has packet %d", i, p.Line)
 		}
 	}
 }

@@ -69,17 +69,13 @@ type NetStats struct {
 	FlitHops        uint64 // switch traversals, network-wide
 	InjectedFlits   []uint64
 	InjectedPackets []uint64
-	InjectedBytes   []uint64 // packet payload bytes offered per source node
+	InjectedBytes   uint64 // packet payload bytes injected, network-wide
 	EjectedFlits    []uint64
 	NetLatency      stats.Mean // head injection -> tail ejection
-	TotalLatency    stats.Mean // includes source queueing
-	LatencyByClass  [NumClasses]stats.Mean
 
 	// Fault-injection and resilience counters (all zero when faults are off).
 	CorruptFlits     uint64        // flit deliveries struck by a link fault
 	DroppedPackets   uint64        // packets failing the end-to-end check at ejection
-	DroppedFlits     uint64        // flits belonging to dropped packets
-	DuplicatePackets uint64        // late copies of already-delivered transfers
 	Retransmits      uint64        // wire packets re-injected by the timeout
 	LostCredits      uint64        // credits delayed by the resync protocol
 	StuckVCFaults    uint64        // stuck-VC faults placed
@@ -110,14 +106,10 @@ func (s *NetStats) AcceptedFlitsPerCycle() float64 {
 // AcceptedBytesPerCycle returns accepted traffic averaged over all nodes,
 // in payload bytes/cycle/node (the §III-B classification metric).
 func (s *NetStats) AcceptedBytesPerCycle() float64 {
-	if s.Cycles == 0 || len(s.InjectedBytes) == 0 {
+	if s.Cycles == 0 || len(s.InjectedFlits) == 0 {
 		return 0
 	}
-	var total uint64
-	for _, b := range s.InjectedBytes {
-		total += b
-	}
-	return float64(total) / float64(s.Cycles) / float64(len(s.InjectedBytes))
+	return float64(s.InjectedBytes) / float64(s.Cycles) / float64(len(s.InjectedFlits))
 }
 
 // Config parameterizes a network (defaults are Table III).
@@ -359,11 +351,10 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 		n.auditEvery = cfg.Fault.WatchdogCycles / 4
 	}
 	mem := &n.mem
-	mem.counters = reuse.Slice(mem.counters, 4*nNodes)
+	mem.counters = reuse.Slice(mem.counters, 3*nNodes)
 	counters := mem.counters
 	n.stats.InjectedFlits = carve(&counters, nNodes)
 	n.stats.InjectedPackets = carve(&counters, nNodes)
-	n.stats.InjectedBytes = carve(&counters, nNodes)
 	n.stats.EjectedFlits = carve(&counters, nNodes)
 	setWords := (nNodes + 63) / 64
 	mem.sets = reuse.Slice(mem.sets, 3*setWords)

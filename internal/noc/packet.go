@@ -47,15 +47,12 @@ type Packet struct {
 	YXPhase      bool   // currently routing Y-first
 	Intermediate NodeID // CR case-2 intermediate full-router; < 0 when unused
 
-	// Line and Write carry the closed-loop memory protocol's payload (a
-	// cache-line address and the read/write flag) without boxing it into
-	// Meta: storing a uint64 or a struct in an interface{} allocates on
-	// every packet, which the allocation-free cycle kernel forbids. Traffic
-	// harnesses with richer payloads may still use Meta; the two coexist.
+	// Line and Write are the caller's payload, typed rather than boxed in
+	// an interface{} (which would allocate on every packet). The closed
+	// loop carries a cache-line address and the read/write flag; the open
+	// loop carries a reply's request offer cycle in Line.
 	Line  uint64
 	Write bool
-
-	Meta interface{} // opaque caller payload (nil on the closed-loop hot path)
 
 	// Timing, in network cycles.
 	OfferedAt  uint64 // when handed to the network interface
@@ -65,7 +62,7 @@ type Packet struct {
 	// flits is the cached flit count and ejected the flits that have
 	// reached the destination NI so far: the packet is assembled when the
 	// two meet. Two int32s share the word a single int would take, keeping
-	// Packet at 152 bytes.
+	// Packet at 136 bytes.
 	flits   int32
 	ejected int32
 
@@ -123,16 +120,16 @@ type Flit struct {
 // put synchronization on the hot path for no benefit. Ownership contract:
 // whoever drains a packet from the network (ejection-side consumer) is
 // responsible for returning it with Put once the payload is extracted;
-// packets still referenced anywhere must never be Put.
+// packets still referenced anywhere must never be Put. A pool carries over
+// to a new run as it is: Get zeroes each packet it hands out, and packets a
+// finished run still held (queued or in flight when it stopped) are not on
+// the list and are left to the collector.
 type PacketPool struct {
 	free []*Packet
-	gets uint64 // total Get calls
-	news uint64 // Gets that had to allocate
 }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pp *PacketPool) Get() *Packet {
-	pp.gets++
 	if n := len(pp.free); n > 0 {
 		p := pp.free[n-1]
 		pp.free[n-1] = nil
@@ -140,15 +137,8 @@ func (pp *PacketPool) Get() *Packet {
 		*p = Packet{}
 		return p
 	}
-	pp.news++
 	return &Packet{}
 }
-
-// Reset readies the pool for a new run in place: the counters restart and
-// the free list keeps its packets, which Get zeroes as it hands them out.
-// The packets a finished run still held (queued or in flight when it
-// stopped) are not on the list and are left to the collector.
-func (pp *PacketPool) Reset() { *pp = PacketPool{free: pp.free} }
 
 // Put recycles p. The caller must hold the only live reference.
 func (pp *PacketPool) Put(p *Packet) {
@@ -157,10 +147,6 @@ func (pp *PacketPool) Put(p *Packet) {
 	}
 	pp.free = append(pp.free, p)
 }
-
-// Stats reports (total Gets, Gets that allocated); the difference is the
-// number of reuses, a direct measure of steady-state pooling health.
-func (pp *PacketPool) Stats() (gets, news uint64) { return pp.gets, pp.news }
 
 // flitCount returns the number of flits a payload of n bytes needs on links
 // with the given flit size.

@@ -9,7 +9,7 @@ import (
 // xfer tracks one logical end-to-end transfer across its transmission
 // attempts. The first wire packet's ID doubles as the logical id.
 type xfer struct {
-	pkt       *Packet // original packet: the clone template, owns Meta
+	pkt       *Packet // original packet: the clone template
 	attempts  int     // wire packets injected so far (1 = original)
 	inFlight  int     // wire packets currently queued or in the network
 	delivered bool    // an uncorrupted copy reached the destination
@@ -118,7 +118,7 @@ func (fs *faultState) tick(n *meshNet) {
 }
 
 // reinject clones the transfer's packet and offers it at the source NI.
-// The clone keeps the logical id, Meta and original offer time (so
+// The clone keeps the logical id, payload and original offer time (so
 // TotalLatency spans the whole recovery), but gets a fresh wire ID, route
 // plan and hop budget.
 func (fs *faultState) reinject(n *meshNet, x *xfer) bool {
@@ -133,7 +133,6 @@ func (fs *faultState) reinject(n *meshNet, x *xfer) bool {
 		Bytes:     orig.Bytes,
 		Line:      orig.Line,
 		Write:     orig.Write,
-		Meta:      orig.Meta,
 		OfferedAt: orig.OfferedAt,
 		lid:       orig.lid,
 	}
@@ -166,9 +165,8 @@ func (fs *faultState) onAssembled(n *meshNet, pkt *Packet) (deliver bool) {
 	switch {
 	case pkt.corrupt:
 		n.stats.DroppedPackets++
-		n.stats.DroppedFlits += uint64(pkt.flits)
 	case x.delivered:
-		n.stats.DuplicatePackets++
+		// a late copy of a delivered transfer: discarded
 	default:
 		x.delivered = true
 		fs.pending--

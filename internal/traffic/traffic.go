@@ -113,13 +113,11 @@ func NewMeshRunner(cfg noc.Config) *Runner {
 }
 
 // pendingReply is a request's payload while it waits in an MC's reply
-// backlog. On the wire it rides unboxed in the packet's typed fields (Line =
-// offeredAt, Write = measured; the requester is the request's Src and the
-// reply's Dst), so the driver never boxes a value into Packet.Meta.
+// backlog. The reply carries offeredAt in Packet.Line; the requester is the
+// request's Src and the reply's Dst.
 type pendingReply struct {
 	dst       noc.NodeID
-	offeredAt uint64 // request offer time, for round-trip measurement
-	measured  bool
+	offeredAt uint64 // request offer cycle: the measured rule and round trip
 }
 
 // Run measures one offered load point on a fresh network from the Runner's
@@ -155,12 +153,13 @@ func (r *Runner) Run(cfg Config) Result {
 	delivered := make([]uint64, len(mcSet)) // node bitset: this cycle's DeliveredSet
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
+	// A packet is measured when its request was offered inside the window.
 	measureStart := uint64(cfg.WarmupCycles)
 	measureEnd := uint64(cfg.WarmupCycles + cfg.MeasureCycles)
+	inWindow := func(offeredAt uint64) bool { return offeredAt >= measureStart && offeredAt < measureEnd }
 
 	for cyc := 0; cyc < total; cyc++ {
 		injecting := cyc < cfg.WarmupCycles+cfg.MeasureCycles
-		now := net.Cycle()
 		if injecting {
 			for _, c := range comp {
 				if !rng.Bool(cfg.InjectionRate) {
@@ -182,8 +181,6 @@ func (r *Runner) Run(cfg Config) Result {
 				}
 				pkt := pool.Get()
 				pkt.Src, pkt.Dst, pkt.Class, pkt.Bytes = c, dst, noc.ClassRequest, 8
-				pkt.Line = now
-				pkt.Write = now >= measureStart && now < measureEnd
 				if !net.TryInject(pkt) {
 					pool.Put(pkt)
 					dropCycles++
@@ -201,11 +198,11 @@ func (r *Runner) Run(cfg Config) Result {
 			q := &backlog[j]
 			if delivered[mc>>6]&(1<<(uint(mc)&63)) != 0 {
 				for _, pkt := range net.Delivered(mc) {
-					if pkt.Write {
+					if inWindow(pkt.OfferedAt) {
 						lat.Add(float64(pkt.TotalLatency()))
 						hist.Add(float64(pkt.TotalLatency()))
 					}
-					q.Push(pendingReply{dst: pkt.Src, offeredAt: pkt.Line, measured: pkt.Write})
+					q.Push(pendingReply{dst: pkt.Src, offeredAt: pkt.OfferedAt})
 					pool.Put(pkt)
 				}
 			}
@@ -213,7 +210,7 @@ func (r *Runner) Run(cfg Config) Result {
 				pr := q.Front()
 				reply := pool.Get()
 				reply.Src, reply.Dst, reply.Class, reply.Bytes = mc, pr.dst, noc.ClassReply, mem.ReplyBytes
-				reply.Line, reply.Write = pr.offeredAt, pr.measured
+				reply.Line = pr.offeredAt
 				if !net.TryInject(reply) {
 					pool.Put(reply)
 					break
@@ -228,7 +225,7 @@ func (r *Runner) Run(cfg Config) Result {
 		for wi, w := range delivered {
 			for w &^= mcSet[wi]; w != 0; w &= w - 1 {
 				for _, pkt := range net.Delivered(noc.NodeID(wi<<6 + bits.TrailingZeros64(w))) {
-					if pkt.Write {
+					if inWindow(pkt.Line) {
 						lat.Add(float64(pkt.TotalLatency()))
 						hist.Add(float64(pkt.TotalLatency()))
 						rtt.Add(float64(pkt.ArrivedAt - pkt.Line))

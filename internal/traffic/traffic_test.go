@@ -222,3 +222,60 @@ func TestComputeNodesAreAscendingNonMCs(t *testing.T) {
 		}
 	}
 }
+
+// offerLog decorates a noc.Network and records, for every request packet
+// the network accepts, the cycle it was offered in.
+type offerLog struct {
+	noc.Network
+	offered []uint64
+}
+
+func (o *offerLog) TryInject(p *noc.Packet) bool {
+	at := o.Cycle()
+	ok := o.Network.TryInject(p)
+	if ok && p.Class == noc.ClassRequest {
+		o.offered = append(o.offered, at)
+	}
+	return ok
+}
+
+// TestMeasuredWindow pins which packets a run measures: the round trips of
+// the requests offered in [WarmupCycles, WarmupCycles+MeasureCycles). The
+// drain is long enough at this load for every reply to arrive, so
+// MeasuredPackets counts exactly those requests. The seed is one at which
+// requests are offered on the cycle before the window and on its last
+// cycle, so an off-by-one at either edge changes the count.
+func TestMeasuredWindow(t *testing.T) {
+	var log *offerLog
+	r := NewRunner(func() (noc.Network, noc.Backend) {
+		m := noc.MustNewMesh(noc.DefaultConfig())
+		log = &offerLog{Network: m}
+		return log, m.Backend()
+	})
+	cfg := quickConfig()
+	cfg.InjectionRate = 0.02
+	res := r.Run(cfg)
+	if res.Saturated {
+		t.Fatal("low load saturated")
+	}
+	start, end := uint64(cfg.WarmupCycles), uint64(cfg.WarmupCycles+cfg.MeasureCycles)
+	count := func(from, to uint64) int {
+		n := 0
+		for _, at := range log.offered {
+			if at >= from && at < to {
+				n++
+			}
+		}
+		return n
+	}
+	if count(start-1, start) == 0 || count(end-1, end) == 0 {
+		t.Fatalf("no request offered at cycle %d or %d: the edges go untested", start-1, end-1)
+	}
+	if late := count(end, ^uint64(0)); late != 0 {
+		t.Fatalf("%d requests offered at or after the window's end %d", late, end)
+	}
+	if want := count(start, end); res.MeasuredPackets != want {
+		t.Errorf("MeasuredPackets = %d, want the %d requests offered in [%d, %d) (%d with cycle %d, %d without cycle %d)",
+			res.MeasuredPackets, want, start, end, count(start-1, end), start-1, count(start, end-1), end-1)
+	}
+}
