@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -85,12 +86,13 @@ func TestNewSystemAllocations(t *testing.T) {
 
 // TestRebuildAllocations is the recycled-construction gate. Building into a
 // finished System of the same configuration — what a worker slot does
-// between the runs of a planned sweep — reuses every array and component,
-// so only the address mapper is new: one allocation, against NewSystem's
-// hundreds. A whole run on such a slot, the build, the cycle loop and its
-// warm-up included, stays within three: the mapper and Slot.Run's seed and
-// lane slices. The packet pool's free list, the MSHR waiter lists, the
-// warps' pending lines and the grown queues all come back from the last run.
+// between its runs — reuses every array and component, so only the address
+// mapper is new: one allocation, against NewSystem's hundreds. A whole run
+// on such a slot, the build, the cycle loop and its warm-up included, stays
+// within three: the mapper and runLanes's lane and error slices. The packet
+// pool's free list, the MSHR waiter lists, the warps' pending lines and the
+// grown queues all come back from the last run. The test holds the System,
+// so the slot reuses it whenever a collection runs.
 func TestRebuildAllocations(t *testing.T) {
 	mum, err := workload.ByAbbr("MUM")
 	if err != nil {
@@ -101,10 +103,11 @@ func TestRebuildAllocations(t *testing.T) {
 		cfg := cfg.ScaleWork(0.01)
 		t.Run(cfg.Name, func(t *testing.T) {
 			var sl Slot
-			if _, err := sl.Run(ctx, cfg); err != nil {
-				t.Fatal(err)
+			lanes, errs := sl.runLanes(ctx, cfg, []uint64{cfg.Seed})
+			if errs[0] != nil {
+				t.Fatal(errs[0])
 			}
-			s := sl.spares[0]
+			s := lanes[0] // held, so the slot's weak pointer resolves to it
 			if allocs := testing.AllocsPerRun(10, func() {
 				if err := s.build(cfg); err != nil {
 					t.Fatal(err)
@@ -119,6 +122,7 @@ func TestRebuildAllocations(t *testing.T) {
 			}); allocs > 3 {
 				t.Errorf("a run on a reused slot makes %.0f allocations, at most 3 allowed", allocs)
 			}
+			runtime.KeepAlive(s)
 		})
 	}
 }

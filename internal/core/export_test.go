@@ -12,11 +12,11 @@ func (s *System) WrapNetwork(wrap func(noc.Network) noc.Network) { s.net = wrap(
 
 // newLanes builds one new System per seed, not yet stepped.
 func newLanes(cfg Config, seeds []uint64) ([]*System, []error) {
-	systems := make([]*System, len(seeds))
-	for i := range systems {
-		systems[i] = &System{}
+	lanes := make([]*System, len(seeds))
+	for i := range lanes {
+		lanes[i] = &System{}
 	}
-	return buildLanes(systems, cfg, seeds)
+	return lanes, buildLanes(lanes, cfg, seeds)
 }
 
 // runLanes runs the lane batch on an empty slot and returns its systems.

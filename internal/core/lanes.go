@@ -1,20 +1,27 @@
 package core
 
-import "context"
+import (
+	"context"
+	"weak"
+)
 
 // Slot is a worker slot's memory: the Systems its last run finished, one
 // per lane of the widest batch it ran. Each run on the slot builds its
 // Systems into them (System.build), so a slot that runs one configuration
-// after another makes almost no construction garbage. A caller that goes
-// idle drops the slot for an empty one (runner.Pool does), so that the
-// memory is held only while runs follow each other.
+// after another makes almost no construction garbage.
+//
+// Between runs the slot holds its Systems only through weak pointers. A
+// run that starts before the next collection builds into them; a
+// collection frees them, and the run after it builds fresh. So an idle
+// slot never adds to the live heap the collector paces itself by, and a
+// run holds its Systems strongly only from build to retire.
 //
 // Nothing a slot returns aliases its memory: a Result is a value, and a
 // hang's *fault.HangError and its Diagnostic are built fresh for the run
 // they end. A run that panics leaves the slot empty. The zero value is an
 // empty slot; a Slot is not safe for concurrent use.
 type Slot struct {
-	spares []*System
+	spares []weak.Pointer[System]
 }
 
 // Run builds cfg into the slot and runs it to completion; see the
@@ -42,19 +49,31 @@ func (sl *Slot) RunLanes(ctx context.Context, cfg Config, seeds []uint64) ([]Res
 
 // runLanes builds and drives the lane batch round-robin, returning the
 // retired systems (nil where construction failed, with the error in the
-// second slice), which stay the slot's. Split from RunLanes so tests can
-// digest per-lane network stats.
+// second slice). The slot keeps weak pointers to them. Split from RunLanes
+// so tests can digest per-lane network stats.
 func (sl *Slot) runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*System, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	spares := sl.spares
 	sl.spares = nil // a panic below leaves the slot empty
-	for len(spares) < len(seeds) {
-		spares = append(spares, &System{})
+	lanes := make([]*System, len(seeds))
+	for i := range lanes {
+		if i < len(spares) {
+			lanes[i] = spares[i].Value()
+		}
+		if lanes[i] == nil {
+			lanes[i] = &System{}
+		}
 	}
-	lanes, errs := buildLanes(spares, cfg, seeds)
+	errs := buildLanes(lanes, cfg, seeds)
 	stepLanes(ctx, lanes)
+	for len(spares) < len(lanes) {
+		spares = append(spares, weak.Pointer[System]{})
+	}
+	for i, s := range lanes {
+		spares[i] = weak.Make(s) // the zero Pointer for a failed build
+	}
 	sl.spares = spares
 	return lanes, errs
 }
@@ -101,19 +120,18 @@ func stepLanes(ctx context.Context, lanes []*System) {
 }
 
 // buildLanes builds lane i of the batch, cfg with seeds[i], into
-// systems[i], which may be empty or hold a finished run. A lane that fails
-// to build is nil, its error in the second slice. The lanes share their
-// topology backend through noc.BuildBackend's cache, exactly as separate
-// NewSystem calls do.
-func buildLanes(systems []*System, cfg Config, seeds []uint64) ([]*System, []error) {
+// lanes[i], which may be empty or hold a finished run. A lane that fails
+// to build is set to nil, its error in the returned slice. The lanes share
+// their topology backend through noc.BuildBackend's cache, exactly as
+// separate NewSystem calls do.
+func buildLanes(lanes []*System, cfg Config, seeds []uint64) []error {
 	errs := make([]error, len(seeds))
-	lanes := make([]*System, len(seeds))
 	for i, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		if errs[i] = systems[i].build(c); errs[i] == nil {
-			lanes[i] = systems[i]
+		if errs[i] = lanes[i].build(c); errs[i] != nil {
+			lanes[i] = nil
 		}
 	}
-	return lanes, errs
+	return errs
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"weak"
 
 	"repro/internal/noc"
 	"repro/internal/workload"
@@ -123,13 +126,19 @@ func freshDigests(t *testing.T, st slotStep, seeds []uint64) []string {
 // of a slot — whatever ran on it before, however that run ended — returns
 // what a fresh core.Run returns, bit for bit, and leaves the same network
 // counters. One slot runs slotSequence solo and as lane batches of width 1,
-// 2 and 4.
+// 2 and 4. The test holds the slot's Systems from one step to the next, so
+// every step builds into them whenever a collection runs.
 func TestSlotMatchesFresh(t *testing.T) {
 	seq := slotSequence(t)
 	for _, width := range []int{0, 1, 2, 4} { // 0: solo, through Slot.Run
+		n := max(width, 1)
 		var sl Slot
+		held := make([]*System, n)
+		for i := range held {
+			held[i] = &System{}
+			sl.spares = append(sl.spares, weak.Make(held[i]))
+		}
 		for _, st := range seq {
-			n := max(width, 1)
 			seeds := make([]uint64, n)
 			for i := range seeds {
 				seeds[i] = st.cfg.Seed + uint64(i)
@@ -137,25 +146,64 @@ func TestSlotMatchesFresh(t *testing.T) {
 			want := freshDigests(t, st, seeds)
 			if width == 0 {
 				res, err := sl.Run(st.ctx(), st.cfg)
-				if sl.spares[0].res != res || sl.spares[0].runErr != err {
+				if held[0].res != res || held[0].runErr != err {
 					t.Fatalf("%s: Slot.Run returned what its System did not record", st.name)
 				}
-			} else {
-				sl.runLanes(st.ctx(), st.cfg, seeds)
+			} else if lanes, _ := sl.runLanes(st.ctx(), st.cfg, seeds); !slices.Equal(lanes, held) {
+				t.Fatalf("width %d, %s: the run did not build into the slot's Systems", width, st.name)
 			}
-			if len(sl.spares) < n {
-				t.Fatalf("%s: slot holds %d systems after a %d-lane run", st.name, len(sl.spares), n)
+			for i, s := range held {
+				if sl.spares[i].Value() != s {
+					t.Fatalf("width %d, %s: the slot lost lane %d's System", width, st.name, i)
+				}
 			}
-			if got := sl.spares[0].res.Status; got != st.status {
+			if got := held[0].res.Status; got != st.status {
 				t.Fatalf("width %d, %s: status %q, want %q", width, st.name, got, st.status)
 			}
-			for i := 0; i < n; i++ {
-				if got := laneDigest(sl.spares[i]); got != want[i] {
+			for i, s := range held {
+				if got := laneDigest(s); got != want[i] {
 					t.Errorf("width %d, %s, lane %d: rebuilt run differs from a fresh one:\n got  %s\n want %s",
 						width, st.name, i, got, want[i])
 				}
 			}
 		}
+	}
+}
+
+// TestSlotReusesUntilCollected pins the retention rule: between runs a slot
+// holds its Systems only through weak pointers. While something else holds
+// them, the next run builds into the same Systems; once nothing does, a
+// collection frees them, no weak pointer resolves, and the next run builds
+// fresh and equals core.Run.
+func TestSlotReusesUntilCollected(t *testing.T) {
+	bin, err := workload.ByAbbr("BIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Baseline(bin).ScaleWork(0.01)
+	ctx := context.Background()
+	var sl Slot
+	func() {
+		seeds := []uint64{cfg.Seed, cfg.Seed + 1}
+		first, errs := sl.runLanes(ctx, cfg, seeds)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if second, _ := sl.runLanes(ctx, cfg, seeds); !slices.Equal(second, first) {
+			t.Errorf("the second run built new Systems while the first run's were held")
+		}
+	}()
+	runtime.GC()
+	for i, w := range sl.spares {
+		if w.Value() != nil {
+			t.Errorf("lane %d's System outlived a collection with no other reference", i)
+		}
+	}
+	res, err := sl.Run(ctx, cfg)
+	if want, werr := Run(ctx, cfg); res != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Errorf("run after the collection: %+v (%v), fresh %+v (%v)", res, err, want, werr)
 	}
 }
 
@@ -202,12 +250,16 @@ func TestSlotDropsSparesOnPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Baseline(bin).ScaleWork(0.01)
+	ctx := context.Background()
+	seeds := []uint64{cfg.Seed}
 	var sl Slot
-	if _, err := sl.Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
+	lanes, errs := sl.runLanes(ctx, cfg, seeds)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if len(sl.spares) != 1 {
-		t.Fatalf("slot holds %d systems after a solo run, want 1", len(sl.spares))
+	held := lanes[0]
+	if len(sl.spares) != 1 || sl.spares[0].Value() != held {
+		t.Fatalf("slot holds %d systems after a solo run, want its System", len(sl.spares))
 	}
 	func() {
 		defer func() {
@@ -215,14 +267,20 @@ func TestSlotDropsSparesOnPanic(t *testing.T) {
 				t.Fatal("the run did not panic")
 			}
 		}()
-		sl.Run(panicCtx{context.Background()}, cfg)
+		sl.Run(panicCtx{ctx}, cfg)
 	}()
 	if len(sl.spares) != 0 {
 		t.Errorf("slot holds %d systems after a panicking run, want none", len(sl.spares))
 	}
-	res, err := sl.Run(context.Background(), cfg)
-	if want, werr := Run(context.Background(), cfg); res != want || fmt.Sprint(err) != fmt.Sprint(werr) {
-		t.Errorf("run after the panic: %+v, fresh %+v", res, want)
+	lanes, errs = sl.runLanes(ctx, cfg, seeds)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if lanes[0] == held {
+		t.Error("the run after the panic built into the panicked System")
+	}
+	if want, werr := Run(ctx, cfg); lanes[0].res != want || fmt.Sprint(lanes[0].runErr) != fmt.Sprint(werr) {
+		t.Errorf("run after the panic: %+v (%v), fresh %+v (%v)", lanes[0].res, lanes[0].runErr, want, werr)
 	}
 }
 

@@ -385,13 +385,3 @@ func (s *System) result(timedOut bool) Result {
 // tallies included), primarily for determinism digests and calibration
 // tooling. For double networks the snapshot merges both slices.
 func (s *System) NetStats() *noc.NetStats { return s.net.Stats() }
-
-// RowLocality returns the mean DRAM row-hit rate across channels (used by
-// calibration tooling).
-func (s *System) RowLocality() float64 {
-	total := 0.0
-	for _, mc := range s.mcs {
-		total += mc.DRAMStats().RowLocality()
-	}
-	return total / float64(len(s.mcs))
-}

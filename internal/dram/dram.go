@@ -97,15 +97,6 @@ func (s Stats) Efficiency() float64 {
 	return float64(s.BusBusyCycles) / float64(s.ActiveCycles)
 }
 
-// RowLocality returns rowHits / (rowHits+rowMisses).
-func (s Stats) RowLocality() float64 {
-	total := s.RowHits + s.RowMiss
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 // Controller is one memory channel. Drive it with Tick once per DRAM cycle.
 type Controller struct {
 	cfg      Config

@@ -239,17 +239,6 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-func TestRowLocalityMetric(t *testing.T) {
-	var s Stats
-	if s.RowLocality() != 0 {
-		t.Error("empty locality should be 0")
-	}
-	s = Stats{RowHits: 3, RowMiss: 1}
-	if s.RowLocality() != 0.75 {
-		t.Errorf("locality = %v, want 0.75", s.RowLocality())
-	}
-}
-
 // tickUngated forces both due-cycle gates open, so Tick visits the banks
 // and scans the in-flight list unconditionally, as it would without gates.
 // (It leaves the forced controller's own NextWorkCycle meaningless.)

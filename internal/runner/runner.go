@@ -8,10 +8,11 @@
 //     memoizing, singleflight result cache, so figures sharing a
 //     configuration still reuse each other's simulations and the rendered
 //     tables are bit-identical regardless of worker count;
-//   - one core.Slot per worker: while chunks queue for the workers, each
-//     run is built into the Systems its slot's last run finished, so a
-//     sweep makes almost no construction garbage and the collector stays
-//     off the simulation's cores;
+//   - one core.Slot per worker: each run is built into the Systems its
+//     slot's last run finished, while no collection has freed them since,
+//     so a sweep or a daemon's run of requests makes almost no
+//     construction garbage and the collector stays off the simulation's
+//     cores;
 //   - a per-run wall-clock deadline (RunTimeout) and sweep-wide
 //     cancellation via the pool's context: a wedged run becomes a DNF row
 //     with a "timeout" status, never a hung process;
@@ -139,9 +140,7 @@ type Pool struct {
 	// slots holds the idle worker slots, Jobs in all: taking one is the
 	// pool's admission to run, and each slot's memory is the Systems its
 	// last run finished (core.Slot), which its next run is built into.
-	// waiting counts the chunks blocked on a slot (see release).
-	slots   chan *core.Slot
-	waiting atomic.Int32
+	slots chan *core.Slot
 
 	replay ReplayStats // what resume found besides valid records; set by New
 
@@ -364,16 +363,13 @@ func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, ou
 	defer stop()
 
 	var results []Outcome
-	p.waiting.Add(1)
 	select {
 	case slot := <-p.slots:
-		p.waiting.Add(-1)
 		if runCtx.Err() == nil {
 			results = p.execute(runCtx, slot, cfgs, claims)
 		}
-		p.release(slot)
+		p.slots <- slot
 	case <-runCtx.Done():
-		p.waiting.Add(-1)
 	}
 	for j, c := range claims {
 		out := canceledOutcome(cfgs[c.idx], c.key, runCtx.Err())
@@ -383,19 +379,6 @@ func (p *Pool) runChunk(ctx context.Context, cfgs []core.Config, chunk []int, ou
 		outs[c.idx] = p.publish(runCtx, c, out)
 	}
 	return left
-}
-
-// release returns a worker slot to the pool. The slot keeps its Systems
-// only while another chunk waits for a slot, as in a sweep's batch, where
-// the next run is built into them. With none waiting the pool is between
-// bursts of work, as a daemon is between requests, and the slot drops its
-// memory: held across the gap it would only raise the live heap that the
-// collector paces the rest of the process by.
-func (p *Pool) release(slot *core.Slot) {
-	if p.waiting.Load() == 0 {
-		slot = &core.Slot{}
-	}
-	p.slots <- slot
 }
 
 // settle resolves one leftover as a solo chunk. While its key is in flight

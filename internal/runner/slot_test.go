@@ -51,10 +51,9 @@ func slotSequence(t *testing.T) []core.Config {
 // TestPoolSlotsMatchFresh runs the slot sequence through a 2-job pool with
 // no entry-point hooks, so every chunk runs on a worker slot. Two
 // submitters each send the whole sequence, two seeds a step, as one batch
-// at once: chunks queue for the slots, so each slot keeps its Systems and
-// builds the next chunk, whatever its configuration, into whatever it ran
-// last. Every outcome must equal a fresh core.Run of its config, verdict
-// included.
+// at once, so each slot builds the next chunk, whatever its configuration,
+// into whatever it ran last unless a collection freed it in between. Every
+// outcome must equal a fresh core.Run of its config, verdict included.
 func TestPoolSlotsMatchFresh(t *testing.T) {
 	p := newPool(t, Options{Jobs: 2})
 	seq := slotSequence(t)
