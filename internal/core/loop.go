@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/fault"
+	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/reuse"
@@ -69,8 +70,9 @@ func (b bitset) empty() bool {
 //     MC doing real work) pays the component up to the current count first
 //     and then clears its wake, so no elided window ever spans an event.
 //
-// Cores keep the wake as a bit: a core is awake (ticked on core edges) or
-// dormant (asleep with an empty out-queue, woken only by a fill).
+// A core is in exactly one place: awake (ticked on every core edge), filed
+// in the timer wheel slot of its finite horizon, or dormant untimed (its
+// horizon is NeverCycle; only a fill or a pop wakes it).
 type loop struct {
 	buf     []timing.Domain
 	maxIcnt uint64
@@ -78,8 +80,14 @@ type loop struct {
 
 	coreCred []uint64
 	awake    bitset // cores ticked on core edges; the rest are dormant
-	outbound bitset // cores with a non-empty out-queue
-	doneSet  bitset // cores observed Done (completion is monotonic)
+	// wheel holds one core set per slot, len(awake) words each: slot
+	// c&wheelMask holds the cores whose horizon is core count c. It has a
+	// power-of-two number of slots, at least Config.Core.IssueCycles(), so
+	// every finite horizon lands in a slot that fires no earlier than it.
+	wheel     bitset
+	wheelMask uint64
+	outbound  bitset // cores with a non-empty out-queue
+	doneSet   bitset // cores observed Done (completion is monotonic)
 
 	netCred  uint64
 	netWake  uint64
@@ -107,12 +115,18 @@ type loop struct {
 func (s *System) initLoop(spare *loop) {
 	nc, nm := len(s.cores), len(s.mcs)
 	nodes := s.backend.NumNodes()
+	words := (nc + 63) / 64
+	slots := 1 << bits.Len(uint(s.cfg.Core.IssueCycles()-1))
+	// awake and the wheel share one array: awake first, then the slots.
+	sets := reuse.Slice(spare.awake[:cap(spare.awake)], (1+slots)*words)
 	s.loop = loop{
 		buf:       reuse.Keep(spare.buf, timing.NumDomains)[:0],
 		maxIcnt:   s.cfg.MaxIcntCycles,
 		elide:     !s.cfg.NoIdleSkip,
 		coreCred:  reuse.Slice(spare.coreCred, nc),
-		awake:     reuseBitset(spare.awake, nc),
+		awake:     sets[:words],
+		wheel:     sets[words:],
+		wheelMask: uint64(slots - 1),
 		outbound:  reuseBitset(spare.outbound, nc),
 		doneSet:   reuseBitset(spare.doneSet, nc),
 		icntCred:  reuse.Slice(spare.icntCred, nm),
@@ -230,25 +244,44 @@ func (s *System) payAll() {
 	}
 }
 
-// wakeCore pays core i up to the current core-domain count and marks it
-// awake, so an external event (fill delivery, popped request) never lands
-// inside an elided window. On an awake, caught-up core it is a no-op.
+// wheelSlot returns the wheel slot that fires on core count cycle.
+func (s *System) wheelSlot(cycle uint64) bitset {
+	n := uint64(len(s.awake))
+	k := (cycle & s.wheelMask) * n
+	return s.wheel[k : k+n]
+}
+
+// wakeCore takes a dormant core i out of its wheel slot, pays it up to the
+// current core-domain count and marks it awake, so an external event (fill
+// delivery, popped request) never lands inside an elided window. An awake
+// core is already paid up to the count, so it is left as it is.
 func (s *System) wakeCore(i int) {
+	if s.awake.has(i) {
+		return
+	}
+	c := s.cores[i]
+	// Nothing has changed the core since it was filed, so its horizon still
+	// names its slot.
+	if h := c.NextWorkCycle(); h != gpu.NeverCycle {
+		s.wheelSlot(h).clear(i)
+	}
 	cc := s.sched.Cycles(timing.DomainCore)
 	if k := cc - s.coreCred[i]; k > 0 {
-		s.cores[i].SkipAhead(k)
+		c.SkipAhead(k)
 		s.coreCred[i] = cc
 	}
 	s.awake.set(i)
 }
 
 // settleCore runs after every event that can change core i — a tick, a
-// fill, an injection attempt. It records whether the core has a request to
-// send and, with nothing to send, whether it has finished (a core finishes
-// only inside a tick or a pop, so recording it here keeps done() exact) and
-// whether its horizon is NeverCycle. With elision on, such a core goes to
-// sleep: no tick does anything until the next fill, and wakeCore pays the
-// elided cycles then.
+// fill, an injection attempt — while the core is awake and paid up to the
+// core count. It records whether the core has a request to send and, with
+// nothing to send, whether it has finished (a core finishes only inside a
+// tick or a pop, so recording it here keeps done() exact). With elision on,
+// such a core whose next working tick is not the next core edge leaves the
+// awake set: filed in the wheel slot of its horizon, or untimed when only a
+// fill can wake it. No tick before then does anything SkipAhead does not
+// credit, and the wheel or wakeCore pays the elided cycles.
 func (s *System) settleCore(i int) {
 	c := s.cores[i]
 	if _, ok := c.PeekRequest(); ok {
@@ -259,20 +292,36 @@ func (s *System) settleCore(i int) {
 	if !s.doneSet.has(i) && c.Done() {
 		s.doneSet.set(i)
 	}
-	if s.elide && c.Asleep() {
+	if !s.elide {
+		return
+	}
+	if h := c.NextWorkCycle(); h > s.coreCred[i]+1 {
 		s.awake.clear(i)
+		if h != gpu.NeverCycle {
+			s.wheelSlot(h).set(i)
+		}
 	}
 }
 
-// coreEdge runs the core-domain edge: every awake core ticks. An awake core
-// was ticked on the previous core edge or paid up to it when woken, so this
-// tick is the only cycle it is owed.
+// coreEdge runs the core-domain edge: the cores filed for this count join
+// the awake set, and every awake core ticks. A core ticked on the previous
+// edge owes only this tick; a core from the wheel is first paid the idle
+// cycles it slept through.
 func (s *System) coreEdge() {
 	cc := s.sched.Cycles(timing.DomainCore)
+	due := s.wheelSlot(cc)
+	for wi, w := range due {
+		s.awake[wi] |= w
+		due[wi] = 0
+	}
 	for wi, w := range s.awake {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			s.cores[i].Tick()
+			c := s.cores[i]
+			if k := cc - 1 - s.coreCred[i]; k > 0 {
+				c.SkipAhead(k)
+			}
+			c.Tick()
 			s.coreCred[i] = cc
 			s.settleCore(i)
 		}

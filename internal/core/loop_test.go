@@ -24,13 +24,9 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 			t.Fatalf("step %d core %d: outbound bit %v, PeekRequest ok %v", step, i, s.outbound.has(i), out)
 		}
 		if !s.awake.has(i) {
-			if !s.elide {
-				t.Fatalf("step %d core %d: dormant with elision off", step, i)
-			}
-			if c.NextWorkCycle() != gpu.NeverCycle || out {
-				t.Fatalf("step %d core %d: dormant with horizon %d, out-queue non-empty %v",
-					step, i, c.NextWorkCycle(), out)
-			}
+			checkDormantCore(t, s, step, i)
+		} else if filed := wheelSlotsOf(s, i); len(filed) > 0 {
+			t.Fatalf("step %d core %d: awake but filed in wheel slots %v", step, i, filed)
 		}
 		if s.doneSet.has(i) != c.Done() {
 			t.Fatalf("step %d core %d: recorded done %v, Done() %v", step, i, s.doneSet.has(i), c.Done())
@@ -60,12 +56,57 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 	}
 }
 
+// wheelSlotsOf lists the wheel slots that hold core i.
+func wheelSlotsOf(s *System, i int) []uint64 {
+	var slots []uint64
+	for k := uint64(0); k <= s.wheelMask; k++ {
+		if s.wheelSlot(k).has(i) {
+			slots = append(slots, k)
+		}
+	}
+	return slots
+}
+
+// checkDormantCore holds a dormant core to where the loop keeps it: filed
+// in exactly one wheel slot, which fires on a core edge no later than the
+// core's horizon, or untimed with horizon NeverCycle; and with nothing to
+// send either way.
+func checkDormantCore(t *testing.T, s *System, step, i int) {
+	t.Helper()
+	if !s.elide {
+		t.Fatalf("step %d core %d: dormant with elision off", step, i)
+	}
+	c := s.cores[i]
+	if _, out := c.PeekRequest(); out {
+		t.Fatalf("step %d core %d: dormant with a queued request", step, i)
+	}
+	h := c.NextWorkCycle()
+	switch filed := wheelSlotsOf(s, i); len(filed) {
+	case 0:
+		if h != gpu.NeverCycle {
+			t.Fatalf("step %d core %d: dormant untimed with horizon %d", step, i, h)
+		}
+	case 1:
+		// The slot fires on the first core edge past the current count
+		// whose count it holds: the current count's own slot was emptied
+		// when that edge ran.
+		cc := s.sched.Cycles(timing.DomainCore)
+		fires := cc + 1 + ((filed[0] - cc - 1) & s.wheelMask)
+		if fires > h {
+			t.Fatalf("step %d core %d: filed to wake at core count %d, past its horizon %d", step, i, fires, h)
+		}
+	default:
+		t.Fatalf("step %d core %d: filed in wheel slots %v", step, i, filed)
+	}
+}
+
 // TestDormancyInvariants drives lane batches step by step, elision on and
-// off, and checks after every step that a dormant core is asleep with
-// nothing to send, that the outbound set is exactly the cores with a queued
-// request, that the recorded completions are exactly the finished cores,
-// that no credit watermark runs ahead of its domain, that an awake core's
-// watermark is its domain's count (so a core edge never owes it idle
+// off, and checks after every step that a dormant core has nothing to send
+// and is untimed with horizon NeverCycle or filed in one wheel slot that
+// fires by its horizon, that the outbound set is exactly the cores with a
+// queued request, that the recorded completions are exactly the finished
+// cores, that no credit watermark runs ahead of its domain, that an awake
+// core's watermark is its domain's count (so a core edge never owes it idle
 // credit) and that every delivery batch was drained.
 func TestDormancyInvariants(t *testing.T) {
 	hh := quickProfile("HH")

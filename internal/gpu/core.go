@@ -69,6 +69,11 @@ func (c Config) Validate() error {
 	return c.L1.Validate()
 }
 
+// IssueCycles is how many core cycles one warp instruction holds the issue
+// slot: WarpSize/SIMDWidth. A core's finite NextWorkCycle horizon is never
+// more than this many cycles past its cycle count.
+func (c Config) IssueCycles() int { return c.WarpSize / c.SIMDWidth }
+
 // MemRequest is a line-sized message from the core to the memory system:
 // a read (miss fetch) or a write (dirty line write-back).
 type MemRequest struct {
@@ -97,8 +102,6 @@ type Stats struct {
 	WarpInstrs   uint64
 	ScalarInstrs uint64
 	LineAccesses uint64
-	IssueStalls  uint64 // cycles with an issue slot but no ready warp
-	MemStallFull uint64 // memory-unit retries due to MSHR/out-queue pressure
 }
 
 // IPC returns scalar instructions per core cycle.
@@ -250,7 +253,6 @@ func (c *Core) issue() {
 			return
 		}
 	}
-	c.stats.IssueStalls++
 }
 
 // schedPick returns the first ready warp of the issue slot's candidate
@@ -303,7 +305,7 @@ func (c *Core) issueWarp(w int) bool {
 	} else {
 		c.rrNext = (w + 1) % len(c.warps)
 	}
-	c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
+	c.issueCooldown = c.cfg.IssueCycles() - 1
 	c.stats.WarpInstrs++
 	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
 	if ins.Mem {
@@ -339,13 +341,11 @@ func (c *Core) memoryUnit() {
 		// front last failed, so a retry fails the same way: an L1 miss
 		// that neither merges nor allocates. This is the one-tick case of
 		// the credit SkipAhead applies to a skipped window.
-		c.stats.MemStallFull++
 		c.l1.CreditMissRetries(1)
 		return
 	}
 	if !c.tryAccess(*c.memQ.Front()) {
 		c.memBlocked = true
-		c.stats.MemStallFull++
 		return
 	}
 	c.memQ.Pop()
@@ -437,22 +437,17 @@ const NeverCycle = ^uint64(0)
 
 // NextWorkCycle returns a conservative bound on the next cycle count at
 // which Tick would do something beyond the deterministic idle-tick credits
-// that SkipAhead replays (cycle/cooldown/stall counters and blocked
+// that SkipAhead replays (the cycle counter, the issue cooldown and blocked
 // front-of-memQ retries). Until that cycle — or an external DeliverFill /
 // PopRequest, which the caller must treat as invalidating — every Tick is
-// equivalent to a unit of SkipAhead. The closed loop reads only Asleep;
-// this full horizon is the oracle the tests hold Asleep to.
+// equivalent to a unit of SkipAhead. A finite horizon is at most
+// Config.IssueCycles() past the cycle count, so the closed loop can park
+// the core in a timer wheel of that many slots and tick it again then.
 func (c *Core) NextWorkCycle() uint64 {
-	// End-of-kernel flush fires on the next tick.
-	if c.kernelDrained() {
-		return c.stats.Cycles + 1
-	}
-	// An untried (or externally unblocked) memQ front accesses the L1 on
-	// the next tick; a blocked front only retries, which SkipAhead credits.
-	if c.memQ.Len() > 0 && !c.memBlocked {
-		return c.stats.Cycles + 1
-	}
-	if c.pendingWarp >= 0 {
+	// The end-of-kernel flush, an untried (or externally unblocked) memQ
+	// front and a just-issued memory instruction each work on the next
+	// tick; a blocked front only retries, which SkipAhead credits.
+	if c.kernelDrained() || c.memQ.Len() > 0 && !c.memBlocked || c.pendingWarp >= 0 {
 		return c.stats.Cycles + 1
 	}
 	if c.readyMask != 0 {
@@ -465,30 +460,14 @@ func (c *Core) NextWorkCycle() uint64 {
 	return NeverCycle
 }
 
-// Asleep reports NextWorkCycle() == NeverCycle without building the
-// horizon: no warp is ready, no memory instruction is waiting for the L1
-// port, and the end-of-kernel flush is not due. Only a DeliverFill or a
-// PopRequest can wake an asleep core, so a driver may stop ticking it and
-// pay the elided cycles with SkipAhead when one of those arrives.
-func (c *Core) Asleep() bool {
-	return c.readyMask == 0 && c.pendingWarp < 0 &&
-		(c.memQ.Len() == 0 || c.memBlocked) && !c.kernelDrained()
-}
-
 // SkipAhead credits k consecutive idle ticks in O(1), with counters
 // bit-identical to calling Tick k times under NextWorkCycle's guarantee:
-// the cycle counter advances, the issue cooldown drains into issue stalls,
-// and a blocked memQ front accrues its per-cycle retry miss accounting.
+// the cycle counter advances, the issue cooldown drains, and a blocked
+// memQ front accrues its per-cycle retry miss accounting.
 func (c *Core) SkipAhead(k uint64) {
 	c.stats.Cycles += k
-	if uint64(c.issueCooldown) >= k {
-		c.issueCooldown -= int(k)
-	} else {
-		c.stats.IssueStalls += k - uint64(c.issueCooldown)
-		c.issueCooldown = 0
-	}
+	c.issueCooldown -= int(min(k, uint64(c.issueCooldown)))
 	if c.memQ.Len() > 0 {
-		c.stats.MemStallFull += k
 		c.l1.CreditMissRetries(k)
 	}
 }

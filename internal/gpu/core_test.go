@@ -295,7 +295,9 @@ func TestOutQueueBackpressureStallsCore(t *testing.T) {
 	if c.Done() {
 		t.Error("core finished without any memory service")
 	}
-	if c.Stats().MemStallFull == 0 {
+	// A failed L1 access (and each credited retry of it) counts a miss but
+	// no line access.
+	if l1 := c.L1Stats(); l1.Hits+l1.Misses <= c.Stats().LineAccesses {
 		t.Error("no memory stalls recorded under backpressure")
 	}
 }
@@ -373,8 +375,7 @@ func TestGTOGreedyOnComputeKernel(t *testing.T) {
 
 // checkDerivedState rebuilds readyMask, pendingWarp and busyWarps from the
 // per-warp state they summarize and requires equality; it is the scan the
-// masks replaced, kept as the oracle. It also holds Asleep to its definition,
-// NextWorkCycle() == NeverCycle.
+// masks replaced, kept as the oracle.
 func checkDerivedState(t *testing.T, c *Core, when string) {
 	t.Helper()
 	var ready uint64
@@ -406,9 +407,6 @@ func checkDerivedState(t *testing.T, c *Core, when string) {
 	}
 	if c.gen.AllDone() != allDone {
 		t.Fatalf("%s: gen.AllDone() = %v, per-warp Done says %v", when, c.gen.AllDone(), allDone)
-	}
-	if asleep, never := c.Asleep(), c.NextWorkCycle() == NeverCycle; asleep != never {
-		t.Fatalf("%s: Asleep() = %v but NextWorkCycle() == NeverCycle is %v", when, asleep, never)
 	}
 }
 
@@ -572,8 +570,8 @@ func TestMidScanRetirement(t *testing.T) {
 				t.Errorf("exhausted warp %d not retired", tc.exhausted)
 			}
 			st := c.Stats()
-			if st.WarpInstrs != 1 || st.IssueStalls != 0 {
-				t.Fatalf("warp instrs = %d, issue stalls = %d; want the slot used once", st.WarpInstrs, st.IssueStalls)
+			if st.WarpInstrs != 1 {
+				t.Fatalf("warp instrs = %d; want the slot used once", st.WarpInstrs)
 			}
 			issued := c.rrNext // GTO parks rrNext on the issuing warp
 			if tc.sched == SchedRR {
@@ -682,7 +680,7 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 			requireTwins("at the block")
 
 			const n = 200
-			before := credited.Stats()
+			before, l1Before := credited.Stats(), credited.L1Stats()
 			for i := 0; i < n; i++ {
 				credited.Tick()
 				retried.memBlocked = false // force the real tryAccess
@@ -692,10 +690,12 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 				}
 				requireTwins("while blocked")
 			}
-			after := credited.Stats()
-			if after.MemStallFull != before.MemStallFull+n || after.LineAccesses != before.LineAccesses {
-				t.Errorf("%d blocked ticks moved MemStallFull %d -> %d, LineAccesses %d -> %d",
-					n, before.MemStallFull, after.MemStallFull, before.LineAccesses, after.LineAccesses)
+			after, l1After := credited.Stats(), credited.L1Stats()
+			if l1After.Misses != l1Before.Misses+n || l1After.Hits != l1Before.Hits ||
+				after.LineAccesses != before.LineAccesses {
+				t.Errorf("%d blocked ticks moved L1 misses %d -> %d, hits %d -> %d, LineAccesses %d -> %d",
+					n, l1Before.Misses, l1After.Misses, l1Before.Hits, l1After.Hits,
+					before.LineAccesses, after.LineAccesses)
 			}
 
 			// An external event re-arms a real attempt, which now succeeds.
@@ -707,10 +707,98 @@ func TestBlockedRetryCreditMatchesAccess(t *testing.T) {
 				c.Tick()
 			}
 			requireTwins("after re-arm")
-			if got := credited.Stats(); got.LineAccesses != after.LineAccesses+1 || got.MemStallFull != after.MemStallFull {
-				t.Errorf("re-armed tick: LineAccesses %d -> %d, MemStallFull %d -> %d; want one real access",
-					after.LineAccesses, got.LineAccesses, after.MemStallFull, got.MemStallFull)
+			got, l1Got := credited.Stats(), credited.L1Stats()
+			if got.LineAccesses != after.LineAccesses+1 ||
+				l1Got.Hits+l1Got.Misses != l1After.Hits+l1After.Misses+1 {
+				t.Errorf("re-armed tick: LineAccesses %d -> %d, L1 lookups %d -> %d; want one real access",
+					after.LineAccesses, got.LineAccesses,
+					l1After.Hits+l1After.Misses, l1Got.Hits+l1Got.Misses)
 			}
 		})
+	}
+}
+
+// TestIdleTickMatchesSkipAhead holds NextWorkCycle to the idle-horizon
+// contract the closed loop trusts when it parks a core: while the horizon
+// is past the next cycle, a Tick is one unit of SkipAhead. Twin cores run
+// in lockstep under the same pops and fills; whenever the horizon says the
+// next tick is idle, one twin ticks and the other is credited, and the two
+// must stay equal in every field. Both horizon kinds must occur: a finite
+// one (the issue cooldown) and NeverCycle (only a fill wakes the core).
+func TestIdleTickMatchesSkipAhead(t *testing.T) {
+	compute := testProfile()
+	compute.Warps, compute.MemFraction = 8, 0
+	stream := testProfile()
+	stream.Warps, stream.MemFraction, stream.Sequential, stream.Reuse = 8, 0.6, 1, 0
+	for _, tc := range []struct {
+		name     string
+		prof     workload.Profile
+		outCap   int
+		popEvery uint64 // drain one request every popEvery cycles
+		untimed  bool   // the profile must reach a NeverCycle horizon
+		blocked  bool   // and must credit ticks behind a blocked memQ front
+	}{
+		{"compute", compute, 16, 1, false, false},
+		{"streaming", stream, 16, 1, true, false},
+		{"blocked-front", stream, 2, 9, true, true},
+	} {
+		for _, sched := range []Scheduler{SchedRR, SchedGTO} {
+			t.Run(tc.name+"/"+[]string{"rr", "gto"}[sched], func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Scheduler, cfg.OutQueueCap = sched, tc.outCap
+				ticked := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 9))
+				credited := MustNew(cfg, workload.MustNewGenerator(tc.prof, 0, 1, 9))
+				both := []*Core{ticked, credited}
+				type fill struct {
+					line addr.Address
+					due  uint64
+				}
+				var fills []fill
+				var timed, never, blocked int
+				for cyc := uint64(1); !ticked.Done(); cyc++ {
+					if cyc > 2_000_000 {
+						t.Fatal("core did not finish")
+					}
+					if h := ticked.NextWorkCycle(); h > ticked.Stats().Cycles+1 {
+						if h == NeverCycle {
+							never++
+						} else {
+							timed++
+						}
+						if ticked.memBlocked {
+							blocked++
+						}
+						ticked.Tick()
+						credited.SkipAhead(1)
+					} else {
+						ticked.Tick()
+						credited.Tick()
+					}
+					if !reflect.DeepEqual(ticked, credited) {
+						t.Fatalf("cycle %d: the credited twin diverges from the ticked one", cyc)
+					}
+					if cyc%tc.popEvery == 0 {
+						for _, c := range both {
+							if req, ok := c.PopRequest(); ok && !req.Write && c == ticked {
+								fills = append(fills, fill{req.Line, cyc + 80})
+							}
+						}
+					}
+					for len(fills) > 0 && fills[0].due <= cyc {
+						for _, c := range both {
+							c.DeliverFill(fills[0].line)
+						}
+						fills = fills[1:]
+					}
+				}
+				if timed == 0 || (never == 0) == tc.untimed {
+					t.Errorf("idle ticks credited: %d timed, %d untimed; want timed ones and untimed ones iff %v",
+						timed, never, tc.untimed)
+				}
+				if tc.blocked && blocked == 0 {
+					t.Error("no idle tick was credited behind a blocked memQ front")
+				}
+			})
+		}
 	}
 }
