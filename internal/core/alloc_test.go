@@ -11,7 +11,7 @@ import (
 // TestClosedLoopSteadyStateAllocatesNothing is the closed-loop allocation
 // gate: once a bandwidth-bound run has warmed up (every ring, pool and scratch
 // slice grown to its working size), a step of the cycle loop — core,
-// interconnect and DRAM edges, request injection, the delivered-set drain,
+// interconnect and DRAM edges, request injection, the delivery drain,
 // the health check and the wake-horizon reads — must not touch the heap, on
 // the baseline mesh, the throughput-effective double network and the
 // perfect (ideal) network alike.

@@ -29,8 +29,8 @@ func ctxCondition(err error) (string, error) {
 	return StatusCanceled, fault.ErrCanceled
 }
 
-// bitset is a fixed-size set over small non-negative indices (cores, nodes,
-// delivery slots), iterated in ascending order.
+// bitset is a fixed-size set over small non-negative indices (cores),
+// iterated in ascending order.
 type bitset []uint64
 
 // reuseBitset returns an empty set over [0, n) on b's words where they fit.
@@ -96,12 +96,11 @@ type loop struct {
 	dramCred []uint64 // per MC, DRAM side
 	dramWake []uint64
 
-	// Delivery scratch: the network ORs its undrained-batch nodes into
-	// delivered, which slotOf maps into slots — cores by index, then MCs by
-	// index — so draining visits exactly the polled order.
-	delivered bitset
-	slots     bitset
-	slotOf    []int
+	// Delivery scratch: slotOf maps a node to its receiver — cores by
+	// index, then MCs by index — and filled holds the cores a drain landed
+	// fills on, settled once the drain is done.
+	slotOf []int
+	filled bitset
 
 	res      Result
 	runErr   error
@@ -133,9 +132,8 @@ func (s *System) initLoop(spare *loop) {
 		icntWake:  reuse.Slice(spare.icntWake, nm),
 		dramCred:  reuse.Slice(spare.dramCred, nm),
 		dramWake:  reuse.Slice(spare.dramWake, nm),
-		delivered: reuseBitset(spare.delivered, nodes),
-		slots:     reuseBitset(spare.slots, nc+nm),
 		slotOf:    reuse.Slice(spare.slotOf, nodes),
+		filled:    reuseBitset(spare.filled, nc),
 	}
 	if s.maxIcnt == 0 {
 		s.maxIcnt = defaultMaxIcntCycles
@@ -451,52 +449,35 @@ func (s *System) injectRequests() {
 }
 
 // drainDeliveries hands the cycle's delivered packets to their cores and
-// MCs, paying and waking each receiver before its delivery lands. Only the
-// nodes the network flags are visited, in the polled order — cores by
-// index, then MCs by index — so pool recycling, and with it every result,
-// is what polling every node produced.
+// MCs in ejection order, paying and waking each receiver before its delivery
+// lands, then settles every core that took a fill. Receivers share no state
+// and the pool zeroes every packet it hands out, so only each receiver's own
+// order matters, and the network keeps that.
 func (s *System) drainDeliveries(ic uint64) {
-	clear(s.delivered)
-	s.net.DeliveredSet(s.delivered)
-	for wi, w := range s.delivered {
-		for ; w != 0; w &= w - 1 {
-			s.slots.set(s.slotOf[wi<<6+bits.TrailingZeros64(w)])
-		}
-	}
 	nc := len(s.cores)
-	for wi, w := range s.slots {
-		s.slots[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			k := wi<<6 + bits.TrailingZeros64(w)
-			if k < nc {
-				s.deliverFills(k)
-				continue
+	for _, pkt := range s.net.Delivered() {
+		if i := s.slotOf[pkt.Dst]; i < nc {
+			if pkt.Class != noc.ClassReply {
+				panic(fmt.Sprintf("core: compute node %d received non-reply packet %d", pkt.Dst, pkt.ID))
 			}
-			j := k - nc
-			for _, pkt := range s.net.Delivered(s.mcNodes[j]) {
-				if n := ic - s.icntCred[j]; n > 0 {
-					s.mcs[j].SkipIcnt(n)
-					s.icntCred[j] = ic
-				}
-				s.icntWake[j] = 0 // a queued request means work on the next edge
-				s.mcs[j].AcceptRequest(pkt)
-				s.pool.Put(pkt)
+			s.wakeCore(i)
+			s.cores[i].DeliverFill(addr.Address(pkt.Line))
+			s.filled.set(i)
+		} else {
+			j := i - nc
+			if n := ic - s.icntCred[j]; n > 0 {
+				s.mcs[j].SkipIcnt(n)
+				s.icntCred[j] = ic
 			}
+			s.icntWake[j] = 0 // a queued request means work on the next edge
+			s.mcs[j].AcceptRequest(pkt)
 		}
-	}
-}
-
-// deliverFills lands core i's delivered replies as L1 fills.
-func (s *System) deliverFills(i int) {
-	node := s.coreNodes[i]
-	c := s.cores[i]
-	for _, pkt := range s.net.Delivered(node) {
-		if pkt.Class != noc.ClassReply {
-			panic(fmt.Sprintf("core: compute node %d received non-reply packet %d", node, pkt.ID))
-		}
-		s.wakeCore(i)
-		c.DeliverFill(addr.Address(pkt.Line))
 		s.pool.Put(pkt)
 	}
-	s.settleCore(i)
+	for wi, w := range s.filled {
+		s.filled[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			s.settleCore(wi<<6 + bits.TrailingZeros64(w))
+		}
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"testing"
 
 	"repro/internal/gpu"
@@ -47,12 +46,8 @@ func checkLoopInvariants(t *testing.T, s *System, step int) {
 				step, j, s.icntCred[j], s.dramCred[j], ic, dc)
 		}
 	}
-	set := reuseBitset(nil, s.backend.NumNodes())
-	s.net.DeliveredSet(set)
-	for wi, w := range set {
-		if w != 0 {
-			t.Fatalf("step %d: node %d holds an undrained delivery batch", step, wi<<6+bits.TrailingZeros64(w))
-		}
+	if d := s.net.Delivered(); len(d) != 0 {
+		t.Fatalf("step %d: %d undrained deliveries, the first at node %d", step, len(d), d[0].Dst)
 	}
 }
 
@@ -158,22 +153,14 @@ func TestDormancyInvariants(t *testing.T) {
 	}
 }
 
-// requestAtCore is a stub network that hands compute node `node` a
+// requestAtCore is a stub network that hands a compute node a
 // request-class packet, which the loop must reject.
 type requestAtCore struct {
 	noc.Network
-	node noc.NodeID
-	pkt  noc.Packet
+	pkt noc.Packet
 }
 
-func (n *requestAtCore) DeliveredSet(dst []uint64) { dst[n.node>>6] |= 1 << (uint(n.node) & 63) }
-
-func (n *requestAtCore) Delivered(node noc.NodeID) []*noc.Packet {
-	if node != n.node {
-		return nil
-	}
-	return []*noc.Packet{&n.pkt}
-}
+func (n *requestAtCore) Delivered() []*noc.Packet { return []*noc.Packet{&n.pkt} }
 
 // TestNonReplyAtComputeNodePanics pins the loop's protocol check: a compute
 // node can only receive replies, and the panic names the node and packet.
@@ -183,7 +170,7 @@ func TestNonReplyAtComputeNodePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := s.coreNodes[3]
-	s.net = &requestAtCore{Network: s.net, node: node, pkt: noc.Packet{ID: 42, Class: noc.ClassRequest}}
+	s.net = &requestAtCore{Network: s.net, pkt: noc.Packet{ID: 42, Dst: node, Class: noc.ClassRequest}}
 	want := fmt.Sprintf("core: compute node %d received non-reply packet 42", node)
 	defer func() {
 		if r := recover(); r != want {

@@ -27,11 +27,16 @@ type loseOneRead struct {
 	lost bool
 }
 
-func (l *loseOneRead) Delivered(node noc.NodeID) []*noc.Packet {
-	batch := l.Network.Delivered(node)
-	if !l.lost && len(batch) > 0 && batch[0].Class == noc.ClassRequest && !batch[0].Write {
-		l.lost = true
-		return batch[1:]
+func (l *loseOneRead) Delivered() []*noc.Packet {
+	batch := l.Network.Delivered()
+	if l.lost {
+		return batch
+	}
+	for i, p := range batch {
+		if p.Class == noc.ClassRequest && !p.Write {
+			l.lost = true
+			return append(batch[:i], batch[i+1:]...)
+		}
 	}
 	return batch
 }
@@ -40,8 +45,8 @@ func (l *loseOneRead) Delivered(node noc.NodeID) []*noc.Packet {
 // request, a delivery the closed loop treats as a simulator bug.
 type misdeliver struct{ noc.Network }
 
-func (m misdeliver) Delivered(node noc.NodeID) []*noc.Packet {
-	batch := m.Network.Delivered(node)
+func (m misdeliver) Delivered() []*noc.Packet {
+	batch := m.Network.Delivered()
 	for _, p := range batch {
 		if p.Class == noc.ClassReply {
 			p.Class = noc.ClassRequest

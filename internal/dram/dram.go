@@ -82,10 +82,8 @@ type bank struct {
 
 // Stats aggregates controller activity.
 type Stats struct {
-	Reads, Writes    uint64
-	RowHits, RowMiss uint64
-	BusBusyCycles    uint64
-	ActiveCycles     uint64 // cycles with pending or in-flight work
+	BusBusyCycles uint64
+	ActiveCycles  uint64 // cycles with pending or in-flight work
 }
 
 // Efficiency is the paper's DRAM-efficiency metric: the fraction of cycles
@@ -351,10 +349,7 @@ func (c *Controller) issue(q *queued, rowHit bool) {
 	t := &c.cfg.Timing
 	b := &c.banks[q.bank]
 	casAt := c.now
-	if rowHit {
-		c.stats.RowHits++
-	} else {
-		c.stats.RowMiss++
+	if !rowHit {
 		actAt := c.now
 		if b.rowOpen {
 			// Precharge first: respect tRAS since activate.
@@ -386,11 +381,6 @@ func (c *Controller) issue(q *queued, rowHit bool) {
 	// activate timing is enforced via lastActAt. Approximate bank busy
 	// until the burst completes.
 	b.readyAt = dataEnd
-	if q.req.IsWrite {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
 	c.inflight = append(c.inflight, inflight{req: q.req, doneAt: dataEnd})
 	c.doneDue = min(c.doneDue, dataEnd)
 }

@@ -99,7 +99,6 @@ const maxWarps = 64
 // Stats counts core activity.
 type Stats struct {
 	Cycles       uint64
-	WarpInstrs   uint64
 	ScalarInstrs uint64
 	LineAccesses uint64
 }
@@ -306,7 +305,6 @@ func (c *Core) issueWarp(w int) bool {
 		c.rrNext = (w + 1) % len(c.warps)
 	}
 	c.issueCooldown = c.cfg.IssueCycles() - 1
-	c.stats.WarpInstrs++
 	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
 	if ins.Mem {
 		ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)

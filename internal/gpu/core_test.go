@@ -111,9 +111,6 @@ func TestCoreCompletesAllInstructions(t *testing.T) {
 	c := newTestCore(t, testProfile())
 	st := runToCompletion(t, c, 100, 200000)
 	want := uint64(4 * 50)
-	if st.WarpInstrs != want {
-		t.Errorf("warp instrs = %d, want %d", st.WarpInstrs, want)
-	}
 	if st.ScalarInstrs != want*32 {
 		t.Errorf("scalar instrs = %d, want %d", st.ScalarInstrs, want*32)
 	}
@@ -126,9 +123,11 @@ func TestIssueRateCap(t *testing.T) {
 	c := newTestCore(t, p)
 	st := runToCompletion(t, c, 1, 100000)
 	// 200 warp instrs at 1 per 4 cycles: first at cycle 1, last at 4*199+1.
-	if st.Cycles < 4*(st.WarpInstrs-1)+1 {
+	// Each retires ActiveThreads scalar instrs.
+	warpInstrs := st.ScalarInstrs / uint64(p.ActiveThreads)
+	if st.Cycles < 4*(warpInstrs-1)+1 {
 		t.Errorf("issued %d warp instrs in %d cycles; cap is 1 per 4",
-			st.WarpInstrs, st.Cycles)
+			warpInstrs, st.Cycles)
 	}
 	if got := st.IPC(); got > 8.05 {
 		t.Errorf("IPC %v exceeds peak 8 scalar/cycle", got)
@@ -345,8 +344,8 @@ func TestGTOSchedulerCompletes(t *testing.T) {
 	cfg.Scheduler = SchedGTO
 	c := MustNew(cfg, gen)
 	st := runToCompletion(t, c, 120, 500000)
-	if st.WarpInstrs != uint64(p.Warps*p.InstrsPerWarp) {
-		t.Errorf("GTO issued %d warp instrs, want %d", st.WarpInstrs, p.Warps*p.InstrsPerWarp)
+	if want := uint64(p.Warps * p.InstrsPerWarp * p.ActiveThreads); st.ScalarInstrs != want {
+		t.Errorf("GTO issued %d scalar instrs, want %d", st.ScalarInstrs, want)
 	}
 }
 
@@ -454,8 +453,8 @@ func TestReadyMaskMatchesWarpState(t *testing.T) {
 					fills = fills[1:]
 				}
 			}
-			if got, want := c.Stats().WarpInstrs, uint64(tc.prof.Warps*tc.prof.InstrsPerWarp); got != want {
-				t.Errorf("warp instrs = %d, want %d", got, want)
+			if got, want := c.Stats().ScalarInstrs, uint64(tc.prof.Warps*tc.prof.InstrsPerWarp*tc.prof.ActiveThreads); got != want {
+				t.Errorf("scalar instrs = %d, want %d", got, want)
 			}
 		})
 	}
@@ -570,8 +569,8 @@ func TestMidScanRetirement(t *testing.T) {
 				t.Errorf("exhausted warp %d not retired", tc.exhausted)
 			}
 			st := c.Stats()
-			if st.WarpInstrs != 1 {
-				t.Fatalf("warp instrs = %d; want the slot used once", st.WarpInstrs)
+			if st.ScalarInstrs != uint64(p.ActiveThreads) {
+				t.Fatalf("scalar instrs = %d; want the slot used once (%d)", st.ScalarInstrs, p.ActiveThreads)
 			}
 			issued := c.rrNext // GTO parks rrNext on the issuing warp
 			if tc.sched == SchedRR {

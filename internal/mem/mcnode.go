@@ -61,10 +61,8 @@ func DefaultConfig() Config {
 
 // Stats aggregates MC activity.
 type Stats struct {
-	Writes          uint64
-	RepliesInjected uint64
-	StallCycles     uint64 // cycles a ready reply was refused by the network
-	Cycles          uint64 // interconnect cycles observed
+	StallCycles uint64 // cycles a ready reply was refused by the network
+	Cycles      uint64 // interconnect cycles observed
 }
 
 // StallFraction returns stalled cycles over all cycles (Fig 11's metric).
@@ -187,7 +185,6 @@ func (m *MCNode) serviceOne(cycle uint64) {
 	}
 	req := *m.inQ.Front()
 	if req.write {
-		m.stats.Writes++
 		// Write-backs carry a full line: write-validate without fetching.
 		if !m.l2.Access(req.line, true) {
 			if victim, wb := m.l2.Fill(req.line, true); wb {
@@ -235,7 +232,6 @@ func (m *MCNode) injectReplies(cycle uint64, net noc.Network) {
 			m.stats.StallCycles++
 			return
 		}
-		m.stats.RepliesInjected++
 		m.replyQ.Pop()
 	}
 }

@@ -32,23 +32,19 @@ func driveProtocol(t *testing.T, m *Mesh, cycles int) string {
 				inflight[i]++
 			}
 		}
-		for _, mc := range mcs {
-			for _, pkt := range m.Delivered(mc) {
+		for _, pkt := range m.Delivered() {
+			if pkt.Class == ClassRequest {
 				r := pool.Get()
-				r.Src, r.Dst = mc, pkt.Src
+				r.Src, r.Dst = pkt.Dst, pkt.Src
 				r.Class, r.Bytes = ClassReply, 64
 				r.Line = pkt.Line
 				if !m.TryInject(r) {
 					pool.Put(r)
 				}
-				pool.Put(pkt)
-			}
-		}
-		for _, node := range comp {
-			for _, pkt := range m.Delivered(node) {
+			} else {
 				inflight[pkt.Line]--
-				pool.Put(pkt)
 			}
+			pool.Put(pkt)
 		}
 		m.Tick()
 	}

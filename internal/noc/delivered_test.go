@@ -1,27 +1,29 @@
 package noc
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// deliveredSetCase is one Network under the delivered-set oracle, with the
-// node roles its random traffic runs between.
-type deliveredSetCase struct {
+// deliveryCase is one Network under the delivery-list oracle, with the node
+// roles its random traffic runs between.
+type deliveryCase struct {
 	name      string
 	net       Network
 	comp, mcs []NodeID
 	nodes     int
 }
 
-func deliveredSetCases(t *testing.T) []deliveredSetCase {
+func deliveryCases(t *testing.T) []deliveryCase {
 	t.Helper()
-	var cases []deliveredSetCase
+	var cases []deliveryCase
 	mesh := func(name string, cfg Config) {
 		m := MustNewMesh(cfg)
 		b := m.Backend()
-		cases = append(cases, deliveredSetCase{name, m, b.ComputeNodes(), b.MCs(), b.NumNodes()})
+		cases = append(cases, deliveryCase{name, m, b.ComputeNodes(), b.MCs(), b.NumNodes()})
 	}
 	backends := backendConfigs()
 	mesh("mesh", backends["mesh"])
@@ -40,7 +42,7 @@ func deliveredSetCases(t *testing.T) []deliveredSetCase {
 
 	double := func(name string, d *Double) {
 		b := d.Subnet(ClassRequest).Backend()
-		cases = append(cases, deliveredSetCase{name, d, b.ComputeNodes(), b.MCs(), b.NumNodes()})
+		cases = append(cases, deliveryCase{name, d, b.ComputeNodes(), b.MCs(), b.NumNodes()})
 	}
 	double("double-dedicated", MustNewDouble(doubleConfig()))
 	balanced := doubleConfig()
@@ -52,119 +54,110 @@ func deliveredSetCases(t *testing.T) []deliveredSetCase {
 		name string
 		cap  float64
 	}{{"ideal-uncapped", 0}, {"ideal-capped", 2}} {
-		cases = append(cases, deliveredSetCase{c.name, MustNewIdeal(roles.NumNodes(), 16, c.cap),
+		cases = append(cases, deliveryCase{c.name, MustNewIdeal(roles.NumNodes(), 16, c.cap),
 			roles.ComputeNodes(), roles.MCs(), roles.NumNodes()})
 	}
 	return cases
 }
 
-// TestDeliveredSetMatchesBatches is the oracle for the push-style delivery
-// set: after every Tick, and again after draining a random subset of nodes,
-// the set DeliveredSet reports must be exactly the nodes whose Delivered
-// batch is non-empty. It then drives the network as a poll-only consumer
-// (every node drained by Delivered, the set never read) and as one that
-// never drains at all, and requires the set to stay a node-sized bitset
-// holding exactly the undrained nodes.
-func TestDeliveredSetMatchesBatches(t *testing.T) {
-	for _, tc := range deliveredSetCases(t) {
+// TestDeliveredMatchesEjections is the oracle for the delivery list. Random
+// request/reply traffic runs while the consumer drains on a random half of
+// the cycles, then on none until the network goes quiet. Every injected
+// packet must come out of Delivered exactly once, at its Dst; each node's
+// packets must come in non-decreasing ArrivedAt order; a Double batch must
+// list each cycle's packets from slice 0 before those from slice 1; and a
+// drain must leave the list empty. On fault-free networks every ejected
+// flit must belong to a delivered packet at the node that ejected it.
+func TestDeliveredMatchesEjections(t *testing.T) {
+	for _, tc := range deliveryCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			net := tc.net
 			rng := xrand.New(17)
-			words := (tc.nodes + 63) / 64
-			read := func() []uint64 {
-				s := make([]uint64, words) // exactly node-sized: the set never outgrows it
-				net.DeliveredSet(s)
-				return s
-			}
-			has := func(s []uint64, n int) bool { return s[n>>6]&(1<<(uint(n)&63)) != 0 }
-			sent, recv := 0, 0
+			var dsts []NodeID // by tag: the packet's destination at injection
 			inject := func(total int) {
-				if sent >= total {
+				if len(dsts) >= total {
 					return
 				}
-				var p *Packet
-				if sent%2 == 0 {
-					p = &Packet{Src: tc.comp[rng.Intn(len(tc.comp))], Dst: tc.mcs[rng.Intn(len(tc.mcs))],
-						Class: ClassRequest, Bytes: 8}
+				p := &Packet{Line: uint64(len(dsts))} // the tag survives retransmission clones
+				if len(dsts)%2 == 0 {
+					p.Src, p.Dst, p.Class, p.Bytes = tc.comp[rng.Intn(len(tc.comp))], tc.mcs[rng.Intn(len(tc.mcs))], ClassRequest, 8
 				} else {
-					p = &Packet{Src: tc.mcs[rng.Intn(len(tc.mcs))], Dst: tc.comp[rng.Intn(len(tc.comp))],
-						Class: ClassReply, Bytes: 64}
+					p.Src, p.Dst, p.Class, p.Bytes = tc.mcs[rng.Intn(len(tc.mcs))], tc.comp[rng.Intn(len(tc.comp))], ClassReply, 64
 				}
 				if net.TryInject(p) {
-					sent++
+					dsts = append(dsts, p.Dst)
 				}
 			}
 
-			// Phase 1: the set against the batches, with random partial drains.
+			seen := map[uint64]bool{}
+			lastAt := make([]uint64, tc.nodes)
+			ejected := make([]uint64, tc.nodes) // flits of the delivered packets, by Dst
+			drain := func(cycle int) {
+				var want []*Packet
+				if d, ok := net.(*Double); ok {
+					want = append(slices.Clone(d.nets[0].deliv), d.nets[1].deliv...)
+					slices.SortStableFunc(want, func(x, y *Packet) int { return cmp.Compare(x.ArrivedAt, y.ArrivedAt) })
+				}
+				batch := net.Delivered()
+				if want != nil && !slices.Equal(batch, want) {
+					t.Fatalf("cycle %d: Double batch is not in cycle order with slice 0's packets first", cycle)
+				}
+				for _, p := range batch {
+					if p.Line >= uint64(len(dsts)) || seen[p.Line] {
+						t.Fatalf("cycle %d: packet tag %d delivered twice or never injected", cycle, p.Line)
+					}
+					seen[p.Line] = true
+					if p.Dst != dsts[p.Line] {
+						t.Fatalf("cycle %d: packet %d delivered at %d, sent to %d", cycle, p.Line, p.Dst, dsts[p.Line])
+					}
+					if p.ArrivedAt < lastAt[p.Dst] {
+						t.Fatalf("cycle %d node %d: packet arrived at %d after one that arrived at %d",
+							cycle, p.Dst, p.ArrivedAt, lastAt[p.Dst])
+					}
+					lastAt[p.Dst] = p.ArrivedAt
+					ejected[p.Dst] += uint64(p.flits)
+				}
+				if again := net.Delivered(); len(again) != 0 {
+					t.Fatalf("cycle %d: %d packets left after a drain", cycle, len(again))
+				}
+			}
+
+			// Phase 1: drain on a random half of the cycles, so a batch may
+			// hold several cycles' ejections.
 			const phase1 = 1200
-			drained := make([]bool, tc.nodes)
-			for cycle := 0; recv < phase1; cycle++ {
+			for cycle := 0; len(seen) < phase1; cycle++ {
 				if cycle > 200000 {
-					t.Fatalf("delivered %d/%d packets", recv, phase1)
+					t.Fatalf("delivered %d/%d packets", len(seen), phase1)
 				}
 				inject(phase1)
 				inject(phase1)
 				net.Tick()
-				before := read()
-				for n := range drained {
-					drained[n] = rng.Intn(2) == 0
-					if !drained[n] {
-						continue
-					}
-					batch := net.Delivered(NodeID(n))
-					if (len(batch) > 0) != has(before, n) {
-						t.Fatalf("cycle %d node %d: set bit %v but batch holds %d packets",
-							cycle, n, has(before, n), len(batch))
-					}
-					recv += len(batch)
-				}
-				after := read()
-				for n := range drained {
-					if want := has(before, n) && !drained[n]; has(after, n) != want {
-						t.Fatalf("cycle %d node %d: set bit %v after draining a subset, want %v",
-							cycle, n, has(after, n), want)
-					}
+				if rng.Intn(2) == 0 {
+					drain(cycle)
 				}
 			}
 
-			// Phase 2: a poll-only consumer drains every node, never reading
-			// the set; it must come back empty.
+			// Phase 2: nothing drains until the network goes quiet; the one
+			// batch then holds every packet since the last drain.
 			const phase2 = phase1 + 400
-			for cycle := 0; recv < phase2; cycle++ {
-				if cycle > 200000 {
-					t.Fatalf("poll-only phase delivered %d/%d packets", recv, phase2)
-				}
-				inject(phase2)
-				net.Tick()
-				recv += len(collectAll(net, tc.nodes))
-			}
-			for i, w := range read() {
-				if w != 0 {
-					t.Fatalf("poll-only consumer left set word %d = %#x", i, w)
-				}
-			}
-
-			// Phase 3: nothing drains. The set stays node-sized and flags
-			// exactly the nodes holding the piled-up batches.
-			const phase3 = phase2 + 200
-			for cycle := 0; sent < phase3 || !net.Quiet(); cycle++ {
+			cycle := 0
+			for ; len(dsts) < phase2 || !net.Quiet(); cycle++ {
 				if cycle > 200000 {
 					t.Fatal("undrained phase did not go quiet")
 				}
-				inject(phase3)
+				inject(phase2)
 				net.Tick()
 			}
-			set := read()
-			for n := 0; n < tc.nodes; n++ {
-				batch := net.Delivered(NodeID(n))
-				if (len(batch) > 0) != has(set, n) {
-					t.Fatalf("node %d: set bit %v but %d undrained packets", n, has(set, n), len(batch))
-				}
-				recv += len(batch)
+			drain(cycle)
+			if len(seen) != len(dsts) {
+				t.Fatalf("delivered %d packets, injected %d", len(seen), len(dsts))
 			}
-			if recv != phase3 {
-				t.Fatalf("received %d packets, sent %d", recv, phase3)
+			if tc.name == "faults-on" {
+				return // retransmitted and dropped copies eject flits too
+			}
+			if st := net.Stats(); !slices.Equal(st.EjectedFlits, ejected) {
+				t.Fatalf("ejected flits by node %v, delivered packets' flits by Dst %v", st.EjectedFlits, ejected)
 			}
 		})
 	}

@@ -18,11 +18,11 @@ type Double struct {
 	balanced bool
 	rr       []uint8 // per-source slice rotation (balanced mode)
 
-	// deliv[n] is node n's merge buffer for a cycle in which both slices
-	// deliver there, and merged the target Stats refills: both are reused, so
-	// a warmed double network allocates nothing per cycle. counters backs
-	// merged's per-node tallies.
-	deliv    [][]*Packet
+	// deliv is the merge buffer for a batch in which both slices deliver,
+	// and merged the target Stats refills: both are reused, so a warmed
+	// double network allocates nothing per cycle. counters backs merged's
+	// per-node tallies.
+	deliv    []*Packet
 	merged   NetStats
 	counters []uint64
 }
@@ -66,7 +66,7 @@ func (d *Double) Init(cfg Config, balanced bool) error {
 	*d = Double{
 		nets:     d.nets,
 		balanced: balanced,
-		deliv:    reuse.Keep(d.deliv, nodes),
+		deliv:    d.deliv[:0],
 		counters: reuse.Slice(d.counters, 3*nodes),
 	}
 	for c := range d.nets {
@@ -84,9 +84,6 @@ func (d *Double) Init(cfg Config, balanced bool) error {
 	}
 	if balanced {
 		d.rr = reuse.Slice(spareRR, nodes)
-	}
-	for i := range d.deliv {
-		d.deliv[i] = d.deliv[i][:0]
 	}
 	counters := d.counters
 	d.merged.InjectedFlits = carve(&counters, nodes)
@@ -146,25 +143,29 @@ func (d *Double) Tick() {
 	}
 }
 
-// Delivered merges deliveries from both slices, slice 0's first. Like every
-// Network, the batch is valid until the next Delivered call for the node.
-func (d *Double) Delivered(node NodeID) []*Packet {
-	a, b := d.nets[0].Delivered(node), d.nets[1].Delivered(node)
+// Delivered merges deliveries from both slices in ejection order: by
+// arrival cycle, and within a cycle slice 0's before slice 1's, the order
+// Tick runs them in. A batch drained every cycle is slice 0's list followed
+// by slice 1's. Like every Network, the batch is valid until the next
+// Delivered call.
+func (d *Double) Delivered() []*Packet {
+	a, b := d.nets[0].Delivered(), d.nets[1].Delivered()
 	if len(b) == 0 {
 		return a
 	}
 	if len(a) == 0 {
 		return b
 	}
-	d.deliv[node] = append(append(d.deliv[node][:0], a...), b...)
-	return d.deliv[node]
-}
-
-// DeliveredSet ORs both slices' undrained-batch sets into dst; Delivered
-// drains both slices, clearing the node in each.
-func (d *Double) DeliveredSet(dst []uint64) {
-	d.nets[0].DeliveredSet(dst)
-	d.nets[1].DeliveredSet(dst)
+	d.deliv = d.deliv[:0]
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].ArrivedAt < a[0].ArrivedAt {
+			d.deliv, b = append(d.deliv, b[0]), b[1:]
+		} else {
+			d.deliv, a = append(d.deliv, a[0]), a[1:]
+		}
+	}
+	d.deliv = append(append(d.deliv, a...), b...)
+	return d.deliv
 }
 
 // Cycle returns elapsed cycles (slices tick in lockstep).

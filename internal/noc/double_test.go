@@ -49,8 +49,8 @@ func TestDoubleClassSeparation(t *testing.T) {
 		t.Errorf("classes not separated: req net %v, reply net %v",
 			reqStats.InjectedPackets[0], repStats.InjectedPackets[1])
 	}
-	if len(d.Delivered(1)) != 1 || len(d.Delivered(0)) != 1 {
-		t.Error("deliveries missing")
+	if got := d.Delivered(); len(got) != 2 || got[0] != req || got[1] != rep {
+		t.Errorf("delivered %v, want the request (slice 0) then the reply", got)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestDoubleHeavyTrafficDrains(t *testing.T) {
 			}
 		}
 		d.Tick()
-		recv += len(collectAll(d, topo.NumNodes()))
+		recv += len(d.Delivered())
 	}
 	if recv != total {
 		t.Fatalf("delivered %d/%d", recv, total)
@@ -148,7 +148,7 @@ func TestBalancedDoubleDelivers(t *testing.T) {
 			}
 		}
 		d.Tick()
-		recv += len(collectAll(d, topo.NumNodes()))
+		recv += len(d.Delivered())
 	}
 	if recv != total {
 		t.Fatalf("balanced double delivered %d/%d", recv, total)
@@ -188,7 +188,7 @@ func TestBalancedBeatsDedicatedOnReplyHeavyTraffic(t *testing.T) {
 					Class: ClassReply, Bytes: 64})
 			}
 			d.Tick()
-			recv += len(collectAll(d, topo.NumNodes()))
+			recv += len(d.Delivered())
 		}
 		return recv
 	}

@@ -20,14 +20,13 @@ type Ideal struct {
 	cap       float64 // flits/cycle accepted; <= 0 means infinite
 	budget    float64
 	pending   ring.Ring[*Packet] // grows on demand; steady state never reallocates
-	delivered [][]*Packet
-	spare     [][]*Packet // double-buffers delivered batches per node
-	delivSet  activeSet   // nodes whose delivered batch is non-empty
+	deliv     []*Packet
+	spare     []*Packet // double-buffers the delivery list
 	cycle     uint64
 	active    int
 	nextPkt   uint64
 	stats     NetStats
-	counters  []uint64 // backs stats' per-node tallies and delivSet
+	counters  []uint64 // backs stats' per-node tallies
 }
 
 // NewIdeal builds an ideal network over numNodes nodes. flitsPerCycleCap
@@ -41,8 +40,8 @@ func NewIdeal(numNodes, flitBytes int, flitsPerCycleCap float64) (*Ideal, error)
 }
 
 // Init builds n in place, as NewIdeal does, reusing the arrays of n's
-// previous build where their capacity fits; every per-node delivery batch
-// keeps its backing array, emptied.
+// previous build where their capacity fits; the delivery lists keep their
+// backing arrays, emptied.
 func (n *Ideal) Init(numNodes, flitBytes int, flitsPerCycleCap float64) error {
 	if numNodes <= 0 || flitBytes <= 0 {
 		return fmt.Errorf("noc: ideal network needs positive node count and flit size")
@@ -52,20 +51,15 @@ func (n *Ideal) Init(numNodes, flitBytes int, flitsPerCycleCap float64) error {
 		flitBytes: flitBytes,
 		cap:       flitsPerCycleCap,
 		pending:   n.pending,
-		delivered: reuse.Keep(n.delivered, numNodes),
-		spare:     reuse.Keep(n.spare, numNodes),
-		counters:  reuse.Slice(n.counters, 3*numNodes+(numNodes+63)/64),
+		deliv:     n.deliv[:0],
+		spare:     n.spare[:0],
+		counters:  reuse.Slice(n.counters, 3*numNodes),
 	}
 	n.pending.Init(16, 0)
-	for i := range n.delivered {
-		n.delivered[i] = n.delivered[i][:0]
-		n.spare[i] = n.spare[i][:0]
-	}
 	counters := n.counters
 	n.stats.InjectedFlits = carve(&counters, numNodes)
 	n.stats.InjectedPackets = carve(&counters, numNodes)
 	n.stats.EjectedFlits = carve(&counters, numNodes)
-	n.delivSet.words = counters
 	return nil
 }
 
@@ -120,8 +114,7 @@ func (n *Ideal) Tick() {
 		}
 		p.InjectedAt = n.cycle
 		p.ArrivedAt = n.cycle
-		n.delivered[p.Dst] = append(n.delivered[p.Dst], p)
-		n.delivSet.set(int(p.Dst))
+		n.deliv = append(n.deliv, p)
 		n.stats.InjectedFlits[p.Src] += uint64(flits)
 		n.stats.InjectedPackets[p.Src]++
 		n.stats.InjectedBytes += uint64(p.Bytes)
@@ -131,22 +124,14 @@ func (n *Ideal) Tick() {
 	}
 }
 
-// Delivered returns and clears packets delivered at node. The batch is
-// double-buffered per node: the returned slice is valid until the next
-// Delivered call for the same node.
-func (n *Ideal) Delivered(node NodeID) []*Packet {
-	out := n.delivered[node]
-	n.delivered[node] = n.spare[node][:0]
-	n.spare[node] = out
-	n.delivSet.clear(int(node))
+// Delivered returns and clears the packets delivered since the last call,
+// in delivery order. The list is double-buffered: the returned slice is
+// valid until the next Delivered call.
+func (n *Ideal) Delivered() []*Packet {
+	out := n.deliv
+	n.deliv = n.spare[:0]
+	n.spare = out
 	return out
-}
-
-// DeliveredSet ORs the nodes with an undrained batch into dst.
-func (n *Ideal) DeliveredSet(dst []uint64) {
-	for i, w := range n.delivSet.words {
-		dst[i] |= w
-	}
 }
 
 // Cycle returns elapsed cycles.

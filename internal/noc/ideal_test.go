@@ -20,7 +20,7 @@ func TestPerfectNetworkSameCycleDelivery(t *testing.T) {
 		n.TryInject(&Packet{Src: 0, Dst: 35, Class: ClassReply, Bytes: 64})
 	}
 	n.Tick()
-	got := n.Delivered(35)
+	got := n.Delivered()
 	if len(got) != 100 {
 		t.Fatalf("perfect network delivered %d/100 in one cycle", len(got))
 	}
@@ -44,7 +44,7 @@ func TestIdealBandwidthCap(t *testing.T) {
 	perCycle := []int{}
 	for c := 0; c < 15 && !n.Quiet(); c++ {
 		n.Tick()
-		perCycle = append(perCycle, len(n.Delivered(35)))
+		perCycle = append(perCycle, len(n.Delivered()))
 	}
 	if !n.Quiet() {
 		t.Fatal("did not drain")
@@ -74,7 +74,7 @@ func TestIdealFractionalBudgetCarries(t *testing.T) {
 	cycles := 0
 	for ; cycles < 100 && !n.Quiet(); cycles++ {
 		n.Tick()
-		delivered += len(n.Delivered(1))
+		delivered += len(n.Delivered())
 	}
 	if delivered != 5 {
 		t.Fatalf("delivered %d/5", delivered)
@@ -104,7 +104,7 @@ func TestIdealFIFOAcrossSources(t *testing.T) {
 	n.TryInject(a)
 	n.TryInject(b)
 	n.Tick()
-	first := n.Delivered(7)
+	first := n.Delivered()
 	if len(first) != 1 || first[0].Line != 'a' {
 		t.Errorf("first delivery = %v, want a", first)
 	}
@@ -122,7 +122,7 @@ func TestIdealPropertyConservation(t *testing.T) {
 		got := 0
 		for c := 0; c < 10000 && !n.Quiet(); c++ {
 			n.Tick()
-			got += len(collectAll(n, 16))
+			got += len(n.Delivered())
 		}
 		return n.Quiet() && got == want
 	}

@@ -35,19 +35,13 @@ type netIface struct {
 	writing uint64      // bit port*numVCs+vc: writers[port*numVCs+vc].pkt != nil
 	pend    int         // queued packets + in-progress writers; injectStep is a no-op at 0
 	classRR int
-
-	// delivered/spare double-buffer the per-tick delivery batch: Delivered
-	// swaps them instead of dropping the slice, so the steady state reuses
-	// two backing arrays per node instead of allocating one per batch.
-	delivered []*Packet
-	spare     []*Packet
 }
 
 // init builds ni in place for node, carving its writers (rtr.p.nInj*numVCs)
 // and its source-queue buffers (NumClasses*SrcQueueCap) from the network's
-// slabs. The delivery batches keep their backing arrays, emptied.
+// slabs.
 func (ni *netIface) init(node NodeID, rtr *router, net *meshNet, writers *[]injWriter, queued *[]*Packet) {
-	*ni = netIface{node: node, rtr: rtr, net: net, delivered: ni.delivered[:0], spare: ni.spare[:0]}
+	*ni = netIface{node: node, rtr: rtr, net: net}
 	for c := range ni.srcQ {
 		ni.srcQ[c] = ring.Over(carve(queued, net.cfg.SrcQueueCap), net.cfg.SrcQueueCap)
 	}
@@ -166,11 +160,10 @@ type ejFlit struct {
 }
 
 // eject takes one flit of pkt off the ejection link at cycle and, at the
-// packet's last flit, assembles it. Flits of one packet arrive in order, but
-// packets on different VCs may interleave, so the count lives on the packet.
-// Latency observations are order-sensitive float sums; the eject phase
-// hands flits over in node-then-port order, which fixes the order of the
-// Add calls.
+// packet's last flit, assembles it onto the network's delivery list. Flits
+// of one packet arrive in order, but packets on different VCs may
+// interleave, so the count lives on the packet. Latencies are whole cycles,
+// so their float sum is exact (below 2^53) in any assembly order.
 func (ni *netIface) eject(pkt *Packet, cycle uint64) {
 	n := ni.net
 	n.stats.EjectedFlits[ni.node]++
@@ -183,7 +176,6 @@ func (ni *netIface) eject(pkt *Packet, cycle uint64) {
 	if n.fs != nil && !n.fs.onAssembled(n, pkt) {
 		return // failed the end-to-end check: corrupt, duplicate or lost
 	}
-	ni.delivered = append(ni.delivered, pkt)
-	n.delivSet.set(int(ni.node))
+	n.deliv = append(n.deliv, pkt)
 	n.stats.NetLatency.Add(float64(pkt.NetworkLatency()))
 }

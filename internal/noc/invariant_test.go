@@ -178,7 +178,7 @@ func TestCreditConservationUnderLoad(t *testing.T) {
 					}
 				}
 				m.Tick()
-				collectAll(m, topo.NumNodes())
+				m.Delivered()
 				checkCreditConservation(t, m, pl, cycle, false)
 			}
 			if !m.Quiet() {
@@ -227,12 +227,12 @@ func TestHalfRouterNeverTurns(t *testing.T) {
 			m.TryInject(q)
 		}
 		m.Tick()
-		collectAll(m, topo.NumNodes())
+		m.Delivered()
 	}
 	if !m.Quiet() {
 		for i := 0; i < 20000 && !m.Quiet(); i++ {
 			m.Tick()
-			collectAll(m, topo.NumNodes())
+			m.Delivered()
 		}
 	}
 	if !m.Quiet() {
@@ -276,7 +276,7 @@ func TestVCClassIsolation(t *testing.T) {
 				Class: ClassReply, Bytes: 64})
 		}
 		m.Tick()
-		collectAll(m, topo.NumNodes())
+		m.Delivered()
 		check(cycle)
 	}
 }
@@ -322,7 +322,7 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 				Class: ClassReply, Bytes: 64})
 		}
 		m.Tick()
-		collectAll(m, topo.NumNodes())
+		m.Delivered()
 		check()
 	}
 }
@@ -532,7 +532,7 @@ func TestStageMasksMatchVCState(t *testing.T) {
 					}
 				}
 				m.Tick()
-				collectAll(m, backend.NumNodes())
+				m.Delivered()
 				checkStageMasks(t, m, cycle)
 			}
 			if !m.Quiet() {

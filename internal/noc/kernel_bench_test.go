@@ -120,8 +120,10 @@ func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
 	// Reply backlog per MC, preallocated to the in-flight bound so the
 	// harness never allocates mid-measurement.
 	backlog := make([][]*Packet, len(mcs))
-	for i := range backlog {
+	mcOf := make([]int, backend.NumNodes()) // node -> index in mcs
+	for i, mc := range mcs {
 		backlog[i] = make([]*Packet, 0, outstanding*len(comp))
+		mcOf[mc] = i
 	}
 	rr := 0
 
@@ -140,15 +142,20 @@ func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
 				inflight[i]++
 			}
 		}
-		for j, mc := range mcs {
-			for _, pkt := range m.Delivered(mc) {
+		for _, pkt := range m.Delivered() {
+			if pkt.Class == ClassRequest {
 				r := pool.Get()
-				r.Src, r.Dst = mc, pkt.Src
+				r.Src, r.Dst = pkt.Dst, pkt.Src
 				r.Class, r.Bytes = ClassReply, 64
 				r.Line = pkt.Line
+				j := mcOf[pkt.Dst]
 				backlog[j] = append(backlog[j], r)
-				pool.Put(pkt)
+			} else {
+				inflight[pkt.Line]--
 			}
+			pool.Put(pkt)
+		}
+		for j := range mcs {
 			q := backlog[j]
 			n := 0
 			for _, r := range q {
@@ -158,12 +165,6 @@ func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
 				n++
 			}
 			backlog[j] = q[:copy(q, q[n:])]
-		}
-		for _, c := range comp {
-			for _, pkt := range m.Delivered(c) {
-				inflight[pkt.Line]--
-				pool.Put(pkt)
-			}
 		}
 		m.Tick()
 	}
@@ -204,16 +205,11 @@ func benchDrainTail(b *testing.B, cfg Config) {
 		p.Class, p.Bytes = ClassRequest, 8
 		m.TryInject(p)
 	}
-	drain := func() {
-		for _, n := range backend.MCs() {
-			for _, pkt := range m.Delivered(n) {
-				pool.Put(pkt)
-			}
-		}
-	}
 	for i := 0; i < 200 && !m.Quiet(); i++ { // let the burst drain
 		m.Tick()
-		drain()
+		for _, pkt := range m.Delivered() {
+			pool.Put(pkt)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -315,7 +315,7 @@ func TestEjectionFIFODue(t *testing.T) {
 			t.Fatalf("cycle %d: NextWorkCycle %d with flits on the ejection link", n.cycle, m.NextWorkCycle())
 		}
 	}
-	if d := m.Delivered(0); len(d) != 1 || d[0] != pkt || pkt.ArrivedAt != 5 || !m.Quiet() {
+	if d := m.Delivered(); len(d) != 1 || d[0] != pkt || pkt.ArrivedAt != 5 || !m.Quiet() {
 		t.Fatalf("delivered %v (ArrivedAt %d, quiet %v), want the packet at cycle 5", d, pkt.ArrivedAt, m.Quiet())
 	}
 }

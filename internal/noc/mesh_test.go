@@ -20,15 +20,6 @@ func runUntilQuiet(t *testing.T, n Network, maxCycles int) {
 	t.Fatalf("network did not drain within %d cycles", maxCycles)
 }
 
-// collectAll drains delivered packets at every node.
-func collectAll(n Network, nodes int) []*Packet {
-	var out []*Packet
-	for id := 0; id < nodes; id++ {
-		out = append(out, n.Delivered(NodeID(id))...)
-	}
-	return out
-}
-
 func TestMeshConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.FlitBytes = 0 },
@@ -175,7 +166,7 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 	if got := p.NetworkLatency(); got != 19 {
 		t.Errorf("zero-load latency = %d, want 19", got)
 	}
-	got := m.Delivered(dst)
+	got := m.Delivered()
 	if len(got) != 1 || got[0] != p {
 		t.Errorf("Delivered = %v", got)
 	}
@@ -222,7 +213,7 @@ func TestDeliveryOrderSameFlow(t *testing.T) {
 		}
 	}
 	runUntilQuiet(t, m, 10000)
-	got := m.Delivered(dst)
+	got := m.Delivered()
 	if len(got) != n {
 		t.Fatalf("delivered %d/%d", len(got), n)
 	}
@@ -284,7 +275,7 @@ func crossTraffic(t *testing.T, cfg Config, packets int, seed uint64) float64 {
 			}
 		}
 		net.Tick()
-		recv += len(collectAll(net, topo.NumNodes()))
+		recv += len(net.Delivered())
 	}
 	if recv != packets {
 		t.Fatalf("delivered %d/%d packets", recv, packets)
@@ -406,10 +397,10 @@ func TestMeshPropertyAllConfigsDeliver(t *testing.T) {
 			m.Tick()
 		}
 		got := 0
-		got += len(collectAll(m, topo.NumNodes()))
+		got += len(m.Delivered())
 		for i := 0; i < 50000 && !m.Quiet(); i++ {
 			m.Tick()
-			got += len(collectAll(m, topo.NumNodes()))
+			got += len(m.Delivered())
 		}
 		return m.Quiet() && got == want
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // Network is the closed-loop simulator's view of an interconnect: offer
-// packets, advance cycles, and collect delivered packets per node. Mesh,
+// packets, advance cycles, and collect the delivered packets. Mesh,
 // DoubleMesh and Ideal all implement it.
 type Network interface {
 	// TryInject offers a packet at its source node. It returns false when
@@ -24,18 +24,13 @@ type Network interface {
 	CanInject(n NodeID, class TrafficClass) bool
 	// Tick advances the network one interconnect cycle.
 	Tick()
-	// Delivered returns (and clears) the packets fully ejected at node n.
-	// The returned slice is only valid until the next Delivered call for
-	// the same node: implementations recycle the backing array to keep the
-	// cycle loop allocation-free, so callers must consume (or copy) the
-	// batch before asking again.
-	Delivered(n NodeID) []*Packet
-	// DeliveredSet ORs into dst — a node-indexed bitset of at least
-	// (nodes+63)/64 words — the nodes whose Delivered batch is non-empty.
-	// Ejection sets a node's bit and Delivered clears it, so a driver can
-	// visit only the nodes with something to drain. The set is a fixed-size
-	// bitset: a poll-only consumer that never reads it leaves it bounded.
-	DeliveredSet(dst []uint64)
+	// Delivered returns (and clears) every packet assembled since the last
+	// call, at any node, in ejection order: each node's packets in the
+	// order they arrived there. The returned slice is only valid until the
+	// next Delivered call: implementations recycle the backing array to
+	// keep the cycle loop allocation-free, so callers must consume (or copy)
+	// the batch before asking again.
+	Delivered() []*Packet
 	// Cycle returns the elapsed interconnect cycles.
 	Cycle() uint64
 	// Quiet reports whether no packets are queued or in flight.
@@ -246,9 +241,10 @@ type meshNet struct {
 	// ejLinkFlits per ejection port.
 	ejq ring.Ring[ejFlit]
 
-	// delivSet holds the nodes whose Delivered batch is non-empty: the
-	// ejection NI sets a bit when it appends a packet, Delivered clears it.
-	delivSet activeSet
+	// deliv lists the packets assembled since the last Delivered call, in
+	// ejection order; Delivered swaps it with spare, so the steady state
+	// reuses two backing arrays instead of allocating one per batch.
+	deliv, spare []*Packet
 
 	// credDue is the cycle the last freed slot's credit reaches its upstream
 	// router (resync delay not included); dues only grow, so it tells
@@ -270,7 +266,7 @@ type meshNet struct {
 	auditEvery uint64 // flit-conservation audit period
 
 	// The arrays the network is carved from, kept whole so that the next
-	// init carves its build out of them: the stats counters, the three
+	// init carves its build out of them: the stats counters, the two
 	// node bitsets, the routers and their slabs, the NIs, their writers
 	// and their source-queue buffers.
 	mem struct {
@@ -338,6 +334,8 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 		routers:      reuse.Slice(n.routers, nNodes),
 		nis:          reuse.Slice(n.nis, nNodes),
 		ejq:          n.ejq,
+		deliv:        n.deliv[:0],
+		spare:        n.spare[:0],
 		interScratch: reuse.Keep(n.interScratch, nNodes)[:0],
 		mem:          n.mem,
 	}
@@ -357,11 +355,10 @@ func (n *meshNet) init(cfg Config, backend Backend) error {
 	n.stats.InjectedPackets = carve(&counters, nNodes)
 	n.stats.EjectedFlits = carve(&counters, nNodes)
 	setWords := (nNodes + 63) / 64
-	mem.sets = reuse.Slice(mem.sets, 3*setWords)
+	mem.sets = reuse.Slice(mem.sets, 2*setWords)
 	sets := mem.sets
 	n.injActive.words = carve(&sets, setWords)
 	n.rtrActive.words = carve(&sets, setWords)
-	n.delivSet.words = carve(&sets, setWords)
 
 	// One pass sets every router's parameters and sizes the slabs that hold
 	// all per-router and per-NI state; the constructors below carve them.
@@ -532,7 +529,7 @@ func (n *meshNet) CanInject(node NodeID, class TrafficClass) bool {
 }
 
 // TryInject offers p at p.Src. On success the network owns the packet until
-// it reappears in Delivered(p.Dst).
+// it reappears in Delivered, at p.Dst.
 func (n *meshNet) TryInject(p *Packet) bool {
 	if p.Src < 0 || int(p.Src) >= n.backend.NumNodes() || p.Dst < 0 || int(p.Dst) >= n.backend.NumNodes() {
 		panic(fmt.Sprintf("noc: inject with bad endpoints %d->%d", p.Src, p.Dst))
@@ -556,34 +553,23 @@ func (n *meshNet) TryInject(p *Packet) bool {
 	return true
 }
 
-// Delivered returns and clears packets assembled at node. The batch and its
-// spare predecessor are double-buffered per node; the returned slice is
-// valid until the next Delivered call for the same node.
-func (n *meshNet) Delivered(node NodeID) []*Packet {
-	ni := n.nis[node]
-	out := ni.delivered
-	ni.delivered = ni.spare[:0]
-	ni.spare = out
-	n.delivSet.clear(int(node))
+// Delivered returns and clears the packets assembled since the last call,
+// in ejection order. The list and its spare predecessor are double-buffered;
+// the returned slice is valid until the next Delivered call.
+func (n *meshNet) Delivered() []*Packet {
+	out := n.deliv
+	n.deliv = n.spare[:0]
+	n.spare = out
 	return out
-}
-
-// DeliveredSet ORs the undrained-batch set into dst.
-func (n *meshNet) DeliveredSet(dst []uint64) {
-	for i, w := range n.delivSet.words {
-		dst[i] |= w
-	}
 }
 
 // Tick advances one network cycle: the cycle count and fault machinery,
 // then the three phases — inject, route, eject. Inject and route walk only
 // their active components in ascending index order, the same order the
 // dense loops used, so arbitration and fault-RNG draw sequences are
-// unchanged. Eject pops the due flits off the ejection FIFO and hands each
-// to its NI. Every due flit left its router the cycle before (stD is 1) and
-// a port sends at most one flit a cycle, so traversal order — router
-// ascending, then output port ascending — is the node-then-port order a
-// per-node drain would visit, and latency sums add up in the same order.
+// unchanged. Eject pops the due flits off the ejection FIFO, in traversal
+// order (router ascending, then output port ascending), and hands each to
+// its NI, which appends the packets it assembles to the delivery list.
 // Links are not a phase: a router's sends land in the neighbour's buffers
 // directly. The cycle ends with the health monitors.
 func (n *meshNet) Tick() {

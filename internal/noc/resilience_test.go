@@ -41,7 +41,7 @@ func faultyTrafficChecked(t *testing.T, cfg Config, packets int, seed uint64, ea
 			}
 		}
 		m.Tick()
-		for _, p := range collectAll(m, topo.NumNodes()) {
+		for _, p := range m.Delivered() {
 			if seen[p.lid] {
 				t.Fatalf("logical transfer %d delivered twice", p.lid)
 			}
@@ -133,7 +133,7 @@ func TestZeroRateBitIdentical(t *testing.T) {
 				}
 			}
 			m.Tick()
-			collectAll(m, topo.NumNodes())
+			m.Delivered()
 		}
 		st := m.Stats()
 		return m.Cycle(), st.FlitHops, st.NetLatency.Value()
@@ -164,7 +164,7 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	var verdict error
 	for cycle := 0; cycle < 100000; cycle++ {
 		m.Tick()
-		collectAll(m, topo.NumNodes())
+		m.Delivered()
 		if verdict = m.Health(); verdict != nil {
 			break
 		}
@@ -207,7 +207,7 @@ func TestFlitConservationAcross10kFaultyCycles(t *testing.T) {
 			Class: ClassRequest, Bytes: 64}
 		m.TryInject(p)
 		m.Tick()
-		collectAll(m, topo.NumNodes())
+		m.Delivered()
 		if cycle%500 == 499 {
 			if err := m.CheckFlitConservation(); err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
@@ -247,7 +247,7 @@ func TestDoubleNetworkHealthAndFaults(t *testing.T) {
 			}
 		}
 		d.Tick()
-		recv += len(collectAll(d, topo.NumNodes()))
+		recv += len(d.Delivered())
 	}
 	if recv != 1000 {
 		t.Fatalf("delivered %d/1000 transfers", recv)

@@ -369,19 +369,3 @@ func (o *Outcomes) Summary() string {
 	}
 	return fmt.Sprintf("%d runs: %d ok, %d DNF", o.Total(), o.byStatus["ok"], o.DNF())
 }
-
-// SortRowsByColumn orders rows by the named column's string value;
-// useful for stable, diff-friendly experiment output.
-func (t *Table) SortRowsByColumn(header string) {
-	col := -1
-	for i, h := range t.headers {
-		if h == header {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return
-	}
-	sort.SliceStable(t.rows, func(i, j int) bool { return t.rows[i][col] < t.rows[j][col] })
-}

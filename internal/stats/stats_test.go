@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func almostEqual(a, b float64) bool {
@@ -143,28 +145,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestTableSort(t *testing.T) {
-	tb := NewTable("s", "k", "v")
-	tb.AddRow("zz", 1.0)
-	tb.AddRow("aa", 2.0)
-	tb.SortRowsByColumn("k")
-	out := tb.String()
-	if strings.Index(out, "aa") > strings.Index(out, "zz") {
-		t.Errorf("rows not sorted: %q", out)
-	}
-}
-
-func TestTableSortUnknownColumnIsNoop(t *testing.T) {
-	tb := NewTable("s", "k")
-	tb.AddRow("b")
-	tb.AddRow("a")
-	tb.SortRowsByColumn("missing")
-	out := tb.String()
-	if strings.Index(out, "b") > strings.Index(out, "a") {
-		t.Error("sort by missing column should not reorder rows")
-	}
-}
-
 // TestDominatesWithMargin pins plain Pareto dominance, the explorer's
 // frontier rule (the name predates the removal of its kill margins).
 func TestDominatesWithMargin(t *testing.T) {
@@ -206,5 +186,40 @@ func TestParetoFrontier(t *testing.T) {
 	}
 	if f := ParetoFrontier(nil, nil); len(f) != 0 {
 		t.Errorf("empty input frontier = %v, want empty", f)
+	}
+}
+
+// TestWholeSampleSumsIgnoreOrder pins why the drivers may add latency
+// samples in any order: latencies are whole cycles, and a float64 sum of
+// whole numbers below 2^53 is exact, so a Mean and a Histogram fed the same
+// samples in any order hold bit-identical sums.
+func TestWholeSampleSumsIgnoreOrder(t *testing.T) {
+	rng := xrand.New(3)
+	samples := make([]float64, 5000)
+	for i := range samples {
+		samples[i] = float64(rng.Intn(4096))
+	}
+	samples[0] = 1 << 40 // a large sample that would swallow fractions
+	feed := func() (Mean, *Histogram) {
+		var m Mean
+		h := NewHistogram(4, 1024)
+		for _, v := range samples {
+			m.Add(v)
+			h.Add(v)
+		}
+		return m, h
+	}
+	m0, h0 := feed()
+	for round := 0; round < 20; round++ {
+		for i := len(samples) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			samples[i], samples[j] = samples[j], samples[i]
+		}
+		m, h := feed()
+		if math.Float64bits(m.Value()) != math.Float64bits(m0.Value()) ||
+			math.Float64bits(h.Mean()) != math.Float64bits(h0.Mean()) {
+			t.Fatalf("round %d: shuffled order moved the mean: %v/%v, want %v/%v",
+				round, m.Value(), h.Mean(), m0.Value(), h0.Mean())
+		}
 	}
 }

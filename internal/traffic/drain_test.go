@@ -27,13 +27,8 @@ func (h *horizonStub) Tick()                                           { h.cycle
 func (h *horizonStub) Cycle() uint64                                   { return h.cycle }
 func (h *horizonStub) Quiet() bool                                     { return true }
 func (h *horizonStub) Health() error                                   { return nil }
-func (h *horizonStub) DeliveredSet(dst []uint64) {
-	if h.held != nil {
-		dst[h.held.Dst>>6] |= 1 << (uint(h.held.Dst) & 63)
-	}
-}
-func (h *horizonStub) Delivered(n noc.NodeID) []*noc.Packet {
-	if h.held == nil || n != h.held.Dst {
+func (h *horizonStub) Delivered() []*noc.Packet {
+	if h.held == nil {
 		return nil
 	}
 	p := h.held

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/xrand"
 )
 
 // Open-loop golden digests: the synthetic many-to-few-to-many harness pins
@@ -251,5 +252,54 @@ func TestOpenLoopGoldenDigestsLanes(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// shuffledDeliveries hands each Delivered batch back in a seeded random
+// interleaving across nodes that keeps each node's packets in their order.
+type shuffledDeliveries struct {
+	noc.Network
+	rng *xrand.Rand
+	out []*noc.Packet
+}
+
+func (s *shuffledDeliveries) Delivered() []*noc.Packet {
+	batch := s.Network.Delivered()
+	s.out = append(s.out[:0], batch...)
+	for i := len(s.out) - 1; i > 0; i-- {
+		j := s.rng.Intn(i + 1)
+		s.out[i], s.out[j] = s.out[j], s.out[i]
+	}
+	// The shuffle picks which node comes next; each node's packets then
+	// fill its turns in batch order.
+	queue := map[noc.NodeID][]*noc.Packet{}
+	for _, p := range batch {
+		queue[p.Dst] = append(queue[p.Dst], p)
+	}
+	for i, p := range s.out {
+		q := queue[p.Dst]
+		s.out[i], queue[p.Dst] = q[0], q[1:]
+	}
+	return s.out
+}
+
+// TestShuffledDeliveriesMatchGoldens runs every open-loop golden point with
+// its delivery batches shuffled across nodes and demands the recorded
+// digest: the harness may depend on each node's own order, never on the
+// order across nodes.
+func TestShuffledDeliveriesMatchGoldens(t *testing.T) {
+	for _, og := range openMatrix() {
+		og := og
+		t.Run(og.id, func(t *testing.T) {
+			var net noc.Network
+			res := NewRunner(func() (noc.Network, noc.Backend) {
+				m := noc.MustNewMesh(og.mesh())
+				net = &shuffledDeliveries{Network: m, rng: xrand.New(59)}
+				return net, m.Backend()
+			}).Run(og.config())
+			if got, want := digestOpenLoop(res, net.Stats()), openGoldenDigests[og.id]; got != want {
+				t.Errorf("shuffled deliveries moved %s:\n got  %s\n want %s", og.id, got, want)
+			}
+		})
 	}
 }

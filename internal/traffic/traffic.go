@@ -11,7 +11,6 @@ package traffic
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -130,9 +129,12 @@ func (r *Runner) Run(cfg Config) Result {
 	if len(mcs) == 0 {
 		panic("traffic: network has no MC nodes")
 	}
-	mcSet := make([]uint64, (backend.NumNodes()+63)/64) // node bitset of the MCs
-	for _, mc := range mcs {
-		mcSet[mc>>6] |= 1 << (uint(mc) & 63)
+	mcOf := make([]int, backend.NumNodes()) // node -> index in mcs, -1 at compute nodes
+	for i := range mcOf {
+		mcOf[i] = -1
+	}
+	for j, mc := range mcs {
+		mcOf[mc] = j
 	}
 	hot := mcs[0]
 
@@ -150,7 +152,6 @@ func (r *Runner) Run(cfg Config) Result {
 	for j := range backlog {
 		backlog[j] = ring.New[pendingReply](8, 0)
 	}
-	delivered := make([]uint64, len(mcSet)) // node bitset: this cycle's DeliveredSet
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
 	// A packet is measured when its request was offered inside the window.
@@ -187,25 +188,29 @@ func (r *Runner) Run(cfg Config) Result {
 				}
 			}
 		}
-		// Only nodes the network flags have a batch to drain; the set stays
-		// valid for the cycle, since nothing below ticks the network.
-		clear(delivered)
-		net.DeliveredSet(delivered)
-		// MCs turn arrived requests into replies. A delivered batch is
-		// consumed in full before the next Get, so recycling its packets
-		// cannot alias one still being read.
+		// Requests join their MC's reply backlog and compute nodes absorb
+		// replies, in ejection order. Latencies are whole cycles, so the
+		// float sums are exact in any order. The batch is consumed in full
+		// before the next Get, so recycling its packets cannot alias one
+		// still being read.
+		for _, pkt := range net.Delivered() {
+			if j := mcOf[pkt.Dst]; j >= 0 {
+				if inWindow(pkt.OfferedAt) {
+					lat.Add(float64(pkt.TotalLatency()))
+					hist.Add(float64(pkt.TotalLatency()))
+				}
+				backlog[j].Push(pendingReply{dst: pkt.Src, offeredAt: pkt.OfferedAt})
+			} else if inWindow(pkt.Line) {
+				lat.Add(float64(pkt.TotalLatency()))
+				hist.Add(float64(pkt.TotalLatency()))
+				rtt.Add(float64(pkt.ArrivedAt - pkt.Line))
+				measured++
+			}
+			pool.Put(pkt)
+		}
+		// MCs turn their backlogs into replies.
 		for j, mc := range mcs {
 			q := &backlog[j]
-			if delivered[mc>>6]&(1<<(uint(mc)&63)) != 0 {
-				for _, pkt := range net.Delivered(mc) {
-					if inWindow(pkt.OfferedAt) {
-						lat.Add(float64(pkt.TotalLatency()))
-						hist.Add(float64(pkt.TotalLatency()))
-					}
-					q.Push(pendingReply{dst: pkt.Src, offeredAt: pkt.OfferedAt})
-					pool.Put(pkt)
-				}
-			}
 			for q.Len() > 0 && net.CanInject(mc, noc.ClassReply) {
 				pr := q.Front()
 				reply := pool.Get()
@@ -217,22 +222,6 @@ func (r *Runner) Run(cfg Config) Result {
 				}
 				q.Pop()
 				repliesInjected++
-			}
-		}
-		// Compute nodes absorb replies, walked in ascending node id: that is
-		// ComputeNodes order, which fixes the order latency samples are
-		// added in, and with it the float sums.
-		for wi, w := range delivered {
-			for w &^= mcSet[wi]; w != 0; w &= w - 1 {
-				for _, pkt := range net.Delivered(noc.NodeID(wi<<6 + bits.TrailingZeros64(w))) {
-					if inWindow(pkt.Line) {
-						lat.Add(float64(pkt.TotalLatency()))
-						hist.Add(float64(pkt.TotalLatency()))
-						rtt.Add(float64(pkt.ArrivedAt - pkt.Line))
-						measured++
-					}
-					pool.Put(pkt)
-				}
 			}
 		}
 		// Drain-phase fast-forward: with injection over, deliveries absorbed
